@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
@@ -182,6 +181,10 @@ def spline_basis(x, K):
     orthonormalized, so the K returned columns carry only curvature, have
     unit norm, and are exactly orthogonal to the constant and linear terms.
     """
+    # imported here: scipy.interpolate loads scipy.optimize and scipy.sparse,
+    # about 20 MB that `import ghs` should not cost
+    from scipy.interpolate import BSpline
+
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError("x must be a vector")

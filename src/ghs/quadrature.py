@@ -9,7 +9,6 @@ must stay independent of the series/continued-fraction code paths.
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericalError
 
@@ -20,6 +19,9 @@ def adaptive_quad(f, a, b, rel_tol=1e-12, abs_tol=1e-300, limit=500, points=None
     Raises NumericalError if QUADPACK reports a failure and the error
     estimate is not clearly below the requested tolerances.
     """
+    # imported here, like BSpline in ghs.gamsel, to keep `import ghs` light
+    from scipy import integrate
+
     kwargs = {"epsabs": abs_tol, "epsrel": rel_tol, "limit": limit}
     if points is not None and np.isfinite(a) and np.isfinite(b):
         kwargs["points"] = points
@@ -34,10 +36,3 @@ def adaptive_quad(f, a, b, rel_tol=1e-12, abs_tol=1e-300, limit=500, points=None
         )
     return value
 
-
-def adaptive_quad_split(f, a, b, split, **kwargs):
-    """Integrate with interior breakpoints (useful for peaked integrands)."""
-    pieces = [a, *sorted(p for p in split if a < p < b), b]
-    return sum(
-        adaptive_quad(f, lo, hi, **kwargs) for lo, hi in zip(pieces, pieces[1:])
-    )

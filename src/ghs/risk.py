@@ -21,7 +21,9 @@ import numpy as np
 
 from .distribution import origin_ball_mass, radial_log_density
 from .errors import DomainError, ResourceError
-from .quadrature import adaptive_quad
+from .posterior import _mixture_moments
+# adaptive_quad stays importable here: perfbench/spans.py patches this name
+from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng, split_seed
 
 __all__ = [
@@ -136,46 +138,30 @@ class McRisk:
     per_rep: np.ndarray = field(repr=False, default=None)
 
 
-def _log_joint_given_scale(lam, n, d, sigma, s_within, mean_sq):
-    """log prod_i N(y_i; theta, sigma^2 I) integrated over theta ~ N(0, lam^2 I).
+def _log_prior_predictive(n, d, sigma, s_within, mean_sq):
+    """log m(y_1..y_n): half-Cauchy mixture of the collapsed Gaussian.
 
-    Coordinates are independent; each contributes a Normal with an
-    equicorrelated n x n covariance, collapsed by Sherman-Morrison.
+    Integrating theta ~ N(0, lam^2 I) out of prod_i N(y_i; theta, sigma^2 I)
+    leaves K e^(-a/q) q^(-d/2) with q = 1 + lam^2 b, a = n mean_sq/(2 sigma^2),
+    b = n/sigma^2 and K = (2 pi sigma^2)^(-nd/2) e^(-s_within/(2 sigma^2)).
+    The lam-mixture of that is K (2/pi) C(a, b, d), C being the posterior
+    module's mixture integral int w / (2 sqrt(b)).
     """
     s2 = sigma * sigma
-    tot = lam * lam * n + s2
+    b = n / s2
     return (
-        -0.5 * n * d * math.log(2.0 * math.pi)
-        - 0.5 * d * (n - 1) * math.log(s2)
-        - 0.5 * d * math.log(tot)
+        -0.5 * n * d * math.log(2.0 * math.pi * s2)
         - 0.5 * s_within / s2
-        - 0.5 * n * mean_sq / tot
+        + _mixture_moments(0.5 * n * mean_sq / s2, b, d)[0]
+        - math.log(math.pi * math.sqrt(b))
     )
-
-
-def _log_prior_predictive(n, d, sigma, s_within, mean_sq, rel_tol=1e-10):
-    """log m(y_1..y_n): half-Cauchy mixture of the collapsed Gaussian."""
-
-    def log_f(lam):
-        return _log_joint_given_scale(lam, n, d, sigma, s_within, mean_sq)
-
-    grid = np.concatenate(([0.0], np.logspace(-4, 4, 81)))
-    peak = max(log_f(l) for l in grid)
-
-    def f(lam):
-        return (2.0 / (math.pi * (1.0 + lam * lam))) * math.exp(log_f(lam) - peak)
-
-    val = adaptive_quad(f, 0.0, 1.0, rel_tol=rel_tol) + adaptive_quad(
-        f, 1.0, np.inf, rel_tol=rel_tol
-    )
-    return peak + math.log(val)
 
 
 def cesaro_risk_mc(scenario: RiskScenario, n, reps, seed, target_se=None):
     """Monte Carlo Cesaro-average risk: (1/n) E log[prod p(y_i|theta0) / m(y)].
 
-    The prior predictive m is computed by quadrature over the local scale
-    after collapsing theta analytically, so the only randomness is the data.
+    The prior predictive m is the posterior module's mixture integral after
+    collapsing theta analytically, so the only randomness is the data.
     Raises ResourceError if a requested standard error is not reached.
     """
     if n < 2:

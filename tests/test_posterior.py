@@ -5,6 +5,7 @@ the scale-mixture integrals, finite differences, alternate closed forms).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from ghs.errors import DimensionError, DomainError
 from ghs.posterior import (
     PosteriorModel,
     SideModel,
+    _mixture_moments,
     cd_integrals,
     marginal_log_density,
     marginal_log_density_quad,
@@ -294,3 +296,112 @@ class TestSideModel:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             side_model_shrinkage(SideModel(1, 1.0, 1.0), [1.0], method="bogus")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "fn", [marginal_log_density, score, posterior_mean, side_model_shrinkage]
+)
+def test_non_finite_input_rejected(fn):
+    def model(t):
+        return SideModel(2, 1.0, t) if fn is side_model_shrinkage else PosteriorModel(2, t)
+
+    # 1e200 is finite, but ||y||^2 is not
+    for bad in (math.nan, math.inf, -math.inf, 1e200):
+        with pytest.raises(DomainError):
+            fn(model(1.0), [1.0, bad])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            model(bad)
+    with pytest.raises(DomainError):
+        SideModel(2, math.inf, 1.0)
+
+
+# Benchmark grid cells where the Phi1/1F1 series does not converge: the series
+# argument 1 - tau^(+-2) is near 1, or ||y|| is large at tau >= 10
+SERIES_FAILURE_CELLS = (
+    [(d, 0.01, r) for d in (1, 3, 20) for r in (0.1, 3.0)]
+    + [(d, 10.0, 300.0) for d in (1, 3, 20)]
+    + [(d, 100.0, r) for d in (1, 3, 20) for r in (0.1, 3.0, 30.0, 300.0)]
+)
+
+
+@pytest.mark.parametrize("d, tau, r", SERIES_FAILURE_CELLS)
+def test_former_series_failures_match_quadrature(d, tau, r):
+    model = PosteriorModel(d, tau)
+    y = point(d, r, seed=d)
+    log_p = marginal_log_density(model, y)
+    assert math.isfinite(log_p)
+    assert abs(log_p - marginal_log_density_quad(model, y)) <= 1e-8 * max(1.0, abs(log_p))
+    mean = posterior_mean(model, y)
+    oracle = posterior_mean_mixture_oracle(model, y)
+    assert np.all(np.isfinite(mean))
+    assert np.linalg.norm(mean - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
+
+
+def mp_mixture_moments(a, b, d):
+    """(log int w, int w v / int w, int w x / int w) by mpmath at 20 digits.
+
+    The x < 1/2 half is integrated in s = log x, with a breakpoint at the
+    small-b scale x ~ b; the v < 1/2 half in s = log v, with breakpoints
+    around the peak v* = (d+1)/(2a) and at the pole scale v ~ 1/b.  Plain
+    quadrature in x that misses v* is off by up to 1e-2 for large d, a.
+    """
+    with mp.workdps(20):
+        a, b, p = mp.mpf(a), mp.mpf(b), mp.mpf(d - 1) / 2
+        half = -mp.log(2)
+
+        def w(x, v):
+            return v**p / (mp.sqrt(x) * (v + x / b)) * mp.exp(-a * v)
+
+        def left(s):  # x = e^s, dx = x ds
+            x = mp.exp(s)
+            return x * w(x, -mp.expm1(s))
+
+        def right(s):  # v = e^s, dx = v ds
+            v = mp.exp(s)
+            return v * w(-mp.expm1(s), v)
+
+        def cut(points):
+            return [-mp.inf] + sorted(q for q in points if q < half) + [half]
+
+        s_star = mp.log((d + 1) / (2 * a)) if a > 0 else mp.mpf(0)
+        sig = mp.sqrt(mp.mpf(2) / (d + 1))
+        lpts = cut([mp.log(b)])
+        rpts = cut([s_star - 2 * sig, s_star, s_star + 2 * sig, -mp.log(b)])
+        # mp.quad stops on an absolute error estimate: scale the integrand to O(1)
+        scale = 1 / max([left(q) for q in lpts[1:]] + [right(q) for q in rpts[1:]])
+        c0 = mp.quad(lambda s: scale * left(s), lpts) + mp.quad(
+            lambda s: scale * right(s), rpts
+        )
+        cv = mp.quad(lambda s: scale * left(s) * -mp.expm1(s), lpts) + mp.quad(
+            lambda s: scale * right(s) * mp.exp(s), rpts
+        )
+        return float(mp.log(c0 / scale)), float(cv / c0), float((c0 - cv) / c0)
+
+
+MP_GRID = [
+    (d, tau, r, 1e-10)
+    for d in (1, 3, 20)
+    for tau in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
+    for r in (0.1, 3.0, 30.0, 300.0)
+] + [
+    (d, tau, r, 1e-8)
+    for d in (1, 100)
+    for tau in (1e-3, 1e3)
+    for r in (0.0, 1e4)
+]
+
+
+@pytest.mark.parametrize("d, tau, r, tol", MP_GRID)
+def test_mixture_kernel_against_mpmath(d, tau, r, tol):
+    # log C, D/C and the side weight all come from the one kernel
+    a, b = 0.5 * r * r, tau * tau
+    log_int, dc, side = _mixture_moments(a, b, d)
+    ref_log_int, ref_dc, ref_side = mp_mixture_moments(a, b, d)
+    log_c, ref_log_c = (v - math.log(2.0 * tau) for v in (log_int, ref_log_int))
+    assert abs(log_c - ref_log_c) <= tol * max(1.0, abs(ref_log_c))
+    assert dc == pytest.approx(ref_dc, rel=tol)
+    assert side == pytest.approx(ref_side, rel=tol)
+    y = point(d, r, seed=d) if r > 0 else np.zeros(d)
+    assert side_model_shrinkage(SideModel(d, 1.0, tau), y) == pytest.approx(ref_side, rel=tol)

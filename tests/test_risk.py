@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from ghs.errors import DomainError, ResourceError
+from ghs.posterior import _c_like_integral_lambda
 from ghs.risk import (
     RiskScenario,
+    _log_prior_predictive,
     cesaro_risk_mc,
     kl_ball_prior_mass,
     kl_ball_radius,
@@ -189,3 +192,41 @@ class TestCesaroRiskMc:
     def test_unattainable_precision_raises(self):
         with pytest.raises(ResourceError):
             cesaro_risk_mc(RiskScenario(1), 20, reps=10, seed=9, target_se=1e-12)
+
+
+class TestPriorPredictive:
+    def test_matches_lambda_quadrature(self):
+        # m = K (2/pi) C(a, b, d) with a = n mean_sq/(2 sigma^2), b = n/sigma^2
+        for n, d, sigma in [(2, 1, 1.0), (50, 3, 0.5), (1000, 2, 2.0), (20, 5, 1.0)]:
+            rng = np.random.default_rng(n + d)
+            y = 0.3 + sigma * rng.standard_normal((n, d))
+            ybar = y.mean(axis=0)
+            s_within = float(np.sum((y - ybar) ** 2))
+            mean_sq = float(ybar @ ybar)
+            s2 = sigma * sigma
+            c_val = _c_like_integral_lambda(n * mean_sq / (2 * s2), n / s2, d, 0.5 * d)
+            expected = (
+                -0.5 * n * d * math.log(2 * math.pi * s2)
+                - 0.5 * s_within / s2
+                + math.log(2 / math.pi * c_val)
+            )
+            got = _log_prior_predictive(n, d, sigma, s_within, mean_sq)
+            assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_matches_direct_gaussian_mixture(self):
+        # the half-Cauchy mixture of the uncollapsed nd-variate normal
+        n, d, sigma = 3, 2, 0.7
+        y = np.array([[0.4, -1.1], [1.3, 0.2], [0.9, -0.5]])
+        ones = np.ones((n, n))
+
+        def integrand(lam):
+            cov = np.kron(sigma**2 * np.eye(n) + lam**2 * ones, np.eye(d))
+            dens = stats.multivariate_normal(np.zeros(n * d), cov).pdf(y.ravel())
+            return 2.0 / (math.pi * (1.0 + lam**2)) * dens
+
+        m = integrate.quad(integrand, 0, 1)[0] + integrate.quad(integrand, 1, np.inf)[0]
+        ybar = y.mean(axis=0)
+        got = _log_prior_predictive(
+            n, d, sigma, float(np.sum((y - ybar) ** 2)), float(ybar @ ybar)
+        )
+        assert got == pytest.approx(math.log(m), rel=1e-8)
