@@ -8,9 +8,9 @@ stderr.  All stochastic commands require an explicit --seed.
 """
 
 import argparse
+import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -18,45 +18,39 @@ import numpy as np
 from . import study as study_mod
 from .distribution import GhsDistribution, log_density, sample_arrays
 from .errors import ConfigError, DimensionError, GhsError
-from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound
+# risk_upper_bound stays importable here: perfbench/spans.py patches this name
+from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _reprs(col):
+    """repr of every value of a float column, computed once per distinct value
+    (told apart by bit pattern, so -0.0 keeps its sign)."""
+    uniq, inv = np.unique(col.view(np.uint64), return_inverse=True)
+    return np.array([repr(v) for v in uniq.view(float).tolist()], dtype=object)[inv].tolist()
 
 
-def _fmt(v):
-    """Deterministic scalar formatting; the pole serializes as 'inf'."""
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return str(v)
+def _csv_chunks(table):
+    """CSV lines of a 2-D float array, about 8,192 rows at a time."""
+    for part in np.array_split(table, len(table) // 8192 + 1):
+        yield "".join(",".join(row) + "\n" for row in zip(*map(_reprs, part.T)))
 
 
 def _write_table(path, header, rows, fmt):
+    """Write a float array or rows of Python numbers as CSV, streamed, each value
+    its repr ('inf' at the pole), or as JSON (infinities null, "pole": true)."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _atomic_write(path, "\n".join(lines) + "\n")
-    else:
-        docs = []
-        for row in rows:
-            doc = {}
-            for key, v in zip(header, row):
-                if isinstance(v, (float, np.floating)):
-                    v = float(v)
-                    if math.isinf(v):
-                        doc[key] = None
-                        doc["pole"] = True
-                        continue
-                doc[key] = v
-            docs.append(doc)
-        _atomic_write(path, json.dumps(docs, indent=1, sort_keys=True) + "\n")
+        if isinstance(rows, np.ndarray):
+            lines = _csv_chunks(rows)
+        else:
+            lines = (",".join(map(repr, row)) + "\n" for row in rows)
+        study_mod._atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
+        return
+    docs = []
+    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        docs.append({k: v if math.isfinite(v) else None for k, v in zip(header, row)})
+        if math.inf in row:
+            docs[-1]["pole"] = True
+    study_mod._atomic_write(path, [json.dumps(docs, indent=1, sort_keys=True), "\n"])
 
 
 def _parse_grid(spec, d):
@@ -65,8 +59,7 @@ def _parse_grid(spec, d):
         raise ConfigError(f"bad grid spec {spec!r}")
     count = int(round((hi - lo) / step)) + 1
     axis = [lo + i * step for i in range(count)]
-    pts = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    return pts
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def _read_points(path, d):
@@ -80,7 +73,7 @@ def _read_points(path, d):
             if len(vals) != d:
                 raise DimensionError(f"point of length {len(vals)}, expected {d}")
             pts.append(vals)
-    return np.asarray(pts)
+    return np.asarray(pts, dtype=float).reshape(-1, d)
 
 
 def cmd_density(args):
@@ -93,11 +86,10 @@ def cmd_density(args):
         else _read_points(args.points_file, args.d)
     )
     header = [f"x{i + 1}" for i in range(args.d)] + ["density", "log_density"]
-    rows = []
-    for x in pts:
-        ld = log_density(dist, x)
-        rows.append([*(float(v) for v in x), math.exp(ld) if ld < 700 else math.inf, ld])
-    _write_table(args.out, header, rows, args.format)
+    ld = log_density(dist, pts)
+    dens = np.full_like(ld, math.inf)  # e^700 and above print as inf
+    np.exp(ld, out=dens, where=ld < 700)
+    _write_table(args.out, header, np.column_stack([pts, dens, ld]), args.format)
 
 
 def cmd_sample(args):
@@ -106,8 +98,7 @@ def cmd_sample(args):
     dist = GhsDistribution(args.d, args.sigma_theta)
     lam, xs = sample_arrays(dist, args.n, args.seed)
     header = ["lambda"] + [f"x{i + 1}" for i in range(args.d)]
-    rows = [[float(l), *(float(v) for v in x)] for l, x in zip(lam, xs)]
-    _write_table(args.out, header, rows, args.format)
+    _write_table(args.out, header, np.column_stack([lam, xs]), args.format)
 
 
 def _parse_floats(text):
@@ -127,22 +118,17 @@ def cmd_risk(args):
         half_coef = d if theta0 else 1.0  # d log(n)/2 off the origin, log(n)/2 at it
         for n in scenario.n_grid:
             mass = kl_ball_prior_mass(scenario, n)
-            bound = risk_upper_bound(scenario, n)
+            bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass
             rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
     _write_table(args.out, header, rows, args.format)
 
 
 def cmd_simulate(args):
     config = study_mod.StudyConfig.from_json(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+    overrides = {"seed": args.seed, "threads": args.threads}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
-        doc = config.to_dict()
-        doc.update(overrides)
-        config = study_mod.StudyConfig.from_dict(doc)
+        config = study_mod.StudyConfig.from_dict({**config.to_dict(), **overrides})
     records, failures = study_mod.run_study(config, args.out_dir)
     print(f"completed {len(records)} replications, {len(failures)} failed")
     if failures:
@@ -166,26 +152,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", required=True, help="output file path")
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+    def output(p):
+        p.add_argument("--out", required=True, help="output file path")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("density", help="evaluate the density on a grid or point list")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--sigma-theta", type=float, default=1.0)
     p.add_argument("--grid", help="per-axis spec lo:hi:step, applied to every axis")
     p.add_argument("--points-file", help="file with one point per line")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("sample", help="draw mixture samples (lambda + vector)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma-theta", type=float, default=1.0)
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
+    output(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("risk", help="KL-ball masses and risk bounds over an n grid")
@@ -193,13 +177,14 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--theta0", help="comma-separated true mean (off-origin case)")
     p.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_risk)
 
     p = sub.add_parser("simulate", help="run a selection simulation study")
     p.add_argument("--config", required=True, help="JSON study configuration")
     p.add_argument("--out-dir", required=True)
-    common(p, out=False)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="rebuild aggregate tables from run output")

@@ -21,7 +21,7 @@ from .config import DEFAULT_CONFIG
 from .errors import DimensionError, DomainError
 from .quadrature import adaptive_quad
 from .rng import make_rng
-from .specfun import exp_scaled_gen_exp_integral
+from .specfun import exp_scaled_expint, exp_scaled_gen_exp_integral
 
 __all__ = [
     "GhsDistribution",
@@ -64,35 +64,51 @@ def _log_norm_const(d):
 
 
 def radial_log_density(d, r, sigma_theta=1.0, config=DEFAULT_CONFIG):
-    """log density at any point with ||x|| = r (the density is spherical)."""
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
+    """log density at radius ``r = ||x||``: a float for a scalar ``r``, else
+    an array of its shape; +inf at the origin (the pole), -inf at r = inf.
+
+    exp(u) E_nu(u), u = r^2/2, takes its tail form 1/u where u overflows
+    and, at d = 1, its small-u form -gamma - log u, both with
+    log u = 2 log r - log 2, so no digits are lost to over- or underflow.
+    """
+    r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0):
+        raise DomainError("radius must be a nonnegative number")
     r = r / sigma_theta
-    if r == 0.0:
-        return math.inf
-    u = 0.5 * r * r
-    val = (
-        _log_norm_const(d)
-        + math.log(exp_scaled_gen_exp_integral(0.5 * (d + 1), u, config))
-        - (d - 1) * math.log(r)
-    )
-    return float(val - d * math.log(sigma_theta))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_r = np.log(r)
+        u = 0.5 * r * r
+    log_u = 2.0 * log_r - math.log(2.0)
+    tail = np.isinf(u)
+    small = u < 1e-20 if d == 1 else np.zeros_like(tail)  # -gamma - log u is exact there
+    mid = ~(tail | small)
+    log_e = np.empty_like(r)
+    log_e[mid] = np.log(exp_scaled_expint(0.5 * (d + 1), u[mid], config))
+    log_e[tail] = -log_u[tail]
+    log_e[small] = np.log(-np.euler_gamma - log_u[small])
+    power = (d - 1) * log_r if d > 1 else 0.0  # r^(d-1) = 1 at d = 1, also at r = inf
+    val = _log_norm_const(d) + log_e - power - d * math.log(sigma_theta)
+    return val if val.ndim else float(val)
 
 
 def log_density(dist: GhsDistribution, x, config=DEFAULT_CONFIG):
-    """log p(x) for a length-d point; +inf at the origin (pole)."""
+    """log p(x) for one point (a float) or an (m, d) stack of points; +inf at the pole."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dist.d,):
-        raise DimensionError(f"expected a vector of length {dist.d}, got shape {x.shape}")
-    return radial_log_density(dist.d, float(np.linalg.norm(x)), dist.sigma_theta, config)
+    if x.ndim not in (1, 2) or x.shape[-1] != dist.d:
+        raise DimensionError(f"expected points of length {dist.d}, got shape {x.shape}")
+    r = np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=1)
+    return radial_log_density(dist.d, r, dist.sigma_theta, config)
 
 
 def density(dist: GhsDistribution, x, config=DEFAULT_CONFIG):
-    return math.exp(log_density(dist, x, config))
+    """p(x), with the shapes of :func:`log_density`."""
+    ld = log_density(dist, x, config)
+    return np.exp(ld) if np.ndim(ld) else math.exp(ld)
 
 
-def sample(dist: GhsDistribution, n, seed):
-    """Draw n mixture samples: lam ~ half-Cauchy, x | lam ~ N(0, (sigma lam)^2 I).
+def sample_arrays(dist: GhsDistribution, n, seed):
+    """Arrays ``lam`` (n,) and ``x`` (n, d) of n mixture draws: lam ~ half-Cauchy,
+    x | lam ~ N(0, (sigma lam)^2 I).
 
     The half-Cauchy draw uses the inverse CDF lam = tan(pi U / 2), so runs are
     exactly reproducible for a fixed seed.
@@ -103,16 +119,13 @@ def sample(dist: GhsDistribution, n, seed):
     u = rng.random(n)
     lam = np.abs(np.tan(0.5 * math.pi * u))
     z = rng.standard_normal((n, dist.d))
-    xs = dist.sigma_theta * lam[:, None] * z
+    return lam, dist.sigma_theta * lam[:, None] * z
+
+
+def sample(dist: GhsDistribution, n, seed):
+    """The draws of :func:`sample_arrays` as a list of :class:`MixtureDraw`."""
+    lam, xs = sample_arrays(dist, n, seed)
     return [MixtureDraw(float(l), x) for l, x in zip(lam, xs)]
-
-
-def sample_arrays(dist: GhsDistribution, n, seed):
-    """Like :func:`sample` but returns (lam, x) arrays; used by the CLI."""
-    draws = sample(dist, n, seed)
-    lam = np.array([d.lam for d in draws])
-    xs = np.vstack([d.x for d in draws])
-    return lam, xs
 
 
 def density_quadrature_oracle(d, x, rel_tol=1e-12):

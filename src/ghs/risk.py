@@ -90,8 +90,7 @@ def _cube_mass(theta0, half_side, nodes=24):
         weights = weights * np.reshape(w_1d, shape)
     pts = np.stack([g.ravel() for g in grids], axis=1) + theta0
     radii = np.linalg.norm(pts, axis=1)
-    dens = np.array([math.exp(radial_log_density(d, r)) for r in radii])
-    return float(np.sum(weights.ravel() * dens))
+    return float(np.sum(weights.ravel() * np.exp(radial_log_density(d, radii))))
 
 
 def offcenter_ball_mass_brackets(scenario: RiskScenario, n):
@@ -114,7 +113,7 @@ def kl_ball_prior_mass(scenario: RiskScenario, n):
     """
     if scenario.centered:
         return origin_ball_mass(scenario.d, kl_ball_radius(scenario, n))
-    return offcenter_ball_mass_brackets(scenario, n)[0]
+    return _cube_mass(scenario.theta0, kl_ball_radius(scenario, n) / math.sqrt(scenario.d))
 
 
 def risk_upper_bound(scenario: RiskScenario, n):

@@ -8,11 +8,15 @@ sharing one stream.
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def make_rng(seed):
-    """Return a fresh PCG64 generator for an integer seed (or SeedSequence)."""
+    """Return a fresh PCG64 generator for an integer seed >= 0 (or SeedSequence)."""
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
+    if int(seed) < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 

@@ -8,10 +8,9 @@ fraction code paths can be cross-validated end to end.
 
 Evaluation regimes
 ------------------
-* ``gen_exp_integral``: power/log series for x < 1 (separate expansions for
-  integer and non-integer order), continued fraction for x >= 1.  The
-  exponentially scaled variant computes exp(x)*E_nu(x) jointly so the product
-  never overflows.
+* ``gen_exp_integral``: power/log series for x < 1, continued fraction for
+  x >= 1.  ``exp_scaled_expint`` computes exp(x)*E_nu(x) jointly, so it
+  never overflows, for one order and an array of x; the scalars wrap it.
 * ``kummer_1f1``: Taylor series for moderate arguments (with the Kummer
   transform applied for negative x), large-argument expansions once
   |x| > asymptotic_switch * |b|.
@@ -32,6 +31,7 @@ from .quadrature import adaptive_quad
 
 __all__ = [
     "gen_exp_integral",
+    "exp_scaled_expint",
     "exp_scaled_gen_exp_integral",
     "gen_exp_integral_quad",
     "exp_scaled_gen_exp_integral_quad",
@@ -58,86 +58,96 @@ def _is_nonpositive_integer(v):
 # ---------------------------------------------------------------------------
 
 
-def _expint_series_noninteger(nu, x, config):
-    """exp-scaled small-x series for non-integer order.
+def _retire(out, idx, done, value, *state):
+    """Store the converged entries of ``value``; return the state of the rest."""
+    if not done.any():  # the common case, and most of the cost on small arrays
+        return [idx, *state]
+    out[idx[done]] = value[done]
+    return [idx[~done]] + [s[~done] for s in state]
 
-    E_nu(x) = Gamma(1-nu) x^(nu-1) - sum_k (-x)^k / (k! (1-nu+k)), x < 1.
-    """
-    total = sp.gamma(1.0 - nu) * x ** (nu - 1.0)
-    term = 1.0
+
+def _expint_series(nu, x, config):
+    """exp-scaled small-x series, x < 1: Gamma(1-nu) x^(nu-1) - sum_k (-x)^k /
+    (k! (1-nu+k)), where an integer order n trades its k = n-1 term and
+    the Gamma term for (-x)^(n-1) (psi(n) - log x) / (n-1)!."""
+    n = round(nu)
+    if abs(nu - n) < _INTEGER_EPS:
+        nu, skip = n, n - 1
+        total = (-x) ** (n - 1) / math.factorial(n - 1) * (sp.digamma(n) - np.log(x))
+    else:
+        skip, total = -1, sp.gamma(1.0 - nu) * x ** (nu - 1.0)
+    scale = np.exp(x)
+    out, idx, term = np.empty_like(x), np.arange(x.size), np.ones_like(x)
     for k in range(config.max_terms):
-        total -= term / (1.0 - nu + k)
-        term *= -x / (k + 1.0)
-        if abs(term) < config.rel_tol * abs(total) + config.abs_tol:
-            return math.exp(x) * total
-    raise NumericalError(f"E_nu series did not converge (nu={nu}, x={x})")
-
-
-def _expint_series_integer(n, x, config):
-    """exp-scaled small-x series for integer order n >= 1 (log term)."""
-    lead = (-x) ** (n - 1) / math.factorial(n - 1) * (sp.digamma(n) - math.log(x))
-    total = lead
-    term = 1.0
-    for k in range(config.max_terms):
-        if k != n - 1:
-            total -= term / (1.0 - n + k)
-        term *= -x / (k + 1.0)
-        if abs(term) < config.rel_tol * abs(total) + config.abs_tol:
-            return math.exp(x) * total
-    raise NumericalError(f"E_n series did not converge (n={n}, x={x})")
+        if k != skip:
+            total = total - term / (1.0 - nu + k)
+        term = term * (-x / (k + 1.0))
+        done = np.abs(term) < config.rel_tol * np.abs(total) + config.abs_tol
+        idx, x, term, total = _retire(out, idx, done, total, x, term, total)
+        if not idx.size:
+            return scale * out
+    raise NumericalError(f"E_nu series did not converge (nu={nu}, x={x[0]})")
 
 
 def _expint_scaled_cf(nu, x, config):
-    """Modified-Lentz continued fraction for exp(x) E_nu(x), x >= 1."""
+    """Modified-Lentz continued fraction for exp(x) E_nu(x), x >= 1 (DLMF 8.19)."""
     tiny = 1e-300
-    b = x + nu
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
+    # convergence is linear near x = 1, so demand a margin below rel_tol
+    tol = max(2e-16, 0.02 * config.rel_tol)
+    out, idx = np.empty_like(x), np.arange(x.size)
+    b, c = x + nu, np.full_like(x, 1.0 / tiny)
+    h = d = 1.0 / b
     for i in range(1, config.max_terms):
         a = -i * (nu - 1.0 + i)
-        b += 2.0
+        b = b + 2.0
         d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        # convergence is linear near x = 1, so demand a margin below rel_tol
-        if abs(delta - 1.0) < max(2e-16, 0.02 * config.rel_tol):
-            return h
-    raise NumericalError(f"E_nu continued fraction stalled (nu={nu}, x={x})")
+        h = h * delta
+        done = np.abs(delta - 1.0) < tol
+        idx, x, b, c, d, h = _retire(out, idx, done, h, x, b, c, d, h)
+        if not idx.size:
+            return out
+    raise NumericalError(f"E_nu continued fraction stalled (nu={nu}, x={x[0]})")
+
+
+def exp_scaled_expint(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
+    """exp(x) * E_nu(x) for one real order and an array of x >= 0, computed
+    jointly so large x never overflows; 0 at x = inf, 1/(nu - 1) at x = 0
+    (needs nu > 1).  Each element runs the x < 1 series or the x >= 1
+    continued fraction until it converges; negative orders recur down."""
+    flat = np.asarray(x, dtype=float).ravel()
+    if not np.all(flat >= 0):
+        raise DomainError("generalized exponential integral needs x >= 0, not NaN")
+    out = np.zeros_like(flat)  # the x = inf limit
+    if (flat == 0.0).any():
+        if nu <= 1.0:
+            raise DomainError(f"E_nu(0) diverges for nu <= 1 (nu={nu})")
+        out[flat == 0.0] = 1.0 / (nu - 1.0)
+    pos = (flat > 0.0) & (flat < math.inf)
+    xp = flat[pos]
+    steps = max(0, math.ceil(-nu))  # march down from an order mu in [0, 1)
+    mu = nu + steps
+    if abs(mu) < _INTEGER_EPS:
+        f = 1.0 / xp
+    else:
+        f = np.empty_like(xp)
+        for part, run in ((xp >= 1.0, _expint_scaled_cf), (xp < 1.0, _expint_series)):
+            if part.any():
+                f[part] = run(mu, xp[part], config)
+    for _ in range(steps):  # exp(x) E_(mu-1)(x) = (1 - (mu-1) exp(x) E_mu(x)) / x
+        f = (1.0 - (mu - 1.0) * f) / xp
+        mu -= 1.0
+    out[pos] = f
+    return out.reshape(np.shape(x))
 
 
 def exp_scaled_gen_exp_integral(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
-    """exp(x) * E_nu(x), computed jointly so large x never overflows."""
-    if x < 0:
-        raise DomainError(f"generalized exponential integral needs x >= 0, got {x}")
-    if x == 0.0:
-        if nu <= 1.0:
-            raise DomainError(f"E_nu(0) diverges for nu <= 1 (nu={nu})")
-        return 1.0 / (nu - 1.0)
-    if nu < 0:
-        # March the order down from a base in [0, 1):
-        # exp(x) E_(mu-1)(x) = (1 - (mu-1) exp(x) E_mu(x)) / x.
-        steps = math.ceil(-nu)
-        mu = nu + steps
-        f = exp_scaled_gen_exp_integral(mu, x, config)
-        for _ in range(steps):
-            f = (1.0 - (mu - 1.0) * f) / x
-            mu -= 1.0
-        return f
-    near = round(nu)
-    if abs(nu - near) < _INTEGER_EPS and near == 0:
-        return 1.0 / x
-    if x >= 1.0:
-        return _expint_scaled_cf(nu, x, config)
-    if abs(nu - near) < _INTEGER_EPS:
-        return _expint_series_integer(int(near), x, config)
-    return _expint_series_noninteger(nu, x, config)
+    """exp(x) * E_nu(x) for a scalar x; see :func:`exp_scaled_expint`."""
+    return float(exp_scaled_expint(nu, x, config))
 
 
 def gen_exp_integral(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
@@ -161,11 +171,8 @@ def gen_exp_integral_quad(nu, x, rel_tol=1e-13):
 
 
 def exp_scaled_gen_exp_integral_quad(nu, x, rel_tol=1e-13):
-    """Quadrature oracle for exp(x) E_nu(x) = int_0^inf e^(-x s) (1+s)^(-nu) ds.
-
-    Evaluated on (0, 1) after t = 1/(1+s); the e^(-x(1-t)/t) factor kills the
-    t -> 0 endpoint for every real order.
-    """
+    """Quadrature oracle for exp(x) E_nu(x) = int_0^inf e^(-x s) (1+s)^(-nu) ds,
+    for every real order: in w = x s for x >= 1, in y = log(1 + s) below."""
     if x <= 0:
         raise DomainError("oracle needs x > 0")
 
@@ -179,25 +186,14 @@ def exp_scaled_gen_exp_integral_quad(nu, x, rel_tol=1e-13):
             g, cut, np.inf, rel_tol=rel_tol
         )
 
-    if nu < 0.5:
-        # small x, growing power: e^x x^(nu-1) int_x^inf w^(-nu) e^(-w) dw
-        def h(w):
-            return math.exp(-w - nu * math.log(w))
+    # s = e^y - 1: smooth in y for every order, the mass ending near y = log(1/x)
+    def f(y):
+        return math.exp(-x * math.expm1(min(y, 700.0)) - (nu - 1.0) * y)
 
-        cut = max(1.0, -nu)
-        tail = adaptive_quad(h, x, cut, rel_tol=rel_tol) + adaptive_quad(
-            h, cut, np.inf, rel_tol=rel_tol
-        )
-        return math.exp(x + (nu - 1.0) * math.log(x)) * tail
-
-    def f(t):
-        if t <= 0.0:
-            return 0.0
-        return math.exp(-x * (1.0 - t) / t + (nu - 2.0) * math.log(t))
-
-    peak = x / (2.0 - nu) if nu < 2.0 else None
-    pts = [peak] if peak is not None and 0.0 < peak < 1.0 else None
-    return adaptive_quad(f, 0.0, 1.0, rel_tol=rel_tol, points=pts)
+    cut = math.log1p((abs(nu - 1.0) + 1.0) / x)
+    return adaptive_quad(f, 0.0, cut, rel_tol=rel_tol) + adaptive_quad(
+        f, cut, np.inf, rel_tol=rel_tol
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,11 @@ def _as_list(v):
     return v if isinstance(v, (list, tuple)) else [v]
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
+    """Write strings to ``path`` via a temporary file, so it appears only once whole."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
     os.replace(tmp, path)
 
 
@@ -200,7 +201,7 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
         os.makedirs(sdir, exist_ok=True)
         _atomic_write(
             os.path.join(sdir, f"rep{rep:02d}.json"),
-            json.dumps(record, indent=1, sort_keys=True) + "\n",
+            [json.dumps(record, indent=1, sort_keys=True), "\n"],
         )
         if config.save_chains:
             chain_to_csv(chain, os.path.join(sdir, f"rep{rep:02d}_chain.csv"))
@@ -241,7 +242,7 @@ def run_study(config: StudyConfig, out_dir):
     }
     _atomic_write(
         os.path.join(out_dir, "manifest.json"),
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+        [json.dumps(manifest, indent=1, sort_keys=True), "\n"],
     )
     return records, failures
 
@@ -277,7 +278,7 @@ def write_aggregates(records, out_dir):
                     ]
                 )
             )
-    _atomic_write(os.path.join(out_dir, "misclassification.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(out_dir, "misclassification.csv"), ["\n".join(lines), "\n"])
 
     lines = [GAMMA_HEADER]
     for r in records:
@@ -296,7 +297,7 @@ def write_aggregates(records, out_dir):
                     ]
                 )
             )
-    _atomic_write(os.path.join(out_dir, "gamma_values.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(out_dir, "gamma_values.csv"), ["\n".join(lines), "\n"])
 
 
 def load_reports(out_dir):

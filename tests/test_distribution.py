@@ -5,6 +5,7 @@ scale-mixture sampler (marginal and radial agreement with quadrature CDFs).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -114,6 +115,54 @@ class TestDensity:
             density_quadrature_oracle(2, np.zeros(2))
 
 
+def mpmath_log_density(d, r):
+    """log p at radius r from exp(u) E_nu(u), u = r^2/2, at 30 digits."""
+    with mp.workdps(30):
+        r = mp.mpf(r)
+        u, nu = r * r / 2, mp.mpf(d + 1) / 2
+        log_k = mp.loggamma(nu) - (mp.log(2) + (d + 2) * mp.log(mp.pi)) / 2
+        return float(log_k + mp.log(mp.exp(u) * mp.expint(nu, u)) - (d - 1) * mp.log(r))
+
+
+class TestDomainEdges:
+    RADII = [1e-300, 1e-160, 1e-3, 1.0, 1e3, 1e154, 1e200]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 100])
+    def test_radial_against_mpmath(self, d):
+        # covers u underflowing (d = 1 needs the -gamma - log u form), the
+        # series, the continued fraction and u overflowing (the 1/u tail)
+        got = radial_log_density(d, np.array(self.RADII + [math.inf]))
+        expected = [mpmath_log_density(d, r) for r in self.RADII]
+        assert got[:-1] == pytest.approx(expected, rel=1e-13)
+        assert got[-1] == -math.inf
+
+    def test_array_entries_match_scalar_calls(self):
+        radii = np.array([0.0, 1e-170, 0.3, 1.0, 1.5, 40.0, 1e160, math.inf])
+        for d in [1, 2, 5]:
+            got = radial_log_density(d, radii, 2.0)
+            assert got.tolist() == [radial_log_density(d, float(r), 2.0) for r in radii]
+            assert got[0] == math.inf and got[-1] == -math.inf
+
+    def test_nan_and_negative_rejected_at_entry(self):
+        for r in (math.nan, -1.0, [1.0, math.nan]):
+            with pytest.raises(DomainError):
+                radial_log_density(2, r)
+        with pytest.raises(DomainError):
+            log_density(GhsDistribution(2), [math.nan, 1.0])
+
+    def test_point_stack_matches_single_points(self):
+        dist = GhsDistribution(3, 1.5)
+        pts = np.random.default_rng(4).standard_normal((50, 3))
+        pts[0] = 0.0
+        stacked = log_density(dist, pts)
+        assert stacked.shape == (50,) and stacked[0] == math.inf
+        single = [log_density(dist, x) for x in pts]
+        assert stacked[1:] == pytest.approx(single[1:], rel=1e-14)
+        assert density(dist, pts)[1:] == pytest.approx(np.exp(single[1:]), rel=1e-14)
+        with pytest.raises(DimensionError):
+            log_density(dist, pts[:, :2])
+
+
 class TestNormalization:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_density_integrates_to_one(self, d):
@@ -131,6 +180,23 @@ class TestSampler:
         assert all(
             da.lam == db.lam and np.array_equal(da.x, db.x) for da, db in zip(a, b)
         )
+
+    def test_draws_frozen_for_seed(self):
+        # the RNG calls of the sampler are part of its contract: same seed,
+        # same bits, on every version of the package
+        lam, xs = sample_arrays(GhsDistribution(2), 3, seed=5)
+        assert lam.tolist() == [3.1620211376718386, 3.213528292331399, 1.049344078942614]
+        assert xs.tolist() == [
+            [1.3294567299966473, 3.5922031491110475],
+            [0.3525446180704368, -1.7759478002243223],
+            [-0.8235046191509992, 0.7856919411536673],
+        ]
+
+    def test_list_draws_equal_array_draws(self):
+        lam, xs = sample_arrays(GhsDistribution(3, 2.0), 40, seed=9)
+        draws = sample(GhsDistribution(3, 2.0), 40, seed=9)
+        assert [dr.lam for dr in draws] == lam.tolist()
+        assert np.array_equal(np.vstack([dr.x for dr in draws]), xs)
 
     def test_different_seeds_differ(self):
         lam_a, _ = sample_arrays(GhsDistribution(2), 10, seed=1)

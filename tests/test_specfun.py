@@ -14,6 +14,7 @@ import pytest
 from ghs.config import SpecFunConfig
 from ghs.errors import DomainError
 from ghs.specfun import (
+    exp_scaled_expint,
     exp_scaled_gen_exp_integral,
     exp_scaled_gen_exp_integral_quad,
     gen_exp_integral,
@@ -101,6 +102,49 @@ class TestGenExpIntegral:
             lhs = gen_exp_integral(mu - 1.0, x)
             rhs = (math.exp(-x) - (mu - 1.0) * gen_exp_integral(mu, x)) / x
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestExpScaledKernel:
+    """The array kernel against the quadrature oracle, entry by entry."""
+
+    NUS = [-1.5, 0.5, 1.0, 1.5, 2.0, 2.5, 10.5, 50.5]
+    XS = np.concatenate([np.logspace(-12, 6, 37), [1.0 - 1e-15, 1.0, 1.0 + 1e-15]])
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_against_quadrature_oracle(self, nu):
+        oracle = np.array([exp_scaled_gen_exp_integral_quad(nu, float(x)) for x in self.XS])
+        # the x < 1 series stops once a term is below rel_tol of the sum; the
+        # terms it drops are at most twice that term, so the default
+        # rel_tol = 1e-12 holds values to 2e-12 and rel_tol = 1e-15 to 1e-13
+        fine = SpecFunConfig(rel_tol=1e-15)
+        assert exp_scaled_expint(nu, self.XS, fine) == pytest.approx(oracle, rel=1e-13)
+        assert exp_scaled_expint(nu, self.XS) == pytest.approx(oracle, rel=2e-12)
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_zero_argument(self, nu):
+        if nu > 1.0:
+            assert exp_scaled_expint(nu, [0.0, 1.0])[0] == 1.0 / (nu - 1.0)
+        else:
+            with pytest.raises(DomainError):
+                exp_scaled_expint(nu, [0.0, 1.0])
+
+    def test_scalar_wrapper_matches_array_entries(self):
+        for nu in self.NUS:
+            arr = exp_scaled_expint(nu, self.XS.reshape(5, 8))
+            assert arr.shape == (5, 8)
+            scalars = [exp_scaled_gen_exp_integral(nu, float(x)) for x in self.XS]
+            assert arr.ravel().tolist() == scalars
+
+    def test_infinite_argument_limit_and_bad_input(self):
+        assert exp_scaled_expint(2.5, [math.inf, 1e300]).tolist() == [0.0, pytest.approx(1e-300)]
+        for bad in (math.nan, -1.0):
+            with pytest.raises(DomainError):
+                exp_scaled_expint(1.5, [1.0, bad])
+            with pytest.raises(DomainError):
+                exp_scaled_gen_exp_integral(1.5, bad)
+
+    def test_empty_input(self):
+        assert exp_scaled_expint(1.5, np.array([])).shape == (0,)
 
 
 class TestKummer1F1:

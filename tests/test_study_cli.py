@@ -5,6 +5,7 @@ Study runs here use tiny chains; statistical quality is covered elsewhere.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -169,6 +170,31 @@ class TestCli:
         val = float(read(out).splitlines()[1].split(",")[1])
         assert val == pytest.approx(density(GhsDistribution(1), [1.0]), rel=1e-12)
 
+    def test_density_rows_match_per_point_library(self, tmp_path):
+        from ghs.distribution import GhsDistribution, log_density
+
+        dist = GhsDistribution(2)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"dens.{fmt}"
+            self.run("density", "--d", "2", "--grid=-1:1:0.25", "--out", str(out),
+                     "--format", fmt)
+            if fmt == "csv":
+                lines = read(out).splitlines()[1:]
+                rows = [[float(v) for v in line.split(",")] for line in lines]
+            else:
+                docs = json.loads(read(out))
+                rows = [[doc["x1"], doc["x2"], doc["density"], doc["log_density"]]
+                        for doc in docs]
+            assert len(rows) == 81
+            for x1, x2, dens, ld in rows:
+                expected = log_density(dist, [x1, x2])
+                if math.isinf(expected):  # the pole at the origin
+                    assert x1 == x2 == 0.0
+                    assert (dens, ld) == ((math.inf, math.inf) if fmt == "csv" else (None, None))
+                    continue
+                assert ld == pytest.approx(expected, rel=1e-14)
+                assert dens == pytest.approx(math.exp(expected), rel=1e-14)
+
     def test_sample_determinism_and_schema(self, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         for out in (out1, out2):
@@ -186,6 +212,45 @@ class TestCli:
         assert exc.value.code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    def test_csv_values_are_reprs(self, tmp_path):
+        # repeated values share one repr; -0.0 must keep its sign
+        pts = tmp_path / "pts.txt"
+        pts.write_text("-0.0\n0.5\n0.0\n-0.5\n0.5\n")
+        out = tmp_path / "d.csv"
+        self.run("density", "--d", "1", "--points-file", str(pts), "--out", str(out))
+        rows = [line.split(",") for line in read(out).splitlines()[1:]]
+        assert [r[0] for r in rows] == ["-0.0", "0.5", "0.0", "-0.5", "0.5"]
+        assert rows[0][1:] == rows[2][1:] == ["inf", "inf"]
+        assert rows[1][1:] == rows[3][1:] == rows[4][1:]
+        assert rows[1][2] == repr(float(rows[1][2]))
+
+    def test_sample_negative_seed_is_domain_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("sample", "--d", "1", "--n", "5", "--seed", "-1",
+                     "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--d", "1", "--grid=0:1:0.5", "--threads", "2"],
+        ["density", "--d", "1", "--grid=0:1:0.5", "--seed", "1"],
+        ["sample", "--d", "1", "--n", "5", "--seed", "1", "--threads", "2"],
+        ["risk", "--d-list", "1", "--n-grid", "1e3", "--seed", "1"],
+    ])
+    def test_ignored_flags_are_gone(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2  # argparse: unrecognized argument
+
+    def test_risk_bound_matches_library(self, tmp_path):
+        from ghs.risk import RiskScenario, risk_upper_bound
+
+        out = tmp_path / "risk.csv"
+        self.run("risk", "--d-list", "2", "--theta0", "1,1", "--n-grid", "1e4",
+                 "--out", str(out))
+        row = read(out).splitlines()[1].split(",")
+        assert float(row[3]) == risk_upper_bound(RiskScenario(2, 1.0, (1.0, 1.0)), 10**4)
 
     def test_risk_table(self, tmp_path):
         out = tmp_path / "risk.csv"
