@@ -16,7 +16,6 @@ block: a block is declared zero when E(gamma | y) falls below the border
 """
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -251,7 +250,12 @@ def build_design(dataset: Dataset, spec: AdditiveModelSpec):
 
 @dataclass
 class GibbsChain:
-    """Post-burn-in draws; scale entries are standard deviations (> 0)."""
+    """Post-burn-in draws; scale entries are standard deviations (> 0).
+
+    ``diagnostics`` counts over all sweeps: inverse-gamma draws clipped to
+    [1e-300, 1e300], prior variances (one per linear term or spline block)
+    raised to ``var_floor``, and noise variances raised to their floor.
+    """
 
     beta0: np.ndarray
     beta: np.ndarray
@@ -266,6 +270,7 @@ class GibbsChain:
     iters: int
     burn: int
     seed: int
+    diagnostics: dict = field(default_factory=dict)
 
     def __len__(self):
         return self.beta0.shape[0]
@@ -274,10 +279,16 @@ class GibbsChain:
 def _inv_gamma(rng, shape, scale):
     """Draw from the inverse gamma with density ~ x^(-shape-1) e^(-scale/x).
 
-    Draws are clipped to the representable range: deep shrinkage pushes
-    rates below the denormal range where the ratio degenerates to 0 or inf.
+    One independent variate per element of ``scale``.  Draws are clipped to
+    the representable range: deep shrinkage pushes rates below the denormal
+    range where the ratio degenerates to 0 or inf.
     """
-    return np.clip(np.maximum(scale, 1e-300) / rng.gamma(shape), 1e-300, 1e300)
+    gamma = rng.standard_gamma(shape, np.shape(scale))
+    return np.clip(np.maximum(scale, 1e-300) / gamma, 1e-300, 1e300)
+
+
+def _count_clipped(draws):
+    return int(np.count_nonzero(draws <= 1e-300) + np.count_nonzero(draws >= 1e300))
 
 
 def gibbs_sampler(
@@ -293,10 +304,12 @@ def gibbs_sampler(
 
     One sweep = a joint Gaussian draw of (beta0, beta, u) given all scales,
     then inverse-gamma updates for every lambda^2, sigma^2 and their
-    parameter-expansion auxiliaries.  ``fixed_scales`` freezes all scales at
-    given values (keys: lambda_beta, lambda_u, sigma_beta, sigma_u,
-    sigma_eps), which makes the coefficient draws exact posterior samples --
-    used by the conjugate-oracle test.
+    parameter-expansion auxiliaries, as three array draws of conditionally
+    independent groups: the local scales and sigma_eps^2, then their
+    auxiliaries with the global scales, then the global auxiliaries.
+    ``fixed_scales`` freezes all scales at given values (keys: lambda_beta,
+    lambda_u, sigma_beta, sigma_u, sigma_eps), which makes the coefficient
+    draws exact posterior samples -- used by the conjugate-oracle test.
 
     ``resample_response=True`` turns the sampler into a successive-conditional
     simulator (each sweep redraws y from the current parameters), whose
@@ -304,23 +317,19 @@ def gibbs_sampler(
     """
     if not iters > burn >= 0:
         raise ConfigError("need iters > burn >= 0")
-    c, beta_cols, u_blocks = build_design(dataset, spec)
+    c, _, u_blocks = build_design(dataset, spec)
     y = dataset.y
     n, q = c.shape
     p = spec.p
     d_nl = spec.d_nl
-    ctc = c.T @ c
+    ctc = np.asfortranarray(c.T @ c)
     cty = c.T @ y
     rng = make_rng(seed)
     hyper = spec.hyper
 
-    lam2_b = np.ones(p)
-    lam2_u = np.ones(d_nl)
-    sig2_b, sig2_u, sig2_e = 1.0, np.ones(d_nl), 1.0
-    a_b = np.ones(p)
-    a_u = np.ones(d_nl)
-    b_beta = b_eps = 1.0
-    b_u = np.ones(d_nl)
+    lam2_b, a_b = np.ones(p), np.ones(p)
+    lam2_u, sig2_u, a_u, b_u = (np.ones(d_nl) for _ in range(4))
+    sig2_b = sig2_e = b_beta = b_eps = 1.0
     if fixed_scales is not None:
         lam2_b = np.asarray(fixed_scales["lambda_beta"], dtype=float) ** 2
         lam2_u = np.asarray(fixed_scales.get("lambda_u", np.ones(d_nl)), dtype=float) ** 2
@@ -328,94 +337,104 @@ def gibbs_sampler(
         sig2_u = np.asarray(fixed_scales.get("sigma_u", np.ones(d_nl)), dtype=float) ** 2
         sig2_e = float(fixed_scales["sigma_eps"]) ** 2
 
+    # inverse-gamma shapes of the three update levels, in state order
+    ks = np.array(spec.basis_sizes, dtype=int)
+    shape_1 = np.concatenate((np.ones(p), 0.5 * (ks + 1), [0.5 * (n + 1)]))
+    shape_2 = np.concatenate(
+        (np.ones(p), [0.5 * (p + 1)], np.ones(d_nl), 0.5 * (ks + 1), [1.0])
+    )
+    u_starts = np.array([blk.start - (p + 1) for blk in u_blocks], dtype=np.intp)
+    # prior variance of each non-intercept column: p linear terms, then the blocks
+    col_var = np.concatenate((np.arange(p), np.repeat(np.arange(p, p + d_nl), ks)))
+
     keep = iters - burn
-    out_beta0 = np.empty(keep)
-    out_beta = np.empty((keep, p))
-    out_u = np.empty((keep, q - 1 - p))
+    out_coef = np.empty((keep, q))
     out_lb = np.empty((keep, p))
     out_lu = np.empty((keep, d_nl))
     out_sb = np.empty(keep)
     out_su = np.empty((keep, d_nl))
     out_se = np.empty(keep)
+    clipped = var_floor_hits = sig2_e_floor_hits = 0
 
     # floor on prior variances: hard-shrunk blocks drive lambda^2 sigma^2
     # below the denormal range, and 1/0 would poison the precision matrix
     var_floor = 1e-290
     prior_prec = np.empty(q)
+    prior_prec[0] = hyper.intercept_sd**-2
+    # Q is rebuilt in one buffer every sweep and factorized in place
+    q_mat = np.empty((q, q), order="F")
+    q_diag = q_mat.reshape(-1, order="F")[:: q + 1]
     for it in range(iters):
-        prior_prec[0] = hyper.intercept_sd**-2
-        prior_prec[1 : p + 1] = 1.0 / np.maximum(sig2_b * lam2_b, var_floor)
-        for i, blk in enumerate(u_blocks):
-            prior_prec[blk] = 1.0 / max(sig2_u[i] * lam2_u[i], var_floor)
-        q_mat = ctc / sig2_e + np.diag(prior_prec)
+        var = np.concatenate((sig2_b * lam2_b, sig2_u * lam2_u))
+        var_floor_hits += int(np.count_nonzero(var < var_floor))
+        np.divide(1.0, np.maximum(var, var_floor)[col_var], out=prior_prec[1:])
+        np.divide(ctc, sig2_e, out=q_mat)
+        q_diag += prior_prec
         try:
-            cho = cho_factor(q_mat, lower=True)
+            cho = cho_factor(q_mat, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NumericalError(f"covariance solve failed at iteration {it}") from exc
-        mean = cho_solve(cho, cty / sig2_e)
+        coef = cho_solve(cho, cty / sig2_e, overwrite_b=True, check_finite=False)
         z = rng.standard_normal(q)
-        coef = mean + solve_triangular(cho[0], z, lower=True, trans="T")
+        coef += solve_triangular(
+            cho[0], z, lower=True, trans="T", overwrite_b=True, check_finite=False
+        )
 
-        resid = y - c @ coef
+        fit = c @ coef
+        resid = y - fit
         rss = float(resid @ resid)
-        beta = coef[1 : p + 1]
 
         if fixed_scales is None:
-            lam2_b = _inv_gamma(rng, 1.0, 1.0 / a_b + beta**2 / (2.0 * sig2_b))
-            a_b = _inv_gamma(rng, 1.0, 1.0 + 1.0 / lam2_b)
-            sig2_b = _inv_gamma(
-                rng,
-                0.5 * (p + 1),
-                1.0 / b_beta + float(np.sum(beta**2 / lam2_b)) / 2.0,
-            )
-            b_beta = _inv_gamma(rng, 1.0, hyper.s_beta**-2 + 1.0 / sig2_b)
-            for i, blk in enumerate(u_blocks):
-                ss = float(coef[blk] @ coef[blk])
-                k = blk.stop - blk.start
-                lam2_u[i] = _inv_gamma(
-                    rng, 0.5 * (k + 1), 1.0 / a_u[i] + ss / (2.0 * sig2_u[i])
-                )
-                a_u[i] = _inv_gamma(rng, 1.0, 1.0 + 1.0 / lam2_u[i])
-                sig2_u[i] = _inv_gamma(
-                    rng, 0.5 * (k + 1), 1.0 / b_u[i] + ss / (2.0 * lam2_u[i])
-                )
-                b_u[i] = _inv_gamma(rng, 1.0, hyper.s_u**-2 + 1.0 / sig2_u[i])
+            beta2 = coef[1 : p + 1] ** 2
+            ss = np.add.reduceat(coef[p + 1 :] ** 2, u_starts)
+            draws = _inv_gamma(rng, shape_1, np.concatenate((
+                1.0 / a_b + beta2 / (2.0 * sig2_b),
+                1.0 / a_u + ss / (2.0 * sig2_u),
+                [1.0 / b_eps + rss / 2.0],
+            )))
+            clipped += _count_clipped(draws)
+            lam2_b, lam2_u = draws[:p], draws[p:-1]
             # noise floor keeps ctc/sig2_e finite on noiseless inputs
-            sig2_e = max(
-                _inv_gamma(rng, 0.5 * (n + 1), 1.0 / b_eps + rss / 2.0), 1e-100
-            )
-            b_eps = _inv_gamma(rng, 1.0, hyper.s_eps**-2 + 1.0 / sig2_e)
+            sig2_e = max(float(draws[-1]), 1e-100)
+            sig2_e_floor_hits += int(draws[-1] < 1e-100)
+
+            draws = _inv_gamma(rng, shape_2, np.concatenate((
+                1.0 + 1.0 / lam2_b,
+                [1.0 / b_beta + float(beta2 @ (1.0 / lam2_b)) / 2.0],
+                1.0 + 1.0 / lam2_u,
+                1.0 / b_u + ss / (2.0 * lam2_u),
+                [hyper.s_eps**-2 + 1.0 / sig2_e],
+            )))
+            clipped += _count_clipped(draws)
+            a_b, sig2_b = draws[:p], float(draws[p])
+            a_u, sig2_u = draws[p + 1 : p + 1 + d_nl], draws[p + 1 + d_nl : -1]
+            b_eps = float(draws[-1])
+
+            rates = [hyper.s_beta**-2 + 1.0 / sig2_b], hyper.s_u**-2 + 1.0 / sig2_u
+            draws = _inv_gamma(rng, 1.0, np.concatenate(rates))
+            clipped += _count_clipped(draws)
+            b_beta, b_u = float(draws[0]), draws[1:]
 
         if resample_response:
-            y = c @ coef + math.sqrt(sig2_e) * rng.standard_normal(n)
+            y = fit + math.sqrt(sig2_e) * rng.standard_normal(n)
             cty = c.T @ y
 
         if it >= burn:
             t = it - burn
-            out_beta0[t] = coef[0]
-            out_beta[t] = beta
-            out_u[t] = coef[p + 1 :]
-            out_lb[t] = np.sqrt(lam2_b)
-            out_lu[t] = np.sqrt(lam2_u)
-            out_sb[t] = math.sqrt(sig2_b)
-            out_su[t] = np.sqrt(sig2_u)
-            out_se[t] = math.sqrt(sig2_e)
+            out_coef[t] = coef
+            out_lb[t] = lam2_b
+            out_lu[t] = lam2_u
+            out_sb[t] = sig2_b
+            out_su[t] = sig2_u
+            out_se[t] = sig2_e
 
     rel_blocks = [slice(blk.start - (p + 1), blk.stop - (p + 1)) for blk in u_blocks]
+    diagnostics = dict(inv_gamma_clipped=clipped, var_floor_hits=var_floor_hits,
+                       sig2_e_floor_hits=sig2_e_floor_hits)
     return GibbsChain(
-        out_beta0,
-        out_beta,
-        out_u,
-        rel_blocks,
-        out_lb,
-        out_lu,
-        out_sb,
-        out_su,
-        out_se,
-        spec,
-        iters,
-        burn,
-        int(seed),
+        out_coef[:, 0], out_coef[:, 1 : p + 1], out_coef[:, p + 1 :], rel_blocks,
+        *(np.sqrt(v, out=v) for v in (out_lb, out_lu, out_sb, out_su, out_se)),
+        spec, iters, burn, int(seed), diagnostics,
     )
 
 
@@ -434,33 +453,6 @@ class ThresholdReport:
     border: float | None = None
     truth: tuple | None = None
     misclassification: float | None = None
-
-    def to_json(self, path=None):
-        doc = {
-            "gamma_beta": self.gamma_beta,
-            "gamma_u": self.gamma_u,
-            "labels": self.labels,
-            "border": self.border,
-            "truth": list(self.truth) if self.truth is not None else None,
-            "misclassification": self.misclassification,
-        }
-        text = json.dumps(doc, indent=1, sort_keys=True)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(
-            gamma_beta=doc["gamma_beta"],
-            gamma_u=doc["gamma_u"],
-            labels=doc.get("labels"),
-            border=doc.get("border"),
-            truth=tuple(doc["truth"]) if doc.get("truth") else None,
-            misclassification=doc.get("misclassification"),
-        )
 
 
 def gamma_statistics(chain: GibbsChain, truth=None):

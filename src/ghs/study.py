@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .gamsel import (
     AdditiveModelSpec,
     Hyper,
@@ -70,6 +70,8 @@ class StudyConfig:
         object.__setattr__(self, "truth", truth)
         if self.replications < 1 or self.iters <= self.burn:
             raise ConfigError("need replications >= 1 and iters > burn")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 
     def default_truth(self):
         n_lin = self.d_nl // 2
@@ -183,6 +185,7 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
         "gamma_beta": report.gamma_beta,
         "gamma_u": report.gamma_u,
         "truth": list(config.truth),
+        "diagnostics": chain.diagnostics,
         "methods": {
             "border_half": {
                 "border": 0.5,

@@ -1,7 +1,7 @@
 """Additive-model selection tests: data generator, spline basis, Gibbs
 sampler validity (conjugate oracle and successive-conditional prior check),
 threshold statistics, classification rule, the exact 1-D 2-means split, and
-the chain/report export formats.
+the chain export format.
 """
 
 import csv
@@ -18,6 +18,7 @@ from ghs.gamsel import (
     GibbsChain,
     Hyper,
     ThresholdReport,
+    _inv_gamma,
     build_design,
     chain_to_csv,
     classify,
@@ -197,6 +198,43 @@ class TestGibbsSampler:
         rep = gamma_statistics(chain)
         assert max(rep.gamma_beta) < 0.5
         assert all(g is None or g < 0.5 for g in rep.gamma_u)
+
+    def test_local_scales_drawn_independently(self):
+        # under the successive-conditional simulator the linear local scales
+        # are a priori independent half-Cauchy draws; one gamma variate
+        # shared across lambda_beta would correlate them at about 0.5
+        spec = AdditiveModelSpec(n=10, d_lin=3, d_nl=0, basis_size=(), hyper=Hyper(intercept_sd=1.0))
+        data = generate_data(spec, 1.0, 3, truth=("linear", "zero", "zero"))
+        chain = gibbs_sampler(
+            data, spec, iters=21_000, burn=1_000, seed=78, resample_response=True
+        )
+        r = np.corrcoef((2.0 / math.pi) * np.arctan(chain.lambda_beta), rowvar=False)
+        assert np.max(np.abs(r[np.triu_indices(3, 1)])) < 0.1
+
+    def test_inv_gamma_one_variate_per_element(self):
+        draws = _inv_gamma(np.random.default_rng(0), 1.0, np.ones(5))
+        assert draws.shape == (5,) and np.unique(draws).size == 5
+
+    def test_diagnostics_deterministic_counts(self):
+        spec = small_spec(n=400, d_lin=3, d_nl=2, basis_size=4)
+        data = generate_data(spec, 4.0, 8, truth=("zero",) * 5)
+        a = gibbs_sampler(data, spec, iters=3000, burn=100, seed=9).diagnostics
+        b = gibbs_sampler(data, spec, iters=3000, burn=100, seed=9).diagnostics
+        assert set(a) == {"inv_gamma_clipped", "var_floor_hits", "sig2_e_floor_hits"}
+        assert all(type(v) is int and v >= 0 for v in a.values())
+        assert a == b
+        # prior variances frozen far below the floor are counted every sweep
+        fixed = {"lambda_beta": [1e-160] * 5, "sigma_beta": 1e-160, "sigma_eps": 4.0}
+        chain = gibbs_sampler(data, spec, iters=50, burn=0, seed=9, fixed_scales=fixed)
+        assert chain.diagnostics["var_floor_hits"] == 50 * 5
+
+    def test_uneven_basis_sizes(self):
+        spec = small_spec(n=200, d_lin=1, d_nl=3, basis_size=(2, 5, 3))
+        data = generate_data(spec, 0.5, 4)
+        chain = gibbs_sampler(data, spec, iters=200, burn=50, seed=1)
+        assert [b.stop - b.start for b in chain.u_blocks] == [2, 5, 3]
+        assert chain.u.shape == (150, 10) and chain.lambda_u.shape == (150, 3)
+        assert np.all(np.isfinite(chain.u)) and np.all(chain.sigma_u > 0)
 
 
 def synthetic_chain(lam_b, lam_u, sig_b, sig_u, sig_e, spec):
@@ -385,20 +423,6 @@ class TestExports:
         assert len(body) == 20
         back = np.array([[float(v) for v in row] for row in body])
         assert back[:, 0] == pytest.approx(chain.beta0)
-
-    def test_report_json_roundtrip(self, tmp_path):
-        rep = ThresholdReport(
-            gamma_beta=[0.1, 0.8],
-            gamma_u=[None, 0.9],
-            labels=["zero", "non-linear"],
-            border=0.5,
-            truth=("zero", "non-linear"),
-            misclassification=0.0,
-        )
-        path = tmp_path / "report.json"
-        rep.to_json(path)
-        loaded = ThresholdReport.from_json(path.read_text())
-        assert loaded == rep
 
 
 class TestDeskScaleSanity:

@@ -58,6 +58,12 @@ class TestStudyConfig:
         again = StudyConfig.from_dict(config.to_dict())
         assert again == config
 
+    def test_negative_seed_rejected(self):
+        from ghs.errors import DomainError
+
+        with pytest.raises(DomainError):
+            StudyConfig(seed=-1)
+
 
 class TestStudyRunner:
     def test_outputs_and_determinism(self, tmp_path):
@@ -97,6 +103,14 @@ class TestStudyRunner:
         records, _ = run_study(config, tmp_path / "run")
         loaded = load_reports(tmp_path / "run")
         assert loaded == records
+
+    def test_replication_json_carries_sampler_diagnostics(self, tmp_path):
+        config = StudyConfig.from_dict(TINY_STUDY)
+        run_study(config, tmp_path / "run")
+        rec = json.loads(read(tmp_path / "run" / "n150_sig0.5" / "rep00.json"))
+        diag = rec["diagnostics"]
+        assert set(diag) == {"inv_gamma_clipped", "var_floor_hits", "sig2_e_floor_hits"}
+        assert all(type(v) is int and v >= 0 for v in diag.values())
 
     def test_save_chains_writes_csv(self, tmp_path):
         config = StudyConfig.from_dict({**TINY_STUDY, "replications": 1, "save_chains": True})
@@ -307,6 +321,16 @@ class TestCli:
         assert read(tmp_path / "a" / "gamma_values.csv") != read(
             tmp_path / "b" / "gamma_values.csv"
         )
+
+    def test_simulate_negative_seed_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(TINY_STUDY))
+        with pytest.raises(SystemExit) as exc:
+            self.run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "a"),
+                     "--seed", "-1")
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not (tmp_path / "a").exists()
 
     def test_error_json_on_bad_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
