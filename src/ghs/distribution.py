@@ -91,13 +91,31 @@ def radial_log_density(d, r, sigma_theta=1.0, config=DEFAULT_CONFIG):
     return val if val.ndim else float(val)
 
 
+# below this norm the sum of squares left the normal range: digits lost, or 0
+_NORM_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
+
+
+def _point_norms(x):
+    """||x|| of one point or of each row, right for every finite point.
+
+    The plain norm squares the entries, which underflows for
+    ||x|| < ~1.5e-154 and overflows above ~1.3e154.  Only those rows are
+    recomputed, by hypot, which never squares; other rows keep the plain value.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.asarray(np.linalg.norm(x, axis=-1) if x.ndim == 2 else np.linalg.norm(x))
+    redo = (r < _NORM_UNDERFLOW) | (r == np.inf)
+    if np.any(redo):
+        r[redo] = np.hypot.reduce(x[redo], axis=-1, initial=0.0)
+    return r
+
+
 def log_density(dist: GhsDistribution, x, config=DEFAULT_CONFIG):
     """log p(x) for one point (a float) or an (m, d) stack of points; +inf at the pole."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != dist.d:
         raise DimensionError(f"expected points of length {dist.d}, got shape {x.shape}")
-    r = np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=1)
-    return radial_log_density(dist.d, r, dist.sigma_theta, config)
+    return radial_log_density(dist.d, _point_norms(x), dist.sigma_theta, config)
 
 
 def density(dist: GhsDistribution, x, config=DEFAULT_CONFIG):

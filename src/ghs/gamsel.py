@@ -172,6 +172,25 @@ def generate_data(
     return Dataset(x, y, truth, surface, float(sigma_eps), int(seed))
 
 
+def _bspline_functions(t, K):
+    """The K + 2 cubic B-spline functions on [0, 1] with K - 2 interior knots
+    at quantiles of the distinct values of ``t``, as one vector-valued
+    BSpline: identity coefficients make output column i the i-th function.
+    """
+    # imported here: scipy.interpolate loads scipy.optimize and scipy.sparse,
+    # about 20 MB that `import ghs` should not cost
+    from scipy.interpolate import BSpline
+
+    if K > 2:
+        probs = np.arange(1, K - 1) / (K - 1.0)
+        interior = np.quantile(np.unique(t), probs)
+        interior = np.clip(interior, 1e-10, 1.0 - 1e-10)
+    else:
+        interior = np.array([])
+    knots = np.concatenate(([0.0] * 4, interior, [1.0] * 4))
+    return BSpline(knots, np.eye(K + 2), 3, extrapolate=True)
+
+
 def spline_basis(x, K):
     """Cubic-spline basis for the purely non-linear part of one predictor.
 
@@ -180,10 +199,6 @@ def spline_basis(x, K):
     orthonormalized, so the K returned columns carry only curvature, have
     unit norm, and are exactly orthogonal to the constant and linear terms.
     """
-    # imported here: scipy.interpolate loads scipy.optimize and scipy.sparse,
-    # about 20 MB that `import ghs` should not cost
-    from scipy.interpolate import BSpline
-
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError("x must be a vector")
@@ -193,21 +208,7 @@ def spline_basis(x, K):
         raise DegenerateError(f"need at least K + 2 = {K + 2} distinct values")
     lo, hi = x.min(), x.max()
     t = (x - lo) / (hi - lo)
-
-    m = K + 2  # cubic B-spline functions; K - 2 interior knots
-    if K > 2:
-        probs = np.arange(1, K - 1) / (K - 1.0)
-        interior = np.quantile(np.unique(t), probs)
-        interior = np.clip(interior, 1e-10, 1.0 - 1e-10)
-    else:
-        interior = np.array([])
-    knots = np.concatenate(([0.0] * 4, interior, [1.0] * 4))
-    cols = []
-    for i in range(m):
-        coef = np.zeros(m)
-        coef[i] = 1.0
-        cols.append(BSpline(knots, coef, 3, extrapolate=True)(t))
-    b = np.column_stack(cols)
+    b = _bspline_functions(t, K)(t)
 
     g = np.column_stack([np.ones_like(t), t])
     b = b - g @ np.linalg.lstsq(g, b, rcond=None)[0]
@@ -288,7 +289,45 @@ def _inv_gamma(rng, shape, scale):
 
 
 def _count_clipped(draws):
-    return int(np.count_nonzero(draws <= 1e-300) + np.count_nonzero(draws >= 1e300))
+    return int(np.count_nonzero((draws <= 1e-300) | (draws >= 1e300)))
+
+
+class _ResidualSS:
+    """Residual sum of squares ||y - C b||^2 from q x q work per call.
+
+    With F'F = C'C and F'w = C'y (Cholesky C'C = LL', F = L', w = L^-1 C'y),
+    the normal equations give, for every b,
+
+        ||y - C b||^2 = rss0 + ||F b - w||^2,   rss0 = ||y||^2 - ||w||^2,
+
+    the least-squares residual plus the misfit of b.  ||w|| <= ||y|| and F b
+    is as large as C b, so nothing large cancels, also when near-collinear
+    columns make the least-squares coefficients huge.  When C'C does not
+    factorize (n <= q, or repeated columns), F = S V' and w = U'y come from
+    the thin SVD C = U S V' truncated to the numerical rank.
+    """
+
+    def __init__(self, c, ctc):
+        try:
+            self.chol = np.linalg.cholesky(ctc)
+            self.f = self.chol.T
+        except np.linalg.LinAlgError:
+            self.chol = None
+            u, s, vt = np.linalg.svd(c, full_matrices=False)
+            rank = int(np.count_nonzero(s > s[0] * max(c.shape) * np.finfo(float).eps))
+            self.u, self.f = u[:, :rank], s[:rank, None] * vt[:rank]
+
+    def set_response(self, y, cty):
+        """Measure later residuals against ``y``; ``cty`` is C'y."""
+        if self.chol is None:
+            w = self.u.T @ y
+        else:
+            w = solve_triangular(self.chol, cty, lower=True, check_finite=False)
+        self.w, self.rss0 = w, max(float(y @ y - w @ w), 0.0)
+
+    def __call__(self, coef):
+        e = self.f @ coef - self.w
+        return self.rss0 + float(e @ e)
 
 
 def gibbs_sampler(
@@ -324,6 +363,9 @@ def gibbs_sampler(
     d_nl = spec.d_nl
     ctc = np.asfortranarray(c.T @ c)
     cty = c.T @ y
+    # the sweep never touches the n x q design: rss comes from C'C
+    residual_ss = _ResidualSS(c, ctc)
+    residual_ss.set_response(y, cty)
     rng = make_rng(seed)
     hyper = spec.hyper
 
@@ -380,9 +422,7 @@ def gibbs_sampler(
             cho[0], z, lower=True, trans="T", overwrite_b=True, check_finite=False
         )
 
-        fit = c @ coef
-        resid = y - fit
-        rss = float(resid @ resid)
+        rss = residual_ss(coef)
 
         if fixed_scales is None:
             beta2 = coef[1 : p + 1] ** 2
@@ -416,8 +456,9 @@ def gibbs_sampler(
             b_beta, b_u = float(draws[0]), draws[1:]
 
         if resample_response:
-            y = fit + math.sqrt(sig2_e) * rng.standard_normal(n)
+            y = c @ coef + math.sqrt(sig2_e) * rng.standard_normal(n)
             cty = c.T @ y
+            residual_ss.set_response(y, cty)
 
         if it >= burn:
             t = it - burn

@@ -162,6 +162,37 @@ class TestDomainEdges:
         with pytest.raises(DimensionError):
             log_density(dist, pts[:, :2])
 
+    def test_points_whose_squared_norm_leaves_the_float_range(self):
+        # ||x||^2 underflows below ~1.5e-154 (to 0 below ~1.5e-162) and
+        # overflows above ~1.3e154; the density must still be that of ||x||
+        import warnings
+
+        dist = GhsDistribution(3)
+        extreme = np.array([
+            [1e-170, 0.0, 0.0],
+            [1e160, 0.0, 0.0],
+            [1e-160, -1e-160, 1e-160],
+            [3e-300, 4e-300, 0.0],
+            [-1e200, 1e200, 1e200],
+            [0.0, 0.0, 0.0],
+            [math.inf, 1.0, 0.0],
+        ])
+        radii = [1e-170, 1e160, math.sqrt(3.0) * 1e-160, 5e-300, math.sqrt(3.0) * 1e200,
+                 0.0, math.inf]
+        expected = radial_log_density(3, np.array(radii))
+        assert expected[0] == pytest.approx(779.6705333130722, rel=1e-14)
+        assert expected[1] == pytest.approx(-1476.1697106405327, rel=1e-14)
+        ordinary = np.random.default_rng(5).standard_normal((4, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, e in zip(extreme, expected):
+                assert log_density(dist, x) == pytest.approx(e, rel=1e-15)
+            stacked = log_density(dist, np.vstack([ordinary, extreme]))
+        assert stacked[4:] == pytest.approx(expected, rel=1e-15)
+        # ordinary rows keep the plain norm, bit for bit
+        plain = radial_log_density(3, np.linalg.norm(ordinary, axis=1))
+        assert np.array_equal(stacked[:4], plain)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -12,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghs import gamsel
 from ghs.errors import ConfigError, DegenerateError, LengthError
 from ghs.gamsel import (
     AdditiveModelSpec,
     GibbsChain,
     Hyper,
     ThresholdReport,
+    _bspline_functions,
     _inv_gamma,
+    _ResidualSS,
     build_design,
     chain_to_csv,
     classify,
@@ -101,6 +104,16 @@ class TestSplineBasis:
         x = np.repeat([0.0, 0.3, 0.6, 1.0], 10)
         with pytest.raises(DegenerateError):
             spline_basis(x, 4)  # needs K + 2 = 6 distinct
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 6])
+    def test_one_call_design_matches_per_column_splines(self, K):
+        from scipy.interpolate import BSpline
+
+        # spline_basis rescales its predictor onto [0, 1], endpoints included
+        t = np.concatenate(([0.0, 1.0], np.random.default_rng(K).random(1998)))
+        spl = _bspline_functions(t, K)
+        cols = [BSpline(spl.t, np.eye(K + 2)[i], 3, extrapolate=True)(t) for i in range(K + 2)]
+        assert np.array_equal(spl(t), np.column_stack(cols))
 
 
 class TestGibbsSampler:
@@ -199,6 +212,25 @@ class TestGibbsSampler:
         assert max(rep.gamma_beta) < 0.5
         assert all(g is None or g < 0.5 for g in rep.gamma_u)
 
+    def test_deep_shrinkage_reaches_floors(self):
+        # tiny half-Cauchy hyperscales push the scale products below the
+        # representable range: clips and variance floors must both run and
+        # every draw must stay finite, without any floating-point warning
+        import warnings
+
+        spec = small_spec(
+            n=400, d_lin=3, d_nl=2, basis_size=4, hyper=Hyper(s_beta=1e-150, s_u=1e-150)
+        )
+        data = generate_data(spec, 4.0, 8, truth=("zero",) * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = gibbs_sampler(data, spec, iters=3000, burn=100, seed=9)
+        assert chain.diagnostics["inv_gamma_clipped"] > 0
+        assert chain.diagnostics["var_floor_hits"] > 0
+        for arr in (chain.beta0, chain.beta, chain.u, chain.lambda_beta, chain.lambda_u,
+                    chain.sigma_beta, chain.sigma_u, chain.sigma_eps):
+            assert np.all(np.isfinite(arr))
+
     def test_local_scales_drawn_independently(self):
         # under the successive-conditional simulator the linear local scales
         # are a priori independent half-Cauchy draws; one gamma variate
@@ -235,6 +267,80 @@ class TestGibbsSampler:
         assert [b.stop - b.start for b in chain.u_blocks] == [2, 5, 3]
         assert chain.u.shape == (150, 10) and chain.lambda_u.shape == (150, 3)
         assert np.all(np.isfinite(chain.u)) and np.all(chain.sigma_u > 0)
+
+
+class CheckedResidualSS(_ResidualSS):
+    """Records every response set, and every rss next to the direct
+    ||y - C coef||^2."""
+
+    pairs, responses = [], []
+
+    def __init__(self, c, ctc):
+        super().__init__(c, ctc)
+        self.c = c
+
+    def set_response(self, y, cty):
+        super().set_response(y, cty)
+        self.y = np.array(y)
+        self.responses.append(self.y)
+
+    def __call__(self, coef):
+        rss = super().__call__(coef)
+        r = self.y - self.c @ coef
+        self.pairs.append((rss, float(r @ r)))
+        return rss
+
+
+class TestResidualSS:
+    def run_checked(self, monkeypatch, data, spec, **kw):
+        CheckedResidualSS.pairs, CheckedResidualSS.responses = [], []
+        monkeypatch.setattr(gamsel, "_ResidualSS", CheckedResidualSS)
+        gibbs_sampler(data, spec, seed=3, **kw)
+        got, direct = np.array(CheckedResidualSS.pairs).T
+        assert got.size == kw["iters"]
+        np.testing.assert_allclose(got, direct, rtol=1e-10, atol=0)
+        return CheckedResidualSS.responses
+
+    def test_matches_direct_residual(self, monkeypatch):
+        spec = small_spec(n=300, d_lin=2, d_nl=3, basis_size=5)
+        data = generate_data(spec, 0.7, 12)
+        assert len(self.run_checked(monkeypatch, data, spec, iters=200, burn=0)) == 1
+
+    def test_matches_direct_residual_singular_gram(self, monkeypatch):
+        # n <= q: C'C is singular and the factor comes from the SVD of C
+        with pytest.warns(UserWarning):
+            spec = small_spec(n=12, d_lin=2, d_nl=2, basis_size=4)
+        data = generate_data(spec, 0.7, 12)
+        c, _, _ = build_design(data, spec)
+        assert np.linalg.matrix_rank(c.T @ c) < c.shape[1]
+        self.run_checked(monkeypatch, data, spec, iters=200, burn=0)
+
+    def test_matches_direct_residual_resampled_response(self, monkeypatch):
+        spec = AdditiveModelSpec(n=10, d_lin=1, d_nl=1, basis_size=2, hyper=Hyper(intercept_sd=1.0))
+        data = generate_data(spec, 1.0, 3, truth=("linear", "zero"))
+        responses = self.run_checked(
+            monkeypatch, data, spec, iters=500, burn=0, resample_response=True
+        )
+        # one update per redrawn response: every sweep's rss uses the current y
+        assert len(responses) == 501 and np.array_equal(responses[0], data.y)
+        assert all(not np.array_equal(a, b) for a, b in zip(responses, responses[1:]))
+
+    @pytest.mark.parametrize("spread", [1.0, 1e-7, 0.0])
+    def test_any_coefficients_near_collinear_design(self, spread):
+        # the second and third columns differ by `spread`: the least-squares
+        # coefficients reach ~1e7 at 1e-7 and the Gram matrix is singular at 0,
+        # while the coefficients evaluated stay of order one
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(200)
+        c = np.column_stack([np.ones(200), a, a + spread * rng.standard_normal(200),
+                             rng.standard_normal(200)])
+        y = c @ [1.0, 2.0, -1.0, 0.5] + 0.3 * rng.standard_normal(200)
+        rss = _ResidualSS(c, c.T @ c)
+        rss.set_response(y, c.T @ y)
+        for scale in (1e-3, 1.0, 1e3):
+            coef = scale * rng.standard_normal(4)
+            r = y - c @ coef
+            assert rss(coef) == pytest.approx(float(r @ r), rel=1e-10)
 
 
 def synthetic_chain(lam_b, lam_u, sig_b, sig_u, sig_e, spec):
