@@ -8,20 +8,22 @@ Euclidean ball ||theta - theta0|| <= sigma sqrt(2/n), and
 
     R_n <= 1/n - (1/n) log P(prior mass of that ball).
 
-At theta0 = 0 the mass reduces to a one-dimensional radial integral; away
-from the origin the ball is bracketed between its inscribed and
-circumscribed hypercubes (the inscribed/lower value is what the bound rate
-argument needs, so it is the reported mass).
+Given the local scale lam, theta ~ N(0, lam^2 I), so the ball's mass is a
+noncentral chi-square CDF.  Under lam^2 = x/(b v) its half-Cauchy mean is the
+posterior module's mixture at d = 0: the exact mass at every theta0.
+``origin_ball_mass`` and ``offcenter_ball_mass_brackets`` remain test oracles.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as sp
 
-from .distribution import origin_ball_mass, radial_log_density
-from .errors import DomainError, ResourceError
-from .posterior import _mixture_moments
+# origin_ball_mass stays importable here: perfbench/spans.py patches this name
+from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
+from .errors import DomainError, NumericalError, ResourceError
+from .posterior import _V, _X, _log_weight, _mixture_moments
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng, split_seed
@@ -46,21 +48,17 @@ class RiskScenario:
     n_grid: tuple = ()
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("dimension must be >= 1")
-        if not self.sigma > 0:
-            raise DomainError("sigma must be positive")
+        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise DomainError(f"dimension must be a positive integer, got {self.d!r}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise DomainError("sigma must be positive and finite")
         t0 = tuple(float(v) for v in self.theta0) or tuple([0.0] * self.d)
-        if len(t0) != self.d:
-            raise DomainError("theta0 must have length d")
+        if len(t0) != self.d or not all(map(math.isfinite, t0)):
+            raise DomainError("theta0 must be d finite values")
         object.__setattr__(self, "theta0", t0)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if any(n < 2 for n in self.n_grid):
             raise DomainError("all sample sizes must be >= 2")
-
-    @property
-    def centered(self):
-        return all(v == 0.0 for v in self.theta0)
 
 
 def kl_ball_radius(scenario: RiskScenario, n):
@@ -105,15 +103,32 @@ def offcenter_ball_mass_brackets(scenario: RiskScenario, n):
     return lower, upper
 
 
-def kl_ball_prior_mass(scenario: RiskScenario, n):
-    """Prior mass of the KL ball of size 1/n, in (0, 1).
+def _ball_mass(d, radius, center_sq):
+    """Prior mass of the ball of this radius around a point of squared norm center_sq."""
+    span = radius * radius + center_sq
+    b = d / span if span > 0 else math.inf  # puts the CDF's step mid-rule
+    if not 0.0 < b < math.inf:
+        raise NumericalError("the ball's radius or centre leaves the float range")
+    x, nc = np.outer((radius * radius, center_sq), (d / span) * _V / _X)  # over lam^2
+    big = nc > 1e9  # chndtr costs O(sqrt(nc)) (2 ms at 1e9) and gives NaN past ~1e11
+    cdf = sp.chndtr(x, d, np.where(big, 0.0, nc))
+    # There lam < ||theta0||/3e4 and ||theta - theta0||^2/lam^2 = (Z - sqrt(nc))^2 + W, W ~
+    # chi2(d-1).  W at its mean: exact at d = 1, O(d/nc) off otherwise (5e-13 of the mass).
+    xb, ncb = x[big] - (d - 1), nc[big]
+    cdf[big] = sp.ndtr((xb - ncb) / (np.sqrt(np.maximum(xb, 0.0)) + np.sqrt(ncb)))
+    mass = float(np.exp(_log_weight(b, 0)) @ cdf) / (math.pi * math.sqrt(b))
+    if not mass >= np.finfo(float).tiny:
+        raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radius:.3g})")
+    # the first node is lam = 2.4e-19 R/sqrt(d); half-Cauchy weight (2/pi) lam lies below
+    if 2.0 / math.pi * math.sqrt(_X[0] / (b * _V[0])) * cdf[0] > 1e-12 * mass:
+        raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
+    return mass
 
-    Radial quadrature at theta0 = 0; the inscribed-hypercube lower bound
-    otherwise (the direction the risk-rate argument requires).
-    """
-    if scenario.centered:
-        return origin_ball_mass(scenario.d, kl_ball_radius(scenario, n))
-    return _cube_mass(scenario.theta0, kl_ball_radius(scenario, n) / math.sqrt(scenario.d))
+
+def kl_ball_prior_mass(scenario: RiskScenario, n):
+    """Prior mass of the KL ball of size 1/n, in (0, 1); NumericalError if out of reach."""
+    norm = math.hypot(*scenario.theta0)  # norm * norm is inf, with no warning, past 1e154
+    return _ball_mass(scenario.d, kl_ball_radius(scenario, n), norm * norm)
 
 
 def risk_upper_bound(scenario: RiskScenario, n):

@@ -1,6 +1,6 @@
 """Distribution tests: closed-form density vs the mixture-integral oracle,
 normalization, pole behavior, scale family, spherical symmetry, and the
-scale-mixture sampler (marginal and radial agreement with quadrature CDFs).
+scale-mixture sampler (marginal and radial agreement with the ball-mass CDFs).
 """
 
 import math
@@ -22,6 +22,7 @@ from ghs.distribution import (
     sample_arrays,
 )
 from ghs.errors import DimensionError, DomainError
+from ghs.risk import _ball_mass
 
 # Frozen from density_quadrature_oracle(2, (1, 1)).
 DENSITY_D2_AT_ONES = 0.021741521332476726
@@ -251,13 +252,13 @@ class TestSampler:
 
     def test_coordinate_marginal_matches_univariate_density(self):
         # each coordinate of a d=3 draw is marginally univariate horseshoe;
-        # compare empirical CDF to the quadrature CDF of the d=1 density
+        # compare empirical CDF to the d=1 ball mass (the chi-square mixture)
         _, xs = sample_arrays(GhsDistribution(3), 100_000, seed=42)
         coord = np.sort(xs[:, 0])
         grid = np.linspace(-8.0, 8.0, 81)
         theo = np.array(
             [
-                0.5 + 0.5 * math.copysign(origin_ball_mass(1, abs(g)), g)
+                0.5 + 0.5 * math.copysign(_ball_mass(1, abs(g), 0.0), g)
                 if g != 0.0
                 else 0.5
                 for g in grid
@@ -271,7 +272,7 @@ class TestSampler:
         _, xs = sample_arrays(GhsDistribution(2), 100_000, seed=7)
         radii = np.sort(np.linalg.norm(xs, axis=1))
         grid = np.linspace(0.05, 10.0, 60)
-        theo = np.array([origin_ball_mass(2, g) for g in grid])
+        theo = np.array([_ball_mass(2, g, 0.0) for g in grid])
         emp = np.searchsorted(radii, grid, side="right") / radii.size
         assert np.max(np.abs(emp - theo)) < 1.95 / math.sqrt(radii.size)
 

@@ -1,16 +1,22 @@
 """Risk-bound tests: KL-ball masses against their asymptotic expansions,
-monotonicity, rate/slope behavior of the bound (including the extra
--log log n / n improvement that exists only in one dimension), off-origin
-hypercube bracketing, and the Monte Carlo risk estimate against the bound.
+the radial quadrature, mpmath and the hypercube brackets, monotonicity,
+rate/slope behavior of the bound (including the extra -log log n / n
+improvement that exists only in one dimension), and the Monte Carlo risk
+estimate against the bound.
 """
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from ghs.errors import DomainError, ResourceError
+import ghs.distribution
+import ghs.risk
+from ghs.distribution import origin_ball_mass, radial_log_density
+from ghs.errors import DomainError, NumericalError, ResourceError
 from ghs.posterior import _c_like_integral_lambda
 from ghs.risk import (
     RiskScenario,
@@ -88,8 +94,6 @@ class TestBallMass:
                 m = kl_ball_prior_mass(RiskScenario(d), n)
                 assert 0.0 < m < 1.0
         # radius -> infinity recovers the full normalization
-        from ghs.distribution import origin_ball_mass
-
         assert origin_ball_mass(2, 1e7) == pytest.approx(1.0, abs=1e-6)
 
     def test_ratio_stabilization_between_1e6_and_1e8(self):
@@ -143,10 +147,12 @@ class TestRiskBound:
         assert max(vals) - min(vals) < 0.25
 
     def test_off_origin_brackets_order(self):
-        sc = RiskScenario(2, 1.0, (1.0, 1.0))
-        lower, upper = offcenter_ball_mass_brackets(sc, 10**5)
-        assert 0.0 < lower < upper
-        assert kl_ball_prior_mass(sc, 10**5) == lower
+        # the exact mass lies between the inscribed- and circumscribed-cube masses
+        for theta0 in ((1.0, 1.0), (1.0, 1.0, 1.0)):
+            sc = RiskScenario(len(theta0), 1.0, theta0)
+            for n in (10**2, 10**3, 10**5, 10**8):
+                lower, upper = offcenter_ball_mass_brackets(sc, n)
+                assert 0.0 < lower <= kl_ball_prior_mass(sc, n) <= upper
 
     def test_radius_and_validation(self):
         assert kl_ball_radius(RiskScenario(2), 8) == pytest.approx(0.5)
@@ -154,6 +160,123 @@ class TestRiskBound:
             kl_ball_prior_mass(RiskScenario(2), 1)
         with pytest.raises(DomainError):
             RiskScenario(2, 1.0, (1.0,))
+
+    @pytest.mark.parametrize("args", [
+        (2.5,),
+        (2, math.inf),
+        (2, 1.0, (math.nan, 0.0)),
+        (2, 1.0, (math.inf, 0.0)),
+    ])
+    def test_scenario_rejects_bad_input(self, args):
+        with pytest.raises(DomainError):
+            RiskScenario(*args)
+
+
+def d1_mass_mpmath(t, r):
+    """d = 1 ball mass: half-Cauchy mean of Phi((t+r)/lam) - Phi((t-r)/lam)."""
+    with mp.workdps(30):
+        t, r = mp.mpf(t), mp.mpf(r)
+
+        def f(lam):  # the CDF difference as erfc terms, which do not cancel
+            inner = mp.erfc((t - r) / (lam * mp.sqrt(2))) - mp.erfc((t + r) / (lam * mp.sqrt(2)))
+            return inner / (mp.pi * (1 + lam**2))
+
+        breaks = sorted({abs(t - r), r, t, t + r, mp.mpf(1)} - {0})
+        return float(mp.quad(f, [0, *breaks, mp.inf]))
+
+
+class TestBallMassKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20, 50, 100])
+    def test_origin_matches_radial_quadrature(self, d):
+        sc = RiskScenario(d)
+        for n in (2, 10**3, 10**6, 10**8, 10**12):
+            exact = origin_ball_mass(d, kl_ball_radius(sc, n))
+            assert kl_ball_prior_mass(sc, n) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t, n", [
+        (1e-6, 2), (1e-6, 10**12), (1.0, 10**12), (1e3, 2), (1e3, 10**12),
+        (1.0, 2), (math.sqrt(2e-12), 10**12),  # the sphere passes through the origin
+        (1.0001, 2),
+    ])
+    def test_one_dimension_closed_form_against_mpmath(self, t, n):
+        sc = RiskScenario(1, 1.0, (t,))
+        expected = d1_mass_mpmath(t, kl_ball_radius(sc, n))
+        assert kl_ball_prior_mass(sc, n) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_near_pole_matches_log_lambda_quadrature(self):
+        # the cube brackets raise DomainError here; the ball holds the origin
+        sc = RiskScenario(2, 1.0, (0.01, 0.0))
+        r, c = kl_ball_radius(sc, 1000), 1e-4
+
+        def f(s):  # s = log lam
+            lam = math.exp(s)
+            cdf = special.chndtr(r * r / lam**2, 2, c / lam**2)
+            return 2.0 / math.pi * lam / (1.0 + lam * lam) * cdf
+
+        # below lam = 1e-4 the CDF is 1 to double precision: (r - 0.01)/lam > 340
+        lo, hi = math.log(1e-4), math.log(1e6)
+        pts = sorted(math.log(v) for v in (r - 0.01, 0.01, r, r + 0.01, 1.0))
+        body = integrate.quad(f, lo, hi, points=pts, limit=200, epsabs=0, epsrel=1e-13)[0]
+        expected = 2.0 / math.pi * math.atan(1e-4) + body
+        assert kl_ball_prior_mass(sc, 1000) == pytest.approx(expected, rel=1e-10)
+
+    def test_gap_to_point_density_times_volume_shrinks_like_one_over_n(self):
+        # mass = p(theta0) vol(ball) (1 + O(R^2)) with R^2 = 2/n
+        for theta0 in ((1.0, 1.0), (1.0, 1.0, 1.0)):
+            d = len(theta0)
+            sc = RiskScenario(d, 1.0, theta0)
+            gaps = []
+            for n in (10**5, 10**6, 10**7, 10**8):
+                r = kl_ball_radius(sc, n)
+                vol = math.pi ** (d / 2) * r**d / math.gamma(d / 2 + 1)
+                point = math.exp(radial_log_density(d, math.sqrt(d))) * vol
+                gaps.append(kl_ball_prior_mass(sc, n) / point - 1.0)
+            assert all(g > 0 for g in gaps)
+            assert [a / b for a, b in zip(gaps, gaps[1:])] == pytest.approx([10.0] * 3, rel=1e-3)
+
+    def test_underflow_is_numerical_error(self):
+        with pytest.raises(NumericalError):
+            kl_ball_prior_mass(RiskScenario(100, 1.0, (1.0,) + (0.0,) * 99), 10**8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # ||theta0||^2 overflows without a warning
+            with pytest.raises(NumericalError):
+                risk_upper_bound(RiskScenario(1, 1.0, (1e200,)), 10)
+
+    @pytest.mark.parametrize("d", [1, 2, 100])
+    def test_mass_or_numerical_error_over_the_domain(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2, 10**12):
+                r = kl_ball_radius(RiskScenario(d), n)
+                for t in (0.0, 1e-300, 1e-8, r, 1.0, 1e3, 1e100, 1e300):
+                    for theta0 in ((t,) + (0.0,) * (d - 1), (t / math.sqrt(d),) * d):
+                        try:
+                            mass = kl_ball_prior_mass(RiskScenario(d, 1.0, theta0), n)
+                        except NumericalError:
+                            continue
+                        assert 0.0 < mass < 1.0
+
+    def test_large_radius_is_numerical_error(self):
+        # the nodes stop at lam ~ 1e-19 R/sqrt(d), below which the mass is not counted
+        assert kl_ball_prior_mass(RiskScenario(1, 1e6), 2) == pytest.approx(1.0, abs=1e-6)
+        with pytest.raises(NumericalError):
+            kl_ball_prior_mass(RiskScenario(1, 1e8), 2)
+
+    def test_does_not_reach_the_quadrature_oracles(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kl_ball_prior_mass reached a quadrature oracle")
+
+        for module, name in [
+            (ghs.risk, "origin_ball_mass"),
+            (ghs.risk, "_cube_mass"),
+            (ghs.risk, "adaptive_quad"),
+            (ghs.risk, "radial_log_density"),
+            (ghs.distribution, "adaptive_quad"),
+            (ghs.distribution, "exp_scaled_gen_exp_integral"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        for sc in (RiskScenario(3), RiskScenario(3, 1.0, (1.0, 1.0, 1.0))):
+            assert 0.0 < kl_ball_prior_mass(sc, 10**4) < 1.0
 
 
 class TestCesaroRiskMc:

@@ -266,6 +266,17 @@ class TestCli:
         row = read(out).splitlines()[1].split(",")
         assert float(row[3]) == risk_upper_bound(RiskScenario(2, 1.0, (1.0, 1.0)), 10**4)
 
+    @pytest.mark.parametrize("d, theta0, n", [
+        ("1", "1e200", "10"),
+        ("100", ",".join(["1"] + ["0"] * 99), "1e8"),
+    ])
+    def test_risk_mass_underflow_is_numerical_error(self, tmp_path, capsys, d, theta0, n):
+        with pytest.raises(SystemExit) as exc:
+            self.run("risk", "--d-list", d, "--theta0", theta0, "--n-grid", n,
+                     "--out", str(tmp_path / "risk.csv"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NumericalError"
+
     def test_risk_table(self, tmp_path):
         out = tmp_path / "risk.csv"
         self.run(
