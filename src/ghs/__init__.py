@@ -6,6 +6,8 @@ for the unit-noise observation model; KL-ball risk bounds; and a Gibbs
 sampler for additive-model selection with (grouped) horseshoe priors.
 """
 
+import importlib
+
 from .config import DEFAULT_CONFIG, SpecFunConfig
 from .distribution import (
     GhsDistribution,
@@ -25,21 +27,6 @@ from .errors import (
     NumericalError,
     ResourceError,
 )
-from .gamsel import (
-    AdditiveModelSpec,
-    Dataset,
-    GibbsChain,
-    Hyper,
-    MisclassRate,
-    ThresholdReport,
-    classify,
-    gamma_statistics,
-    generate_data,
-    gibbs_sampler,
-    kmeans_threshold,
-    misclassification_rate,
-    spline_basis,
-)
 from .posterior import (
     PosteriorModel,
     SideModel,
@@ -58,9 +45,17 @@ from .specfun import (
     kummer_1f1,
     phi1,
 )
-from .study import StudyConfig, run_study
 
 __version__ = "0.1.0"
+
+# The Gibbs sampler imports scipy.linalg (about 0.35 s and 30 MB), which the
+# density, sampler, posterior and risk never need: these names load on first use.
+_LAZY = {
+    "gamsel": ("AdditiveModelSpec", "Dataset", "GibbsChain", "Hyper", "MisclassRate",
+               "ThresholdReport", "classify", "gamma_statistics", "generate_data",
+               "gibbs_sampler", "kmeans_threshold", "misclassification_rate", "spline_basis"),
+    "study": ("StudyConfig", "run_study"),
+}
 
 __all__ = [
     "AdditiveModelSpec",
@@ -113,3 +108,17 @@ __all__ = [
     "spline_basis",
     "split_seed",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:  # `ghs.study` after a bare `import ghs`
+        return importlib.import_module(f"{__name__}.{name}")
+    for module, names in _LAZY.items():
+        if name in names:
+            globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

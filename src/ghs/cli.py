@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from . import study as study_mod
 from .distribution import GhsDistribution, log_density, sample_arrays
 from .errors import ConfigError, DimensionError, GhsError
+from .files import atomic_write
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
@@ -43,14 +43,14 @@ def _write_table(path, header, rows, fmt):
             lines = _csv_chunks(rows)
         else:
             lines = (",".join(map(repr, row)) + "\n" for row in rows)
-        study_mod._atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
+        atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
         return
     docs = []
     for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
         docs.append({k: v if math.isfinite(v) else None for k, v in zip(header, row)})
         if math.inf in row:
             docs[-1]["pole"] = True
-    study_mod._atomic_write(path, [json.dumps(docs, indent=1, sort_keys=True), "\n"])
+    atomic_write(path, [json.dumps(docs, indent=1, sort_keys=True), "\n"])
 
 
 def _parse_grid(spec, d):
@@ -124,6 +124,8 @@ def cmd_risk(args):
 
 
 def cmd_simulate(args):
+    from . import study as study_mod  # the Gibbs sampler loads scipy.linalg
+
     config = study_mod.StudyConfig.from_json(args.config)
     overrides = {"seed": args.seed, "threads": args.threads}
     overrides = {k: v for k, v in overrides.items() if v is not None}
@@ -138,6 +140,8 @@ def cmd_simulate(args):
 
 
 def cmd_report(args):
+    from . import study as study_mod
+
     records = study_mod.load_reports(args.in_dir)
     if not records:
         raise ConfigError(f"no replication reports under {args.in_dir}")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .config import DEFAULT_CONFIG
 from .errors import DimensionError, DomainError
@@ -45,10 +44,10 @@ class GhsDistribution:
     sigma_theta: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1 or self.d != int(self.d):
+        if not (self.d >= 1 and self.d % 1 == 0):
             raise DomainError(f"dimension must be a positive integer, got {self.d}")
-        if not self.sigma_theta > 0:
-            raise DomainError(f"scale must be positive, got {self.sigma_theta}")
+        if not (self.sigma_theta > 0 and math.isfinite(self.sigma_theta)):
+            raise DomainError(f"scale must be positive and finite, got {self.sigma_theta}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class MixtureDraw:
 
 
 def _log_norm_const(d):
-    return sp.gammaln(0.5 * (d + 1)) - 0.5 * (math.log(2.0) + (d + 2) * math.log(math.pi))
+    return math.lgamma(0.5 * (d + 1)) - 0.5 * (math.log(2.0) + (d + 2) * math.log(math.pi))
 
 
 def radial_log_density(d, r, sigma_theta=1.0, config=DEFAULT_CONFIG):
@@ -131,8 +130,9 @@ def sample_arrays(dist: GhsDistribution, n, seed):
     The half-Cauchy draw uses the inverse CDF lam = tan(pi U / 2), so runs are
     exactly reproducible for a fixed seed.
     """
-    if n < 1:
-        raise DomainError("need n >= 1 draws")
+    if not (n >= 1 and n % 1 == 0):
+        raise DomainError(f"need a whole number n >= 1 of draws, got {n}")
+    n = int(n)
     rng = make_rng(seed)
     u = rng.random(n)
     lam = np.abs(np.tan(0.5 * math.pi * u))
@@ -182,7 +182,7 @@ def density_quadrature_oracle(d, x, rel_tol=1e-12):
 def normalization_integral(d, config=DEFAULT_CONFIG, rel_tol=1e-10):
     """Total mass of the standard density by radial quadrature (should be 1)."""
     d = int(d)
-    log_sa = math.log(2.0) + 0.5 * d * math.log(math.pi) - sp.gammaln(0.5 * d)
+    log_sa = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
 
     def f(r):
         if r <= 0.0:
@@ -213,7 +213,7 @@ def origin_ball_mass(d, radius, config=DEFAULT_CONFIG, rel_tol=1e-11):
             return 0.0
         return 2.0 * exp_scaled_gen_exp_integral(nu, v * v, config)
 
-    lead = math.exp(sp.gammaln(nu) - math.log(math.pi) - sp.gammaln(0.5 * d))
+    lead = math.exp(math.lgamma(nu) - math.log(math.pi) - math.lgamma(0.5 * d))
     if vmax <= 2.0:
         integral = adaptive_quad(f, 0.0, vmax, rel_tol=rel_tol)
     else:

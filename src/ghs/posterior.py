@@ -59,8 +59,8 @@ class PosteriorModel:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("dimension must be >= 1")
+        if not (self.d >= 1 and self.d % 1 == 0):
+            raise DomainError(f"dimension must be a positive integer, got {self.d}")
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise DomainError("tau must be positive and finite")
 
@@ -74,8 +74,8 @@ class SideModel:
     tau2: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("dimension must be >= 1")
+        if not (self.d >= 1 and self.d % 1 == 0):
+            raise DomainError(f"dimension must be a positive integer, got {self.d}")
         if not all(t > 0 and math.isfinite(t) for t in (self.tau1, self.tau2)):
             raise DomainError("tau1 and tau2 must be positive and finite")
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
 
 # origin_ball_mass stays importable here: perfbench/spans.py patches this name
 from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
@@ -105,6 +104,8 @@ def offcenter_ball_mass_brackets(scenario: RiskScenario, n):
 
 def _ball_mass(d, radius, center_sq):
     """Prior mass of the ball of this radius around a point of squared norm center_sq."""
+    from scipy import special as sp  # here, so that `import ghs` loads no SciPy
+
     span = radius * radius + center_sq
     b = d / span if span > 0 else math.inf  # puts the CDF's step mid-rule
     if not 0.0 < b < math.inf:

@@ -23,7 +23,6 @@ Evaluation regimes
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .config import DEFAULT_CONFIG, SpecFunConfig
 from .errors import DomainError, NumericalError
@@ -73,16 +72,18 @@ def _expint_series(nu, x, config):
     n = round(nu)
     if abs(nu - n) < _INTEGER_EPS:
         nu, skip = n, n - 1
-        total = (-x) ** (n - 1) / math.factorial(n - 1) * (sp.digamma(n) - np.log(x))
+        psi = math.fsum(1.0 / k for k in range(1, n)) - np.euler_gamma  # psi(n) = H_(n-1) - gamma
+        total = (-x) ** (n - 1) / math.factorial(n - 1) * (psi - np.log(x))
     else:
-        skip, total = -1, sp.gamma(1.0 - nu) * x ** (nu - 1.0)
+        skip, total = -1, math.gamma(1.0 - nu) * x ** (nu - 1.0)
     scale = np.exp(x)
+    tol = max(2e-16, 1e-3 * config.rel_tol)  # the continued fraction's margin
     out, idx, term = np.empty_like(x), np.arange(x.size), np.ones_like(x)
     for k in range(config.max_terms):
         if k != skip:
             total = total - term / (1.0 - nu + k)
         term = term * (-x / (k + 1.0))
-        done = np.abs(term) < config.rel_tol * np.abs(total) + config.abs_tol
+        done = np.abs(term) < tol * np.abs(total) + config.abs_tol
         idx, x, term, total = _retire(out, idx, done, total, x, term, total)
         if not idx.size:
             return scale * out
@@ -93,7 +94,7 @@ def _expint_scaled_cf(nu, x, config):
     """Modified-Lentz continued fraction for exp(x) E_nu(x), x >= 1 (DLMF 8.19)."""
     tiny = 1e-300
     # convergence is linear near x = 1, so demand a margin below rel_tol
-    tol = max(2e-16, 0.02 * config.rel_tol)
+    tol = max(2e-16, 1e-3 * config.rel_tol)
     out, idx = np.empty_like(x), np.arange(x.size)
     b, c = x + nu, np.full_like(x, 1.0 / tiny)
     h = d = 1.0 / b
@@ -242,6 +243,8 @@ def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
     if _is_nonpositive_integer(a):
         return _kummer_series(a, b, x, config)  # terminating polynomial
     if abs(x) > config.asymptotic_switch * abs(b):
+        from scipy import special as sp  # 1/Gamma is 0 at the poles, where math.gamma raises
+
         if x > 0:
             front = sp.gamma(b) / sp.gamma(a) * math.exp(x) * x ** (a - b)
             return front * _kummer_asymptotic_sum(b - a, 1.0 - a, x, config)
@@ -271,7 +274,7 @@ def log_kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
         raise DomainError("log 1F1 with x > 0 needs a > 0")
     if x > config.asymptotic_switch * b:
         s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config)
-        return sp.gammaln(b) - sp.gammaln(a) + x + (a - b) * math.log(x) + math.log(s)
+        return math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x) + math.log(s)
     # Streaming log-sum of the (all positive) Taylor terms.
     log_term = 0.0
     peak = 0.0
@@ -293,7 +296,7 @@ def kummer_1f1_quad(a, b, x, rel_tol=1e-13):
     """Quadrature oracle via the Euler integral (needs b > a > 0)."""
     if not (b > a > 0):
         raise DomainError("Euler-integral oracle needs b > a > 0")
-    lead = sp.gammaln(b) - sp.gammaln(a) - sp.gammaln(b - a)
+    lead = math.lgamma(b) - math.lgamma(a) - math.lgamma(b - a)
     shift = max(x, 0.0)
 
     def f(t):
@@ -326,6 +329,8 @@ def phi1_double_series(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT
     """
     if abs(x) >= 1:
         raise DomainError("double series requires |x| < 1")
+    from scipy import special as sp
+
     total = 0.0
     cm = 1.0  # (beta)_m x^m / m!
     for m in range(config.max_terms):
@@ -433,7 +438,7 @@ def phi1_quadrature(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CO
     if x >= 1:
         raise DomainError("path B requires x < 1")
     integral, shift = _phi1_integral(alpha, beta, gamma, x, y, config.rel_tol)
-    lead = sp.gammaln(gamma) - sp.gammaln(alpha) - sp.gammaln(gamma - alpha)
+    lead = math.lgamma(gamma) - math.lgamma(alpha) - math.lgamma(gamma - alpha)
     return math.exp(lead + shift) * integral
 
 
@@ -444,7 +449,7 @@ def log_phi1_quadrature(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAUL
     if x >= 1:
         raise DomainError("path B requires x < 1")
     integral, shift = _phi1_integral(alpha, beta, gamma, x, y, config.rel_tol)
-    lead = sp.gammaln(gamma) - sp.gammaln(alpha) - sp.gammaln(gamma - alpha)
+    lead = math.lgamma(gamma) - math.lgamma(alpha) - math.lgamma(gamma - alpha)
     return lead + shift + math.log(integral)
 
 

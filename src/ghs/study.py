@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
+from .files import atomic_write
 from .gamsel import (
     AdditiveModelSpec,
     Hyper,
@@ -117,14 +118,6 @@ def _as_list(v):
     return v if isinstance(v, (list, tuple)) else [v]
 
 
-def _atomic_write(path, lines):
-    """Write strings to ``path`` via a temporary file, so it appears only once whole."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
-
-
 def _scenario_dir(out_dir, n, sigma):
     return os.path.join(out_dir, f"n{n}_sig{sigma:g}")
 
@@ -202,7 +195,7 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
     if out_dir is not None:
         sdir = _scenario_dir(out_dir, n, sigma)
         os.makedirs(sdir, exist_ok=True)
-        _atomic_write(
+        atomic_write(
             os.path.join(sdir, f"rep{rep:02d}.json"),
             [json.dumps(record, indent=1, sort_keys=True), "\n"],
         )
@@ -243,7 +236,7 @@ def run_study(config: StudyConfig, out_dir):
         "completed": len(records),
         "failed": failures,
     }
-    _atomic_write(
+    atomic_write(
         os.path.join(out_dir, "manifest.json"),
         [json.dumps(manifest, indent=1, sort_keys=True), "\n"],
     )
@@ -281,7 +274,7 @@ def write_aggregates(records, out_dir):
                     ]
                 )
             )
-    _atomic_write(os.path.join(out_dir, "misclassification.csv"), ["\n".join(lines), "\n"])
+    atomic_write(os.path.join(out_dir, "misclassification.csv"), ["\n".join(lines), "\n"])
 
     lines = [GAMMA_HEADER]
     for r in records:
@@ -300,7 +293,7 @@ def write_aggregates(records, out_dir):
                     ]
                 )
             )
-    _atomic_write(os.path.join(out_dir, "gamma_values.csv"), ["\n".join(lines), "\n"])
+    atomic_write(os.path.join(out_dir, "gamma_values.csv"), ["\n".join(lines), "\n"])
 
 
 def load_reports(out_dir):

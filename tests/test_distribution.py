@@ -106,10 +106,14 @@ class TestDensity:
             log_density(GhsDistribution(3), [1.0, 2.0])
 
     def test_invalid_parameters(self):
-        with pytest.raises(DomainError):
-            GhsDistribution(0)
-        with pytest.raises(DomainError):
-            GhsDistribution(2, -1.0)
+        for d in (0, 2.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                GhsDistribution(d)
+        for sigma in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                log_density(GhsDistribution(2, sigma), [1.0, 1.0])
+            with pytest.raises(DomainError):
+                sample_arrays(GhsDistribution(2, sigma), 5, seed=1)
 
     def test_oracle_rejects_origin(self):
         with pytest.raises(DomainError):
@@ -279,3 +283,8 @@ class TestSampler:
     def test_rejects_bad_count(self):
         with pytest.raises(DomainError):
             sample(GhsDistribution(1), 0, seed=1)
+        for n in (2.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sample_arrays(GhsDistribution(1), n, seed=1)
+        lam, xs = sample_arrays(GhsDistribution(2), 3.0, seed=1)  # a whole float is a count
+        assert lam.shape == (3,) and xs.shape == (3, 2)

@@ -317,6 +317,14 @@ def test_non_finite_input_rejected(fn):
         SideModel(2, math.inf, 1.0)
 
 
+def test_non_integer_dimension_rejected():
+    for bad in (1.5, 2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            PosteriorModel(bad, 1.0)
+        with pytest.raises(DomainError):
+            SideModel(bad, 1.0, 1.0)
+
+
 # Benchmark grid cells where the Phi1/1F1 series does not converge: the series
 # argument 1 - tau^(+-2) is near 1, or ||y|| is large at tau >= 10
 SERIES_FAILURE_CELLS = (

@@ -8,6 +8,7 @@ corrected two-variable reduction vs. the raw double series).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -113,12 +114,17 @@ class TestExpScaledKernel:
     @pytest.mark.parametrize("nu", NUS)
     def test_against_quadrature_oracle(self, nu):
         oracle = np.array([exp_scaled_gen_exp_integral_quad(nu, float(x)) for x in self.XS])
-        # the x < 1 series stops once a term is below rel_tol of the sum; the
-        # terms it drops are at most twice that term, so the default
-        # rel_tol = 1e-12 holds values to 2e-12 and rel_tol = 1e-15 to 1e-13
+        # the series and the continued fraction both stop with a margin of
+        # 1e-3 rel_tol; test_against_mpmath holds the default config to 1e-14
         fine = SpecFunConfig(rel_tol=1e-15)
         assert exp_scaled_expint(nu, self.XS, fine) == pytest.approx(oracle, rel=1e-13)
         assert exp_scaled_expint(nu, self.XS) == pytest.approx(oracle, rel=2e-12)
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_against_mpmath(self, nu):
+        with mp.workdps(40):
+            exact = [float(mp.exp(x) * mp.expint(nu, x)) for x in map(mp.mpf, self.XS)]
+        assert exp_scaled_expint(nu, self.XS) == pytest.approx(exact, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("nu", NUS)
     def test_zero_argument(self, nu):

@@ -246,6 +246,14 @@ class TestCli:
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
+    def test_sample_infinite_scale_is_domain_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("sample", "--d", "2", "--n", "5", "--seed", "1",
+                     "--sigma-theta", "inf", "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["density", "--d", "1", "--grid=0:1:0.5", "--threads", "2"],
         ["density", "--d", "1", "--grid=0:1:0.5", "--seed", "1"],
