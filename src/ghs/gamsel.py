@@ -21,7 +21,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+# cho_factor and cho_solve stay importable here: perfbench/spans.py patches these names
+from scipy.linalg import cho_factor, cho_solve, solve_triangular  # noqa: F401
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import (
     ConfigError,
@@ -282,14 +284,38 @@ def _inv_gamma(rng, shape, scale):
 
     One independent variate per element of ``scale``.  Draws are clipped to
     the representable range: deep shrinkage pushes rates below the denormal
-    range where the ratio degenerates to 0 or inf.
+    range where the ratio degenerates to 0 or inf.  ``scale`` (a float
+    array) is overwritten; the draws reuse the gamma variates' buffer.
     """
-    gamma = rng.standard_gamma(shape, np.shape(scale))
-    return np.clip(np.maximum(scale, 1e-300) / gamma, 1e-300, 1e300)
+    gamma = rng.standard_gamma(shape, scale.shape)
+    np.divide(np.maximum(scale, 1e-300, out=scale), gamma, out=gamma)
+    np.maximum(gamma, 1e-300, out=gamma)
+    return np.minimum(gamma, 1e300, out=gamma)
 
 
 def _count_clipped(draws):
     return int(np.count_nonzero((draws <= 1e-300) | (draws >= 1e300)))
+
+
+def _draw_coefficients(q_mat, rhs, z):
+    """One draw from N(Q^-1 rhs, Q^-1) given standard normal ``z`` (Rue 2001).
+
+    With Q = LL', the draw is Q^-1 rhs + L^-T z.  The LAPACK routines behind
+    cho_factor, cho_solve and solve_triangular run directly, without those
+    wrappers' input checks, and in place: a Fortran-order ``q_mat`` becomes
+    L, ``rhs`` the draw and ``z`` the noise.  Returns the draw.
+    """
+    chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
+    # OpenBLAS's dpotrf reports only minors that are not positive; a NaN or
+    # inf in Q's lower triangle passes with info 0 but reaches L's diagonal
+    if info != 0 or not np.isfinite(chol.diagonal()).all():
+        raise NumericalError(
+            f"precision matrix is not finite and positive definite (dpotrf info {info})"
+        )
+    mean, _ = dpotrs(chol, rhs, lower=1, overwrite_b=1)
+    noise, _ = dtrtrs(chol, z, lower=1, trans=1, overwrite_b=1)
+    mean += noise
+    return mean
 
 
 class _ResidualSS:
@@ -403,55 +429,69 @@ def gibbs_sampler(
     var_floor = 1e-290
     prior_prec = np.empty(q)
     prior_prec[0] = hyper.intercept_sd**-2
-    # Q is rebuilt in one buffer every sweep and factorized in place
+    # Q is rebuilt in one buffer every sweep and factorized in place; the
+    # right-hand side and the noise buffers become the mean and L^-T z
     q_mat = np.empty((q, q), order="F")
     q_diag = q_mat.reshape(-1, order="F")[:: q + 1]
+    rhs, z = np.empty(q), np.empty(q)
+    # prior variances and the three inverse-gamma rate vectors are filled in
+    # place through one view per group, in state order
+    var = np.empty(p + d_nl)
+    var_b, var_u = var[:p], var[p:]
+    rate_1, rate_2, rate_3 = np.empty(shape_1.size), np.empty(shape_2.size), np.empty(1 + d_nl)
+    rate_1b, rate_1u = rate_1[:p], rate_1[p:-1]
+    rate_2ab, rate_2au = rate_2[:p], rate_2[p + 1 : p + 1 + d_nl]
+    rate_2bu, rate_3u = rate_2[p + 1 + d_nl : -1], rate_3[1:]
     for it in range(iters):
-        var = np.concatenate((sig2_b * lam2_b, sig2_u * lam2_u))
+        np.multiply(lam2_b, sig2_b, out=var_b)
+        np.multiply(lam2_u, sig2_u, out=var_u)
         var_floor_hits += int(np.count_nonzero(var < var_floor))
-        np.divide(1.0, np.maximum(var, var_floor)[col_var], out=prior_prec[1:])
+        np.maximum(var, var_floor, out=var)
+        np.divide(1.0, var[col_var], out=prior_prec[1:])
         np.divide(ctc, sig2_e, out=q_mat)
         q_diag += prior_prec
+        np.divide(cty, sig2_e, out=rhs)
+        rng.standard_normal(out=z)
         try:
-            cho = cho_factor(q_mat, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NumericalError(f"covariance solve failed at iteration {it}") from exc
-        coef = cho_solve(cho, cty / sig2_e, overwrite_b=True, check_finite=False)
-        z = rng.standard_normal(q)
-        coef += solve_triangular(
-            cho[0], z, lower=True, trans="T", overwrite_b=True, check_finite=False
-        )
+            coef = _draw_coefficients(q_mat, rhs, z)
+        except NumericalError as exc:
+            raise NumericalError(f"covariance solve failed at iteration {it}: {exc}") from exc
 
         rss = residual_ss(coef)
 
         if fixed_scales is None:
             beta2 = coef[1 : p + 1] ** 2
             ss = np.add.reduceat(coef[p + 1 :] ** 2, u_starts)
-            draws = _inv_gamma(rng, shape_1, np.concatenate((
-                1.0 / a_b + beta2 / (2.0 * sig2_b),
-                1.0 / a_u + ss / (2.0 * sig2_u),
-                [1.0 / b_eps + rss / 2.0],
-            )))
+            np.divide(1.0, a_b, out=rate_1b)
+            rate_1b += beta2 / (2.0 * sig2_b)
+            np.divide(1.0, a_u, out=rate_1u)
+            rate_1u += ss / (2.0 * sig2_u)
+            rate_1[-1] = 1.0 / b_eps + rss / 2.0
+            draws = _inv_gamma(rng, shape_1, rate_1)
             clipped += _count_clipped(draws)
             lam2_b, lam2_u = draws[:p], draws[p:-1]
             # noise floor keeps ctc/sig2_e finite on noiseless inputs
             sig2_e = max(float(draws[-1]), 1e-100)
             sig2_e_floor_hits += int(draws[-1] < 1e-100)
 
-            draws = _inv_gamma(rng, shape_2, np.concatenate((
-                1.0 + 1.0 / lam2_b,
-                [1.0 / b_beta + float(beta2 @ (1.0 / lam2_b)) / 2.0],
-                1.0 + 1.0 / lam2_u,
-                1.0 / b_u + ss / (2.0 * lam2_u),
-                [hyper.s_eps**-2 + 1.0 / sig2_e],
-            )))
+            np.divide(1.0, lam2_b, out=rate_2ab)
+            rate_2ab += 1.0
+            rate_2[p] = 1.0 / b_beta + float(beta2 @ (1.0 / lam2_b)) / 2.0
+            np.divide(1.0, lam2_u, out=rate_2au)
+            rate_2au += 1.0
+            np.divide(1.0, b_u, out=rate_2bu)
+            rate_2bu += ss / (2.0 * lam2_u)
+            rate_2[-1] = hyper.s_eps**-2 + 1.0 / sig2_e
+            draws = _inv_gamma(rng, shape_2, rate_2)
             clipped += _count_clipped(draws)
             a_b, sig2_b = draws[:p], float(draws[p])
             a_u, sig2_u = draws[p + 1 : p + 1 + d_nl], draws[p + 1 + d_nl : -1]
             b_eps = float(draws[-1])
 
-            rates = [hyper.s_beta**-2 + 1.0 / sig2_b], hyper.s_u**-2 + 1.0 / sig2_u
-            draws = _inv_gamma(rng, 1.0, np.concatenate(rates))
+            rate_3[0] = hyper.s_beta**-2 + 1.0 / sig2_b
+            np.divide(1.0, sig2_u, out=rate_3u)
+            rate_3u += hyper.s_u**-2
+            draws = _inv_gamma(rng, 1.0, rate_3)
             clipped += _count_clipped(draws)
             b_beta, b_u = float(draws[0]), draws[1:]
 

@@ -52,6 +52,11 @@ def _is_nonpositive_integer(v):
     return v <= 0 and abs(v - round(v)) < _INTEGER_EPS
 
 
+def _gamma_sign(v):
+    """Sign of Gamma(v) for v off the poles."""
+    return -1.0 if v < 0 and math.floor(v) % 2 else 1.0
+
+
 # ---------------------------------------------------------------------------
 # Generalized exponential integral  E_nu(x) = int_1^inf exp(-x t) t^(-nu) dt
 # ---------------------------------------------------------------------------
@@ -235,6 +240,8 @@ def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
 
     Uses the Taylor series for moderate x and the standard large-|x|
     expansions (for either sign of x) once |x| > asymptotic_switch * |b|.
+    A value that underflows is 0.0; one past the float range raises
+    NumericalError.
     """
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
@@ -242,14 +249,27 @@ def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
         return 1.0
     if _is_nonpositive_integer(a):
         return _kummer_series(a, b, x, config)  # terminating polynomial
-    if abs(x) > config.asymptotic_switch * abs(b):
-        from scipy import special as sp  # 1/Gamma is 0 at the poles, where math.gamma raises
-
+    # with b - a a nonpositive integer the x < 0 expansion's algebraic term
+    # is 0 and the Kummer transform below is an exact terminating sum
+    if abs(x) > config.asymptotic_switch * abs(b) and not (
+        x < 0 and _is_nonpositive_integer(b - a)
+    ):
+        # Gamma(b) alone overflows past b = 171.6, so the front is built in
+        # log space
         if x > 0:
-            front = sp.gamma(b) / sp.gamma(a) * math.exp(x) * x ** (a - b)
-            return front * _kummer_asymptotic_sum(b - a, 1.0 - a, x, config)
-        front = sp.gamma(b) / sp.gamma(b - a) * (-x) ** (-a)
-        return front * _kummer_asymptotic_sum(a, a - b + 1.0, -x, config)
+            sign = _gamma_sign(b) * _gamma_sign(a)
+            log_front = math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x)
+            s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config)
+        else:
+            sign = _gamma_sign(b) * _gamma_sign(b - a)
+            log_front = math.lgamma(b) - math.lgamma(b - a) - a * math.log(-x)
+            s = _kummer_asymptotic_sum(a, a - b + 1.0, -x, config)
+        try:
+            return math.copysign(math.exp(log_front + math.log(abs(s))), sign * s)
+        except OverflowError:
+            raise NumericalError(
+                f"1F1 exceeds the float range (a={a}, b={b}, x={x})"
+            ) from None
     if x < 0:
         # Kummer transform avoids cancellation in the alternating series.
         return math.exp(x) * _kummer_series(b - a, b, -x, config)

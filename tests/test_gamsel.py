@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghs import gamsel
-from ghs.errors import ConfigError, DegenerateError, LengthError
+from ghs.errors import ConfigError, DegenerateError, LengthError, NumericalError
 from ghs.gamsel import (
     AdditiveModelSpec,
     GibbsChain,
     Hyper,
     ThresholdReport,
     _bspline_functions,
+    _draw_coefficients,
     _inv_gamma,
     _ResidualSS,
     build_design,
@@ -341,6 +342,63 @@ class TestResidualSS:
             coef = scale * rng.standard_normal(4)
             r = y - c @ coef
             assert rss(coef) == pytest.approx(float(r @ r), rel=1e-10)
+
+
+def random_spd(q, seed):
+    a = np.random.default_rng(seed).standard_normal((q, q))
+    return np.asfortranarray(a @ a.T / q + np.eye(q))
+
+
+class TestDrawCoefficients:
+    def test_matches_scipy_wrappers_bit_for_bit(self):
+        from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
+        q_mat = random_spd(151, 1)
+        rng = np.random.default_rng(2)
+        rhs, z = rng.standard_normal(151), rng.standard_normal(151)
+        cho = cho_factor(q_mat, lower=True, check_finite=False)
+        want = cho_solve(cho, rhs) + solve_triangular(cho[0], z, lower=True, trans="T")
+        got = _draw_coefficients(q_mat.copy(order="F"), rhs.copy(), z.copy())
+        assert np.array_equal(got, want)
+
+    def test_overwrites_its_buffers(self):
+        q_mat = random_spd(20, 3)
+        rhs, z = np.ones(20), np.ones(20)
+        assert _draw_coefficients(q_mat, rhs, z) is rhs
+        # the lower triangle now holds L with LL' = Q
+        np.testing.assert_allclose(np.tril(q_mat) @ np.tril(q_mat).T, random_spd(20, 3))
+
+    def test_not_positive_definite(self):
+        q_mat = random_spd(151, 4)
+        q_mat[75, 75] = -1.0
+        with pytest.raises(NumericalError, match="info 76"):
+            _draw_coefficients(q_mat, np.ones(151), np.ones(151))
+
+    @pytest.mark.parametrize("where", [(0, 0), (150, 0), (150, 150), (80, 40)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry(self, where, value):
+        # the LAPACK in use may factorize NaN without reporting it
+        q_mat = random_spd(151, 5)
+        q_mat[where] = q_mat[where[::-1]] = value
+        with pytest.raises(NumericalError):
+            _draw_coefficients(q_mat, np.ones(151), np.ones(151))
+
+    def test_sweep_raises_on_failed_factorization(self, monkeypatch):
+        def failing_dpotrf(a, **kw):
+            return a, 3
+
+        monkeypatch.setattr(gamsel, "dpotrf", failing_dpotrf)
+        spec = small_spec()
+        data = generate_data(spec, 0.5, 9)
+        with pytest.raises(NumericalError, match="iteration 0"):
+            gibbs_sampler(data, spec, iters=5, burn=0, seed=1)
+
+    def test_inv_gamma_clips_like_np_clip(self):
+        scale = np.array([0.0, 1e-320, 1e-290, 1.0, 1e250, 1e308, 3.0])
+        want_rng, got_rng = np.random.default_rng(6), np.random.default_rng(6)
+        gamma = want_rng.standard_gamma(0.5, scale.shape)
+        want = np.clip(np.maximum(scale, 1e-300) / gamma, 1e-300, 1e300)
+        assert np.array_equal(_inv_gamma(got_rng, 0.5, scale.copy()), want)
 
 
 def synthetic_chain(lam_b, lam_u, sig_b, sig_u, sig_e, spec):

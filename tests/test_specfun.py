@@ -7,13 +7,14 @@ corrected two-variable reduction vs. the raw double series).
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from ghs.config import SpecFunConfig
-from ghs.errors import DomainError
+from ghs.errors import DomainError, NumericalError
 from ghs.specfun import (
     exp_scaled_expint,
     exp_scaled_gen_exp_integral,
@@ -217,6 +218,38 @@ class TestKummer1F1:
         # far beyond overflow territory
         big = log_kummer_1f1(0.5, 2.0, 20000.0)
         assert 19000.0 < big < 20000.0
+
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [
+            (0.5, 200.0, -1e5),  # Gamma(b) and Gamma(b - a) both overflow
+            (0.5, 250.0, -2e5),
+            (199.0, 200.0, -1e5),  # 3.9e-623: underflows to 0
+            (1.5, 0.5, -20.0),  # b - a = -1: exact terminating sum
+            (2.5, 1.5, -100.0),
+            (0.5, -2.5, -200.0),  # Gamma of negative arguments
+            (-0.5, -1.5, 300.0),
+            (-1.5, -0.5, 100.0),
+            (1.5, 2.5, 100.0),
+        ],
+    )
+    def test_asymptotic_against_mpmath(self, a, b, x):
+        with mp.workdps(40):
+            want = mp.hyp1f1(a, b, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kummer_1f1(a, b, x)
+        if abs(want) < np.finfo(float).tiny:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_past_float_range_is_numerical_error(self):
+        # 1F1(300, 400, 2e4) = 2.2e8509
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                kummer_1f1(300.0, 400.0, 2e4)
 
     def test_asymptotic_switch_config(self):
         # a generous switch forces the series even at large x; values agree
