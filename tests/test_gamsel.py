@@ -248,6 +248,13 @@ class TestGibbsSampler:
         draws = _inv_gamma(np.random.default_rng(0), 1.0, np.ones(5))
         assert draws.shape == (5,) and np.unique(draws).size == 5
 
+    def test_inv_gamma_clips_like_np_clip(self):
+        scale = np.array([0.0, 1e-320, 1e-290, 1.0, 1e250, 1e308, 3.0])
+        want_rng, got_rng = np.random.default_rng(6), np.random.default_rng(6)
+        gamma = want_rng.standard_gamma(0.5, scale.shape)
+        want = np.clip(np.maximum(scale, 1e-300) / gamma, 1e-300, 1e300)
+        assert np.array_equal(_inv_gamma(got_rng, 0.5, scale.copy()), want)
+
     def test_diagnostics_deterministic_counts(self):
         spec = small_spec(n=400, d_lin=3, d_nl=2, basis_size=4)
         data = generate_data(spec, 4.0, 8, truth=("zero",) * 5)
@@ -392,13 +399,6 @@ class TestDrawCoefficients:
         data = generate_data(spec, 0.5, 9)
         with pytest.raises(NumericalError, match="iteration 0"):
             gibbs_sampler(data, spec, iters=5, burn=0, seed=1)
-
-    def test_inv_gamma_clips_like_np_clip(self):
-        scale = np.array([0.0, 1e-320, 1e-290, 1.0, 1e250, 1e308, 3.0])
-        want_rng, got_rng = np.random.default_rng(6), np.random.default_rng(6)
-        gamma = want_rng.standard_gamma(0.5, scale.shape)
-        want = np.clip(np.maximum(scale, 1e-300) / gamma, 1e-300, 1e300)
-        assert np.array_equal(_inv_gamma(got_rng, 0.5, scale.copy()), want)
 
 
 def synthetic_chain(lam_b, lam_u, sig_b, sig_u, sig_e, spec):
