@@ -22,17 +22,35 @@ from .files import atomic_write
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
 
-def _reprs(col):
-    """repr of every value of a float column, computed once per distinct value
-    (told apart by bit pattern, so -0.0 keeps its sign)."""
-    uniq, inv = np.unique(col.view(np.uint64), return_inverse=True)
-    return np.array([repr(v) for v in uniq.view(float).tolist()], dtype=object)[inv].tolist()
+_CHUNK = 8192  # rows formatted at a time
+
+
+def _column_cells(col):
+    """``[repr(v) for v in part]`` for each _CHUNK-row part of a float column.
+
+    Values are told apart by bit pattern, so -0.0 keeps its sign.  When at
+    most half of them are distinct, each distinct value is formatted once
+    for the whole column; otherwise (a float repr costs about 1 us and
+    there is little to share) each part is formatted in turn.
+    """
+    bits = col.view(np.uint64)
+    ordered = np.sort(bits)  # np.unique hashes, and is slower here
+    first = np.ones(bits.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    if 2 * distinct.size > bits.size:
+        for lo in range(0, bits.size, _CHUNK):
+            yield list(map(repr, col[lo:lo + _CHUNK].tolist()))
+        return
+    reprs = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    for lo in range(0, bits.size, _CHUNK):
+        yield reprs[np.searchsorted(distinct, bits[lo:lo + _CHUNK])].tolist()
 
 
 def _csv_chunks(table):
-    """CSV lines of a 2-D float array, about 8,192 rows at a time."""
-    for part in np.array_split(table, len(table) // 8192 + 1):
-        yield "".join(",".join(row) + "\n" for row in zip(*map(_reprs, part.T)))
+    """CSV lines of a 2-D float array, _CHUNK rows at a time."""
+    for cells in zip(*map(_column_cells, table.T)):
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _write_table(path, header, rows, fmt):
@@ -105,12 +123,20 @@ def _parse_floats(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _parse_counts(text, flag):
+    """Comma-separated whole numbers, written as integers or floats (1e3)."""
+    values = _parse_floats(text)
+    if not all(v % 1 == 0 for v in values):  # inf % 1 and nan % 1 are nan
+        raise ConfigError(f"{flag} takes whole numbers, got {text!r}")
+    return [int(v) for v in values]
+
+
 def cmd_risk(args):
     theta0 = _parse_floats(args.theta0) if args.theta0 else None
-    d_list = [int(v) for v in _parse_floats(args.d_list)]
+    d_list = _parse_counts(args.d_list, "--d-list")
     if theta0 is not None and d_list != [len(theta0)]:
         raise ConfigError("--theta0 requires --d-list to be exactly its dimension")
-    n_grid = [int(v) for v in _parse_floats(args.n_grid)]
+    n_grid = _parse_counts(args.n_grid, "--n-grid")
     header = ["d", "n", "mass", "bound", "normalized_bound"]
     rows = []
     for d in d_list:

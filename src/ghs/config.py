@@ -17,7 +17,8 @@ class SpecFunConfig:
         Hard cap on series/continued-fraction iterations.
     asymptotic_switch
         Kummer-function dispatch: the large-argument expansion is used
-        once ``|x| > asymptotic_switch * |b|``.
+        once ``|x| > asymptotic_switch * |b|`` (``kummer_1f1`` also waits
+        until the exponentially small term it drops is negligible).
     """
 
     rel_tol: float = 1e-12

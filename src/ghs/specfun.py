@@ -13,7 +13,8 @@ Evaluation regimes
   never overflows, for one order and an array of x; the scalars wrap it.
 * ``kummer_1f1``: Taylor series for moderate arguments (with the Kummer
   transform applied for negative x), large-argument expansions once
-  |x| > asymptotic_switch * |b|.
+  |x| > asymptotic_switch * |b| and the exponentially small term they drop
+  is negligible.
 * ``phi1``: a series of Kummer functions (path A, valid for 0 <= x < 1 and
   0 < alpha < gamma) with a one-dimensional integral representation as
   path B / oracle.  ``log_phi1`` is the overflow-free form used by the
@@ -46,10 +47,25 @@ __all__ = [
 ]
 
 _INTEGER_EPS = 1e-9
+# orders closer than this to an integer n >= 1 take the E_nu series' joint
+# form of its two cancelling terms; _ZETA gives that form's lgamma(1 - eps)
+# to a relative 1e-17 there
+_NEAR_INTEGER = 0.05
+_ZETA = (  # zeta(k), k = 2..13
+    1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+    1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+    1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+)
 
 
 def _is_nonpositive_integer(v):
     return v <= 0 and abs(v - round(v)) < _INTEGER_EPS
+
+
+def _stop_tol(config):
+    """Relative term size at which a series or continued fraction stops: a
+    margin below rel_tol, because the tail it leaves can sum past its last term."""
+    return max(2e-16, 1e-3 * config.rel_tol)
 
 
 def _gamma_sign(v):
@@ -72,17 +88,34 @@ def _retire(out, idx, done, value, *state):
 
 def _expint_series(nu, x, config):
     """exp-scaled small-x series, x < 1: Gamma(1-nu) x^(nu-1) - sum_k (-x)^k /
-    (k! (1-nu+k)), where an integer order n trades its k = n-1 term and
-    the Gamma term for (-x)^(n-1) (psi(n) - log x) / (n-1)!."""
+    (k! (1-nu+k)).
+
+    At an order nu = n + eps near an integer n >= 1 the Gamma term and the
+    k = n-1 term, whose 1 - nu + k is -eps, both grow as 1/eps and cancel.
+    Their sum is taken in one piece instead: by the reflection formula
+    Gamma(1-nu) = (-1)^n Gamma(1-eps) / (eps prod_(j<n) (j + eps)),
+    it is (-1)^n x^(n-1)/(n-1)! expm1(w)/eps with
+    w = eps log x + lgamma(1-eps) - sum_(j<n) log1p(eps/j), and its eps -> 0
+    limit (-x)^(n-1) (psi(n) - log x) / (n-1)! at an integer order.
+    """
     n = round(nu)
-    if abs(nu - n) < _INTEGER_EPS:
-        nu, skip = n, n - 1
+    eps = nu - n
+    if n < 1 or abs(eps) >= _NEAR_INTEGER:
+        skip, total = -1, math.gamma(1.0 - nu) * x ** (nu - 1.0)
+    elif eps == 0.0:
+        skip = n - 1
         psi = math.fsum(1.0 / k for k in range(1, n)) - np.euler_gamma  # psi(n) = H_(n-1) - gamma
         total = (-x) ** (n - 1) / math.factorial(n - 1) * (psi - np.log(x))
     else:
-        skip, total = -1, math.gamma(1.0 - nu) * x ** (nu - 1.0)
+        skip = n - 1
+        # lgamma(1 - eps) = gamma eps + sum_k zeta(k) eps^k / k
+        lgamma_1m = np.euler_gamma * eps + math.fsum(
+            z * eps**k / k for k, z in enumerate(_ZETA, start=2)
+        )
+        w = eps * np.log(x) + (lgamma_1m - math.fsum(math.log1p(eps / j) for j in range(1, n)))
+        total = (-1) ** n * x ** (n - 1) / math.factorial(n - 1) * (np.expm1(w) / eps)
     scale = np.exp(x)
-    tol = max(2e-16, 1e-3 * config.rel_tol)  # the continued fraction's margin
+    tol = _stop_tol(config)
     out, idx, term = np.empty_like(x), np.arange(x.size), np.ones_like(x)
     for k in range(config.max_terms):
         if k != skip:
@@ -98,8 +131,7 @@ def _expint_series(nu, x, config):
 def _expint_scaled_cf(nu, x, config):
     """Modified-Lentz continued fraction for exp(x) E_nu(x), x >= 1 (DLMF 8.19)."""
     tiny = 1e-300
-    # convergence is linear near x = 1, so demand a margin below rel_tol
-    tol = max(2e-16, 1e-3 * config.rel_tol)
+    tol = _stop_tol(config)  # convergence is linear near x = 1
     out, idx = np.empty_like(x), np.arange(x.size)
     b, c = x + nu, np.full_like(x, 1.0 / tiny)
     h = d = 1.0 / b
@@ -211,16 +243,18 @@ def _kummer_series(a, b, x, config):
     """Plain Taylor series; exact finite sum when a is a nonpositive integer."""
     total = 1.0
     term = 1.0
+    tol = _stop_tol(config)
     for k in range(config.max_terms):
         term *= (a + k) * x / ((b + k) * (k + 1.0))
         total += term
-        if term == 0.0 or abs(term) < config.rel_tol * abs(total) + config.abs_tol:
+        if term == 0.0 or abs(term) < tol * abs(total) + config.abs_tol:
             return total
     raise NumericalError(f"1F1 series did not converge (a={a}, b={b}, x={x})")
 
 
-def _kummer_asymptotic_sum(p, q, z, config):
-    """sum_k (p)_k (q)_k / (k! z^k), truncated at the smallest term."""
+def _kummer_asymptotic_sum(p, q, z, config, tol):
+    """sum_k (p)_k (q)_k / (k! z^k), stopped at relative size tol or at the
+    smallest term."""
     total = 1.0
     term = 1.0
     prev = math.inf
@@ -230,16 +264,32 @@ def _kummer_asymptotic_sum(p, q, z, config):
             break
         total += term
         prev = abs(term)
-        if abs(term) < config.rel_tol * abs(total):
+        if abs(term) < tol * abs(total):
             break
     return total
+
+
+def _exp_term_negligible(a, b, x, tol):
+    """Whether 1F1's large-|x| expansion may keep only its dominant term.
+
+    The term dropped (DLMF 13.7.2) is, relative to the one kept, about
+    Gamma(b - p)/Gamma(p) e^-|x| |x|^(2p - b), with p = a for x < 0 and
+    p = b - a for x > 0; the kept series' truncation error is of the same
+    size.  For small b it is still far above tol at |x| = 30 |b|.
+    """
+    p = a if x < 0 else b - a
+    if _is_nonpositive_integer(p):
+        return True  # 1/Gamma(p) = 0: there is no such term
+    log_size = math.lgamma(b - p) - math.lgamma(p) - abs(x) + (2.0 * p - b) * math.log(abs(x))
+    return log_size < math.log(tol)
 
 
 def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
     """Confluent hypergeometric function 1F1(a, b, x) for real arguments.
 
     Uses the Taylor series for moderate x and the standard large-|x|
-    expansions (for either sign of x) once |x| > asymptotic_switch * |b|.
+    expansions (for either sign of x) once |x| > asymptotic_switch * |b|
+    and the exponentially small term they drop is negligible.
     A value that underflows is 0.0; one past the float range raises
     NumericalError.
     """
@@ -251,19 +301,22 @@ def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
         return _kummer_series(a, b, x, config)  # terminating polynomial
     # with b - a a nonpositive integer the x < 0 expansion's algebraic term
     # is 0 and the Kummer transform below is an exact terminating sum
-    if abs(x) > config.asymptotic_switch * abs(b) and not (
-        x < 0 and _is_nonpositive_integer(b - a)
+    tol = _stop_tol(config)
+    if (
+        abs(x) > config.asymptotic_switch * abs(b)
+        and not (x < 0 and _is_nonpositive_integer(b - a))
+        and _exp_term_negligible(a, b, x, tol)
     ):
         # Gamma(b) alone overflows past b = 171.6, so the front is built in
         # log space
         if x > 0:
             sign = _gamma_sign(b) * _gamma_sign(a)
             log_front = math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x)
-            s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config)
+            s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config, tol)
         else:
             sign = _gamma_sign(b) * _gamma_sign(b - a)
             log_front = math.lgamma(b) - math.lgamma(b - a) - a * math.log(-x)
-            s = _kummer_asymptotic_sum(a, a - b + 1.0, -x, config)
+            s = _kummer_asymptotic_sum(a, a - b + 1.0, -x, config, tol)
         try:
             return math.copysign(math.exp(log_front + math.log(abs(s))), sign * s)
         except OverflowError:
@@ -293,7 +346,7 @@ def log_kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
     if a <= 0:
         raise DomainError("log 1F1 with x > 0 needs a > 0")
     if x > config.asymptotic_switch * b:
-        s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config)
+        s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config, config.rel_tol)
         return math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x) + math.log(s)
     # Streaming log-sum of the (all positive) Taylor terms.
     log_term = 0.0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from ghs import distribution
 from ghs.distribution import (
     GhsDistribution,
     density,
@@ -147,6 +148,30 @@ class TestDomainEdges:
             got = radial_log_density(d, radii, 2.0)
             assert got.tolist() == [radial_log_density(d, float(r), 2.0) for r in radii]
             assert got[0] == math.inf and got[-1] == -math.inf
+
+    @pytest.mark.parametrize("d, sigma_theta", [(1, 1.0), (2, 1.0), (3, 1.0), (3, 2.5)])
+    def test_repeated_radii_match_one_by_one(self, d, sigma_theta, monkeypatch):
+        # a grid symmetric about the origin repeats each radius; the kernel
+        # runs once per distinct u, and the values are those of single calls
+        axis = np.arange(-4, 5) * 0.3
+        grid = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        extra = [0.0, 1e-12, 1e-12, 1e-300, 1.0, math.inf, math.inf]  # 1e-12: d = 1's small-u form
+        radii = np.concatenate([np.linalg.norm(grid, axis=1), extra])
+        one_by_one = [radial_log_density(d, float(r), sigma_theta) for r in radii]
+
+        sizes = []
+        kernel = distribution.exp_scaled_expint
+
+        def counted(nu, x, config):
+            sizes.append(np.size(x))
+            return kernel(nu, x, config)
+
+        monkeypatch.setattr(distribution, "exp_scaled_expint", counted)
+        got = radial_log_density(d, radii, sigma_theta)
+        assert np.array_equal(got, one_by_one)
+        u = 0.5 * (radii / sigma_theta) ** 2
+        mid = np.isfinite(u) & (u >= 1e-20 if d == 1 else True)
+        assert sizes == [np.unique(u[mid]).size] and sizes[0] < mid.sum()
 
     def test_nan_and_negative_rejected_at_entry(self):
         for r in (math.nan, -1.0, [1.0, math.nan]):

@@ -127,6 +127,16 @@ class TestExpScaledKernel:
             exact = [float(mp.exp(x) * mp.expint(nu, x)) for x in map(mp.mpf, self.XS)]
         assert exp_scaled_expint(nu, self.XS) == pytest.approx(exact, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_orders_near_an_integer_against_mpmath(self, n):
+        # the series' Gamma term and its k = n-1 term cancel as nu -> n
+        xs = np.array([1e-6, 0.01, 0.5, 0.9])
+        for eps in [1e-10, 2e-9, -2e-9, 1e-8, -1e-8, 1e-6, -1e-3, 0.049, -0.051]:
+            nu = n + eps
+            with mp.workdps(50):
+                exact = [float(mp.exp(x) * mp.expint(nu, x)) for x in map(mp.mpf, xs)]
+            assert exp_scaled_expint(nu, xs) == pytest.approx(exact, rel=1e-13, abs=0), nu
+
     @pytest.mark.parametrize("nu", NUS)
     def test_zero_argument(self, nu):
         if nu > 1.0:
@@ -231,6 +241,8 @@ class TestKummer1F1:
             (-0.5, -1.5, 300.0),
             (-1.5, -0.5, 100.0),
             (1.5, 2.5, 100.0),
+            (0.1, 0.3, -10.0),  # small b: the dropped e^x term is 1e-5 here
+            (0.25, 0.5, -16.0),
         ],
     )
     def test_asymptotic_against_mpmath(self, a, b, x):
@@ -243,6 +255,24 @@ class TestKummer1F1:
             assert got == 0.0
         else:
             assert got == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_small_b_large_argument_against_mpmath(self, sign):
+        # at small b the exponentially small term the large-|x| expansion
+        # drops is still above rel_tol well past |x| = 30 |b|
+        # (kummer_1f1(0.1, 0.3, -10) was 1.1e-5 off).  A b - a within 1e-9
+        # of a nonpositive integer is taken as that integer, which is a
+        # separate gap at large negative x, so those points stay out
+        worst = 0.0
+        for b in np.linspace(0.05, 1.0, 6):
+            for a in np.linspace(0.03, b + 2.0, 7)[1:]:
+                if b - a <= 0 and abs(b - a - round(b - a)) < 1e-9:
+                    continue
+                for x in sign * np.geomspace(5.0, 60.0, 9):
+                    with mp.workdps(40):
+                        want = float(mp.hyp1f1(a, b, x))
+                    worst = max(worst, abs(kummer_1f1(a, b, x) / want - 1.0))
+        assert worst < 1e-12
 
     def test_past_float_range_is_numerical_error(self):
         # 1F1(300, 400, 2e4) = 2.2e8509

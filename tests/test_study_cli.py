@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ghs.cli import main
+from ghs.cli import _csv_chunks, main
 from ghs.study import GAMMA_HEADER, MISCLASS_HEADER, StudyConfig, load_reports, run_study
 
 TINY_STUDY = {
@@ -239,6 +239,20 @@ class TestCli:
         assert rows[1][1:] == rows[3][1:] == rows[4][1:]
         assert rows[1][2] == repr(float(rows[1][2]))
 
+    @pytest.mark.parametrize("rows", [1, 8191, 8192, 8193, 20_000])
+    def test_csv_writer_matches_repr_reference(self, rows):
+        # one column repeats (each distinct repr made once for the table),
+        # one does not (formatted chunk by chunk); 8,192 rows per chunk
+        specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.1]
+        repeated = np.resize(specials, rows)
+        distinct = np.random.default_rng(rows).standard_normal(rows) * 1e3
+        distinct[: len(specials)] = specials[:rows]
+        table = np.column_stack([repeated, distinct, repeated[::-1]])
+        chunks = list(_csv_chunks(table))
+        reference = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        assert "".join(chunks) == reference
+        assert len(chunks) == -(-rows // 8192)
+
     def test_sample_negative_seed_is_domain_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run("sample", "--d", "1", "--n", "5", "--seed", "-1",
@@ -307,6 +321,17 @@ class TestCli:
         rows = [line.split(",") for line in read(out).splitlines()[1:]]
         normalized = [float(r[4]) for r in rows]
         assert normalized[0] == pytest.approx(normalized[1], abs=0.01)
+
+    @pytest.mark.parametrize("d_list, n_grid", [
+        ("2.7", "1500"), ("2", "1500.5"), ("2", "1e3,inf"), ("1,2.5", "1e3"),
+    ])
+    def test_risk_rejects_fractional_sizes(self, tmp_path, capsys, d_list, n_grid):
+        out = tmp_path / "risk.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run("risk", "--d-list", d_list, "--n-grid", n_grid, "--out", str(out))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_risk_theta0_dimension_guard(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
