@@ -53,9 +53,34 @@ def _csv_chunks(table):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
+def _json_chunks(header, cell_chunks):
+    """The text of ``json.dumps(docs, indent=1, sort_keys=True) + "\n"``,
+    one chunk of rows at a time, for rows of cells that are already reprs
+    (which is how json writes floats and ints).  Non-finite cells are null,
+    and a row that holds +inf gets "pole": true."""
+    order = sorted(range(len(header)), key=header.__getitem__)
+
+    def template(keys):
+        lines = ('  "pole": true' if k == "pole" else f'  "{k}": %s' for k in sorted(keys))
+        return " {\n" + ",\n".join(lines) + "\n }"
+
+    plain, pole = template(header), template(header + ["pole"])
+    null = {"inf": "null", "-inf": "null", "nan": "null"}
+    sep = "[\n"
+    for cells in cell_chunks:
+        docs = [
+            (pole if "inf" in row else plain) % tuple(null.get(row[i], row[i]) for i in order)
+            for row in cells
+        ]
+        if docs:
+            yield sep + ",\n".join(docs)
+            sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
 def _write_table(path, header, rows, fmt):
-    """Write a float array or rows of Python numbers as CSV, streamed, each value
-    its repr ('inf' at the pole), or as JSON (infinities null, "pole": true)."""
+    """Write a float array or rows of Python numbers as CSV or JSON, streamed:
+    each CSV value is its repr ('inf' at the pole); JSON as ``_json_chunks``."""
     if fmt == "csv":
         if isinstance(rows, np.ndarray):
             lines = _csv_chunks(rows)
@@ -63,12 +88,11 @@ def _write_table(path, header, rows, fmt):
             lines = (",".join(map(repr, row)) + "\n" for row in rows)
         atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
         return
-    docs = []
-    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
-        docs.append({k: v if math.isfinite(v) else None for k, v in zip(header, row)})
-        if math.inf in row:
-            docs[-1]["pole"] = True
-    atomic_write(path, [json.dumps(docs, indent=1, sort_keys=True), "\n"])
+    if isinstance(rows, np.ndarray):
+        cell_chunks = (zip(*cells) for cells in zip(*map(_column_cells, rows.T)))
+    else:
+        cell_chunks = [[tuple(map(repr, row)) for row in rows]]
+    atomic_write(path, _json_chunks(header, cell_chunks))
 
 
 def _parse_grid(spec, d):

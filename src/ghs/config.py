@@ -16,9 +16,9 @@ class SpecFunConfig:
     max_terms
         Hard cap on series/continued-fraction iterations.
     asymptotic_switch
-        Kummer-function dispatch: the large-argument expansion is used
-        once ``|x| > asymptotic_switch * |b|`` (``kummer_1f1`` also waits
-        until the exponentially small term it drops is negligible).
+        Kummer-function dispatch: the large-argument expansion is tried
+        once ``|x| > asymptotic_switch * |b|`` (or ``|x| > max_terms / 2``)
+        and used if the term it drops is negligible and its sum converges.
     """
 
     rel_tol: float = 1e-12

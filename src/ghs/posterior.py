@@ -42,7 +42,6 @@ __all__ = [
     "marginal_log_density_quad",
     "score",
     "posterior_mean",
-    "posterior_mean_shrink_form",
     "posterior_mean_moment_oracle",
     "posterior_mean_mixture_oracle",
     "side_model_shrinkage",
@@ -173,12 +172,6 @@ def posterior_mean(model: PosteriorModel, y):
     return y + score(model, y)
 
 
-def posterior_mean_shrink_form(model: PosteriorModel, y):
-    """E(theta|y) written as a shrinkage multiplier times y (test oracle)."""
-    y = _check_vector(y, model.d)
-    return (1.0 - _score_ratio(model, y)) * y
-
-
 def posterior_mean_moment_oracle(model: PosteriorModel, y, config=DEFAULT_CONFIG):
     """Independent closed form for tau >= 1 using the first-moment series.
 
@@ -203,12 +196,14 @@ def posterior_mean_moment_oracle(model: PosteriorModel, y, config=DEFAULT_CONFIG
 # ---------------------------------------------------------------------------
 
 
-def _c_like_integral_lambda(a, b, d, power, rel_tol=1e-12):
-    """int_0^inf e^(-a/(1+l^2 b)) (1+l^2 b)^(-power) / (1+l^2) dl."""
+def _c_like_integral_lambda(a, b, d, power, rel_tol=1e-12, x_moment=False):
+    """int_0^inf e^(-a/q) q^(-power) / (1+l^2) dl with q = 1 + l^2 b, or with
+    ``x_moment`` the same integral times x = l^2 b / q."""
 
     def f(lam):
         q = 1.0 + lam * lam * b
-        return math.exp(-a / q - power * math.log(q)) / (1.0 + lam * lam)
+        value = math.exp(-a / q - power * math.log(q)) / (1.0 + lam * lam)
+        return value * (lam * lam * b) / q if x_moment else value
 
     split = 1.0 + math.sqrt(max(a, 1.0) / b)
     return adaptive_quad(f, 0.0, split, rel_tol=rel_tol) + adaptive_quad(
@@ -257,25 +252,6 @@ def posterior_mean_mixture_oracle(model: PosteriorModel, y, rel_tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _side_weight_lambda(a, b, d, rel_tol):
-    """E of x = l^2 b/(1+l^2 b) against the posterior of the local scale."""
-
-    def g(lam):
-        q = 1.0 + lam * lam * b
-        return math.exp(-a / q - 0.5 * d * math.log(q)) / (1.0 + lam * lam)
-
-    split = 1.0 + math.sqrt(max(a, 1.0) / b)
-
-    def piece(f):
-        return adaptive_quad(f, 0.0, split, rel_tol=rel_tol) + adaptive_quad(
-            f, split, np.inf, rel_tol=rel_tol
-        )
-
-    den = piece(g)
-    num = piece(lambda lam: g(lam) * (lam * lam * b) / (1.0 + lam * lam * b))
-    return num / den
-
-
 def side_model_shrinkage(model: SideModel, y, method="x", rel_tol=1e-12):
     """Posterior shrinkage weight w(y) in (0, 1) with E(psi|y) = w(y) y.
 
@@ -289,7 +265,9 @@ def side_model_shrinkage(model: SideModel, y, method="x", rel_tol=1e-12):
     if method == "x":
         w = _mixture_moments(a, b, model.d)[2]
     elif method == "lambda":
-        w = _side_weight_lambda(a, b, model.d, rel_tol)
+        # int w x / int w, the numerator taken directly: C - D cancels when w is small
+        den = _c_like_integral_lambda(a, b, model.d, 0.5 * model.d, rel_tol)
+        w = _c_like_integral_lambda(a, b, model.d, 0.5 * model.d, rel_tol, x_moment=True) / den
     else:
         raise DomainError(f"unknown method {method!r}")
     return min(max(w, 0.0), 1.0)

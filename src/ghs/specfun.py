@@ -11,14 +11,18 @@ Evaluation regimes
 * ``gen_exp_integral``: power/log series for x < 1, continued fraction for
   x >= 1.  ``exp_scaled_expint`` computes exp(x)*E_nu(x) jointly, so it
   never overflows, for one order and an array of x; the scalars wrap it.
-* ``kummer_1f1``: Taylor series for moderate arguments (with the Kummer
-  transform applied for negative x), large-argument expansions once
-  |x| > asymptotic_switch * |b| and the exponentially small term they drop
-  is negligible.
+* ``kummer_1f1`` and ``log_kummer_1f1`` wrap one core that returns the sign
+  and the log magnitude.  It takes the large-|x| expansion once
+  |x| > asymptotic_switch * |b|, or |x| > max_terms / 2 where the Taylor
+  series cannot finish, if the exponentially small term it drops is
+  negligible and its sum reaches the stopping tolerance before its
+  smallest term; otherwise a scaled Taylor series (of the Kummer transform
+  for negative x).
 * ``phi1``: a series of Kummer functions (path A, valid for 0 <= x < 1 and
-  0 < alpha < gamma) with a one-dimensional integral representation as
-  path B / oracle.  ``log_phi1`` is the overflow-free form used by the
-  posterior module.
+  0 < alpha < gamma), summed once in log space for ``phi1_series_1f1`` and
+  the overflow-free ``log_phi1``, with a one-dimensional integral
+  representation as path B / oracle, which ``phi1_quadrature`` and
+  ``kummer_1f1_quad`` wrap.
 """
 
 import math
@@ -51,6 +55,7 @@ _INTEGER_EPS = 1e-9
 # form of its two cancelling terms; _ZETA gives that form's lgamma(1 - eps)
 # to a relative 1e-17 there
 _NEAR_INTEGER = 0.05
+_RESCALE = 2.0**900  # the 1F1 Taylor sum is rescaled by 2^-900 past this
 _ZETA = (  # zeta(k), k = 2..13
     1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
     1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
@@ -71,6 +76,14 @@ def _stop_tol(config):
 def _gamma_sign(v):
     """Sign of Gamma(v) for v off the poles."""
     return -1.0 if v < 0 and math.floor(v) % 2 else 1.0
+
+
+def _signed_exp(sign, log_value, what):
+    """sign * e^log_value: 0.0 where it underflows, NumericalError past the float range."""
+    try:
+        return sign * math.exp(log_value)
+    except OverflowError:
+        raise NumericalError(f"{what} exceeds the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -239,153 +252,125 @@ def exp_scaled_gen_exp_integral_quad(nu, x, rel_tol=1e-13):
 # ---------------------------------------------------------------------------
 
 
-def _kummer_series(a, b, x, config):
-    """Plain Taylor series; exact finite sum when a is a nonpositive integer."""
-    total = 1.0
-    term = 1.0
+def _kummer_taylor(a, b, x, config):
+    """(sign, log|sum_k (a)_k x^k / ((b)_k k!)|); an exact finite sum when a
+    is a nonpositive integer.  The sum is a mantissa times 2^exponent, so no
+    term over- or underflows.  It stops at a term below the stopping
+    tolerance once every later term is smaller still: the term ratio
+    (a+k) x / ((b+k)(k+1)) is below 1 in size and never grows again once
+    a + k > 0, b + k > 0 and (a+k)(b+k) >= (b-a)(k+1).
+    """
     tol = _stop_tol(config)
+    total, term, exponent = 1.0, 1.0, 0
     for k in range(config.max_terms):
-        term *= (a + k) * x / ((b + k) * (k + 1.0))
+        ratio = (a + k) * x / ((b + k) * (k + 1.0))
+        term *= ratio
         total += term
-        if term == 0.0 or abs(term) < tol * abs(total) + config.abs_tol:
-            return total
+        if abs(term) > _RESCALE:
+            term, total = math.ldexp(term, -900), math.ldexp(total, -900)
+            exponent += 900
+        if term == 0.0 or (
+            abs(term) < tol * abs(total)
+            and abs(ratio) < 1.0
+            and min(a, b) + k > 0
+            and (a + k) * (b + k) >= (b - a) * (k + 1.0)
+        ):
+            log_total = math.log(abs(total)) if total else -math.inf
+            return math.copysign(1.0, total), log_total + exponent * math.log(2.0)
     raise NumericalError(f"1F1 series did not converge (a={a}, b={b}, x={x})")
 
 
 def _kummer_asymptotic_sum(p, q, z, config, tol):
-    """sum_k (p)_k (q)_k / (k! z^k), stopped at relative size tol or at the
-    smallest term."""
-    total = 1.0
-    term = 1.0
-    prev = math.inf
+    """(sum_k (p)_k (q)_k / (k! z^k), whether it reached relative size tol
+    with rounding in its largest term below rel_tol).
+
+    It stops there or at its smallest term, which is reached once a term
+    ratio (p+k)(q+k) / ((k+1) z) of size >= 1 can only grow: for k > -p,
+    k > -q and (k+1)^2 >= (p-1)(q-1).  Earlier terms may rise and fall.
+    """
+    total = term = biggest = 1.0
     for k in range(config.max_terms):
-        term *= (p + k) * (q + k) / ((k + 1.0) * z)
-        if abs(term) >= prev:
+        ratio = (p + k) * (q + k) / ((k + 1.0) * z)
+        if abs(ratio) >= 1.0 and k > max(-p, -q) and (k + 1.0) ** 2 >= (p - 1.0) * (q - 1.0):
             break
+        term *= ratio
         total += term
-        prev = abs(term)
+        biggest = max(biggest, abs(term))
         if abs(term) < tol * abs(total):
-            break
-    return total
+            return total, biggest * 1e-15 < config.rel_tol * abs(total)
+    return total, False
 
 
 def _exp_term_negligible(a, b, x, tol):
-    """Whether 1F1's large-|x| expansion may keep only its dominant term.
+    """Whether 1F1's large-x expansion, x > 0, may keep only its dominant term.
 
     The term dropped (DLMF 13.7.2) is, relative to the one kept, about
-    Gamma(b - p)/Gamma(p) e^-|x| |x|^(2p - b), with p = a for x < 0 and
-    p = b - a for x > 0; the kept series' truncation error is of the same
-    size.  For small b it is still far above tol at |x| = 30 |b|.
+    Gamma(a)/Gamma(b - a) e^-x x^(b - 2a); the kept series' truncation
+    error is of the same size.  For small b it is still far above tol at
+    x = 30 |b|.
     """
-    p = a if x < 0 else b - a
-    if _is_nonpositive_integer(p):
-        return True  # 1/Gamma(p) = 0: there is no such term
-    log_size = math.lgamma(b - p) - math.lgamma(p) - abs(x) + (2.0 * p - b) * math.log(abs(x))
+    if _is_nonpositive_integer(b - a):
+        return True  # 1/Gamma(b - a) = 0: there is no such term
+    log_size = math.lgamma(a) - math.lgamma(b - a) - x + (b - 2.0 * a) * math.log(x)
     return log_size < math.log(tol)
+
+
+def _log_kummer(a, b, x, config):
+    """(sign, log|1F1(a, b, x)|) for b off the nonpositive integers: the one
+    place that picks a 1F1 regime (see the module docstring)."""
+    if x == 0.0:
+        return 1.0, 0.0
+    if _is_nonpositive_integer(a):
+        return _kummer_taylor(a, b, x, config)  # terminating polynomial
+    # x < 0 takes the Kummer transform 1F1(a, b, x) = e^x 1F1(b - a, b, -x);
+    # below, x > 0 and the result is log(e^-x 1F1(a, b, x)) + shift
+    shift = max(x, 0.0)
+    if x < 0:
+        a, x = b - a, -x
+    tol = _stop_tol(config)
+    # a nonpositive integer a (b - a before the transform) leaves no
+    # exponentially small term, and the Taylor series is a finite sum
+    if (
+        x > min(config.asymptotic_switch * abs(b), 0.5 * config.max_terms)
+        and not _is_nonpositive_integer(a)
+        and _exp_term_negligible(a, b, x, tol)
+    ):
+        s, converged = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config, tol)
+        if converged:  # the front is in log space: Gamma(b) overflows past b = 171.6
+            sign = _gamma_sign(b) * _gamma_sign(a) * math.copysign(1.0, s)
+            log_front = math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(x)
+            return sign, shift + log_front + math.log(abs(s))
+    sign, log_value = _kummer_taylor(a, b, x, config)
+    return sign, log_value + (shift - x)
 
 
 def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
     """Confluent hypergeometric function 1F1(a, b, x) for real arguments.
 
-    Uses the Taylor series for moderate x and the standard large-|x|
-    expansions (for either sign of x) once |x| > asymptotic_switch * |b|
-    and the exponentially small term they drop is negligible.
-    A value that underflows is 0.0; one past the float range raises
-    NumericalError.
+    The sign and log magnitude come from the regime choice of
+    ``_log_kummer``.  A value that underflows is 0.0; one past the float
+    range raises NumericalError.
     """
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
-    if x == 0.0:
-        return 1.0
-    if _is_nonpositive_integer(a):
-        return _kummer_series(a, b, x, config)  # terminating polynomial
-    # with b - a a nonpositive integer the x < 0 expansion's algebraic term
-    # is 0 and the Kummer transform below is an exact terminating sum
-    tol = _stop_tol(config)
-    if (
-        abs(x) > config.asymptotic_switch * abs(b)
-        and not (x < 0 and _is_nonpositive_integer(b - a))
-        and _exp_term_negligible(a, b, x, tol)
-    ):
-        # Gamma(b) alone overflows past b = 171.6, so the front is built in
-        # log space
-        if x > 0:
-            sign = _gamma_sign(b) * _gamma_sign(a)
-            log_front = math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x)
-            s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config, tol)
-        else:
-            sign = _gamma_sign(b) * _gamma_sign(b - a)
-            log_front = math.lgamma(b) - math.lgamma(b - a) - a * math.log(-x)
-            s = _kummer_asymptotic_sum(a, a - b + 1.0, -x, config, tol)
-        try:
-            return math.copysign(math.exp(log_front + math.log(abs(s))), sign * s)
-        except OverflowError:
-            raise NumericalError(
-                f"1F1 exceeds the float range (a={a}, b={b}, x={x})"
-            ) from None
-    if x < 0:
-        # Kummer transform avoids cancellation in the alternating series.
-        return math.exp(x) * _kummer_series(b - a, b, -x, config)
-    return _kummer_series(a, b, x, config)
+    return _signed_exp(*_log_kummer(a, b, x, config), f"1F1(a={a}, b={b}, x={x})")
 
 
 def log_kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
     """log 1F1(a, b, x) on the positive-value domain, safe for huge |x|.
 
-    Requires b > 0 and a > 0 (for x >= 0) or b - a > 0 (for x < 0), which
+    Requires b > 0 and a > 0 (for x > 0) or b - a > 0 (for x < 0), which
     guarantees the value is positive.
     """
-    if b <= 0:
-        raise DomainError(f"log 1F1 needs b > 0 (b={b})")
-    if x == 0.0:
-        return 0.0
-    if x < 0:
-        if b - a <= 0:
-            raise DomainError("log 1F1 with x < 0 needs b - a > 0")
-        return x + log_kummer_1f1(b - a, b, -x, config)
-    if a <= 0:
-        raise DomainError("log 1F1 with x > 0 needs a > 0")
-    if x > config.asymptotic_switch * b:
-        s = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config, config.rel_tol)
-        return math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x) + math.log(s)
-    # Streaming log-sum of the (all positive) Taylor terms.
-    log_term = 0.0
-    peak = 0.0
-    acc = 1.0
-    for k in range(config.max_terms):
-        log_term += math.log((a + k) * x / ((b + k) * (k + 1.0)))
-        if log_term > peak:
-            acc = acc * math.exp(peak - log_term) + 1.0
-            peak = log_term
-        else:
-            inc = math.exp(log_term - peak)
-            acc += inc
-            if inc < config.rel_tol * acc and (a + k) * x < (b + k) * (k + 1.0):
-                return peak + math.log(acc)
-    raise NumericalError(f"log 1F1 series did not converge (a={a}, b={b}, x={x})")
+    if not (b > 0 and (a > 0 or x <= 0) and (b - a > 0 or x >= 0)):
+        raise DomainError(f"log 1F1 outside its positive-value domain (a={a}, b={b}, x={x})")
+    return _log_kummer(a, b, x, config)[1]
 
 
 def kummer_1f1_quad(a, b, x, rel_tol=1e-13):
-    """Quadrature oracle via the Euler integral (needs b > a > 0)."""
-    if not (b > a > 0):
-        raise DomainError("Euler-integral oracle needs b > a > 0")
-    lead = math.lgamma(b) - math.lgamma(a) - math.lgamma(b - a)
-    shift = max(x, 0.0)
-
-    def f(t):
-        return math.exp(
-            x * t - shift + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(-t)
-        )
-
-    # t = u^2 / t = 1 - v^2 substitutions remove the endpoint singularities
-    half = math.sqrt(0.5)
-    left = adaptive_quad(
-        lambda u: 2.0 * u * f(u * u), 0.0, half, rel_tol=rel_tol
-    )
-    right = adaptive_quad(
-        lambda v: 2.0 * v * f(1.0 - v * v), 0.0, half, rel_tol=rel_tol
-    )
-    return math.exp(lead + shift) * (left + right)
+    """Quadrature oracle via the Euler integral (needs b > a > 0), which is
+    path B of Phi1 at beta = 0."""
+    return math.exp(log_phi1_quadrature(a, 0.0, b, 0.0, x, SpecFunConfig(rel_tol=rel_tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,28 +409,45 @@ def phi1_double_series(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT
     raise NumericalError("Phi1 double series did not converge")
 
 
-def phi1_series_1f1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """Path A: Phi1 as a Kummer-function series (corrected coefficients).
-
-    Phi1 = e^y sum_n [(alpha)_n (beta)_n x^n / ((gamma)_n n!)]
-               1F1(gamma - alpha, gamma + n, -y)
-    valid for 0 <= x < 1 and 0 < alpha < gamma.
+def _phi1_kummer_series(alpha, beta, gamma, x, y, config):
+    """(sign, log|Phi1|) by the series of ``phi1_series_1f1``.  Each 1F1 in
+    it is positive, so a term has its coefficient's sign (negative terms
+    need beta < 0).  Coefficients are kept in log space and terms are summed
+    against the largest so far, so nothing over- or underflows for any y.
     """
     if not (0.0 <= x < 1.0):
         raise DomainError(f"path A requires 0 <= x < 1 (x={x})")
     if not (0.0 < alpha < gamma):
         raise DomainError("path A requires 0 < alpha < gamma")
-    total = 0.0
-    coef = 1.0
+    coef_sign, log_coef = 1.0, 0.0
+    peak = -math.inf
+    acc = 0.0
     small = 0
     for n in range(config.max_terms):
-        term = coef * kummer_1f1(gamma - alpha, gamma + n, -y, config)
-        total += term
-        small = small + 1 if abs(term) < config.rel_tol * abs(total) else 0
-        if small >= 2 or (coef == 0.0):
-            return math.exp(y) * total
-        coef *= (alpha + n) * (beta + n) * x / ((gamma + n) * (n + 1.0))
+        lt = log_coef + _log_kummer(gamma - alpha, gamma + n, -y, config)[1]
+        if lt > peak:
+            acc *= math.exp(peak - lt)
+            peak = lt
+        inc = coef_sign * math.exp(lt - peak)
+        acc += inc
+        small = small + 1 if abs(inc) < config.rel_tol * abs(acc) else 0
+        ratio = (alpha + n) * (beta + n) * x / ((gamma + n) * (n + 1.0))
+        if small >= 2 or ratio == 0.0:
+            return math.copysign(1.0, acc), y + peak + math.log(abs(acc))
+        coef_sign = math.copysign(coef_sign, coef_sign * ratio)
+        log_coef += math.log(abs(ratio))
     raise NumericalError("Phi1 Kummer series did not converge")
+
+
+def phi1_series_1f1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
+    """Path A: Phi1 as a Kummer-function series (corrected coefficients).
+
+    Phi1 = e^y sum_n [(alpha)_n (beta)_n x^n / ((gamma)_n n!)]
+               1F1(gamma - alpha, gamma + n, -y)
+    valid for 0 <= x < 1 and 0 < alpha < gamma.  A value past the float
+    range raises NumericalError.
+    """
+    return _signed_exp(*_phi1_kummer_series(alpha, beta, gamma, x, y, config), "Phi1")
 
 
 def log_phi1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
@@ -454,34 +456,22 @@ def log_phi1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
     Requires 0 <= x < 1, 0 < alpha < gamma, beta > 0 so all terms are
     positive.
     """
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"log Phi1 requires 0 <= x < 1 (x={x})")
-    if not (0.0 < alpha < gamma):
-        raise DomainError("log Phi1 requires 0 < alpha < gamma")
     if beta <= 0:
         raise DomainError("log Phi1 requires beta > 0")
-    log_coef = 0.0
-    peak = -math.inf
-    acc = 0.0
-    small = 0
-    for n in range(config.max_terms):
-        lt = log_coef + log_kummer_1f1(gamma - alpha, gamma + n, -y, config)
-        if lt > peak:
-            acc = acc * math.exp(peak - lt) + 1.0 if acc else 1.0
-            peak = lt
-            small = 0
-        else:
-            inc = math.exp(lt - peak)
-            acc += inc
-            small = small + 1 if inc < config.rel_tol * acc else 0
-        if small >= 2 or x == 0.0:
-            return y + peak + math.log(acc)
-        log_coef += math.log((alpha + n) * (beta + n) * x / ((gamma + n) * (n + 1.0)))
-    raise NumericalError("log Phi1 series did not converge")
+    return _phi1_kummer_series(alpha, beta, gamma, x, y, config)[1]
 
 
-def _phi1_integral(alpha, beta, gamma, x, y, rel_tol):
-    """int_0^1 t^(a-1) (1-t)^(g-a-1) (1-x t)^(-b) e^(y t - shift) dt by halves."""
+def log_phi1_quadrature(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
+    """log of path B, stable for large |y|; same domain as phi1_quadrature.
+
+    The integral int_0^1 t^(a-1) (1-t)^(g-a-1) (1-x t)^(-b) e^(y t) dt is
+    taken by halves with e^max(y, 0) factored out; the substitutions
+    t = u^2 and t = 1 - v^2 remove the endpoint singularities.
+    """
+    if not (alpha > 0 and gamma - alpha > 0):
+        raise DomainError("path B requires alpha > 0 and gamma - alpha > 0")
+    if x >= 1:
+        raise DomainError("path B requires x < 1")
     shift = max(y, 0.0)
 
     def core(t):
@@ -494,36 +484,22 @@ def _phi1_integral(alpha, beta, gamma, x, y, rel_tol):
         )
 
     half = math.sqrt(0.5)
+    rel_tol = config.rel_tol
     left = adaptive_quad(lambda u: 2.0 * u * core(u * u), 0.0, half, rel_tol=rel_tol)
     right = adaptive_quad(
         lambda v: 2.0 * v * core(1.0 - v * v), 0.0, half, rel_tol=rel_tol
     )
-    return left + right, shift
+    lead = math.lgamma(gamma) - math.lgamma(alpha) - math.lgamma(gamma - alpha)
+    return lead + shift + math.log(left + right)
 
 
 def phi1_quadrature(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
     """Path B: one-dimensional integral representation (oracle grade).
 
     Needs alpha > 0, gamma - alpha > 0 and x < 1; beta, y unrestricted.
+    A value past the float range raises NumericalError.
     """
-    if not (alpha > 0 and gamma - alpha > 0):
-        raise DomainError("path B requires alpha > 0 and gamma - alpha > 0")
-    if x >= 1:
-        raise DomainError("path B requires x < 1")
-    integral, shift = _phi1_integral(alpha, beta, gamma, x, y, config.rel_tol)
-    lead = math.lgamma(gamma) - math.lgamma(alpha) - math.lgamma(gamma - alpha)
-    return math.exp(lead + shift) * integral
-
-
-def log_phi1_quadrature(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """log of path B, stable for large |y|; same domain as phi1_quadrature."""
-    if not (alpha > 0 and gamma - alpha > 0):
-        raise DomainError("path B requires alpha > 0 and gamma - alpha > 0")
-    if x >= 1:
-        raise DomainError("path B requires x < 1")
-    integral, shift = _phi1_integral(alpha, beta, gamma, x, y, config.rel_tol)
-    lead = math.lgamma(gamma) - math.lgamma(alpha) - math.lgamma(gamma - alpha)
-    return lead + shift + math.log(integral)
+    return _signed_exp(1.0, log_phi1_quadrature(alpha, beta, gamma, x, y, config), "Phi1")
 
 
 def phi1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):

@@ -20,7 +20,6 @@ from ghs.posterior import (
     posterior_mean,
     posterior_mean_mixture_oracle,
     posterior_mean_moment_oracle,
-    posterior_mean_shrink_form,
     score,
     side_model_shrinkage,
     side_posterior_mean,
@@ -157,11 +156,11 @@ class TestPosteriorMean:
         )
 
     def test_identity_with_score(self):
-        # y - E(theta|y) = -score(y), with the mean from the shrink form
+        # y - E(theta|y) = -score(y)
         for d, tau, r in [(1, 1.0, 2.0), (2, 2.0, 1.0), (3, 0.5, 4.0), (4, 1.0, 0.3)]:
             model = PosteriorModel(d, tau)
             y = point(d, r, seed=d + int(10 * tau))
-            lhs = y - posterior_mean_shrink_form(model, y)
+            lhs = y - posterior_mean(model, y)
             rhs = -score(model, y)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 

@@ -274,6 +274,57 @@ class TestKummer1F1:
                     worst = max(worst, abs(kummer_1f1(a, b, x) / want - 1.0))
         assert worst < 1e-12
 
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [
+            (0.1, 0.3, 10.0),  # small b: the dropped exponential term matters
+            (0.25, 0.5, 16.0),
+            (0.00089, 0.0578, 2.23),
+            (1498.5, 1500.5, 45000.0),  # max_terms / 2 < |x| < 30 b
+            (1498.5, 1500.5, -45000.0),
+            (331.5, 333.5, 1e4),
+            (446.5, 350.5, 19337.5),  # the expansion's terms rise, then fall
+        ],
+    )
+    def test_log_form_against_mpmath(self, a, b, x):
+        with mp.workdps(40):
+            want = float(mp.log(mp.hyp1f1(a, b, x)))
+        got = log_kummer_1f1(a, b, x)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "a, b, x", [(249.6, 1456.9, -16676.0), (214.1, 1670.4, 12614.0), (294.2, 568.1, -9569.0)]
+    )
+    def test_log_form_in_the_gap_is_right_or_refused(self, a, b, x):
+        # too long for the Taylor series; the expansion's terms rise by
+        # orders of magnitude and cancel, so its sum must not be taken
+        with mp.workdps(40):
+            if x < 0:  # the Kummer transform, for a positive argument
+                want = float(x + mp.log(mp.hyp1f1(b - a, b, -x, maxterms=10**6)))
+            else:
+                want = float(mp.log(mp.hyp1f1(a, b, x, maxterms=10**6)))
+        try:
+            got = log_kummer_1f1(a, b, x)
+        except NumericalError:
+            return
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_log_form_matches_linear_form_on_a_sweep(self):
+        # both forms wrap one core; where both are finite they must agree
+        rng = np.random.default_rng(10)
+        checked = 0
+        for _ in range(400):
+            b = float(10 ** rng.uniform(-1.3, 2.5))
+            a = float(2 * b * (1 - rng.uniform()))
+            x = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2.85))
+            if x < 0 and b - a <= 0:
+                continue
+            log_value = log_kummer_1f1(a, b, x)
+            if abs(log_value) < 700:
+                assert math.exp(log_value) == pytest.approx(kummer_1f1(a, b, x), rel=1e-12)
+                checked += 1
+        assert checked > 250
+
     def test_past_float_range_is_numerical_error(self):
         # 1F1(300, 400, 2e4) = 2.2e8509
         with warnings.catch_warnings():
@@ -321,6 +372,12 @@ class TestPhi1:
             (0.5, 2.5, 3.0, 0.4, 0.8),
             (2.0, 1.0, 3.5, 0.6, 5.0),
             (0.5, 1.0, 1.5, 0.96, 3.0),
+            # beta <= 0: the signed sum, which log_phi1 never takes
+            (0.5, -0.5, 2.0, 0.3, 1.5),
+            (1.5, -2.5, 3.0, 0.7, -4.0),
+            (0.7, -1.0, 2.2, 0.5, 2.0),  # (beta)_n = 0 from n = 2 on
+            (0.5, -3.7, 1.5, 0.9, 3.0),
+            (2.0, 0.0, 3.5, 0.6, 5.0),
         ]
         for c in cases:
             a = phi1_series_1f1(*c)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ghs.cli import _csv_chunks, main
+from ghs.cli import _csv_chunks, _write_table, main
 from ghs.study import GAMMA_HEADER, MISCLASS_HEADER, StudyConfig, load_reports, run_study
 
 TINY_STUDY = {
@@ -252,6 +252,25 @@ class TestCli:
         reference = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
         assert "".join(chunks) == reference
         assert len(chunks) == -(-rows // 8192)
+
+    @pytest.mark.parametrize("rows", [0, 1, 8193])
+    def test_json_writer_matches_json_dumps(self, tmp_path, rows):
+        # streamed JSON: the bytes of one json.dumps of the whole table, with
+        # keys sorted as strings (x10 before x2) and "pole" among them
+        header = [f"x{i + 1}" for i in range(10)] + ["density"]
+        specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, 2.0]
+        table = np.resize(specials, (rows, len(header)))
+        table[:, 3] = np.random.default_rng(rows).standard_normal(rows)
+        risk = [[1, 1000, 0.5, math.inf, -2.0], [2, 10**4, 1e-300, 3.0, math.nan]]
+        for name, head, data in (("t.json", header, table), ("r.json", list("dnmbv"), risk)):
+            docs = []
+            for row in data.tolist() if isinstance(data, np.ndarray) else data:
+                docs.append({k: v if math.isfinite(v) else None for k, v in zip(head, row)})
+                if math.inf in row:
+                    docs[-1]["pole"] = True
+            _write_table(tmp_path / name, head, data, "json")
+            written = (tmp_path / name).read_text(encoding="utf-8")
+            assert written == json.dumps(docs, indent=1, sort_keys=True) + "\n"
 
     def test_sample_negative_seed_is_domain_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
