@@ -17,8 +17,9 @@ class SpecFunConfig:
         Hard cap on series/continued-fraction iterations.
     asymptotic_switch
         Kummer-function dispatch: the large-argument expansion is tried
-        once ``|x| > asymptotic_switch * |b|`` (or ``|x| > max_terms / 2``)
-        and used if the term it drops is negligible and its sum converges.
+        once ``|x| > asymptotic_switch * |b|`` (or ``|x| > max_terms / 2``
+        and ``|x| > 2 |b|``) and used if the term it drops is negligible
+        and its sum converges.
     """
 
     rel_tol: float = 1e-12

@@ -13,10 +13,10 @@ Evaluation regimes
   never overflows, for one order and an array of x; the scalars wrap it.
 * ``kummer_1f1`` and ``log_kummer_1f1`` wrap one core that returns the sign
   and the log magnitude.  It takes the large-|x| expansion once
-  |x| > asymptotic_switch * |b|, or |x| > max_terms / 2 where the Taylor
-  series cannot finish, if the exponentially small term it drops is
-  negligible and its sum reaches the stopping tolerance before its
-  smallest term; otherwise a scaled Taylor series (of the Kummer transform
+  |x| > asymptotic_switch * |b|, or |x| > max(2 |b|, max_terms / 2) where
+  the Taylor series cannot finish, if the exponentially small term it drops
+  is negligible and its sum reaches the stopping tolerance, finite, before
+  its smallest term; otherwise a scaled Taylor series (of the Kummer transform
   for negative x).
 * ``phi1``: a series of Kummer functions (path A, valid for 0 <= x < 1 and
   0 < alpha < gamma), summed once in log space for ``phi1_series_1f1`` and
@@ -282,7 +282,7 @@ def _kummer_taylor(a, b, x, config):
 
 def _kummer_asymptotic_sum(p, q, z, config, tol):
     """(sum_k (p)_k (q)_k / (k! z^k), whether it reached relative size tol
-    with rounding in its largest term below rel_tol).
+    with rounding in its largest term below rel_tol and a finite total).
 
     It stops there or at its smallest term, which is reached once a term
     ratio (p+k)(q+k) / ((k+1) z) of size >= 1 can only grow: for k > -p,
@@ -297,7 +297,7 @@ def _kummer_asymptotic_sum(p, q, z, config, tol):
         total += term
         biggest = max(biggest, abs(term))
         if abs(term) < tol * abs(total):
-            return total, biggest * 1e-15 < config.rel_tol * abs(total)
+            return total, biggest * 1e-15 < config.rel_tol * abs(total) < math.inf
     return total, False
 
 
@@ -329,9 +329,11 @@ def _log_kummer(a, b, x, config):
         a, x = b - a, -x
     tol = _stop_tol(config)
     # a nonpositive integer a (b - a before the transform) leaves no
-    # exponentially small term, and the Taylor series is a finite sum
+    # exponentially small term, and the Taylor series is a finite sum; below
+    # x = 2|b| the dropped term's own series can grow by many orders, so its
+    # first term says nothing and the max_terms trigger waits for x > 2|b|
     if (
-        x > min(config.asymptotic_switch * abs(b), 0.5 * config.max_terms)
+        x > min(config.asymptotic_switch * abs(b), max(2.0 * abs(b), 0.5 * config.max_terms))
         and not _is_nonpositive_integer(a)
         and _exp_term_negligible(a, b, x, tol)
     ):
@@ -370,7 +372,7 @@ def log_kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
 def kummer_1f1_quad(a, b, x, rel_tol=1e-13):
     """Quadrature oracle via the Euler integral (needs b > a > 0), which is
     path B of Phi1 at beta = 0."""
-    return math.exp(log_phi1_quadrature(a, 0.0, b, 0.0, x, SpecFunConfig(rel_tol=rel_tol)))
+    return phi1_quadrature(a, 0.0, b, 0.0, x, SpecFunConfig(rel_tol=rel_tol))
 
 
 # ---------------------------------------------------------------------------

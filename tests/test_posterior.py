@@ -156,11 +156,12 @@ class TestPosteriorMean:
         )
 
     def test_identity_with_score(self):
-        # y - E(theta|y) = -score(y)
+        # y - E(theta|y) = -score(y), with the mean from the quadrature oracle
+        # (posterior_mean is y + score by construction)
         for d, tau, r in [(1, 1.0, 2.0), (2, 2.0, 1.0), (3, 0.5, 4.0), (4, 1.0, 0.3)]:
             model = PosteriorModel(d, tau)
             y = point(d, r, seed=d + int(10 * tau))
-            lhs = y - posterior_mean(model, y)
+            lhs = y - posterior_mean_mixture_oracle(model, y)
             rhs = -score(model, y)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 

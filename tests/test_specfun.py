@@ -284,13 +284,52 @@ class TestKummer1F1:
             (1498.5, 1500.5, -45000.0),
             (331.5, 333.5, 1e4),
             (446.5, 350.5, 19337.5),  # the expansion's terms rise, then fall
+            (3646.5, 2137.5, 5395.0),  # the expansion's sum passes the float range
         ],
     )
     def test_log_form_against_mpmath(self, a, b, x):
         with mp.workdps(40):
-            want = float(mp.log(mp.hyp1f1(a, b, x)))
+            want = float(mp.log(mp.hyp1f1(a, b, x, maxterms=10**6)))
         got = log_kummer_1f1(a, b, x)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "a, b, x", [(1.0, 9000.0, 6000.0), (2.0, 9000.0, 6000.0), (8999.0, 9000.0, -6000.0)]
+    )
+    def test_below_two_b_past_half_max_terms_against_mpmath(self, a, b, x):
+        # max_terms / 2 < |x| < b: the term the large-|x| expansion drops has
+        # a negligible first term but a series that grows by hundreds of
+        # orders, while the sum (1 - a)_k it keeps ends after a terms
+        with mp.workdps(40):
+            want = mp.exp(x) * mp.hyp1f1(b - a, b, -x) if x < 0 else mp.hyp1f1(a, b, x)
+            log_want = float(mp.log(want))
+        assert kummer_1f1(a, b, x) == pytest.approx(float(want), rel=1e-12)
+        assert abs(log_kummer_1f1(a, b, x) - log_want) <= 1e-12 * max(1.0, abs(log_want))
+
+    def test_below_two_b_past_half_max_terms_on_a_sweep(self):
+        # b > |x| > max_terms / 2, with a, b - a or neither a small integer:
+        # each value is right to 1e-12 or refused
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(20):
+            b = float(rng.uniform(5000.0, 1e4))
+            x = float(rng.choice([-1.0, 1.0]) * rng.uniform(5000.0, b))
+            draws = [rng.integers(1, 12), b - rng.integers(1, 12), 2 * b * (1 - rng.uniform())]
+            a = float(rng.choice(draws))
+            if x < 0 and b - a <= 0:
+                continue
+            with mp.workdps(40):
+                if x < 0:  # the Kummer transform, for a positive argument
+                    want = float(x + mp.log(mp.hyp1f1(b - a, b, -x, maxterms=10**6)))
+                else:
+                    want = float(mp.log(mp.hyp1f1(a, b, x, maxterms=10**6)))
+            try:
+                got = log_kummer_1f1(a, b, x)
+            except NumericalError:
+                continue
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
+            checked += 1
+        assert checked >= 15
 
     @pytest.mark.parametrize(
         "a, b, x", [(249.6, 1456.9, -16676.0), (214.1, 1670.4, 12614.0), (294.2, 568.1, -9569.0)]
