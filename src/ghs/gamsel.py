@@ -21,9 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-# cho_factor and cho_solve stay importable here: perfbench/spans.py patches these names
-from scipy.linalg import cho_factor, cho_solve, solve_triangular  # noqa: F401
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import (
     ConfigError,
@@ -33,6 +30,32 @@ from .errors import (
     NumericalError,
 )
 from .rng import make_rng
+
+# scipy.linalg is bound on first use, so that importing ghs.gamsel or
+# ghs.study costs no SciPy.  All six names stay module attributes (through
+# __getattr__ below); cho_factor and cho_solve only for perfbench/spans.py,
+# which patches them.
+_LINALG = ("cho_factor", "cho_solve", "solve_triangular")
+_LAPACK = ("dpotrf", "dpotrs", "dtrtrs")
+
+
+def _load_linalg():
+    """Bind the scipy.linalg names; a name already set, such as a patch, stays."""
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    names = globals()
+    for name in _LINALG:
+        names.setdefault(name, getattr(scipy.linalg, name))
+    for name in _LAPACK:
+        names.setdefault(name, getattr(lapack, name))
+
+
+def __getattr__(name):
+    if name in _LINALG or name in _LAPACK:
+        _load_linalg()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Hyper",
@@ -305,7 +328,11 @@ def _draw_coefficients(q_mat, rhs, z):
     wrappers' input checks, and in place: a Fortran-order ``q_mat`` becomes
     L, ``rhs`` the draw and ``z`` the noise.  Returns the draw.
     """
-    chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
+    try:
+        chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
+    except NameError:  # the first LAPACK call of the process
+        _load_linalg()
+        chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
     # OpenBLAS's dpotrf reports only minors that are not positive; a NaN or
     # inf in Q's lower triangle passes with info 0 but reaches L's diagonal
     if info != 0 or not np.isfinite(chol.diagonal()).all():
@@ -334,6 +361,7 @@ class _ResidualSS:
     """
 
     def __init__(self, c, ctc):
+        _load_linalg()
         try:
             self.chol = np.linalg.cholesky(ctc)
             self.f = self.chol.T

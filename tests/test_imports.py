@@ -1,9 +1,10 @@
-"""`import ghs` and the density/sample CLI paths load no SciPy.
+"""`import ghs`, `import ghs.gamsel`, `import ghs.study` and the
+density/sample CLI paths load no SciPy.
 
 SciPy's first import costs about 0.3 s and 30 MB, most of a short CLI call.
 Only the calls that use it load it: KL-ball masses (`scipy.special`), the
-Gibbs sampler and study (`scipy.linalg`), quadrature oracles and the
-`Phi1`/`1F1` oracles.  Each check runs in a fresh interpreter, since this
+Gibbs sampler's first factorization (`scipy.linalg`), quadrature oracles and
+the `Phi1`/`1F1` oracles.  Each check runs in a fresh interpreter, since this
 test process has SciPy loaded already.
 """
 
@@ -42,6 +43,8 @@ CLI = "from ghs.cli import main; main({} + ['--out', 'x'])"
 @pytest.mark.parametrize("code", [
     "import ghs",
     "import ghs.cli",
+    "import ghs.study",
+    "import ghs.gamsel",
     CLI.format(["density", "--d", "3", "--grid=-1:1:0.5"]),
     CLI.format(["sample", "--d", "2", "--n", "5", "--seed", "1"]),
 ])

@@ -9,11 +9,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import ghs.posterior
 from ghs.errors import DimensionError, DomainError
 from ghs.posterior import (
     PosteriorModel,
     SideModel,
     _mixture_moments,
+    _mixture_moments_fine,
     cd_integrals,
     marginal_log_density,
     marginal_log_density_quad,
@@ -317,6 +319,23 @@ def test_non_finite_input_rejected(fn):
         SideModel(2, math.inf, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: side_model_shrinkage(SideModel(1, 1e-200, 1.0), [1.0]), id="tau1^2=0"),
+    pytest.param(lambda: side_model_shrinkage(SideModel(1, 1e-170, 1e170), [1.0]), id="b=inf"),
+    pytest.param(lambda: side_model_shrinkage(SideModel(1, 1e170, 1e-170), [1.0]), id="b=0"),
+    pytest.param(
+        lambda: side_model_shrinkage(SideModel(2, 1e-160, 1.0), [1.0, 1.0]), id="tau1^2 subnormal"
+    ),
+    pytest.param(lambda: posterior_mean(PosteriorModel(1, 1e-170), [3.0]), id="tau^2=0"),
+    pytest.param(lambda: posterior_mean(PosteriorModel(1, 1e170), [3.0]), id="tau^2=inf"),
+    pytest.param(lambda: side_model_shrinkage(SideModel(1, 1e-100, 1e-100), [1e60]), id="a=inf"),
+])
+def test_scales_past_the_float_range_rejected(call):
+    # tau^2, (tau2/tau1)^2 and ||y||^2 / (2 tau1^2) must be finite normal floats
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_non_integer_dimension_rejected():
     for bad in (1.5, 2.5, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -413,3 +432,42 @@ def test_mixture_kernel_against_mpmath(d, tau, r, tol):
     assert side == pytest.approx(ref_side, rel=tol)
     y = point(d, r, seed=d) if r > 0 else np.zeros(d)
     assert side_model_shrinkage(SideModel(d, 1.0, tau), y) == pytest.approx(ref_side, rel=tol)
+
+
+def test_two_levels_match_all_nodes_on_a_sweep():
+    # the h = 1/32 values, where kept, are as good as the 1,025-node sum
+    rng = np.random.default_rng(11)
+    m = 5000
+    ds = rng.integers(1, 101, m).tolist()
+    taus = (10.0 ** rng.uniform(-3.0, 3.0, m)).tolist()
+    norms = (10.0 ** rng.uniform(-2.0, 4.0, m)).tolist()
+    for i in range(0, m, 100):
+        norms[i] = 0.0
+    for d, tau, r in zip(ds, taus, norms):
+        a, b = 0.5 * r * r, tau * tau
+        log_int, dc, side = _mixture_moments(a, b, d)
+        ref_log_int, ref_dc, ref_side = _mixture_moments_fine(a, b, d)
+        # an error in log int w is the relative error of int w
+        assert abs(log_int - ref_log_int) <= 1e-13, (d, tau, r)
+        assert abs(dc - ref_dc) <= 1e-13 * ref_dc, (d, tau, r)
+        assert abs(side - ref_side) <= 1e-13 * ref_side, (d, tau, r)
+
+
+@pytest.mark.parametrize("d, tau, r, falls_back", [
+    (3, 1.0, 2.0, False),
+    (3, 1.0, 0.0, False),
+    (100, 1e3, 1e4, True),
+    (1, 1e-3, 1e4, True),
+    (3, 10.0, 300.0, True),
+])
+def test_which_level_runs(monkeypatch, d, tau, r, falls_back):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _mixture_moments_fine(*args)
+
+    monkeypatch.setattr(ghs.posterior, "_mixture_moments_fine", counted)
+    y = point(d, r, seed=d) if r > 0 else np.zeros(d)
+    posterior_mean(PosteriorModel(d, tau), y)
+    assert len(calls) == int(falls_back)

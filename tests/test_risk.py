@@ -262,6 +262,29 @@ class TestBallMassKernel:
         with pytest.raises(NumericalError):
             kl_ball_prior_mass(RiskScenario(1, 1e8), 2)
 
+    def test_two_levels_match_all_nodes(self, monkeypatch):
+        cdf_calls = []
+        chi2_cdf = ghs.risk._chi2_cdf
+
+        def counted(*args):
+            cdf_calls.append(args[0].size)
+            return chi2_cdf(*args)
+
+        monkeypatch.setattr(ghs.risk, "_chi2_cdf", counted)
+        sizes = [2, 3] + [10**k for k in range(1, 9)]
+        cases = [(d, t, n) for d in range(1, 11) for t in (0.0, 0.5, 1.0, 3.0) for n in sizes]
+        masses = [kl_ball_prior_mass(RiskScenario(d, 1.0, (t,) * d), n) for d, t, n in cases]
+        # one CDF call per ball means the h = 1/32 sum was kept
+        assert len(cdf_calls) < 1.2 * len(cases)
+        # at d = 100 the levels differ by 3e-5: the other 768 nodes are added
+        cdf_calls.clear()
+        kl_ball_prior_mass(RiskScenario(100, 1.0, (1.0,) * 100), 2)
+        assert cdf_calls == [257, 768]
+        monkeypatch.setattr(ghs.risk, "_levels_agree", lambda coarse, half: False)
+        for (d, t, n), mass in zip(cases, masses):
+            all_nodes = kl_ball_prior_mass(RiskScenario(d, 1.0, (t,) * d), n)
+            assert abs(mass - all_nodes) <= 1e-14 * all_nodes, (d, t, n)
+
     def test_does_not_reach_the_quadrature_oracles(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("kl_ball_prior_mass reached a quadrature oracle")
