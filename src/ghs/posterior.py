@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericalError
 from .quadrature import adaptive_quad
 # log_kummer_1f1 stays importable here: perfbench/spans.py patches this name
 from .specfun import log_kummer_1f1, log_phi1  # noqa: F401
@@ -214,7 +213,7 @@ def posterior_mean(model: PosteriorModel, y):
     return y - _mixture_moments(0.5 * yy, model.tau**2, model.d)[1] * y
 
 
-def posterior_mean_moment_oracle(model: PosteriorModel, y, config=DEFAULT_CONFIG):
+def posterior_mean_moment_oracle(model: PosteriorModel, y):
     """Independent closed form for tau >= 1 using the first-moment series.
 
     E(theta|y) = Phi1(3/2, 1, (d+4)/2, x, a) / [(d+2) Phi1(1/2, 1, (d+2)/2, x, a)] y
@@ -228,8 +227,8 @@ def posterior_mean_moment_oracle(model: PosteriorModel, y, config=DEFAULT_CONFIG
         return np.zeros(model.d)
     d = model.d
     x = 1.0 - model.tau**-2
-    num = log_phi1(1.5, 1.0, 0.5 * (d + 4), x, a, config)
-    den = log_phi1(0.5, 1.0, 0.5 * (d + 2), x, a, config)
+    num = log_phi1(1.5, 1.0, 0.5 * (d + 4), x, a)
+    den = log_phi1(0.5, 1.0, 0.5 * (d + 2), x, a)
     return math.exp(num - den) / (d + 2.0) * y
 
 
@@ -248,9 +247,12 @@ def _c_like_integral_lambda(a, b, d, power, rel_tol=1e-12, x_moment=False):
         return value * (lam * lam * b) / q if x_moment else value
 
     split = 1.0 + math.sqrt(max(a, 1.0) / b)
-    return adaptive_quad(f, 0.0, split, rel_tol=rel_tol) + adaptive_quad(
+    total = adaptive_quad(f, 0.0, split, rel_tol=rel_tol) + adaptive_quad(
         f, split, np.inf, rel_tol=rel_tol
     )
+    if not total > 0:
+        raise NumericalError(f"lambda-space integral underflows (a={a}, b={b}, d={d})")
+    return total
 
 
 def cd_integrals(a, b, d, rel_tol=1e-12):

@@ -1,28 +1,19 @@
 """Special-function kernel: generalized exponential integral, Kummer's
-confluent hypergeometric function, and the two-variable confluent
-hypergeometric function.
-
-Every function here has an independent quadrature oracle (the ``*_quad``
-variants) built on a different representation, so the series/continued
-fraction code paths can be cross-validated end to end.
+confluent hypergeometric function 1F1, and the two-variable confluent
+hypergeometric function Phi1.
 
 Evaluation regimes
 ------------------
 * ``gen_exp_integral``: power/log series for x < 1, continued fraction for
   x >= 1.  ``exp_scaled_expint`` computes exp(x)*E_nu(x) jointly, so it
   never overflows, for one order and an array of x; the scalars wrap it.
-* ``kummer_1f1`` and ``log_kummer_1f1`` wrap one core that returns the sign
-  and the log magnitude.  It takes the large-|x| expansion once
-  |x| > asymptotic_switch * |b|, or |x| > max(2 |b|, max_terms / 2) where
-  the Taylor series cannot finish, if the exponentially small term it drops
-  is negligible and its sum reaches the stopping tolerance, finite, before
-  its smallest term; otherwise a scaled Taylor series (of the Kummer transform
-  for negative x).
-* ``phi1``: a series of Kummer functions (path A, valid for 0 <= x < 1 and
-  0 < alpha < gamma), summed once in log space for ``phi1_series_1f1`` and
-  the overflow-free ``log_phi1``, with a one-dimensional integral
-  representation as path B / oracle, which ``phi1_quadrature`` and
-  ``kummer_1f1_quad`` wrap.
+  The ``*_quad`` variants are its quadrature oracles.
+* ``phi1`` and ``log_phi1`` wrap one kernel, ``_log_euler``: the Euler
+  integral of Phi1 for gamma > alpha > 0 and x < 1, in log space for any
+  beta and y.
+* ``kummer_1f1`` and ``log_kummer_1f1`` wrap one core, ``_log_kummer``: that
+  kernel at beta = 0 for a, b > 0 and |x| >= b (x > 0 and a recurrence in b
+  when a >= b), and a Taylor series otherwise.
 """
 
 import math
@@ -41,13 +32,8 @@ __all__ = [
     "exp_scaled_gen_exp_integral_quad",
     "kummer_1f1",
     "log_kummer_1f1",
-    "kummer_1f1_quad",
     "phi1",
     "log_phi1",
-    "phi1_series_1f1",
-    "phi1_double_series",
-    "phi1_quadrature",
-    "log_phi1_quadrature",
 ]
 
 _INTEGER_EPS = 1e-9
@@ -71,11 +57,6 @@ def _stop_tol(config):
     """Relative term size at which a series or continued fraction stops: a
     margin below rel_tol, because the tail it leaves can sum past its last term."""
     return max(2e-16, 1e-3 * config.rel_tol)
-
-
-def _gamma_sign(v):
-    """Sign of Gamma(v) for v off the poles."""
-    return -1.0 if v < 0 and math.floor(v) % 2 else 1.0
 
 
 def _signed_exp(sign, log_value, what):
@@ -248,8 +229,81 @@ def exp_scaled_gen_exp_integral_quad(nu, x, rel_tol=1e-13):
 
 
 # ---------------------------------------------------------------------------
-# Kummer's confluent hypergeometric function 1F1(a, b, x)
+# Kummer's 1F1(a, b, x) and the two-variable Phi1(alpha, beta, gamma, x, y)
 # ---------------------------------------------------------------------------
+
+# exp-sinh nodes rho = e^((pi/2) sinh s), s in [-4, 4] at step 1/128; log(d rho / rho)
+_ES_S = np.arange(-4.0, 4.0 + 1.0 / 256, 1.0 / 128)
+_ES_RHO = np.exp(0.5 * math.pi * np.sinh(_ES_S))
+_ES_LOG_W = np.log(np.cosh(_ES_S)) + math.log(math.pi / 256)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)  # B_2k / (2k (2k-1))
+
+
+def _log_beta_ratio(p, q):
+    """lgamma(p + q) - lgamma(p) - lgamma(q) for p, q > 0.  Past 10 the
+    larger one's lgamma difference is taken from Stirling's series term by
+    term; the plain form loses about eps b log b."""
+    small, big = min(p, q), max(p, q)
+    if big < 10.0:
+        return math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
+    z = big + small
+    tail = sum(c * (z ** -(2 * k + 1) - big ** -(2 * k + 1)) for k, c in enumerate(_STIRLING))
+    lead = (big - 0.5) * math.log1p(small / big) + small * (math.log(z) - 1.0)
+    return lead + tail - math.lgamma(small)
+
+
+def _log_euler(alpha, beta, gamma, x, y):
+    """log Phi1(alpha, beta, gamma, x, y), gamma > alpha > 0, x < 1, by the Euler
+    integral (DLMF 13.4.1 at beta = 0): Gamma(gamma) / (Gamma(alpha) Gamma(gamma-alpha))
+    int_0^1 t^(alpha-1) (1-t)^(gamma-alpha-1) (1-xt)^-beta e^(yt) dt.  It is split at
+    the integrand's peak t* in z = logit t, found by bisection on the z-derivative
+    (alpha at z = -inf, alpha - gamma at +inf), whose curvature there gives the
+    width w.  Exp-sinh nodes run t = t* e^-rho on the left, 1 - t = (1-t*) e^-rho
+    on the right, with every factor taken relative to its value at t* and the
+    sum max-shifted, so large parameters neither overflow nor cost digits."""
+    c = gamma - alpha
+    lo, hi = -700.0, 700.0  # e^(+-z) stays finite
+    for _ in range(50):  # 1 - x t = (1 - t) + t (1 - x), a sum of nonnegatives
+        z = 0.5 * (lo + hi)
+        t, s = 1.0 / (1.0 + math.exp(-z)), 1.0 / (1.0 + math.exp(z))
+        slope = alpha * s - c * t + t * s * (beta * x / (s + t * (1.0 - x)) + y)
+        lo, hi = (z, hi) if slope > 0 else (lo, z)
+    z = 0.5 * (lo + hi)
+    t0, s0 = 1.0 / (1.0 + math.exp(-z)), 1.0 / (1.0 + math.exp(z))
+    q0 = s0 + t0 * (1.0 - x)
+    curv = t0 * s0 * (y * (s0 - t0) - gamma + beta * x * (s0 * s0 - t0 * t0 * (1.0 - x)) / q0**2)
+    w = 1.0 / math.sqrt(-curv) if curv < 0 else 1.0
+    # rows: left, right; dz = dlog t / (1 - t) = -dlog(1 - t) / t
+    rho = w * np.array([[s0], [t0]]) * _ES_RHO
+    e = -np.expm1(-rho)
+    d_log_t = np.stack([-rho[0], np.log1p(e[1] * math.exp(-z))])  # log t - log t*
+    d_log_s = np.stack([np.log1p(e[0] * math.exp(z)), -rho[1]])  # log(1-t) - log(1-t*)
+    log_t0, log_s0 = -math.log1p(math.exp(-z)), -math.log1p(math.exp(z))
+    # dt = t d rho on the left and (1 - t) d rho on the right; y * (t - t*)
+    log_f = (np.array([[alpha], [alpha - 1.0]]) * d_log_t + np.array([[c - 1.0], [c]]) * d_log_s
+             + y * np.stack([-t0 * e[0], s0 * e[1]]) + np.log(rho) + _ES_LOG_W
+             - np.array([[log_s0], [log_t0]]))
+    if beta:  # log(1 - x t) as in the bisection
+        log_q = np.logaddexp(log_s0 + d_log_s, log_t0 + d_log_t + math.log1p(-x))
+        log_f -= beta * (log_q - math.log(q0))
+    peak = float(log_f.max())
+    log_g0 = alpha * log_t0 + c * log_s0 - beta * math.log(q0) + y * t0
+    return _log_beta_ratio(alpha, c) + log_g0 + peak + math.log(np.exp(log_f - peak).sum())
+
+
+def _log_kummer_down(a, b, x):
+    """log 1F1(a, b, x), a >= b > 0, x > 0: the Euler kernel at c = b + n and
+    c + 1 just past a, then the recurrence in b (DLMF 13.3.2) down to b: stable
+    downwards (1F1 is its minimal solution), with positive terms below c = a."""
+    n = math.floor(a - b) + 1
+    c = b + n
+    log_m = _log_euler(a, 0.0, c, 0.0, x)
+    r = math.exp(_log_euler(a, 0.0, c + 1.0, 0.0, x) - log_m)  # M(c + 1) / M(c)
+    for _ in range(n):
+        q = (c * (c - 1.0 + x) - x * (c - a) * r) / (c * (c - 1.0))  # M(c - 1) / M(c)
+        log_m += math.log(q)
+        r, c = 1.0 / q, c - 1.0
+    return log_m
 
 
 def _kummer_taylor(a, b, x, config):
@@ -258,16 +312,18 @@ def _kummer_taylor(a, b, x, config):
     term over- or underflows.  It stops at a term below the stopping
     tolerance once every later term is smaller still: the term ratio
     (a+k) x / ((b+k)(k+1)) is below 1 in size and never grows again once
-    a + k > 0, b + k > 0 and (a+k)(b+k) >= (b-a)(k+1).
+    a + k > 0, b + k > 0 and (a+k)(b+k) >= (b-a)(k+1).  A sum cancelled past
+    rel_tol (1e-16 of its largest term exceeds rel_tol of it) is refused.
     """
     tol = _stop_tol(config)
-    total, term, exponent = 1.0, 1.0, 0
+    total, term, biggest, exponent = 1.0, 1.0, 1.0, 0
     for k in range(config.max_terms):
         ratio = (a + k) * x / ((b + k) * (k + 1.0))
         term *= ratio
         total += term
-        if abs(term) > _RESCALE:
-            term, total = math.ldexp(term, -900), math.ldexp(total, -900)
+        biggest = max(biggest, abs(term))
+        if biggest > _RESCALE:
+            term, total, biggest = (math.ldexp(v, -900) for v in (term, total, biggest))
             exponent += 900
         if term == 0.0 or (
             abs(term) < tol * abs(total)
@@ -275,245 +331,60 @@ def _kummer_taylor(a, b, x, config):
             and min(a, b) + k > 0
             and (a + k) * (b + k) >= (b - a) * (k + 1.0)
         ):
-            log_total = math.log(abs(total)) if total else -math.inf
-            return math.copysign(1.0, total), log_total + exponent * math.log(2.0)
+            if 1e-16 * biggest > config.rel_tol * abs(total):
+                raise NumericalError(f"1F1 series cancelled (a={a}, b={b}, x={x})")
+            return math.copysign(1.0, total), math.log(abs(total)) + exponent * math.log(2.0)
     raise NumericalError(f"1F1 series did not converge (a={a}, b={b}, x={x})")
 
 
-def _kummer_asymptotic_sum(p, q, z, config, tol):
-    """(sum_k (p)_k (q)_k / (k! z^k), whether it reached relative size tol
-    with rounding in its largest term below rel_tol and a finite total).
-
-    It stops there or at its smallest term, which is reached once a term
-    ratio (p+k)(q+k) / ((k+1) z) of size >= 1 can only grow: for k > -p,
-    k > -q and (k+1)^2 >= (p-1)(q-1).  Earlier terms may rise and fall.
-    """
-    total = term = biggest = 1.0
-    for k in range(config.max_terms):
-        ratio = (p + k) * (q + k) / ((k + 1.0) * z)
-        if abs(ratio) >= 1.0 and k > max(-p, -q) and (k + 1.0) ** 2 >= (p - 1.0) * (q - 1.0):
-            break
-        term *= ratio
-        total += term
-        biggest = max(biggest, abs(term))
-        if abs(term) < tol * abs(total):
-            return total, biggest * 1e-15 < config.rel_tol * abs(total) < math.inf
-    return total, False
-
-
-def _exp_term_negligible(a, b, x, tol):
-    """Whether 1F1's large-x expansion, x > 0, may keep only its dominant term.
-
-    The term dropped (DLMF 13.7.2) is, relative to the one kept, about
-    Gamma(a)/Gamma(b - a) e^-x x^(b - 2a); the kept series' truncation
-    error is of the same size.  For small b it is still far above tol at
-    x = 30 |b|.
-    """
-    if _is_nonpositive_integer(b - a):
-        return True  # 1/Gamma(b - a) = 0: there is no such term
-    log_size = math.lgamma(a) - math.lgamma(b - a) - x + (b - 2.0 * a) * math.log(x)
-    return log_size < math.log(tol)
-
-
 def _log_kummer(a, b, x, config):
-    """(sign, log|1F1(a, b, x)|) for b off the nonpositive integers: the one
-    place that picks a 1F1 regime (see the module docstring)."""
+    """(sign, log|1F1(a, b, x)|) for b off the nonpositive integers: the Euler
+    kernel for 0 < a < b, |x| >= b, at x itself (a transform costs eps |x|), or
+    with the recurrence in b for a >= b > 0, x >= b; else the Taylor series,
+    terminating for a nonpositive integer a, of the Kummer transform
+    e^x 1F1(b - a, b, -x) for x < 0 or a nonpositive integer b - a."""
     if x == 0.0:
         return 1.0, 0.0
+    if 0.0 < a < b and abs(x) >= b:
+        return 1.0, _log_euler(a, 0.0, b, 0.0, x)
+    if 0.0 < b <= a < b + config.max_terms and x >= b:  # max_terms caps the recurrence
+        return 1.0, _log_kummer_down(a, b, x)
     if _is_nonpositive_integer(a):
-        return _kummer_taylor(a, b, x, config)  # terminating polynomial
-    # x < 0 takes the Kummer transform 1F1(a, b, x) = e^x 1F1(b - a, b, -x);
-    # below, x > 0 and the result is log(e^-x 1F1(a, b, x)) + shift
-    shift = max(x, 0.0)
-    if x < 0:
-        a, x = b - a, -x
-    tol = _stop_tol(config)
-    # a nonpositive integer a (b - a before the transform) leaves no
-    # exponentially small term, and the Taylor series is a finite sum; below
-    # x = 2|b| the dropped term's own series can grow by many orders, so its
-    # first term says nothing and the max_terms trigger waits for x > 2|b|
-    if (
-        x > min(config.asymptotic_switch * abs(b), max(2.0 * abs(b), 0.5 * config.max_terms))
-        and not _is_nonpositive_integer(a)
-        and _exp_term_negligible(a, b, x, tol)
-    ):
-        s, converged = _kummer_asymptotic_sum(b - a, 1.0 - a, x, config, tol)
-        if converged:  # the front is in log space: Gamma(b) overflows past b = 171.6
-            sign = _gamma_sign(b) * _gamma_sign(a) * math.copysign(1.0, s)
-            log_front = math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(x)
-            return sign, shift + log_front + math.log(abs(s))
-    sign, log_value = _kummer_taylor(a, b, x, config)
-    return sign, log_value + (shift - x)
+        return _kummer_taylor(a, b, x, config)
+    if x < 0 or _is_nonpositive_integer(b - a):
+        sign, log_value = _kummer_taylor(b - a, b, -x, config)
+        return sign, log_value + x
+    return _kummer_taylor(a, b, x, config)
 
 
 def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
-    """Confluent hypergeometric function 1F1(a, b, x) for real arguments.
-
-    The sign and log magnitude come from the regime choice of
-    ``_log_kummer``.  A value that underflows is 0.0; one past the float
-    range raises NumericalError.
-    """
+    """Confluent hypergeometric function 1F1(a, b, x) for real arguments: 0.0
+    where it underflows, NumericalError past the float range or where a series
+    cancels or does not converge."""
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
     return _signed_exp(*_log_kummer(a, b, x, config), f"1F1(a={a}, b={b}, x={x})")
 
 
 def log_kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
-    """log 1F1(a, b, x) on the positive-value domain, safe for huge |x|.
-
-    Requires b > 0 and a > 0 (for x > 0) or b - a > 0 (for x < 0), which
-    guarantees the value is positive.
-    """
+    """log 1F1(a, b, x), safe for huge |x|, on the positive-value domain b > 0
+    and a > 0 (for x > 0) or b - a > 0 (for x < 0)."""
     if not (b > 0 and (a > 0 or x <= 0) and (b - a > 0 or x >= 0)):
         raise DomainError(f"log 1F1 outside its positive-value domain (a={a}, b={b}, x={x})")
     return _log_kummer(a, b, x, config)[1]
 
 
-def kummer_1f1_quad(a, b, x, rel_tol=1e-13):
-    """Quadrature oracle via the Euler integral (needs b > a > 0), which is
-    path B of Phi1 at beta = 0."""
-    return phi1_quadrature(a, 0.0, b, 0.0, x, SpecFunConfig(rel_tol=rel_tol))
+def log_phi1(alpha, beta, gamma, x, y):
+    """log Phi1(alpha, beta, gamma, x, y) for gamma > alpha > 0, x < 1 and
+    any real beta and y, where Phi1 is positive; safe for huge |y|."""
+    if not (0.0 < alpha < gamma and x < 1.0 and all(map(math.isfinite, (beta, gamma, x, y)))):
+        raise DomainError(f"Phi1 needs gamma > alpha > 0, x < 1 (alpha={alpha}, "
+                          f"beta={beta}, gamma={gamma}, x={x}, y={y})")
+    return _log_euler(alpha, beta, gamma, x, y)
 
 
-# ---------------------------------------------------------------------------
-# Two-variable confluent hypergeometric function Phi1(alpha, beta, gamma, x, y)
-# ---------------------------------------------------------------------------
-
-
-def phi1_double_series(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """Reference double series, |x| < 1.  Test oracle only; needs moderate y.
-
-    Phi1 = sum_{m,n} (alpha)_{m+n} (beta)_m x^m y^n / ((gamma)_{m+n} m! n!).
-    The beta Pochhammer rides with the x index; this is what distinguishes
-    the corrected Kummer-series reduction from its published-in-error form.
-    """
-    if abs(x) >= 1:
-        raise DomainError("double series requires |x| < 1")
-    from scipy import special as sp
-
-    total = 0.0
-    cm = 1.0  # (beta)_m x^m / m!
-    for m in range(config.max_terms):
-        # inner sum over n with ratio ((alpha+m+n)/(gamma+m+n)) * y/(n+1)
-        inner = 1.0
-        t = 1.0
-        for n in range(config.max_terms):
-            t *= (alpha + m + n) * y / ((gamma + m + n) * (n + 1.0))
-            inner += t
-            if abs(t) < 1e-17 * abs(inner) + config.abs_tol:
-                break
-        lead = cm * sp.poch(alpha, m) / sp.poch(gamma, m)
-        total += lead * inner
-        if abs(lead * inner) < config.rel_tol * abs(total) + config.abs_tol and m > 2:
-            return total
-        cm *= beta + m
-        cm *= x / (m + 1.0)
-    raise NumericalError("Phi1 double series did not converge")
-
-
-def _phi1_kummer_series(alpha, beta, gamma, x, y, config):
-    """(sign, log|Phi1|) by the series of ``phi1_series_1f1``.  Each 1F1 in
-    it is positive, so a term has its coefficient's sign (negative terms
-    need beta < 0).  Coefficients are kept in log space and terms are summed
-    against the largest so far, so nothing over- or underflows for any y.
-    """
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"path A requires 0 <= x < 1 (x={x})")
-    if not (0.0 < alpha < gamma):
-        raise DomainError("path A requires 0 < alpha < gamma")
-    coef_sign, log_coef = 1.0, 0.0
-    peak = -math.inf
-    acc = 0.0
-    small = 0
-    for n in range(config.max_terms):
-        lt = log_coef + _log_kummer(gamma - alpha, gamma + n, -y, config)[1]
-        if lt > peak:
-            acc *= math.exp(peak - lt)
-            peak = lt
-        inc = coef_sign * math.exp(lt - peak)
-        acc += inc
-        small = small + 1 if abs(inc) < config.rel_tol * abs(acc) else 0
-        ratio = (alpha + n) * (beta + n) * x / ((gamma + n) * (n + 1.0))
-        if small >= 2 or ratio == 0.0:
-            return math.copysign(1.0, acc), y + peak + math.log(abs(acc))
-        coef_sign = math.copysign(coef_sign, coef_sign * ratio)
-        log_coef += math.log(abs(ratio))
-    raise NumericalError("Phi1 Kummer series did not converge")
-
-
-def phi1_series_1f1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """Path A: Phi1 as a Kummer-function series (corrected coefficients).
-
-    Phi1 = e^y sum_n [(alpha)_n (beta)_n x^n / ((gamma)_n n!)]
-               1F1(gamma - alpha, gamma + n, -y)
-    valid for 0 <= x < 1 and 0 < alpha < gamma.  A value past the float
-    range raises NumericalError.
-    """
-    return _signed_exp(*_phi1_kummer_series(alpha, beta, gamma, x, y, config), "Phi1")
-
-
-def log_phi1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """log Phi1 by path A in log space; immune to overflow for any real y.
-
-    Requires 0 <= x < 1, 0 < alpha < gamma, beta > 0 so all terms are
-    positive.
-    """
-    if beta <= 0:
-        raise DomainError("log Phi1 requires beta > 0")
-    return _phi1_kummer_series(alpha, beta, gamma, x, y, config)[1]
-
-
-def log_phi1_quadrature(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """log of path B, stable for large |y|; same domain as phi1_quadrature.
-
-    The integral int_0^1 t^(a-1) (1-t)^(g-a-1) (1-x t)^(-b) e^(y t) dt is
-    taken by halves with e^max(y, 0) factored out; the substitutions
-    t = u^2 and t = 1 - v^2 remove the endpoint singularities.
-    """
-    if not (alpha > 0 and gamma - alpha > 0):
-        raise DomainError("path B requires alpha > 0 and gamma - alpha > 0")
-    if x >= 1:
-        raise DomainError("path B requires x < 1")
-    shift = max(y, 0.0)
-
-    def core(t):
-        return math.exp(
-            (alpha - 1.0) * math.log(t)
-            + (gamma - alpha - 1.0) * math.log1p(-t)
-            - beta * math.log1p(-x * t)
-            + y * t
-            - shift
-        )
-
-    half = math.sqrt(0.5)
-    rel_tol = config.rel_tol
-    left = adaptive_quad(lambda u: 2.0 * u * core(u * u), 0.0, half, rel_tol=rel_tol)
-    right = adaptive_quad(
-        lambda v: 2.0 * v * core(1.0 - v * v), 0.0, half, rel_tol=rel_tol
-    )
-    lead = math.lgamma(gamma) - math.lgamma(alpha) - math.lgamma(gamma - alpha)
-    return lead + shift + math.log(left + right)
-
-
-def phi1_quadrature(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """Path B: one-dimensional integral representation (oracle grade).
-
-    Needs alpha > 0, gamma - alpha > 0 and x < 1; beta, y unrestricted.
-    A value past the float range raises NumericalError.
-    """
-    return _signed_exp(1.0, log_phi1_quadrature(alpha, beta, gamma, x, y, config), "Phi1")
-
-
-def phi1(alpha, beta, gamma, x, y, config: SpecFunConfig = DEFAULT_CONFIG):
-    """Phi1(alpha, beta, gamma, x, y), dispatching path A then path B.
-
-    Paths agree on their overlapping domain; DomainError if neither applies.
-    """
-    if 0.0 <= x < 1.0 and 0.0 < alpha < gamma:
-        return phi1_series_1f1(alpha, beta, gamma, x, y, config)
-    if alpha > 0 and gamma - alpha > 0 and x < 1:
-        return phi1_quadrature(alpha, beta, gamma, x, y, config)
-    raise DomainError(
-        f"no evaluation path for Phi1(alpha={alpha}, beta={beta}, gamma={gamma}, "
-        f"x={x}, y={y})"
-    )
+def phi1(alpha, beta, gamma, x, y):
+    """Phi1(alpha, beta, gamma, x, y) = sum_(m,n) (alpha)_(m+n) (beta)_m x^m y^n
+    / ((gamma)_(m+n) m! n!) on the domain of :func:`log_phi1`.  A value past
+    the float range raises NumericalError."""
+    return _signed_exp(1.0, log_phi1(alpha, beta, gamma, x, y), "Phi1")

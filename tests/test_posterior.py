@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ghs.posterior
-from ghs.errors import DimensionError, DomainError
+from ghs.errors import DimensionError, DomainError, NumericalError
 from ghs.posterior import (
     PosteriorModel,
     SideModel,
@@ -364,6 +364,18 @@ def test_former_series_failures_match_quadrature(d, tau, r):
     oracle = posterior_mean_mixture_oracle(model, y)
     assert np.all(np.isfinite(mean))
     assert np.linalg.norm(mean - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
+
+
+def test_lambda_space_oracles_refuse_an_underflowed_integral():
+    # C = int e^(-a/q) q^(-d/2) / (1 + l^2) dl is below 1e-320 here: a typed
+    # error, not a ZeroDivisionError or a log of 0; the kernel is fine
+    model, y = PosteriorModel(100, 1e3), point(100, 1e4, seed=100)
+    with pytest.raises(NumericalError):
+        posterior_mean_mixture_oracle(model, y)
+    with pytest.raises(NumericalError):
+        marginal_log_density_quad(model, y)
+    assert np.all(np.isfinite(posterior_mean(model, y)))
+    assert math.isfinite(marginal_log_density(model, y))
 
 
 def mp_mixture_moments(a, b, d):

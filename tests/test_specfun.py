@@ -1,13 +1,16 @@
 """Special-function kernel tests.
 
-Every closed-form routine is checked against an independent quadrature
-oracle, against frozen values computed from those oracles, and against
-classical identities (Kummer transform, series/asymptotic crossover,
-corrected two-variable reduction vs. the raw double series).
+E_nu is checked against its quadrature oracle and mpmath.  1F1 and Phi1
+are checked against mpmath (``hyp1f1``, ``hyper2d`` and quadrature of the
+Euler integral), against a frozen mpmath sweep, and against classical
+identities (Kummer transform, the two-variable reduction to a Kummer-function
+series vs. the double series).
 """
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -22,21 +25,66 @@ from ghs.specfun import (
     gen_exp_integral,
     gen_exp_integral_quad,
     kummer_1f1,
-    kummer_1f1_quad,
     log_kummer_1f1,
     log_phi1,
-    log_phi1_quadrature,
     phi1,
-    phi1_double_series,
-    phi1_quadrature,
-    phi1_series_1f1,
 )
 
-# Frozen from the quadrature oracles in this module (see *_quad functions).
+# Frozen from the E_nu quadrature oracles (the *_quad functions) and, for
+# PHI1_CASE, a former Phi1 quadrature (mp.hyper2d agrees to 4e-16).
 E1_AT_1 = 0.21938393439552023
 SCALED_E2_AT_HALF = 0.5385446837581347
 SCALED_E1_AT_1000 = 0.0009990019940238808
 PHI1_CASE = 1.7828274812371612  # Phi1(1/2, 1, 2, 0.3, 1.5)
+# mp.hyp1f1 at 40 digits on the points of kummer_sweep_points(300)
+KUMMER_SWEEP = Path(__file__).with_name("data") / "log_kummer_sweep.json"
+
+
+def mp_log_1f1(a, b, x):
+    """log 1F1(a, b, x) by mpmath at 40 digits; for x < 0 through the Kummer
+    transform, whose series has no cancellation."""
+    with mp.workdps(40):
+        if x < 0:
+            return float(x + mp.log(mp.hyp1f1(b - a, b, -x, maxterms=10**6)))
+        return float(mp.log(mp.hyp1f1(a, b, x, maxterms=10**6)))
+
+
+def kummer_sweep_points(n):
+    """n seeded (a, b, x): b log-uniform in [0.05, 1e4], a uniform in
+    (0, b), |x| log-uniform in [1e-2, 1e5], either sign."""
+    rng = np.random.default_rng(2024)
+    points = []
+    for _ in range(n):
+        b = float(10 ** rng.uniform(math.log10(0.05), 4))
+        a = float(b * (1 - rng.uniform()))
+        x = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 5))
+        points.append((a, b, x))
+    return points
+
+
+def mp_phi1_double_series(alpha, beta, gamma, x, y):
+    """Phi1 by mpmath's double series at 30 digits."""
+    with mp.workdps(30):
+        return float(mp.hyper2d({"m+n": [alpha], "m": [beta]}, {"m+n": [gamma]}, x, y))
+
+
+def mp_log_phi1(alpha, beta, gamma, x, y):
+    """log Phi1 by mpmath quadrature of its Euler integral at 30 digits, in
+    u = -log(1 - t), with breakpoints around the integrand's peak u*."""
+    with mp.workdps(30):
+        alpha, beta, gamma, x, y = map(mp.mpf, (alpha, beta, gamma, x, y))
+        c = gamma - alpha
+
+        def h(u):  # log of the integrand in u, less y
+            t = -mp.expm1(-u)
+            return (alpha - 1) * mp.log(t) - c * u - beta * mp.log(1 - x * t) - y * mp.exp(-u)
+
+        peak = max((mp.mpf(10) ** (k / mp.mpf(20)) for k in range(-400, 61)), key=h)
+        top = h(peak)
+        cuts = [peak * f for f in (2**-20, 2**-8, 0.25, 0.5, 0.8, 1, 1.25, 2, 4, 16)]
+        integral = mp.quad(lambda u: mp.exp(h(u) - top), [0, *cuts, mp.inf])
+        lead = mp.loggamma(gamma) - mp.loggamma(alpha) - mp.loggamma(c)
+        return float(lead + y + top + mp.log(integral))
 
 
 class TestGenExpIntegral:
@@ -208,17 +256,18 @@ class TestKummer1F1:
         assert ratios[-1] == pytest.approx(1.0, abs=5e-3)
 
     def test_asymptotic_against_euler_oracle(self):
-        # dispatch threshold crossed for |x| > 30 |b|
+        # |x| >= b: the Euler-integral kernel
         for a, b, x in [(0.5, 1.5, 60.0), (0.75, 2.0, 80.0), (0.5, 1.5, -70.0)]:
-            assert kummer_1f1(a, b, x) == pytest.approx(
-                kummer_1f1_quad(a, b, x), rel=1e-10
-            )
+            with mp.workdps(40):
+                want = float(mp.hyp1f1(a, b, x))
+            assert kummer_1f1(a, b, x) == pytest.approx(want, rel=1e-12)
 
     def test_series_regime_against_euler_oracle(self):
-        for a, b, x in [(0.7, 2.9, 7.0), (1.2, 3.3, -12.0), (0.5, 4.0, 20.0)]:
-            assert kummer_1f1(a, b, x) == pytest.approx(
-                kummer_1f1_quad(a, b, x), rel=1e-11
-            )
+        # |x| >= b takes the kernel, |x| < b the Taylor series
+        for a, b, x in [(0.7, 2.9, 7.0), (1.2, 3.3, -12.0), (0.5, 4.0, 20.0), (0.7, 2.9, -2.0)]:
+            with mp.workdps(40):
+                want = float(mp.hyp1f1(a, b, x))
+            assert kummer_1f1(a, b, x) == pytest.approx(want, rel=1e-12)
 
     def test_log_form_consistency_and_reach(self):
         for a, b, x in [(0.5, 2.0, 5.0), (1.5, 3.5, 80.0), (2.0, 7.0, -30.0)]:
@@ -241,7 +290,7 @@ class TestKummer1F1:
             (-0.5, -1.5, 300.0),
             (-1.5, -0.5, 100.0),
             (1.5, 2.5, 100.0),
-            (0.1, 0.3, -10.0),  # small b: the dropped e^x term is 1e-5 here
+            (0.1, 0.3, -10.0),  # small b, |x| >> b
             (0.25, 0.5, -16.0),
         ],
     )
@@ -258,11 +307,11 @@ class TestKummer1F1:
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_small_b_large_argument_against_mpmath(self, sign):
-        # at small b the exponentially small term the large-|x| expansion
-        # drops is still above rel_tol well past |x| = 30 |b|
-        # (kummer_1f1(0.1, 0.3, -10) was 1.1e-5 off).  A b - a within 1e-9
-        # of a nonpositive integer is taken as that integer, which is a
-        # separate gap at large negative x, so those points stay out
+        # small b, |x| >> b: the Euler kernel for a < b, the kernel and the
+        # recurrence in b for a >= b, x > 0, and the Kummer transform's
+        # Taylor series for a > b, x < 0.  A b - a within 1e-9 of a
+        # nonpositive integer is taken as that integer, which is a separate
+        # gap at large negative x, so those points stay out
         worst = 0.0
         for b in np.linspace(0.05, 1.0, 6):
             for a in np.linspace(0.03, b + 2.0, 7)[1:]:
@@ -277,14 +326,18 @@ class TestKummer1F1:
     @pytest.mark.parametrize(
         "a, b, x",
         [
-            (0.1, 0.3, 10.0),  # small b: the dropped exponential term matters
+            (0.1, 0.3, 10.0),  # small b, |x| >> b
             (0.25, 0.5, 16.0),
             (0.00089, 0.0578, 2.23),
-            (1498.5, 1500.5, 45000.0),  # max_terms / 2 < |x| < 30 b
+            (1498.5, 1500.5, 45000.0),  # a, b and |x| all large
             (1498.5, 1500.5, -45000.0),
             (331.5, 333.5, 1e4),
-            (446.5, 350.5, 19337.5),  # the expansion's terms rise, then fall
-            (3646.5, 2137.5, 5395.0),  # the expansion's sum passes the float range
+            (446.5, 350.5, 19337.5),  # a > b: the recurrence in b
+            (3646.5, 2137.5, 5395.0),  # a > b, 1F1 past the float range
+            (4.0, 5693.23, -26700.64),  # adding x to a Kummer transform costs eps |x|
+            (1.0, 7582.12, -17462.0),
+            (6368.3342608984285, 3193.208844482746, 8956.767235726724),  # Taylor: too long
+            (2.7, 0.35, 900.0),
         ],
     )
     def test_log_form_against_mpmath(self, a, b, x):
@@ -297,9 +350,7 @@ class TestKummer1F1:
         "a, b, x", [(1.0, 9000.0, 6000.0), (2.0, 9000.0, 6000.0), (8999.0, 9000.0, -6000.0)]
     )
     def test_below_two_b_past_half_max_terms_against_mpmath(self, a, b, x):
-        # max_terms / 2 < |x| < b: the term the large-|x| expansion drops has
-        # a negligible first term but a series that grows by hundreds of
-        # orders, while the sum (1 - a)_k it keeps ends after a terms
+        # max_terms / 2 < |x| < b: the Taylor series, long but finishing
         with mp.workdps(40):
             want = mp.exp(x) * mp.hyp1f1(b - a, b, -x) if x < 0 else mp.hyp1f1(a, b, x)
             log_want = float(mp.log(want))
@@ -318,11 +369,7 @@ class TestKummer1F1:
             a = float(rng.choice(draws))
             if x < 0 and b - a <= 0:
                 continue
-            with mp.workdps(40):
-                if x < 0:  # the Kummer transform, for a positive argument
-                    want = float(x + mp.log(mp.hyp1f1(b - a, b, -x, maxterms=10**6)))
-                else:
-                    want = float(mp.log(mp.hyp1f1(a, b, x, maxterms=10**6)))
+            want = mp_log_1f1(a, b, x)
             try:
                 got = log_kummer_1f1(a, b, x)
             except NumericalError:
@@ -335,13 +382,8 @@ class TestKummer1F1:
         "a, b, x", [(249.6, 1456.9, -16676.0), (214.1, 1670.4, 12614.0), (294.2, 568.1, -9569.0)]
     )
     def test_log_form_in_the_gap_is_right_or_refused(self, a, b, x):
-        # too long for the Taylor series; the expansion's terms rise by
-        # orders of magnitude and cancel, so its sum must not be taken
-        with mp.workdps(40):
-            if x < 0:  # the Kummer transform, for a positive argument
-                want = float(x + mp.log(mp.hyp1f1(b - a, b, -x, maxterms=10**6)))
-            else:
-                want = float(mp.log(mp.hyp1f1(a, b, x, maxterms=10**6)))
+        # too long for the Taylor series: the Euler kernel
+        want = mp_log_1f1(a, b, x)
         try:
             got = log_kummer_1f1(a, b, x)
         except NumericalError:
@@ -371,12 +413,30 @@ class TestKummer1F1:
             with pytest.raises(NumericalError):
                 kummer_1f1(300.0, 400.0, 2e4)
 
-    def test_asymptotic_switch_config(self):
-        # a generous switch forces the series even at large x; values agree
-        lazy = SpecFunConfig(asymptotic_switch=500.0)
-        assert kummer_1f1(0.5, 1.5, 60.0, lazy) == pytest.approx(
-            kummer_1f1(0.5, 1.5, 60.0), rel=1e-10
-        )
+    def test_log_form_on_a_seeded_sweep(self):
+        # b > a > 0 never raises and is right to 1e-12 against mp.hyp1f1;
+        # the reference values are frozen (mp.hyp1f1 takes up to 40 s a
+        # point at |x| ~ 1e5, b ~ 1e4) and checked live where it is quick
+        table = json.loads(KUMMER_SWEEP.read_text())
+        assert [row[:3] for row in table] == [list(p) for p in kummer_sweep_points(300)]
+        for a, b, x, want in table:
+            got = log_kummer_1f1(a, b, x)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, x)
+        quick = [row for row in table if abs(row[2]) < 100.0][:20]
+        assert len(quick) == 20
+        for a, b, x, want in quick:
+            assert mp_log_1f1(a, b, x) == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+    def test_cancelled_series_is_refused(self):
+        # negative non-integer a: the terms reach 1e51 and cancel to -3.85e-53
+        a, b, x = -194.00585925108737, 197.80482539929037, 332.0177432090016
+        with mp.workdps(60):
+            want = float(mp.hyp1f1(a, b, x))
+        try:
+            got = kummer_1f1(a, b, x)
+        except NumericalError:
+            return
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestPhi1:
@@ -404,6 +464,8 @@ class TestPhi1:
         assert phi1(0.5, 1.0, 2.0, 0.3, 1.5) == pytest.approx(PHI1_CASE, rel=1e-10)
 
     def test_paths_agree_on_overlap(self):
+        # the Euler-integral kernel against mpmath's double series, for
+        # x in [0, 1) and beta <= 0 too
         cases = [
             (0.5, 1.0, 2.0, 0.3, 1.5),
             (0.5, 1.0, 2.0, 0.0, 2.0),
@@ -411,32 +473,33 @@ class TestPhi1:
             (0.5, 2.5, 3.0, 0.4, 0.8),
             (2.0, 1.0, 3.5, 0.6, 5.0),
             (0.5, 1.0, 1.5, 0.96, 3.0),
-            # beta <= 0: the signed sum, which log_phi1 never takes
             (0.5, -0.5, 2.0, 0.3, 1.5),
             (1.5, -2.5, 3.0, 0.7, -4.0),
-            (0.7, -1.0, 2.2, 0.5, 2.0),  # (beta)_n = 0 from n = 2 on
+            (0.7, -1.0, 2.2, 0.5, 2.0),  # (beta)_m = 0 from m = 2 on
             (0.5, -3.7, 1.5, 0.9, 3.0),
             (2.0, 0.0, 3.5, 0.6, 5.0),
         ]
         for c in cases:
-            a = phi1_series_1f1(*c)
-            b = phi1_quadrature(*c)
-            assert a == pytest.approx(b, rel=1e-8), c
+            assert phi1(*c) == pytest.approx(mp_phi1_double_series(*c), rel=1e-12), c
 
     def test_corrected_reduction_matches_double_series(self):
-        # The Kummer-series reduction keeps the second Pochhammer tied to the
-        # x index; with beta != 1 that is numerically distinguishable from the
-        # erroneous swapped form, and only the corrected one reproduces the
-        # defining double series.
+        # Phi1 = e^y sum_n (alpha)_n (beta)_n x^n / ((gamma)_n n!)
+        #            1F1(gamma - alpha, gamma + n, -y):
+        # the beta Pochhammer rides with the x index, and this reduction
+        # reproduces the defining double series, as does the kernel
         cases = [
             (0.5, 2.5, 3.0, 0.4, 0.8),
             (0.7, 0.4, 2.2, 0.5, -1.2),
             (1.2, 3.0, 4.0, 0.25, 2.0),
         ]
-        for c in cases:
-            assert phi1_series_1f1(*c) == pytest.approx(
-                phi1_double_series(*c), rel=1e-8
-            )
+        for alpha, beta, gamma, x, y in cases:
+            total, coef = 0.0, 1.0
+            for n in range(200):
+                total += coef * kummer_1f1(gamma - alpha, gamma + n, -y)
+                coef *= (alpha + n) * (beta + n) * x / ((gamma + n) * (n + 1.0))
+            right = mp_phi1_double_series(alpha, beta, gamma, x, y)
+            assert math.exp(y) * total == pytest.approx(right, rel=1e-12)
+            assert phi1(alpha, beta, gamma, x, y) == pytest.approx(right, rel=1e-12)
 
     def test_swapped_pochhammer_variant_disagrees(self):
         # the same series with (beta)_n replaced by 1 (beta multiplying the
@@ -447,16 +510,33 @@ class TestPhi1:
             total += coef * kummer_1f1(gamma - alpha, gamma + n, -y)
             coef *= (alpha + n) * x / ((gamma + n) * (n + 1.0))  # drops (beta)_n
         wrong = math.exp(y) * total
-        right = phi1_double_series(alpha, beta, gamma, x, y)
+        right = mp_phi1_double_series(alpha, beta, gamma, x, y)
         assert abs(wrong / right - 1.0) > 1e-3
 
     def test_log_form_stable_for_huge_y(self):
         for y in (20000.0, -20000.0):
             alpha = 0.5 if y > 0 else 1.5
             la = log_phi1(alpha, 1.0, 2.0, 0.75, y)
-            lb = log_phi1_quadrature(alpha, 1.0, 2.0, 0.75, y)
             assert math.isfinite(la)
-            assert la == pytest.approx(lb, abs=1e-9)
+            assert la == pytest.approx(mp_log_phi1(alpha, 1.0, 2.0, 0.75, y), abs=1e-12)
+
+    @pytest.mark.parametrize("d, tau, norm", [(100, 100.0, 1e4), (100, 1e3, 1e4), (1, 1e3, 1e4)])
+    def test_log_form_at_the_posterior_arguments(self, d, tau, norm):
+        # both Phi1 of the posterior mean's moment form, E(theta|y) for
+        # tau >= 1; the Kummer-function series did not converge here
+        x, y = 1.0 - tau**-2, 0.5 * norm**2
+        for alpha, gamma in [(0.5, 0.5 * (d + 2)), (1.5, 0.5 * (d + 4))]:
+            want = mp_log_phi1(alpha, 1.0, gamma, x, y)
+            assert abs(log_phi1(alpha, 1.0, gamma, x, y) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_posterior_argument_grid_never_raises(self):
+        # d <= 100, tau in [1, 1e3], ||y|| <= 1e4: finite everywhere
+        for d in (1, 3, 10, 100):
+            for tau in np.geomspace(1.0, 1e3, 7):
+                for norm in (0.0, 0.1, 3.0, 100.0, 1e4):
+                    x, y = 1.0 - tau**-2, 0.5 * norm**2
+                    assert math.isfinite(log_phi1(0.5, 1.0, 0.5 * (d + 2), x, y))
+                    assert math.isfinite(log_phi1(1.5, 1.0, 0.5 * (d + 4), x, y))
 
     def test_no_path_raises(self):
         with pytest.raises(DomainError):
@@ -464,6 +544,6 @@ class TestPhi1:
 
     def test_path_a_domain_errors(self):
         with pytest.raises(DomainError):
-            phi1_series_1f1(0.5, 1.0, 2.0, 1.2, 1.0)
+            phi1(0.5, 1.0, 2.0, 1.2, 1.0)
         with pytest.raises(DomainError):
             log_phi1(2.5, 1.0, 2.0, 0.5, 1.0)
