@@ -12,8 +12,8 @@ Evaluation regimes
   integral of Phi1 for gamma > alpha > 0 and x < 1, in log space for any
   beta and y.
 * ``kummer_1f1`` and ``log_kummer_1f1`` wrap one core, ``_log_kummer``: that
-  kernel at beta = 0 for a, b > 0 and |x| >= b (x > 0 and a recurrence in b
-  when a >= b), and a Taylor series otherwise.
+  kernel at beta = 0 for 0 < a < b and |x| >= b, with a recurrence in b for
+  a >= b > 0, x >= b (also after the Kummer transform), a Taylor series else.
 """
 
 import math
@@ -240,9 +240,8 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)  # B_2k / (2k (2k-
 
 
 def _log_beta_ratio(p, q):
-    """lgamma(p + q) - lgamma(p) - lgamma(q) for p, q > 0.  Past 10 the
-    larger one's lgamma difference is taken from Stirling's series term by
-    term; the plain form loses about eps b log b."""
+    """lgamma(p + q) - lgamma(p) - lgamma(q), p, q > 0; past 10 the larger one's
+    lgamma difference is Stirling's series (the plain form loses eps b log b)."""
     small, big = min(p, q), max(p, q)
     if big < 10.0:
         return math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
@@ -255,12 +254,11 @@ def _log_beta_ratio(p, q):
 def _log_euler(alpha, beta, gamma, x, y):
     """log Phi1(alpha, beta, gamma, x, y), gamma > alpha > 0, x < 1, by the Euler
     integral (DLMF 13.4.1 at beta = 0): Gamma(gamma) / (Gamma(alpha) Gamma(gamma-alpha))
-    int_0^1 t^(alpha-1) (1-t)^(gamma-alpha-1) (1-xt)^-beta e^(yt) dt.  It is split at
-    the integrand's peak t* in z = logit t, found by bisection on the z-derivative
-    (alpha at z = -inf, alpha - gamma at +inf), whose curvature there gives the
-    width w.  Exp-sinh nodes run t = t* e^-rho on the left, 1 - t = (1-t*) e^-rho
-    on the right, with every factor taken relative to its value at t* and the
-    sum max-shifted, so large parameters neither overflow nor cost digits."""
+    int_0^1 t^(alpha-1) (1-t)^(gamma-alpha-1) (1-xt)^-beta e^(yt) dt, split at the
+    integrand's peak t* in z = logit t (bisection on the z-derivative, alpha at
+    z = -inf, alpha - gamma at +inf; the curvature there gives the width w).
+    Exp-sinh nodes run t = t* e^-rho left, 1 - t = (1-t*) e^-rho right, every
+    factor relative to its value at t*, the sum max-shifted."""
     c = gamma - alpha
     lo, hi = -700.0, 700.0  # e^(+-z) stays finite
     for _ in range(50):  # 1 - x t = (1 - t) + t (1 - x), a sum of nonnegatives
@@ -287,18 +285,20 @@ def _log_euler(alpha, beta, gamma, x, y):
         log_q = np.logaddexp(log_s0 + d_log_s, log_t0 + d_log_t + math.log1p(-x))
         log_f -= beta * (log_q - math.log(q0))
     peak = float(log_f.max())
+    if log_f[:, -32:].max() > peak - 40.0:  # mass at s > 3.75, where the nodes thin out
+        raise NumericalError(f"Phi1 integral cut off (alpha={alpha}, gamma={gamma}, y={y})")
     log_g0 = alpha * log_t0 + c * log_s0 - beta * math.log(q0) + y * t0
     return _log_beta_ratio(alpha, c) + log_g0 + peak + math.log(np.exp(log_f - peak).sum())
 
 
 def _log_kummer_down(a, b, x):
-    """log 1F1(a, b, x), a >= b > 0, x > 0: the Euler kernel at c = b + n and
-    c + 1 just past a, then the recurrence in b (DLMF 13.3.2) down to b: stable
-    downwards (1F1 is its minimal solution), with positive terms below c = a."""
+    """log(e^-x 1F1(a, b, x)), a >= b > 0, x > 0: the kernel's 1F1(c - a, c, -x) at
+    c = b + n and c + 1 just past a, then the recurrence in b (DLMF 13.3.2) down to b,
+    stable downwards (1F1 is its minimal solution), positive terms below c = a."""
     n = math.floor(a - b) + 1
     c = b + n
-    log_m = _log_euler(a, 0.0, c, 0.0, x)
-    r = math.exp(_log_euler(a, 0.0, c + 1.0, 0.0, x) - log_m)  # M(c + 1) / M(c)
+    log_m = _log_euler(c - a, 0.0, c, 0.0, -x)
+    r = math.exp(_log_euler(c + 1.0 - a, 0.0, c + 1.0, 0.0, -x) - log_m)  # M(c + 1) / M(c)
     for _ in range(n):
         q = (c * (c - 1.0 + x) - x * (c - a) * r) / (c * (c - 1.0))  # M(c - 1) / M(c)
         log_m += math.log(q)
@@ -307,14 +307,12 @@ def _log_kummer_down(a, b, x):
 
 
 def _kummer_taylor(a, b, x, config):
-    """(sign, log|sum_k (a)_k x^k / ((b)_k k!)|); an exact finite sum when a
-    is a nonpositive integer.  The sum is a mantissa times 2^exponent, so no
-    term over- or underflows.  It stops at a term below the stopping
-    tolerance once every later term is smaller still: the term ratio
-    (a+k) x / ((b+k)(k+1)) is below 1 in size and never grows again once
-    a + k > 0, b + k > 0 and (a+k)(b+k) >= (b-a)(k+1).  A sum cancelled past
-    rel_tol (1e-16 of its largest term exceeds rel_tol of it) is refused.
-    """
+    """(sign, log|sum_k (a)_k x^k / ((b)_k k!)|), finite for a nonpositive integer
+    a, held as a mantissa times 2^exponent.  It stops at a term below the stopping
+    tolerance once no later term is larger: the ratio (a+k) x / ((b+k)(k+1)) is
+    below 1 in size and never grows again once a + k > 0, b + k > 0 and
+    (a+k)(b+k) >= (b-a)(k+1).  A sum cancelled past rel_tol (1e-16 of its largest
+    term over rel_tol of it) is refused, an exact root of a terminated polynomial not."""
     tol = _stop_tol(config)
     total, term, biggest, exponent = 1.0, 1.0, 1.0, 0
     for k in range(config.max_terms):
@@ -331,6 +329,8 @@ def _kummer_taylor(a, b, x, config):
             and min(a, b) + k > 0
             and (a + k) * (b + k) >= (b - a) * (k + 1.0)
         ):
+            if total == term == 0.0:  # a terminated polynomial's exact root
+                return 1.0, -math.inf
             if 1e-16 * biggest > config.rel_tol * abs(total):
                 raise NumericalError(f"1F1 series cancelled (a={a}, b={b}, x={x})")
             return math.copysign(1.0, total), math.log(abs(total)) + exponent * math.log(2.0)
@@ -338,19 +338,21 @@ def _kummer_taylor(a, b, x, config):
 
 
 def _log_kummer(a, b, x, config):
-    """(sign, log|1F1(a, b, x)|) for b off the nonpositive integers: the Euler
-    kernel for 0 < a < b, |x| >= b, at x itself (a transform costs eps |x|), or
-    with the recurrence in b for a >= b > 0, x >= b; else the Taylor series,
-    terminating for a nonpositive integer a, of the Kummer transform
-    e^x 1F1(b - a, b, -x) for x < 0 or a nonpositive integer b - a."""
+    """(sign, log|1F1(a, b, x)|), b off the nonpositive integers.  x < 0 keeps
+    x for the kernel (a transform costs eps |x|) and takes the Kummer transform
+    e^x 1F1(b - a, b, -x) elsewhere, as a nonpositive-integer b - a does."""
     if x == 0.0:
         return 1.0, 0.0
     if 0.0 < a < b and abs(x) >= b:
-        return 1.0, _log_euler(a, 0.0, b, 0.0, x)
-    if 0.0 < b <= a < b + config.max_terms and x >= b:  # max_terms caps the recurrence
-        return 1.0, _log_kummer_down(a, b, x)
+        try:
+            return 1.0, _log_euler(a, 0.0, b, 0.0, x)
+        except NumericalError:  # a or b - a tiny at moderate x: the Taylor series
+            pass
     if _is_nonpositive_integer(a):
         return _kummer_taylor(a, b, x, config)
+    p, z, shift = (b - a, -x, 0.0) if x < 0 else (a, x, x)
+    if 0.0 < b <= p < b + config.max_terms and z >= b:  # max_terms caps the recurrence
+        return 1.0, _log_kummer_down(p, b, z) + shift
     if x < 0 or _is_nonpositive_integer(b - a):
         sign, log_value = _kummer_taylor(b - a, b, -x, config)
         return sign, log_value + x
@@ -358,9 +360,8 @@ def _log_kummer(a, b, x, config):
 
 
 def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
-    """Confluent hypergeometric function 1F1(a, b, x) for real arguments: 0.0
-    where it underflows, NumericalError past the float range or where a series
-    cancels or does not converge."""
+    """1F1(a, b, x) for real a, b, x: 0.0 on underflow, NumericalError past the
+    float range or where a series cancels or does not converge."""
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
     return _signed_exp(*_log_kummer(a, b, x, config), f"1F1(a={a}, b={b}, x={x})")
@@ -375,8 +376,8 @@ def log_kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
 
 
 def log_phi1(alpha, beta, gamma, x, y):
-    """log Phi1(alpha, beta, gamma, x, y) for gamma > alpha > 0, x < 1 and
-    any real beta and y, where Phi1 is positive; safe for huge |y|."""
+    """log Phi1(alpha, beta, gamma, x, y) for gamma > alpha > 0, x < 1, any real beta and y,
+    where Phi1 > 0; safe for huge |y|, refused (NumericalError) for alpha or gamma - alpha tiny."""
     if not (0.0 < alpha < gamma and x < 1.0 and all(map(math.isfinite, (beta, gamma, x, y)))):
         raise DomainError(f"Phi1 needs gamma > alpha > 0, x < 1 (alpha={alpha}, "
                           f"beta={beta}, gamma={gamma}, x={x}, y={y})")
@@ -384,7 +385,6 @@ def log_phi1(alpha, beta, gamma, x, y):
 
 
 def phi1(alpha, beta, gamma, x, y):
-    """Phi1(alpha, beta, gamma, x, y) = sum_(m,n) (alpha)_(m+n) (beta)_m x^m y^n
-    / ((gamma)_(m+n) m! n!) on the domain of :func:`log_phi1`.  A value past
-    the float range raises NumericalError."""
+    """Phi1 = sum_(m,n) (alpha)_(m+n) (beta)_m x^m y^n / ((gamma)_(m+n) m! n!) on
+    the domain of :func:`log_phi1`; NumericalError past the float range."""
     return _signed_exp(1.0, log_phi1(alpha, beta, gamma, x, y), "Phi1")

@@ -234,6 +234,8 @@ class TestKummer1F1:
         a, b, x = -2.0, 3.0, 1.7
         expected = 1.0 + a * x / b + a * (a + 1) * x * x / (b * (b + 1) * 2)
         assert kummer_1f1(a, b, x) == pytest.approx(expected, rel=1e-13)
+        # 1F1(-1, 2, x) = 1 - x/2: its root is not a cancelled sum
+        assert kummer_1f1(-1.0, 2.0, 2.0) == 0.0
 
     def test_kummer_transform_identity(self):
         # 1F1(a,b,x) = e^x 1F1(b-a, b, -x) on a grid
@@ -338,6 +340,12 @@ class TestKummer1F1:
             (1.0, 7582.12, -17462.0),
             (6368.3342608984285, 3193.208844482746, 8956.767235726724),  # Taylor: too long
             (2.7, 0.35, 900.0),
+            (-0.5, 1.5, -20000.0),  # a <= 0, x <= -b: the recurrence after the transform
+            (-7.243466241873176, 3.717701139676031, -35215.98894010092),
+            (-0.07159371437171286, 0.09759039845786317, -47993.838909319704),  # eps |x| = 1e-11
+            (1e-20, 1.0, 5.0),  # a tiny: the kernel refuses, the Taylor series runs
+            (1e-20, 1.0, -5.0),
+            (1.0 - 2.0**-50, 1.0, -5.0),  # b - a tiny
         ],
     )
     def test_log_form_against_mpmath(self, a, b, x):
@@ -434,6 +442,18 @@ class TestKummer1F1:
             want = float(mp.hyp1f1(a, b, x))
         try:
             got = kummer_1f1(a, b, x)
+        except NumericalError:
+            return
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+    def test_transform_past_max_terms_is_right_or_refused(self):
+        # a > b > 0, x <= -b: e^x 1F1(b - a, b, -x) starts with a negative
+        # parameter, and past |x| ~ max_terms its Taylor series is too long
+        with mp.workdps(40):
+            want = float(mp.hyp1f1(2.5, 1.2, -20000.0))
+        try:
+            got = kummer_1f1(2.5, 1.2, -20000.0)
         except NumericalError:
             return
         assert got == pytest.approx(want, rel=1e-12)
@@ -537,6 +557,15 @@ class TestPhi1:
                     x, y = 1.0 - tau**-2, 0.5 * norm**2
                     assert math.isfinite(log_phi1(0.5, 1.0, 0.5 * (d + 2), x, y))
                     assert math.isfinite(log_phi1(1.5, 1.0, 0.5 * (d + 4), x, y))
+
+    def test_tiny_alpha_right_or_refused(self):
+        # with alpha tiny the mass near t = 0 spreads over rho ~ 1/alpha; where
+        # it reaches the sparse outermost nodes the kernel refuses
+        assert log_phi1(1e-20, 0.7, 1.0, 0.5, -5.0) == pytest.approx(
+            math.log(mp_phi1_double_series(1e-20, 0.7, 1.0, 0.5, -5.0)), abs=1e-14
+        )
+        with pytest.raises(NumericalError):
+            log_phi1(1e-20, 0.7, 1.0, 0.5, 5.0)
 
     def test_no_path_raises(self):
         with pytest.raises(DomainError):
