@@ -302,18 +302,47 @@ class GibbsChain:
         return self.beta0.shape[0]
 
 
-def _inv_gamma(rng, shape, scale):
-    """Draw from the inverse gamma with density ~ x^(-shape-1) e^(-scale/x).
+def _gamma_shapes(spec: AdditiveModelSpec):
+    """Gamma shapes of one sweep's inverse-gamma draws, in draw order.
 
-    One independent variate per element of ``scale``.  Draws are clipped to
-    the representable range: deep shrinkage pushes rates below the denormal
-    range where the ratio degenerates to 0 or inf.  ``scale`` (a float
-    array) is overwritten; the draws reuse the gamma variates' buffer.
+    Level 1 holds every local scale lambda^2 (linear terms, then blocks) and
+    sigma_eps^2; level 2 their auxiliaries with the global scales (a_beta,
+    sigma_beta^2, a_u, sigma_u^2, b_eps); level 3 the global auxiliaries
+    (b_beta, b_u).  Each level is conditionally independent given the ones
+    drawn before it.
     """
-    gamma = rng.standard_gamma(shape, scale.shape)
-    np.divide(np.maximum(scale, 1e-300, out=scale), gamma, out=gamma)
-    np.maximum(gamma, 1e-300, out=gamma)
-    return np.minimum(gamma, 1e300, out=gamma)
+    p, d_nl = spec.p, spec.d_nl
+    half_k = 0.5 * (np.array(spec.basis_sizes, dtype=int) + 1)
+    return np.concatenate((
+        np.ones(p), half_k, [0.5 * (spec.n + 1)],
+        np.ones(p), [0.5 * (p + 1)], np.ones(d_nl), half_k, [1.0],
+        np.ones(1 + d_nl),
+    ))
+
+
+def _gamma_runs(shapes, buf):
+    """(shape, view of ``buf``) for each maximal run of equal ``shapes``.
+
+    One scalar-shape ``standard_gamma(shape, out=view)`` per run fills
+    ``buf`` with the variates, in generator order, that one array-shape
+    ``standard_gamma(shapes)`` call would give, without NumPy's broadcast
+    path for array parameters.
+    """
+    cuts = [0, *(np.flatnonzero(np.diff(shapes)) + 1).tolist(), shapes.size]
+    return [(float(shapes[a]), buf[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _inv_gamma(rate, gamma):
+    """Inverse-gamma draws ``rate / gamma``, in place in ``rate``.
+
+    With ``gamma`` a standard gamma variate of shape k, each element is a
+    draw from the density ~ x^(-k-1) e^(-rate/x).  Draws are clipped to the
+    representable range: deep shrinkage pushes rates below the denormal
+    range where the ratio degenerates to 0 or inf.
+    """
+    np.divide(np.maximum(rate, 1e-300, out=rate), gamma, out=rate)
+    np.maximum(rate, 1e-300, out=rate)
+    return np.minimum(rate, 1e300, out=rate)
 
 
 def _count_clipped(draws):
@@ -334,8 +363,11 @@ def _draw_coefficients(q_mat, rhs, z):
         _load_linalg()
         chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
     # OpenBLAS's dpotrf reports only minors that are not positive; a NaN or
-    # inf in Q's lower triangle passes with info 0 but reaches L's diagonal
-    if info != 0 or not np.isfinite(chol.diagonal()).all():
+    # inf in Q's lower triangle passes with info 0 but reaches L's diagonal.
+    # That diagonal is positive and, in the sampler, at most about 1e145
+    # (prior precisions <= 1e290), so its sum is finite exactly when every
+    # entry is
+    if info != 0 or not math.isfinite(chol.diagonal().sum()):
         raise NumericalError(
             f"precision matrix is not finite and positive definite (dpotrf info {info})"
         )
@@ -397,9 +429,12 @@ def gibbs_sampler(
 
     One sweep = a joint Gaussian draw of (beta0, beta, u) given all scales,
     then inverse-gamma updates for every lambda^2, sigma^2 and their
-    parameter-expansion auxiliaries, as three array draws of conditionally
-    independent groups: the local scales and sigma_eps^2, then their
-    auxiliaries with the global scales, then the global auxiliaries.
+    parameter-expansion auxiliaries in three levels of conditionally
+    independent draws (see _gamma_shapes): the local scales and sigma_eps^2,
+    then their auxiliaries with the global scales, then the global
+    auxiliaries.  The gamma variates of all three levels are drawn first,
+    one scalar-shape call per run of equal shapes (_gamma_runs), which
+    consumes the generator exactly as one array-shape call per level.
     ``fixed_scales`` freezes all scales at given values (keys: lambda_beta,
     lambda_u, sigma_beta, sigma_u, sigma_eps), which makes the coefficient
     draws exact posterior samples -- used by the conjugate-oracle test.
@@ -423,33 +458,38 @@ def gibbs_sampler(
     rng = make_rng(seed)
     hyper = spec.hyper
 
-    lam2_b, a_b = np.ones(p), np.ones(p)
-    lam2_u, sig2_u, a_u, b_u = (np.ones(d_nl) for _ in range(4))
+    # One sweep's state in one buffer: the coefficients, then every scale
+    # draw in draw order (_gamma_shapes), filled in place through views; the
+    # gamma variates go to a second buffer of the same layout
+    shapes = _gamma_shapes(spec)
+    row = np.ones(q + shapes.size)
+    coef, g = row[:q], row[q:]
+    gamma = np.empty(shapes.size)
+    runs = _gamma_runs(shapes, gamma)
+    ends = np.cumsum((p, d_nl, 1, p, 1, d_nl, d_nl, 1, 1)).tolist()
+    lam2_b, lam2_u, _, a_b, _, a_u, sig2_u, _, _, b_u = np.split(g, ends)
+    i_se, i_sb, i_be, i_bb = ends[1], ends[3], ends[6], ends[7]
+    levels = [
+        (g[a:b], gamma[a:b]) for a, b in ((0, ends[2]), (ends[2], ends[7]), (ends[7], None))
+    ]
     sig2_b = sig2_e = b_beta = b_eps = 1.0
     if fixed_scales is not None:
-        lam2_b = np.asarray(fixed_scales["lambda_beta"], dtype=float) ** 2
-        lam2_u = np.asarray(fixed_scales.get("lambda_u", np.ones(d_nl)), dtype=float) ** 2
-        sig2_b = float(fixed_scales["sigma_beta"]) ** 2
-        sig2_u = np.asarray(fixed_scales.get("sigma_u", np.ones(d_nl)), dtype=float) ** 2
-        sig2_e = float(fixed_scales["sigma_eps"]) ** 2
+        lam2_b[:] = np.asarray(fixed_scales["lambda_beta"], dtype=float) ** 2
+        lam2_u[:] = np.asarray(fixed_scales.get("lambda_u", np.ones(d_nl)), dtype=float) ** 2
+        g[i_sb] = sig2_b = float(fixed_scales["sigma_beta"]) ** 2
+        sig2_u[:] = np.asarray(fixed_scales.get("sigma_u", np.ones(d_nl)), dtype=float) ** 2
+        g[i_se] = sig2_e = float(fixed_scales["sigma_eps"]) ** 2
 
-    # inverse-gamma shapes of the three update levels, in state order
     ks = np.array(spec.basis_sizes, dtype=int)
-    shape_1 = np.concatenate((np.ones(p), 0.5 * (ks + 1), [0.5 * (n + 1)]))
-    shape_2 = np.concatenate(
-        (np.ones(p), [0.5 * (p + 1)], np.ones(d_nl), 0.5 * (ks + 1), [1.0])
-    )
     u_starts = np.array([blk.start - (p + 1) for blk in u_blocks], dtype=np.intp)
+    beta2, u2, ss = np.empty(p), np.empty(q - 1 - p), np.empty(d_nl)
     # prior variance of each non-intercept column: p linear terms, then the blocks
     col_var = np.concatenate((np.arange(p), np.repeat(np.arange(p, p + d_nl), ks)))
 
-    keep = iters - burn
-    out_coef = np.empty((keep, q))
-    out_lb = np.empty((keep, p))
-    out_lu = np.empty((keep, d_nl))
-    out_sb = np.empty(keep)
-    out_su = np.empty((keep, d_nl))
-    out_se = np.empty(keep)
+    # one stored row per sweep: coefficients, lambda_beta^2, lambda_u^2,
+    # sigma_beta^2, sigma_u^2, sigma_eps^2 (GibbsChain's field order)
+    kept = np.r_[0 : q + p + d_nl, q + i_sb, q + ends[5] : q + ends[6], q + i_se]
+    out = np.empty((iters - burn, kept.size))
     clipped = var_floor_hits = sig2_e_floor_hits = 0
 
     # floor on prior variances: hard-shrunk blocks drive lambda^2 sigma^2
@@ -457,71 +497,67 @@ def gibbs_sampler(
     var_floor = 1e-290
     prior_prec = np.empty(q)
     prior_prec[0] = hyper.intercept_sd**-2
-    # Q is rebuilt in one buffer every sweep and factorized in place; the
-    # right-hand side and the noise buffers become the mean and L^-T z
+    # Q is rebuilt in one buffer every sweep and factorized in place; coef
+    # takes the right-hand side and becomes the draw, z becomes L^-T z
     q_mat = np.empty((q, q), order="F")
     q_diag = q_mat.reshape(-1, order="F")[:: q + 1]
-    rhs, z = np.empty(q), np.empty(q)
-    # prior variances and the three inverse-gamma rate vectors are filled in
-    # place through one view per group, in state order
+    z = np.empty(q)
     var = np.empty(p + d_nl)
     var_b, var_u = var[:p], var[p:]
-    rate_1, rate_2, rate_3 = np.empty(shape_1.size), np.empty(shape_2.size), np.empty(1 + d_nl)
-    rate_1b, rate_1u = rate_1[:p], rate_1[p:-1]
-    rate_2ab, rate_2au = rate_2[:p], rate_2[p + 1 : p + 1 + d_nl]
-    rate_2bu, rate_3u = rate_2[p + 1 + d_nl : -1], rate_3[1:]
     for it in range(iters):
         np.multiply(lam2_b, sig2_b, out=var_b)
         np.multiply(lam2_u, sig2_u, out=var_u)
         var_floor_hits += int(np.count_nonzero(var < var_floor))
         np.maximum(var, var_floor, out=var)
-        np.divide(1.0, var[col_var], out=prior_prec[1:])
+        np.divide(1.0, var, out=var).take(col_var, out=prior_prec[1:], mode="clip")
         np.divide(ctc, sig2_e, out=q_mat)
         q_diag += prior_prec
-        np.divide(cty, sig2_e, out=rhs)
+        np.divide(cty, sig2_e, out=coef)
         rng.standard_normal(out=z)
         try:
-            coef = _draw_coefficients(q_mat, rhs, z)
+            _draw_coefficients(q_mat, coef, z)
         except NumericalError as exc:
             raise NumericalError(f"covariance solve failed at iteration {it}: {exc}") from exc
 
         rss = residual_ss(coef)
 
         if fixed_scales is None:
-            beta2 = coef[1 : p + 1] ** 2
-            ss = np.add.reduceat(coef[p + 1 :] ** 2, u_starts)
-            np.divide(1.0, a_b, out=rate_1b)
-            rate_1b += beta2 / (2.0 * sig2_b)
-            np.divide(1.0, a_u, out=rate_1u)
-            rate_1u += ss / (2.0 * sig2_u)
-            rate_1[-1] = 1.0 / b_eps + rss / 2.0
-            draws = _inv_gamma(rng, shape_1, rate_1)
-            clipped += _count_clipped(draws)
-            lam2_b, lam2_u = draws[:p], draws[p:-1]
-            # noise floor keeps ctc/sig2_e finite on noiseless inputs
-            sig2_e = max(float(draws[-1]), 1e-100)
-            sig2_e_floor_hits += int(draws[-1] < 1e-100)
+            for shape, view in runs:
+                rng.standard_gamma(shape, out=view)
+            np.square(coef[1 : p + 1], out=beta2)
+            np.add.reduceat(np.square(coef[p + 1 :], out=u2), u_starts, out=ss)
 
-            np.divide(1.0, lam2_b, out=rate_2ab)
-            rate_2ab += 1.0
-            rate_2[p] = 1.0 / b_beta + float(beta2 @ (1.0 / lam2_b)) / 2.0
-            np.divide(1.0, lam2_u, out=rate_2au)
-            rate_2au += 1.0
-            np.divide(1.0, b_u, out=rate_2bu)
-            rate_2bu += ss / (2.0 * lam2_u)
-            rate_2[-1] = hyper.s_eps**-2 + 1.0 / sig2_e
-            draws = _inv_gamma(rng, shape_2, rate_2)
-            clipped += _count_clipped(draws)
-            a_b, sig2_b = draws[:p], float(draws[p])
-            a_u, sig2_u = draws[p + 1 : p + 1 + d_nl], draws[p + 1 + d_nl : -1]
-            b_eps = float(draws[-1])
+            # each level's rates are written into its slots, then divided by
+            # its gamma variates; a rate reads only draws of other levels
+            np.divide(1.0, a_b, out=lam2_b)
+            lam2_b += beta2 / (2.0 * sig2_b)
+            np.divide(1.0, a_u, out=lam2_u)
+            lam2_u += ss / (2.0 * sig2_u)
+            g[i_se] = 1.0 / b_eps + rss / 2.0
+            _inv_gamma(*levels[0])
+            sig2_e = float(g[i_se])
+            if sig2_e < 1e-100:  # noise floor keeps ctc/sig2_e finite on noiseless inputs
+                sig2_e_floor_hits += 1
+                clipped += sig2_e <= 1e-300  # the sweep's count below sees the floor
+                g[i_se] = sig2_e = 1e-100
 
-            rate_3[0] = hyper.s_beta**-2 + 1.0 / sig2_b
-            np.divide(1.0, sig2_u, out=rate_3u)
-            rate_3u += hyper.s_u**-2
-            draws = _inv_gamma(rng, 1.0, rate_3)
-            clipped += _count_clipped(draws)
-            b_beta, b_u = float(draws[0]), draws[1:]
+            np.divide(1.0, lam2_b, out=a_b)  # 1/lam2_b also serves beta' Lambda^-1 beta
+            g[i_sb] = 1.0 / b_beta + float(beta2 @ a_b) / 2.0
+            a_b += 1.0
+            np.divide(1.0, lam2_u, out=a_u)
+            a_u += 1.0
+            np.divide(1.0, b_u, out=sig2_u)
+            sig2_u += ss / (2.0 * lam2_u)
+            g[i_be] = hyper.s_eps**-2 + 1.0 / sig2_e
+            _inv_gamma(*levels[1])
+            sig2_b, b_eps = float(g[i_sb]), float(g[i_be])
+
+            g[i_bb] = hyper.s_beta**-2 + 1.0 / sig2_b
+            np.divide(1.0, sig2_u, out=b_u)
+            b_u += hyper.s_u**-2
+            _inv_gamma(*levels[2])
+            b_beta = float(g[i_bb])
+            clipped += _count_clipped(g)
 
         if resample_response:
             y = c @ coef + math.sqrt(sig2_e) * rng.standard_normal(n)
@@ -529,20 +565,17 @@ def gibbs_sampler(
             residual_ss.set_response(y, cty)
 
         if it >= burn:
-            t = it - burn
-            out_coef[t] = coef
-            out_lb[t] = lam2_b
-            out_lu[t] = lam2_u
-            out_sb[t] = sig2_b
-            out_su[t] = sig2_u
-            out_se[t] = sig2_e
+            row.take(kept, out=out[it - burn], mode="clip")
 
+    np.sqrt(out[:, q:], out=out[:, q:])
+    beta0, beta, u, lb, lu, sb, su, se = np.split(
+        out, np.cumsum((1, p, q - 1 - p, p, d_nl, 1, d_nl)), axis=1
+    )
     rel_blocks = [slice(blk.start - (p + 1), blk.stop - (p + 1)) for blk in u_blocks]
     diagnostics = dict(inv_gamma_clipped=clipped, var_floor_hits=var_floor_hits,
                        sig2_e_floor_hits=sig2_e_floor_hits)
     return GibbsChain(
-        out_coef[:, 0], out_coef[:, 1 : p + 1], out_coef[:, p + 1 :], rel_blocks,
-        *(np.sqrt(v, out=v) for v in (out_lb, out_lu, out_sb, out_su, out_se)),
+        beta0[:, 0], beta, u, rel_blocks, lb, lu, sb[:, 0], su, se[:, 0],
         spec, iters, burn, int(seed), diagnostics,
     )
 

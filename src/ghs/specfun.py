@@ -163,7 +163,7 @@ def exp_scaled_expint(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
     xp = flat[pos]
     steps = max(0, math.ceil(-nu))  # march down from an order mu in [0, 1)
     mu = nu + steps
-    if abs(mu) < _INTEGER_EPS:
+    if mu == 0.0:  # exp(x) E_0(x) = 1/x; the series and fraction hold at any mu > 0
         f = 1.0 / xp
     else:
         f = np.empty_like(xp)

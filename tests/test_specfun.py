@@ -185,6 +185,15 @@ class TestExpScaledKernel:
                 exact = [float(mp.exp(x) * mp.expint(nu, x)) for x in map(mp.mpf, xs)]
             assert exp_scaled_expint(nu, xs) == pytest.approx(exact, rel=1e-13, abs=0), nu
 
+    @pytest.mark.parametrize("nu", [1e-10, 5e-10, -1.0 + 3e-10])
+    def test_orders_near_a_nonpositive_integer_against_mpmath(self, nu):
+        # exp(x) E_0(x) = 1/x, but these orders differ from it by up to
+        # 2e-9 relative (100 against 99.99999979607 at nu = 5e-10, x = 0.01)
+        xs = np.array([0.01, 0.5, 3.0])
+        with mp.workdps(50):
+            exact = [float(mp.exp(x) * mp.expint(nu, x)) for x in map(mp.mpf, xs)]
+        assert exp_scaled_expint(nu, xs) == pytest.approx(exact, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("nu", NUS)
     def test_zero_argument(self, nu):
         if nu > 1.0:
