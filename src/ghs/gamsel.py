@@ -17,6 +17,7 @@ block: a block is declared zero when E(gamma | y) falls below the border
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .errors import (
     ConfigError,
     DegenerateError,
     DimensionError,
+    DomainError,
     LengthError,
     NumericalError,
 )
@@ -164,8 +166,8 @@ def generate_data(
     non-linear truth.  Default truth: zero for every d_lin candidate, then
     half linear / half non-linear across the d_nl candidates.
     """
-    if sigma_eps < 0:
-        raise ConfigError("sigma_eps must be nonnegative")
+    if not 0 <= sigma_eps < math.inf:
+        raise ConfigError(f"sigma_eps must be finite and nonnegative, got {sigma_eps}")
     p = spec.p
     if truth is None:
         n_lin = spec.d_nl // 2
@@ -197,23 +199,47 @@ def generate_data(
     return Dataset(x, y, truth, surface, float(sigma_eps), int(seed))
 
 
-def _bspline_functions(t, K):
-    """The K + 2 cubic B-spline functions on [0, 1] with K - 2 interior knots
-    at quantiles of the distinct values of ``t``, as one vector-valued
-    BSpline: identity coefficients make output column i the i-th function.
+def _bspline_knots(t, K):
+    """Knot vector of the K + 2 cubic B-splines on [0, 1]: 4-fold end knots
+    and K - 2 interior knots at quantiles of the distinct values of ``t``.
     """
-    # imported here: scipy.interpolate loads scipy.optimize and scipy.sparse,
-    # about 20 MB that `import ghs` should not cost
-    from scipy.interpolate import BSpline
-
     if K > 2:
         probs = np.arange(1, K - 1) / (K - 1.0)
         interior = np.quantile(np.unique(t), probs)
         interior = np.clip(interior, 1e-10, 1.0 - 1e-10)
     else:
         interior = np.array([])
-    knots = np.concatenate(([0.0] * 4, interior, [1.0] * 4))
-    return BSpline(knots, np.eye(K + 2), 3, extrapolate=True)
+    return np.concatenate(([0.0] * 4, interior, [1.0] * 4))
+
+
+def _bspline_design(t, knots, k=3):
+    """Values of every degree-``k`` B-spline on ``knots`` at the points ``t``.
+
+    De Boor's recurrence (BSPLVB, de Boor 1972), vectorized over the points
+    in the operation order of SciPy's ``_deBoor_D``, so the design is the one
+    ``BSpline(knots, np.eye(n_basis), k, extrapolate=True)(t)`` gives, bit
+    for bit.  Each point takes the interval t_l <= t < t_(l+1), with the
+    last non-empty one for t at or past the right end.
+    """
+    n_basis = knots.size - k - 1
+    ell = np.clip(np.searchsorted(knots, t, side="right") - 1, k, n_basis - 1)
+    # row i holds knot ell + i - (k - 1) of each point, i = 0 .. 2k - 1
+    near = knots[ell + np.arange(1 - k, k + 1)[:, None]]
+    right, left = near - t, t - near
+    h = np.zeros((k + 1, t.size))  # h[i]: B-spline ell - k + i at each point
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for m in range(1, j + 1):
+            b, a = k - 1 + m, k - 1 + m - j  # rows of x_b = t_(ell+m), x_a = t_(ell+m-j)
+            span = near[b] - near[a]
+            w = np.divide(hh[m - 1], span, out=np.zeros(t.size), where=span != 0)
+            h[m - 1] += w * right[b]
+            h[m] = w * left[a]
+    design = np.zeros((t.size, n_basis))
+    design.ravel()[np.arange(t.size) * n_basis + ell - k + np.arange(k + 1)[:, None]] = h
+    return design
 
 
 def spline_basis(x, K):
@@ -227,13 +253,17 @@ def spline_basis(x, K):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError("x must be a vector")
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite")
     if K < 2:
         raise ConfigError("K must be >= 2")
     if np.unique(x).size < K + 2:
         raise DegenerateError(f"need at least K + 2 = {K + 2} distinct values")
     lo, hi = x.min(), x.max()
+    if not math.isfinite(float(hi) - float(lo)):
+        raise DomainError("the range of x overflows")
     t = (x - lo) / (hi - lo)
-    b = _bspline_functions(t, K)(t)
+    b = _bspline_design(t, _bspline_knots(t, K))
 
     g = np.column_stack([np.ones_like(t), t])
     b = b - g @ np.linalg.lstsq(g, b, rcond=None)[0]
@@ -255,6 +285,8 @@ def build_design(dataset: Dataset, spec: AdditiveModelSpec):
     n, p = dataset.x.shape
     if p != spec.p or n != spec.n:
         raise DimensionError("dataset does not match the model spec")
+    if not np.isfinite(dataset.x).all():
+        raise DomainError("predictors must be finite")
     cols = [np.ones(n)]
     for j in range(p):
         xj = dataset.x[:, j]
@@ -443,8 +475,14 @@ def gibbs_sampler(
     simulator (each sweep redraws y from the current parameters), whose
     stationary law is the prior; only validation tests use this.
     """
+    try:
+        iters, burn = operator.index(iters), operator.index(burn)
+    except TypeError:
+        raise ConfigError(f"iters and burn must be integers, got {iters!r}, {burn!r}") from None
     if not iters > burn >= 0:
         raise ConfigError("need iters > burn >= 0")
+    if not np.isfinite(dataset.y).all():
+        raise DomainError("response must be finite")
     c, _, u_blocks = build_design(dataset, spec)
     y = dataset.y
     n, q = c.shape
@@ -666,6 +704,8 @@ def kmeans_threshold(values):
     1-D k-means optimum) and returns the midpoint of the two cluster means.
     """
     vals = np.sort(np.asarray(values, dtype=float))
+    if not np.isfinite(vals).all():
+        raise DomainError("values must be finite")
     if vals.size < 2 or vals[0] == vals[-1]:
         raise DegenerateError("need at least two distinct values")
     csum = np.cumsum(vals)

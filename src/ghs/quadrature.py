@@ -19,7 +19,7 @@ def adaptive_quad(f, a, b, rel_tol=1e-12, abs_tol=1e-300, limit=500, points=None
     Raises NumericalError if QUADPACK reports a failure and the error
     estimate is not clearly below the requested tolerances.
     """
-    # imported here, like BSpline in ghs.gamsel, to keep `import ghs` light
+    # imported here: only the oracles integrate, and `import ghs` loads no SciPy
     from scipy import integrate
 
     kwargs = {"epsabs": abs_tol, "epsrel": rel_tol, "limit": limit}

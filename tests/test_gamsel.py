@@ -13,13 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghs import gamsel
-from ghs.errors import ConfigError, DegenerateError, LengthError, NumericalError
+from ghs.errors import (
+    ConfigError,
+    DegenerateError,
+    DomainError,
+    LengthError,
+    NumericalError,
+)
 from ghs.gamsel import (
     AdditiveModelSpec,
     GibbsChain,
     Hyper,
     ThresholdReport,
-    _bspline_functions,
+    _bspline_design,
+    _bspline_knots,
     _draw_coefficients,
     _gamma_runs,
     _inv_gamma,
@@ -73,6 +80,11 @@ class TestGenerateData:
         with pytest.raises(ConfigError):
             generate_data(small_spec(), 0.5, 1, truth=("zero", "weird", "zero"))
 
+    @pytest.mark.parametrize("sigma_eps", [-0.5, math.nan, math.inf])
+    def test_noise_scale_must_be_finite_and_nonnegative(self, sigma_eps):
+        with pytest.raises(ConfigError):
+            generate_data(small_spec(), sigma_eps, 1)
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             AdditiveModelSpec(n=100, d_lin=1, d_nl=1, basis_size=1)
@@ -107,15 +119,42 @@ class TestSplineBasis:
         with pytest.raises(DegenerateError):
             spline_basis(x, 4)  # needs K + 2 = 6 distinct
 
-    @pytest.mark.parametrize("K", [2, 3, 5, 6])
-    def test_one_call_design_matches_per_column_splines(self, K):
+    @staticmethod
+    def scipy_columns(t, knots):
+        """SciPy's B-splines one column at a time: the test-only oracle."""
         from scipy.interpolate import BSpline
 
+        eye = np.eye(knots.size - 4)
+        return np.column_stack([BSpline(knots, e, 3, extrapolate=True)(t) for e in eye])
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 6])
+    def test_one_call_design_matches_per_column_splines(self, K):
         # spline_basis rescales its predictor onto [0, 1], endpoints included
         t = np.concatenate(([0.0, 1.0], np.random.default_rng(K).random(1998)))
-        spl = _bspline_functions(t, K)
-        cols = [BSpline(spl.t, np.eye(K + 2)[i], 3, extrapolate=True)(t) for i in range(K + 2)]
-        assert np.array_equal(spl(t), np.column_stack(cols))
+        knots = _bspline_knots(t, K)
+        assert np.array_equal(_bspline_design(t, knots), self.scipy_columns(t, knots))
+
+    @pytest.mark.parametrize("t, K", [
+        (np.linspace(0.0, 1.0, 11), 3),  # the interior knot 0.5 is a data point
+        (np.repeat(np.linspace(0.0, 1.0, 9), 5), 4),  # ties
+        (np.array([0.0, 0.2, 0.7, 1.0]), 2),  # no interior knot
+        (np.concatenate(([0.0, 1.0], 0.5 + 1e-9 * np.arange(30))), 6),  # clustered
+    ])
+    def test_design_edge_cases_match_scipy(self, t, K):
+        knots = _bspline_knots(t, K)
+        design = _bspline_design(t, knots)
+        assert np.array_equal(design, self.scipy_columns(t, knots))
+        # a partition of unity; t = 0 and t = 1 take the end functions' value 1
+        assert np.allclose(design.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.all(design[t == 0.0, 0] == 1.0) and np.all(design[t == 1.0, -1] == 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_or_overflowing_predictor_rejected(self, bad):
+        x = np.random.default_rng(3).random(50)
+        x[7] = bad
+        x[8] = -1e308  # with 1e308, finite values whose range overflows
+        with pytest.raises(DomainError):
+            spline_basis(x, 4)
 
 
 class TestGibbsSampler:
@@ -191,6 +230,30 @@ class TestGibbsSampler:
         data = generate_data(spec, 0.5, 9)
         with pytest.raises(ConfigError):
             gibbs_sampler(data, spec, iters=10, burn=10, seed=1)
+
+    def test_non_integer_iteration_counts(self):
+        spec = small_spec()
+        data = generate_data(spec, 0.5, 9)
+        with pytest.raises(ConfigError):
+            gibbs_sampler(data, spec, iters=20.5, burn=5, seed=1)
+        with pytest.raises(ConfigError):
+            gibbs_sampler(data, spec, iters=20, burn=5.0, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_response_rejected(self, bad):
+        spec = small_spec()
+        data = generate_data(spec, 0.5, 9)
+        data.y[3] = bad
+        with pytest.raises(DomainError):
+            gibbs_sampler(data, spec, iters=20, burn=5, seed=1)
+
+    @pytest.mark.parametrize("column", [0, 2])  # a linear-only and a spline candidate
+    def test_non_finite_predictor_rejected(self, column):
+        spec = small_spec()
+        data = generate_data(spec, 0.5, 9)
+        data.x[4, column] = math.inf
+        with pytest.raises(DomainError):
+            build_design(data, spec)
 
     def test_noiseless_data_stays_finite(self):
         spec = small_spec(n=100, d_lin=1, d_nl=1, basis_size=3)
@@ -515,6 +578,11 @@ class TestKmeansThreshold:
             kmeans_threshold([0.3, 0.3, 0.3])
         with pytest.raises(DegenerateError):
             kmeans_threshold([0.3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError):
+            kmeans_threshold([0.1, bad, 0.9])
 
     def test_cluster_structure_like_study_values(self):
         # mid-range statistics for linear effects, near-one for non-linear:

@@ -1,11 +1,14 @@
 """`import ghs`, `import ghs.gamsel`, `import ghs.study` and the
-density/sample CLI paths load no SciPy.
+density/sample CLI paths load no SciPy, and the Gibbs path loads only
+`scipy.linalg`.
 
 SciPy's first import costs about 0.3 s and 30 MB, most of a short CLI call.
 Only the calls that use it load it: KL-ball masses (`scipy.special`), the
 Gibbs sampler's first factorization (`scipy.linalg`), quadrature oracles and
-the `Phi1`/`1F1` oracles.  Each check runs in a fresh interpreter, since this
-test process has SciPy loaded already.
+the `Phi1`/`1F1` oracles.  The spline design is plain NumPy, so a Gibbs run,
+a study or `ghs simulate` never loads `scipy.interpolate` and with it
+`scipy.optimize` and `scipy.sparse`, about 22 MB more.  Each check runs in a
+fresh interpreter, since this test process has SciPy loaded already.
 """
 
 import json
@@ -50,6 +53,33 @@ CLI = "from ghs.cli import main; main({} + ['--out', 'x'])"
 ])
 def test_loads_no_scipy(code, tmp_path):
     assert json.loads(fresh(code, tmp_path)[-1]) == []
+
+
+GIBBS = """
+import ghs
+spec = ghs.AdditiveModelSpec(n=60, d_lin=1, d_nl=2, basis_size=4)
+ghs.gibbs_sampler(ghs.generate_data(spec, 0.5, 1), spec, iters=20, burn=5, seed=1)
+"""
+STUDY = """
+from ghs.study import StudyConfig, run_study
+run_study(StudyConfig(n=60, sigma_eps=0.5, replications=1, d_lin=1, d_nl=2, basis_size=4,
+                      iters=20, burn=5, threads=1), 'study')
+"""
+SIMULATE = """
+import json
+from ghs.cli import main
+json.dump({"n": [60], "sigma_eps": [0.5], "replications": 1, "d_lin": 1, "d_nl": 2,
+           "basis_size": 4, "iters": 20, "burn": 5}, open('study.json', 'w'))
+main(['simulate', '--config', 'study.json', '--out-dir', 'study'])
+"""
+
+
+@pytest.mark.parametrize("code", [GIBBS, STUDY, SIMULATE], ids=["gibbs", "study", "simulate"])
+def test_gibbs_path_loads_only_scipy_linalg(code, tmp_path):
+    loaded = set(json.loads(fresh(code, tmp_path)[-1]))
+    assert "scipy.linalg" in loaded
+    assert not {m for m in loaded
+                if m.startswith(("scipy.interpolate", "scipy.optimize", "scipy.sparse"))}
 
 
 def test_scipy_paths_work_after_a_scipy_free_import(tmp_path):
