@@ -8,14 +8,17 @@ stderr.  All stochastic commands require an explicit --seed.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
+from array import array
 
 import numpy as np
 
-from .distribution import GhsDistribution, log_density, sample_arrays
+# sample_arrays stays importable here: perfbench/spans.py patches this name
+from .distribution import GhsDistribution, log_density, sample_arrays, sample_blocks  # noqa: F401
 from .errors import ConfigError, DimensionError, GhsError
 from .files import atomic_write
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
@@ -23,34 +26,93 @@ from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F4
 
 
 _CHUNK = 8192  # rows formatted at a time
+_BLOCK = 1 << 16  # rows computed and written at a time: bounds the memory
+_REPR_CACHE = 1 << 16  # distinct values a column keeps formatted across blocks
 
 
-def _column_cells(col):
-    """``[repr(v) for v in part]`` for each _CHUNK-row part of a float column.
+class _ColumnReprs:
+    """The reprs of one float column, block by block.
 
-    Values are told apart by bit pattern, so -0.0 keeps its sign.  When at
-    most half of them are distinct, each distinct value is formatted once
-    for the whole column; otherwise (a float repr costs about 1 us and
-    there is little to share) each part is formatted in turn.
+    Values are told apart by bit pattern, so -0.0 keeps its sign.  A block
+    in which at most half of the values are distinct formats each distinct
+    value once, and the column keeps those values (sorted) with their reprs
+    for the blocks that follow, up to _REPR_CACHE of them; in other blocks
+    (a float repr costs about 1 us and there is little to share) each
+    _CHUNK-row part is formatted in turn.
     """
-    bits = col.view(np.uint64)
-    ordered = np.sort(bits)  # np.unique hashes, and is slower here
-    first = np.ones(bits.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if 2 * distinct.size > bits.size:
-        for lo in range(0, bits.size, _CHUNK):
-            yield list(map(repr, col[lo:lo + _CHUNK].tolist()))
-        return
-    reprs = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
-    for lo in range(0, bits.size, _CHUNK):
-        yield reprs[np.searchsorted(distinct, bits[lo:lo + _CHUNK])].tolist()
+
+    def __init__(self):
+        self.bits = np.empty(0, dtype=np.uint64)
+        self.reprs = np.empty(0, dtype=object)
+        self.shared = True  # whether the last block was
+
+    def cells(self, col):
+        """``[repr(v) for v in part]`` for each _CHUNK-row part of ``col``."""
+        shared = self._shared(col.view(np.uint64))
+        for lo in range(0, col.size, _CHUNK):
+            if shared is None:
+                yield list(map(repr, col[lo:lo + _CHUNK].tolist()))
+            else:
+                reprs, index = shared
+                yield reprs[index[lo:lo + _CHUNK]].tolist()
+
+    def _shared(self, bits):
+        """The reprs of the distinct values of ``bits`` and the index of each
+        value's repr among them, or None when more than half are distinct."""
+        # when the last block was shared, argsort, whose order also gives each
+        # value's index; else np.sort, three times as fast (np.unique hashes,
+        # and is slower than both)
+        order = np.argsort(bits) if self.shared else None
+        ordered = np.sort(bits) if order is None else bits[order]
+        first = np.ones(bits.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        self.shared = 2 * distinct.size <= bits.size
+        if not self.shared:
+            return None
+        if order is None:
+            order = np.argsort(bits)
+        index = np.empty(bits.size, dtype=np.int32)
+        index[order] = np.cumsum(first, dtype=np.int32) - 1
+        pos = np.searchsorted(self.bits, distinct)
+        known = np.zeros(distinct.size, dtype=bool)
+        if self.bits.size:
+            known = self.bits[np.minimum(pos, self.bits.size - 1)] == distinct
+        reprs = np.empty(distinct.size, dtype=object)
+        reprs[known] = self.reprs[pos[known]]
+        new = ~known
+        reprs[new] = [repr(v) for v in distinct[new].view(float).tolist()]
+        if self.bits.size + np.count_nonzero(new) <= _REPR_CACHE:
+            self.bits = np.insert(self.bits, pos[new], distinct[new])
+            self.reprs = np.insert(self.reprs, pos[new], reprs[new])
+        else:
+            self.bits, self.reprs = distinct, reprs
+        return reprs, index
 
 
-def _csv_chunks(table):
-    """CSV lines of a 2-D float array, _CHUNK rows at a time."""
-    for cells in zip(*map(_column_cells, table.T)):
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+def _cell_chunks(blocks):
+    """For each _CHUNK rows of a float array or of an iterable of such blocks
+    (all with the same columns): one list of cells per column."""
+    if isinstance(blocks, np.ndarray):
+        blocks = [blocks]
+    columns = None
+    for block in blocks:
+        if columns is None:
+            columns = [_ColumnReprs() for _ in range(block.shape[1])]
+        yield from zip(*(c.cells(col) for c, col in zip(columns, block.T)))
+        del block  # free it before the next block is made
+
+
+def _csv_chunks(blocks):
+    """CSV lines of a float array or of an iterable of blocks, _CHUNK rows at a time."""
+    for cells in _cell_chunks(blocks):
+        # one join of the cells interleaved with their separators is
+        # faster than a join per row
+        step = 2 * len(cells)
+        text = ([","] * (step - 1) + ["\n"]) * len(cells[0])
+        for k, col in enumerate(cells):
+            text[2 * k::step] = col
+        yield "".join(text)
 
 
 def _json_chunks(header, cell_chunks):
@@ -79,68 +141,110 @@ def _json_chunks(header, cell_chunks):
 
 
 def _write_table(path, header, rows, fmt):
-    """Write a float array or rows of Python numbers as CSV or JSON, streamed:
-    each CSV value is its repr ('inf' at the pole); JSON as ``_json_chunks``."""
+    """Write a float array, an iterable of float blocks, or a list of rows of
+    Python numbers as CSV or JSON, streamed: each CSV value is its repr
+    ('inf' at the pole); JSON as ``_json_chunks``."""
+    numeric = not isinstance(rows, list)
     if fmt == "csv":
-        if isinstance(rows, np.ndarray):
+        if numeric:
             lines = _csv_chunks(rows)
         else:
             lines = (",".join(map(repr, row)) + "\n" for row in rows)
         atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
         return
-    if isinstance(rows, np.ndarray):
-        cell_chunks = (zip(*cells) for cells in zip(*map(_column_cells, rows.T)))
+    if numeric:
+        cell_chunks = (zip(*cells) for cells in _cell_chunks(rows))
     else:
         cell_chunks = [[tuple(map(repr, row)) for row in rows]]
     atomic_write(path, _json_chunks(header, cell_chunks))
 
 
 def _parse_grid(spec, d):
-    lo, hi, step = (float(p) for p in spec.split(":"))
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"bad grid spec {spec!r}")
-    count = int(round((hi - lo) / step)) + 1
-    axis = [lo + i * step for i in range(count)]
-    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    """(lo, step, count) of a per-axis spec lo:hi:step, applied to every axis."""
+    try:
+        lo, hi, step = map(float, spec.split(":"))
+    except ValueError:
+        raise ConfigError(f"bad grid spec {spec!r}: need lo:hi:step") from None
+    span = (hi - lo) / step if step > 0 and hi >= lo else math.nan
+    if not all(map(math.isfinite, (lo, hi, step, span))):
+        raise ConfigError(f"bad grid spec {spec!r}: need finite lo <= hi and step > 0")
+    count = int(round(span)) + 1
+    if d * math.log2(count) >= 62:  # row indices, plus one run, fit in int64
+        raise ConfigError(f"grid spec {spec!r} gives {count}^{d} points, too many")
+    return lo, step, count
 
 
-def _read_points(path, d):
-    pts = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = [float(v) for v in line.replace(",", " ").split()]
-            if len(vals) != d:
-                raise DimensionError(f"point of length {len(vals)}, expected {d}")
-            pts.append(vals)
-    return np.asarray(pts, dtype=float).reshape(-1, d)
+def _grid_blocks(lo, step, count, d):
+    """The grid's points in row-major order, _BLOCK rows at a time.
+
+    Coordinate k of row i is ``lo + j * step`` for the axis index
+    ``j = (i // run) % count``, ``run = count^(d-1-k)``: a block holds
+    column k as runs of equal values, built by np.repeat without a division
+    per row.
+    """
+    rows = count ** d
+    for start in range(0, rows, _BLOCK):
+        stop = min(start + _BLOCK, rows)
+        pts = np.empty((stop - start, d))
+        for k in range(d):
+            run = count ** (d - 1 - k)
+            first, last = start // run, (stop - 1) // run
+            ends = np.minimum(np.arange(first + 1, last + 2) * run, stop)
+            lengths = np.diff(ends, prepend=start)
+            pts[:, k] = np.repeat(lo + (np.arange(first, last + 1) % count) * step, lengths)
+        yield pts
+        del pts  # free it before the next block is made
+
+
+def _point_blocks(fh, d):
+    """The points of an open text file, _BLOCK at a time: one per line, blank
+    lines and lines starting with '#' skipped."""
+    flat = array("d")  # 8 bytes a coordinate, where a list of lists takes ~60
+    for line in fh:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        vals = [float(v) for v in line.replace(",", " ").split()]
+        if len(vals) != d:
+            raise DimensionError(f"point of length {len(vals)}, expected {d}")
+        flat.extend(vals)
+        if len(flat) == _BLOCK * d:
+            yield np.frombuffer(flat).reshape(-1, d)
+            flat = array("d")
+    if flat:
+        yield np.frombuffer(flat).reshape(-1, d)
+
+
+def _density_table(dist, pts):
+    """Rows ``x..., density, log_density`` for a block of points."""
+    ld = log_density(dist, pts)
+    dens = np.full_like(ld, math.inf)  # e^700 and above print as inf
+    np.exp(ld, out=dens, where=ld < 700)
+    return np.column_stack([pts, dens, ld])
 
 
 def cmd_density(args):
     dist = GhsDistribution(args.d, args.sigma_theta)
     if (args.grid is None) == (args.points_file is None):
         raise ConfigError("give exactly one of --grid or --points-file")
-    pts = (
-        _parse_grid(args.grid, args.d)
-        if args.grid
-        else _read_points(args.points_file, args.d)
-    )
     header = [f"x{i + 1}" for i in range(args.d)] + ["density", "log_density"]
-    ld = log_density(dist, pts)
-    dens = np.full_like(ld, math.inf)  # e^700 and above print as inf
-    np.exp(ld, out=dens, where=ld < 700)
-    _write_table(args.out, header, np.column_stack([pts, dens, ld]), args.format)
+    # map holds no block once its table is made, so only one table is alive
+    table = functools.partial(_density_table, dist)
+    if args.grid:
+        blocks = _grid_blocks(*_parse_grid(args.grid, args.d), args.d)
+        _write_table(args.out, header, map(table, blocks), args.format)
+        return
+    with open(args.points_file, encoding="utf-8") as fh:
+        _write_table(args.out, header, map(table, _point_blocks(fh, args.d)), args.format)
 
 
 def cmd_sample(args):
     if args.seed is None:
         raise ConfigError("--seed is required for sampling")
     dist = GhsDistribution(args.d, args.sigma_theta)
-    lam, xs = sample_arrays(dist, args.n, args.seed)
+    blocks = sample_blocks(dist, args.n, args.seed, _BLOCK)
     header = ["lambda"] + [f"x{i + 1}" for i in range(args.d)]
-    _write_table(args.out, header, np.column_stack([lam, xs]), args.format)
+    _write_table(args.out, header, map(np.column_stack, blocks), args.format)
 
 
 def _parse_floats(text):

@@ -30,6 +30,7 @@ __all__ = [
     "radial_log_density",
     "sample",
     "sample_arrays",
+    "sample_blocks",
     "density_quadrature_oracle",
     "normalization_integral",
     "origin_ball_mass",
@@ -126,21 +127,36 @@ def density(dist: GhsDistribution, x, config=DEFAULT_CONFIG):
     return np.exp(ld) if np.ndim(ld) else math.exp(ld)
 
 
-def sample_arrays(dist: GhsDistribution, n, seed):
-    """Arrays ``lam`` (n,) and ``x`` (n, d) of n mixture draws: lam ~ half-Cauchy,
-    x | lam ~ N(0, (sigma lam)^2 I).
+def sample_blocks(dist: GhsDistribution, n, seed, block):
+    """n mixture draws as successive ``(lam, x)`` array pairs of at most
+    ``block`` rows: lam ~ half-Cauchy, x | lam ~ N(0, (sigma lam)^2 I).
 
-    The half-Cauchy draw uses the inverse CDF lam = tan(pi U / 2), so runs are
-    exactly reproducible for a fixed seed.
+    The half-Cauchy draw uses the inverse CDF lam = tan(pi U / 2).  All n
+    uniforms come first in the seed's stream and the normals follow them, so
+    a second copy of the stream, advanced past the n uniforms, feeds the
+    normals: the draws are the same for every ``block``.  ``n`` and ``seed``
+    are checked here, before the first block is asked for.
     """
     if not (n >= 1 and n % 1 == 0):
         raise DomainError(f"need a whole number n >= 1 of draws, got {n}")
-    n = int(n)
-    rng = make_rng(seed)
-    u = rng.random(n)
-    lam = np.abs(np.tan(0.5 * math.pi * u))
-    z = rng.standard_normal((n, dist.d))
-    return lam, dist.sigma_theta * lam[:, None] * z
+    n, block = int(n), int(block)
+    uniforms, normals = make_rng(seed), make_rng(seed)
+    normals.bit_generator.advance(n)  # one 64-bit output per uniform
+
+    def blocks():
+        for lo in range(0, n, block):
+            m = min(block, n - lo)
+            lam = np.abs(np.tan(0.5 * math.pi * uniforms.random(m)))
+            yield lam, dist.sigma_theta * lam[:, None] * normals.standard_normal((m, dist.d))
+
+    return blocks()
+
+
+def sample_arrays(dist: GhsDistribution, n, seed):
+    """Arrays ``lam`` (n,) and ``x`` (n, d) of n draws: :func:`sample_blocks`
+    as one block, so runs are exactly reproducible for a fixed seed."""
+    (lam, xs), = sample_blocks(dist, n, seed, block=n)
+    return lam, xs
 
 
 def sample(dist: GhsDistribution, n, seed):

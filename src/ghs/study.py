@@ -11,6 +11,9 @@ failed replications are listed there instead of aborting the study.
 """
 
 import json
+import math
+import numbers
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -61,16 +64,28 @@ class StudyConfig:
     hyper: Hyper = field(default_factory=Hyper)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in _as_list(self.n)))
+        """Reject a bad config here, before any replication runs."""
+        for name in ("iters", "burn", "replications", "threads"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        n = _as_list(self.n)
+        if not all(isinstance(v, numbers.Real) and v >= 1 and v % 1 == 0 for v in n):
+            raise ConfigError(f"n takes whole numbers >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", tuple(int(v) for v in n))
         object.__setattr__(
             self, "sigma_eps", tuple(float(v) for v in _as_list(self.sigma_eps))
         )
+        if not all(0 <= v < math.inf for v in self.sigma_eps):
+            raise ConfigError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps!r}")
         truth = tuple(self.truth) or self.default_truth()
         if len(truth) != self.d_lin + self.d_nl:
             raise ConfigError("truth pattern length must equal d_lin + d_nl")
         object.__setattr__(self, "truth", truth)
-        if self.replications < 1 or self.iters <= self.burn:
-            raise ConfigError("need replications >= 1 and iters > burn")
+        if self.replications < 1 or not self.iters > self.burn >= 0 or self.threads < 1:
+            raise ConfigError("need replications >= 1, iters > burn >= 0 and threads >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 

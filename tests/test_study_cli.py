@@ -64,6 +64,32 @@ class TestStudyConfig:
         with pytest.raises(DomainError):
             StudyConfig(seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iters", 20.5), ("iters", 120.0), ("burn", 2.5), ("replications", 1.5),
+        ("threads", 1.5), ("threads", "2"), ("threads", 0), ("threads", -1),
+        ("burn", -1), ("n", 1.5), ("n", [150, 0]), ("n", math.inf), ("n", math.nan),
+        ("n", "150"), ("sigma_eps", math.nan), ("sigma_eps", [0.5, math.inf]),
+        ("sigma_eps", -0.5),
+    ])
+    def test_bad_config_rejected_at_construction(self, field, value):
+        from ghs.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            StudyConfig.from_dict({**TINY_STUDY, field: value})
+
+    def test_whole_float_sizes_accepted(self):
+        config = StudyConfig.from_dict({**TINY_STUDY, "n": [150.0, 2e2]})
+        assert config.n == (150, 200)
+
+    def test_simulate_rejects_bad_config_before_any_work(self, tmp_path, capsys):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({**TINY_STUDY, "iters": 20.5}))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "run").exists()
+
 
 class TestStudyRunner:
     def test_outputs_and_determinism(self, tmp_path):
@@ -401,6 +427,26 @@ class TestCli:
         assert exc.value.code == 1
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error", "message"}
+
+    @pytest.mark.parametrize("spec", [
+        "0:inf:1", "-inf:0:1", "0:1:inf", "-1e308:1e308:1e-300", "0:1e300:1e-300",
+        "0:1:nan", "nan:1:0.5", "0:1", "0:1:0.5:2", "0:1:", "a:b:c", "1:0:0.5", "0:1:0",
+        "0:1:-0.5",
+    ])
+    def test_bad_grid_spec_is_config_error(self, tmp_path, capsys, spec):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run("density", "--d", "1", f"--grid={spec}", "--out", str(out))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not os.listdir(tmp_path)
+
+    def test_grid_with_too_many_rows_is_config_error(self, tmp_path, capsys):
+        # 10^21 rows: more than a row index can hold
+        with pytest.raises(SystemExit) as exc:
+            self.run("density", "--d", "3", "--grid=0:1e7:1", "--out", str(tmp_path / "o.csv"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_points_file_dimension_guard(self, tmp_path, capsys):
         pts = tmp_path / "pts.txt"
