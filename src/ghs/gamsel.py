@@ -17,6 +17,7 @@ block: a block is declared zero when E(gamma | y) falls below the border
 
 import csv
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -34,11 +35,11 @@ from .errors import (
 from .rng import make_rng
 
 # scipy.linalg is bound on first use, so that importing ghs.gamsel or
-# ghs.study costs no SciPy.  All six names stay module attributes (through
+# ghs.study costs no SciPy.  All five names stay module attributes (through
 # __getattr__ below); cho_factor and cho_solve only for perfbench/spans.py,
 # which patches them.
 _LINALG = ("cho_factor", "cho_solve", "solve_triangular")
-_LAPACK = ("dpotrf", "dpotrs", "dtrtrs")
+_LAPACK = ("dpotrf", "dtrtrs")
 
 
 def _load_linalg():
@@ -81,14 +82,59 @@ __all__ = [
 LABELS = ("zero", "linear", "non-linear")
 
 
+def _check_finite(name, value):
+    """ConfigError unless ``value`` is a finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(name, value, least=0.0):
+    """ConfigError unless ``value`` is a real number in (least, inf)."""
+    if not (isinstance(value, numbers.Real) and least < value < math.inf):
+        raise ConfigError(f"{name} must be finite and > {least:g}, got {value!r}")
+
+
+def _check_truth(truth, d_lin):
+    """ConfigError unless every label is in LABELS and no zero-or-linear
+    candidate (the first ``d_lin``) carries a non-linear truth."""
+    if any(t not in LABELS for t in truth):
+        raise ConfigError(f"labels must be in {LABELS}")
+    if any(t == "non-linear" for t in truth[:d_lin]):
+        raise ConfigError("zero-or-linear candidates cannot have a non-linear truth")
+
+
+def _basis_sizes(basis_size, d_nl):
+    """Spline-block sizes, one per non-linear candidate, each >= 2."""
+    if isinstance(basis_size, int):
+        ks = (basis_size,) * d_nl
+    else:
+        try:
+            ks = tuple(int(k) for k in basis_size)
+        except (TypeError, ValueError):
+            raise ConfigError(f"basis_size takes integers, got {basis_size!r}") from None
+        if len(ks) != d_nl:
+            raise ConfigError("basis_size tuple must have one entry per d_nl candidate")
+    if any(k < 2 for k in ks):
+        raise ConfigError("every spline block needs K >= 2")
+    return ks
+
+
 @dataclass(frozen=True)
 class Hyper:
-    """Half-Cauchy hyperprior scales and the (proper) intercept prior sd."""
+    """Half-Cauchy hyperprior scales and the (proper) intercept prior sd.
+
+    Each must be finite and above 1e-154, so that the sampler's
+    ``scale**-2`` is finite.
+    """
 
     s_beta: float = 1.0
     s_u: float = 1.0
     s_eps: float = 1.0
     intercept_sd: float = 100.0
+
+    def __post_init__(self):
+        for name in ("s_beta", "s_u", "s_eps", "intercept_sd"):
+            _check_positive(name, getattr(self, name), least=1e-154)
 
 
 @dataclass(frozen=True)
@@ -109,10 +155,8 @@ class AdditiveModelSpec:
     def __post_init__(self):
         if self.n < 1 or self.d_lin < 0 or self.d_nl < 0:
             raise ConfigError("n must be positive; candidate counts nonnegative")
-        ks = self.basis_sizes
-        if any(k < 2 for k in ks):
-            raise ConfigError("every spline block needs K >= 2")
-        if self.n <= self.d_lin + self.d_nl + sum(ks):
+        _check_positive("basis_scale", self.basis_scale)
+        if self.n <= self.d_lin + self.d_nl + sum(self.basis_sizes):
             warnings.warn(
                 "sample size does not exceed the total coefficient count",
                 stacklevel=2,
@@ -120,12 +164,7 @@ class AdditiveModelSpec:
 
     @property
     def basis_sizes(self):
-        if isinstance(self.basis_size, int):
-            return tuple([self.basis_size] * self.d_nl)
-        ks = tuple(int(k) for k in self.basis_size)
-        if len(ks) != self.d_nl:
-            raise ConfigError("basis_size tuple must have one entry per d_nl candidate")
-        return ks
+        return _basis_sizes(self.basis_size, self.d_nl)
 
     @property
     def p(self):
@@ -168,6 +207,8 @@ def generate_data(
     """
     if not 0 <= sigma_eps < math.inf:
         raise ConfigError(f"sigma_eps must be finite and nonnegative, got {sigma_eps}")
+    _check_finite("linear_coef", linear_coef)
+    _check_finite("nonlinear_amp", nonlinear_amp)
     p = spec.p
     if truth is None:
         n_lin = spec.d_nl // 2
@@ -179,10 +220,7 @@ def generate_data(
     truth = tuple(truth)
     if len(truth) != p:
         raise ConfigError(f"truth pattern has length {len(truth)}, expected {p}")
-    if any(t not in LABELS for t in truth):
-        raise ConfigError(f"labels must be in {LABELS}")
-    if any(t == "non-linear" for t in truth[: spec.d_lin]):
-        raise ConfigError("zero-or-linear candidates cannot have a non-linear truth")
+    _check_truth(truth, spec.d_lin)
 
     rng = make_rng(seed)
     x = rng.random((spec.n, p))
@@ -199,13 +237,14 @@ def generate_data(
     return Dataset(x, y, truth, surface, float(sigma_eps), int(seed))
 
 
-def _bspline_knots(t, K):
+def _bspline_knots(values, K):
     """Knot vector of the K + 2 cubic B-splines on [0, 1]: 4-fold end knots
-    and K - 2 interior knots at quantiles of the distinct values of ``t``.
+    and K - 2 interior knots at quantiles of ``values`` (spline_basis passes
+    the distinct values of its rescaled predictor).
     """
     if K > 2:
         probs = np.arange(1, K - 1) / (K - 1.0)
-        interior = np.quantile(np.unique(t), probs)
+        interior = np.quantile(values, probs)
         interior = np.clip(interior, 1e-10, 1.0 - 1e-10)
     else:
         interior = np.array([])
@@ -257,22 +296,26 @@ def spline_basis(x, K):
         raise DomainError("x must be finite")
     if K < 2:
         raise ConfigError("K must be >= 2")
-    if np.unique(x).size < K + 2:
-        raise DegenerateError(f"need at least K + 2 = {K + 2} distinct values")
     lo, hi = x.min(), x.max()
     if not math.isfinite(float(hi) - float(lo)):
         raise DomainError("the range of x overflows")
-    t = (x - lo) / (hi - lo)
-    b = _bspline_design(t, _bspline_knots(t, K))
+    t = (x - lo) / (hi - lo) if hi > lo else x
+    distinct = np.unique(t)
+    if distinct.size < K + 2:
+        raise DegenerateError(f"need at least K + 2 = {K + 2} distinct values")
+    b = _bspline_design(t, _bspline_knots(distinct, K))
 
-    g = np.column_stack([np.ones_like(t), t])
-    b = b - g @ np.linalg.lstsq(g, b, rcond=None)[0]
+    # residuals on span{1, t} by an explicit projection: h holds the unit
+    # constant and the unit vector of the centred t, an orthonormal basis
+    e = t - t.mean()
+    h = np.column_stack((np.full(t.size, t.size**-0.5), e / np.linalg.norm(e)))
+    b -= h @ (h.T @ b)
     u_mat, s, _ = np.linalg.svd(b, full_matrices=False)
     if s[K - 1] <= 1e-10 * s[0]:
         raise DegenerateError("spline design is rank deficient after orthogonalization")
+    # strip the SVD round-off so the orthogonality contract is exact
     z = u_mat[:, :K]
-    # strip the lstsq round-off so the orthogonality contract is exact
-    z = z - g @ np.linalg.lstsq(g, z, rcond=None)[0]
+    z = z - h @ (h.T @ z)
     return z / np.linalg.norm(z, axis=0)
 
 
@@ -352,16 +395,22 @@ def _gamma_shapes(spec: AdditiveModelSpec):
     ))
 
 
-def _gamma_runs(shapes, buf):
-    """(shape, view of ``buf``) for each maximal run of equal ``shapes``.
+def _gamma_runs(shapes, buf, dest=None):
+    """(shape, view of ``buf``) for each maximal run of equal ``shapes``
+    whose destinations are consecutive.
 
-    One scalar-shape ``standard_gamma(shape, out=view)`` per run fills
-    ``buf`` with the variates, in generator order, that one array-shape
+    Variate i goes to ``buf[dest[i]]`` (default: ``buf[i]``).  One
+    scalar-shape ``standard_gamma(shape, out=view)`` per run fills ``buf``
+    with the variates, in generator order, that one array-shape
     ``standard_gamma(shapes)`` call would give, without NumPy's broadcast
     path for array parameters.
     """
-    cuts = [0, *(np.flatnonzero(np.diff(shapes)) + 1).tolist(), shapes.size]
-    return [(float(shapes[a]), buf[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    dest = np.arange(shapes.size) if dest is None else dest
+    cuts = np.flatnonzero((np.diff(shapes) != 0) | (np.diff(dest) != 1)) + 1
+    cuts = [0, *cuts.tolist(), shapes.size]
+    return [
+        (float(shapes[a]), buf[dest[a] : dest[a] + b - a]) for a, b in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 def _inv_gamma(rate, gamma):
@@ -377,6 +426,12 @@ def _inv_gamma(rate, gamma):
     return np.minimum(rate, 1e300, out=rate)
 
 
+def _plain_divide(rate, gamma):
+    """``rate / gamma`` in place in ``rate``: _inv_gamma without its floor
+    and clamps, for rates and draws known to lie inside them."""
+    return np.divide(rate, gamma, out=rate)
+
+
 def _count_clipped(draws):
     return int(np.count_nonzero((draws <= 1e-300) | (draws >= 1e300)))
 
@@ -384,10 +439,11 @@ def _count_clipped(draws):
 def _draw_coefficients(q_mat, rhs, z):
     """One draw from N(Q^-1 rhs, Q^-1) given standard normal ``z`` (Rue 2001).
 
-    With Q = LL', the draw is Q^-1 rhs + L^-T z.  The LAPACK routines behind
-    cho_factor, cho_solve and solve_triangular run directly, without those
-    wrappers' input checks, and in place: a Fortran-order ``q_mat`` becomes
-    L, ``rhs`` the draw and ``z`` the noise.  Returns the draw.
+    With Q = LL', the draw is Q^-1 rhs + L^-T z = L^-T (L^-1 rhs + z): two
+    triangular solves.  The LAPACK routines behind cho_factor and
+    solve_triangular run directly, without those wrappers' input checks,
+    and in place: a Fortran-order ``q_mat`` becomes L and ``rhs`` the draw;
+    ``z`` is only read.  Returns the draw.
     """
     try:
         chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
@@ -403,10 +459,10 @@ def _draw_coefficients(q_mat, rhs, z):
         raise NumericalError(
             f"precision matrix is not finite and positive definite (dpotrf info {info})"
         )
-    mean, _ = dpotrs(chol, rhs, lower=1, overwrite_b=1)
-    noise, _ = dtrtrs(chol, z, lower=1, trans=1, overwrite_b=1)
-    mean += noise
-    return mean
+    w, _ = dtrtrs(chol, rhs, lower=1, overwrite_b=1)
+    w += z
+    draw, _ = dtrtrs(chol, w, lower=1, trans=1, overwrite_b=1)
+    return draw
 
 
 class _ResidualSS:
@@ -497,36 +553,59 @@ def gibbs_sampler(
     hyper = spec.hyper
 
     # One sweep's state in one buffer: the coefficients, then every scale
-    # draw in draw order (_gamma_shapes), filled in place through views; the
-    # gamma variates go to a second buffer of the same layout
+    # draw, filled in place through views; the gamma variates go to a second
+    # buffer of the same layout.  That layout is the draw order (_gamma_shapes)
+    # with sigma_beta^2 moved behind a_u, so that the local scales of the
+    # linear terms and of the blocks, their auxiliaries, the sigma^2 and
+    # their auxiliaries each fill one slice:
+    #   level 1: lambda^2 (m), sigma_eps^2
+    #   level 2: a (m), sigma_beta^2, sigma_u^2 (d_nl), b_eps
+    #   level 3: b_beta, b_u (d_nl)
+    m = p + d_nl
     shapes = _gamma_shapes(spec)
+    dest = np.arange(shapes.size)  # the state slot of each variate, in draw order
+    dest[m + 1 + p] = 2 * m + 1  # sigma_beta^2, drawn between a_beta and a_u
+    dest[m + 2 + p : 2 * m + 2] -= 1  # a_u
     row = np.ones(q + shapes.size)
     coef, g = row[:q], row[q:]
     gamma = np.empty(shapes.size)
-    runs = _gamma_runs(shapes, gamma)
-    ends = np.cumsum((p, d_nl, 1, p, 1, d_nl, d_nl, 1, 1)).tolist()
-    lam2_b, lam2_u, _, a_b, _, a_u, sig2_u, _, _, b_u = np.split(g, ends)
-    i_se, i_sb, i_be, i_bb = ends[1], ends[3], ends[6], ends[7]
+    runs = _gamma_runs(shapes, gamma, dest)
+    i_se, i_be = m, 2 * m + 2 + d_nl
+    lam2, a_aux, sig2, b_aux = g[:m], g[m + 1 : 2 * m + 1], g[2 * m + 1 : i_be], g[i_be + 1 :]
+    lam2_u, sig2_u = lam2[p:], sig2[1:]
     levels = [
-        (g[a:b], gamma[a:b]) for a, b in ((0, ends[2]), (ends[2], ends[7]), (ends[7], None))
+        (g[lo:hi], gamma[lo:hi]) for lo, hi in ((0, m + 1), (m + 1, i_be + 1), (i_be + 1, None))
     ]
-    sig2_b = sig2_e = b_beta = b_eps = 1.0
+    sig2_e = 1.0
     if fixed_scales is not None:
-        lam2_b[:] = np.asarray(fixed_scales["lambda_beta"], dtype=float) ** 2
+        lam2[:p] = np.asarray(fixed_scales["lambda_beta"], dtype=float) ** 2
         lam2_u[:] = np.asarray(fixed_scales.get("lambda_u", np.ones(d_nl)), dtype=float) ** 2
-        g[i_sb] = sig2_b = float(fixed_scales["sigma_beta"]) ** 2
+        sig2[0] = float(fixed_scales["sigma_beta"]) ** 2
         sig2_u[:] = np.asarray(fixed_scales.get("sigma_u", np.ones(d_nl)), dtype=float) ** 2
         g[i_se] = sig2_e = float(fixed_scales["sigma_eps"]) ** 2
+    # sigma^2 of each local scale: sigma_beta^2 for the p linear terms, then
+    # sigma_u^2 of each block; refreshed after every level-2 draw
+    sig2_idx = np.concatenate((np.zeros(p, dtype=np.intp), np.arange(1, d_nl + 1)))
+    sig2_col = sig2.take(sig2_idx)
+    hyper_prec = np.concatenate(([hyper.s_beta**-2], np.full(d_nl, hyper.s_u**-2)))
+    s_eps_prec = hyper.s_eps**-2
 
     ks = np.array(spec.basis_sizes, dtype=int)
-    u_starts = np.array([blk.start - (p + 1) for blk in u_blocks], dtype=np.intp)
-    beta2, u2, ss = np.empty(p), np.empty(q - 1 - p), np.empty(d_nl)
+    # squared linear coefficients, then the blocks' sums of squares: one
+    # np.add.reduceat over the squared coefficients, one segment per term
+    sq_starts = np.array([*range(p), *(blk.start - 1 for blk in u_blocks)], dtype=np.intp)
+    sq, coef2 = np.empty(m), np.empty(q - 1)
+    beta2, ss = sq[:p], sq[p:]
+    ratio = np.empty(m)
+    ratio_u = ratio[p:]
+    a_b = a_aux[:p]
+    g_start = np.empty_like(g)
     # prior variance of each non-intercept column: p linear terms, then the blocks
-    col_var = np.concatenate((np.arange(p), np.repeat(np.arange(p, p + d_nl), ks)))
+    col_var = np.concatenate((np.arange(p), np.repeat(np.arange(p, m), ks)))
 
     # one stored row per sweep: coefficients, lambda_beta^2, lambda_u^2,
     # sigma_beta^2, sigma_u^2, sigma_eps^2 (GibbsChain's field order)
-    kept = np.r_[0 : q + p + d_nl, q + i_sb, q + ends[5] : q + ends[6], q + i_se]
+    kept = np.r_[0 : q + m, q + 2 * m + 1 : q + i_be, q + i_se]
     out = np.empty((iters - burn, kept.size))
     clipped = var_floor_hits = sig2_e_floor_hits = 0
 
@@ -536,21 +615,23 @@ def gibbs_sampler(
     prior_prec = np.empty(q)
     prior_prec[0] = hyper.intercept_sd**-2
     # Q is rebuilt in one buffer every sweep and factorized in place; coef
-    # takes the right-hand side and becomes the draw, z becomes L^-T z
+    # takes the right-hand side and becomes the draw
     q_mat = np.empty((q, q), order="F")
     q_diag = q_mat.reshape(-1, order="F")[:: q + 1]
     z = np.empty(q)
-    var = np.empty(p + d_nl)
-    var_b, var_u = var[:p], var[p:]
+    var = np.empty(m)
     for it in range(iters):
-        np.multiply(lam2_b, sig2_b, out=var_b)
-        np.multiply(lam2_u, sig2_u, out=var_u)
-        var_floor_hits += int(np.count_nonzero(var < var_floor))
-        np.maximum(var, var_floor, out=var)
+        np.multiply(lam2, sig2_col, out=var)
+        # fmin skips NaN, as the elementwise floor does
+        if np.fmin.reduce(var, initial=math.inf) < var_floor:
+            var_floor_hits += int(np.count_nonzero(var < var_floor))
+            np.maximum(var, var_floor, out=var)
         np.divide(1.0, var, out=var).take(col_var, out=prior_prec[1:], mode="clip")
-        np.divide(ctc, sig2_e, out=q_mat)
+        # 1/sig2_e lies in [1e-300, 1e100]: a multiply, cheaper than a divide
+        inv_sig2_e = 1.0 / sig2_e
+        np.multiply(ctc, inv_sig2_e, out=q_mat)
         q_diag += prior_prec
-        np.divide(cty, sig2_e, out=coef)
+        np.multiply(cty, inv_sig2_e, out=coef)
         rng.standard_normal(out=z)
         try:
             _draw_coefficients(q_mat, coef, z)
@@ -562,40 +643,51 @@ def gibbs_sampler(
         if fixed_scales is None:
             for shape, view in runs:
                 rng.standard_gamma(shape, out=view)
-            np.square(coef[1 : p + 1], out=beta2)
-            np.add.reduceat(np.square(coef[p + 1 :], out=u2), u_starts, out=ss)
+            np.add.reduceat(np.square(coef[1:], out=coef2), sq_starts, out=sq)
 
-            # each level's rates are written into its slots, then divided by
-            # its gamma variates; a rate reads only draws of other levels
-            np.divide(1.0, a_b, out=lam2_b)
-            lam2_b += beta2 / (2.0 * sig2_b)
-            np.divide(1.0, a_u, out=lam2_u)
-            lam2_u += ss / (2.0 * sig2_u)
-            g[i_se] = 1.0 / b_eps + rss / 2.0
-            _inv_gamma(*levels[0])
-            sig2_e = float(g[i_se])
-            if sig2_e < 1e-100:  # noise floor keeps ctc/sig2_e finite on noiseless inputs
-                sig2_e_floor_hits += 1
-                clipped += sig2_e <= 1e-300  # the sweep's count below sees the floor
-                g[i_se] = sig2_e = 1e-100
+            # Each level's rates are written into its slots, then divided by
+            # its gamma variates; a rate reads only draws of other levels.  The
+            # first pass divides plainly.  Every rate is at least 1/x for a
+            # kept draw x <= 1e300, so _inv_gamma's floor on the rates cannot
+            # act, and its clamps act only if a draw leaves (1e-300, 1e300).
+            # If one does, the pass is redone from the saved state through
+            # _inv_gamma, which clamps, and the clipped draws are counted.  A
+            # NaN passes the clamps and the count alike, so fmin/fmax skip it.
+            np.copyto(g_start, g)
+            for divide in (_plain_divide, _inv_gamma):
+                np.multiply(sig2_col, 2.0, out=ratio)
+                np.divide(sq, ratio, out=ratio)
+                np.divide(1.0, a_aux, out=lam2)
+                lam2 += ratio
+                g[i_se] = 1.0 / g[i_be] + rss / 2.0
+                divide(*levels[0])
+                sig2_e = float(g[i_se])
+                if sig2_e < 1e-100:  # noise floor keeps ctc/sig2_e finite on noiseless inputs
+                    if divide is _plain_divide:  # a redo floors the same draw
+                        sig2_e_floor_hits += 1
+                        # counted here: the count below sees the floor
+                        clipped += sig2_e <= 1e-300
+                    g[i_se] = sig2_e = 1e-100
 
-            np.divide(1.0, lam2_b, out=a_b)  # 1/lam2_b also serves beta' Lambda^-1 beta
-            g[i_sb] = 1.0 / b_beta + float(beta2 @ a_b) / 2.0
-            a_b += 1.0
-            np.divide(1.0, lam2_u, out=a_u)
-            a_u += 1.0
-            np.divide(1.0, b_u, out=sig2_u)
-            sig2_u += ss / (2.0 * lam2_u)
-            g[i_be] = hyper.s_eps**-2 + 1.0 / sig2_e
-            _inv_gamma(*levels[1])
-            sig2_b, b_eps = float(g[i_sb]), float(g[i_be])
+                np.divide(1.0, lam2, out=a_aux)  # 1/lam2_b also serves beta' Lambda^-1 beta
+                np.divide(1.0, b_aux, out=sig2)
+                sig2[0] += float(beta2 @ a_b) / 2.0
+                np.multiply(lam2_u, 2.0, out=ratio_u)
+                sig2_u += np.divide(ss, ratio_u, out=ratio_u)
+                a_aux += 1.0
+                g[i_be] = s_eps_prec + 1.0 / sig2_e
+                divide(*levels[1])
 
-            g[i_bb] = hyper.s_beta**-2 + 1.0 / sig2_b
-            np.divide(1.0, sig2_u, out=b_u)
-            b_u += hyper.s_u**-2
-            _inv_gamma(*levels[2])
-            b_beta = float(g[i_bb])
-            clipped += _count_clipped(g)
+                np.divide(1.0, sig2, out=b_aux)
+                b_aux += hyper_prec
+                divide(*levels[2])
+                if divide is _inv_gamma:
+                    clipped += _count_clipped(g)
+                elif 1e-300 < np.fmin.reduce(g) and np.fmax.reduce(g) < 1e300:
+                    break
+                else:
+                    np.copyto(g, g_start)
+            sig2.take(sig2_idx, out=sig2_col)
 
         if resample_response:
             y = c @ coef + math.sqrt(sig2_e) * rng.standard_normal(n)
@@ -639,17 +731,17 @@ def gamma_statistics(chain: GibbsChain, truth=None):
     """Posterior means of the per-block shrinkage factors, in (0, 1)."""
     if len(chain) == 0:
         raise ConfigError("chain has no retained draws")
-    spec = chain.spec
     se2 = chain.sigma_eps**2
-    gb = []
-    for j in range(spec.p):
-        v = chain.lambda_beta[:, j] ** 2 * chain.sigma_beta**2
-        gb.append(float(np.mean(v / (se2 + v))))
-    gu = [None] * spec.d_lin
-    for i in range(spec.d_nl):
-        v = chain.lambda_u[:, i] ** 2 * chain.sigma_u[:, i] ** 2
-        gu.append(float(np.mean(v / (se2 + v))))
-    return ThresholdReport(gamma_beta=gb, gamma_u=gu, truth=truth)
+
+    def means(v):
+        # one block per row, so each mean sums its draws as np.mean of one
+        # contiguous column would
+        return (v / (se2 + v)).mean(axis=1).tolist()
+
+    # .T.copy(): the blocks' draws as contiguous rows
+    gb = means(chain.lambda_beta.T.copy() ** 2 * chain.sigma_beta**2)
+    gu = means(chain.lambda_u.T.copy() ** 2 * chain.sigma_u.T.copy() ** 2)
+    return ThresholdReport(gamma_beta=gb, gamma_u=[None] * chain.spec.d_lin + gu, truth=truth)
 
 
 def classify(report: ThresholdReport, border=0.5, border_u=None):

@@ -23,6 +23,10 @@ from .files import atomic_write
 from .gamsel import (
     AdditiveModelSpec,
     Hyper,
+    _basis_sizes,
+    _check_finite,
+    _check_positive,
+    _check_truth,
     chain_to_csv,
     classify,
     gamma_statistics,
@@ -65,7 +69,7 @@ class StudyConfig:
 
     def __post_init__(self):
         """Reject a bad config here, before any replication runs."""
-        for name in ("iters", "burn", "replications", "threads"):
+        for name in ("iters", "burn", "replications", "threads", "d_lin", "d_nl"):
             value = getattr(self, name)
             try:
                 operator.index(value)
@@ -80,10 +84,20 @@ class StudyConfig:
         )
         if not all(0 <= v < math.inf for v in self.sigma_eps):
             raise ConfigError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps!r}")
+        # the 2-means border splits the d_nl spline-block statistics
+        if self.d_lin < 0 or self.d_nl < 2:
+            raise ConfigError(f"need d_lin >= 0 and d_nl >= 2, got {self.d_lin}, {self.d_nl}")
         truth = tuple(self.truth) or self.default_truth()
         if len(truth) != self.d_lin + self.d_nl:
             raise ConfigError("truth pattern length must equal d_lin + d_nl")
+        _check_truth(truth, self.d_lin)
         object.__setattr__(self, "truth", truth)
+        _basis_sizes(self.basis_size, self.d_nl)
+        _check_positive("basis_scale", self.basis_scale)
+        _check_finite("linear_coef", self.linear_coef)
+        _check_finite("nonlinear_amp", self.nonlinear_amp)
+        if not isinstance(self.hyper, Hyper):
+            raise ConfigError(f"hyper must be a Hyper, got {self.hyper!r}")
         if self.replications < 1 or not self.iters > self.burn >= 0 or self.threads < 1:
             raise ConfigError("need replications >= 1, iters > burn >= 0 and threads >= 1")
         if self.seed < 0:
@@ -104,12 +118,15 @@ class StudyConfig:
     @classmethod
     def from_dict(cls, doc):
         doc = dict(doc)
-        hyper = Hyper(**doc.pop("hyper")) if "hyper" in doc else Hyper()
+        hyper = doc.pop("hyper", {})
+        fields = sorted(Hyper.__dataclass_fields__)
+        if not isinstance(hyper, dict) or set(hyper) - set(fields):
+            raise ConfigError(f"hyper takes fields of {fields}, got {hyper!r}")
         known = {k: v for k, v in doc.items() if k in cls.__dataclass_fields__}
         unknown = set(doc) - set(known)
         if unknown:
             raise ConfigError(f"unknown study config fields: {sorted(unknown)}")
-        return cls(hyper=hyper, **known)
+        return cls(hyper=Hyper(**hyper), **known)
 
     @classmethod
     def from_json(cls, path):

@@ -91,6 +91,24 @@ class TestGenerateData:
         with pytest.warns(UserWarning):
             AdditiveModelSpec(n=10, d_lin=2, d_nl=2, basis_size=4)
 
+    @pytest.mark.parametrize("field", ["s_beta", "s_u", "s_eps", "intercept_sd"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e-160, "1"])
+    def test_hyperparameters_finite_and_positive(self, field, value):
+        # 0 divided by zero and 1e-160 overflowed scale**-2 in every replication,
+        # nan failed at iteration 0, and -1 or inf ran silently
+        with pytest.raises(ConfigError):
+            Hyper(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.15, math.nan, math.inf])
+    def test_basis_scale_finite_and_positive(self, value):
+        with pytest.raises(ConfigError):
+            small_spec(basis_scale=value)
+
+    @pytest.mark.parametrize("field", ["linear_coef", "nonlinear_amp"])
+    def test_signal_sizes_must_be_finite(self, field):
+        with pytest.raises(ConfigError):
+            generate_data(small_spec(), 0.5, 1, **{field: math.nan})
+
 
 class TestSplineBasis:
     def test_orthogonal_to_constant_and_linear(self):
@@ -147,6 +165,42 @@ class TestSplineBasis:
         # a partition of unity; t = 0 and t = 1 take the end functions' value 1
         assert np.allclose(design.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         assert np.all(design[t == 0.0, 0] == 1.0) and np.all(design[t == 1.0, -1] == 1.0)
+
+    @staticmethod
+    def lstsq_basis(x, K):
+        """The basis as least-squares residuals on [1, t], then the SVD, then
+        a second least-squares strip: the test-only form the projection
+        replaced."""
+        lo, hi = x.min(), x.max()
+        t = (x - lo) / (hi - lo)
+        b = _bspline_design(t, _bspline_knots(np.unique(t), K))
+        g = np.column_stack([np.ones_like(t), t])
+        u_mat, s, _ = np.linalg.svd(b - g @ np.linalg.lstsq(g, b, rcond=None)[0],
+                                    full_matrices=False)
+        if s[K - 1] <= 1e-10 * s[0]:
+            raise DegenerateError("rank deficient")
+        z = u_mat[:, :K] - g @ np.linalg.lstsq(g, u_mat[:, :K], rcond=None)[0]
+        return z / np.linalg.norm(z, axis=0)
+
+    @pytest.mark.parametrize("x, K", [
+        *((np.concatenate(([0.0, 1.0], np.random.default_rng(K).random(1998))), K)
+          for K in (2, 3, 5, 6)),
+        (np.linspace(0.0, 1.0, 11), 3),
+        (np.repeat(np.linspace(0.0, 1.0, 9), 5), 4),
+        (np.array([0.0, 0.2, 0.7, 1.0]), 2),
+        (np.concatenate(([0.0, 1.0], 0.5 + 1e-9 * np.arange(30))), 6),
+    ])
+    def test_projection_matches_lstsq_basis(self, x, K):
+        try:
+            want = self.lstsq_basis(x, K)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                spline_basis(x, K)
+            return
+        got = spline_basis(x, K)
+        # column by column, sign included
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
     def test_non_finite_or_overflowing_predictor_rejected(self, bad):
@@ -424,15 +478,29 @@ def random_spd(q, seed):
 
 class TestDrawCoefficients:
     def test_matches_scipy_wrappers_bit_for_bit(self):
-        from scipy.linalg import cho_factor, cho_solve, solve_triangular
+        from scipy.linalg import cho_factor, solve_triangular
 
         q_mat = random_spd(151, 1)
         rng = np.random.default_rng(2)
         rhs, z = rng.standard_normal(151), rng.standard_normal(151)
-        cho = cho_factor(q_mat, lower=True, check_finite=False)
-        want = cho_solve(cho, rhs) + solve_triangular(cho[0], z, lower=True, trans="T")
+        chol = cho_factor(q_mat, lower=True, check_finite=False)[0]
+        w = solve_triangular(chol, rhs, lower=True) + z
+        want = solve_triangular(chol, w, lower=True, trans="T")
         got = _draw_coefficients(q_mat.copy(order="F"), rhs.copy(), z.copy())
         assert np.array_equal(got, want)
+
+    def test_is_mean_plus_correlated_noise(self):
+        # Q^-1 rhs + L^-T z, the draw's definition, at the paper's q = 151,
+        # normwise: the mean and the noise cancel in some entries
+        from scipy.linalg import solve_triangular
+
+        q_mat = random_spd(151, 6)
+        rng = np.random.default_rng(7)
+        rhs, z = rng.standard_normal(151), rng.standard_normal(151)
+        chol = np.linalg.cholesky(q_mat)
+        want = np.linalg.solve(q_mat, rhs) + solve_triangular(chol, z, lower=True, trans="T")
+        got = _draw_coefficients(q_mat.copy(order="F"), rhs.copy(), z.copy())
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_overwrites_its_buffers(self):
         q_mat = random_spd(20, 3)
@@ -524,6 +592,20 @@ class TestGammaStatistics:
         rep = gamma_statistics(chain, truth=data.truth)
         assert all(0.0 < g < 1.0 for g in rep.gamma_beta)
         assert all(g is None or 0.0 < g < 1.0 for g in rep.gamma_u)
+
+    def test_matches_per_block_loop(self):
+        # one np.mean per block's column, the form the rows replaced
+        spec = small_spec(d_lin=2, d_nl=3)
+        data = generate_data(spec, 0.5, 9)
+        chain = gibbs_sampler(data, spec, iters=300, burn=20, seed=3)
+        rep = gamma_statistics(chain)
+        se2 = chain.sigma_eps**2
+        for j in range(spec.p):
+            v = chain.lambda_beta[:, j] ** 2 * chain.sigma_beta**2
+            assert rep.gamma_beta[j] == float(np.mean(v / (se2 + v)))
+        for i in range(spec.d_nl):
+            v = chain.lambda_u[:, i] ** 2 * chain.sigma_u[:, i] ** 2
+            assert rep.gamma_u[spec.d_lin + i] == float(np.mean(v / (se2 + v)))
 
     def test_thinning_invariance_in_expectation(self):
         spec = small_spec(n=400)

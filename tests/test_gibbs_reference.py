@@ -1,10 +1,15 @@
 """The Gibbs sweep against a reference copy of an earlier, plainer loop.
 
-``reference_gibbs_sampler`` is that loop kept verbatim: three array-shape
-inverse-gamma draws per sweep (``_inv_gamma`` here), a clip count per
-draw and six stores per retained sweep.  ``gibbs_sampler`` groups equal
-gamma shapes into runs, draws all three levels into one buffer and stores one
-row per sweep; it must give the same chain bit for bit.  The generator test
+``reference_gibbs_sampler`` is that loop kept verbatim, except that it
+scales ``C'C`` and ``C'y`` by a multiply with ``1/sigma_eps^2`` as the
+sampler does: three array-shape inverse-gamma draws per sweep
+(``_inv_gamma`` here), a clip count per draw and six stores per retained
+sweep.  With ``three_solve=True`` it divides instead and draws the
+coefficients with dpotrs plus dtrtrs, the sampler's earlier form, which
+the paper-spec chain must stay close to.  ``gibbs_sampler`` groups equal
+gamma shapes into runs, draws all three levels into one buffer, clamps only
+in sweeps where a draw leaves (1e-300, 1e300) and stores one row per sweep;
+it must give the same chain bit for bit.  The generator test
 pins why it can: scalar-shape runs consume the generator exactly as one
 array-shape call.
 """
@@ -41,11 +46,26 @@ def _inv_gamma(rng, shape, scale):
     return np.minimum(gamma, 1e300, out=gamma)
 
 
+def three_solve_draw(q_mat, rhs, z):
+    """The coefficient draw as it stood before the two-solve form:
+    Q^-1 rhs by dpotrs on the Cholesky factor, plus L^-T z by dtrtrs."""
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+    chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
+    assert info == 0
+    mean, _ = dpotrs(chol, rhs, lower=1, overwrite_b=1)
+    noise, _ = dtrtrs(chol, z, lower=1, trans=1, overwrite_b=1)
+    mean += noise
+    return mean
+
+
 def reference_gibbs_sampler(dataset, spec, iters, burn, seed, fixed_scales=None,
-                            resample_response=False):
+                            resample_response=False, three_solve=False):
     """The sweep loop as it stood before the run-grouped draws; returns the
     squared scales and the coefficients as GibbsChain fields (scales as
-    standard deviations) plus the diagnostics."""
+    standard deviations) plus the diagnostics.  ``three_solve=True`` builds
+    Q and the right-hand side by dividing by sigma_eps^2 and draws with
+    three_solve_draw, as the sampler did before the two-solve draw."""
     c, _, u_blocks = build_design(dataset, spec)
     y = dataset.y
     n, q = c.shape
@@ -112,12 +132,16 @@ def reference_gibbs_sampler(dataset, spec, iters, burn, seed, fixed_scales=None,
         var_floor_hits += int(np.count_nonzero(var < var_floor))
         np.maximum(var, var_floor, out=var)
         np.divide(1.0, var[col_var], out=prior_prec[1:])
-        np.divide(ctc, sig2_e, out=q_mat)
+        if three_solve:
+            np.divide(ctc, sig2_e, out=q_mat)
+            np.divide(cty, sig2_e, out=rhs)
+        else:
+            np.multiply(ctc, 1.0 / sig2_e, out=q_mat)
+            np.multiply(cty, 1.0 / sig2_e, out=rhs)
         q_diag += prior_prec
-        np.divide(cty, sig2_e, out=rhs)
         rng.standard_normal(out=z)
         try:
-            coef = _draw_coefficients(q_mat, rhs, z)
+            coef = (three_solve_draw if three_solve else _draw_coefficients)(q_mat, rhs, z)
         except NumericalError as exc:
             raise NumericalError(f"covariance solve failed at iteration {it}: {exc}") from exc
 
@@ -259,3 +283,20 @@ def test_sweep_matches_reference_loop(name):
         assert diagnostics["inv_gamma_clipped"] > 0
     if name == "noise floor":
         assert diagnostics["sig2_e_floor_hits"] > 0
+
+
+def test_paper_spec_chain_near_the_three_solve_draw():
+    # the two-solve draw and the multiplied Q change only the rounding: the
+    # sweep is contractive for a fixed noise stream, so the chains stay close.
+    # Each scale is within 1e-12 relative; a coefficient within 1e-12 of the
+    # largest, since the solves are accurate relative to the draw's norm
+    data = generate_data(PAPER, 1.0, 5)
+    chain = gibbs_sampler(data, PAPER, iters=200, burn=0, seed=2)
+    want, diagnostics = reference_gibbs_sampler(data, PAPER, iters=200, burn=0, seed=2,
+                                                three_solve=True)
+    coef = np.column_stack([want["beta0"], want["beta"], want["u"]])
+    for field, value in want.items():
+        atol = 1e-12 * np.abs(coef).max() if field in ("beta0", "beta", "u") else 0.0
+        np.testing.assert_allclose(getattr(chain, field), value, rtol=1e-12, atol=atol,
+                                   err_msg=field)
+    assert chain.diagnostics == diagnostics

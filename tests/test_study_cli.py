@@ -77,6 +77,50 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig.from_dict({**TINY_STUDY, field: value})
 
+    # each of these made every replication fail or run an improper model
+    REJECTED_BY_EVERY_REPLICATION = [
+        ("truth", ["zero", "weird", "linear", "non-linear"]),
+        ("truth", ["non-linear", "zero", "linear", "non-linear"]),
+        ("basis_size", 1),
+        ("basis_size", 4.5),
+        ("basis_scale", math.nan),
+        ("basis_scale", math.inf),
+        ("basis_scale", -0.15),
+        ("linear_coef", math.nan),
+        ("nonlinear_amp", math.inf),
+        ("d_nl", 0),
+        ("d_nl", 1),
+        ("hyper", {"s_u": 0}),
+        ("hyper", {"intercept_sd": math.nan}),
+        ("hyper", {"s_eps": -1}),
+        ("hyper", {"s_u": math.inf}),
+        ("hyper", {"s_bogus": 1.0}),
+    ]
+
+    @pytest.mark.parametrize("field, value", REJECTED_BY_EVERY_REPLICATION)
+    def test_model_rejected_at_construction(self, field, value):
+        from ghs.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            StudyConfig.from_dict({**TINY_STUDY, field: value})
+
+    def test_hyper_must_be_a_hyper(self):
+        # a dict passed the constructor and failed in to_dict, inside run_study
+        from ghs.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            StudyConfig(**TINY_STUDY, hyper={"s_u": 2.0})
+
+    @pytest.mark.parametrize("field, value", REJECTED_BY_EVERY_REPLICATION)
+    def test_simulate_rejects_bad_model_before_any_work(self, field, value, tmp_path, capsys):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({**TINY_STUDY, field: value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "run").exists()
+
     def test_whole_float_sizes_accepted(self):
         config = StudyConfig.from_dict({**TINY_STUDY, "n": [150.0, 2e2]})
         assert config.n == (150, 200)
