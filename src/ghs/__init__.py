@@ -8,7 +8,6 @@ sampler for additive-model selection with (grouped) horseshoe priors.
 
 import importlib
 
-from .config import DEFAULT_CONFIG, SpecFunConfig
 from .distribution import (
     GhsDistribution,
     MixtureDraw,
@@ -61,7 +60,6 @@ __all__ = [
     "AdditiveModelSpec",
     "ConfigError",
     "Dataset",
-    "DEFAULT_CONFIG",
     "DegenerateError",
     "DimensionError",
     "DomainError",
@@ -77,7 +75,6 @@ __all__ = [
     "ResourceError",
     "RiskScenario",
     "SideModel",
-    "SpecFunConfig",
     "StudyConfig",
     "ThresholdReport",
     "cd_integrals",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .errors import DimensionError, DomainError
 from .quadrature import adaptive_quad
 from .rng import make_rng
@@ -63,7 +62,7 @@ def _log_norm_const(d):
     return math.lgamma(0.5 * (d + 1)) - 0.5 * (math.log(2.0) + (d + 2) * math.log(math.pi))
 
 
-def radial_log_density(d, r, sigma_theta=1.0, config=DEFAULT_CONFIG):
+def radial_log_density(d, r, sigma_theta=1.0):
     """log density at radius ``r = ||x||``: a float for a scalar ``r``, else
     an array of its shape; +inf at the origin (the pole), -inf at r = inf.
 
@@ -86,7 +85,7 @@ def radial_log_density(d, r, sigma_theta=1.0, config=DEFAULT_CONFIG):
     # once per distinct u: each value depends on its own u alone, and the
     # sorted values run faster than the unsorted ones even when none repeat
     distinct, inv = np.unique(u[mid], return_inverse=True)
-    log_e[mid] = np.log(exp_scaled_expint(0.5 * (d + 1), distinct, config))[inv]
+    log_e[mid] = np.log(exp_scaled_expint(0.5 * (d + 1), distinct))[inv]
     log_e[tail] = -log_u[tail]
     log_e[small] = np.log(-np.euler_gamma - log_u[small])
     power = (d - 1) * log_r if d > 1 else 0.0  # r^(d-1) = 1 at d = 1, also at r = inf
@@ -113,17 +112,17 @@ def _point_norms(x):
     return r
 
 
-def log_density(dist: GhsDistribution, x, config=DEFAULT_CONFIG):
+def log_density(dist: GhsDistribution, x):
     """log p(x) for one point (a float) or an (m, d) stack of points; +inf at the pole."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != dist.d:
         raise DimensionError(f"expected points of length {dist.d}, got shape {x.shape}")
-    return radial_log_density(dist.d, _point_norms(x), dist.sigma_theta, config)
+    return radial_log_density(dist.d, _point_norms(x), dist.sigma_theta)
 
 
-def density(dist: GhsDistribution, x, config=DEFAULT_CONFIG):
+def density(dist: GhsDistribution, x):
     """p(x), with the shapes of :func:`log_density`."""
-    ld = log_density(dist, x, config)
+    ld = log_density(dist, x)
     return np.exp(ld) if np.ndim(ld) else math.exp(ld)
 
 
@@ -165,7 +164,7 @@ def sample(dist: GhsDistribution, n, seed):
     return [MixtureDraw(float(l), x) for l, x in zip(lam, xs)]
 
 
-def density_quadrature_oracle(d, x, rel_tol=1e-12):
+def density_quadrature_oracle(d, x):
     """Mixture-integral oracle for the standard (unit scale) density.
 
     Integrates the normal/half-Cauchy mixture after the t = 1/lambda^2
@@ -186,9 +185,7 @@ def density_quadrature_oracle(d, x, rel_tol=1e-12):
         return math.exp((nu - 1.0) * math.log(w) - w) / (u + w)
 
     cut = 10.0 + 2.0 * nu
-    integral = adaptive_quad(f, 0.0, cut, rel_tol=rel_tol) + adaptive_quad(
-        f, cut, np.inf, rel_tol=rel_tol
-    )
+    integral = adaptive_quad(f, 0.0, cut) + adaptive_quad(f, cut, np.inf)
     log_val = (
         -0.5 * d * math.log(2.0 * math.pi)
         - math.log(math.pi)
@@ -198,7 +195,7 @@ def density_quadrature_oracle(d, x, rel_tol=1e-12):
     return math.exp(log_val)
 
 
-def normalization_integral(d, config=DEFAULT_CONFIG, rel_tol=1e-10):
+def normalization_integral(d):
     """Total mass of the standard density by radial quadrature (should be 1)."""
     d = int(d)
     log_sa = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
@@ -206,14 +203,14 @@ def normalization_integral(d, config=DEFAULT_CONFIG, rel_tol=1e-10):
     def f(r):
         if r <= 0.0:
             return 0.0
-        return math.exp(log_sa + (d - 1) * math.log(r) + radial_log_density(d, r, 1.0, config))
+        return math.exp(log_sa + (d - 1) * math.log(r) + radial_log_density(d, r))
 
-    return adaptive_quad(f, 0.0, 2.0, rel_tol=rel_tol) + adaptive_quad(
-        f, 2.0, np.inf, rel_tol=rel_tol
+    return adaptive_quad(f, 0.0, 2.0, rel_tol=1e-10) + adaptive_quad(
+        f, 2.0, np.inf, rel_tol=1e-10
     )
 
 
-def origin_ball_mass(d, radius, config=DEFAULT_CONFIG, rel_tol=1e-11):
+def origin_ball_mass(d, radius):
     """P(||x|| <= radius) for the standard distribution, by radial quadrature.
 
     Hyperspherical reduction gives
@@ -230,13 +227,13 @@ def origin_ball_mass(d, radius, config=DEFAULT_CONFIG, rel_tol=1e-11):
     def f(v):
         if v <= 0.0:
             return 0.0
-        return 2.0 * exp_scaled_gen_exp_integral(nu, v * v, config)
+        return 2.0 * exp_scaled_gen_exp_integral(nu, v * v)
 
     lead = math.exp(math.lgamma(nu) - math.log(math.pi) - math.lgamma(0.5 * d))
     if vmax <= 2.0:
-        integral = adaptive_quad(f, 0.0, vmax, rel_tol=rel_tol)
+        integral = adaptive_quad(f, 0.0, vmax, rel_tol=1e-11)
     else:
-        integral = adaptive_quad(f, 0.0, 2.0, rel_tol=rel_tol) + adaptive_quad(
-            f, 2.0, vmax, rel_tol=rel_tol
+        integral = adaptive_quad(f, 0.0, 2.0, rel_tol=1e-11) + adaptive_quad(
+            f, 2.0, vmax, rel_tol=1e-11
         )
     return lead * integral

@@ -237,7 +237,7 @@ def posterior_mean_moment_oracle(model: PosteriorModel, y):
 # ---------------------------------------------------------------------------
 
 
-def _c_like_integral_lambda(a, b, d, power, rel_tol=1e-12, x_moment=False):
+def _c_like_integral_lambda(a, b, d, power, x_moment=False):
     """int_0^inf e^(-a/q) q^(-power) / (1+l^2) dl with q = 1 + l^2 b, or with
     ``x_moment`` the same integral times x = l^2 b / q."""
 
@@ -247,15 +247,13 @@ def _c_like_integral_lambda(a, b, d, power, rel_tol=1e-12, x_moment=False):
         return value * (lam * lam * b) / q if x_moment else value
 
     split = 1.0 + math.sqrt(max(a, 1.0) / b)
-    total = adaptive_quad(f, 0.0, split, rel_tol=rel_tol) + adaptive_quad(
-        f, split, np.inf, rel_tol=rel_tol
-    )
+    total = adaptive_quad(f, 0.0, split) + adaptive_quad(f, split, np.inf)
     if not total > 0:
         raise NumericalError(f"lambda-space integral underflows (a={a}, b={b}, d={d})")
     return total
 
 
-def cd_integrals(a, b, d, rel_tol=1e-12):
+def cd_integrals(a, b, d):
     """The marginal and gradient-weight mixture integrals (C, D), by quadrature.
 
     C has exponent d/2 on (1 + lambda^2 b); D has exponent d/2 + 1.  Their
@@ -264,30 +262,30 @@ def cd_integrals(a, b, d, rel_tol=1e-12):
     """
     if a < 0 or b <= 0:
         raise DomainError("need a >= 0 and b > 0")
-    c_val = _c_like_integral_lambda(a, b, d, 0.5 * d, rel_tol)
-    d_val = _c_like_integral_lambda(a, b, d, 0.5 * d + 1.0, rel_tol)
+    c_val = _c_like_integral_lambda(a, b, d, 0.5 * d)
+    d_val = _c_like_integral_lambda(a, b, d, 0.5 * d + 1.0)
     return c_val, d_val
 
 
-def marginal_log_density_quad(model: PosteriorModel, y, rel_tol=1e-12):
+def marginal_log_density_quad(model: PosteriorModel, y):
     """Quadrature oracle for log p(y) (lambda-space mixture integral)."""
     _, yy = _check_vector(y, model.d)
     d = model.d
     a = 0.5 * yy
-    c_val = _c_like_integral_lambda(a, model.tau**2, d, 0.5 * d, rel_tol)
+    c_val = _c_like_integral_lambda(a, model.tau**2, d, 0.5 * d)
     return float(
         -0.5 * ((d - 2) * math.log(2.0) + (d + 2) * math.log(math.pi))
         + math.log(c_val)
     )
 
 
-def posterior_mean_mixture_oracle(model: PosteriorModel, y, rel_tol=1e-12):
+def posterior_mean_mixture_oracle(model: PosteriorModel, y):
     """E(theta|y) = (1 - D/C) y with C, D computed by quadrature (oracle)."""
     y, yy = _check_vector(y, model.d)
     a = 0.5 * yy
     if a == 0.0:
         return np.zeros(model.d)
-    c_val, d_val = cd_integrals(a, model.tau**2, model.d, rel_tol)
+    c_val, d_val = cd_integrals(a, model.tau**2, model.d)
     return (1.0 - d_val / c_val) * y
 
 
@@ -296,12 +294,12 @@ def posterior_mean_mixture_oracle(model: PosteriorModel, y, rel_tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def side_model_shrinkage(model: SideModel, y, method="x", rel_tol=1e-12):
+def side_model_shrinkage(model: SideModel, y, method="x"):
     """Posterior shrinkage weight w(y) in (0, 1) with E(psi|y) = w(y) y.
 
     ``method`` "x" (default) takes the weight from the mixture kernel;
     "lambda" integrates over the raw local scale by adaptive quadrature
-    (``rel_tol``) and serves as its cross-check.
+    and serves as its cross-check.
     """
     _, yy = _check_vector(y, model.d)
     a = yy / (2.0 * model.tau1**2)
@@ -312,14 +310,14 @@ def side_model_shrinkage(model: SideModel, y, method="x", rel_tol=1e-12):
         w = _mixture_moments(a, b, model.d)[2]
     elif method == "lambda":
         # int w x / int w, the numerator taken directly: C - D cancels when w is small
-        den = _c_like_integral_lambda(a, b, model.d, 0.5 * model.d, rel_tol)
-        w = _c_like_integral_lambda(a, b, model.d, 0.5 * model.d, rel_tol, x_moment=True) / den
+        den = _c_like_integral_lambda(a, b, model.d, 0.5 * model.d)
+        w = _c_like_integral_lambda(a, b, model.d, 0.5 * model.d, x_moment=True) / den
     else:
         raise DomainError(f"unknown method {method!r}")
     return min(max(w, 0.0), 1.0)
 
 
-def side_posterior_mean(model: SideModel, y, method="x", rel_tol=1e-12):
+def side_posterior_mean(model: SideModel, y, method="x"):
     """E(psi | y) = w(y) y; exactly collinear with y."""
     y, _ = _check_vector(y, model.d)
-    return side_model_shrinkage(model, y, method, rel_tol) * y
+    return side_model_shrinkage(model, y, method) * y

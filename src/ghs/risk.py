@@ -11,7 +11,7 @@ Euclidean ball ||theta - theta0|| <= sigma sqrt(2/n), and
 Given the local scale lam, theta ~ N(0, lam^2 I), so the ball's mass is a
 noncentral chi-square CDF.  Under lam^2 = x/(b v) its half-Cauchy mean is the
 posterior module's mixture at d = 0: the exact mass at every theta0.
-``origin_ball_mass`` and ``offcenter_ball_mass_brackets`` remain test oracles.
+``distribution.origin_ball_mass`` remains its radial-quadrature test oracle.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# origin_ball_mass stays importable here: perfbench/spans.py patches this name
+# both stay importable here: perfbench/spans.py patches these names
 from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
 from .errors import DomainError, NumericalError, ResourceError
 from .posterior import _COARSE, _LEVELS, _V, _X, _levels_agree, _log_weight, _mixture_moments
@@ -31,7 +31,6 @@ __all__ = [
     "RiskScenario",
     "kl_ball_radius",
     "kl_ball_prior_mass",
-    "offcenter_ball_mass_brackets",
     "risk_upper_bound",
     "cesaro_risk_mc",
 ]
@@ -65,41 +64,6 @@ def kl_ball_radius(scenario: RiskScenario, n):
     if n < 2:
         raise DomainError("need n >= 2")
     return scenario.sigma * math.sqrt(2.0 / n)
-
-
-def _cube_mass(theta0, half_side, nodes=24):
-    """Prior mass of an axis-aligned cube around theta0, tensor Gauss-Legendre.
-
-    Valid while the cube stays away from the density pole at the origin.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    d = theta0.size
-    if np.linalg.norm(theta0) <= 2.0 * half_side * math.sqrt(d):
-        raise DomainError("cube too close to the origin pole for smooth quadrature")
-    nodes_1d, gl_w = np.polynomial.legendre.leggauss(nodes)
-    pts_1d = half_side * nodes_1d
-    w_1d = half_side * gl_w
-    grids = np.meshgrid(*([pts_1d] * d), indexing="ij")
-    weights = np.ones_like(grids[0])
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = nodes
-        weights = weights * np.reshape(w_1d, shape)
-    pts = np.stack([g.ravel() for g in grids], axis=1) + theta0
-    radii = np.linalg.norm(pts, axis=1)
-    return float(np.sum(weights.ravel() * np.exp(radial_log_density(d, radii))))
-
-
-def offcenter_ball_mass_brackets(scenario: RiskScenario, n):
-    """(lower, upper) prior-mass brackets for a ball centered off the origin.
-
-    Lower: largest inscribed hypercube (half-side r/sqrt(d)); upper: the
-    circumscribed hypercube (half-side r).
-    """
-    r = kl_ball_radius(scenario, n)
-    lower = _cube_mass(scenario.theta0, r / math.sqrt(scenario.d))
-    upper = _cube_mass(scenario.theta0, r)
-    return lower, upper
 
 
 def _chi2_cdf(x, d, nc):

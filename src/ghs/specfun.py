@@ -7,7 +7,6 @@ Evaluation regimes
 * ``gen_exp_integral``: power/log series for x < 1, continued fraction for
   x >= 1.  ``exp_scaled_expint`` computes exp(x)*E_nu(x) jointly, so it
   never overflows, for one order and an array of x; the scalars wrap it.
-  The ``*_quad`` variants are its quadrature oracles.
 * ``phi1`` and ``log_phi1`` wrap one kernel, ``_log_euler``: the Euler
   integral of Phi1 for gamma > alpha > 0 and x < 1, in log space for any
   beta and y.
@@ -20,22 +19,27 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SpecFunConfig
 from .errors import DomainError, NumericalError
-from .quadrature import adaptive_quad
+# adaptive_quad stays importable here: perfbench/spans.py patches this name
+from .quadrature import adaptive_quad  # noqa: F401
 
 __all__ = [
     "gen_exp_integral",
     "exp_scaled_expint",
     "exp_scaled_gen_exp_integral",
-    "gen_exp_integral_quad",
-    "exp_scaled_gen_exp_integral_quad",
     "kummer_1f1",
     "log_kummer_1f1",
     "phi1",
     "log_phi1",
 ]
 
+# A 1F1 Taylor sum cancelled past _REL_TOL is refused.  Series and continued
+# fractions stop at a relative term of _STOP_TOL, a margin below it, because
+# the tail they leave can sum past their last term.
+_REL_TOL = 1e-12
+_STOP_TOL = 1e-15
+_ABS_TOL = 1e-300  # absolute floor of the E_nu series' stop, for a sum near 0
+_MAX_TERMS = 10_000  # iteration cap of every series, fraction and recurrence
 _INTEGER_EPS = 1e-9
 # orders closer than this to an integer n >= 1 take the E_nu series' joint
 # form of its two cancelling terms; _ZETA gives that form's lgamma(1 - eps)
@@ -51,12 +55,6 @@ _ZETA = (  # zeta(k), k = 2..13
 
 def _is_nonpositive_integer(v):
     return v <= 0 and abs(v - round(v)) < _INTEGER_EPS
-
-
-def _stop_tol(config):
-    """Relative term size at which a series or continued fraction stops: a
-    margin below rel_tol, because the tail it leaves can sum past its last term."""
-    return max(2e-16, 1e-3 * config.rel_tol)
 
 
 def _signed_exp(sign, log_value, what):
@@ -80,7 +78,7 @@ def _retire(out, idx, done, value, *state):
     return [idx[~done]] + [s[~done] for s in state]
 
 
-def _expint_series(nu, x, config):
+def _expint_series(nu, x):
     """exp-scaled small-x series, x < 1: Gamma(1-nu) x^(nu-1) - sum_k (-x)^k /
     (k! (1-nu+k)).
 
@@ -109,27 +107,26 @@ def _expint_series(nu, x, config):
         w = eps * np.log(x) + (lgamma_1m - math.fsum(math.log1p(eps / j) for j in range(1, n)))
         total = (-1) ** n * x ** (n - 1) / math.factorial(n - 1) * (np.expm1(w) / eps)
     scale = np.exp(x)
-    tol = _stop_tol(config)
     out, idx, term = np.empty_like(x), np.arange(x.size), np.ones_like(x)
-    for k in range(config.max_terms):
+    for k in range(_MAX_TERMS):
         if k != skip:
             total = total - term / (1.0 - nu + k)
         term = term * (-x / (k + 1.0))
-        done = np.abs(term) < tol * np.abs(total) + config.abs_tol
+        done = np.abs(term) < _STOP_TOL * np.abs(total) + _ABS_TOL
         idx, x, term, total = _retire(out, idx, done, total, x, term, total)
         if not idx.size:
             return scale * out
     raise NumericalError(f"E_nu series did not converge (nu={nu}, x={x[0]})")
 
 
-def _expint_scaled_cf(nu, x, config):
-    """Modified-Lentz continued fraction for exp(x) E_nu(x), x >= 1 (DLMF 8.19)."""
+def _expint_scaled_cf(nu, x):
+    """Modified-Lentz continued fraction for exp(x) E_nu(x), x >= 1 (DLMF 8.19);
+    its convergence is linear near x = 1."""
     tiny = 1e-300
-    tol = _stop_tol(config)  # convergence is linear near x = 1
     out, idx = np.empty_like(x), np.arange(x.size)
     b, c = x + nu, np.full_like(x, 1.0 / tiny)
     h = d = 1.0 / b
-    for i in range(1, config.max_terms):
+    for i in range(1, _MAX_TERMS):
         a = -i * (nu - 1.0 + i)
         b = b + 2.0
         d = a * d + b
@@ -139,14 +136,14 @@ def _expint_scaled_cf(nu, x, config):
         d = 1.0 / d
         delta = d * c
         h = h * delta
-        done = np.abs(delta - 1.0) < tol
+        done = np.abs(delta - 1.0) < _STOP_TOL
         idx, x, b, c, d, h = _retire(out, idx, done, h, x, b, c, d, h)
         if not idx.size:
             return out
     raise NumericalError(f"E_nu continued fraction stalled (nu={nu}, x={x[0]})")
 
 
-def exp_scaled_expint(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
+def exp_scaled_expint(nu, x):
     """exp(x) * E_nu(x) for one real order and an array of x >= 0, computed
     jointly so large x never overflows; 0 at x = inf, 1/(nu - 1) at x = 0
     (needs nu > 1).  Each element runs the x < 1 series or the x >= 1
@@ -169,7 +166,7 @@ def exp_scaled_expint(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
         f = np.empty_like(xp)
         for part, run in ((xp >= 1.0, _expint_scaled_cf), (xp < 1.0, _expint_series)):
             if part.any():
-                f[part] = run(mu, xp[part], config)
+                f[part] = run(mu, xp[part])
     for _ in range(steps):  # exp(x) E_(mu-1)(x) = (1 - (mu-1) exp(x) E_mu(x)) / x
         f = (1.0 - (mu - 1.0) * f) / xp
         mu -= 1.0
@@ -177,55 +174,18 @@ def exp_scaled_expint(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
     return out.reshape(np.shape(x))
 
 
-def exp_scaled_gen_exp_integral(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
+def exp_scaled_gen_exp_integral(nu, x):
     """exp(x) * E_nu(x) for a scalar x; see :func:`exp_scaled_expint`."""
-    return float(exp_scaled_expint(nu, x, config))
+    return float(exp_scaled_expint(nu, x))
 
 
-def gen_exp_integral(nu, x, config: SpecFunConfig = DEFAULT_CONFIG):
+def gen_exp_integral(nu, x):
     """Generalized exponential integral E_nu(x) for x >= 0.
 
     At x = 0 the integral equals 1/(nu-1) and requires nu > 1.
     """
-    scaled = exp_scaled_gen_exp_integral(nu, x, config)
+    scaled = exp_scaled_gen_exp_integral(nu, x)
     return math.exp(-x) * scaled if x > 0 else scaled
-
-
-def gen_exp_integral_quad(nu, x, rel_tol=1e-13):
-    """Quadrature oracle: direct integral on t in (1, inf)."""
-    if x < 0:
-        raise DomainError("x must be nonnegative")
-    if x == 0.0:
-        if nu <= 1.0:
-            raise DomainError("divergent at x = 0 for nu <= 1")
-        return 1.0 / (nu - 1.0)
-    return math.exp(-x) * exp_scaled_gen_exp_integral_quad(nu, x, rel_tol)
-
-
-def exp_scaled_gen_exp_integral_quad(nu, x, rel_tol=1e-13):
-    """Quadrature oracle for exp(x) E_nu(x) = int_0^inf e^(-x s) (1+s)^(-nu) ds,
-    for every real order: in w = x s for x >= 1, in y = log(1 + s) below."""
-    if x <= 0:
-        raise DomainError("oracle needs x > 0")
-
-    if x >= 1.0:
-        # mass sits at s ~ 1/x; integrate in w = x s
-        def g(w):
-            return math.exp(-w - nu * math.log1p(w / x)) / x
-
-        cut = 60.0 + abs(nu)
-        return adaptive_quad(g, 0.0, cut, rel_tol=rel_tol) + adaptive_quad(
-            g, cut, np.inf, rel_tol=rel_tol
-        )
-
-    # s = e^y - 1: smooth in y for every order, the mass ending near y = log(1/x)
-    def f(y):
-        return math.exp(-x * math.expm1(min(y, 700.0)) - (nu - 1.0) * y)
-
-    cut = math.log1p((abs(nu - 1.0) + 1.0) / x)
-    return adaptive_quad(f, 0.0, cut, rel_tol=rel_tol) + adaptive_quad(
-        f, cut, np.inf, rel_tol=rel_tol
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +266,15 @@ def _log_kummer_down(a, b, x):
     return log_m
 
 
-def _kummer_taylor(a, b, x, config):
+def _kummer_taylor(a, b, x):
     """(sign, log|sum_k (a)_k x^k / ((b)_k k!)|), finite for a nonpositive integer
     a, held as a mantissa times 2^exponent.  It stops at a term below the stopping
     tolerance once no later term is larger: the ratio (a+k) x / ((b+k)(k+1)) is
     below 1 in size and never grows again once a + k > 0, b + k > 0 and
-    (a+k)(b+k) >= (b-a)(k+1).  A sum cancelled past rel_tol (1e-16 of its largest
-    term over rel_tol of it) is refused, an exact root of a terminated polynomial not."""
-    tol = _stop_tol(config)
+    (a+k)(b+k) >= (b-a)(k+1).  A sum cancelled past _REL_TOL (1e-16 of its largest
+    term over _REL_TOL of it) is refused, an exact root of a terminated polynomial not."""
     total, term, biggest, exponent = 1.0, 1.0, 1.0, 0
-    for k in range(config.max_terms):
+    for k in range(_MAX_TERMS):
         ratio = (a + k) * x / ((b + k) * (k + 1.0))
         term *= ratio
         total += term
@@ -324,20 +283,20 @@ def _kummer_taylor(a, b, x, config):
             term, total, biggest = (math.ldexp(v, -900) for v in (term, total, biggest))
             exponent += 900
         if term == 0.0 or (
-            abs(term) < tol * abs(total)
+            abs(term) < _STOP_TOL * abs(total)
             and abs(ratio) < 1.0
             and min(a, b) + k > 0
             and (a + k) * (b + k) >= (b - a) * (k + 1.0)
         ):
             if total == term == 0.0:  # a terminated polynomial's exact root
                 return 1.0, -math.inf
-            if 1e-16 * biggest > config.rel_tol * abs(total):
+            if 1e-16 * biggest > _REL_TOL * abs(total):
                 raise NumericalError(f"1F1 series cancelled (a={a}, b={b}, x={x})")
             return math.copysign(1.0, total), math.log(abs(total)) + exponent * math.log(2.0)
     raise NumericalError(f"1F1 series did not converge (a={a}, b={b}, x={x})")
 
 
-def _log_kummer(a, b, x, config):
+def _log_kummer(a, b, x):
     """(sign, log|1F1(a, b, x)|), b off the nonpositive integers.  x < 0 keeps
     x for the kernel (a transform costs eps |x|) and takes the Kummer transform
     e^x 1F1(b - a, b, -x) elsewhere, as a nonpositive-integer b - a does."""
@@ -349,30 +308,30 @@ def _log_kummer(a, b, x, config):
         except NumericalError:  # a or b - a tiny at moderate x: the Taylor series
             pass
     if _is_nonpositive_integer(a):
-        return _kummer_taylor(a, b, x, config)
+        return _kummer_taylor(a, b, x)
     p, z, shift = (b - a, -x, 0.0) if x < 0 else (a, x, x)
-    if 0.0 < b <= p < b + config.max_terms and z >= b:  # max_terms caps the recurrence
+    if 0.0 < b <= p < b + _MAX_TERMS and z >= b:  # _MAX_TERMS caps the recurrence
         return 1.0, _log_kummer_down(p, b, z) + shift
     if x < 0 or _is_nonpositive_integer(b - a):
-        sign, log_value = _kummer_taylor(b - a, b, -x, config)
+        sign, log_value = _kummer_taylor(b - a, b, -x)
         return sign, log_value + x
-    return _kummer_taylor(a, b, x, config)
+    return _kummer_taylor(a, b, x)
 
 
-def kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
+def kummer_1f1(a, b, x):
     """1F1(a, b, x) for real a, b, x: 0.0 on underflow, NumericalError past the
     float range or where a series cancels or does not converge."""
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
-    return _signed_exp(*_log_kummer(a, b, x, config), f"1F1(a={a}, b={b}, x={x})")
+    return _signed_exp(*_log_kummer(a, b, x), f"1F1(a={a}, b={b}, x={x})")
 
 
-def log_kummer_1f1(a, b, x, config: SpecFunConfig = DEFAULT_CONFIG):
+def log_kummer_1f1(a, b, x):
     """log 1F1(a, b, x), safe for huge |x|, on the positive-value domain b > 0
     and a > 0 (for x > 0) or b - a > 0 (for x < 0)."""
     if not (b > 0 and (a > 0 or x <= 0) and (b - a > 0 or x >= 0)):
         raise DomainError(f"log 1F1 outside its positive-value domain (a={a}, b={b}, x={x})")
-    return _log_kummer(a, b, x, config)[1]
+    return _log_kummer(a, b, x)[1]
 
 
 def log_phi1(alpha, beta, gamma, x, y):

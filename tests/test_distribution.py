@@ -162,9 +162,9 @@ class TestDomainEdges:
         sizes = []
         kernel = distribution.exp_scaled_expint
 
-        def counted(nu, x, config):
+        def counted(nu, x):
             sizes.append(np.size(x))
-            return kernel(nu, x, config)
+            return kernel(nu, x)
 
         monkeypatch.setattr(distribution, "exp_scaled_expint", counted)
         got = radial_log_density(d, radii, sigma_theta)

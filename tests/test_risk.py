@@ -1,5 +1,5 @@
 """Risk-bound tests: KL-ball masses against their asymptotic expansions,
-the radial quadrature, mpmath and the hypercube brackets, monotonicity,
+the radial quadrature and mpmath, monotonicity,
 rate/slope behavior of the bound (including the extra -log log n / n
 improvement that exists only in one dimension), and the Monte Carlo risk
 estimate against the bound.
@@ -24,7 +24,6 @@ from ghs.risk import (
     cesaro_risk_mc,
     kl_ball_prior_mass,
     kl_ball_radius,
-    offcenter_ball_mass_brackets,
     risk_upper_bound,
 )
 
@@ -146,14 +145,6 @@ class TestRiskBound:
         vals = [n * risk_upper_bound(sc, n) - 2 * math.log(n) / 2.0 for n in ns]
         assert max(vals) - min(vals) < 0.25
 
-    def test_off_origin_brackets_order(self):
-        # the exact mass lies between the inscribed- and circumscribed-cube masses
-        for theta0 in ((1.0, 1.0), (1.0, 1.0, 1.0)):
-            sc = RiskScenario(len(theta0), 1.0, theta0)
-            for n in (10**2, 10**3, 10**5, 10**8):
-                lower, upper = offcenter_ball_mass_brackets(sc, n)
-                assert 0.0 < lower <= kl_ball_prior_mass(sc, n) <= upper
-
     def test_radius_and_validation(self):
         assert kl_ball_radius(RiskScenario(2), 8) == pytest.approx(0.5)
         with pytest.raises(DomainError):
@@ -185,6 +176,26 @@ def d1_mass_mpmath(t, r):
         return float(mp.quad(f, [0, *breaks, mp.inf]))
 
 
+def off_origin_mass_mpmath(d, t, r):
+    """Mass of the ball of radius r < t around a point at distance t from the
+    origin: the radial integral over rho in [t - r, t + r] of the closed-form
+    density times the sphere area times the fraction of the sphere ||x|| = rho
+    inside the ball, 1/2 I_(1-c^2)((d-1)/2, 1/2) for the cap cos >= c >= 0."""
+    with mp.workdps(30):
+        t, r = mp.mpf(t), mp.mpf(r)
+        nu, half_d, half = mp.mpf(d + 1) / 2, mp.mpf(d) / 2, mp.mpf(1) / 2
+        # K_d e^u E_nu(u) / rho^(d-1) times the area 2 pi^(d/2) rho^(d-1) / Gamma(d/2)
+        lead = mp.gamma(nu) / mp.sqrt(2 * mp.pi ** (d + 2)) * 2 * mp.pi**half_d / mp.gamma(half_d)
+
+        def f(rho):
+            c = (rho**2 + t**2 - r**2) / (2 * rho * t)
+            cap = mp.betainc(half_d - half, half, 0, 1 - c**2, regularized=True) / 2
+            u = rho**2 / 2
+            return lead * mp.exp(u) * mp.expint(nu, u) * (cap if c >= 0 else 1 - cap)
+
+        return float(mp.quad(f, [t - r, t, t + r]))
+
+
 class TestBallMassKernel:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20, 50, 100])
     def test_origin_matches_radial_quadrature(self, d):
@@ -203,8 +214,15 @@ class TestBallMassKernel:
         expected = d1_mass_mpmath(t, kl_ball_radius(sc, n))
         assert kl_ball_prior_mass(sc, n) == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_off_origin_against_mpmath(self):
+        for theta0 in ((1.0, 1.0), (1.0, 1.0, 1.0)):
+            sc = RiskScenario(len(theta0), 1.0, theta0)
+            for n in (10**2, 10**3, 10**5, 10**8):
+                expected = off_origin_mass_mpmath(sc.d, math.hypot(*theta0), kl_ball_radius(sc, n))
+                assert kl_ball_prior_mass(sc, n) == pytest.approx(expected, rel=1e-12, abs=0), n
+
     def test_near_pole_matches_log_lambda_quadrature(self):
-        # the cube brackets raise DomainError here; the ball holds the origin
+        # the ball holds the origin, where the radial density has its pole
         sc = RiskScenario(2, 1.0, (0.01, 0.0))
         r, c = kl_ball_radius(sc, 1000), 1e-4
 
@@ -291,7 +309,6 @@ class TestBallMassKernel:
 
         for module, name in [
             (ghs.risk, "origin_ball_mass"),
-            (ghs.risk, "_cube_mass"),
             (ghs.risk, "adaptive_quad"),
             (ghs.risk, "radial_log_density"),
             (ghs.distribution, "adaptive_quad"),
