@@ -29,7 +29,6 @@ from .errors import (
 from .posterior import (
     PosteriorModel,
     SideModel,
-    cd_integrals,
     marginal_log_density,
     posterior_mean,
     score,
@@ -77,7 +76,6 @@ __all__ = [
     "SideModel",
     "StudyConfig",
     "ThresholdReport",
-    "cd_integrals",
     "cesaro_risk_mc",
     "classify",
     "density",

@@ -8,6 +8,7 @@ stderr.  All stochastic commands require an explicit --seed.
 """
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -282,9 +283,7 @@ def cmd_simulate(args):
 
     config = study_mod.StudyConfig.from_json(args.config)
     overrides = {"seed": args.seed, "threads": args.threads}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:
-        config = study_mod.StudyConfig.from_dict({**config.to_dict(), **overrides})
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     records, failures = study_mod.run_study(config, args.out_dir)
     print(f"completed {len(records)} replications, {len(failures)} failed")
     if failures:

@@ -103,6 +103,13 @@ def _check_truth(truth, d_lin):
         raise ConfigError("zero-or-linear candidates cannot have a non-linear truth")
 
 
+def _default_truth(d_lin, d_nl):
+    """Zero for every zero-or-linear candidate, then half linear / half
+    non-linear across the d_nl candidates."""
+    n_lin = d_nl // 2
+    return ("zero",) * d_lin + ("linear",) * n_lin + ("non-linear",) * (d_nl - n_lin)
+
+
 def _basis_sizes(basis_size, d_nl):
     """Spline-block sizes, one per non-linear candidate, each >= 2."""
     if isinstance(basis_size, int):
@@ -210,14 +217,7 @@ def generate_data(
     _check_finite("linear_coef", linear_coef)
     _check_finite("nonlinear_amp", nonlinear_amp)
     p = spec.p
-    if truth is None:
-        n_lin = spec.d_nl // 2
-        truth = (
-            ["zero"] * spec.d_lin
-            + ["linear"] * n_lin
-            + ["non-linear"] * (spec.d_nl - n_lin)
-        )
-    truth = tuple(truth)
+    truth = _default_truth(spec.d_lin, spec.d_nl) if truth is None else tuple(truth)
     if len(truth) != p:
         raise ConfigError(f"truth pattern has length {len(truth)}, expected {p}")
     _check_truth(truth, spec.d_lin)
@@ -717,14 +717,11 @@ def gibbs_sampler(
 
 @dataclass
 class ThresholdReport:
-    """Per-predictor posterior shrinkage statistics and labels."""
+    """Per-predictor posterior shrinkage statistics."""
 
     gamma_beta: list
     gamma_u: list  # None entries for zero-or-linear candidates
-    labels: list | None = None
-    border: float | None = None
     truth: tuple | None = None
-    misclassification: float | None = None
 
 
 def gamma_statistics(chain: GibbsChain, truth=None):

@@ -61,8 +61,8 @@ class RiskScenario:
 
 def kl_ball_radius(scenario: RiskScenario, n):
     """Euclidean radius of the KL ball of size 1/n."""
-    if n < 2:
-        raise DomainError("need n >= 2")
+    if not n >= 2:
+        raise DomainError(f"need n >= 2, got {n}")
     return scenario.sigma * math.sqrt(2.0 / n)
 
 
@@ -166,10 +166,10 @@ def cesaro_risk_mc(scenario: RiskScenario, n, reps, seed, target_se=None):
     collapsing theta analytically, so the only randomness is the data.
     Raises ResourceError if a requested standard error is not reached.
     """
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if reps < 2:
-        raise DomainError("need reps >= 2")
+    for name, value in (("n", n), ("reps", reps)):
+        if not (value >= 2 and value % 1 == 0):
+            raise DomainError(f"{name} must be a whole number >= 2, got {value}")
+    n, reps = int(n), int(reps)
     d, sigma = scenario.d, scenario.sigma
     theta0 = np.asarray(scenario.theta0)
     vals = np.empty(reps)

@@ -149,8 +149,8 @@ def exp_scaled_expint(nu, x):
     (needs nu > 1).  Each element runs the x < 1 series or the x >= 1
     continued fraction until it converges; negative orders recur down."""
     flat = np.asarray(x, dtype=float).ravel()
-    if not np.all(flat >= 0):
-        raise DomainError("generalized exponential integral needs x >= 0, not NaN")
+    if not (math.isfinite(nu) and np.all(flat >= 0)):
+        raise DomainError(f"E_nu needs a finite order and x >= 0, not NaN (nu={nu})")
     out = np.zeros_like(flat)  # the x = inf limit
     if (flat == 0.0).any():
         if nu <= 1.0:
@@ -318,9 +318,15 @@ def _log_kummer(a, b, x):
     return _kummer_taylor(a, b, x)
 
 
+def _check_finite_1f1(a, b, x):
+    if not all(map(math.isfinite, (a, b, x))):
+        raise DomainError(f"1F1 needs finite arguments (a={a}, b={b}, x={x})")
+
+
 def kummer_1f1(a, b, x):
     """1F1(a, b, x) for real a, b, x: 0.0 on underflow, NumericalError past the
     float range or where a series cancels or does not converge."""
+    _check_finite_1f1(a, b, x)
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
     return _signed_exp(*_log_kummer(a, b, x), f"1F1(a={a}, b={b}, x={x})")
@@ -329,6 +335,7 @@ def kummer_1f1(a, b, x):
 def log_kummer_1f1(a, b, x):
     """log 1F1(a, b, x), safe for huge |x|, on the positive-value domain b > 0
     and a > 0 (for x > 0) or b - a > 0 (for x < 0)."""
+    _check_finite_1f1(a, b, x)
     if not (b > 0 and (a > 0 or x <= 0) and (b - a > 0 or x >= 0)):
         raise DomainError(f"log 1F1 outside its positive-value domain (a={a}, b={b}, x={x})")
     return _log_kummer(a, b, x)[1]

@@ -16,7 +16,7 @@ import numbers
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, DomainError
 from .files import atomic_write
@@ -27,6 +27,7 @@ from .gamsel import (
     _check_finite,
     _check_positive,
     _check_truth,
+    _default_truth,
     chain_to_csv,
     classify,
     gamma_statistics,
@@ -69,25 +70,32 @@ class StudyConfig:
 
     def __post_init__(self):
         """Reject a bad config here, before any replication runs."""
-        for name in ("iters", "burn", "replications", "threads", "d_lin", "d_nl"):
+        for name in ("iters", "burn", "replications", "threads", "d_lin", "d_nl", "seed"):
             value = getattr(self, name)
             try:
                 operator.index(value)
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.save_chains, bool):
+            raise ConfigError(f"save_chains must be true or false, got {self.save_chains!r}")
         n = _as_list(self.n)
-        if not all(isinstance(v, numbers.Real) and v >= 1 and v % 1 == 0 for v in n):
-            raise ConfigError(f"n takes whole numbers >= 1, got {self.n!r}")
+        if not n or not all(isinstance(v, numbers.Real) and v >= 1 and v % 1 == 0 for v in n):
+            raise ConfigError(f"n takes one or more whole numbers >= 1, got {self.n!r}")
         object.__setattr__(self, "n", tuple(int(v) for v in n))
-        object.__setattr__(
-            self, "sigma_eps", tuple(float(v) for v in _as_list(self.sigma_eps))
-        )
-        if not all(0 <= v < math.inf for v in self.sigma_eps):
-            raise ConfigError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps!r}")
+        sigma_eps = _as_list(self.sigma_eps)
+        if not sigma_eps or not all(
+            isinstance(v, numbers.Real) and 0 <= v < math.inf for v in sigma_eps
+        ):
+            raise ConfigError(
+                f"sigma_eps takes one or more finite values >= 0, got {self.sigma_eps!r}"
+            )
+        object.__setattr__(self, "sigma_eps", tuple(float(v) for v in sigma_eps))
         # the 2-means border splits the d_nl spline-block statistics
         if self.d_lin < 0 or self.d_nl < 2:
             raise ConfigError(f"need d_lin >= 0 and d_nl >= 2, got {self.d_lin}, {self.d_nl}")
-        truth = tuple(self.truth) or self.default_truth()
+        if not isinstance(self.truth, (list, tuple)):
+            raise ConfigError(f"truth takes a list of labels, got {self.truth!r}")
+        truth = tuple(self.truth) or _default_truth(self.d_lin, self.d_nl)
         if len(truth) != self.d_lin + self.d_nl:
             raise ConfigError("truth pattern length must equal d_lin + d_nl")
         _check_truth(truth, self.d_lin)
@@ -103,20 +111,14 @@ class StudyConfig:
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 
-    def default_truth(self):
-        n_lin = self.d_nl // 2
-        return (
-            ("zero",) * self.d_lin
-            + ("linear",) * n_lin
-            + ("non-linear",) * (self.d_nl - n_lin)
-        )
-
     @property
     def scenarios(self):
         return [(n, s) for n in self.n for s in self.sigma_eps]
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a study config is a JSON object, got {doc!r}")
         doc = dict(doc)
         hyper = doc.pop("hyper", {})
         fields = sorted(Hyper.__dataclass_fields__)
@@ -134,16 +136,7 @@ class StudyConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self):
-        doc = {
-            k: getattr(self, k)
-            for k in self.__dataclass_fields__
-            if k != "hyper"
-        }
-        doc["n"] = list(self.n)
-        doc["sigma_eps"] = list(self.sigma_eps)
-        doc["truth"] = list(self.truth)
-        doc["hyper"] = vars(self.hyper).copy()
-        return doc
+        return asdict(self)
 
 
 def _as_list(v):
@@ -199,9 +192,6 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
     gu_vals = [g for g in report.gamma_u if g is not None]
     border_k = kmeans_threshold(gu_vals)
     labels_k = classify(report, 0.5, border_u=border_k)
-    report.labels = labels_half
-    report.border = 0.5
-    report.misclassification = _rates(labels_half, config.truth)["three_way_rate"]
 
     record = {
         "n": n,
@@ -236,17 +226,11 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
     return record
 
 
-def _task(args):
-    config_doc, n, sigma, rep, out_dir = args
-    config = StudyConfig.from_dict(config_doc)
-    return run_replication(config, n, sigma, rep, out_dir)
-
-
 def run_study(config: StudyConfig, out_dir):
     """Run the whole grid; returns (records, failures)."""
     os.makedirs(out_dir, exist_ok=True)
     tasks = [
-        (config.to_dict(), n, sigma, rep, out_dir)
+        (config, n, sigma, rep, out_dir)
         for n, sigma in config.scenarios
         for rep in range(config.replications)
     ]
@@ -277,7 +261,7 @@ def run_study(config: StudyConfig, out_dir):
 
 def _run_guarded(args):
     try:
-        return _task(args), None
+        return run_replication(*args), None
     except Exception as exc:  # noqa: BLE001 - isolate per-task failures
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -285,47 +269,37 @@ def _run_guarded(args):
 def write_aggregates(records, out_dir):
     """misclassification.csv and gamma_values.csv from sorted records."""
     os.makedirs(out_dir, exist_ok=True)
-    lines = [MISCLASS_HEADER]
-    for r in records:
-        for method in ("border_half", "kmeans"):
-            m = r["methods"][method]
-            lines.append(
-                ",".join(
-                    [
-                        str(r["n"]),
-                        repr(float(r["sigma_eps"])),
-                        str(r["replication"]),
-                        method,
-                        repr(float(m["border"])),
-                        str(m["three_way_errors"]),
-                        str(m["three_way_total"]),
-                        repr(float(m["three_way_rate"])),
-                        str(m["linvnl_errors"]),
-                        str(m["linvnl_total"]),
-                        repr(float(m["linvnl_rate"])),
-                    ]
-                )
-            )
-    atomic_write(os.path.join(out_dir, "misclassification.csv"), ["\n".join(lines), "\n"])
+    method_columns = MISCLASS_HEADER.split(",")[4:]
+    _write_csv(
+        os.path.join(out_dir, "misclassification.csv"),
+        MISCLASS_HEADER,
+        (
+            [r["n"], r["sigma_eps"], r["replication"], method,
+             *(r["methods"][method][c] for c in method_columns)]
+            for r in records
+            for method in ("border_half", "kmeans")
+        ),
+    )
+    _write_csv(
+        os.path.join(out_dir, "gamma_values.csv"),
+        GAMMA_HEADER,
+        (
+            [r["n"], r["sigma_eps"], r["replication"], j + 1, truth,
+             r["gamma_beta"][j], r["gamma_u"][j]]
+            for r in records
+            for j, truth in enumerate(r["truth"])
+        ),
+    )
 
-    lines = [GAMMA_HEADER]
-    for r in records:
-        for j, truth in enumerate(r["truth"]):
-            gu = r["gamma_u"][j]
-            lines.append(
-                ",".join(
-                    [
-                        str(r["n"]),
-                        repr(float(r["sigma_eps"])),
-                        str(r["replication"]),
-                        str(j + 1),
-                        truth,
-                        repr(float(r["gamma_beta"][j])),
-                        "" if gu is None else repr(float(gu)),
-                    ]
-                )
-            )
-    atomic_write(os.path.join(out_dir, "gamma_values.csv"), ["\n".join(lines), "\n"])
+
+def _write_csv(path, header, rows):
+    """One line per row: a float as its repr, None as an empty cell, else str."""
+
+    def cell(v):
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+    lines = [header, *(",".join(map(cell, row)) for row in rows)]
+    atomic_write(path, ["\n".join(lines), "\n"])
 
 
 def load_reports(out_dir):

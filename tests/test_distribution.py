@@ -24,6 +24,7 @@ from ghs.distribution import (
 )
 from ghs.errors import DimensionError, DomainError
 from ghs.risk import _ball_mass
+from ghs.rng import make_rng, split_seed
 
 # Frozen from density_quadrature_oracle(2, (1, 1)).
 DENSITY_D2_AT_ONES = 0.021741521332476726
@@ -313,3 +314,17 @@ class TestSampler:
                 sample_arrays(GhsDistribution(1), n, seed=1)
         lam, xs = sample_arrays(GhsDistribution(2), 3.0, seed=1)  # a whole float is a count
         assert lam.shape == (3,) and xs.shape == (3, 2)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, math.nan, math.inf, "a", None, -1])
+    def test_rejects_bad_seed(self, seed):
+        # 1.5 ran as seed 1; NaN and "a" raised a raw ValueError
+        for f in (make_rng, lambda s: split_seed(s, 0)):
+            with pytest.raises(DomainError):
+                f(seed)
+        with pytest.raises(DomainError):
+            sample_arrays(GhsDistribution(1), 3, seed=seed)
+
+    def test_integer_seeds_accepted(self):
+        for seed in (0, 7, np.int64(7), 2**70):
+            make_rng(seed)
+        assert split_seed(np.int64(7), 1) == split_seed(7, 1)

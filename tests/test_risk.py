@@ -151,6 +151,8 @@ class TestRiskBound:
             kl_ball_prior_mass(RiskScenario(2), 1)
         with pytest.raises(DomainError):
             RiskScenario(2, 1.0, (1.0,))
+        with pytest.raises(DomainError):  # the radius was NaN
+            kl_ball_radius(RiskScenario(2), math.nan)
 
     @pytest.mark.parametrize("args", [
         (2.5,),
@@ -351,6 +353,17 @@ class TestCesaroRiskMc:
         b = cesaro_risk_mc(sc, 20, reps=50, seed=9)
         assert a.estimate == b.estimate
         assert np.array_equal(a.per_rep, b.per_rep)
+
+    @pytest.mark.parametrize("n, reps", [(100.5, 10), (math.nan, 10), (math.inf, 10), (100, 10.5)])
+    def test_fractional_sizes_rejected(self, n, reps):
+        # a raw TypeError before
+        with pytest.raises(DomainError):
+            cesaro_risk_mc(RiskScenario(1), n, reps=reps, seed=9)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, "a", -1])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError):
+            cesaro_risk_mc(RiskScenario(1), 20, reps=10, seed=seed)
 
     def test_unattainable_precision_raises(self):
         with pytest.raises(ResourceError):

@@ -209,6 +209,17 @@ class TestExpScaledKernel:
     def test_empty_input(self):
         assert exp_scaled_expint(1.5, np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("nu, x", [
+        (math.nan, 1.0), (-math.inf, 1.0), (math.inf, 1.0), (math.nan, math.inf),
+    ])
+    def test_non_finite_order_rejected(self, nu, x):
+        # a NaN order raised a raw ValueError, -inf a raw OverflowError
+        for f in (gen_exp_integral, exp_scaled_gen_exp_integral):
+            with pytest.raises(DomainError):
+                f(nu, x)
+        with pytest.raises(DomainError):
+            exp_scaled_expint(nu, [x])
+
 
 class TestKummer1F1:
     def test_unit_at_zero(self):
@@ -226,6 +237,18 @@ class TestKummer1F1:
         for b in [0.0, -1.0, -2.0]:
             with pytest.raises(DomainError):
                 kummer_1f1(0.5, b, 1.0)
+
+    @pytest.mark.parametrize("a, b, x", [
+        (1.0, 2.0, math.inf), (1.0, 2.0, -math.inf), (1.0, 2.0, math.nan),
+        (math.inf, 2.0, 1.0), (math.nan, 2.0, 1.0), (1.0, math.inf, 1.0), (1.0, math.nan, 1.0),
+    ])
+    def test_non_finite_arguments_rejected(self, a, b, x):
+        # these returned NaN with RuntimeWarnings, overflowed or did not converge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (kummer_1f1, log_kummer_1f1):
+                with pytest.raises(DomainError):
+                    f(a, b, x)
 
     def test_polynomial_case(self):
         # a = -2: 1 - 2x/b + x^2 (1)/(b(b+1))  via the terminating series

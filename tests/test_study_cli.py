@@ -77,7 +77,9 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig.from_dict({**TINY_STUDY, field: value})
 
-    # each of these made every replication fail or run an improper model
+    # each of these made every replication fail or run an improper model, or
+    # ran a study other than the one asked for: seed 2.5 ran seed 2, an empty
+    # n or sigma_eps list no replication, "no" saved the chains
     REJECTED_BY_EVERY_REPLICATION = [
         ("truth", ["zero", "weird", "linear", "non-linear"]),
         ("truth", ["non-linear", "zero", "linear", "non-linear"]),
@@ -95,6 +97,12 @@ class TestStudyConfig:
         ("hyper", {"s_eps": -1}),
         ("hyper", {"s_u": math.inf}),
         ("hyper", {"s_bogus": 1.0}),
+        ("seed", "7"),
+        ("seed", 2.5),
+        ("save_chains", "no"),
+        ("truth", 5),
+        ("n", []),
+        ("sigma_eps", []),
     ]
 
     @pytest.mark.parametrize("field, value", REJECTED_BY_EVERY_REPLICATION)
@@ -103,6 +111,19 @@ class TestStudyConfig:
 
         with pytest.raises(ConfigError):
             StudyConfig.from_dict({**TINY_STUDY, field: value})
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        from ghs.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            StudyConfig.from_dict([1, 2])
+        cfg = tmp_path / "study.json"
+        cfg.write_text("[1, 2]")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "run").exists()
 
     def test_hyper_must_be_a_hyper(self):
         # a dict passed the constructor and failed in to_dict, inside run_study
