@@ -24,7 +24,6 @@ from .errors import (
     GhsError,
     LengthError,
     NumericalError,
-    ResourceError,
 )
 from .posterior import (
     PosteriorModel,
@@ -46,8 +45,10 @@ from .specfun import (
 
 __version__ = "0.1.0"
 
-# The Gibbs sampler imports scipy.linalg (about 0.35 s and 30 MB), which the
-# density, sampler, posterior and risk never need: these names load on first use.
+# The Gibbs sampler and the study runner load on first use: their import takes
+# about 50 ms per `python -X importtime` (concurrent.futures.process alone about
+# 20 ms), which the density, sampler, posterior and risk never need.  SciPy
+# waits longer still: gamsel binds scipy.linalg when the sampler first runs.
 _LAZY = {
     "gamsel": ("AdditiveModelSpec", "Dataset", "GibbsChain", "Hyper", "MisclassRate",
                "ThresholdReport", "classify", "gamma_statistics", "generate_data",
@@ -71,7 +72,6 @@ __all__ = [
     "MixtureDraw",
     "NumericalError",
     "PosteriorModel",
-    "ResourceError",
     "RiskScenario",
     "SideModel",
     "StudyConfig",

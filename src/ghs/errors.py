@@ -27,7 +27,3 @@ class NumericalError(GhsError, ArithmeticError):
 
 class LengthError(GhsError, ValueError):
     """Two sequences that must align have different lengths."""
-
-
-class ResourceError(GhsError, RuntimeError):
-    """Requested precision or workload is unattainable within the budget."""

@@ -1,4 +1,4 @@
-"""File output shared by the CLI and the study runner."""
+"""File output shared by the CLI, the study runner and the chain export."""
 
 import os
 
@@ -15,3 +15,18 @@ def atomic_write(path, lines):
             os.remove(tmp)
         raise
     os.replace(tmp, path)
+
+
+def write_csv(path, header, rows):
+    """``header``, then one line per row, streamed through atomic_write: a
+    float as its repr, None as an empty cell, anything else as str."""
+
+    def cell(v):
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+    def lines():
+        yield f"{header}\n"
+        for row in rows:
+            yield f"{','.join(map(cell, row))}\n"
+
+    atomic_write(path, lines())

@@ -15,7 +15,6 @@ block: a block is declared zero when E(gamma | y) falls below the border
 (1/2 by default, or a data-driven 2-means split of the observed statistics).
 """
 
-import csv
 import math
 import numbers
 import operator
@@ -32,6 +31,7 @@ from .errors import (
     LengthError,
     NumericalError,
 )
+from .files import write_csv
 from .rng import make_rng
 
 # scipy.linalg is bound on first use, so that importing ghs.gamsel or
@@ -81,11 +81,19 @@ __all__ = [
 
 LABELS = ("zero", "linear", "non-linear")
 
+# build_design multiplies the orthonormal spline columns by this scale, which
+# thereby sets the prior-to-noise balance of the u-blocks; see spline_basis
+_BASIS_SCALE = 0.15
 
-def _check_finite(name, value):
-    """ConfigError unless ``value`` is a finite real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+def _check_integers(obj, names):
+    """ConfigError unless each named field of ``obj`` is an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_positive(name, value, least=0.0):
@@ -111,13 +119,13 @@ def _default_truth(d_lin, d_nl):
 
 
 def _basis_sizes(basis_size, d_nl):
-    """Spline-block sizes, one per non-linear candidate, each >= 2."""
-    if isinstance(basis_size, int):
-        ks = (basis_size,) * d_nl
-    else:
+    """Spline-block sizes, one per non-linear candidate, each an integer >= 2."""
+    try:
+        ks = (operator.index(basis_size),) * d_nl
+    except TypeError:
         try:
-            ks = tuple(int(k) for k in basis_size)
-        except (TypeError, ValueError):
+            ks = tuple(map(operator.index, basis_size))
+        except TypeError:
             raise ConfigError(f"basis_size takes integers, got {basis_size!r}") from None
         if len(ks) != d_nl:
             raise ConfigError("basis_size tuple must have one entry per d_nl candidate")
@@ -146,23 +154,18 @@ class Hyper:
 
 @dataclass(frozen=True)
 class AdditiveModelSpec:
-    """Model shape: sample size, candidate counts, spline-block sizes.
-
-    ``basis_scale`` multiplies the orthonormal spline columns and thereby
-    sets the prior-to-noise balance of the u-blocks; see spline_basis.
-    """
+    """Model shape: sample size, candidate counts, spline-block sizes."""
 
     n: int
     d_lin: int
     d_nl: int
     basis_size: int | tuple = 6
-    basis_scale: float = 0.15
     hyper: Hyper = field(default_factory=Hyper)
 
     def __post_init__(self):
+        _check_integers(self, ("n", "d_lin", "d_nl"))
         if self.n < 1 or self.d_lin < 0 or self.d_nl < 0:
             raise ConfigError("n must be positive; candidate counts nonnegative")
-        _check_positive("basis_scale", self.basis_scale)
         if self.n <= self.d_lin + self.d_nl + sum(self.basis_sizes):
             warnings.warn(
                 "sample size does not exceed the total coefficient count",
@@ -186,8 +189,6 @@ class Dataset:
     y: np.ndarray
     truth: tuple
     mean_surface: np.ndarray
-    sigma_eps: float
-    seed: int
 
 
 _NONLINEAR_SHAPES = (
@@ -197,25 +198,17 @@ _NONLINEAR_SHAPES = (
 )
 
 
-def generate_data(
-    spec: AdditiveModelSpec,
-    sigma_eps,
-    seed,
-    truth=None,
-    linear_coef=1.0,
-    nonlinear_amp=1.0,
-):
+def generate_data(spec: AdditiveModelSpec, sigma_eps, seed, truth=None):
     """Simulate predictors ~ U(0,1) i.i.d. and a Gaussian response.
 
     ``truth`` assigns one of {"zero", "linear", "non-linear"} to each of the
     d_lin + d_nl predictors; zero-or-linear candidates may not carry a
     non-linear truth.  Default truth: zero for every d_lin candidate, then
-    half linear / half non-linear across the d_nl candidates.
+    half linear / half non-linear across the d_nl candidates.  A linear
+    truth adds x - 1/2, a non-linear one a unit-amplitude sine or cosine.
     """
     if not 0 <= sigma_eps < math.inf:
         raise ConfigError(f"sigma_eps must be finite and nonnegative, got {sigma_eps}")
-    _check_finite("linear_coef", linear_coef)
-    _check_finite("nonlinear_amp", nonlinear_amp)
     p = spec.p
     truth = _default_truth(spec.d_lin, spec.d_nl) if truth is None else tuple(truth)
     if len(truth) != p:
@@ -228,13 +221,13 @@ def generate_data(
     shape_idx = 0
     for j, t in enumerate(truth):
         if t == "linear":
-            surface += linear_coef * (x[:, j] - 0.5)
+            surface += x[:, j] - 0.5
         elif t == "non-linear":
             g = _NONLINEAR_SHAPES[shape_idx % len(_NONLINEAR_SHAPES)]
-            surface += nonlinear_amp * g(x[:, j])
+            surface += g(x[:, j])
             shape_idx += 1
     y = surface + sigma_eps * rng.standard_normal(spec.n)
-    return Dataset(x, y, truth, surface, float(sigma_eps), int(seed))
+    return Dataset(x, y, truth, surface)
 
 
 def _bspline_knots(values, K):
@@ -341,7 +334,7 @@ def build_design(dataset: Dataset, spec: AdditiveModelSpec):
     u_blocks = []
     offset = p + 1
     for i, k in enumerate(spec.basis_sizes):
-        z = spline_basis(dataset.x[:, spec.d_lin + i], k) * spec.basis_scale
+        z = spline_basis(dataset.x[:, spec.d_lin + i], k) * _BASIS_SCALE
         cols.append(z)
         u_blocks.append(slice(offset, offset + k))
         offset += k
@@ -368,9 +361,6 @@ class GibbsChain:
     sigma_u: np.ndarray
     sigma_eps: np.ndarray
     spec: AdditiveModelSpec
-    iters: int
-    burn: int
-    seed: int
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -706,7 +696,7 @@ def gibbs_sampler(
                        sig2_e_floor_hits=sig2_e_floor_hits)
     return GibbsChain(
         beta0[:, 0], beta, u, rel_blocks, lb, lu, sb[:, 0], su, se[:, 0],
-        spec, iters, burn, int(seed), diagnostics,
+        spec, diagnostics,
     )
 
 
@@ -721,10 +711,9 @@ class ThresholdReport:
 
     gamma_beta: list
     gamma_u: list  # None entries for zero-or-linear candidates
-    truth: tuple | None = None
 
 
-def gamma_statistics(chain: GibbsChain, truth=None):
+def gamma_statistics(chain: GibbsChain):
     """Posterior means of the per-block shrinkage factors, in (0, 1)."""
     if len(chain) == 0:
         raise ConfigError("chain has no retained draws")
@@ -738,7 +727,7 @@ def gamma_statistics(chain: GibbsChain, truth=None):
     # .T.copy(): the blocks' draws as contiguous rows
     gb = means(chain.lambda_beta.T.copy() ** 2 * chain.sigma_beta**2)
     gu = means(chain.lambda_u.T.copy() ** 2 * chain.sigma_u.T.copy() ** 2)
-    return ThresholdReport(gamma_beta=gb, gamma_u=[None] * chain.spec.d_lin + gu, truth=truth)
+    return ThresholdReport(gamma_beta=gb, gamma_u=[None] * chain.spec.d_lin + gu)
 
 
 def classify(report: ThresholdReport, border=0.5, border_u=None):
@@ -823,11 +812,8 @@ def chain_to_csv(chain: GibbsChain, path):
     header += ["sigma_beta"]
     header += [f"sigma_u_{i + 1}" for i in range(spec.d_nl)]
     header += ["sigma_eps"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t in range(len(chain)):
-            row = [chain.beta0[t], *chain.beta[t], *chain.u[t]]
-            row += [*chain.lambda_beta[t], *chain.lambda_u[t]]
-            row += [chain.sigma_beta[t], *chain.sigma_u[t], chain.sigma_eps[t]]
-            writer.writerow([repr(float(v)) for v in row])
+    draws = np.column_stack((
+        chain.beta0, chain.beta, chain.u, chain.lambda_beta, chain.lambda_u,
+        chain.sigma_beta, chain.sigma_u, chain.sigma_eps,
+    ))
+    write_csv(path, ",".join(header), (row.tolist() for row in draws))

@@ -14,14 +14,14 @@ import numpy as np
 from .errors import DomainError
 
 
-def _seed(seed):
+def _seed(seed, name="seed"):
     """``seed`` as an int; DomainError unless it is an integer >= 0."""
     try:
         value = operator.index(seed)
     except TypeError:
         value = -1
     if value < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise DomainError(f"{name} must be a nonnegative integer, got {seed!r}")
     return value
 
 
@@ -36,7 +36,9 @@ def split_seed(seed, *path):
     """Derive a child seed from a master seed and an integer path.
 
     Children for distinct paths are statistically independent; the same
-    (seed, path) pair always yields the same child.
+    (seed, path) pair always yields the same child.  Path entries, like the
+    seed, are integers >= 0.
     """
-    ss = np.random.SeedSequence(_seed(seed), spawn_key=tuple(int(p) for p in path))
+    key = tuple(_seed(p, "seed path entry") for p in path)
+    ss = np.random.SeedSequence(_seed(seed), spawn_key=key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])

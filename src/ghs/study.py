@@ -13,19 +13,17 @@ failed replications are listed there instead of aborting the study.
 import json
 import math
 import numbers
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, DomainError
-from .files import atomic_write
+from .files import atomic_write, write_csv
 from .gamsel import (
     AdditiveModelSpec,
     Hyper,
     _basis_sizes,
-    _check_finite,
-    _check_positive,
+    _check_integers,
     _check_truth,
     _default_truth,
     chain_to_csv,
@@ -59,9 +57,6 @@ class StudyConfig:
     d_nl: int = 20
     truth: tuple = ()
     basis_size: int = 6
-    basis_scale: float = 0.15
-    linear_coef: float = 1.0
-    nonlinear_amp: float = 1.0
     iters: int = 5000
     burn: int = 1000
     threads: int = 1
@@ -70,12 +65,9 @@ class StudyConfig:
 
     def __post_init__(self):
         """Reject a bad config here, before any replication runs."""
-        for name in ("iters", "burn", "replications", "threads", "d_lin", "d_nl", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        _check_integers(
+            self, ("iters", "burn", "replications", "threads", "d_lin", "d_nl", "seed")
+        )
         if not isinstance(self.save_chains, bool):
             raise ConfigError(f"save_chains must be true or false, got {self.save_chains!r}")
         n = _as_list(self.n)
@@ -101,9 +93,6 @@ class StudyConfig:
         _check_truth(truth, self.d_lin)
         object.__setattr__(self, "truth", truth)
         _basis_sizes(self.basis_size, self.d_nl)
-        _check_positive("basis_scale", self.basis_scale)
-        _check_finite("linear_coef", self.linear_coef)
-        _check_finite("nonlinear_amp", self.nonlinear_amp)
         if not isinstance(self.hyper, Hyper):
             raise ConfigError(f"hyper must be a Hyper, got {self.hyper!r}")
         if self.replications < 1 or not self.iters > self.burn >= 0 or self.threads < 1:
@@ -169,16 +158,10 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
         d_lin=config.d_lin,
         d_nl=config.d_nl,
         basis_size=config.basis_size,
-        basis_scale=config.basis_scale,
         hyper=config.hyper,
     )
     data = generate_data(
-        spec,
-        sigma,
-        split_seed(config.seed, scenario_id, rep, 0),
-        truth=config.truth,
-        linear_coef=config.linear_coef,
-        nonlinear_amp=config.nonlinear_amp,
+        spec, sigma, split_seed(config.seed, scenario_id, rep, 0), truth=config.truth
     )
     chain = gibbs_sampler(
         data,
@@ -187,7 +170,7 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
         config.burn,
         split_seed(config.seed, scenario_id, rep, 1),
     )
-    report = gamma_statistics(chain, truth=config.truth)
+    report = gamma_statistics(chain)
     labels_half = classify(report, 0.5)
     gu_vals = [g for g in report.gamma_u if g is not None]
     border_k = kmeans_threshold(gu_vals)
@@ -270,7 +253,7 @@ def write_aggregates(records, out_dir):
     """misclassification.csv and gamma_values.csv from sorted records."""
     os.makedirs(out_dir, exist_ok=True)
     method_columns = MISCLASS_HEADER.split(",")[4:]
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "misclassification.csv"),
         MISCLASS_HEADER,
         (
@@ -280,7 +263,7 @@ def write_aggregates(records, out_dir):
             for method in ("border_half", "kmeans")
         ),
     )
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "gamma_values.csv"),
         GAMMA_HEADER,
         (
@@ -290,16 +273,6 @@ def write_aggregates(records, out_dir):
             for j, truth in enumerate(r["truth"])
         ),
     )
-
-
-def _write_csv(path, header, rows):
-    """One line per row: a float as its repr, None as an empty cell, else str."""
-
-    def cell(v):
-        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
-
-    lines = [header, *(",".join(map(cell, row)) for row in rows)]
-    atomic_write(path, ["\n".join(lines), "\n"])
 
 
 def load_reports(out_dir):

@@ -46,7 +46,6 @@ DESK_STUDY = StudyConfig(
     d_lin=10,
     d_nl=20,
     basis_size=6,
-    basis_scale=0.15,
     iters=2000,
     burn=500,
 )

@@ -317,8 +317,9 @@ class TestSampler:
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, math.nan, math.inf, "a", None, -1])
     def test_rejects_bad_seed(self, seed):
-        # 1.5 ran as seed 1; NaN and "a" raised a raw ValueError
-        for f in (make_rng, lambda s: split_seed(s, 0)):
+        # 1.5 ran as seed 1, also as a split_seed path entry; NaN and "a"
+        # raised a raw ValueError, as did -1 as a path entry
+        for f in (make_rng, lambda s: split_seed(s, 0), lambda s: split_seed(1, 0, s)):
             with pytest.raises(DomainError):
                 f(seed)
         with pytest.raises(DomainError):
@@ -328,3 +329,4 @@ class TestSampler:
         for seed in (0, 7, np.int64(7), 2**70):
             make_rng(seed)
         assert split_seed(np.int64(7), 1) == split_seed(7, 1)
+        assert split_seed(7, np.int64(1), np.uint8(2)) == split_seed(7, 1, 2)

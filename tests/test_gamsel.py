@@ -20,6 +20,7 @@ from ghs.errors import (
     LengthError,
     NumericalError,
 )
+from ghs.files import write_csv
 from ghs.gamsel import (
     AdditiveModelSpec,
     GibbsChain,
@@ -91,6 +92,26 @@ class TestGenerateData:
         with pytest.warns(UserWarning):
             AdditiveModelSpec(n=10, d_lin=2, d_nl=2, basis_size=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 150.5), ("n", 150.0), ("n", "150"), ("d_lin", 1.5), ("d_nl", 2.0), ("d_nl", None),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # these constructed, and generate_data then raised a raw TypeError
+        with pytest.raises(ConfigError):
+            small_spec(**{field: value})
+
+    @pytest.mark.parametrize("basis_size", [(4.5, 4), (4, 4.0), "44"])
+    def test_basis_sizes_must_be_integers(self, basis_size):
+        # (4.5, 4) and "44" ran K = (4, 4), without a word
+        with pytest.raises(ConfigError):
+            small_spec(basis_size=basis_size)
+
+    def test_numpy_integer_counts_accepted(self):
+        # a NumPy integer basis_size was taken for a sequence and refused
+        spec = small_spec(n=np.int64(120), d_nl=np.int64(2), basis_size=np.int64(4))
+        assert spec.basis_sizes == (4, 4)
+        assert small_spec(basis_size=(np.int64(4), 5)).basis_sizes == (4, 5)
+
     @pytest.mark.parametrize("field", ["s_beta", "s_u", "s_eps", "intercept_sd"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e-160, "1"])
     def test_hyperparameters_finite_and_positive(self, field, value):
@@ -98,16 +119,6 @@ class TestGenerateData:
         # nan failed at iteration 0, and -1 or inf ran silently
         with pytest.raises(ConfigError):
             Hyper(**{field: value})
-
-    @pytest.mark.parametrize("value", [0.0, -0.15, math.nan, math.inf])
-    def test_basis_scale_finite_and_positive(self, value):
-        with pytest.raises(ConfigError):
-            small_spec(basis_scale=value)
-
-    @pytest.mark.parametrize("field", ["linear_coef", "nonlinear_amp"])
-    def test_signal_sizes_must_be_finite(self, field):
-        with pytest.raises(ConfigError):
-            generate_data(small_spec(), 0.5, 1, **{field: math.nan})
 
 
 class TestSplineBasis:
@@ -548,9 +559,6 @@ def synthetic_chain(lam_b, lam_u, sig_b, sig_u, sig_e, spec):
         sigma_u=np.asarray(sig_u),
         sigma_eps=np.asarray(sig_e),
         spec=spec,
-        iters=m,
-        burn=0,
-        seed=0,
     )
 
 
@@ -589,7 +597,7 @@ class TestGammaStatistics:
         spec = small_spec()
         data = generate_data(spec, 0.5, 9)
         chain = gibbs_sampler(data, spec, iters=80, burn=20, seed=3)
-        rep = gamma_statistics(chain, truth=data.truth)
+        rep = gamma_statistics(chain)
         assert all(0.0 < g < 1.0 for g in rep.gamma_beta)
         assert all(g is None or 0.0 < g < 1.0 for g in rep.gamma_u)
 
@@ -741,6 +749,29 @@ class TestExports:
         back = np.array([[float(v) for v in row] for row in body])
         assert back[:, 0] == pytest.approx(chain.beta0)
 
+    def test_chain_csv_failing_part_way_leaves_no_file(self, tmp_path):
+        # a chain whose u draws stop short used to leave a truncated CSV
+        spec = small_spec()
+        data = generate_data(spec, 0.5, 9)
+        chain = gibbs_sampler(data, spec, iters=30, burn=10, seed=3)
+        chain.u = chain.u[:5]
+        path = tmp_path / "chain.csv"
+        with pytest.raises((IndexError, ValueError)):
+            chain_to_csv(chain, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_row_failing_part_way_leaves_no_file(self, tmp_path):
+        def rows():
+            yield [1, 0.5, None]
+            raise RuntimeError("row 2")
+
+        path = tmp_path / "table.csv"
+        with pytest.raises(RuntimeError, match="row 2"):
+            write_csv(path, "a,b,c", rows())
+        assert list(tmp_path.iterdir()) == []
+        write_csv(path, "a,b,c", [[1, 0.5, None], ["x", np.float64(0.1), 2]])
+        assert path.read_text() == "a,b,c\n1,0.5,\nx,0.1,2\n"
+
 
 class TestDeskScaleSanity:
     def test_six_predictor_fixture(self):
@@ -748,11 +779,11 @@ class TestDeskScaleSanity:
         # non-linear blocks must clear the 1/2 border, zero candidates must
         # stay at or below it; linear candidates' block statistics land in
         # the ambiguous mid range, which is what the data-driven border fixes
-        spec = AdditiveModelSpec(n=2000, d_lin=2, d_nl=4, basis_size=6, basis_scale=0.15)
+        spec = AdditiveModelSpec(n=2000, d_lin=2, d_nl=4, basis_size=6)
         truth = ("zero", "zero", "linear", "linear", "non-linear", "non-linear")
         data = generate_data(spec, 0.25, 31, truth=truth)
         chain = gibbs_sampler(data, spec, iters=1200, burn=300, seed=32)
-        rep = gamma_statistics(chain, truth)
+        rep = gamma_statistics(chain)
         assert max(rep.gamma_beta[0], rep.gamma_beta[1]) <= 0.5
         assert rep.gamma_u[4] > 0.5 and rep.gamma_u[5] > 0.5
         assert rep.gamma_u[4] > 0.9  # strong non-linear signal

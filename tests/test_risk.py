@@ -16,7 +16,7 @@ from scipy import integrate, special, stats
 import ghs.distribution
 import ghs.risk
 from ghs.distribution import origin_ball_mass, radial_log_density
-from ghs.errors import DomainError, NumericalError, ResourceError
+from ghs.errors import DomainError, NumericalError
 from ghs.posterior import _c_like_integral_lambda
 from ghs.risk import (
     RiskScenario,
@@ -163,6 +163,15 @@ class TestRiskBound:
     def test_scenario_rejects_bad_input(self, args):
         with pytest.raises(DomainError):
             RiskScenario(*args)
+
+    @pytest.mark.parametrize("n", [100.5, math.nan, math.inf, 1, 1.0, "100", None])
+    def test_scenario_rejects_sizes_that_are_not_whole_and_at_least_two(self, n):
+        # 100.5 ran as 100; NaN raised a raw ValueError and inf a raw OverflowError
+        with pytest.raises(DomainError):
+            RiskScenario(1, 1.0, (), (1000, n))
+
+    def test_scenario_accepts_whole_float_sizes(self):
+        assert RiskScenario(1, 1.0, (), (1e3, 2.0, np.int64(50))).n_grid == (1000, 2, 50)
 
 
 def d1_mass_mpmath(t, r):
@@ -364,10 +373,6 @@ class TestCesaroRiskMc:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError):
             cesaro_risk_mc(RiskScenario(1), 20, reps=10, seed=seed)
-
-    def test_unattainable_precision_raises(self):
-        with pytest.raises(ResourceError):
-            cesaro_risk_mc(RiskScenario(1), 20, reps=10, seed=9, target_se=1e-12)
 
 
 class TestPriorPredictive:

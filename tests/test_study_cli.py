@@ -78,18 +78,21 @@ class TestStudyConfig:
             StudyConfig.from_dict({**TINY_STUDY, field: value})
 
     # each of these made every replication fail or run an improper model, or
-    # ran a study other than the one asked for: seed 2.5 ran seed 2, an empty
-    # n or sigma_eps list no replication, "no" saved the chains
+    # ran a study other than the one asked for: seed 2.5 ran seed 2, basis
+    # sizes [4.5, 4, 4] and [4, "4", 4] ran [4, 4, 4], an empty n or
+    # sigma_eps list no replication, "no" saved the chains; the fields that
+    # set the spline scale and the signal sizes are gone, so a config that
+    # still sets one is refused as unknown
     REJECTED_BY_EVERY_REPLICATION = [
         ("truth", ["zero", "weird", "linear", "non-linear"]),
         ("truth", ["non-linear", "zero", "linear", "non-linear"]),
         ("basis_size", 1),
         ("basis_size", 4.5),
-        ("basis_scale", math.nan),
-        ("basis_scale", math.inf),
-        ("basis_scale", -0.15),
-        ("linear_coef", math.nan),
-        ("nonlinear_amp", math.inf),
+        ("basis_size", [4.5, 4, 4]),
+        ("basis_size", [4, "4", 4]),
+        ("basis_scale", 0.15),
+        ("linear_coef", 1.0),
+        ("nonlinear_amp", 1.0),
         ("d_nl", 0),
         ("d_nl", 1),
         ("hyper", {"s_u": 0}),
