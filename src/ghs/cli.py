@@ -20,7 +20,7 @@ import numpy as np
 
 # sample_arrays stays importable here: perfbench/spans.py patches this name
 from .distribution import GhsDistribution, log_density, sample_arrays, sample_blocks  # noqa: F401
-from .errors import ConfigError, DimensionError, GhsError
+from .errors import ConfigError, DimensionError, GhsError, _check_whole
 from .files import atomic_write
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
@@ -254,10 +254,7 @@ def _parse_floats(text):
 
 def _parse_counts(text, flag):
     """Comma-separated whole numbers, written as integers or floats (1e3)."""
-    values = _parse_floats(text)
-    if not all(v % 1 == 0 for v in values):  # inf % 1 and nan % 1 are nan
-        raise ConfigError(f"{flag} takes whole numbers, got {text!r}")
-    return [int(v) for v in values]
+    return [_check_whole(v, flag, 0, ConfigError) for v in _parse_floats(text)]
 
 
 def cmd_risk(args):

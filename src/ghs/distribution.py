@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _check_integer, _check_real, _check_whole
 from .quadrature import adaptive_quad
 from .rng import make_rng
 from .specfun import exp_scaled_expint, exp_scaled_gen_exp_integral
@@ -44,10 +44,8 @@ class GhsDistribution:
     sigma_theta: float = 1.0
 
     def __post_init__(self):
-        if not (self.d >= 1 and self.d % 1 == 0):
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
-        if not (self.sigma_theta > 0 and math.isfinite(self.sigma_theta)):
-            raise DomainError(f"scale must be positive and finite, got {self.sigma_theta}")
+        _check_integer(self.d, "dimension", 1)
+        _check_real(self.sigma_theta, "sigma_theta")
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,10 @@ def radial_log_density(d, r, sigma_theta=1.0):
     and, at d = 1, its small-u form -gamma - log u, both with
     log u = 2 log r - log 2, so no digits are lost to over- or underflow.
     """
-    r = np.asarray(r, dtype=float)
+    try:
+        r = np.asarray(r, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("radius must be a nonnegative number") from None
     if not np.all(r >= 0):
         raise DomainError("radius must be a nonnegative number")
     r = r / sigma_theta
@@ -114,7 +115,10 @@ def _point_norms(x):
 
 def log_density(dist: GhsDistribution, x):
     """log p(x) for one point (a float) or an (m, d) stack of points; +inf at the pole."""
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("x must be real numbers") from None
     if x.ndim not in (1, 2) or x.shape[-1] != dist.d:
         raise DimensionError(f"expected points of length {dist.d}, got shape {x.shape}")
     return radial_log_density(dist.d, _point_norms(x), dist.sigma_theta)
@@ -136,9 +140,7 @@ def sample_blocks(dist: GhsDistribution, n, seed, block):
     normals: the draws are the same for every ``block``.  ``n`` and ``seed``
     are checked here, before the first block is asked for.
     """
-    if not (n >= 1 and n % 1 == 0):
-        raise DomainError(f"need a whole number n >= 1 of draws, got {n}")
-    n, block = int(n), int(block)
+    n, block = _check_whole(n, "n", 1), int(block)
     uniforms, normals = make_rng(seed), make_rng(seed)
     normals.bit_generator.advance(n)  # one 64-bit output per uniform
 

@@ -16,8 +16,6 @@ block: a block is declared zero when E(gamma | y) falls below the border
 """
 
 import math
-import numbers
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,6 +28,8 @@ from .errors import (
     DomainError,
     LengthError,
     NumericalError,
+    _check_integer,
+    _check_real,
 )
 from .files import write_csv
 from .rng import make_rng
@@ -86,22 +86,6 @@ LABELS = ("zero", "linear", "non-linear")
 _BASIS_SCALE = 0.15
 
 
-def _check_integers(obj, names):
-    """ConfigError unless each named field of ``obj`` is an integer."""
-    for name in names:
-        value = getattr(obj, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_positive(name, value, least=0.0):
-    """ConfigError unless ``value`` is a real number in (least, inf)."""
-    if not (isinstance(value, numbers.Real) and least < value < math.inf):
-        raise ConfigError(f"{name} must be finite and > {least:g}, got {value!r}")
-
-
 def _check_truth(truth, d_lin):
     """ConfigError unless every label is in LABELS and no zero-or-linear
     candidate (the first ``d_lin``) carries a non-linear truth."""
@@ -120,18 +104,10 @@ def _default_truth(d_lin, d_nl):
 
 def _basis_sizes(basis_size, d_nl):
     """Spline-block sizes, one per non-linear candidate, each an integer >= 2."""
-    try:
-        ks = (operator.index(basis_size),) * d_nl
-    except TypeError:
-        try:
-            ks = tuple(map(operator.index, basis_size))
-        except TypeError:
-            raise ConfigError(f"basis_size takes integers, got {basis_size!r}") from None
-        if len(ks) != d_nl:
-            raise ConfigError("basis_size tuple must have one entry per d_nl candidate")
-    if any(k < 2 for k in ks):
-        raise ConfigError("every spline block needs K >= 2")
-    return ks
+    ks = tuple(basis_size) if np.iterable(basis_size) else (basis_size,) * d_nl
+    if len(ks) != d_nl:
+        raise ConfigError("basis_size tuple must have one entry per d_nl candidate")
+    return tuple(_check_integer(k, "basis_size", 2, ConfigError) for k in ks)
 
 
 @dataclass(frozen=True)
@@ -149,7 +125,7 @@ class Hyper:
 
     def __post_init__(self):
         for name in ("s_beta", "s_u", "s_eps", "intercept_sd"):
-            _check_positive(name, getattr(self, name), least=1e-154)
+            _check_real(getattr(self, name), name, 1e-154, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -163,9 +139,8 @@ class AdditiveModelSpec:
     hyper: Hyper = field(default_factory=Hyper)
 
     def __post_init__(self):
-        _check_integers(self, ("n", "d_lin", "d_nl"))
-        if self.n < 1 or self.d_lin < 0 or self.d_nl < 0:
-            raise ConfigError("n must be positive; candidate counts nonnegative")
+        for name, least in (("n", 1), ("d_lin", 0), ("d_nl", 0)):
+            _check_integer(getattr(self, name), name, least, ConfigError)
         if self.n <= self.d_lin + self.d_nl + sum(self.basis_sizes):
             warnings.warn(
                 "sample size does not exceed the total coefficient count",
@@ -207,8 +182,7 @@ def generate_data(spec: AdditiveModelSpec, sigma_eps, seed, truth=None):
     half linear / half non-linear across the d_nl candidates.  A linear
     truth adds x - 1/2, a non-linear one a unit-amplitude sine or cosine.
     """
-    if not 0 <= sigma_eps < math.inf:
-        raise ConfigError(f"sigma_eps must be finite and nonnegative, got {sigma_eps}")
+    _check_real(sigma_eps, "sigma_eps", 0.0, ConfigError, inclusive=True)
     p = spec.p
     truth = _default_truth(spec.d_lin, spec.d_nl) if truth is None else tuple(truth)
     if len(truth) != p:
@@ -282,13 +256,15 @@ def spline_basis(x, K):
     orthonormalized, so the K returned columns carry only curvature, have
     unit norm, and are exactly orthogonal to the constant and linear terms.
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("x must be real numbers") from None
     if x.ndim != 1:
         raise DimensionError("x must be a vector")
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
-    if K < 2:
-        raise ConfigError("K must be >= 2")
+    K = _check_integer(K, "K", 2, ConfigError)
     lo, hi = x.min(), x.max()
     if not math.isfinite(float(hi) - float(lo)):
         raise DomainError("the range of x overflows")
@@ -521,12 +497,10 @@ def gibbs_sampler(
     simulator (each sweep redraws y from the current parameters), whose
     stationary law is the prior; only validation tests use this.
     """
-    try:
-        iters, burn = operator.index(iters), operator.index(burn)
-    except TypeError:
-        raise ConfigError(f"iters and burn must be integers, got {iters!r}, {burn!r}") from None
-    if not iters > burn >= 0:
-        raise ConfigError("need iters > burn >= 0")
+    iters = _check_integer(iters, "iters", 1, ConfigError)
+    burn = _check_integer(burn, "burn", 0, ConfigError)
+    if not iters > burn:
+        raise ConfigError(f"need iters > burn, got {iters}, {burn}")
     if not np.isfinite(dataset.y).all():
         raise DomainError("response must be finite")
     c, _, u_blocks = build_design(dataset, spec)
@@ -610,82 +584,84 @@ def gibbs_sampler(
     q_diag = q_mat.reshape(-1, order="F")[:: q + 1]
     z = np.empty(q)
     var = np.empty(m)
-    for it in range(iters):
-        np.multiply(lam2, sig2_col, out=var)
-        # fmin skips NaN, as the elementwise floor does
-        if np.fmin.reduce(var, initial=math.inf) < var_floor:
-            var_floor_hits += int(np.count_nonzero(var < var_floor))
-            np.maximum(var, var_floor, out=var)
-        np.divide(1.0, var, out=var).take(col_var, out=prior_prec[1:], mode="clip")
-        # 1/sig2_e lies in [1e-300, 1e100]: a multiply, cheaper than a divide
-        inv_sig2_e = 1.0 / sig2_e
-        np.multiply(ctc, inv_sig2_e, out=q_mat)
-        q_diag += prior_prec
-        np.multiply(cty, inv_sig2_e, out=coef)
-        rng.standard_normal(out=z)
-        try:
-            _draw_coefficients(q_mat, coef, z)
-        except NumericalError as exc:
-            raise NumericalError(f"covariance solve failed at iteration {it}: {exc}") from exc
+    # a draw past the float range divides to inf, which the redo clamps
+    with np.errstate(over="ignore"):
+        for it in range(iters):
+            np.multiply(lam2, sig2_col, out=var)
+            # fmin skips NaN, as the elementwise floor does
+            if np.fmin.reduce(var, initial=math.inf) < var_floor:
+                var_floor_hits += int(np.count_nonzero(var < var_floor))
+                np.maximum(var, var_floor, out=var)
+            np.divide(1.0, var, out=var).take(col_var, out=prior_prec[1:], mode="clip")
+            # 1/sig2_e lies in [1e-300, 1e100]: a multiply, cheaper than a divide
+            inv_sig2_e = 1.0 / sig2_e
+            np.multiply(ctc, inv_sig2_e, out=q_mat)
+            q_diag += prior_prec
+            np.multiply(cty, inv_sig2_e, out=coef)
+            rng.standard_normal(out=z)
+            try:
+                _draw_coefficients(q_mat, coef, z)
+            except NumericalError as exc:
+                raise NumericalError(f"covariance solve failed at iteration {it}: {exc}") from exc
 
-        rss = residual_ss(coef)
+            rss = residual_ss(coef)
 
-        if fixed_scales is None:
-            for shape, view in runs:
-                rng.standard_gamma(shape, out=view)
-            np.add.reduceat(np.square(coef[1:], out=coef2), sq_starts, out=sq)
+            if fixed_scales is None:
+                for shape, view in runs:
+                    rng.standard_gamma(shape, out=view)
+                np.add.reduceat(np.square(coef[1:], out=coef2), sq_starts, out=sq)
 
-            # Each level's rates are written into its slots, then divided by
-            # its gamma variates; a rate reads only draws of other levels.  The
-            # first pass divides plainly.  Every rate is at least 1/x for a
-            # kept draw x <= 1e300, so _inv_gamma's floor on the rates cannot
-            # act, and its clamps act only if a draw leaves (1e-300, 1e300).
-            # If one does, the pass is redone from the saved state through
-            # _inv_gamma, which clamps, and the clipped draws are counted.  A
-            # NaN passes the clamps and the count alike, so fmin/fmax skip it.
-            np.copyto(g_start, g)
-            for divide in (_plain_divide, _inv_gamma):
-                np.multiply(sig2_col, 2.0, out=ratio)
-                np.divide(sq, ratio, out=ratio)
-                np.divide(1.0, a_aux, out=lam2)
-                lam2 += ratio
-                g[i_se] = 1.0 / g[i_be] + rss / 2.0
-                divide(*levels[0])
-                sig2_e = float(g[i_se])
-                if sig2_e < 1e-100:  # noise floor keeps ctc/sig2_e finite on noiseless inputs
-                    if divide is _plain_divide:  # a redo floors the same draw
-                        sig2_e_floor_hits += 1
-                        # counted here: the count below sees the floor
-                        clipped += sig2_e <= 1e-300
-                    g[i_se] = sig2_e = 1e-100
+                # Each level's rates are written into its slots, then divided by
+                # its gamma variates; a rate reads only draws of other levels.  The
+                # first pass divides plainly.  Every rate is at least 1/x for a
+                # kept draw x <= 1e300, so _inv_gamma's floor on the rates cannot
+                # act, and its clamps act only if a draw leaves (1e-300, 1e300).
+                # If one does, the pass is redone from the saved state through
+                # _inv_gamma, which clamps, and the clipped draws are counted.  A
+                # NaN passes the clamps and the count alike, so fmin/fmax skip it.
+                np.copyto(g_start, g)
+                for divide in (_plain_divide, _inv_gamma):
+                    np.multiply(sig2_col, 2.0, out=ratio)
+                    np.divide(sq, ratio, out=ratio)
+                    np.divide(1.0, a_aux, out=lam2)
+                    lam2 += ratio
+                    g[i_se] = 1.0 / g[i_be] + rss / 2.0
+                    divide(*levels[0])
+                    sig2_e = float(g[i_se])
+                    if sig2_e < 1e-100:  # noise floor keeps ctc/sig2_e finite on noiseless inputs
+                        if divide is _plain_divide:  # a redo floors the same draw
+                            sig2_e_floor_hits += 1
+                            # counted here: the count below sees the floor
+                            clipped += sig2_e <= 1e-300
+                        g[i_se] = sig2_e = 1e-100
 
-                np.divide(1.0, lam2, out=a_aux)  # 1/lam2_b also serves beta' Lambda^-1 beta
-                np.divide(1.0, b_aux, out=sig2)
-                sig2[0] += float(beta2 @ a_b) / 2.0
-                np.multiply(lam2_u, 2.0, out=ratio_u)
-                sig2_u += np.divide(ss, ratio_u, out=ratio_u)
-                a_aux += 1.0
-                g[i_be] = s_eps_prec + 1.0 / sig2_e
-                divide(*levels[1])
+                    np.divide(1.0, lam2, out=a_aux)  # 1/lam2_b also serves beta' Lambda^-1 beta
+                    np.divide(1.0, b_aux, out=sig2)
+                    sig2[0] += float(beta2 @ a_b) / 2.0
+                    np.multiply(lam2_u, 2.0, out=ratio_u)
+                    sig2_u += np.divide(ss, ratio_u, out=ratio_u)
+                    a_aux += 1.0
+                    g[i_be] = s_eps_prec + 1.0 / sig2_e
+                    divide(*levels[1])
 
-                np.divide(1.0, sig2, out=b_aux)
-                b_aux += hyper_prec
-                divide(*levels[2])
-                if divide is _inv_gamma:
-                    clipped += _count_clipped(g)
-                elif 1e-300 < np.fmin.reduce(g) and np.fmax.reduce(g) < 1e300:
-                    break
-                else:
-                    np.copyto(g, g_start)
-            sig2.take(sig2_idx, out=sig2_col)
+                    np.divide(1.0, sig2, out=b_aux)
+                    b_aux += hyper_prec
+                    divide(*levels[2])
+                    if divide is _inv_gamma:
+                        clipped += _count_clipped(g)
+                    elif 1e-300 < np.fmin.reduce(g) and np.fmax.reduce(g) < 1e300:
+                        break
+                    else:
+                        np.copyto(g, g_start)
+                sig2.take(sig2_idx, out=sig2_col)
 
-        if resample_response:
-            y = c @ coef + math.sqrt(sig2_e) * rng.standard_normal(n)
-            cty = c.T @ y
-            residual_ss.set_response(y, cty)
+            if resample_response:
+                y = c @ coef + math.sqrt(sig2_e) * rng.standard_normal(n)
+                cty = c.T @ y
+                residual_ss.set_response(y, cty)
 
-        if it >= burn:
-            row.take(kept, out=out[it - burn], mode="clip")
+            if it >= burn:
+                row.take(kept, out=out[it - burn], mode="clip")
 
     np.sqrt(out[:, q:], out=out[:, q:])
     beta0, beta, u, lb, lu, sb, su, se = np.split(
@@ -737,7 +713,8 @@ def classify(report: ThresholdReport, border=0.5, border_u=None):
     ``border_u`` optionally overrides the border for the spline blocks
     (used with the 2-means data-driven threshold).
     """
-    bu = border if border_u is None else border_u
+    border = _check_real(border, "border", -math.inf)
+    bu = border if border_u is None else _check_real(border_u, "border_u", -math.inf)
     labels = []
     for gb, gu in zip(report.gamma_beta, report.gamma_u):
         if gu is None:
@@ -781,7 +758,10 @@ def kmeans_threshold(values):
     Minimizes within-cluster sum of squares over all sorted splits (the
     1-D k-means optimum) and returns the midpoint of the two cluster means.
     """
-    vals = np.sort(np.asarray(values, dtype=float))
+    try:
+        vals = np.sort(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):
+        raise DomainError("values must be real numbers") from None
     if not np.isfinite(vals).all():
         raise DomainError("values must be finite")
     if vals.size < 2 or vals[0] == vals[-1]:

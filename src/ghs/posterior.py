@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError, _check_integer, _check_real
 from .quadrature import adaptive_quad
 # log_kummer_1f1 stays importable here: perfbench/spans.py patches this name
 from .specfun import log_kummer_1f1, log_phi1  # noqa: F401
@@ -64,10 +64,8 @@ class PosteriorModel:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not (self.d >= 1 and self.d % 1 == 0):
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
-        if not _normal_square(self.tau):
-            raise DomainError("tau must be positive, with tau^2 a finite normal float")
+        _check_integer(self.d, "dimension", 1)
+        _normal_square(self.tau, "tau")
 
 
 @dataclass(frozen=True)
@@ -79,20 +77,26 @@ class SideModel:
     tau2: float
 
     def __post_init__(self):
-        if not (self.d >= 1 and self.d % 1 == 0):
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
-        if not (_normal_square(self.tau1) and _normal_square(self.tau2 / self.tau1)):
-            raise DomainError("need tau1, tau2 > 0 with tau1^2, (tau2/tau1)^2 finite normal floats")
+        _check_integer(self.d, "dimension", 1)
+        tau1 = _normal_square(self.tau1, "tau1")
+        _normal_square(_check_real(self.tau2, "tau2") / tau1, "tau2 / tau1")
 
 
-def _normal_square(t):
-    """t > 0 with t^2 a finite normal float: the kernel divides by and takes logs of it."""
-    return t > 0 and sys.float_info.min <= t * t < math.inf
+def _normal_square(t, name):
+    """t as a float > 0 with t^2 a finite normal float: the kernel divides by
+    and takes logs of it."""
+    t = _check_real(t, name)
+    if not sys.float_info.min <= t * t < math.inf:
+        raise DomainError(f"{name}^2 must be a finite normal float, got {t!r}")
+    return t
 
 
 def _check_vector(y, d):
     """y as a float vector of length d, and its squared norm."""
-    y = np.asarray(y, dtype=float)
+    try:
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("y must be real numbers") from None
     if y.shape != (d,):
         raise DimensionError(f"expected a vector of length {d}, got shape {y.shape}")
     yy = float(y @ y)

@@ -15,14 +15,13 @@ posterior module's mixture at d = 0: the exact mass at every theta0.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # both stay importable here: perfbench/spans.py patches these names
 from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
 from .posterior import _COARSE, _LEVELS, _V, _X, _levels_agree, _log_weight, _mixture_moments
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
@@ -37,11 +36,6 @@ __all__ = [
 ]
 
 
-def _is_count(value):
-    """Whether ``value`` is a whole number >= 2, a whole float such as 1e3 included."""
-    return isinstance(value, numbers.Real) and value >= 2 and value % 1 == 0
-
-
 @dataclass(frozen=True)
 class RiskScenario:
     """True mean, noise scale and the sample sizes of interest."""
@@ -52,24 +46,18 @@ class RiskScenario:
     n_grid: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.d!r}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DomainError("sigma must be positive and finite")
-        t0 = tuple(float(v) for v in self.theta0) or tuple([0.0] * self.d)
-        if len(t0) != self.d or not all(map(math.isfinite, t0)):
+        _check_integer(self.d, "dimension", 1)
+        _check_real(self.sigma, "sigma")
+        t0 = tuple(_check_real(v, "theta0", -math.inf) for v in self.theta0) or (0.0,) * self.d
+        if len(t0) != self.d:
             raise DomainError("theta0 must be d finite values")
         object.__setattr__(self, "theta0", t0)
-        if not all(map(_is_count, self.n_grid)):
-            raise DomainError(f"sample sizes must be whole numbers >= 2, got {self.n_grid!r}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_check_whole(n, "n", 2) for n in self.n_grid))
 
 
 def kl_ball_radius(scenario: RiskScenario, n):
     """Euclidean radius of the KL ball of size 1/n."""
-    if not n >= 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    return scenario.sigma * math.sqrt(2.0 / n)
+    return scenario.sigma * math.sqrt(2.0 / _check_whole(n, "n", 2))
 
 
 def _chi2_cdf(x, d, nc):
@@ -171,10 +159,7 @@ def cesaro_risk_mc(scenario: RiskScenario, n, reps, seed):
     The prior predictive m is the posterior module's mixture integral after
     collapsing theta analytically, so the only randomness is the data.
     """
-    for name, value in (("n", n), ("reps", reps)):
-        if not _is_count(value):
-            raise DomainError(f"{name} must be a whole number >= 2, got {value}")
-    n, reps = int(n), int(reps)
+    n, reps = _check_whole(n, "n", 2), _check_whole(reps, "reps", 2)
     d, sigma = scenario.d, scenario.sigma
     theta0 = np.asarray(scenario.theta0)
     vals = np.empty(reps)

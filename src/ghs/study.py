@@ -12,18 +12,16 @@ failed replications are listed there instead of aborting the study.
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, _check_integer, _check_real, _check_whole
 from .files import atomic_write, write_csv
 from .gamsel import (
     AdditiveModelSpec,
     Hyper,
     _basis_sizes,
-    _check_integers,
     _check_truth,
     _default_truth,
     chain_to_csv,
@@ -65,26 +63,20 @@ class StudyConfig:
 
     def __post_init__(self):
         """Reject a bad config here, before any replication runs."""
-        _check_integers(
-            self, ("iters", "burn", "replications", "threads", "d_lin", "d_nl", "seed")
-        )
+        # d_nl >= 2: the 2-means border splits the spline-block statistics;
+        # the seed's sign is checked last, as the DomainError make_rng raises
+        bounds = dict(iters=1, burn=0, replications=1, threads=1, d_lin=0, d_nl=2, seed=-math.inf)
+        for name, least in bounds.items():
+            _check_integer(getattr(self, name), name, least, ConfigError)
         if not isinstance(self.save_chains, bool):
             raise ConfigError(f"save_chains must be true or false, got {self.save_chains!r}")
-        n = _as_list(self.n)
-        if not n or not all(isinstance(v, numbers.Real) and v >= 1 and v % 1 == 0 for v in n):
-            raise ConfigError(f"n takes one or more whole numbers >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", tuple(int(v) for v in n))
-        sigma_eps = _as_list(self.sigma_eps)
-        if not sigma_eps or not all(
-            isinstance(v, numbers.Real) and 0 <= v < math.inf for v in sigma_eps
-        ):
-            raise ConfigError(
-                f"sigma_eps takes one or more finite values >= 0, got {self.sigma_eps!r}"
-            )
-        object.__setattr__(self, "sigma_eps", tuple(float(v) for v in sigma_eps))
-        # the 2-means border splits the d_nl spline-block statistics
-        if self.d_lin < 0 or self.d_nl < 2:
-            raise ConfigError(f"need d_lin >= 0 and d_nl >= 2, got {self.d_lin}, {self.d_nl}")
+        n, sigma_eps = _as_list(self.n), _as_list(self.sigma_eps)
+        if not n or not sigma_eps:
+            raise ConfigError("n and sigma_eps each take one or more values")
+        object.__setattr__(self, "n", tuple(_check_whole(v, "n", 1, ConfigError) for v in n))
+        object.__setattr__(self, "sigma_eps", tuple(
+            _check_real(v, "sigma_eps", 0.0, ConfigError, inclusive=True) for v in sigma_eps
+        ))
         if not isinstance(self.truth, (list, tuple)):
             raise ConfigError(f"truth takes a list of labels, got {self.truth!r}")
         truth = tuple(self.truth) or _default_truth(self.d_lin, self.d_nl)
@@ -95,10 +87,9 @@ class StudyConfig:
         _basis_sizes(self.basis_size, self.d_nl)
         if not isinstance(self.hyper, Hyper):
             raise ConfigError(f"hyper must be a Hyper, got {self.hyper!r}")
-        if self.replications < 1 or not self.iters > self.burn >= 0 or self.threads < 1:
-            raise ConfigError("need replications >= 1, iters > burn >= 0 and threads >= 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
+        if not self.iters > self.burn:
+            raise ConfigError(f"need iters > burn, got {self.iters}, {self.burn}")
+        _check_integer(self.seed, "seed")
 
     @property
     def scenarios(self):
@@ -150,7 +141,7 @@ def _rates(labels, truth):
     }
 
 
-def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
+def run_replication(config: StudyConfig, n, sigma, rep, out_dir):
     """One scenario cell x replication; returns the aggregate record."""
     scenario_id = config.scenarios.index((n, sigma))
     spec = AdditiveModelSpec(
@@ -197,15 +188,14 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir=None):
             },
         },
     }
-    if out_dir is not None:
-        sdir = _scenario_dir(out_dir, n, sigma)
-        os.makedirs(sdir, exist_ok=True)
-        atomic_write(
-            os.path.join(sdir, f"rep{rep:02d}.json"),
-            [json.dumps(record, indent=1, sort_keys=True), "\n"],
-        )
-        if config.save_chains:
-            chain_to_csv(chain, os.path.join(sdir, f"rep{rep:02d}_chain.csv"))
+    sdir = _scenario_dir(out_dir, n, sigma)
+    os.makedirs(sdir, exist_ok=True)
+    atomic_write(
+        os.path.join(sdir, f"rep{rep:02d}.json"),
+        [json.dumps(record, indent=1, sort_keys=True), "\n"],
+    )
+    if config.save_chains:
+        chain_to_csv(chain, os.path.join(sdir, f"rep{rep:02d}_chain.csv"))
     return record
 
 

@@ -1,0 +1,113 @@
+"""A wrong-typed argument to a public entry point raises the GhsError that
+its contract names, never a raw TypeError or ValueError.
+
+Integers (``operator.index``: 2.0 is not one), whole numbers (1e3 is one,
+"5" and 2.5 are not) and finite reals (not strings) are decided by the
+three checks in ``ghs.errors``; array arguments are converted once, and a
+failed conversion is a DomainError.  Each case below raised a raw error, or
+was accepted, before those checks.
+"""
+
+import numpy as np
+import pytest
+
+from ghs.distribution import (
+    GhsDistribution,
+    density,
+    log_density,
+    radial_log_density,
+    sample_arrays,
+    sample_blocks,
+)
+from ghs.errors import ConfigError, DomainError
+from ghs.gamsel import (
+    AdditiveModelSpec,
+    ThresholdReport,
+    classify,
+    generate_data,
+    kmeans_threshold,
+    spline_basis,
+)
+from ghs.posterior import (
+    PosteriorModel,
+    SideModel,
+    marginal_log_density,
+    posterior_mean,
+    score,
+    side_model_shrinkage,
+    side_posterior_mean,
+)
+from ghs.risk import RiskScenario, kl_ball_radius, risk_upper_bound
+from ghs.rng import make_rng
+
+DIST = GhsDistribution(2)
+MODEL = PosteriorModel(2)
+SIDE = SideModel(2, 1.0, 1.0)
+SPEC = AdditiveModelSpec(n=50, d_lin=1, d_nl=1, basis_size=4)
+REPORT = ThresholdReport(gamma_beta=[0.6, 0.2], gamma_u=[None, 0.7])
+SCENARIO = RiskScenario(1)
+X = np.linspace(0.0, 1.0, 20)
+
+CASES = {
+    # accepted before: a dimension is an integer, a seed an integer
+    "GhsDistribution(2.0)": (lambda: GhsDistribution(2.0), DomainError),
+    "PosteriorModel(2.0)": (lambda: PosteriorModel(2.0), DomainError),
+    "SideModel(2.0, 1, 1)": (lambda: SideModel(2.0, 1, 1), DomainError),
+    "make_rng(SeedSequence)": (lambda: make_rng(np.random.SeedSequence(1)), DomainError),
+    # accepted before: theta0 entries are numbers, not strings float() reads
+    "RiskScenario theta0 '1.5'": (lambda: RiskScenario(1, theta0=("1.5",)), DomainError),
+    # accepted before: a sample size is a whole number
+    "kl_ball_radius(2.5)": (lambda: kl_ball_radius(SCENARIO, 2.5), DomainError),
+    "risk_upper_bound(2.5)": (lambda: risk_upper_bound(SCENARIO, 2.5), DomainError),
+    # raw TypeError or ValueError before
+    "GhsDistribution('2')": (lambda: GhsDistribution("2"), DomainError),
+    "GhsDistribution(None)": (lambda: GhsDistribution(None), DomainError),
+    "GhsDistribution sigma_theta '1'": (lambda: GhsDistribution(2, "1"), DomainError),
+    "log_density ['a', 'b']": (lambda: log_density(DIST, ["a", "b"]), DomainError),
+    "log_density [1j, 0]": (lambda: log_density(DIST, [1j, 0]), DomainError),
+    "density 'a'": (lambda: density(DIST, "a"), DomainError),
+    "radial_log_density 'a'": (lambda: radial_log_density(2, "a"), DomainError),
+    "radial_log_density ['a']": (lambda: radial_log_density(2, ["a"]), DomainError),
+    "sample_blocks n '5'": (lambda: sample_blocks(DIST, "5", 1, 10), DomainError),
+    "sample_arrays n None": (lambda: sample_arrays(DIST, None, 1), DomainError),
+    "PosteriorModel('2')": (lambda: PosteriorModel("2"), DomainError),
+    "PosteriorModel tau '1'": (lambda: PosteriorModel(2, "1"), DomainError),
+    "SideModel tau1 '1'": (lambda: SideModel(2, "1", 1.0), DomainError),
+    "SideModel tau2 '1'": (lambda: SideModel(2, 1.0, "1"), DomainError),
+    "marginal_log_density ['a', 'b']": (
+        lambda: marginal_log_density(MODEL, ["a", "b"]), DomainError
+    ),
+    "score [1j, 0]": (lambda: score(MODEL, [1j, 0]), DomainError),
+    "posterior_mean ['a', 'b']": (lambda: posterior_mean(MODEL, ["a", "b"]), DomainError),
+    "side_model_shrinkage [1j, 0]": (lambda: side_model_shrinkage(SIDE, [1j, 0]), DomainError),
+    "side_posterior_mean ['a', 'b']": (
+        lambda: side_posterior_mean(SIDE, ["a", "b"]), DomainError
+    ),
+    "RiskScenario sigma '1'": (lambda: RiskScenario(1, sigma="1"), DomainError),
+    "RiskScenario theta0 'a'": (lambda: RiskScenario(1, theta0=("a",)), DomainError),
+    "kl_ball_radius '5'": (lambda: kl_ball_radius(SCENARIO, "5"), DomainError),
+    "generate_data sigma_eps 'a'": (lambda: generate_data(SPEC, "a", 1), ConfigError),
+    "generate_data sigma_eps None": (lambda: generate_data(SPEC, None, 1), ConfigError),
+    "classify border 'x'": (lambda: classify(REPORT, border="x"), DomainError),
+    "classify border_u 'x'": (lambda: classify(REPORT, border_u="x"), DomainError),
+    "kmeans_threshold ['a', 'b']": (lambda: kmeans_threshold(["a", "b"]), DomainError),
+    "spline_basis x ['a']": (lambda: spline_basis(["a"] * 20, 4), DomainError),
+    "spline_basis K '4'": (lambda: spline_basis(X, "4"), ConfigError),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_wrong_type_raises_its_ghs_error(name):
+    call, error = CASES[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_valid_inputs_still_accepted():
+    # the checks return plain Python values; NumPy scalars and whole floats
+    # pass where the contract allows them
+    assert GhsDistribution(np.int64(2)).d == 2
+    assert RiskScenario(2, np.float64(1.5), (np.float64(1.0), 0), (1e3,)).n_grid == (1000,)
+    assert kl_ball_radius(RiskScenario(2), 8.0) == kl_ball_radius(RiskScenario(2), 8)
+    assert generate_data(SPEC, 0, 1).y.shape == (50,)
+    assert classify(REPORT, border=np.float64(0.5), border_u=0) == ["linear", "non-linear"]

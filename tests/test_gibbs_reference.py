@@ -15,6 +15,7 @@ array-shape call.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,9 @@ def test_gamma_runs_consume_generator_like_array_draws(spec):
     assert got_rng.random() == want_rng.random()
 
 
+TINY_HYPERSCALES = ["s_u 1e-153", "s_eps 1e-153"]
+
+
 def _case(name):
     if name == "uneven":
         return UNEVEN, generate_data(UNEVEN, 0.5, 4), dict(seed=1)
@@ -258,6 +262,12 @@ def _case(name):
         spec = AdditiveModelSpec(n=200, d_lin=2, d_nl=0, basis_size=(),
                                  hyper=Hyper(s_eps=1e-150))
         return spec, generate_data(spec, 0.0, 2, truth=("linear", "linear")), dict(seed=6)
+    if name in TINY_HYPERSCALES:
+        # valid hyperscales just above the 1e-154 floor: draws overflow to
+        # inf before the clamp, 600 (s_u) and 300 (s_eps) times
+        spec = AdditiveModelSpec(n=400, d_lin=3, d_nl=2, basis_size=4,
+                                 hyper=Hyper(**{name.split()[0]: 1e-153}))
+        return spec, generate_data(spec, 4.0, 8, truth=("zero",) * 5), dict(seed=9)
     spec = AdditiveModelSpec(n=400, d_lin=3, d_nl=2, basis_size=4,
                              hyper=Hyper(s_beta=1e-150, s_u=1e-150))
     data = generate_data(spec, 4.0, 8, truth=("zero",) * 5)
@@ -269,12 +279,14 @@ def _case(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["uneven", "d_nl=0 resampled", "noise floor", "clipped", "fixed scales"]
+    "name",
+    ["uneven", "d_nl=0 resampled", "noise floor", "clipped", "fixed scales", *TINY_HYPERSCALES],
 )
 def test_sweep_matches_reference_loop(name):
     spec, data, kw = _case(name)
     chain = gibbs_sampler(data, spec, iters=300, burn=20, **kw)
-    want, diagnostics = reference_gibbs_sampler(data, spec, iters=300, burn=20, **kw)
+    with np.errstate(over="ignore"):  # the reference clamp, too, divides to inf first
+        want, diagnostics = reference_gibbs_sampler(data, spec, iters=300, burn=20, **kw)
     for field, value in want.items():
         got = getattr(chain, field)
         assert got.shape == value.shape and np.array_equal(got, value), field
@@ -283,6 +295,17 @@ def test_sweep_matches_reference_loop(name):
         assert diagnostics["inv_gamma_clipped"] > 0
     if name == "noise floor":
         assert diagnostics["sig2_e_floor_hits"] > 0
+
+
+@pytest.mark.parametrize("name", TINY_HYPERSCALES)
+def test_clamped_overflow_raises_no_warning(name):
+    # the plain-divide pass overflows to inf before its redo clamps; that
+    # overflow is expected, so the sweep must not warn about it
+    spec, data, kw = _case(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = gibbs_sampler(data, spec, iters=200, burn=0, **kw)
+    assert chain.diagnostics["inv_gamma_clipped"] > 0
 
 
 def test_paper_spec_chain_near_the_three_solve_draw():
