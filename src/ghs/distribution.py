@@ -12,11 +12,14 @@ every dimension; ``log_density`` returns +inf there by design.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, _check_integer, _check_real, _check_whole
+from .errors import (
+    DimensionError, DomainError, _check_array, _check_integer, _check_real, _check_whole
+)
 from .quadrature import adaptive_quad
 from .rng import make_rng
 from .specfun import exp_scaled_expint, exp_scaled_gen_exp_integral
@@ -68,10 +71,9 @@ def radial_log_density(d, r, sigma_theta=1.0):
     and, at d = 1, its small-u form -gamma - log u, both with
     log u = 2 log r - log 2, so no digits are lost to over- or underflow.
     """
-    try:
-        r = np.asarray(r, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("radius must be a nonnegative number") from None
+    d = _check_integer(d, "dimension", 1)
+    sigma_theta = _check_real(sigma_theta, "sigma_theta")
+    r = _check_array(r, "radius")
     if not np.all(r >= 0):
         raise DomainError("radius must be a nonnegative number")
     r = r / sigma_theta
@@ -115,10 +117,7 @@ def _point_norms(x):
 
 def log_density(dist: GhsDistribution, x):
     """log p(x) for one point (a float) or an (m, d) stack of points; +inf at the pole."""
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("x must be real numbers") from None
+    x = _check_array(x, "x")
     if x.ndim not in (1, 2) or x.shape[-1] != dist.d:
         raise DimensionError(f"expected points of length {dist.d}, got shape {x.shape}")
     return radial_log_density(dist.d, _point_norms(x), dist.sigma_theta)
@@ -140,7 +139,7 @@ def sample_blocks(dist: GhsDistribution, n, seed, block):
     normals: the draws are the same for every ``block``.  ``n`` and ``seed``
     are checked here, before the first block is asked for.
     """
-    n, block = _check_whole(n, "n", 1), int(block)
+    n, block = _check_whole(n, "n", 1), _check_whole(block, "block", 1)
     uniforms, normals = make_rng(seed), make_rng(seed)
     normals.bit_generator.advance(n)  # one 64-bit output per uniform
 
@@ -220,9 +219,9 @@ def origin_ball_mass(d, radius):
                * int_0^(radius^2/2) u^(-1/2) e^u E_((d+1)/2)(u) du,
     evaluated after u = v^2 to remove the endpoint singularity.
     """
-    if radius <= 0:
-        raise DomainError("radius must be positive")
-    d = int(d)
+    d = _check_integer(d, "dimension", 1)
+    if not (isinstance(radius, numbers.Real) and radius > 0):  # inf gives the whole mass
+        raise DomainError(f"radius must be a real number > 0, got {radius!r}")
     nu = 0.5 * (d + 1)
     vmax = radius / math.sqrt(2.0)
 

@@ -1,12 +1,15 @@
-"""Exception types shared across the package, and the three argument checks
-that raise them: an integer, a whole number and a finite real.  Each check
-returns the plain Python value and raises the error class its caller names,
-ConfigError for a configuration and DomainError for a mathematical argument.
+"""Exception types shared across the package, and the argument checks that
+raise them: an integer, a whole number, a finite real and an array of reals.
+Each scalar check returns the plain Python value and raises the error class
+its caller names, ConfigError for a configuration and DomainError for a
+mathematical argument.
 """
 
 import numbers
 import operator
 import sys
+
+import numpy as np
 
 
 class GhsError(Exception):
@@ -68,3 +71,20 @@ def _check_real(value, name, above=0.0, error=DomainError, inclusive=False):
         sign = ">=" if inclusive else ">"
         raise error(f"{name} must be a finite real number {sign} {above:g}, got {value!r}")
     return float(value)
+
+
+def _check_array(value, name):
+    """``value`` as a float64 array of real numbers, or DomainError: numeric
+    strings, which a float conversion would read, and complex numbers are
+    not real numbers.  A float64 array comes back as it is, with no copy."""
+    if type(value) is np.ndarray and value.dtype.char == "d":
+        return value
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in array.flat):
+            array = array.astype(float)  # Python ints past the int64 range, Fractions
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be real numbers") from None
+    if array.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real numbers")
+    return array if array.dtype.char == "d" else array.astype(float)

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     LengthError,
     NumericalError,
+    _check_array,
     _check_integer,
     _check_real,
 )
@@ -256,10 +257,7 @@ def spline_basis(x, K):
     orthonormalized, so the K returned columns carry only curvature, have
     unit norm, and are exactly orthogonal to the constant and linear terms.
     """
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("x must be real numbers") from None
+    x = _check_array(x, "x")
     if x.ndim != 1:
         raise DimensionError("x must be a vector")
     if not np.isfinite(x).all():
@@ -758,10 +756,7 @@ def kmeans_threshold(values):
     Minimizes within-cluster sum of squares over all sorted splits (the
     1-D k-means optimum) and returns the midpoint of the two cluster means.
     """
-    try:
-        vals = np.sort(np.asarray(values, dtype=float))
-    except (TypeError, ValueError):
-        raise DomainError("values must be real numbers") from None
+    vals = np.sort(_check_array(values, "values"))
     if not np.isfinite(vals).all():
         raise DomainError("values must be finite")
     if vals.size < 2 or vals[0] == vals[-1]:

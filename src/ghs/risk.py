@@ -22,7 +22,9 @@ import numpy as np
 # both stay importable here: perfbench/spans.py patches these names
 from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
 from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
-from .posterior import _COARSE, _LEVELS, _V, _X, _levels_agree, _log_weight, _mixture_moments
+from .posterior import (
+    _COARSE, _LEVELS, _V, _X, _coarse_log_weight, _levels_agree, _log_weight, _mixture_moments
+)
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng, split_seed
@@ -48,11 +50,15 @@ class RiskScenario:
     def __post_init__(self):
         _check_integer(self.d, "dimension", 1)
         _check_real(self.sigma, "sigma")
-        t0 = tuple(_check_real(v, "theta0", -math.inf) for v in self.theta0) or (0.0,) * self.d
+        try:
+            theta0, n_grid = tuple(self.theta0) or (0.0,) * self.d, tuple(self.n_grid)
+        except TypeError:
+            raise DomainError("theta0 and n_grid must be sequences") from None
+        t0 = tuple(_check_real(v, "theta0", -math.inf) for v in theta0)
         if len(t0) != self.d:
             raise DomainError("theta0 must be d finite values")
         object.__setattr__(self, "theta0", t0)
-        object.__setattr__(self, "n_grid", tuple(_check_whole(n, "n", 2) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_check_whole(n, "n", 2) for n in n_grid))
 
 
 def kl_ball_radius(scenario: RiskScenario, n):
@@ -73,6 +79,9 @@ def _chi2_cdf(x, d, nc):
     return cdf
 
 
+_X0, _V0 = _X[0].item(), _V[0].item()  # the first node, as Python floats
+
+
 def _ball_mass(d, radius, center_sq):
     """Prior mass of the ball of this radius around a point of squared norm center_sq.
 
@@ -86,23 +95,28 @@ def _ball_mass(d, radius, center_sq):
     b = d / span if span > 0 else math.inf  # puts the CDF's step mid-rule
     if not 0.0 < b < math.inf:
         raise NumericalError("the ball's radius or centre leaves the float range")
+    # 1/lam^2 over the nodes is largest at the first; past the float range there,
+    # the radius is below the reach that the check at the end guards
+    if not b * _V0 / _X0 < math.inf:
+        raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
     x, nc = np.outer((radius * radius, center_sq), (d / span) * _V / _X)  # over lam^2
-    weight = np.exp(_log_weight(b, 0))
-    cdf = np.empty_like(weight)
-    cdf[_COARSE] = _chi2_cdf(x[_COARSE], d, nc[_COARSE])
+    weight = np.exp(_coarse_log_weight(b, 0))
+    cdf = _chi2_cdf(x[_COARSE], d, nc[_COARSE])
     # rows 0 and 3 of _LEVELS are the node weights of h = 1/32 and h = 1/16
-    total, half = (_LEVELS[::3] @ (weight[_COARSE] * cdf[_COARSE])).tolist()
+    total, half = (_LEVELS[::3] @ (weight * cdf)).tolist()
     norm = math.sqrt(center_sq)
     if not (abs(norm - radius) >= 0.01 * (norm + radius) and _levels_agree(total, half)):
-        rest = np.ones(cdf.size, dtype=bool)
+        all_cdf = np.empty(_X.size)
+        all_cdf[_COARSE] = cdf
+        rest = np.ones(_X.size, dtype=bool)
         rest[_COARSE] = False
-        cdf[rest] = _chi2_cdf(x[rest], d, nc[rest])
-        total = float(weight @ cdf)
+        all_cdf[rest] = _chi2_cdf(x[rest], d, nc[rest])
+        total = float(np.exp(_log_weight(b, 0)) @ all_cdf)
     mass = total / (math.pi * math.sqrt(b))
     if not mass >= np.finfo(float).tiny:
         raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radius:.3g})")
     # the first node is lam = 2.4e-19 R/sqrt(d); half-Cauchy weight (2/pi) lam lies below
-    if 2.0 / math.pi * math.sqrt(_X[0] / (b * _V[0])) * cdf[0] > 1e-12 * mass:
+    if 2.0 / math.pi * math.sqrt(_X0 / (b * _V0)) * cdf[0] > 1e-12 * mass:
         raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
     return mass
 

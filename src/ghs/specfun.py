@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_real
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 
@@ -319,14 +319,14 @@ def _log_kummer(a, b, x):
 
 
 def _check_finite_1f1(a, b, x):
-    if not all(map(math.isfinite, (a, b, x))):
-        raise DomainError(f"1F1 needs finite arguments (a={a}, b={b}, x={x})")
+    """a, b and x as finite floats."""
+    return [_check_real(v, f"1F1 argument {name}", -math.inf) for v, name in zip((a, b, x), "abx")]
 
 
 def kummer_1f1(a, b, x):
     """1F1(a, b, x) for real a, b, x: 0.0 on underflow, NumericalError past the
     float range or where a series cancels or does not converge."""
-    _check_finite_1f1(a, b, x)
+    a, b, x = _check_finite_1f1(a, b, x)
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
     return _signed_exp(*_log_kummer(a, b, x), f"1F1(a={a}, b={b}, x={x})")
@@ -335,7 +335,7 @@ def kummer_1f1(a, b, x):
 def log_kummer_1f1(a, b, x):
     """log 1F1(a, b, x), safe for huge |x|, on the positive-value domain b > 0
     and a > 0 (for x > 0) or b - a > 0 (for x < 0)."""
-    _check_finite_1f1(a, b, x)
+    a, b, x = _check_finite_1f1(a, b, x)
     if not (b > 0 and (a > 0 or x <= 0) and (b - a > 0 or x >= 0)):
         raise DomainError(f"log 1F1 outside its positive-value domain (a={a}, b={b}, x={x})")
     return _log_kummer(a, b, x)[1]

@@ -2,11 +2,13 @@
 its contract names, never a raw TypeError or ValueError.
 
 Integers (``operator.index``: 2.0 is not one), whole numbers (1e3 is one,
-"5" and 2.5 are not) and finite reals (not strings) are decided by the
-three checks in ``ghs.errors``; array arguments are converted once, and a
-failed conversion is a DomainError.  Each case below raised a raw error, or
+"5" and 2.5 are not), finite reals (not strings) and arrays of reals (not of
+strings, "1.5" included, nor of complex numbers) are decided by the checks
+in ``ghs.errors``.  Each case below raised a raw error, or
 was accepted, before those checks.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ghs.distribution import (
     GhsDistribution,
     density,
     log_density,
+    origin_ball_mass,
     radial_log_density,
     sample_arrays,
     sample_blocks,
@@ -31,6 +34,7 @@ from ghs.gamsel import (
 from ghs.posterior import (
     PosteriorModel,
     SideModel,
+    cd_integrals,
     marginal_log_density,
     posterior_mean,
     score,
@@ -39,6 +43,7 @@ from ghs.posterior import (
 )
 from ghs.risk import RiskScenario, kl_ball_radius, risk_upper_bound
 from ghs.rng import make_rng
+from ghs.specfun import kummer_1f1, log_kummer_1f1
 
 DIST = GhsDistribution(2)
 MODEL = PosteriorModel(2)
@@ -56,6 +61,13 @@ CASES = {
     "make_rng(SeedSequence)": (lambda: make_rng(np.random.SeedSequence(1)), DomainError),
     # accepted before: theta0 entries are numbers, not strings float() reads
     "RiskScenario theta0 '1.5'": (lambda: RiskScenario(1, theta0=("1.5",)), DomainError),
+    # accepted before: vector entries are numbers, not strings a float conversion reads
+    "posterior_mean ['1.5', '2']": (lambda: posterior_mean(MODEL, ["1.5", "2"]), DomainError),
+    "log_density ['1.5', '2']": (lambda: log_density(DIST, ["1.5", "2"]), DomainError),
+    "spline_basis x ['0.5']": (lambda: spline_basis(["0.5"] * 20, 4), DomainError),
+    "kmeans_threshold ['1', '2']": (lambda: kmeans_threshold(["1", "2"]), DomainError),
+    # accepted before: a dimension is an integer
+    "radial_log_density d 2.5": (lambda: radial_log_density(2.5, 1.0), DomainError),
     # accepted before: a sample size is a whole number
     "kl_ball_radius(2.5)": (lambda: kl_ball_radius(SCENARIO, 2.5), DomainError),
     "risk_upper_bound(2.5)": (lambda: risk_upper_bound(SCENARIO, 2.5), DomainError),
@@ -70,6 +82,13 @@ CASES = {
     "radial_log_density ['a']": (lambda: radial_log_density(2, ["a"]), DomainError),
     "sample_blocks n '5'": (lambda: sample_blocks(DIST, "5", 1, 10), DomainError),
     "sample_arrays n None": (lambda: sample_arrays(DIST, None, 1), DomainError),
+    "sample_blocks block 'a'": (lambda: sample_blocks(DIST, 5, 1, "a"), DomainError),
+    "sample_blocks block 0": (lambda: sample_blocks(DIST, 5, 1, 0), DomainError),
+    "radial_log_density d 'a'": (lambda: radial_log_density("a", 1.0), DomainError),
+    "origin_ball_mass 'a'": (lambda: origin_ball_mass(2, "a"), DomainError),
+    "cd_integrals 'a'": (lambda: cd_integrals("a", 1, 2), DomainError),
+    "kummer_1f1 'a'": (lambda: kummer_1f1("a", 1, 1), DomainError),
+    "log_kummer_1f1 'a'": (lambda: log_kummer_1f1("a", 1, 1), DomainError),
     "PosteriorModel('2')": (lambda: PosteriorModel("2"), DomainError),
     "PosteriorModel tau '1'": (lambda: PosteriorModel(2, "1"), DomainError),
     "SideModel tau1 '1'": (lambda: SideModel(2, "1", 1.0), DomainError),
@@ -85,6 +104,8 @@ CASES = {
     ),
     "RiskScenario sigma '1'": (lambda: RiskScenario(1, sigma="1"), DomainError),
     "RiskScenario theta0 'a'": (lambda: RiskScenario(1, theta0=("a",)), DomainError),
+    "RiskScenario theta0 5": (lambda: RiskScenario(1, theta0=5), DomainError),
+    "RiskScenario n_grid 5": (lambda: RiskScenario(1, n_grid=5), DomainError),
     "kl_ball_radius '5'": (lambda: kl_ball_radius(SCENARIO, "5"), DomainError),
     "generate_data sigma_eps 'a'": (lambda: generate_data(SPEC, "a", 1), ConfigError),
     "generate_data sigma_eps None": (lambda: generate_data(SPEC, None, 1), ConfigError),
@@ -111,3 +132,9 @@ def test_valid_inputs_still_accepted():
     assert kl_ball_radius(RiskScenario(2), 8.0) == kl_ball_radius(RiskScenario(2), 8)
     assert generate_data(SPEC, 0, 1).y.shape == (50,)
     assert classify(REPORT, border=np.float64(0.5), border_u=0) == ["linear", "non-linear"]
+    # vectors of ints, bools, float32 or big Python ints are real numbers
+    for y in ([1, 2], [True, False], np.array([1.5, 2.0], dtype=np.float32), [10**30, 1]):
+        expect = posterior_mean(MODEL, np.array([float(v) for v in y]))
+        assert np.array_equal(posterior_mean(MODEL, y), expect)
+    assert log_density(DIST, [1, 2]) == log_density(DIST, [1.0, 2.0])
+    assert origin_ball_mass(2, math.inf) == pytest.approx(1.0)  # the whole space

@@ -12,8 +12,15 @@ import pytest
 import ghs.posterior
 from ghs.errors import DimensionError, DomainError, NumericalError
 from ghs.posterior import (
+    _COARSE,
+    _LEVELS,
+    _V,
+    _V_COARSE,
+    _X,
     PosteriorModel,
     SideModel,
+    _levels_agree,
+    _log_weight,
     _mixture_moments,
     _mixture_moments_fine,
     cd_integrals,
@@ -26,6 +33,7 @@ from ghs.posterior import (
     side_model_shrinkage,
     side_posterior_mean,
 )
+from ghs.risk import RiskScenario, _chi2_cdf, kl_ball_prior_mass, kl_ball_radius
 from ghs.specfun import log_phi1
 
 # log p(0) for d = 1, tau = 1: the mixture integral is exactly 1 there,
@@ -483,3 +491,106 @@ def test_which_level_runs(monkeypatch, d, tau, r, falls_back):
     y = point(d, r, seed=d) if r > 0 else np.zeros(d)
     posterior_mean(PosteriorModel(d, tau), y)
     assert len(calls) == int(falls_back)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit pins: the kernel against reference copies of its earlier form
+# ---------------------------------------------------------------------------
+
+
+def reference_mixture_moments(a, b, d):
+    """``_mixture_moments`` before the h = 1/32 log-weights were cached, verbatim."""
+    log_f = _log_weight(b, d)[_COARSE] - a * _V_COARSE
+    peak = float(log_f.max())
+    log_f -= peak  # in place: at 257 nodes the calls, not the flops, cost the time
+    total, int_v, int_x, half_1, half_v, half_x = (_LEVELS @ np.exp(log_f, out=log_f)).tolist()
+    if not (
+        _levels_agree(total, half_1)
+        and _levels_agree(int_v, half_v)
+        and _levels_agree(int_x, half_x)
+    ):
+        return _mixture_moments_fine(a, b, d)
+    return peak + math.log(total), int_v / total, int_x / total
+
+
+def reference_ball_mass(d, radius, center_sq):
+    """``risk._ball_mass`` before it read the cached h = 1/32 log-weights, verbatim."""
+    span = radius * radius + center_sq
+    b = d / span if span > 0 else math.inf  # puts the CDF's step mid-rule
+    if not 0.0 < b < math.inf:
+        raise NumericalError("the ball's radius or centre leaves the float range")
+    x, nc = np.outer((radius * radius, center_sq), (d / span) * _V / _X)  # over lam^2
+    weight = np.exp(_log_weight(b, 0))
+    cdf = np.empty_like(weight)
+    cdf[_COARSE] = _chi2_cdf(x[_COARSE], d, nc[_COARSE])
+    # rows 0 and 3 of _LEVELS are the node weights of h = 1/32 and h = 1/16
+    total, half = (_LEVELS[::3] @ (weight[_COARSE] * cdf[_COARSE])).tolist()
+    norm = math.sqrt(center_sq)
+    if not (abs(norm - radius) >= 0.01 * (norm + radius) and _levels_agree(total, half)):
+        rest = np.ones(cdf.size, dtype=bool)
+        rest[_COARSE] = False
+        cdf[rest] = _chi2_cdf(x[rest], d, nc[rest])
+        total = float(weight @ cdf)
+    mass = total / (math.pi * math.sqrt(b))
+    if not mass >= np.finfo(float).tiny:
+        raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radius:.3g})")
+    # the first node is lam = 2.4e-19 R/sqrt(d); half-Cauchy weight (2/pi) lam lies below
+    if 2.0 / math.pi * math.sqrt(_X[0] / (b * _V[0])) * cdf[0] > 1e-12 * mass:
+        raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
+    return mass
+
+
+def sweep_points(m=5000, seed=11):
+    """The (a, b, d) of ``test_two_levels_match_all_nodes_on_a_sweep``."""
+    rng = np.random.default_rng(seed)
+    ds = rng.integers(1, 101, m).tolist()
+    taus = (10.0 ** rng.uniform(-3.0, 3.0, m)).tolist()
+    norms = (10.0 ** rng.uniform(-2.0, 4.0, m)).tolist()
+    for i in range(0, m, 100):
+        norms[i] = 0.0
+    return [(0.5 * r * r, tau * tau, d) for d, tau, r in zip(ds, taus, norms)]
+
+
+class TestReferenceKernel:
+    """The cached h = 1/32 log-weights, ``np.dot`` and the inline level tests
+    give the values of the reference copies bit for bit, as plain floats."""
+
+    def test_moments_on_the_sweep(self, monkeypatch):
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return _mixture_moments_fine(*args)
+
+        monkeypatch.setattr(ghs.posterior, "_mixture_moments_fine", counted)
+        for a, b, d in sweep_points():
+            got = _mixture_moments(a, b, d)
+            assert got == reference_mixture_moments(a, b, d), (a, b, d)
+            assert all(type(v) is float for v in got)
+        assert len(fallbacks) > 100  # points where h = 1/32 is refused are in the sweep
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 100])
+    @pytest.mark.parametrize("tau", [1e-3, 0.3, 1.0, 10.0, 1e3])
+    def test_posterior_mean_and_score_on_strided_and_contiguous_y(self, d, tau):
+        model = PosteriorModel(d, tau)
+        # each column of the stack is a y with ||y|| near 1e-2 .. 1e3; as a
+        # view it is strided unless d = 1
+        stack = np.random.default_rng(d).standard_normal((d, 8)) * np.logspace(-2, 3, 8)
+        assert stack[:, 0].flags.c_contiguous == (d == 1)
+        for y in [*stack.T, *np.ascontiguousarray(stack.T)]:
+            dc = reference_mixture_moments(0.5 * float(y @ y), tau**2, d)[1]
+            assert np.array_equal(posterior_mean(model, y), y - dc * y)
+            assert np.array_equal(score(model, y), -dc * y)
+
+    @pytest.mark.parametrize("d, theta0, n", [
+        # the CI's `ghs risk --d-list 1,2 --n-grid 1e3,1e4`, at the origin
+        (1, (), 1e3), (1, (), 1e4), (2, (), 1e3), (2, (), 1e4),
+        # off the origin, and at d = 100 where all nodes are summed
+        (3, (1.0, 1.0, 1.0), 1e4), (3, (1.0, 1.0, 1.0), 1e6), (100, (1.0,) * 100, 2),
+    ])
+    def test_kl_ball_prior_mass(self, d, theta0, n):
+        scenario = RiskScenario(d, 1.0, theta0)
+        mass = kl_ball_prior_mass(scenario, n)
+        norm = math.hypot(*scenario.theta0)
+        assert mass == reference_ball_mass(d, kl_ball_radius(scenario, n), norm * norm)
+        assert type(mass) is float

@@ -291,6 +291,18 @@ class TestBallMassKernel:
         with pytest.raises(NumericalError):
             kl_ball_prior_mass(RiskScenario(1, 1e8), 2)
 
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    def test_tiny_radius_is_numerical_error_with_no_warning(self, d):
+        # 1/lam^2 at the first node leaves the float range at 1e-150, the
+        # squared radius underflows to 0 at 1e-300: a typed error, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for radius in (1e-150, 1e-300):
+                with pytest.raises(NumericalError):
+                    ghs.risk._ball_mass(d, radius, 0.0)
+            with pytest.raises(NumericalError):  # the ball of radius 1e-150
+                kl_ball_prior_mass(RiskScenario(d), 2e300)
+
     def test_two_levels_match_all_nodes(self, monkeypatch):
         cdf_calls = []
         chi2_cdf = ghs.risk._chi2_cdf
