@@ -10,10 +10,8 @@ import importlib
 
 from .distribution import (
     GhsDistribution,
-    MixtureDraw,
     density,
     log_density,
-    sample,
     sample_arrays,
 )
 from .errors import (
@@ -32,7 +30,6 @@ from .posterior import (
     posterior_mean,
     score,
     side_model_shrinkage,
-    side_posterior_mean,
 )
 from .risk import RiskScenario, cesaro_risk_mc, kl_ball_prior_mass, risk_upper_bound
 from .rng import make_rng, split_seed
@@ -69,7 +66,6 @@ __all__ = [
     "Hyper",
     "LengthError",
     "MisclassRate",
-    "MixtureDraw",
     "NumericalError",
     "PosteriorModel",
     "RiskScenario",
@@ -95,11 +91,9 @@ __all__ = [
     "posterior_mean",
     "risk_upper_bound",
     "run_study",
-    "sample",
     "sample_arrays",
     "score",
     "side_model_shrinkage",
-    "side_posterior_mean",
     "spline_basis",
     "split_seed",
 ]

@@ -320,7 +320,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw mixture samples (lambda + vector)")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=float, required=True, help="number of draws, a whole number (1e5)")
     p.add_argument("--sigma-theta", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
     output(p)

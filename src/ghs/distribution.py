@@ -26,15 +26,12 @@ from .specfun import exp_scaled_expint, exp_scaled_gen_exp_integral
 
 __all__ = [
     "GhsDistribution",
-    "MixtureDraw",
     "log_density",
     "density",
     "radial_log_density",
-    "sample",
     "sample_arrays",
     "sample_blocks",
     "density_quadrature_oracle",
-    "normalization_integral",
     "origin_ball_mass",
 ]
 
@@ -49,14 +46,6 @@ class GhsDistribution:
     def __post_init__(self):
         _check_integer(self.d, "dimension", 1)
         _check_real(self.sigma_theta, "sigma_theta")
-
-
-@dataclass(frozen=True)
-class MixtureDraw:
-    """One draw: the shared local scale and the conditional normal vector."""
-
-    lam: float
-    x: np.ndarray
 
 
 def _log_norm_const(d):
@@ -159,12 +148,6 @@ def sample_arrays(dist: GhsDistribution, n, seed):
     return lam, xs
 
 
-def sample(dist: GhsDistribution, n, seed):
-    """The draws of :func:`sample_arrays` as a list of :class:`MixtureDraw`."""
-    lam, xs = sample_arrays(dist, n, seed)
-    return [MixtureDraw(float(l), x) for l, x in zip(lam, xs)]
-
-
 def density_quadrature_oracle(d, x):
     """Mixture-integral oracle for the standard (unit scale) density.
 
@@ -194,21 +177,6 @@ def density_quadrature_oracle(d, x):
         + math.log(integral)
     )
     return math.exp(log_val)
-
-
-def normalization_integral(d):
-    """Total mass of the standard density by radial quadrature (should be 1)."""
-    d = int(d)
-    log_sa = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
-
-    def f(r):
-        if r <= 0.0:
-            return 0.0
-        return math.exp(log_sa + (d - 1) * math.log(r) + radial_log_density(d, r))
-
-    return adaptive_quad(f, 0.0, 2.0, rel_tol=1e-10) + adaptive_quad(
-        f, 2.0, np.inf, rel_tol=1e-10
-    )
 
 
 def origin_ball_mass(d, radius):

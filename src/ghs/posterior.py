@@ -32,8 +32,8 @@ a call costs its NumPy calls, not its flops, so a call that keeps h = 1/32
 makes seven: the shifted log-weights (two), their peak, the shift and exp in
 place, one product for the six level sums and ``tolist``; the level tests are
 plain Python.  ``_check_vector`` adds one for a float64 array y, the ``dot``
-of ||y||^2.  The Phi1 closed forms and the lambda-space adaptive quadrature
-are kept as test oracles.
+of ||y||^2.  The lambda-space adaptive quadrature is kept as an oracle; the
+Phi1 closed form lives with the tests.
 """
 
 import math
@@ -47,7 +47,7 @@ from .errors import (
     DimensionError, DomainError, NumericalError, _check_array, _check_integer, _check_real
 )
 from .quadrature import adaptive_quad
-# log_kummer_1f1 stays importable here: perfbench/spans.py patches this name
+# log_kummer_1f1 and log_phi1 stay importable here: perfbench/spans.py patches these names
 from .specfun import log_kummer_1f1, log_phi1  # noqa: F401
 
 __all__ = [
@@ -57,11 +57,8 @@ __all__ = [
     "marginal_log_density_quad",
     "score",
     "posterior_mean",
-    "posterior_mean_moment_oracle",
     "posterior_mean_mixture_oracle",
     "side_model_shrinkage",
-    "side_posterior_mean",
-    "cd_integrals",
 ]
 
 
@@ -235,25 +232,6 @@ def posterior_mean(model: PosteriorModel, y):
     return y - _mixture_moments(0.5 * yy, model.tau**2, model.d)[1] * y
 
 
-def posterior_mean_moment_oracle(model: PosteriorModel, y):
-    """Independent closed form for tau >= 1 using the first-moment series.
-
-    E(theta|y) = Phi1(3/2, 1, (d+4)/2, x, a) / [(d+2) Phi1(1/2, 1, (d+2)/2, x, a)] y
-    with x = 1 - tau^-2.  Test use only.
-    """
-    if model.tau < 1.0:
-        raise DomainError("moment oracle implemented for tau >= 1 only")
-    y, yy = _check_vector(y, model.d)
-    a = 0.5 * yy
-    if a == 0.0:
-        return np.zeros(model.d)
-    d = model.d
-    x = 1.0 - model.tau**-2
-    num = log_phi1(1.5, 1.0, 0.5 * (d + 4), x, a)
-    den = log_phi1(0.5, 1.0, 0.5 * (d + 2), x, a)
-    return math.exp(num - den) / (d + 2.0) * y
-
-
 # ---------------------------------------------------------------------------
 # Quadrature parameterizations of the mixture integrals
 # ---------------------------------------------------------------------------
@@ -275,21 +253,6 @@ def _c_like_integral_lambda(a, b, d, power, x_moment=False):
     return total
 
 
-def cd_integrals(a, b, d):
-    """The marginal and gradient-weight mixture integrals (C, D), by quadrature.
-
-    C has exponent d/2 on (1 + lambda^2 b); D has exponent d/2 + 1.  Their
-    ratio equals the closed-form hypergeometric ratio used by the score.
-    Test-only oracle.
-    """
-    a = _check_real(a, "a", inclusive=True)
-    b = _check_real(b, "b")
-    d = _check_integer(d, "dimension", 1)
-    c_val = _c_like_integral_lambda(a, b, d, 0.5 * d)
-    d_val = _c_like_integral_lambda(a, b, d, 0.5 * d + 1.0)
-    return c_val, d_val
-
-
 def marginal_log_density_quad(model: PosteriorModel, y):
     """Quadrature oracle for log p(y) (lambda-space mixture integral)."""
     _, yy = _check_vector(y, model.d)
@@ -308,7 +271,10 @@ def posterior_mean_mixture_oracle(model: PosteriorModel, y):
     a = 0.5 * yy
     if a == 0.0:
         return np.zeros(model.d)
-    c_val, d_val = cd_integrals(a, model.tau**2, model.d)
+    b, d = model.tau**2, model.d
+    # C has exponent d/2 on (1 + lambda^2 b), D has d/2 + 1
+    c_val = _c_like_integral_lambda(a, b, d, 0.5 * d)
+    d_val = _c_like_integral_lambda(a, b, d, 0.5 * d + 1.0)
     return (1.0 - d_val / c_val) * y
 
 
@@ -339,8 +305,3 @@ def side_model_shrinkage(model: SideModel, y, method="x"):
         raise DomainError(f"unknown method {method!r}")
     return min(max(w, 0.0), 1.0)
 
-
-def side_posterior_mean(model: SideModel, y, method="x"):
-    """E(psi | y) = w(y) y; exactly collinear with y."""
-    y, _ = _check_vector(y, model.d)
-    return side_model_shrinkage(model, y, method) * y

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _check_real
+from .errors import DomainError, NumericalError, _check_array, _check_real
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 
@@ -63,6 +63,12 @@ def _signed_exp(sign, log_value, what):
         return sign * math.exp(log_value)
     except OverflowError:
         raise NumericalError(f"{what} exceeds the float range") from None
+
+
+def _check_finite(what, names, *values):
+    """``values`` as finite floats, each named "<what> argument <name>" in a message."""
+    names = names.split()
+    return [_check_real(v, f"{what} argument {n}", -math.inf) for v, n in zip(values, names)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +153,13 @@ def exp_scaled_expint(nu, x):
     """exp(x) * E_nu(x) for one real order and an array of x >= 0, computed
     jointly so large x never overflows; 0 at x = inf, 1/(nu - 1) at x = 0
     (needs nu > 1).  Each element runs the x < 1 series or the x >= 1
-    continued fraction until it converges; negative orders recur down."""
-    flat = np.asarray(x, dtype=float).ravel()
-    if not (math.isfinite(nu) and np.all(flat >= 0)):
-        raise DomainError(f"E_nu needs a finite order and x >= 0, not NaN (nu={nu})")
+    continued fraction until it converges; negative orders recur down, at
+    most _MAX_TERMS steps.  NumericalError where a value passes the float range."""
+    nu = _check_real(nu, "E_nu argument nu", -math.inf)
+    x = _check_array(x, "E_nu argument x")
+    flat = x.ravel()
+    if not np.all(flat >= 0):
+        raise DomainError(f"E_nu needs x >= 0, not NaN (nu={nu})")
     out = np.zeros_like(flat)  # the x = inf limit
     if (flat == 0.0).any():
         if nu <= 1.0:
@@ -159,24 +168,32 @@ def exp_scaled_expint(nu, x):
     pos = (flat > 0.0) & (flat < math.inf)
     xp = flat[pos]
     steps = max(0, math.ceil(-nu))  # march down from an order mu in [0, 1)
+    if steps > _MAX_TERMS:
+        raise NumericalError(f"E_nu recurrence past {_MAX_TERMS} steps (nu={nu})")
     mu = nu + steps
-    if mu == 0.0:  # exp(x) E_0(x) = 1/x; the series and fraction hold at any mu > 0
-        f = 1.0 / xp
-    else:
-        f = np.empty_like(xp)
-        for part, run in ((xp >= 1.0, _expint_scaled_cf), (xp < 1.0, _expint_series)):
-            if part.any():
-                f[part] = run(mu, xp[part])
-    for _ in range(steps):  # exp(x) E_(mu-1)(x) = (1 - (mu-1) exp(x) E_mu(x)) / x
-        f = (1.0 - (mu - 1.0) * f) / xp
-        mu -= 1.0
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        if mu == 0.0:  # exp(x) E_0(x) = 1/x; the series and fraction hold at any mu > 0
+            f = 1.0 / xp
+        else:
+            f = np.empty_like(xp)
+            for part, run in ((xp >= 1.0, _expint_scaled_cf), (xp < 1.0, _expint_series)):
+                if part.any():
+                    f[part] = run(mu, xp[part])
+        for _ in range(steps):  # exp(x) E_(mu-1)(x) = (1 - (mu-1) exp(x) E_mu(x)) / x
+            f = (1.0 - (mu - 1.0) * f) / xp
+            mu -= 1.0
+    if np.isinf(f).any():
+        raise NumericalError(f"exp(x) E_nu(x) exceeds the float range (nu={nu})")
     out[pos] = f
-    return out.reshape(np.shape(x))
+    return out.reshape(x.shape)
 
 
 def exp_scaled_gen_exp_integral(nu, x):
     """exp(x) * E_nu(x) for a scalar x; see :func:`exp_scaled_expint`."""
-    return float(exp_scaled_expint(nu, x))
+    value = exp_scaled_expint(nu, x)
+    if value.ndim:
+        raise DomainError(f"E_nu argument x must be a scalar, got shape {value.shape}")
+    return float(value)
 
 
 def gen_exp_integral(nu, x):
@@ -254,15 +271,18 @@ def _log_euler(alpha, beta, gamma, x, y):
 def _log_kummer_down(a, b, x):
     """log(e^-x 1F1(a, b, x)), a >= b > 0, x > 0: the kernel's 1F1(c - a, c, -x) at
     c = b + n and c + 1 just past a, then the recurrence in b (DLMF 13.3.2) down to b,
-    stable downwards (1F1 is its minimal solution), positive terms below c = a."""
+    stable downwards (1F1 is its minimal solution), positive terms below c = a.
+    c = b + k keeps its integer part k apart, so c - 1 = b + (k - 1) holds every
+    digit of a tiny b; a step adds log(num / c) - log(c - 1), not the log of one
+    quotient, which overflows for a subnormal b."""
     n = math.floor(a - b) + 1
-    c = b + n
-    log_m = _log_euler(c - a, 0.0, c, 0.0, -x)
-    r = math.exp(_log_euler(c + 1.0 - a, 0.0, c + 1.0, 0.0, -x) - log_m)  # M(c + 1) / M(c)
-    for _ in range(n):
-        q = (c * (c - 1.0 + x) - x * (c - a) * r) / (c * (c - 1.0))  # M(c - 1) / M(c)
-        log_m += math.log(q)
-        r, c = 1.0 / q, c - 1.0
+    log_m = _log_euler((b - a) + n, 0.0, b + n, 0.0, -x)
+    r = math.exp(_log_euler((b - a) + (n + 1), 0.0, b + (n + 1), 0.0, -x) - log_m)
+    for k in range(n, 0, -1):  # r = M(c + 1) / M(c), c = b + k
+        c, c_1 = b + k, b + (k - 1)
+        num = c * (c_1 + x) - x * ((b - a) + k) * r  # c (c - 1) M(c - 1) / M(c)
+        log_m += math.log(num / c) - math.log(c_1)
+        r = c * c_1 / num
     return log_m
 
 
@@ -318,15 +338,10 @@ def _log_kummer(a, b, x):
     return _kummer_taylor(a, b, x)
 
 
-def _check_finite_1f1(a, b, x):
-    """a, b and x as finite floats."""
-    return [_check_real(v, f"1F1 argument {name}", -math.inf) for v, name in zip((a, b, x), "abx")]
-
-
 def kummer_1f1(a, b, x):
     """1F1(a, b, x) for real a, b, x: 0.0 on underflow, NumericalError past the
     float range or where a series cancels or does not converge."""
-    a, b, x = _check_finite_1f1(a, b, x)
+    a, b, x = _check_finite("1F1", "a b x", a, b, x)
     if _is_nonpositive_integer(b):
         raise DomainError(f"1F1 undefined for b a nonpositive integer (b={b})")
     return _signed_exp(*_log_kummer(a, b, x), f"1F1(a={a}, b={b}, x={x})")
@@ -335,7 +350,7 @@ def kummer_1f1(a, b, x):
 def log_kummer_1f1(a, b, x):
     """log 1F1(a, b, x), safe for huge |x|, on the positive-value domain b > 0
     and a > 0 (for x > 0) or b - a > 0 (for x < 0)."""
-    a, b, x = _check_finite_1f1(a, b, x)
+    a, b, x = _check_finite("1F1", "a b x", a, b, x)
     if not (b > 0 and (a > 0 or x <= 0) and (b - a > 0 or x >= 0)):
         raise DomainError(f"log 1F1 outside its positive-value domain (a={a}, b={b}, x={x})")
     return _log_kummer(a, b, x)[1]
@@ -344,7 +359,9 @@ def log_kummer_1f1(a, b, x):
 def log_phi1(alpha, beta, gamma, x, y):
     """log Phi1(alpha, beta, gamma, x, y) for gamma > alpha > 0, x < 1, any real beta and y,
     where Phi1 > 0; safe for huge |y|, refused (NumericalError) for alpha or gamma - alpha tiny."""
-    if not (0.0 < alpha < gamma and x < 1.0 and all(map(math.isfinite, (beta, gamma, x, y)))):
+    alpha, beta, gamma, x, y = _check_finite(
+        "Phi1", "alpha beta gamma x y", alpha, beta, gamma, x, y)
+    if not (0.0 < alpha < gamma and x < 1.0):
         raise DomainError(f"Phi1 needs gamma > alpha > 0, x < 1 (alpha={alpha}, "
                           f"beta={beta}, gamma={gamma}, x={x}, y={y})")
     return _log_euler(alpha, beta, gamma, x, y)

@@ -5,7 +5,8 @@ Integers (``operator.index``: 2.0 is not one), whole numbers (1e3 is one,
 "5" and 2.5 are not), finite reals (not strings) and arrays of reals (not of
 strings, "1.5" included, nor of complex numbers) are decided by the checks
 in ``ghs.errors``.  Each case below raised a raw error, or
-was accepted, before those checks.
+was accepted, before those checks.  A value past the float range raises
+NumericalError, with no RuntimeWarning.
 """
 
 import math
@@ -22,7 +23,7 @@ from ghs.distribution import (
     sample_arrays,
     sample_blocks,
 )
-from ghs.errors import ConfigError, DomainError
+from ghs.errors import ConfigError, DomainError, NumericalError
 from ghs.gamsel import (
     AdditiveModelSpec,
     ThresholdReport,
@@ -34,16 +35,21 @@ from ghs.gamsel import (
 from ghs.posterior import (
     PosteriorModel,
     SideModel,
-    cd_integrals,
     marginal_log_density,
     posterior_mean,
     score,
     side_model_shrinkage,
-    side_posterior_mean,
 )
 from ghs.risk import RiskScenario, kl_ball_radius, risk_upper_bound
 from ghs.rng import make_rng
-from ghs.specfun import kummer_1f1, log_kummer_1f1
+from ghs.specfun import (
+    exp_scaled_expint,
+    gen_exp_integral,
+    kummer_1f1,
+    log_kummer_1f1,
+    log_phi1,
+    phi1,
+)
 
 DIST = GhsDistribution(2)
 MODEL = PosteriorModel(2)
@@ -66,6 +72,7 @@ CASES = {
     "log_density ['1.5', '2']": (lambda: log_density(DIST, ["1.5", "2"]), DomainError),
     "spline_basis x ['0.5']": (lambda: spline_basis(["0.5"] * 20, 4), DomainError),
     "kmeans_threshold ['1', '2']": (lambda: kmeans_threshold(["1", "2"]), DomainError),
+    "exp_scaled_expint ['1']": (lambda: exp_scaled_expint(1.5, ["1"]), DomainError),
     # accepted before: a dimension is an integer
     "radial_log_density d 2.5": (lambda: radial_log_density(2.5, 1.0), DomainError),
     # accepted before: a sample size is a whole number
@@ -86,9 +93,14 @@ CASES = {
     "sample_blocks block 0": (lambda: sample_blocks(DIST, 5, 1, 0), DomainError),
     "radial_log_density d 'a'": (lambda: radial_log_density("a", 1.0), DomainError),
     "origin_ball_mass 'a'": (lambda: origin_ball_mass(2, "a"), DomainError),
-    "cd_integrals 'a'": (lambda: cd_integrals("a", 1, 2), DomainError),
     "kummer_1f1 'a'": (lambda: kummer_1f1("a", 1, 1), DomainError),
     "log_kummer_1f1 'a'": (lambda: log_kummer_1f1("a", 1, 1), DomainError),
+    "phi1 alpha 'a'": (lambda: phi1("a", 0, 2, 0.5, 1), DomainError),
+    "log_phi1 alpha None": (lambda: log_phi1(None, 0, 2, 0.5, 1), DomainError),
+    "gen_exp_integral x 'a'": (lambda: gen_exp_integral(1.5, "a"), DomainError),
+    "gen_exp_integral nu 'a'": (lambda: gen_exp_integral("a", 1.0), DomainError),
+    "gen_exp_integral x 1j": (lambda: gen_exp_integral(1.5, 1j), DomainError),
+    "gen_exp_integral x [1.0]": (lambda: gen_exp_integral(1.5, [1.0]), DomainError),
     "PosteriorModel('2')": (lambda: PosteriorModel("2"), DomainError),
     "PosteriorModel tau '1'": (lambda: PosteriorModel(2, "1"), DomainError),
     "SideModel tau1 '1'": (lambda: SideModel(2, "1", 1.0), DomainError),
@@ -99,9 +111,6 @@ CASES = {
     "score [1j, 0]": (lambda: score(MODEL, [1j, 0]), DomainError),
     "posterior_mean ['a', 'b']": (lambda: posterior_mean(MODEL, ["a", "b"]), DomainError),
     "side_model_shrinkage [1j, 0]": (lambda: side_model_shrinkage(SIDE, [1j, 0]), DomainError),
-    "side_posterior_mean ['a', 'b']": (
-        lambda: side_posterior_mean(SIDE, ["a", "b"]), DomainError
-    ),
     "RiskScenario sigma '1'": (lambda: RiskScenario(1, sigma="1"), DomainError),
     "RiskScenario theta0 'a'": (lambda: RiskScenario(1, theta0=("a",)), DomainError),
     "RiskScenario theta0 5": (lambda: RiskScenario(1, theta0=5), DomainError),
@@ -114,6 +123,12 @@ CASES = {
     "kmeans_threshold ['a', 'b']": (lambda: kmeans_threshold(["a", "b"]), DomainError),
     "spline_basis x ['a']": (lambda: spline_basis(["a"] * 20, 4), DomainError),
     "spline_basis K '4'": (lambda: spline_basis(X, "4"), ConfigError),
+    # inf, with an overflow RuntimeWarning, before: past the float range
+    "gen_exp_integral(-150, 0.5)": (lambda: gen_exp_integral(-150, 0.5), NumericalError),
+    "gen_exp_integral(-1e6, 1)": (lambda: gen_exp_integral(-1e6, 1.0), NumericalError),
+    "gen_exp_integral(0.001, 1e-310)": (
+        lambda: gen_exp_integral(0.001, 1e-310), NumericalError
+    ),
 }
 
 

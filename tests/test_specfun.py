@@ -435,6 +435,35 @@ class TestKummer1F1:
                 checked += 1
         assert checked > 250
 
+    @pytest.mark.parametrize("a, b, x", [
+        (1.0, 1e-10, 1.0), (1.0, 1e-15, 1.0), (1.0, 3e-16, 1.0), (3.0, 1e-17, 2.0),
+        (1.0, 1e-300, 1.0), (1.0, 1e-320, 1.0),  # 1e-320 is subnormal
+    ])
+    def test_tiny_b_against_mpmath(self, a, b, x):
+        # the recurrence in b down to a tiny b: c - 1 lost b's digits as b -> 0
+        # and was 0.0 below about 2e-16; 1F1(1, 1e-320, 1) = e^737.8 is past
+        # the float range, its log is not
+        with mp.workdps(40):
+            want = mp.hyp1f1(a, mp.mpf(b), x)
+        assert log_kummer_1f1(a, b, x) == pytest.approx(float(mp.log(want)), rel=1e-14)
+        if want < np.finfo(float).max:
+            assert kummer_1f1(a, b, x) == pytest.approx(float(want), rel=1e-13)
+        else:
+            with pytest.raises(NumericalError):
+                kummer_1f1(a, b, x)
+
+    def test_tiny_b_on_a_sweep(self):
+        # b from 1e-10 down to 1e-300 at several a >= b and x > 0: the log is
+        # right to a few ulps
+        worst = 0.0
+        for b in np.geomspace(1e-10, 1e-300, 30):
+            for a in (0.5, 1.0, 2.5, 7.0, 40.3):
+                for x in (0.5, 2.0, 30.0):
+                    with mp.workdps(40):
+                        want = float(mp.log(mp.hyp1f1(a, mp.mpf(b), x)))
+                    worst = max(worst, abs(log_kummer_1f1(a, b, x) / want - 1.0))
+        assert worst < 1e-14
+
     def test_past_float_range_is_numerical_error(self):
         # 1F1(300, 400, 2e4) = 2.2e8509
         with warnings.catch_warnings():

@@ -366,6 +366,19 @@ class TestCli:
             written = (tmp_path / name).read_text(encoding="utf-8")
             assert written == json.dumps(docs, indent=1, sort_keys=True) + "\n"
 
+    def test_sample_count_is_a_whole_number(self, tmp_path, capsys):
+        # --n 1e3 is a count, as in --n-grid; the bytes are those of --n 1000
+        for n in ("1000", "1e3"):
+            self.run("sample", "--d", "2", "--n", n, "--seed", "5",
+                     "--out", str(tmp_path / f"{n}.csv"))
+        assert read(tmp_path / "1000.csv") == read(tmp_path / "1e3.csv")
+        with pytest.raises(SystemExit) as exc:
+            self.run("sample", "--d", "2", "--n", "1.5", "--seed", "5",
+                     "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_sample_negative_seed_is_domain_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run("sample", "--d", "1", "--n", "5", "--seed", "-1",
