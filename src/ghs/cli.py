@@ -92,10 +92,8 @@ class _ColumnReprs:
 
 
 def _cell_chunks(blocks):
-    """For each _CHUNK rows of a float array or of an iterable of such blocks
-    (all with the same columns): one list of cells per column."""
-    if isinstance(blocks, np.ndarray):
-        blocks = [blocks]
+    """For each _CHUNK rows of an iterable of float blocks (all with the same
+    columns): one list of repr cells per column."""
     columns = None
     for block in blocks:
         if columns is None:
@@ -104,9 +102,9 @@ def _cell_chunks(blocks):
         del block  # free it before the next block is made
 
 
-def _csv_chunks(blocks):
-    """CSV lines of a float array or of an iterable of blocks, _CHUNK rows at a time."""
-    for cells in _cell_chunks(blocks):
+def _csv_chunks(cell_chunks):
+    """The CSV lines of each chunk of cells, one string per chunk."""
+    for cells in cell_chunks:
         # one join of the cells interleaved with their separators is
         # faster than a join per row
         step = 2 * len(cells)
@@ -118,9 +116,9 @@ def _csv_chunks(blocks):
 
 def _json_chunks(header, cell_chunks):
     """The text of ``json.dumps(docs, indent=1, sort_keys=True) + "\n"``,
-    one chunk of rows at a time, for rows of cells that are already reprs
-    (which is how json writes floats and ints).  Non-finite cells are null,
-    and a row that holds +inf gets "pole": true."""
+    one chunk of rows at a time, for cells that are already reprs (which is
+    how json writes floats and ints).  Non-finite cells are null, and a row
+    that holds +inf gets "pole": true."""
     order = sorted(range(len(header)), key=header.__getitem__)
 
     def template(keys):
@@ -133,7 +131,7 @@ def _json_chunks(header, cell_chunks):
     for cells in cell_chunks:
         docs = [
             (pole if "inf" in row else plain) % tuple(null.get(row[i], row[i]) for i in order)
-            for row in cells
+            for row in zip(*cells)
         ]
         if docs:
             yield sep + ",\n".join(docs)
@@ -141,23 +139,14 @@ def _json_chunks(header, cell_chunks):
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def _write_table(path, header, rows, fmt):
-    """Write a float array, an iterable of float blocks, or a list of rows of
-    Python numbers as CSV or JSON, streamed: each CSV value is its repr
-    ('inf' at the pole); JSON as ``_json_chunks``."""
-    numeric = not isinstance(rows, list)
+def _write_table(path, header, cell_chunks, fmt):
+    """Write chunks of repr cells, one list per column as ``_cell_chunks``
+    yields them, as CSV or JSON, streamed: each CSV value is its repr ('inf'
+    at the pole); JSON as ``_json_chunks``."""
     if fmt == "csv":
-        if numeric:
-            lines = _csv_chunks(rows)
-        else:
-            lines = (",".join(map(repr, row)) + "\n" for row in rows)
-        atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
-        return
-    if numeric:
-        cell_chunks = (zip(*cells) for cells in _cell_chunks(rows))
+        atomic_write(path, itertools.chain([",".join(header) + "\n"], _csv_chunks(cell_chunks)))
     else:
-        cell_chunks = [[tuple(map(repr, row)) for row in rows]]
-    atomic_write(path, _json_chunks(header, cell_chunks))
+        atomic_write(path, _json_chunks(header, cell_chunks))
 
 
 def _parse_grid(spec, d):
@@ -233,10 +222,11 @@ def cmd_density(args):
     table = functools.partial(_density_table, dist)
     if args.grid:
         blocks = _grid_blocks(*_parse_grid(args.grid, args.d), args.d)
-        _write_table(args.out, header, map(table, blocks), args.format)
+        _write_table(args.out, header, _cell_chunks(map(table, blocks)), args.format)
         return
     with open(args.points_file, encoding="utf-8") as fh:
-        _write_table(args.out, header, map(table, _point_blocks(fh, args.d)), args.format)
+        blocks = _point_blocks(fh, args.d)
+        _write_table(args.out, header, _cell_chunks(map(table, blocks)), args.format)
 
 
 def cmd_sample(args):
@@ -245,7 +235,7 @@ def cmd_sample(args):
     dist = GhsDistribution(args.d, args.sigma_theta)
     blocks = sample_blocks(dist, args.n, args.seed, _BLOCK)
     header = ["lambda"] + [f"x{i + 1}" for i in range(args.d)]
-    _write_table(args.out, header, map(np.column_stack, blocks), args.format)
+    _write_table(args.out, header, _cell_chunks(map(np.column_stack, blocks)), args.format)
 
 
 def _parse_floats(text):
@@ -272,7 +262,8 @@ def cmd_risk(args):
             mass = kl_ball_prior_mass(scenario, n)
             bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass
             rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
-    _write_table(args.out, header, rows, args.format)
+    cells = [list(map(repr, col)) for col in zip(*rows)]
+    _write_table(args.out, header, [cells] if cells else [], args.format)
 
 
 def cmd_simulate(args):

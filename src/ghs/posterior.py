@@ -25,6 +25,7 @@ the same products, every 8th (h = 1/16); halving h roughly squares the error
 (Bailey, Jeyabalan & Li 2005), so when all three moments agree between the
 two within 1e-7 relative the h = 1/32 values are kept.  Otherwise, for a
 peak narrower than the coarse step, all 1,025 nodes (h = 1/128) are summed.
+The KL-ball masses of ``risk`` read the d = 0 weights and always sum all nodes.
 
 The part of log(w dx) that depends on the model (b, d) only is cached per
 model, and beside it a contiguous copy of its h = 1/32 nodes.  At 257 nodes
@@ -147,11 +148,6 @@ _LEVELS[3:, 1::2] = 0.0
 _LEVEL_RTOL = 1e-7  # h = 1/16 this close means h = 1/32 is near 1e-14
 
 
-def _levels_agree(coarse, half):
-    """The h = 1/32 sum within _LEVEL_RTOL of its h = 1/16 sum, and not 0."""
-    return abs(coarse - half) < _LEVEL_RTOL * coarse
-
-
 @lru_cache(maxsize=256)
 def _log_weight(b, d):
     """log(w dx) at the nodes without the e^(-a v) factor; read-only.
@@ -198,7 +194,7 @@ def _mixture_moments(a, b, d):
     total, int_v, int_x, half_1, half_v, half_x = np.dot(
         _LEVELS, np.exp(log_f, out=log_f)
     ).tolist()
-    # _levels_agree for each moment, written out: three calls cost more than the tests
+    # each h = 1/32 sum within _LEVEL_RTOL of its h = 1/16 sum, and not 0
     if not (
         abs(total - half_1) < _LEVEL_RTOL * total
         and abs(int_v - half_v) < _LEVEL_RTOL * int_v

@@ -22,9 +22,7 @@ import numpy as np
 # both stay importable here: perfbench/spans.py patches these names
 from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
 from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
-from .posterior import (
-    _COARSE, _LEVELS, _V, _X, _coarse_log_weight, _levels_agree, _log_weight, _mixture_moments
-)
+from .posterior import _V, _X, _log_weight, _mixture_moments
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng, split_seed
@@ -85,11 +83,8 @@ _X0, _V0 = _X[0].item(), _V[0].item()  # the first node, as Python floats
 def _ball_mass(d, radius, center_sq):
     """Prior mass of the ball of this radius around a point of squared norm center_sq.
 
-    Like the posterior moments, the sum runs on the h = 1/32 nodes first and
-    on all nodes when it disagrees with h = 1/16, or when the sphere passes
-    within 1% of its scale from the pole.  There the CDF has a second step,
-    at lam ~ the gap, that the coarse nodes miss while the levels still agree:
-    errors up to 6e-12, against at most 1e-14 for wider gaps (d <= 100).
+    One sum over all 1,025 nodes (h = 1/128), which also resolves the CDF's
+    second step, at lam ~ the sphere's gap from the pole, when that gap is small.
     """
     span = radius * radius + center_sq
     b = d / span if span > 0 else math.inf  # puts the CDF's step mid-rule
@@ -100,19 +95,8 @@ def _ball_mass(d, radius, center_sq):
     if not b * _V0 / _X0 < math.inf:
         raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
     x, nc = np.outer((radius * radius, center_sq), (d / span) * _V / _X)  # over lam^2
-    weight = np.exp(_coarse_log_weight(b, 0))
-    cdf = _chi2_cdf(x[_COARSE], d, nc[_COARSE])
-    # rows 0 and 3 of _LEVELS are the node weights of h = 1/32 and h = 1/16
-    total, half = (_LEVELS[::3] @ (weight * cdf)).tolist()
-    norm = math.sqrt(center_sq)
-    if not (abs(norm - radius) >= 0.01 * (norm + radius) and _levels_agree(total, half)):
-        all_cdf = np.empty(_X.size)
-        all_cdf[_COARSE] = cdf
-        rest = np.ones(_X.size, dtype=bool)
-        rest[_COARSE] = False
-        all_cdf[rest] = _chi2_cdf(x[rest], d, nc[rest])
-        total = float(np.exp(_log_weight(b, 0)) @ all_cdf)
-    mass = total / (math.pi * math.sqrt(b))
+    cdf = _chi2_cdf(x, d, nc)
+    mass = float(np.exp(_log_weight(b, 0)) @ cdf) / (math.pi * math.sqrt(b))
     if not mass >= np.finfo(float).tiny:
         raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radius:.3g})")
     # the first node is lam = 2.4e-19 R/sqrt(d); half-Cauchy weight (2/pi) lam lies below

@@ -19,7 +19,6 @@ from ghs.posterior import (
     _X,
     PosteriorModel,
     SideModel,
-    _levels_agree,
     _log_weight,
     _mixture_moments,
     _mixture_moments_fine,
@@ -485,6 +484,10 @@ def test_which_level_runs(monkeypatch, d, tau, r, falls_back):
 
 def reference_mixture_moments(a, b, d):
     """``_mixture_moments`` before the h = 1/32 log-weights were cached, verbatim."""
+
+    def _levels_agree(coarse, half):
+        return abs(coarse - half) < 1e-7 * coarse
+
     log_f = _log_weight(b, d)[_COARSE] - a * _V_COARSE
     peak = float(log_f.max())
     log_f -= peak  # in place: at 257 nodes the calls, not the flops, cost the time
@@ -499,30 +502,12 @@ def reference_mixture_moments(a, b, d):
 
 
 def reference_ball_mass(d, radius, center_sq):
-    """``risk._ball_mass`` before it read the cached h = 1/32 log-weights, verbatim."""
+    """The ball's prior mass as the half-Cauchy weights at all 1,025 nodes
+    times the chi-square CDF there, written out."""
     span = radius * radius + center_sq
-    b = d / span if span > 0 else math.inf  # puts the CDF's step mid-rule
-    if not 0.0 < b < math.inf:
-        raise NumericalError("the ball's radius or centre leaves the float range")
-    x, nc = np.outer((radius * radius, center_sq), (d / span) * _V / _X)  # over lam^2
-    weight = np.exp(_log_weight(b, 0))
-    cdf = np.empty_like(weight)
-    cdf[_COARSE] = _chi2_cdf(x[_COARSE], d, nc[_COARSE])
-    # rows 0 and 3 of _LEVELS are the node weights of h = 1/32 and h = 1/16
-    total, half = (_LEVELS[::3] @ (weight[_COARSE] * cdf[_COARSE])).tolist()
-    norm = math.sqrt(center_sq)
-    if not (abs(norm - radius) >= 0.01 * (norm + radius) and _levels_agree(total, half)):
-        rest = np.ones(cdf.size, dtype=bool)
-        rest[_COARSE] = False
-        cdf[rest] = _chi2_cdf(x[rest], d, nc[rest])
-        total = float(weight @ cdf)
-    mass = total / (math.pi * math.sqrt(b))
-    if not mass >= np.finfo(float).tiny:
-        raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radius:.3g})")
-    # the first node is lam = 2.4e-19 R/sqrt(d); half-Cauchy weight (2/pi) lam lies below
-    if 2.0 / math.pi * math.sqrt(_X[0] / (b * _V[0])) * cdf[0] > 1e-12 * mass:
-        raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
-    return mass
+    b = d / span
+    x, nc = np.outer((radius * radius, center_sq), b * _V / _X)
+    return float(np.exp(_log_weight(b, 0)) @ _chi2_cdf(x, d, nc)) / (math.pi * math.sqrt(b))
 
 
 def sweep_points(m=5000, seed=11):
@@ -538,7 +523,8 @@ def sweep_points(m=5000, seed=11):
 
 class TestReferenceKernel:
     """The cached h = 1/32 log-weights, ``np.dot`` and the inline level tests
-    give the values of the reference copies bit for bit, as plain floats."""
+    give the values of the reference copies bit for bit, as plain floats, and
+    the KL-ball mass is the written-out sum over all nodes."""
 
     def test_moments_on_the_sweep(self, monkeypatch):
         fallbacks = []
@@ -570,7 +556,7 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("d, theta0, n", [
         # the CI's `ghs risk --d-list 1,2 --n-grid 1e3,1e4`, at the origin
         (1, (), 1e3), (1, (), 1e4), (2, (), 1e3), (2, (), 1e4),
-        # off the origin, and at d = 100 where all nodes are summed
+        # off the origin, and at d = 100
         (3, (1.0, 1.0, 1.0), 1e4), (3, (1.0, 1.0, 1.0), 1e6), (100, (1.0,) * 100, 2),
     ])
     def test_kl_ball_prior_mass(self, d, theta0, n):

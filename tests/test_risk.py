@@ -303,7 +303,7 @@ class TestBallMassKernel:
             with pytest.raises(NumericalError):  # the ball of radius 1e-150
                 kl_ball_prior_mass(RiskScenario(d), 2e300)
 
-    def test_two_levels_match_all_nodes(self, monkeypatch):
+    def test_one_cdf_call_over_all_nodes_per_ball(self, monkeypatch):
         cdf_calls = []
         chi2_cdf = ghs.risk._chi2_cdf
 
@@ -314,17 +314,21 @@ class TestBallMassKernel:
         monkeypatch.setattr(ghs.risk, "_chi2_cdf", counted)
         sizes = [2, 3] + [10**k for k in range(1, 9)]
         cases = [(d, t, n) for d in range(1, 11) for t in (0.0, 0.5, 1.0, 3.0) for n in sizes]
-        masses = [kl_ball_prior_mass(RiskScenario(d, 1.0, (t,) * d), n) for d, t, n in cases]
-        # one CDF call per ball means the h = 1/32 sum was kept
-        assert len(cdf_calls) < 1.2 * len(cases)
-        # at d = 100 the levels differ by 3e-5: the other 768 nodes are added
-        cdf_calls.clear()
-        kl_ball_prior_mass(RiskScenario(100, 1.0, (1.0,) * 100), 2)
-        assert cdf_calls == [257, 768]
-        monkeypatch.setattr(ghs.risk, "_levels_agree", lambda coarse, half: False)
-        for (d, t, n), mass in zip(cases, masses):
-            all_nodes = kl_ball_prior_mass(RiskScenario(d, 1.0, (t,) * d), n)
-            assert abs(mass - all_nodes) <= 1e-14 * all_nodes, (d, t, n)
+        cases.append((100, 1.0, 2))
+        for d, t, n in cases:
+            cdf_calls.clear()
+            assert 0.0 < kl_ball_prior_mass(RiskScenario(d, 1.0, (t,) * d), n) < 1.0
+            assert cdf_calls == [1025], (d, t, n)
+
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    @pytest.mark.parametrize("ratio", [1.0001, 1.005])
+    def test_off_origin_near_the_pole_against_mpmath(self, d, ratio):
+        # the sphere passes just outside the origin, where the CDF has a
+        # second step at lam ~ ||theta0|| - R
+        r = kl_ball_radius(RiskScenario(d), 10**4)
+        sc = RiskScenario(d, 1.0, (ratio * r,) + (0.0,) * (d - 1))
+        expected = off_origin_mass_mpmath(d, ratio * r, r)
+        assert kl_ball_prior_mass(sc, 10**4) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_does_not_reach_the_quadrature_oracles(self, monkeypatch):
         def forbidden(*args, **kwargs):

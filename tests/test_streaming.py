@@ -97,7 +97,7 @@ def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
         blocks.append(np.column_stack([shared, rng.standard_normal(m), shared[::-1]]))
     blocks.insert(2, np.column_stack([rng.standard_normal((50, 3))]))  # nothing shared
     reference = "".join(",".join(map(repr, row)) + "\n" for b in blocks for row in b.tolist())
-    assert_same_text("".join(cli._csv_chunks(iter(blocks))), reference)
+    assert_same_text("".join(cli._csv_chunks(cli._cell_chunks(iter(blocks)))), reference)
 
 
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ghs.cli import _csv_chunks, _write_table, main
+from ghs.cli import _cell_chunks, _csv_chunks, _write_table, main
 from ghs.study import GAMMA_HEADER, MISCLASS_HEADER, StudyConfig, load_reports, run_study
 
 TINY_STUDY = {
@@ -342,7 +342,7 @@ class TestCli:
         distinct = np.random.default_rng(rows).standard_normal(rows) * 1e3
         distinct[: len(specials)] = specials[:rows]
         table = np.column_stack([repeated, distinct, repeated[::-1]])
-        chunks = list(_csv_chunks(table))
+        chunks = list(_csv_chunks(_cell_chunks([table])))
         reference = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
         assert "".join(chunks) == reference
         assert len(chunks) == -(-rows // 8192)
@@ -362,7 +362,11 @@ class TestCli:
                 docs.append({k: v if math.isfinite(v) else None for k, v in zip(head, row)})
                 if math.inf in row:
                     docs[-1]["pole"] = True
-            _write_table(tmp_path / name, head, data, "json")
+            if isinstance(data, np.ndarray):
+                cell_chunks = _cell_chunks([data])
+            else:
+                cell_chunks = [[list(map(repr, col)) for col in zip(*data)]]
+            _write_table(tmp_path / name, head, cell_chunks, "json")
             written = (tmp_path / name).read_text(encoding="utf-8")
             assert written == json.dumps(docs, indent=1, sort_keys=True) + "\n"
 
