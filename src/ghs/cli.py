@@ -159,31 +159,20 @@ def _parse_grid(spec, d):
     if not all(map(math.isfinite, (lo, hi, step, span))):
         raise ConfigError(f"bad grid spec {spec!r}: need finite lo <= hi and step > 0")
     count = int(round(span)) + 1
-    if d * math.log2(count) >= 62:  # row indices, plus one run, fit in int64
+    if d * math.log2(count) >= 62:  # row indices fit in int64
         raise ConfigError(f"grid spec {spec!r} gives {count}^{d} points, too many")
     return lo, step, count
 
 
 def _grid_blocks(lo, step, count, d):
-    """The grid's points in row-major order, _BLOCK rows at a time.
-
-    Coordinate k of row i is ``lo + j * step`` for the axis index
-    ``j = (i // run) % count``, ``run = count^(d-1-k)``: a block holds
-    column k as runs of equal values, built by np.repeat without a division
-    per row.
-    """
+    """The grid's points in row-major order, _BLOCK rows at a time: coordinate
+    k of row i is ``lo + j * step``, j the k-th of the d axis indices of i."""
     rows = count ** d
     for start in range(0, rows, _BLOCK):
-        stop = min(start + _BLOCK, rows)
-        pts = np.empty((stop - start, d))
-        for k in range(d):
-            run = count ** (d - 1 - k)
-            first, last = start // run, (stop - 1) // run
-            ends = np.minimum(np.arange(first + 1, last + 2) * run, stop)
-            lengths = np.diff(ends, prepend=start)
-            pts[:, k] = np.repeat(lo + (np.arange(first, last + 1) % count) * step, lengths)
-        yield pts
-        del pts  # free it before the next block is made
+        index = np.arange(start, min(start + _BLOCK, rows))
+        # unravel_index takes at most 64 axes; past 61, count^d < 2^62 means count 1
+        index = np.unravel_index(index, (count,) * d) if count > 1 else [index] * d
+        yield lo + np.column_stack(index) * step
 
 
 def _point_blocks(fh, d):

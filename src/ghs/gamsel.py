@@ -359,24 +359,6 @@ def _gamma_shapes(spec: AdditiveModelSpec):
     ))
 
 
-def _gamma_runs(shapes, buf, dest=None):
-    """(shape, view of ``buf``) for each maximal run of equal ``shapes``
-    whose destinations are consecutive.
-
-    Variate i goes to ``buf[dest[i]]`` (default: ``buf[i]``).  One
-    scalar-shape ``standard_gamma(shape, out=view)`` per run fills ``buf``
-    with the variates, in generator order, that one array-shape
-    ``standard_gamma(shapes)`` call would give, without NumPy's broadcast
-    path for array parameters.
-    """
-    dest = np.arange(shapes.size) if dest is None else dest
-    cuts = np.flatnonzero((np.diff(shapes) != 0) | (np.diff(dest) != 1)) + 1
-    cuts = [0, *cuts.tolist(), shapes.size]
-    return [
-        (float(shapes[a]), buf[dest[a] : dest[a] + b - a]) for a, b in zip(cuts[:-1], cuts[1:])
-    ]
-
-
 def _inv_gamma(rate, gamma):
     """Inverse-gamma draws ``rate / gamma``, in place in ``rate``.
 
@@ -485,8 +467,8 @@ def gibbs_sampler(
     independent draws (see _gamma_shapes): the local scales and sigma_eps^2,
     then their auxiliaries with the global scales, then the global
     auxiliaries.  The gamma variates of all three levels are drawn first,
-    one scalar-shape call per run of equal shapes (_gamma_runs), which
-    consumes the generator exactly as one array-shape call per level.
+    in one array-shape call, which consumes the generator exactly as one
+    call per level.
     ``fixed_scales`` freezes all scales at given values (keys: lambda_beta,
     lambda_u, sigma_beta, sigma_u, sigma_eps), which makes the coefficient
     draws exact posterior samples -- used by the conjugate-oracle test.
@@ -515,8 +497,9 @@ def gibbs_sampler(
     hyper = spec.hyper
 
     # One sweep's state in one buffer: the coefficients, then every scale
-    # draw, filled in place through views; the gamma variates go to a second
-    # buffer of the same layout.  That layout is the draw order (_gamma_shapes)
+    # draw, filled in place through views; the gamma variates, drawn in one
+    # call in draw order (_gamma_shapes), are scattered through ``dest`` into
+    # a second buffer of the same layout.  That layout is the draw order
     # with sigma_beta^2 moved behind a_u, so that the local scales of the
     # linear terms and of the blocks, their auxiliaries, the sigma^2 and
     # their auxiliaries each fill one slice:
@@ -531,7 +514,6 @@ def gibbs_sampler(
     row = np.ones(q + shapes.size)
     coef, g = row[:q], row[q:]
     gamma = np.empty(shapes.size)
-    runs = _gamma_runs(shapes, gamma, dest)
     i_se, i_be = m, 2 * m + 2 + d_nl
     lam2, a_aux, sig2, b_aux = g[:m], g[m + 1 : 2 * m + 1], g[2 * m + 1 : i_be], g[i_be + 1 :]
     lam2_u, sig2_u = lam2[p:], sig2[1:]
@@ -605,8 +587,7 @@ def gibbs_sampler(
             rss = residual_ss(coef)
 
             if fixed_scales is None:
-                for shape, view in runs:
-                    rng.standard_gamma(shape, out=view)
+                gamma[dest] = rng.standard_gamma(shapes)
                 np.add.reduceat(np.square(coef[1:], out=coef2), sq_starts, out=sq)
 
                 # Each level's rates are written into its slots, then divided by

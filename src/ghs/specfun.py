@@ -94,12 +94,16 @@ def _expint_series(nu, x):
     Gamma(1-nu) = (-1)^n Gamma(1-eps) / (eps prod_(j<n) (j + eps)),
     it is (-1)^n x^(n-1)/(n-1)! expm1(w)/eps with
     w = eps log x + lgamma(1-eps) - sum_(j<n) log1p(eps/j), and its eps -> 0
-    limit (-x)^(n-1) (psi(n) - log x) / (n-1)! at an integer order.
+    limit (-x)^(n-1) (psi(n) - log x) / (n-1)! at an integer order.  Past
+    n = 171, where (n-1)! is no float, that sum is at most 1e30 x^(n-1)/(n-1)!
+    < 1e-279, far below an ulp of the rest (at least 1/(nu + 1)): both go.
     """
     n = round(nu)
     eps = nu - n
     if n < 1 or abs(eps) >= _NEAR_INTEGER:
         skip, total = -1, math.gamma(1.0 - nu) * x ** (nu - 1.0)
+    elif n > 171:
+        skip, total = n - 1, 0.0
     elif eps == 0.0:
         skip = n - 1
         psi = math.fsum(1.0 / k for k in range(1, n)) - np.euler_gamma  # psi(n) = H_(n-1) - gamma
@@ -235,8 +239,11 @@ def _log_euler(alpha, beta, gamma, x, y):
     integrand's peak t* in z = logit t (bisection on the z-derivative, alpha at
     z = -inf, alpha - gamma at +inf; the curvature there gives the width w).
     Exp-sinh nodes run t = t* e^-rho left, 1 - t = (1-t*) e^-rho right, every
-    factor relative to its value at t*, the sum max-shifted."""
+    factor relative to its value at t*, the sum max-shifted.  NumericalError where
+    gamma <= alpha: parameters that rounded together."""
     c = gamma - alpha
+    if not c > 0.0:
+        raise NumericalError(f"Euler integral needs gamma > alpha (alpha={alpha}, gamma={gamma})")
     lo, hi = -700.0, 700.0  # e^(+-z) stays finite
     for _ in range(50):  # 1 - x t = (1 - t) + t (1 - x), a sum of nonnegatives
         z = 0.5 * (lo + hi)
@@ -286,16 +293,17 @@ def _log_kummer_down(a, b, x):
     return log_m
 
 
-def _kummer_taylor(a, b, x):
+def _kummer_taylor(a, b, x, a_rest=0.0):
     """(sign, log|sum_k (a)_k x^k / ((b)_k k!)|), finite for a nonpositive integer
-    a, held as a mantissa times 2^exponent.  It stops at a term below the stopping
+    a, held as a mantissa times 2^exponent.  The first parameter is a + a_rest, with
+    a_rest the rounding error of a difference a.  It stops at a term below the stopping
     tolerance once no later term is larger: the ratio (a+k) x / ((b+k)(k+1)) is
     below 1 in size and never grows again once a + k > 0, b + k > 0 and
     (a+k)(b+k) >= (b-a)(k+1).  A sum cancelled past _REL_TOL (1e-16 of its largest
     term over _REL_TOL of it) is refused, an exact root of a terminated polynomial not."""
     total, term, biggest, exponent = 1.0, 1.0, 1.0, 0
     for k in range(_MAX_TERMS):
-        ratio = (a + k) * x / ((b + k) * (k + 1.0))
+        ratio = ((a + k) + a_rest) * x / ((b + k) * (k + 1.0))
         term *= ratio
         total += term
         biggest = max(biggest, abs(term))
@@ -319,9 +327,12 @@ def _kummer_taylor(a, b, x):
 def _log_kummer(a, b, x):
     """(sign, log|1F1(a, b, x)|), b off the nonpositive integers.  x < 0 keeps
     x for the kernel (a transform costs eps |x|) and takes the Kummer transform
-    e^x 1F1(b - a, b, -x) elsewhere, as a nonpositive-integer b - a does."""
+    e^x 1F1(b - a, b, -x) elsewhere, as a nonpositive-integer b - a does, with the
+    exact b - a; a == b gives the exact e^x."""
     if x == 0.0:
         return 1.0, 0.0
+    if a == b:  # 1F1(a, a, x) = e^x
+        return 1.0, x
     if 0.0 < a < b and abs(x) >= b:
         try:
             return 1.0, _log_euler(a, 0.0, b, 0.0, x)
@@ -333,7 +344,9 @@ def _log_kummer(a, b, x):
     if 0.0 < b <= p < b + _MAX_TERMS and z >= b:  # _MAX_TERMS caps the recurrence
         return 1.0, _log_kummer_down(p, b, z) + shift
     if x < 0 or _is_nonpositive_integer(b - a):
-        sign, log_value = _kummer_taylor(b - a, b, -x)
+        s = b - a
+        t = s - b  # TwoSum: s + rest is b - a exactly, where s may round onto an integer
+        sign, log_value = _kummer_taylor(s, b, -x, (b - (s - t)) - (a + t))
         return sign, log_value + x
     return _kummer_taylor(a, b, x)
 
@@ -349,9 +362,9 @@ def kummer_1f1(a, b, x):
 
 def log_kummer_1f1(a, b, x):
     """log 1F1(a, b, x), safe for huge |x|, on the positive-value domain b > 0
-    and a > 0 (for x > 0) or b - a > 0 (for x < 0)."""
+    and a > 0 (for x > 0) or b >= a (for x < 0)."""
     a, b, x = _check_finite("1F1", "a b x", a, b, x)
-    if not (b > 0 and (a > 0 or x <= 0) and (b - a > 0 or x >= 0)):
+    if not (b > 0 and (a > 0 or x <= 0) and (b >= a or x >= 0)):
         raise DomainError(f"log 1F1 outside its positive-value domain (a={a}, b={b}, x={x})")
     return _log_kummer(a, b, x)[1]
 

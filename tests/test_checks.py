@@ -129,6 +129,10 @@ CASES = {
     "gen_exp_integral(0.001, 1e-310)": (
         lambda: gen_exp_integral(0.001, 1e-310), NumericalError
     ),
+    # raw ValueError before: the Euler kernel's parameters rounded together
+    "kummer_1f1(2e-17, 1e-17, 520.17)": (
+        lambda: kummer_1f1(2e-17, 1e-17, 520.1704705773651), NumericalError
+    ),
 }
 
 
@@ -153,3 +157,11 @@ def test_valid_inputs_still_accepted():
         assert np.array_equal(posterior_mean(MODEL, y), expect)
     assert log_density(DIST, [1, 2]) == log_density(DIST, [1.0, 2.0])
     assert origin_ball_mass(2, math.inf) == pytest.approx(1.0)  # the whole space
+
+
+def test_large_orders_give_values():
+    # a raw OverflowError before: (n-1)! is not a float past n = 171
+    assert gen_exp_integral(501, 0.5) == pytest.approx(1.21184704627e-3, rel=1e-11)
+    assert gen_exp_integral(1e4, 0.5) == pytest.approx(6.06560984729e-5, rel=1e-11)
+    assert math.isfinite(gen_exp_integral(308.03, 3.4e-4))
+    assert math.isfinite(radial_log_density(343, 0.01))

@@ -26,7 +26,6 @@ from ghs.gamsel import (
     Hyper,
     _count_clipped,
     _draw_coefficients,
-    _gamma_runs,
     _gamma_shapes,
     _ResidualSS,
     build_design,
@@ -212,7 +211,7 @@ LINEAR_ONLY = AdditiveModelSpec(n=10, d_lin=3, d_nl=0, basis_size=(), hyper=Hype
 
 
 @pytest.mark.parametrize("spec", [PAPER, UNEVEN, LINEAR_ONLY], ids=["paper", "uneven", "d_nl=0"])
-def test_gamma_runs_consume_generator_like_array_draws(spec):
+def test_one_gamma_call_consumes_generator_like_level_draws(spec):
     p, d_nl = spec.p, spec.d_nl
     ks = np.array(spec.basis_sizes, dtype=int)
     # the reference loop's shape vectors of levels 1 and 2; level 3 is all 1
@@ -220,29 +219,12 @@ def test_gamma_runs_consume_generator_like_array_draws(spec):
     shape_2 = np.concatenate((np.ones(p), [0.5 * (p + 1)], np.ones(d_nl), 0.5 * (ks + 1), [1.0]))
     shapes = _gamma_shapes(spec)
     assert np.array_equal(shapes, np.concatenate((shape_1, shape_2, np.ones(1 + d_nl))))
-    for level in (shape_1, shape_2):
-        want_rng, got_rng = np.random.default_rng(17), np.random.default_rng(17)
-        want = want_rng.standard_gamma(level, level.shape)
-        got = np.empty(level.size)
-        runs = _gamma_runs(level, got)
-        assert len(runs) == 1 + np.count_nonzero(np.diff(level))
-        start = 0
-        for shape, view in runs:  # consecutive runs of one shape each
-            assert np.all(level[start : start + view.size] == shape)
-            start += view.size
-            got_rng.standard_gamma(shape, out=view)
-        assert start == level.size
-        assert np.array_equal(got, want)
-        assert got_rng.standard_normal() == want_rng.standard_normal()
     # the sweep's three levels as the reference loop draws them
     want_rng, got_rng = np.random.default_rng(3), np.random.default_rng(3)
     want = np.concatenate((want_rng.standard_gamma(shape_1, shape_1.shape),
                            want_rng.standard_gamma(shape_2, shape_2.shape),
                            want_rng.standard_gamma(1.0, (1 + d_nl,))))
-    got = np.empty(shapes.size)
-    for shape, view in _gamma_runs(shapes, got):
-        got_rng.standard_gamma(shape, out=view)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got_rng.standard_gamma(shapes), want)
     assert got_rng.random() == want_rng.random()
 
 

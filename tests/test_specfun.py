@@ -9,6 +9,7 @@ series vs. the double series).
 
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -182,6 +183,22 @@ class TestExpScaledKernel:
         with mp.workdps(50):
             exact = [float(mp.exp(x) * mp.expint(nu, x)) for x in map(mp.mpf, xs)]
         assert exp_scaled_expint(nu, xs) == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("nu", [172.0, 308.03, 501.0, 1e4])
+    def test_large_orders_near_an_integer_against_mpmath(self, nu):
+        # past n - 1 = 170, (n-1)! is not a float: x^(n-1)/(n-1)! raised a
+        # raw OverflowError, and psi(n) took O(n) terms
+        for x in (1e-3, 0.5):
+            with mp.workdps(40):
+                want = float(mp.expint(nu, x))
+            assert gen_exp_integral(nu, x) == pytest.approx(want, rel=1e-12, abs=0), (nu, x)
+
+    def test_huge_order_returns_at_once(self):
+        # the sum over k < n behind psi(n) never returned at n = 1e300
+        start = time.perf_counter()
+        value = gen_exp_integral(1e300, 0.5)
+        assert time.perf_counter() - start < 1.0
+        assert value == pytest.approx(math.exp(-0.5) / 1e300, rel=1e-12)
 
     @pytest.mark.parametrize("nu", NUS)
     def test_zero_argument(self, nu):
@@ -496,6 +513,30 @@ class TestKummer1F1:
             return
         assert got == pytest.approx(want, rel=1e-12)
 
+
+    @pytest.mark.parametrize("a, b, x", [
+        (2.3954545454545455, 0.39545454545454545, -60.0),
+        (1.1, 0.1, -40.0),
+        (6.244433362190889, 0.24443336219088835, -197.3832113623432),
+        (1.0459668276458158, 0.04596682764581585, -127.89265268903293),
+        (5.17296816087858, 0.17296816087857966, -87.11911888548053),
+    ])
+    def test_transform_keeps_the_exact_difference_against_mpmath(self, a, b, x):
+        # b - a rounds onto a nonpositive integer that the exact difference
+        # misses, so the transform's series is not a terminating polynomial
+        # (1.55e-20 at the first point, where the polynomial gave 5.4e-23)
+        with mp.workdps(50):
+            want = float(mp.hyp1f1(mp.mpf(a), mp.mpf(b), mp.mpf(x)))
+        assert kummer_1f1(a, b, x) == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_equal_parameters_are_the_exponential(self):
+        # 1F1(a, a, x) = e^x; at a = b = 1e-17 the kernel's parameters
+        # rounded together, and the log form refused x < 0
+        for a in (1e-17, 0.5, 3.0, -2.5):
+            for x in (-30.0, -3.0, 5.0, 520.1704705773651):
+                assert kummer_1f1(a, a, x) == math.exp(x)
+                if a > 0:
+                    assert log_kummer_1f1(a, a, x) == x
 
     def test_transform_past_max_terms_is_right_or_refused(self):
         # a > b > 0, x <= -b: e^x 1F1(b - a, b, -x) starts with a negative

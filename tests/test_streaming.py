@@ -67,18 +67,35 @@ def run(tmp_path, name, *argv):
     return out.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("d, spec", [
+    (1, "-5:5:0.0001"),  # 100,001 rows
+    (2, "-1:1:0.005"),  # 401^2 = 160,801 rows
+    (3, "-2:2:0.1"),  # 41^3 = 68,921 rows
+    (4, "-1:1:0.125"),  # 17^4 = 83,521 rows
+])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_grid_across_blocks_matches_whole_table(tmp_path, fmt):
-    # 41^3 = 68,921 rows: one full block and a partial one
-    lo, step, count, d = -2.0, 0.1, 41, 3
+def test_grid_across_blocks_matches_whole_table(tmp_path, fmt, d, spec):
+    # every grid crosses a block boundary
+    lo, hi, step = map(float, spec.split(":"))
+    count = round((hi - lo) / step) + 1
     axis = [lo + i * step for i in range(count)]
     pts = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    assert B < len(pts) < 2 * B
+    assert B < len(pts) < 3 * B
     dist = GhsDistribution(d)
-    header = ["x1", "x2", "x3", "density", "log_density"]
-    written = run(tmp_path, f"grid.{fmt}", "density", "--d", "3", "--grid=-2:2:0.1",
+    header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
+    written = run(tmp_path, f"grid.{fmt}", "density", "--d", str(d), f"--grid={spec}",
                   "--format", fmt)
     assert_same_text(written, reference_text(header, density_table(dist, pts), fmt))
+
+
+def test_one_point_grid_past_64_axes(tmp_path):
+    # a grid of one point per axis has one row at any dimension, also past
+    # the 64 axes that np.unravel_index takes
+    d = 100
+    pts = np.zeros((1, d))  # lo + 0 * step is +0.0 for lo = -0.0
+    header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
+    written = run(tmp_path, "one.csv", "density", "--d", str(d), "--grid=-0.0:0:1")
+    assert_same_text(written, reference_text(header, density_table(GhsDistribution(d), pts), "csv"))
 
 
 @pytest.mark.parametrize("cache", [cli._REPR_CACHE, 40])
@@ -162,6 +179,19 @@ def test_empty_points_file_writes_header_only(tmp_path):
         "x1,x2,density,log_density\n")
     assert run(tmp_path, "e.json", "density", "--d", "2", "--points-file", str(path),
                "--format", "json") == "[]\n"
+
+
+def test_points_at_a_dimension_past_order_171(tmp_path):
+    # the density's E_nu order is (d + 1)/2 = 172 at d = 343, where the
+    # series' x^(n-1)/(n-1)! raised a raw OverflowError and the CLI a traceback
+    d = 343
+    pts = np.zeros((2, d))
+    pts[0, 0], pts[1, :] = 0.01, 0.5
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()), encoding="utf-8")
+    header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
+    written = run(tmp_path, "p.csv", "density", "--d", str(d), "--points-file", str(path))
+    assert_same_text(written, reference_text(header, density_table(GhsDistribution(d), pts), "csv"))
 
 
 def test_error_in_a_later_block_leaves_no_file(tmp_path, capsys):
