@@ -18,8 +18,10 @@ from array import array
 
 import numpy as np
 
-# sample_arrays stays importable here: perfbench/spans.py patches this name
-from .distribution import GhsDistribution, log_density, sample_arrays, sample_blocks  # noqa: F401
+# log_density and sample_arrays stay importable here: perfbench/spans.py patches them
+from .distribution import (  # noqa: F401
+    GhsDistribution, _point_norms, log_density, radial_log_density, sample_arrays, sample_blocks
+)
 from .errors import ConfigError, DimensionError, GhsError, _check_whole
 from .files import atomic_write
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
@@ -28,78 +30,47 @@ from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F4
 
 _CHUNK = 8192  # rows formatted at a time
 _BLOCK = 1 << 16  # rows computed and written at a time: bounds the memory
-_REPR_CACHE = 1 << 16  # distinct values a column keeps formatted across blocks
+_REPR_CACHE = 1 << 16  # distinct values a _Cells cache keeps formatted across calls
 
 
-class _ColumnReprs:
-    """The reprs of one float column, block by block.
-
-    Values are told apart by bit pattern, so -0.0 keeps its sign.  A block
-    in which at most half of the values are distinct formats each distinct
-    value once, and the column keeps those values (sorted) with their reprs
-    for the blocks that follow, up to _REPR_CACHE of them; in other blocks
-    (a float repr costs about 1 us and there is little to share) each
-    _CHUNK-row part is formatted in turn.
-    """
-
-    def __init__(self):
-        self.bits = np.empty(0, dtype=np.uint64)
-        self.reprs = np.empty(0, dtype=object)
-        self.shared = True  # whether the last block was
-
-    def cells(self, col):
-        """``[repr(v) for v in part]`` for each _CHUNK-row part of ``col``."""
-        shared = self._shared(col.view(np.uint64))
-        for lo in range(0, col.size, _CHUNK):
-            if shared is None:
-                yield list(map(repr, col[lo:lo + _CHUNK].tolist()))
-            else:
-                reprs, index = shared
-                yield reprs[index[lo:lo + _CHUNK]].tolist()
-
-    def _shared(self, bits):
-        """The reprs of the distinct values of ``bits`` and the index of each
-        value's repr among them, or None when more than half are distinct."""
-        # when the last block was shared, argsort, whose order also gives each
-        # value's index; else np.sort, three times as fast (np.unique hashes,
-        # and is slower than both)
-        order = np.argsort(bits) if self.shared else None
-        ordered = np.sort(bits) if order is None else bits[order]
-        first = np.ones(bits.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        distinct = ordered[first]
-        self.shared = 2 * distinct.size <= bits.size
-        if not self.shared:
-            return None
-        if order is None:
-            order = np.argsort(bits)
-        index = np.empty(bits.size, dtype=np.int32)
-        index[order] = np.cumsum(first, dtype=np.int32) - 1
-        pos = np.searchsorted(self.bits, distinct)
-        known = np.zeros(distinct.size, dtype=bool)
-        if self.bits.size:
-            known = self.bits[np.minimum(pos, self.bits.size - 1)] == distinct
-        reprs = np.empty(distinct.size, dtype=object)
-        reprs[known] = self.reprs[pos[known]]
-        new = ~known
-        reprs[new] = [repr(v) for v in distinct[new].view(float).tolist()]
-        if self.bits.size + np.count_nonzero(new) <= _REPR_CACHE:
-            self.bits = np.insert(self.bits, pos[new], distinct[new])
-            self.reprs = np.insert(self.reprs, pos[new], reprs[new])
-        else:
-            self.bits, self.reprs = distinct, reprs
-        return reprs, index
+def _reprs(values):
+    """``repr(v)`` of each float of an array, as an object array."""
+    return np.array(list(map(repr, values.tolist())), dtype=object)
 
 
-def _cell_chunks(blocks):
-    """For each _CHUNK rows of an iterable of float blocks (all with the same
+class _Cells:
+    """Cells of float values made once per distinct value and kept for the
+    whole command: ``make`` maps an array of distinct values to a list of
+    object arrays, one cell column each.  Values are told apart by bit
+    pattern, so -0.0 keeps its sign.  Up to _REPR_CACHE values are kept; a
+    lookup that would pass that restarts the cache from its own values."""
+
+    def __init__(self, make=lambda values: [_reprs(values)]):
+        self.make = make
+        self.bits = np.empty(0, dtype=np.uint64)  # sorted
+        self.cols = None
+
+    def lookup(self, values):
+        """The cell columns, and the row of each of ``values`` in them."""
+        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        new = distinct[~np.isin(distinct, self.bits, assume_unique=True)]
+        if self.bits.size + new.size > _REPR_CACHE:
+            self.bits, new = self.bits[:0], distinct  # restart from these values
+        if new.size:
+            cols, at = self.make(new.view(float)), np.searchsorted(self.bits, new)
+            if self.bits.size:
+                cols = [np.insert(c, at, n) for c, n in zip(self.cols, cols)]
+            self.bits, self.cols = np.insert(self.bits, at, new), cols
+        return self.cols, np.searchsorted(self.bits, distinct)[inverse.reshape(values.shape)]
+
+
+def _repr_chunks(tables):
+    """For each _CHUNK rows of an iterable of float tables (all with the same
     columns): one list of repr cells per column."""
-    columns = None
-    for block in blocks:
-        if columns is None:
-            columns = [_ColumnReprs() for _ in range(block.shape[1])]
-        yield from zip(*(c.cells(col) for c, col in zip(columns, block.T)))
-        del block  # free it before the next block is made
+    for table in tables:
+        for lo in range(0, len(table), _CHUNK):
+            yield [list(map(repr, col)) for col in table[lo:lo + _CHUNK].T.tolist()]
+        del table  # free it before the next table is made
 
 
 def _csv_chunks(cell_chunks):
@@ -140,7 +111,7 @@ def _json_chunks(header, cell_chunks):
 
 
 def _write_table(path, header, cell_chunks, fmt):
-    """Write chunks of repr cells, one list per column as ``_cell_chunks``
+    """Write chunks of cells, one list of reprs per column as ``_repr_chunks``
     yields them, as CSV or JSON, streamed: each CSV value is its repr ('inf'
     at the pole); JSON as ``_json_chunks``."""
     if fmt == "csv":
@@ -165,14 +136,15 @@ def _parse_grid(spec, d):
 
 
 def _grid_blocks(lo, step, count, d):
-    """The grid's points in row-major order, _BLOCK rows at a time: coordinate
-    k of row i is ``lo + j * step``, j the k-th of the d axis indices of i."""
+    """The grid's points in row-major order, _BLOCK rows at a time, each block
+    with its (rows, d) axis indices: coordinate k of row i is ``lo + j * step``,
+    j the k-th of the d axis indices of i."""
     rows = count ** d
     for start in range(0, rows, _BLOCK):
-        index = np.arange(start, min(start + _BLOCK, rows))
+        j = np.arange(start, min(start + _BLOCK, rows))
         # unravel_index takes at most 64 axes; past 61, count^d < 2^62 means count 1
-        index = np.unravel_index(index, (count,) * d) if count > 1 else [index] * d
-        yield lo + np.column_stack(index) * step
+        j = np.column_stack(np.unravel_index(j, (count,) * d) if count > 1 else [j] * d)
+        yield lo + j * step, j
 
 
 def _point_blocks(fh, d):
@@ -194,12 +166,41 @@ def _point_blocks(fh, d):
         yield np.frombuffer(flat).reshape(-1, d)
 
 
-def _density_table(dist, pts):
-    """Rows ``x..., density, log_density`` for a block of points."""
-    ld = log_density(dist, pts)
+def _cached_cells(cache, values):
+    """The repr cells of a table of floats, one list per column, through ``cache``."""
+    (cells,), at = cache.lookup(values)
+    return cells[at.T].tolist()
+
+
+def _axis_cells(lo, step, count):
+    """The coordinate cells of grid rows from their axis indices j: each axis value
+    ``lo + j * step`` formatted once, or, past _REPR_CACHE of them, each coordinate."""
+    if count > _REPR_CACHE:
+        return lambda j: [list(map(repr, col)) for col in (lo + j.T * step).tolist()]
+    axis = _reprs(lo + np.arange(count) * step)
+    return lambda j: axis[j.T].tolist()
+
+
+def _radius_cells(dist, r):
+    """The density and log density cells at radii ``r``."""
+    ld = radial_log_density(dist.d, r, dist.sigma_theta)
     dens = np.full_like(ld, math.inf)  # e^700 and above print as inf
     np.exp(ld, out=dens, where=ld < 700)
-    return np.column_stack([pts, dens, ld])
+    return [_reprs(dens), _reprs(ld)]
+
+
+def _density_chunks(dist, blocks, coordinate_cells):
+    """For each _CHUNK rows ``x..., density, log_density``, one list of cells
+    per column, from blocks of (points, keys): ``coordinate_cells`` makes a
+    chunk's coordinate columns from its keys.  The density cells come from
+    one cache keyed by the radius, so radial_log_density runs, and its values
+    are formatted, once per distinct radius of the command."""
+    radii = _Cells(functools.partial(_radius_cells, dist))
+    for pts, keys in blocks:
+        (dens, ld), at = radii.lookup(_point_norms(pts))
+        for lo in range(0, len(pts), _CHUNK):
+            i = at[lo:lo + _CHUNK]
+            yield coordinate_cells(keys[lo:lo + _CHUNK]) + [dens[i].tolist(), ld[i].tolist()]
 
 
 def cmd_density(args):
@@ -207,15 +208,14 @@ def cmd_density(args):
     if (args.grid is None) == (args.points_file is None):
         raise ConfigError("give exactly one of --grid or --points-file")
     header = [f"x{i + 1}" for i in range(args.d)] + ["density", "log_density"]
-    # map holds no block once its table is made, so only one table is alive
-    table = functools.partial(_density_table, dist)
-    if args.grid:
-        blocks = _grid_blocks(*_parse_grid(args.grid, args.d), args.d)
-        _write_table(args.out, header, _cell_chunks(map(table, blocks)), args.format)
-        return
-    with open(args.points_file, encoding="utf-8") as fh:
-        blocks = _point_blocks(fh, args.d)
-        _write_table(args.out, header, _cell_chunks(map(table, blocks)), args.format)
+    if args.grid:  # coordinate cells keyed by axis index
+        lo, step, count = _parse_grid(args.grid, args.d)
+        blocks, cells = _grid_blocks(lo, step, count, args.d), _axis_cells(lo, step, count)
+        return _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
+    with open(args.points_file, encoding="utf-8") as fh:  # keyed by the coordinates
+        blocks = ((pts, pts) for pts in _point_blocks(fh, args.d))
+        cells = functools.partial(_cached_cells, _Cells())
+        _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
 
 
 def cmd_sample(args):
@@ -224,7 +224,7 @@ def cmd_sample(args):
     dist = GhsDistribution(args.d, args.sigma_theta)
     blocks = sample_blocks(dist, args.n, args.seed, _BLOCK)
     header = ["lambda"] + [f"x{i + 1}" for i in range(args.d)]
-    _write_table(args.out, header, _cell_chunks(map(np.column_stack, blocks)), args.format)
+    _write_table(args.out, header, _repr_chunks(map(np.column_stack, blocks)), args.format)
 
 
 def _parse_floats(text):

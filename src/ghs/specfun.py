@@ -203,9 +203,25 @@ def exp_scaled_gen_exp_integral(nu, x):
 def gen_exp_integral(nu, x):
     """Generalized exponential integral E_nu(x) for x >= 0.
 
-    At x = 0 the integral equals 1/(nu-1) and requires nu > 1.
+    At x = 0 the integral equals 1/(nu-1) and requires nu > 1.  At a negative
+    order, where exp(x) E_nu(x) passes the float range before E_nu(x) does,
+    the downward recurrence runs on E_nu itself,
+    E_(m-1)(x) = (e^-x - (m-1) E_m(x)) / x, from e^-x exp(x) E_mu(x), mu in [0, 1).
     """
-    scaled = exp_scaled_gen_exp_integral(nu, x)
+    try:
+        scaled = exp_scaled_gen_exp_integral(nu, x)
+    except NumericalError:
+        steps = math.ceil(-nu)
+        if not (x > 0 and 0 < steps <= _MAX_TERMS):
+            raise
+        m, decay = nu + steps, math.exp(-x)
+        value = decay * exp_scaled_gen_exp_integral(m, x)
+        for _ in range(steps):  # every term is positive, so nothing cancels
+            value = (decay - (m - 1.0) * value) / x
+            m -= 1.0
+        if math.isinf(value):
+            raise NumericalError(f"E_nu(x) exceeds the float range (nu={nu})") from None
+        return value
     return math.exp(-x) * scaled if x > 0 else scaled
 
 

@@ -11,6 +11,7 @@ NumericalError, with no RuntimeWarning.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -44,6 +45,7 @@ from ghs.risk import RiskScenario, kl_ball_radius, risk_upper_bound
 from ghs.rng import make_rng
 from ghs.specfun import (
     exp_scaled_expint,
+    exp_scaled_gen_exp_integral,
     gen_exp_integral,
     kummer_1f1,
     log_kummer_1f1,
@@ -124,7 +126,10 @@ CASES = {
     "spline_basis x ['a']": (lambda: spline_basis(["a"] * 20, 4), DomainError),
     "spline_basis K '4'": (lambda: spline_basis(X, "4"), ConfigError),
     # inf, with an overflow RuntimeWarning, before: past the float range
-    "gen_exp_integral(-150, 0.5)": (lambda: gen_exp_integral(-150, 0.5), NumericalError),
+    "exp_scaled_gen_exp_integral(-150, 0.5)": (
+        lambda: exp_scaled_gen_exp_integral(-150, 0.5), NumericalError
+    ),
+    "gen_exp_integral(-150.5, 0.5)": (lambda: gen_exp_integral(-150.5, 0.5), NumericalError),
     "gen_exp_integral(-1e6, 1)": (lambda: gen_exp_integral(-1e6, 1.0), NumericalError),
     "gen_exp_integral(0.001, 1e-310)": (
         lambda: gen_exp_integral(0.001, 1e-310), NumericalError
@@ -165,3 +170,12 @@ def test_large_orders_give_values():
     assert gen_exp_integral(1e4, 0.5) == pytest.approx(6.06560984729e-5, rel=1e-11)
     assert math.isfinite(gen_exp_integral(308.03, 3.4e-4))
     assert math.isfinite(radial_log_density(343, 0.01))
+
+
+def test_negative_order_past_the_scaled_range_gives_value():
+    # NumericalError before: exp(x) E_nu(x) = 2.7e308 overflows where E_nu(x)
+    # = 1.63e308 does not, so the recurrence runs on E_nu itself
+    for nu, x in [(-150, 0.5), (-170, 1.7)]:
+        with mp.workdps(30):
+            expect = float(mp.expint(nu, x))
+        assert gen_exp_integral(nu, x) == pytest.approx(expect, rel=1e-13)

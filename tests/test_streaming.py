@@ -4,6 +4,7 @@
 `repr` and by `json.dumps`), and memory must not grow with the row count.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ghs.distribution
 from ghs import cli
 from ghs.distribution import GhsDistribution, log_density, sample_arrays, sample_blocks
 from ghs.errors import DomainError
@@ -67,6 +69,14 @@ def run(tmp_path, name, *argv):
     return out.read_text(encoding="utf-8")
 
 
+def grid_points(spec, d):
+    """The points of a --grid spec in row-major order, coordinates lo + i * step."""
+    lo, hi, step = map(float, spec.split(":"))
+    count = round((hi - lo) / step) + 1
+    axis = [lo + i * step for i in range(count)]
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
 @pytest.mark.parametrize("d, spec", [
     (1, "-5:5:0.0001"),  # 100,001 rows
     (2, "-1:1:0.005"),  # 401^2 = 160,801 rows
@@ -76,16 +86,53 @@ def run(tmp_path, name, *argv):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_across_blocks_matches_whole_table(tmp_path, fmt, d, spec):
     # every grid crosses a block boundary
-    lo, hi, step = map(float, spec.split(":"))
-    count = round((hi - lo) / step) + 1
-    axis = [lo + i * step for i in range(count)]
-    pts = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    pts = grid_points(spec, d)
     assert B < len(pts) < 3 * B
     dist = GhsDistribution(d)
     header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
     written = run(tmp_path, f"grid.{fmt}", "density", "--d", str(d), f"--grid={spec}",
                   "--format", fmt)
     assert_same_text(written, reference_text(header, density_table(dist, pts), fmt))
+
+
+def test_density_grid_evaluates_each_distinct_radius_once(tmp_path, monkeypatch):
+    # the 226,981 points have 5,383 distinct radii; one kernel call per
+    # 65,536-row block evaluated 15,198 elements, each block's own radii
+    kernel = ghs.distribution.exp_scaled_expint
+    elements = []
+
+    def counted(nu, x):
+        elements.append(np.size(x))
+        return kernel(nu, x)
+
+    monkeypatch.setattr(ghs.distribution, "exp_scaled_expint", counted)
+    written = run(tmp_path, "grid.csv", "density", "--d", "3", "--grid=-3:3:0.1")
+    assert sum(elements) == 5383
+    monkeypatch.undo()
+    header = ["x1", "x2", "x3", "density", "log_density"]
+    table = density_table(GhsDistribution(3), grid_points("-3:3:0.1", 3))
+    reference = reference_text(header, table, "csv")
+    assert hashlib.sha256(written.encode()).digest() == hashlib.sha256(reference.encode()).digest()
+
+
+@pytest.mark.parametrize("sigma", ["1", "2.5"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_and_points_file_give_the_same_bytes(tmp_path, fmt, sigma):
+    # 17^4 = 83,521 points over two blocks, the origin (the pole) among them:
+    # grid coordinates come from axis indices, points-file coordinates from
+    # a cache keyed by their bits
+    pts = grid_points("-1:1:0.125", 4)
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()), encoding="utf-8")
+    argv = ["density", "--d", "4", "--sigma-theta", sigma, "--format", fmt]
+    grid = run(tmp_path, f"g.{fmt}", *argv, "--grid=-1:1:0.125")
+    assert_same_text(run(tmp_path, f"p.{fmt}", *argv, "--points-file", str(path)), grid)
+    if fmt == "csv":
+        assert [r for r in grid.splitlines() if "inf" in r] == ["0.0,0.0,0.0,0.0,inf,inf"]
+    else:
+        poles = [doc for doc in json.loads(grid) if doc.get("pole")]
+        assert poles == [{"x1": 0.0, "x2": 0.0, "x3": 0.0, "x4": 0.0, "density": None,
+                          "log_density": None, "pole": True}]
 
 
 def test_one_point_grid_past_64_axes(tmp_path):
@@ -101,8 +148,8 @@ def test_one_point_grid_past_64_axes(tmp_path):
 @pytest.mark.parametrize("cache", [cli._REPR_CACHE, 40])
 def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
     # shared columns draw on overlapping value sets block after block, so
-    # later blocks find most values in the column's cache; a cache of 40
-    # values overflows and restarts from the current block
+    # later blocks find most values in the cache; a cache of 40 values
+    # overflows and restarts from the current block
     monkeypatch.setattr(cli, "_REPR_CACHE", cache)
     rng = np.random.default_rng(11)
     pool = np.concatenate([[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1],
@@ -114,7 +161,9 @@ def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
         blocks.append(np.column_stack([shared, rng.standard_normal(m), shared[::-1]]))
     blocks.insert(2, np.column_stack([rng.standard_normal((50, 3))]))  # nothing shared
     reference = "".join(",".join(map(repr, row)) + "\n" for b in blocks for row in b.tolist())
-    assert_same_text("".join(cli._csv_chunks(cli._cell_chunks(iter(blocks)))), reference)
+    cells = cli._Cells()
+    chunks = (cli._cached_cells(cells, b) for b in blocks)
+    assert_same_text("".join(cli._csv_chunks(chunks)), reference)
 
 
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ghs.cli import _cell_chunks, _csv_chunks, _write_table, main
+from ghs.cli import _csv_chunks, _repr_chunks, _write_table, main
 from ghs.study import GAMMA_HEADER, MISCLASS_HEADER, StudyConfig, load_reports, run_study
 
 TINY_STUDY = {
@@ -335,14 +335,14 @@ class TestCli:
 
     @pytest.mark.parametrize("rows", [1, 8191, 8192, 8193, 20_000])
     def test_csv_writer_matches_repr_reference(self, rows):
-        # one column repeats (each distinct repr made once for the table),
-        # one does not (formatted chunk by chunk); 8,192 rows per chunk
+        # a column that repeats, one that does not, and special values;
+        # 8,192 rows per chunk
         specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.1]
         repeated = np.resize(specials, rows)
         distinct = np.random.default_rng(rows).standard_normal(rows) * 1e3
         distinct[: len(specials)] = specials[:rows]
         table = np.column_stack([repeated, distinct, repeated[::-1]])
-        chunks = list(_csv_chunks(_cell_chunks([table])))
+        chunks = list(_csv_chunks(_repr_chunks([table])))
         reference = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
         assert "".join(chunks) == reference
         assert len(chunks) == -(-rows // 8192)
@@ -363,7 +363,7 @@ class TestCli:
                 if math.inf in row:
                     docs[-1]["pole"] = True
             if isinstance(data, np.ndarray):
-                cell_chunks = _cell_chunks([data])
+                cell_chunks = _repr_chunks([data])
             else:
                 cell_chunks = [[list(map(repr, col)) for col in zip(*data)]]
             _write_table(tmp_path / name, head, cell_chunks, "json")
