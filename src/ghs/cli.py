@@ -9,7 +9,6 @@ stderr.  All stochastic commands require an explicit --seed.
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -40,28 +39,31 @@ def _reprs(values):
 
 class _Cells:
     """Cells of float values made once per distinct value and kept for the
-    whole command: ``make`` maps an array of distinct values to a list of
-    object arrays, one cell column each.  Values are told apart by bit
-    pattern, so -0.0 keeps its sign.  Up to _REPR_CACHE values are kept; a
-    lookup that would pass that restarts the cache from its own values."""
+    command: ``make`` maps distinct values to a list of object arrays, one
+    per cell column.  Values are told apart by bit pattern, so -0.0 keeps its
+    sign; a lookup that would pass _REPR_CACHE values restarts the cache."""
 
-    def __init__(self, make=lambda values: [_reprs(values)]):
-        self.make = make
+    def __init__(self, make):
+        self.make, self.cols = make, None
         self.bits = np.empty(0, dtype=np.uint64)  # sorted
-        self.cols = None
 
     def lookup(self, values):
         """The cell columns, and the row of each of ``values`` in them."""
         distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
         new = distinct[~np.isin(distinct, self.bits, assume_unique=True)]
-        if self.bits.size + new.size > _REPR_CACHE:
-            self.bits, new = self.bits[:0], distinct  # restart from these values
+        if self.bits.size + new.size > _REPR_CACHE:  # restart from these values
+            self.bits, self.cols, new = self.bits[:0], None, distinct
         if new.size:
             cols, at = self.make(new.view(float)), np.searchsorted(self.bits, new)
             if self.bits.size:
                 cols = [np.insert(c, at, n) for c, n in zip(self.cols, cols)]
             self.bits, self.cols = np.insert(self.bits, at, new), cols
         return self.cols, np.searchsorted(self.bits, distinct)[inverse.reshape(values.shape)]
+
+    def cells(self, table):
+        """One list of cells per column of a float table, for a one-column cache."""
+        (cells,), at = self.lookup(table)
+        return cells[at.T].tolist()
 
 
 def _repr_chunks(tables):
@@ -137,8 +139,7 @@ def _parse_grid(spec, d):
 
 def _grid_blocks(lo, step, count, d):
     """The grid's points in row-major order, _BLOCK rows at a time, each block
-    with its (rows, d) axis indices: coordinate k of row i is ``lo + j * step``,
-    j the k-th of the d axis indices of i."""
+    with its (rows, d) axis indices j: the coordinates are ``lo + j * step``."""
     rows = count ** d
     for start in range(0, rows, _BLOCK):
         j = np.arange(start, min(start + _BLOCK, rows))
@@ -166,12 +167,6 @@ def _point_blocks(fh, d):
         yield np.frombuffer(flat).reshape(-1, d)
 
 
-def _cached_cells(cache, values):
-    """The repr cells of a table of floats, one list per column, through ``cache``."""
-    (cells,), at = cache.lookup(values)
-    return cells[at.T].tolist()
-
-
 def _axis_cells(lo, step, count):
     """The coordinate cells of grid rows from their axis indices j: each axis value
     ``lo + j * step`` formatted once, or, past _REPR_CACHE of them, each coordinate."""
@@ -181,23 +176,26 @@ def _axis_cells(lo, step, count):
     return lambda j: axis[j.T].tolist()
 
 
-def _radius_cells(dist, r):
-    """The density and log density cells at radii ``r``."""
+def _density_columns(dist, r):
+    """The density (inf from e^700 up) and log density at radii ``r``."""
     ld = radial_log_density(dist.d, r, dist.sigma_theta)
-    dens = np.full_like(ld, math.inf)  # e^700 and above print as inf
-    np.exp(ld, out=dens, where=ld < 700)
-    return [_reprs(dens), _reprs(ld)]
+    return [np.exp(ld, out=np.full_like(ld, math.inf), where=ld < 700), ld]
 
 
 def _density_chunks(dist, blocks, coordinate_cells):
     """For each _CHUNK rows ``x..., density, log_density``, one list of cells
-    per column, from blocks of (points, keys): ``coordinate_cells`` makes a
-    chunk's coordinate columns from its keys.  The density cells come from
-    one cache keyed by the radius, so radial_log_density runs, and its values
-    are formatted, once per distinct radius of the command."""
-    radii = _Cells(functools.partial(_radius_cells, dist))
+    per column, from blocks of (points, keys); ``coordinate_cells`` makes a
+    chunk's coordinate columns from its keys.  Density cells come from one
+    cache keyed by the radius, so radial_log_density runs, and its values are
+    formatted, once per distinct radius of the command.  A block of mostly
+    distinct radii (scattered points) is formatted value by value instead."""
+    radii = _Cells(lambda r: list(map(_reprs, _density_columns(dist, r))))
     for pts, keys in blocks:
-        (dens, ld), at = radii.lookup(_point_norms(pts))
+        r = _point_norms(pts)
+        if 2 * np.unique(r).size > r.size:
+            yield from _repr_chunks([np.column_stack([pts, *_density_columns(dist, r)])])
+            continue
+        (dens, ld), at = radii.lookup(r)
         for lo in range(0, len(pts), _CHUNK):
             i = at[lo:lo + _CHUNK]
             yield coordinate_cells(keys[lo:lo + _CHUNK]) + [dens[i].tolist(), ld[i].tolist()]
@@ -209,12 +207,12 @@ def cmd_density(args):
         raise ConfigError("give exactly one of --grid or --points-file")
     header = [f"x{i + 1}" for i in range(args.d)] + ["density", "log_density"]
     if args.grid:  # coordinate cells keyed by axis index
-        lo, step, count = _parse_grid(args.grid, args.d)
-        blocks, cells = _grid_blocks(lo, step, count, args.d), _axis_cells(lo, step, count)
+        grid = _parse_grid(args.grid, args.d)
+        blocks, cells = _grid_blocks(*grid, args.d), _axis_cells(*grid)
         return _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
-    with open(args.points_file, encoding="utf-8") as fh:  # keyed by the coordinates
+    with open(args.points_file, encoding="utf-8") as fh:  # coordinate cells keyed by their bits
         blocks = ((pts, pts) for pts in _point_blocks(fh, args.d))
-        cells = functools.partial(_cached_cells, _Cells())
+        cells = _Cells(lambda values: [_reprs(values)]).cells
         _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
 
 

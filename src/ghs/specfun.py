@@ -211,7 +211,9 @@ def gen_exp_integral(nu, x):
     try:
         scaled = exp_scaled_gen_exp_integral(nu, x)
     except NumericalError:
-        steps = math.ceil(-nu)
+        if np.ndim(x):  # the recurrence below is for a scalar x
+            raise DomainError(f"E_nu argument x must be a scalar, got shape {np.shape(x)}") from None
+        x, steps = float(x), math.ceil(-nu)
         if not (x > 0 and 0 < steps <= _MAX_TERMS):
             raise
         m, decay = nu + steps, math.exp(-x)

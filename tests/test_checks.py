@@ -103,6 +103,11 @@ CASES = {
     "gen_exp_integral nu 'a'": (lambda: gen_exp_integral("a", 1.0), DomainError),
     "gen_exp_integral x 1j": (lambda: gen_exp_integral(1.5, 1j), DomainError),
     "gen_exp_integral x [1.0]": (lambda: gen_exp_integral(1.5, [1.0]), DomainError),
+    # a raw TypeError or ValueError before: past the scaled range, x is not a scalar
+    "gen_exp_integral(-150, [0.5])": (lambda: gen_exp_integral(-150, [0.5]), DomainError),
+    "gen_exp_integral(-150, [0.5, 0.6])": (
+        lambda: gen_exp_integral(-150, np.array([0.5, 0.6])), DomainError
+    ),
     "PosteriorModel('2')": (lambda: PosteriorModel("2"), DomainError),
     "PosteriorModel tau '1'": (lambda: PosteriorModel(2, "1"), DomainError),
     "SideModel tau1 '1'": (lambda: SideModel(2, "1", 1.0), DomainError),

@@ -161,8 +161,8 @@ def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
         blocks.append(np.column_stack([shared, rng.standard_normal(m), shared[::-1]]))
     blocks.insert(2, np.column_stack([rng.standard_normal((50, 3))]))  # nothing shared
     reference = "".join(",".join(map(repr, row)) + "\n" for b in blocks for row in b.tolist())
-    cells = cli._Cells()
-    chunks = (cli._cached_cells(cells, b) for b in blocks)
+    cells = cli._Cells(lambda values: [cli._reprs(values)])
+    chunks = (cells.cells(b) for b in blocks)
     assert_same_text("".join(cli._csv_chunks(chunks)), reference)
 
 
@@ -219,6 +219,22 @@ def test_points_file_across_blocks_matches_whole_table(tmp_path, fmt):
                   "--format", fmt)
     reference = reference_text(header, density_table(GhsDistribution(2), pts), fmt)
     assert_same_text(written, reference)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_points_file_of_scattered_and_repeating_blocks(tmp_path, fmt):
+    # a block of repeating radii goes through the radius and coordinate
+    # caches, a block of scattered points is formatted value by value, and
+    # the caches outlive the scattered block; the last block holds the pole
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([np.round(rng.standard_normal((B, 3)), 1), rng.standard_normal((B, 3)),
+                          np.round(rng.standard_normal((999, 3)), 1), [[0.0, -0.0, 0.0]]])
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()), encoding="utf-8")
+    header = ["x1", "x2", "x3", "density", "log_density"]
+    written = run(tmp_path, f"p.{fmt}", "density", "--d", "3", "--points-file", str(path),
+                  "--format", fmt)
+    assert_same_text(written, reference_text(header, density_table(GhsDistribution(3), pts), fmt))
 
 
 def test_empty_points_file_writes_header_only(tmp_path):
