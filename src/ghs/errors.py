@@ -62,15 +62,17 @@ def _check_whole(value, name, least=0, error=DomainError):
 
 def _check_real(value, name, above=0.0, error=DomainError, inclusive=False):
     """``value`` as a float: a finite real number (not a string) > ``above``,
-    or >= ``above`` when ``inclusive``."""
+    or >= ``above`` when ``inclusive``.  A NumPy number compares as a float64
+    (a float32 one would cast the bounds and warn), a Python int or Fraction exactly."""
+    number = float(value) if isinstance(value, (np.floating, np.integer)) else value
     if not (
-        isinstance(value, numbers.Real)
-        and abs(value) <= sys.float_info.max  # finite, also as a float
-        and (value > above or inclusive and value == above)
+        isinstance(number, numbers.Real)
+        and abs(number) <= sys.float_info.max  # finite, also as a float
+        and (number > above or inclusive and number == above)
     ):
         sign = ">=" if inclusive else ">"
         raise error(f"{name} must be a finite real number {sign} {above:g}, got {value!r}")
-    return float(value)
+    return float(number)
 
 
 def _check_array(value, name):

@@ -17,6 +17,7 @@ block: a block is declared zero when E(gamma | y) falls below the border
 
 import math
 import warnings
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,10 +301,9 @@ def build_design(dataset: Dataset, spec: AdditiveModelSpec):
     cols = [np.ones(n)]
     for j in range(p):
         xj = dataset.x[:, j]
-        sd = xj.std()
-        if sd == 0:
+        if xj.min() == xj.max():  # a constant's rounded mean can leave a std of 1e-17
             raise DegenerateError(f"predictor {j} is constant")
-        cols.append((xj - xj.mean()) / sd)
+        cols.append((xj - xj.mean()) / xj.std())
     beta_cols = list(range(1, p + 1))
     u_blocks = []
     offset = p + 1
@@ -725,6 +725,8 @@ class MisclassRate:
 
 
 def misclassification_rate(labels, truth):
+    if not all(isinstance(v, Sized) for v in (labels, truth)):
+        raise DomainError("labels and truth must be sequences")
     if len(labels) != len(truth):
         raise LengthError(f"{len(labels)} labels vs {len(truth)} truths")
     count = sum(1 for a, b in zip(labels, truth) if a != b)
@@ -736,12 +738,17 @@ def kmeans_threshold(values):
 
     Minimizes within-cluster sum of squares over all sorted splits (the
     1-D k-means optimum) and returns the midpoint of the two cluster means.
+    Both are scale-equivariant, so values past 1e150, whose squares would
+    overflow, are split as v / max|v| and the border scaled back.
     """
     vals = np.sort(_check_array(values, "values"))
     if not np.isfinite(vals).all():
         raise DomainError("values must be finite")
     if vals.size < 2 or vals[0] == vals[-1]:
         raise DegenerateError("need at least two distinct values")
+    scale = max(-vals[0], vals[-1])
+    if scale > 1e150:
+        return scale * kmeans_threshold(vals / scale)
     csum = np.cumsum(vals)
     csq = np.cumsum(vals**2)
     total_sum, total_sq = csum[-1], csq[-1]

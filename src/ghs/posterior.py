@@ -32,7 +32,7 @@ model, and beside it a contiguous copy of its h = 1/32 nodes.  At 257 nodes
 a call costs its NumPy calls, not its flops, so a call that keeps h = 1/32
 makes seven: the shifted log-weights (two), their peak, the shift and exp in
 place, one product for the six level sums and ``tolist``; the level tests are
-plain Python.  ``_check_vector`` adds one for a float64 array y, the ``dot``
+plain Python.  ``_check_vector`` adds one for a float64 array y, the ``vdot``
 of ||y||^2.  The lambda-space adaptive quadrature is kept as an oracle; the
 Phi1 closed form lives with the tests.
 """
@@ -103,7 +103,7 @@ def _check_vector(y, d):
     y = _check_array(y, "y")
     if y.shape != (d,):
         raise DimensionError(f"expected a vector of length {d}, got shape {y.shape}")
-    yy = float(np.dot(y, y))
+    yy = float(np.vdot(y, y))  # dot's bits; unlike dot, no overflow warning before the check
     if not math.isfinite(yy):
         raise DomainError("y must be finite, with ||y||^2 below the float range")
     return y, yy

@@ -4,9 +4,9 @@ hypergeometric function Phi1.
 
 Evaluation regimes
 ------------------
-* ``gen_exp_integral``: power/log series for x < 1, continued fraction for
-  x >= 1.  ``exp_scaled_expint`` computes exp(x)*E_nu(x) jointly, so it
-  never overflows, for one order and an array of x; the scalars wrap it.
+* ``gen_exp_integral`` and the exp(x)-scaled ``exp_scaled_gen_exp_integral``
+  and ``exp_scaled_expint`` wrap one kernel, ``_expint``: a series for x < 1,
+  a continued fraction for x >= 1, a downward recurrence for negative orders.
 * ``phi1`` and ``log_phi1`` wrap one kernel, ``_log_euler``: the Euler
   integral of Phi1 for gamma > alpha > 0 and x < 1, in log space for any
   beta and y.
@@ -45,7 +45,8 @@ _INTEGER_EPS = 1e-9
 # form of its two cancelling terms; _ZETA gives that form's lgamma(1 - eps)
 # to a relative 1e-17 there
 _NEAR_INTEGER = 0.05
-_RESCALE = 2.0**900  # the 1F1 Taylor sum is rescaled by 2^-900 past this
+_RESCALE = 2.0**900  # the 1F1 Taylor sum and the E_nu recurrence drop by 2^-900 past this
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # 32 + 53 bits of log 2
 _ZETA = (  # zeta(k), k = 2..13
     1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
     1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
@@ -153,14 +154,18 @@ def _expint_scaled_cf(nu, x):
     raise NumericalError(f"E_nu continued fraction stalled (nu={nu}, x={x[0]})")
 
 
-def exp_scaled_expint(nu, x):
-    """exp(x) * E_nu(x) for one real order and an array of x >= 0, computed
-    jointly so large x never overflows; 0 at x = inf, 1/(nu - 1) at x = 0
-    (needs nu > 1).  Each element runs the x < 1 series or the x >= 1
-    continued fraction until it converges; negative orders recur down, at
-    most _MAX_TERMS steps.  NumericalError where a value passes the float range."""
+def _expint(nu, x, scaled, scalar=False):
+    """exp(x) E_nu(x) if ``scaled``, else E_nu(x), for one real order and an array
+    of x >= 0: 0 at x = inf, 1/(nu - 1) at x = 0 (needs nu > 1).  Each element runs
+    the x < 1 series or the x >= 1 continued fraction at mu = nu + steps in [0, 1),
+    then, for nu < 0, the downward recurrence (at most _MAX_TERMS steps) on f 2^k:
+    f and the constant term drop by 2^-900 past _RESCALE.  e^-x enters as
+    2^-n e^-r, r = x - n log 2 in two parts (Cody-Waite), so nothing leaves the
+    float range before the value does; NumericalError where it does."""
     nu = _check_real(nu, "E_nu argument nu", -math.inf)
     x = _check_array(x, "E_nu argument x")
+    if scalar and x.ndim:
+        raise DomainError(f"E_nu argument x must be a scalar, got shape {x.shape}")
     flat = x.ravel()
     if not np.all(flat >= 0):
         raise DomainError(f"E_nu needs x >= 0, not NaN (nu={nu})")
@@ -183,48 +188,41 @@ def exp_scaled_expint(nu, x):
             for part, run in ((xp >= 1.0, _expint_scaled_cf), (xp < 1.0, _expint_series)):
                 if part.any():
                     f[part] = run(mu, xp[part])
-        for _ in range(steps):  # exp(x) E_(mu-1)(x) = (1 - (mu-1) exp(x) E_mu(x)) / x
-            f = (1.0 - (mu - 1.0) * f) / xp
-            mu -= 1.0
+        k = 0
+        if steps:
+            c, k = np.ones_like(xp), np.zeros(xp.shape, dtype=int)
+            for _ in range(steps):  # exp(x) E_(mu-1)(x) = (1 - (mu-1) exp(x) E_mu(x)) / x
+                f = (c - (mu - 1.0) * f) / xp
+                mu -= 1.0
+                big = f > _RESCALE
+                if big.any():
+                    f[big], c[big], k[big] = f[big] / _RESCALE, c[big] / _RESCALE, k[big] + 900
+        if not scaled:  # n * _LN2_HI is exact below x = 1e6, past which E_nu is 0
+            n = np.rint(np.minimum(xp, 1e6) / math.log(2.0))
+            f = f * np.exp(n * _LN2_LO - (xp - n * _LN2_HI))
+            k = k - n.astype(int)
+        if steps or not scaled:
+            f = np.ldexp(f, k)
     if np.isinf(f).any():
-        raise NumericalError(f"exp(x) E_nu(x) exceeds the float range (nu={nu})")
+        raise NumericalError(f"{'exp(x) ' * scaled}E_nu(x) exceeds the float range (nu={nu})")
     out[pos] = f
     return out.reshape(x.shape)
 
 
+def exp_scaled_expint(nu, x):
+    """exp(x) * E_nu(x) for one real order and an array of x >= 0, computed
+    jointly so large x never overflows; see :func:`_expint`."""
+    return _expint(nu, x, True)
+
+
 def exp_scaled_gen_exp_integral(nu, x):
-    """exp(x) * E_nu(x) for a scalar x; see :func:`exp_scaled_expint`."""
-    value = exp_scaled_expint(nu, x)
-    if value.ndim:
-        raise DomainError(f"E_nu argument x must be a scalar, got shape {value.shape}")
-    return float(value)
+    """exp(x) * E_nu(x) for a scalar x; see :func:`_expint`."""
+    return float(_expint(nu, x, True, scalar=True))
 
 
 def gen_exp_integral(nu, x):
-    """Generalized exponential integral E_nu(x) for x >= 0.
-
-    At x = 0 the integral equals 1/(nu-1) and requires nu > 1.  At a negative
-    order, where exp(x) E_nu(x) passes the float range before E_nu(x) does,
-    the downward recurrence runs on E_nu itself,
-    E_(m-1)(x) = (e^-x - (m-1) E_m(x)) / x, from e^-x exp(x) E_mu(x), mu in [0, 1).
-    """
-    try:
-        scaled = exp_scaled_gen_exp_integral(nu, x)
-    except NumericalError:
-        if np.ndim(x):  # the recurrence below is for a scalar x
-            raise DomainError(f"E_nu argument x must be a scalar, got shape {np.shape(x)}") from None
-        x, steps = float(x), math.ceil(-nu)
-        if not (x > 0 and 0 < steps <= _MAX_TERMS):
-            raise
-        m, decay = nu + steps, math.exp(-x)
-        value = decay * exp_scaled_gen_exp_integral(m, x)
-        for _ in range(steps):  # every term is positive, so nothing cancels
-            value = (decay - (m - 1.0) * value) / x
-            m -= 1.0
-        if math.isinf(value):
-            raise NumericalError(f"E_nu(x) exceeds the float range (nu={nu})") from None
-        return value
-    return math.exp(-x) * scaled if x > 0 else scaled
+    """E_nu(x) = int_1^inf e^(-xt) t^-nu dt for a scalar x >= 0; see :func:`_expint`."""
+    return float(_expint(nu, x, False, scalar=True))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Integers (``operator.index``: 2.0 is not one), whole numbers (1e3 is one,
 strings, "1.5" included, nor of complex numbers) are decided by the checks
 in ``ghs.errors``.  Each case below raised a raw error, or
 was accepted, before those checks.  A value past the float range raises
-NumericalError, with no RuntimeWarning.
+NumericalError, with no RuntimeWarning: every test here fails on one.
 """
 
 import math
@@ -24,13 +24,18 @@ from ghs.distribution import (
     sample_arrays,
     sample_blocks,
 )
-from ghs.errors import ConfigError, DomainError, NumericalError
+from ghs.errors import ConfigError, DegenerateError, DimensionError, DomainError, NumericalError
 from ghs.gamsel import (
     AdditiveModelSpec,
+    GibbsChain,
+    Hyper,
     ThresholdReport,
+    build_design,
     classify,
+    gamma_statistics,
     generate_data,
     kmeans_threshold,
+    misclassification_rate,
     spline_basis,
 )
 from ghs.posterior import (
@@ -52,6 +57,7 @@ from ghs.specfun import (
     log_phi1,
     phi1,
 )
+from ghs.study import StudyConfig
 
 DIST = GhsDistribution(2)
 MODEL = PosteriorModel(2)
@@ -60,6 +66,9 @@ SPEC = AdditiveModelSpec(n=50, d_lin=1, d_nl=1, basis_size=4)
 REPORT = ThresholdReport(gamma_beta=[0.6, 0.2], gamma_u=[None, 0.7])
 SCENARIO = RiskScenario(1)
 X = np.linspace(0.0, 1.0, 20)
+EMPTY = np.empty((0, 1))
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CASES = {
     # accepted before: a dimension is an integer, a seed an integer
@@ -139,6 +148,35 @@ CASES = {
     "gen_exp_integral(0.001, 1e-310)": (
         lambda: gen_exp_integral(0.001, 1e-310), NumericalError
     ),
+    # an overflow RuntimeWarning before: a float32 bound is inf
+    "GhsDistribution sigma_theta float32 inf": (
+        lambda: GhsDistribution(2, np.float32("inf")), DomainError
+    ),
+    # an overflow RuntimeWarning before: ||y||^2 passes the float range
+    "posterior_mean(PosteriorModel(1), [1e308])": (
+        lambda: posterior_mean(PosteriorModel(1), [1e308]), DomainError
+    ),
+    # raw TypeError before: labels and truth are sequences
+    "misclassification_rate(None, ['zero'])": (
+        lambda: misclassification_rate(None, ["zero"]), DomainError
+    ),
+    # raised before, but reached by no test
+    "AdditiveModelSpec basis_size (4, 4) for d_nl 1": (
+        lambda: AdditiveModelSpec(n=50, d_lin=1, d_nl=1, basis_size=(4, 4)), ConfigError
+    ),
+    "spline_basis 2-D x": (lambda: spline_basis(np.ones((20, 2)), 4), DimensionError),
+    "build_design dataset of another shape": (
+        lambda: build_design(generate_data(SPEC, 1.0, 1), AdditiveModelSpec(60, 1, 1, 4)),
+        DimensionError,
+    ),
+    "gamma_statistics chain of no draws": (
+        lambda: gamma_statistics(GibbsChain(*[EMPTY] * 3, [], *[EMPTY] * 5, SPEC)), ConfigError
+    ),
+    "StudyConfig truth of length 2 for 3": (
+        lambda: StudyConfig(d_lin=1, d_nl=2, truth=("zero", "linear")), ConfigError
+    ),
+    "StudyConfig iters == burn": (lambda: StudyConfig(iters=100, burn=100), ConfigError),
+    "exp_scaled_expint ragged [1, [2]]": (lambda: exp_scaled_expint(1.5, [1, [2]]), DomainError),
     # raw ValueError before: the Euler kernel's parameters rounded together
     "kummer_1f1(2e-17, 1e-17, 520.17)": (
         lambda: kummer_1f1(2e-17, 1e-17, 520.1704705773651), NumericalError
@@ -167,6 +205,29 @@ def test_valid_inputs_still_accepted():
         assert np.array_equal(posterior_mean(MODEL, y), expect)
     assert log_density(DIST, [1, 2]) == log_density(DIST, [1.0, 2.0])
     assert origin_ball_mass(2, math.inf) == pytest.approx(1.0)  # the whole space
+    # an overflow RuntimeWarning before: float32 and float16 cast the bound
+    for small in (np.float32, np.float16):
+        assert GhsDistribution(2, small(1.5)).sigma_theta == 1.5
+        assert PosteriorModel(2, small(0.5)).tau == 0.5
+        assert kummer_1f1(small(0.5), 1.5, 2.0) == kummer_1f1(0.5, 1.5, 2.0)
+        assert Hyper(s_beta=small(1)).s_beta == 1
+
+
+def test_kmeans_threshold_past_the_square_range():
+    # raw TypeError, after five overflow RuntimeWarnings, before
+    assert kmeans_threshold([1e308, 1.0, 2.0]) == (1.5 + 1e308) / 2
+    assert kmeans_threshold([-1e308, 1e308]) == 0.0
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3, 0.5])
+def test_constant_predictor_is_degenerate(value):
+    # accepted before at 0.1, 0.3 and 1/3: the rounded mean left a std of 1e-17,
+    # and the standardized column was a second intercept
+    spec = AdditiveModelSpec(n=60, d_lin=1, d_nl=1, basis_size=4)
+    data = generate_data(spec, 1.0, 1)
+    data.x[:, 0] = value
+    with pytest.raises(DegenerateError):
+        build_design(data, spec)
 
 
 def test_large_orders_give_values():
@@ -179,7 +240,7 @@ def test_large_orders_give_values():
 
 def test_negative_order_past_the_scaled_range_gives_value():
     # NumericalError before: exp(x) E_nu(x) = 2.7e308 overflows where E_nu(x)
-    # = 1.63e308 does not, so the recurrence runs on E_nu itself
+    # = 1.63e308 does not, so the recurrence carries its value as f 2^k
     for nu, x in [(-150, 0.5), (-170, 1.7)]:
         with mp.workdps(30):
             expect = float(mp.expint(nu, x))

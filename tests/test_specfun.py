@@ -9,6 +9,7 @@ series vs. the double series).
 
 import json
 import math
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -144,6 +145,31 @@ class TestGenExpIntegral:
             with mp.workdps(30):
                 exact = float(mp.expint(nu, x))
             assert gen_exp_integral(nu, x) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("nu, x", [(-2170, 800), (-1600, 730), (-2000, 720)])
+    def test_negative_order_where_exp_underflows(self, nu, x):
+        # 0.0 before, and 1.8e-7 and 5.5e-10 off relative: e^-x, applied to each
+        # step of a recurrence on E_nu, was subnormal or 0
+        with mp.workdps(30):
+            exact = float(mp.expint(nu, x))
+        assert gen_exp_integral(nu, x) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_negative_order_sweep_against_mpmath(self):
+        # a normal float E_nu(x) is right to 1e-13; one past the float range
+        # raises NumericalError
+        rng = np.random.default_rng(26)
+        checked = {"normal": 0, "past": 0}
+        for nu, x in zip(rng.uniform(-2500, 60, 300), rng.uniform(0.5, 1000, 300)):
+            with mp.workdps(30):
+                exact = mp.expint(nu, x)
+            if exact > sys.float_info.max:
+                checked["past"] += 1
+                with pytest.raises(NumericalError):
+                    gen_exp_integral(nu, x)
+            elif exact >= sys.float_info.min:
+                checked["normal"] += 1
+                assert gen_exp_integral(nu, x) == pytest.approx(float(exact), rel=1e-13), (nu, x)
+        assert checked == {"normal": 160, "past": 85}  # the other 55 are subnormal or 0
 
     def test_integration_by_parts_identity(self):
         # E_(mu-1)(x) = (e^-x - (mu-1) E_mu(x)) / x
