@@ -22,7 +22,7 @@ from .distribution import (  # noqa: F401
     GhsDistribution, _point_norms, log_density, radial_log_density, sample_arrays, sample_blocks
 )
 from .errors import ConfigError, DimensionError, GhsError, _check_whole
-from .files import atomic_write
+from .files import _csv_chunks, atomic_write, float_reprs
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
@@ -34,7 +34,7 @@ _REPR_CACHE = 1 << 16  # distinct values a _Cells cache keeps formatted across c
 
 def _reprs(values):
     """``repr(v)`` of each float of an array, as an object array."""
-    return np.array(list(map(repr, values.tolist())), dtype=object)
+    return np.array(float_reprs(values), dtype=object)
 
 
 class _Cells:
@@ -71,20 +71,8 @@ def _repr_chunks(tables):
     columns): one list of repr cells per column."""
     for table in tables:
         for lo in range(0, len(table), _CHUNK):
-            yield [list(map(repr, col)) for col in table[lo:lo + _CHUNK].T.tolist()]
+            yield float_reprs(table[lo:lo + _CHUNK].T)
         del table  # free it before the next table is made
-
-
-def _csv_chunks(cell_chunks):
-    """The CSV lines of each chunk of cells, one string per chunk."""
-    for cells in cell_chunks:
-        # one join of the cells interleaved with their separators is
-        # faster than a join per row
-        step = 2 * len(cells)
-        text = ([","] * (step - 1) + ["\n"]) * len(cells[0])
-        for k, col in enumerate(cells):
-            text[2 * k::step] = col
-        yield "".join(text)
 
 
 def _json_chunks(header, cell_chunks):
@@ -171,7 +159,7 @@ def _axis_cells(lo, step, count):
     """The coordinate cells of grid rows from their axis indices j: each axis value
     ``lo + j * step`` formatted once, or, past _REPR_CACHE of them, each coordinate."""
     if count > _REPR_CACHE:
-        return lambda j: [list(map(repr, col)) for col in (lo + j.T * step).tolist()]
+        return lambda j: float_reprs(lo + j.T * step)
     axis = _reprs(lo + np.arange(count) * step)
     return lambda j: axis[j.T].tolist()
 
@@ -230,8 +218,12 @@ def _parse_floats(text):
 
 
 def _parse_counts(text, flag):
-    """Comma-separated whole numbers, written as integers or floats (1e3)."""
-    return [_check_whole(v, flag, 0, ConfigError) for v in _parse_floats(text)]
+    """Comma-separated whole numbers, written as integers or floats (1e3), one
+    or more; empty entries are skipped."""
+    counts = [_check_whole(v, flag, 0, ConfigError) for v in _parse_floats(text)]
+    if not counts:
+        raise ConfigError(f"{flag} takes one or more values, got {text!r}")
+    return counts
 
 
 def cmd_risk(args):
@@ -249,8 +241,7 @@ def cmd_risk(args):
             mass = kl_ball_prior_mass(scenario, n)
             bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass
             rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
-    cells = [list(map(repr, col)) for col in zip(*rows)]
-    _write_table(args.out, header, [cells] if cells else [], args.format)
+    _write_table(args.out, header, [[list(map(repr, col)) for col in zip(*rows)]], args.format)
 
 
 def cmd_simulate(args):

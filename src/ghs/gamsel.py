@@ -15,6 +15,7 @@ block: a block is declared zero when E(gamma | y) falls below the border
 (1/2 by default, or a data-driven 2-means split of the observed statistics).
 """
 
+import itertools
 import math
 import warnings
 from collections.abc import Sized
@@ -33,7 +34,7 @@ from .errors import (
     _check_integer,
     _check_real,
 )
-from .files import write_csv
+from .files import _csv_chunks, atomic_write, float_reprs
 from .rng import make_rng
 
 # scipy.linalg is bound on first use, so that importing ghs.gamsel or
@@ -779,4 +780,6 @@ def chain_to_csv(chain: GibbsChain, path):
         chain.beta0, chain.beta, chain.u, chain.lambda_beta, chain.lambda_u,
         chain.sigma_beta, chain.sigma_u, chain.sigma_eps,
     ))
-    write_csv(path, ",".join(header), (row.tolist() for row in draws))
+    step = max(1, (1 << 15) // draws.shape[1])  # rows formatted at a time
+    cells = (float_reprs(draws[lo:lo + step].T) for lo in range(0, len(draws), step))
+    atomic_write(path, itertools.chain([",".join(header) + "\n"], _csv_chunks(cells)))

@@ -454,6 +454,8 @@ class TestCli:
 
     @pytest.mark.parametrize("d_list, n_grid", [
         ("2.7", "1500"), ("2", "1500.5"), ("2", "1e3,inf"), ("1,2.5", "1e3"),
+        # empty lists, as StudyConfig refuses an empty n
+        (",", "10"), ("", "10"), ("2", ","), ("2", " , "),
     ])
     def test_risk_rejects_fractional_sizes(self, tmp_path, capsys, d_list, n_grid):
         out = tmp_path / "risk.csv"
@@ -462,6 +464,11 @@ class TestCli:
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
+
+    def test_risk_skips_empty_entries(self, tmp_path):
+        out = tmp_path / "risk.csv"
+        self.run("risk", "--d-list", "1,", "--n-grid", "10,,100", "--out", str(out))
+        assert [line.split(",")[:2] for line in read(out).splitlines()[1:]] == [["1", "10"], ["1", "100"]]
 
     def test_risk_theta0_dimension_guard(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
