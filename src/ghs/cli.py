@@ -9,7 +9,6 @@ stderr.  All stochastic commands require an explicit --seed.
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ from .distribution import (  # noqa: F401
     GhsDistribution, _point_norms, log_density, radial_log_density, sample_arrays, sample_blocks
 )
 from .errors import ConfigError, DimensionError, GhsError, _check_whole
-from .files import _csv_chunks, atomic_write, float_reprs
+from .files import atomic_write, decode_cells, encode_cells, float_codes, write_code_csv
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
@@ -32,54 +31,57 @@ _BLOCK = 1 << 16  # rows computed and written at a time: bounds the memory
 _REPR_CACHE = 1 << 16  # distinct values a _Cells cache keeps formatted across calls
 
 
-def _reprs(values):
-    """``repr(v)`` of each float of an array, as an object array."""
-    return np.array(float_reprs(values), dtype=object)
+def _distinct(values):
+    """The distinct bit patterns of a float array, sorted, and the index of
+    each value's pattern among them."""
+    return np.unique(values.view(np.uint64), return_inverse=True)
 
 
 class _Cells:
     """Cells of float values made once per distinct value and kept for the
-    command: ``make`` maps distinct values to a list of object arrays, one
-    per cell column.  Values are told apart by bit pattern, so -0.0 keeps its
-    sign; a lookup that would pass _REPR_CACHE values restarts the cache."""
+    command: ``make`` maps distinct values to a list of code arrays (one row
+    of NUL-padded ASCII per value), one per cell column.  Values are told
+    apart by bit pattern, so -0.0 keeps its sign; a lookup that would pass
+    _REPR_CACHE values restarts the cache."""
 
     def __init__(self, make):
         self.make, self.cols = make, None
         self.bits = np.empty(0, dtype=np.uint64)  # sorted
 
-    def lookup(self, values):
-        """The cell columns, and the row of each of ``values`` in them."""
-        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    def lookup(self, values, distinct=None):
+        """The cell columns, and the row of each of ``values`` in them;
+        ``distinct`` is ``_distinct(values)`` where the caller has it."""
+        distinct, inverse = distinct or _distinct(values)
         new = distinct[~np.isin(distinct, self.bits, assume_unique=True)]
         if self.bits.size + new.size > _REPR_CACHE:  # restart from these values
             self.bits, self.cols, new = self.bits[:0], None, distinct
         if new.size:
             cols, at = self.make(new.view(float)), np.searchsorted(self.bits, new)
             if self.bits.size:
-                cols = [np.insert(c, at, n) for c, n in zip(self.cols, cols)]
+                cols = [np.insert(c, at, n, axis=0) for c, n in zip(self.cols, cols)]
             self.bits, self.cols = np.insert(self.bits, at, new), cols
         return self.cols, np.searchsorted(self.bits, distinct)[inverse.reshape(values.shape)]
 
     def cells(self, table):
-        """One list of cells per column of a float table, for a one-column cache."""
+        """One code array per column of a float table, for a one-column cache."""
         (cells,), at = self.lookup(table)
-        return cells[at.T].tolist()
+        return list(cells.take(at.T, axis=0))
 
 
 def _repr_chunks(tables):
     """For each _CHUNK rows of an iterable of float tables (all with the same
-    columns): one list of repr cells per column."""
+    columns): one code array of repr cells per column."""
     for table in tables:
         for lo in range(0, len(table), _CHUNK):
-            yield float_reprs(table[lo:lo + _CHUNK].T)
+            yield list(float_codes(table[lo:lo + _CHUNK].T))
         del table  # free it before the next table is made
 
 
-def _json_chunks(header, cell_chunks):
+def _json_chunks(header, code_chunks):
     """The text of ``json.dumps(docs, indent=1, sort_keys=True) + "\n"``,
-    one chunk of rows at a time, for cells that are already reprs (which is
-    how json writes floats and ints).  Non-finite cells are null, and a row
-    that holds +inf gets "pole": true."""
+    one chunk of rows at a time, for code columns of reprs (which is how
+    json writes floats and ints).  Non-finite cells are null, and a row that
+    holds +inf gets "pole": true."""
     order = sorted(range(len(header)), key=header.__getitem__)
 
     def template(keys):
@@ -89,7 +91,8 @@ def _json_chunks(header, cell_chunks):
     plain, pole = template(header), template(header + ["pole"])
     null = {"inf": "null", "-inf": "null", "nan": "null"}
     sep = "[\n"
-    for cells in cell_chunks:
+    for codes in code_chunks:
+        cells = [decode_cells(c) for c in codes]
         docs = [
             (pole if "inf" in row else plain) % tuple(null.get(row[i], row[i]) for i in order)
             for row in zip(*cells)
@@ -100,14 +103,14 @@ def _json_chunks(header, cell_chunks):
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def _write_table(path, header, cell_chunks, fmt):
-    """Write chunks of cells, one list of reprs per column as ``_repr_chunks``
-    yields them, as CSV or JSON, streamed: each CSV value is its repr ('inf'
-    at the pole); JSON as ``_json_chunks``."""
+def _write_table(path, header, code_chunks, fmt):
+    """Write chunks of cells, one code array of reprs per column as
+    ``_repr_chunks`` yields them, as CSV or JSON, streamed: each CSV value is
+    its repr ('inf' at the pole); JSON as ``_json_chunks``."""
     if fmt == "csv":
-        atomic_write(path, itertools.chain([",".join(header) + "\n"], _csv_chunks(cell_chunks)))
+        write_code_csv(path, header, code_chunks)
     else:
-        atomic_write(path, _json_chunks(header, cell_chunks))
+        atomic_write(path, map(str.encode, _json_chunks(header, code_chunks)))
 
 
 def _parse_grid(spec, d):
@@ -159,9 +162,9 @@ def _axis_cells(lo, step, count):
     """The coordinate cells of grid rows from their axis indices j: each axis value
     ``lo + j * step`` formatted once, or, past _REPR_CACHE of them, each coordinate."""
     if count > _REPR_CACHE:
-        return lambda j: float_reprs(lo + j.T * step)
-    axis = _reprs(lo + np.arange(count) * step)
-    return lambda j: axis[j.T].tolist()
+        return lambda j: list(float_codes(lo + j.T * step))
+    axis = float_codes(lo + np.arange(count) * step)
+    return lambda j: list(axis.take(j.T, axis=0))
 
 
 def _density_columns(dist, r):
@@ -171,22 +174,23 @@ def _density_columns(dist, r):
 
 
 def _density_chunks(dist, blocks, coordinate_cells):
-    """For each _CHUNK rows ``x..., density, log_density``, one list of cells
+    """For each _CHUNK rows ``x..., density, log_density``, one code array
     per column, from blocks of (points, keys); ``coordinate_cells`` makes a
     chunk's coordinate columns from its keys.  Density cells come from one
     cache keyed by the radius, so radial_log_density runs, and its values are
     formatted, once per distinct radius of the command.  A block of mostly
     distinct radii (scattered points) is formatted value by value instead."""
-    radii = _Cells(lambda r: list(map(_reprs, _density_columns(dist, r))))
+    radii = _Cells(lambda r: list(float_codes(np.stack(_density_columns(dist, r)))))
     for pts, keys in blocks:
         r = _point_norms(pts)
-        if 2 * np.unique(r).size > r.size:
+        distinct = _distinct(r)  # radii are >= 0, so distinct bits are distinct values
+        if 2 * distinct[0].size > r.size:
             yield from _repr_chunks([np.column_stack([pts, *_density_columns(dist, r)])])
             continue
-        (dens, ld), at = radii.lookup(r)
+        (dens, ld), at = radii.lookup(r, distinct)
         for lo in range(0, len(pts), _CHUNK):
             i = at[lo:lo + _CHUNK]
-            yield coordinate_cells(keys[lo:lo + _CHUNK]) + [dens[i].tolist(), ld[i].tolist()]
+            yield coordinate_cells(keys[lo:lo + _CHUNK]) + [dens.take(i, axis=0), ld.take(i, axis=0)]
 
 
 def cmd_density(args):
@@ -200,7 +204,7 @@ def cmd_density(args):
         return _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
     with open(args.points_file, encoding="utf-8") as fh:  # coordinate cells keyed by their bits
         blocks = ((pts, pts) for pts in _point_blocks(fh, args.d))
-        cells = _Cells(lambda values: [_reprs(values)]).cells
+        cells = _Cells(lambda values: [float_codes(values)]).cells
         _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
 
 
@@ -213,21 +217,22 @@ def cmd_sample(args):
     _write_table(args.out, header, _repr_chunks(map(np.column_stack, blocks)), args.format)
 
 
-def _parse_floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_floats(text, flag):
+    """Comma-separated floats, one or more; empty entries are skipped."""
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ConfigError(f"{flag} takes one or more values, got {text!r}")
+    return values
 
 
 def _parse_counts(text, flag):
     """Comma-separated whole numbers, written as integers or floats (1e3), one
     or more; empty entries are skipped."""
-    counts = [_check_whole(v, flag, 0, ConfigError) for v in _parse_floats(text)]
-    if not counts:
-        raise ConfigError(f"{flag} takes one or more values, got {text!r}")
-    return counts
+    return [_check_whole(v, flag, 0, ConfigError) for v in _parse_floats(text, flag)]
 
 
 def cmd_risk(args):
-    theta0 = _parse_floats(args.theta0) if args.theta0 else None
+    theta0 = None if args.theta0 is None else _parse_floats(args.theta0, "--theta0")
     d_list = _parse_counts(args.d_list, "--d-list")
     if theta0 is not None and d_list != [len(theta0)]:
         raise ConfigError("--theta0 requires --d-list to be exactly its dimension")
@@ -241,7 +246,8 @@ def cmd_risk(args):
             mass = kl_ball_prior_mass(scenario, n)
             bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass
             rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
-    _write_table(args.out, header, [[list(map(repr, col)) for col in zip(*rows)]], args.format)
+    codes = [encode_cells([repr(v) for v in col]) for col in zip(*rows)]
+    _write_table(args.out, header, [codes], args.format)
 
 
 def cmd_simulate(args):

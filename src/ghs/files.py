@@ -1,18 +1,19 @@
 """File output shared by the CLI, the study runner and the chain export."""
 
 import functools
+import itertools
 import os
 
 import numpy as np
 
 
-def atomic_write(path, lines):
-    """Write strings to ``path`` via a temporary file, so it appears only once
-    whole; if making or writing the lines fails, the temporary file is removed."""
+def atomic_write(path, chunks):
+    """Write bytes to ``path`` via a temporary file, so it appears only once
+    whole; if making or writing the chunks fails, the temporary file is removed."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -28,24 +29,46 @@ def write_csv(path, header, rows):
         return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
 
     def lines():
-        yield f"{header}\n"
+        yield f"{header}\n".encode()
         for row in rows:
-            yield f"{','.join(map(cell, row))}\n"
+            yield f"{','.join(map(cell, row))}\n".encode()
 
     atomic_write(path, lines())
 
 
-def _csv_chunks(cell_chunks):
-    """The CSV lines of each chunk of cells (one list of strings per column),
-    one string per chunk."""
-    for cells in cell_chunks:
-        # one join of the cells interleaved with their separators is
-        # faster than a join per row
-        step = 2 * len(cells)
-        text = ([","] * (step - 1) + ["\n"]) * len(cells[0])
-        for k, col in enumerate(cells):
-            text[2 * k::step] = col
-        yield "".join(text)
+def csv_bytes(columns):
+    """The CSV rows of one chunk of code columns, each a (rows, w) uint8 array
+    of NUL-padded ASCII cells, as one bytes: the cells are copied into one
+    buffer between their commas and newlines, and one compress drops the NULs."""
+    rows = len(columns[0])
+    buf = np.empty((rows, sum(c.shape[1] + 1 for c in columns)), dtype=np.uint8)
+    at = 0
+    for c in columns:
+        buf[:, at:at + c.shape[1]] = c
+        at += c.shape[1] + 1
+        buf[:, at - 1] = ord(",")
+    buf[:, -1] = ord("\n")
+    flat = buf.ravel()
+    return flat[flat != 0].tobytes()
+
+
+def write_code_csv(path, header, code_chunks):
+    """A CSV file of a header (a list of names) and chunks of code columns,
+    streamed through atomic_write."""
+    head = (",".join(header) + "\n").encode()
+    atomic_write(path, itertools.chain([head], map(csv_bytes, code_chunks)))
+
+
+def encode_cells(strings):
+    """ASCII strings as a (len, w) uint8 array of NUL-padded code rows."""
+    cells = np.array(strings, dtype="S")
+    return cells.view(np.uint8).reshape(len(cells), -1)
+
+
+def decode_cells(codes):
+    """The strings of an array of NUL-padded code rows (last axis), as nested
+    lists of the leading axes."""
+    return codes.astype(np.uint32).view(f"U{codes.shape[-1]}")[..., 0].tolist()
 
 
 # Shortest round-trip reprs on arrays: Schubfach (R. Giulietti, "The Schubfach
@@ -56,6 +79,7 @@ def _csv_chunks(cell_chunks):
 # values formatted at a time: each temporary is 64 KB, which malloc reuses;
 # larger ones are mapped afresh and page-fault on every piece
 _PIECE = 1 << 13
+_GATHER = 1 << 11  # values gathered at a time: their code indices take 384 KB
 _M32, _M63 = np.uint64(0xFFFFFFFF), np.uint64((1 << 63) - 1)
 _ONE = 0x3FF0000000000000  # the bits of 1.0, formatted in place of the specials
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
@@ -76,14 +100,17 @@ def _flog2pow10(e):
 @functools.cache
 def _tables():
     """The kernel's tables, made on first use (about 3 ms), not at import:
-    g, the units and the layout as the unit and the slot within it.
+    g, the units, their trailing zeros, the layout as the unit and the slot
+    within it, and the specials.
 
     g: for 10^-k = beta 2^r with 2^125 <= beta < 2^126 and k in [-324, 292],
-    g = floor(beta) + 1, as g1 = g >> 63 and the 32-bit limbs of g1 and of
-    g0 = g mod 2^63, one row each.  The units: every unit of four code points,
-    16 bytes each.  The layout: the 24 slots of each repr, one row per (sign,
-    digit count n, form), form 0 for d.ddde+xx and 4 + decpt for the
+    g = floor(beta) + 1, as g1 = g >> 63, the 32-bit limbs of g1, g0 = g mod
+    2^63 and the 32-bit limbs of g0, one row each.  The units: every unit of
+    four code points, 4 bytes each; the trailing zeros of each four-digit
+    unit (4 for 0000).  The layout: the 24 slots of each repr, one row per
+    (sign, digit count n, form), form 0 for d.ddde+xx and 4 + decpt for the
     positional form, decpt in [-3, 16], where the value is 0.d1...dn 10^decpt.
+    The specials: the codes of 0.0, -0.0, inf, -inf and nan.
     """
     limbs = []
     for k in range(-324, 293):
@@ -92,12 +119,14 @@ def _tables():
             g = (10 ** -k << shift if shift >= 0 else 10 ** -k >> -shift) + 1
         else:
             g = (1 << shift) // 10 ** k + 1
-        limbs.append((g >> 63, g >> 95, g >> 63 & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF, g & 0xFFFFFFFF))
+        g0 = g & (1 << 63) - 1
+        limbs.append((g >> 63, g >> 95, g >> 63 & 0xFFFFFFFF, g0, g0 >> 32, g & 0xFFFFFFFF))
+    four = np.arange(10000)  # the four-digit units
     units = np.concatenate([
-        np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48,
+        four[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48,
         np.frombuffer(("".join(f"{x:+03d}".ljust(4, "\0") for x in range(-324, 309))
                        + "-.0e\0\0\0\0").encode("ascii"), np.uint8).reshape(-1, 4),
-    ]).astype(np.uint32).view("V16").ravel()
+    ]).astype(np.uint8).view("V4").ravel()
     digits = bytes(range(_DIG, _DIG + 17))
     rows = []
     for sign in (b"", bytes([_MINUS])):
@@ -114,7 +143,10 @@ def _tables():
                     row = digits[:n] + bytes([_ZERO]) * (decpt - n) + bytes([_DOT, _ZERO])
                 rows.append((sign + row).ljust(24, bytes([_NUL])))
     layout = np.frombuffer(b"".join(rows), np.uint8).reshape(-1, 24).astype(np.intp)
-    tables = np.array(limbs, dtype=np.uint64).T.copy(), units, layout // 4, layout % 4
+    specials = np.zeros((5, 24), dtype=np.uint8)
+    specials[:, :4] = encode_cells(["0.0", "-0.0", "inf", "-inf", "nan"])
+    zeros = sum(four % 10 ** j == 0 for j in range(1, 5))
+    tables = (np.array(limbs, dtype=np.uint64).T.copy(), units, zeros, layout // 4, layout % 4, specials)
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
@@ -128,18 +160,28 @@ def _mulhi(a1, a0, b1, b0):
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _rop(g, cp):
-    """g cp / 2^127 rounded to odd, as DoubleToDecimal.rop."""
-    g1, g1h, g1l, g0h, g0l = g
-    c1, c0 = cp >> 32, cp & _M32
-    z = (g1 * cp >> 1) + _mulhi(g0h, g0l, c1, c0)
-    return (_mulhi(g1h, g1l, c1, c0) + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+def _rop(y, x):
+    """g cp / 2^127 rounded to odd, as DoubleToDecimal.rop, from the products
+    y = g1 cp and x = g0 cp as (high, low) pairs of uint64 arrays."""
+    z = (y[1] >> 1) + x[0]
+    return (y[0] + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+
+
+def _add_shifted(p, a, s, up):
+    """The 128-bit (high, low) ``p`` plus (``up``) or minus a 2^s, 0 < s < 64."""
+    high, low = p
+    ah, al = a >> 64 - s, a << s
+    if up:
+        total = low + al
+        return high + ah + (total < low), total
+    return high - ah - (low < al), low - al
 
 
 def _shortest(bits, g_table):
     """The shortest decimal f 10^e that reads back as each finite nonzero
-    double of ``bits`` (the nearest such if several, even f on a tie), with
-    f free of trailing zeros: (f, e)."""
+    double of ``bits`` (the nearest such if several, even f on a tie), as
+    (f, e) with f < 10^17: its significant digits are those of f less its
+    trailing zeros."""
     t = bits & np.uint64((1 << 52) - 1)
     bq = (bits >> 52 & 0x7FF).view(np.int64)
     normal = bq != 0
@@ -148,12 +190,17 @@ def _shortest(bits, g_table):
     irregular = (t == 0) & (bq > 1)  # a power of two: a narrower gap below
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     h = (q + _flog2pow10(-k) + 2).view(np.uint64)
-    g = g_table.take(k + 324, axis=1)
+    g1, g1h, g1l, g0, g0h, g0l = g_table.take(k + 324, axis=1)
     odd = c & 1  # an odd c does not round to the ends of its interval
-    cb = c << 2
-    vb = _rop(g, cb << h)
-    vbl = _rop(g, (cb - 2 + irregular) << h) + odd
-    vbr = _rop(g, (cb + 2) << h) - odd
+    cp = c << h + 2
+    c1, c0 = cp >> 32, cp & _M32
+    y, x = (_mulhi(g1h, g1l, c1, c0), g1 * cp), (_mulhi(g0h, g0l, c1, c0), g0 * cp)
+    vb = _rop(y, x)
+    # the products at the ends of the interval, cp - 2^(h+1) (cp - 2^h at a
+    # power of two) and cp + 2^(h+1), from those at cp
+    lo, hi = h + 1 - irregular, h + 1
+    vbl = _rop(_add_shifted(y, g1, lo, False), _add_shifted(x, g0, lo, False)) + odd
+    vbr = _rop(_add_shifted(y, g1, hi, True), _add_shifted(x, g0, hi, True)) - odd
     s = vb >> 2
     sp10 = s // 10 * 10
     # the one multiple of 10 10^k in the interval, else the nearer of s and s + 1
@@ -164,23 +211,14 @@ def _shortest(bits, g_table):
     closer = (vb < mid) | ((vb == mid) & ((s & 1) == 0))
     f = s + 1 - np.where(uin != win, uin, closer)
     f += (upin != wpin) * (sp10 + 10 - upin * np.uint64(10) - f)
-    e = k
-    z = np.flatnonzero(f % 10 == 0)
-    if z.size:
-        fz, ez = f[z], e[z]
-        for p in (16, 8, 4, 2, 1):
-            fq = fz // 10 ** p
-            y = fq * 10 ** p == fz
-            fz += y * (fq - fz)
-            ez += y * p
-        f[z], e[z] = fz, ez
-    return f, e
+    return f, k
 
 
-def float_reprs(values):
-    """``repr`` of each value of a float array, the same strings as
-    ``map(repr, values.tolist())``: a list for a 1-D array, a list of row
-    lists for a 2-D one.  Zeros, infinities and NaNs go through repr."""
+def float_codes(values):
+    """The ``repr`` of each value of a float array as its ASCII code points,
+    NUL-padded to 24: a uint8 array of shape ``values.shape + (24,)``, whose
+    rows decode to ``map(repr, values.tolist())``.  Zeros, infinities and NaNs
+    take their codes from a table."""
     values = np.asarray(values, dtype=float)
     flat = values.ravel()
     special = ~np.isfinite(flat) | (flat == 0)
@@ -189,15 +227,14 @@ def float_reprs(values):
     bits = np.full(pieces * p, _ONE, dtype=np.uint64)
     bits[:flat.size] = flat.view(np.uint64)
     bits[:flat.size][special] = _ONE
-    g_table, unit_table, layout_units, layout_slots = _tables()
+    g_table, unit_table, zeros, layout_units, layout_slots, specials = _tables()
     # work buffers, and the layout as indices into a piece's units (unit-major)
-    units = np.empty((8, p), dtype=np.intp)
-    units[6:] = [[len(unit_table) - 2], [len(unit_table) - 1]]
-    src, idx = np.empty((8, p), dtype=unit_table.dtype), np.empty((p, 24), dtype=np.intp)
-    codes = np.empty((p, 24), dtype=np.uint32)
+    units, idx = np.empty((6, p), dtype=np.intp), np.empty((min(p, _GATHER), 24), dtype=np.intp)
+    src = np.empty((8, p), dtype=unit_table.dtype)
+    src[6:] = unit_table[-2:, None]  # "-.0e" and "\0\0\0\0", the same for every value
+    codes = np.empty((pieces * p, 24), dtype=np.uint8)
     layout = (layout_units * (4 * p) + layout_slots).view(f"V{24 * idx.itemsize}").ravel()
     offsets = np.arange(0, 4 * p, 4)[:, None]
-    cells = []
     for lo in range(0, flat.size, p):
         f, e = _shortest(bits[lo:lo + p], g_table)
         # the digit count n of f, from its binary exponent and one comparison
@@ -214,19 +251,29 @@ def float_reprs(values):
         units[3] = a = low // 10 ** 4
         units[4] = low - a * 10 ** 4
         units[5] = decpt - 1 + _EXP0
-        unit_table.take(units, out=src, mode="clip")
+        unit_table.take(units, out=src[:6], mode="clip")
+        # the digit count n of the repr: 17 less the significand's trailing zeros
+        t1, t2, t3, t4 = zeros.take(units[1:5])
+        z2, z3, z4 = units[2:5] == 0
+        n = 17 - (t4 + z4 * (t3 + z3 * (t2 + z2 * t1)))
         # each value's layout row, then its 24 code points from its units
         positional = (decpt > -4) & (decpt <= 16)
         row = ((bits[lo:lo + p] >> 63).view(np.int64) * 17 + n - 1) * 21 + positional * (decpt + 4)
-        layout.take(row, out=idx.view(layout.dtype).ravel(), mode="clip")
-        idx += offsets
-        src.view(np.uint32).ravel().take(idx, out=codes, mode="clip")
-        text = codes.view("U24")[:flat.size - lo, 0]
-        where = special[lo:lo + p]
-        if where.any():
-            text[where] = [repr(v) for v in flat[lo:lo + p][where].tolist()]
-        cells += text.tolist()
-    if values.ndim == 2:
-        m = values.shape[1]
-        return [cells[i * m:(i + 1) * m] for i in range(values.shape[0])]
-    return cells
+        for b in range(0, p, len(idx)):
+            part = idx[:p - b]
+            layout.take(row[b:b + len(part)], out=part.view(layout.dtype).ravel(), mode="clip")
+            part += offsets[b:b + len(part)]
+            src.view(np.uint8).ravel().take(part, out=codes[lo + b:lo + b + len(part)], mode="clip")
+    codes = codes[:flat.size]
+    if special.any():
+        v = flat[special]
+        row = np.where(v != v, 4, np.isinf(v) * 2 + np.signbit(v))  # 0.0, -0.0, inf, -inf, nan
+        codes[special] = specials.take(row, axis=0)
+    return codes.reshape(values.shape + (24,))
+
+
+def float_reprs(values):
+    """``repr`` of each value of a float array, the same strings as
+    ``map(repr, values.tolist())``: a list for a 1-D array, a list of row
+    lists for a 2-D one."""
+    return decode_cells(float_codes(values))

@@ -15,7 +15,6 @@ block: a block is declared zero when E(gamma | y) falls below the border
 (1/2 by default, or a data-driven 2-means split of the observed statistics).
 """
 
-import itertools
 import math
 import warnings
 from collections.abc import Sized
@@ -34,7 +33,7 @@ from .errors import (
     _check_integer,
     _check_real,
 )
-from .files import _csv_chunks, atomic_write, float_reprs
+from .files import float_codes, write_code_csv
 from .rng import make_rng
 
 # scipy.linalg is bound on first use, so that importing ghs.gamsel or
@@ -781,5 +780,5 @@ def chain_to_csv(chain: GibbsChain, path):
         chain.sigma_beta, chain.sigma_u, chain.sigma_eps,
     ))
     step = max(1, (1 << 15) // draws.shape[1])  # rows formatted at a time
-    cells = (float_reprs(draws[lo:lo + step].T) for lo in range(0, len(draws), step))
-    atomic_write(path, itertools.chain([",".join(header) + "\n"], _csv_chunks(cells)))
+    chunks = (float_codes(draws[lo:lo + step].T) for lo in range(0, len(draws), step))
+    write_code_csv(path, header, chunks)

@@ -192,7 +192,7 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir):
     os.makedirs(sdir, exist_ok=True)
     atomic_write(
         os.path.join(sdir, f"rep{rep:02d}.json"),
-        [json.dumps(record, indent=1, sort_keys=True), "\n"],
+        [(json.dumps(record, indent=1, sort_keys=True) + "\n").encode()],
     )
     if config.save_chains:
         chain_to_csv(chain, os.path.join(sdir, f"rep{rep:02d}_chain.csv"))
@@ -227,7 +227,7 @@ def run_study(config: StudyConfig, out_dir):
     }
     atomic_write(
         os.path.join(out_dir, "manifest.json"),
-        [json.dumps(manifest, indent=1, sort_keys=True), "\n"],
+        [(json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode()],
     )
     return records, failures
 

@@ -1,0 +1,97 @@
+"""The byte CSV writer of ghs.files against ``",".join(map(repr, row)) + "\\n"``.
+
+A chunk reaches ``csv_bytes`` as code columns, one (rows, w) uint8 array of
+NUL-padded ASCII cells per column; the writer lays the cells out between
+their commas and newlines and drops the padding.  The cases here: columns of
+different widths, one column, an empty chunk, the values repr formats itself
+and the extremes of the float range, and the CLI's cell cache across a
+restart.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ghs import cli
+from ghs.files import csv_bytes, decode_cells, encode_cells, float_codes, write_code_csv
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-323, 1.7976931348623157e308]
+
+
+def reference(table):
+    """The CSV rows of a float table, by repr."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+def trimmed(codes):
+    """A code array cut to its longest cell."""
+    return codes[:, :np.count_nonzero(codes.any(axis=0))]
+
+
+def test_columns_of_different_widths():
+    rng = np.random.default_rng(4)
+    table = np.column_stack([
+        rng.integers(0, 10, 500) / 4,  # short cells: "0.0" to "2.25"
+        rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),  # up to 24 code points
+        -rng.random(500),
+    ])
+    full = [float_codes(col) for col in table.T]
+    widths = [c.shape[1] for c in map(trimmed, full)]
+    assert widths[0] == 4 and widths[1] == 24 and 4 < widths[2] < 24
+    assert csv_bytes(full) == reference(table)
+    # a column at its own width next to columns at 24, and one built from strings
+    assert csv_bytes([trimmed(full[0]), full[1], trimmed(full[2])]) == reference(table)
+    assert csv_bytes([encode_cells(list(map(repr, col))) for col in table.T.tolist()]) == reference(table)
+
+
+def test_one_column():
+    values = np.random.default_rng(5).standard_normal(1000)
+    assert csv_bytes([float_codes(values)]) == reference(values[:, None])
+    assert csv_bytes(float_codes(values[None, :])) == reference(values[:, None])
+
+
+def test_empty_chunk():
+    assert csv_bytes([float_codes(np.empty(0)), float_codes(np.empty(0))]) == b""
+    assert csv_bytes(float_codes(np.empty((3, 0)))) == b""
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_specials_and_extremes(sign):
+    values = sign * np.array(SPECIALS)
+    table = np.column_stack([values, values[::-1], np.roll(values, 3)])
+    assert csv_bytes(float_codes(table.T)) == reference(table)
+    assert decode_cells(float_codes(values)) == list(map(repr, values.tolist()))
+
+
+def test_written_file(tmp_path):
+    table = np.resize(SPECIALS, (9000, 3))
+    table[:, 1] = np.random.default_rng(6).standard_normal(9000)
+    chunks = (float_codes(table[lo:lo + 4096].T) for lo in range(0, len(table), 4096))
+    write_code_csv(tmp_path / "t.csv", ["a", "b", "c"], chunks)
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n" + reference(table)
+
+
+def test_cells_cache_restart_gives_code_arrays(monkeypatch):
+    # a cache of 40 values: the second lookup adds 5 values to it, the third
+    # passes 40 and restarts from its own values, the fourth finds all of
+    # them there and makes nothing, the fifth restarts again
+    monkeypatch.setattr(cli, "_REPR_CACHE", 40)
+    made = []
+
+    def make(values):
+        made.append(values.size)
+        return [float_codes(values), float_codes(-values)]
+
+    cache = cli._Cells(make)
+    rng = np.random.default_rng(7)
+    first = np.concatenate([SPECIALS, rng.standard_normal(22)])
+    extra = np.concatenate([[-1.7976931348623157e308, -5e-324, 0.1, 0.5, -2.5], first[:3]])
+    second = np.concatenate([[-0.0, 0.0, math.nan], rng.standard_normal(30)])
+    for block in (first, extra, second, second[::-1].copy(), first):
+        table = np.column_stack([block, block[::-1]])
+        (plus, minus), at = cache.lookup(table)
+        assert plus.dtype == minus.dtype == np.uint8 and plus.shape[1] == minus.shape[1] == 24
+        assert csv_bytes(list(plus.take(at.T, axis=0))) == reference(table)
+        assert csv_bytes(list(minus.take(at.T, axis=0))) == reference(-table)
+    assert made == [30, 5, 33, 30]

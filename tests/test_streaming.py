@@ -19,6 +19,7 @@ import ghs.distribution
 from ghs import cli
 from ghs.distribution import GhsDistribution, log_density, sample_arrays, sample_blocks
 from ghs.errors import DomainError
+from ghs.files import csv_bytes, float_codes
 from ghs.rng import make_rng
 
 B = cli._BLOCK
@@ -161,9 +162,9 @@ def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
         blocks.append(np.column_stack([shared, rng.standard_normal(m), shared[::-1]]))
     blocks.insert(2, np.column_stack([rng.standard_normal((50, 3))]))  # nothing shared
     reference = "".join(",".join(map(repr, row)) + "\n" for b in blocks for row in b.tolist())
-    cells = cli._Cells(lambda values: [cli._reprs(values)])
+    cells = cli._Cells(lambda values: [float_codes(values)])
     chunks = (cells.cells(b) for b in blocks)
-    assert_same_text("".join(cli._csv_chunks(chunks)), reference)
+    assert_same_text("".join(csv_bytes(c).decode() for c in chunks), reference)
 
 
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])

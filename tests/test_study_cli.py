@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from ghs.cli import _csv_chunks, _repr_chunks, _write_table, main
+from ghs.cli import _repr_chunks, _write_table, main
+from ghs.files import csv_bytes, encode_cells
 from ghs.study import GAMMA_HEADER, MISCLASS_HEADER, StudyConfig, load_reports, run_study
 
 TINY_STUDY = {
@@ -342,7 +343,7 @@ class TestCli:
         distinct = np.random.default_rng(rows).standard_normal(rows) * 1e3
         distinct[: len(specials)] = specials[:rows]
         table = np.column_stack([repeated, distinct, repeated[::-1]])
-        chunks = list(_csv_chunks(_repr_chunks([table])))
+        chunks = [csv_bytes(c).decode() for c in _repr_chunks([table])]
         reference = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
         assert "".join(chunks) == reference
         assert len(chunks) == -(-rows // 8192)
@@ -365,7 +366,7 @@ class TestCli:
             if isinstance(data, np.ndarray):
                 cell_chunks = _repr_chunks([data])
             else:
-                cell_chunks = [[list(map(repr, col)) for col in zip(*data)]]
+                cell_chunks = [[encode_cells(list(map(repr, col))) for col in zip(*data)]]
             _write_table(tmp_path / name, head, cell_chunks, "json")
             written = (tmp_path / name).read_text(encoding="utf-8")
             assert written == json.dumps(docs, indent=1, sort_keys=True) + "\n"
@@ -477,6 +478,19 @@ class TestCli:
                 "--n-grid", "1e3", "--out", str(tmp_path / "x.csv"),
             )
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("theta0", ["", ",", " , "])
+    def test_risk_theta0_takes_one_or_more_values(self, tmp_path, capsys, theta0):
+        # an empty --theta0 is not the origin case, which leaves --theta0 out
+        out = tmp_path / "risk.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run("risk", "--d-list", "2", "--theta0", theta0, "--n-grid", "1e3",
+                     "--out", str(out))
+        assert exc.value.code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("--theta0 takes one or more values")
+        assert not out.exists()
 
     def test_simulate_and_report_roundtrip(self, tmp_path):
         cfg = tmp_path / "study.json"
