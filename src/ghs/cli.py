@@ -9,8 +9,10 @@ stderr.  All stochastic commands require an explicit --seed.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import sys
 from array import array
 
@@ -21,14 +23,14 @@ from .distribution import (  # noqa: F401
     GhsDistribution, _point_norms, log_density, radial_log_density, sample_arrays, sample_blocks
 )
 from .errors import ConfigError, DimensionError, GhsError, _check_whole
-from .files import atomic_write, decode_cells, encode_cells, float_codes, write_code_csv
+from .files import atomic_write, csv_bytes, float_cells, float_codes
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
 
 _CHUNK = 8192  # rows formatted at a time
 _BLOCK = 1 << 16  # rows computed and written at a time: bounds the memory
-_REPR_CACHE = 1 << 16  # distinct values a _Cells cache keeps formatted across calls
+_REPR_CACHE = 1 << 16  # distinct values (or grid prefixes) whose cells are kept across calls
 
 
 def _distinct(values):
@@ -39,50 +41,50 @@ def _distinct(values):
 
 class _Cells:
     """Cells of float values made once per distinct value and kept for the
-    command: ``make`` maps distinct values to a list of code arrays (one row
-    of NUL-padded ASCII per value), one per cell column.  Values are told
-    apart by bit pattern, so -0.0 keeps its sign; a lookup that would pass
-    _REPR_CACHE values restarts the cache."""
+    command: ``make`` maps distinct values to an object array of their
+    cells, the bytes each value's CSV text takes, separator included.
+    Values are told apart by bit pattern, so -0.0 keeps its sign; a lookup
+    that would pass _REPR_CACHE values restarts the cache."""
 
     def __init__(self, make):
-        self.make, self.cols = make, None
+        self.make, self.made = make, np.empty(0, dtype=object)
         self.bits = np.empty(0, dtype=np.uint64)  # sorted
 
     def lookup(self, values, distinct=None):
-        """The cell columns, and the row of each of ``values`` in them;
+        """The cells, and the index of each of ``values`` in them;
         ``distinct`` is ``_distinct(values)`` where the caller has it."""
         distinct, inverse = distinct or _distinct(values)
         new = distinct[~np.isin(distinct, self.bits, assume_unique=True)]
         if self.bits.size + new.size > _REPR_CACHE:  # restart from these values
-            self.bits, self.cols, new = self.bits[:0], None, distinct
+            self.bits, self.made, new = self.bits[:0], self.made[:0], distinct
         if new.size:
-            cols, at = self.make(new.view(float)), np.searchsorted(self.bits, new)
-            if self.bits.size:
-                cols = [np.insert(c, at, n, axis=0) for c, n in zip(self.cols, cols)]
-            self.bits, self.cols = np.insert(self.bits, at, new), cols
-        return self.cols, np.searchsorted(self.bits, distinct)[inverse.reshape(values.shape)]
+            at = np.searchsorted(self.bits, new)
+            self.made = np.insert(self.made, at, self.make(new.view(float)))
+            self.bits = np.insert(self.bits, at, new)
+        return self.made, np.searchsorted(self.bits, distinct)[inverse.reshape(values.shape)]
 
     def cells(self, table):
-        """One code array per column of a float table, for a one-column cache."""
-        (cells,), at = self.lookup(table)
-        return list(cells.take(at.T, axis=0))
+        """One cell column per column of a float table."""
+        made, at = self.lookup(table)
+        return list(made.take(at.T))
 
 
-def _repr_chunks(tables):
-    """For each _CHUNK rows of an iterable of float tables (all with the same
-    columns): one code array of repr cells per column."""
+def _csv_chunks(tables):
+    """The CSV rows of an iterable of float tables, each value its repr, as
+    one bytes per _CHUNK rows."""
     for table in tables:
         for lo in range(0, len(table), _CHUNK):
-            yield list(float_codes(table[lo:lo + _CHUNK].T))
+            yield csv_bytes(float_codes(table[lo:lo + _CHUNK].T))
         del table  # free it before the next table is made
 
 
-def _json_chunks(header, code_chunks):
+def _json_chunks(header, chunks):
     """The text of ``json.dumps(docs, indent=1, sort_keys=True) + "\n"``,
-    one chunk of rows at a time, for code columns of reprs (which is how
-    json writes floats and ints).  Non-finite cells are null, and a row that
-    holds +inf gets "pole": true."""
+    one chunk of rows at a time, from chunks of CSV rows of reprs (which is
+    how json writes floats and ints).  Non-finite cells are null, and a row
+    that holds +inf gets "pole": true."""
     order = sorted(range(len(header)), key=header.__getitem__)
+    keyed = operator.itemgetter(*order)
 
     def template(keys):
         lines = ('  "pole": true' if k == "pole" else f'  "{k}": %s' for k in sorted(keys))
@@ -90,31 +92,36 @@ def _json_chunks(header, code_chunks):
 
     plain, pole = template(header), template(header + ["pole"])
     null = {"inf": "null", "-inf": "null", "nan": "null"}
+
+    def special(row):
+        return (pole if "inf" in row else plain) % tuple(null.get(row[i], row[i]) for i in order)
+
     sep = "[\n"
-    for codes in code_chunks:
-        cells = [decode_cells(c) for c in codes]
-        docs = [
-            (pole if "inf" in row else plain) % tuple(null.get(row[i], row[i]) for i in order)
-            for row in zip(*cells)
-        ]
+    for chunk in chunks:
+        # the reprs of finite values hold no "n"; inf and nan do
+        docs = [plain % keyed(line.split(",")) if "n" not in line else special(line.split(","))
+                for line in chunk.decode().splitlines()]
         if docs:
             yield sep + ",\n".join(docs)
             sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def _write_table(path, header, code_chunks, fmt):
-    """Write chunks of cells, one code array of reprs per column as
-    ``_repr_chunks`` yields them, as CSV or JSON, streamed: each CSV value is
-    its repr ('inf' at the pole); JSON as ``_json_chunks``."""
+def _write_table(path, header, chunks, fmt):
+    """Write chunks of CSV rows (bytes, each value its repr, 'inf' at the
+    pole), streamed: as CSV under a header line, or as the JSON of
+    ``_json_chunks``."""
     if fmt == "csv":
-        write_code_csv(path, header, code_chunks)
+        atomic_write(path, itertools.chain([(",".join(header) + "\n").encode()], chunks))
     else:
-        atomic_write(path, map(str.encode, _json_chunks(header, code_chunks)))
+        atomic_write(path, map(str.encode, _json_chunks(header, chunks)))
 
 
 def _parse_grid(spec, d):
-    """(lo, step, count) of a per-axis spec lo:hi:step, applied to every axis."""
+    """(lo, step, count) of a per-axis spec lo:hi:step, applied to every axis:
+    the points ``lo + j * step`` up to hi, where 1e-9 of the span's length
+    past hi still counts as hi, so that rounding in the span or step does
+    not drop it."""
     try:
         lo, hi, step = map(float, spec.split(":"))
     except ValueError:
@@ -122,7 +129,7 @@ def _parse_grid(spec, d):
     span = (hi - lo) / step if step > 0 and hi >= lo else math.nan
     if not all(map(math.isfinite, (lo, hi, step, span))):
         raise ConfigError(f"bad grid spec {spec!r}: need finite lo <= hi and step > 0")
-    count = int(round(span)) + 1
+    count = math.floor(span * (1 + 1e-9)) + 1
     if d * math.log2(count) >= 62:  # row indices fit in int64
         raise ConfigError(f"grid spec {spec!r} gives {count}^{d} points, too many")
     return lo, step, count
@@ -143,13 +150,16 @@ def _point_blocks(fh, d):
     """The points of an open text file, _BLOCK at a time: one per line, blank
     lines and lines starting with '#' skipped."""
     flat = array("d")  # 8 bytes a coordinate, where a list of lists takes ~60
-    for line in fh:
+    for number, line in enumerate(fh, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        vals = [float(v) for v in line.replace(",", " ").split()]
+        try:
+            vals = [float(v) for v in line.replace(",", " ").split()]
+        except ValueError:
+            raise ConfigError(f"line {number} of the points file is not a point: {line!r}") from None
         if len(vals) != d:
-            raise DimensionError(f"point of length {len(vals)}, expected {d}")
+            raise DimensionError(f"point of length {len(vals)} on line {number}, expected {d}")
         flat.extend(vals)
         if len(flat) == _BLOCK * d:
             yield np.frombuffer(flat).reshape(-1, d)
@@ -158,13 +168,22 @@ def _point_blocks(fh, d):
         yield np.frombuffer(flat).reshape(-1, d)
 
 
-def _axis_cells(lo, step, count):
-    """The coordinate cells of grid rows from their axis indices j: each axis value
-    ``lo + j * step`` formatted once, or, past _REPR_CACHE of them, each coordinate."""
+def _grid_cells(lo, step, count, d):
+    """The coordinate cell columns of grid rows from their axis indices j.
+    Each axis value ``lo + j * step`` is made once, and the leading d - 1
+    axes are joined into one prefix cell per index, while there are at most
+    _REPR_CACHE prefixes; past that, one column per axis; past _REPR_CACHE
+    axis values, each coordinate is made where it is used."""
     if count > _REPR_CACHE:
-        return lambda j: list(float_codes(lo + j.T * step))
-    axis = float_codes(lo + np.arange(count) * step)
-    return lambda j: list(axis.take(j.T, axis=0))
+        return lambda j: list(float_cells(lo + j.T * step) + b",")
+    axis = float_cells(lo + np.arange(count) * step) + b","
+    if d == 1 or count ** (d - 1) > _REPR_CACHE:
+        return lambda j: list(axis.take(j.T))
+    prefix = axis
+    for _ in range(d - 2):
+        prefix = np.add.outer(prefix, axis).ravel()
+    weights = count ** np.arange(d - 2, -1, -1)  # row-major index of j[:, :-1]
+    return lambda j: [prefix.take(j[:, :-1] @ weights), axis.take(j[:, -1])]
 
 
 def _density_columns(dist, r):
@@ -173,24 +192,31 @@ def _density_columns(dist, r):
     return [np.exp(ld, out=np.full_like(ld, math.inf), where=ld < 700), ld]
 
 
+def _radius_cells(dist, r):
+    """The cells of radii ``r``: ``density,log_density`` and the newline."""
+    dens, ld = float_cells(np.stack(_density_columns(dist, r)))
+    return dens + b"," + ld + b"\n"
+
+
 def _density_chunks(dist, blocks, coordinate_cells):
-    """For each _CHUNK rows ``x..., density, log_density``, one code array
-    per column, from blocks of (points, keys); ``coordinate_cells`` makes a
-    chunk's coordinate columns from its keys.  Density cells come from one
-    cache keyed by the radius, so radial_log_density runs, and its values are
-    formatted, once per distinct radius of the command.  A block of mostly
-    distinct radii (scattered points) is formatted value by value instead."""
-    radii = _Cells(lambda r: list(float_codes(np.stack(_density_columns(dist, r)))))
+    """The CSV rows ``x..., density, log_density``, as one bytes per _CHUNK
+    rows, from blocks of (points, keys); ``coordinate_cells`` makes a chunk's
+    coordinate cell columns from its keys.  Radius cells come from one cache,
+    so radial_log_density runs, and its values are formatted, once per
+    distinct radius of the command, and a chunk is one join of its cells.
+    A block of mostly distinct radii (scattered points) is formatted value
+    by value instead."""
+    radii = _Cells(lambda r: _radius_cells(dist, r))
     for pts, keys in blocks:
         r = _point_norms(pts)
         distinct = _distinct(r)  # radii are >= 0, so distinct bits are distinct values
         if 2 * distinct[0].size > r.size:
-            yield from _repr_chunks([np.column_stack([pts, *_density_columns(dist, r)])])
+            yield from _csv_chunks([np.column_stack([pts, *_density_columns(dist, r)])])
             continue
-        (dens, ld), at = radii.lookup(r, distinct)
+        made, at = radii.lookup(r, distinct)
         for lo in range(0, len(pts), _CHUNK):
-            i = at[lo:lo + _CHUNK]
-            yield coordinate_cells(keys[lo:lo + _CHUNK]) + [dens.take(i, axis=0), ld.take(i, axis=0)]
+            cells = coordinate_cells(keys[lo:lo + _CHUNK]) + [made.take(at[lo:lo + _CHUNK])]
+            yield b"".join(np.column_stack(cells).ravel().tolist())
 
 
 def cmd_density(args):
@@ -200,11 +226,11 @@ def cmd_density(args):
     header = [f"x{i + 1}" for i in range(args.d)] + ["density", "log_density"]
     if args.grid:  # coordinate cells keyed by axis index
         grid = _parse_grid(args.grid, args.d)
-        blocks, cells = _grid_blocks(*grid, args.d), _axis_cells(*grid)
+        blocks, cells = _grid_blocks(*grid, args.d), _grid_cells(*grid, args.d)
         return _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
     with open(args.points_file, encoding="utf-8") as fh:  # coordinate cells keyed by their bits
         blocks = ((pts, pts) for pts in _point_blocks(fh, args.d))
-        cells = _Cells(lambda values: [float_codes(values)]).cells
+        cells = _Cells(lambda values: float_cells(values) + b",").cells
         _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
 
 
@@ -214,7 +240,7 @@ def cmd_sample(args):
     dist = GhsDistribution(args.d, args.sigma_theta)
     blocks = sample_blocks(dist, args.n, args.seed, _BLOCK)
     header = ["lambda"] + [f"x{i + 1}" for i in range(args.d)]
-    _write_table(args.out, header, _repr_chunks(map(np.column_stack, blocks)), args.format)
+    _write_table(args.out, header, _csv_chunks(map(np.column_stack, blocks)), args.format)
 
 
 def _parse_floats(text, flag):
@@ -246,8 +272,8 @@ def cmd_risk(args):
             mass = kl_ball_prior_mass(scenario, n)
             bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass
             rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
-    codes = [encode_cells([repr(v) for v in col]) for col in zip(*rows)]
-    _write_table(args.out, header, [codes], args.format)
+    table = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    _write_table(args.out, header, [table.encode()], args.format)
 
 
 def cmd_simulate(args):

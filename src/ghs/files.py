@@ -272,6 +272,13 @@ def float_codes(values):
     return codes.reshape(values.shape + (24,))
 
 
+def float_cells(values):
+    """``repr`` of each value of a float array as ASCII bytes, in an object
+    array of the values' shape: viewing the codes as S24 drops their NUL
+    padding in C."""
+    return float_codes(values).view("S24")[..., 0].astype(object)
+
+
 def float_reprs(values):
     """``repr`` of each value of a float array, the same strings as
     ``map(repr, values.tolist())``: a list for a 1-D array, a list of row

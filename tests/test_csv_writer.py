@@ -1,8 +1,9 @@
-"""The byte CSV writer of ghs.files against ``",".join(map(repr, row)) + "\\n"``.
+"""The byte CSV writers of ghs.files against ``",".join(map(repr, row)) + "\\n"``.
 
 A chunk reaches ``csv_bytes`` as code columns, one (rows, w) uint8 array of
 NUL-padded ASCII cells per column; the writer lays the cells out between
-their commas and newlines and drops the padding.  The cases here: columns of
+their commas and newlines and drops the padding.  ``float_cells`` makes each
+value's repr as bytes, the cells the CLI caches.  The cases here: columns of
 different widths, one column, an empty chunk, the values repr formats itself
 and the extremes of the float range, and the CLI's cell cache across a
 restart.
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from ghs import cli
-from ghs.files import csv_bytes, decode_cells, encode_cells, float_codes, write_code_csv
+from ghs.files import (
+    csv_bytes, decode_cells, encode_cells, float_cells, float_codes, write_code_csv
+)
 
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-323, 1.7976931348623157e308]
 
@@ -62,6 +65,9 @@ def test_specials_and_extremes(sign):
     table = np.column_stack([values, values[::-1], np.roll(values, 3)])
     assert csv_bytes(float_codes(table.T)) == reference(table)
     assert decode_cells(float_codes(values)) == list(map(repr, values.tolist()))
+    cells = float_cells(table.T)
+    assert cells.dtype == object and cells.shape == table.T.shape
+    assert cells.T.tolist() == [[repr(v).encode() for v in row] for row in table.tolist()]
 
 
 def test_written_file(tmp_path):
@@ -72,16 +78,17 @@ def test_written_file(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n" + reference(table)
 
 
-def test_cells_cache_restart_gives_code_arrays(monkeypatch):
+def test_cells_cache_restart_gives_bytes(monkeypatch):
     # a cache of 40 values: the second lookup adds 5 values to it, the third
     # passes 40 and restarts from its own values, the fourth finds all of
-    # them there and makes nothing, the fifth restarts again
+    # them there and makes nothing, the fifth restarts again; each value's
+    # cell is the CSV row "v,-v\n", as the density cache's two columns
     monkeypatch.setattr(cli, "_REPR_CACHE", 40)
     made = []
 
     def make(values):
         made.append(values.size)
-        return [float_codes(values), float_codes(-values)]
+        return float_cells(values) + b"," + float_cells(-values) + b"\n"
 
     cache = cli._Cells(make)
     rng = np.random.default_rng(7)
@@ -90,8 +97,9 @@ def test_cells_cache_restart_gives_code_arrays(monkeypatch):
     second = np.concatenate([[-0.0, 0.0, math.nan], rng.standard_normal(30)])
     for block in (first, extra, second, second[::-1].copy(), first):
         table = np.column_stack([block, block[::-1]])
-        (plus, minus), at = cache.lookup(table)
-        assert plus.dtype == minus.dtype == np.uint8 and plus.shape[1] == minus.shape[1] == 24
-        assert csv_bytes(list(plus.take(at.T, axis=0))) == reference(table)
-        assert csv_bytes(list(minus.take(at.T, axis=0))) == reference(-table)
+        cells, at = cache.lookup(table)
+        assert cells.dtype == object and at.shape == table.shape
+        for column, where in zip(table.T, at.T):
+            rows = np.column_stack([column, -column])
+            assert b"".join(cells.take(where).tolist()) == reference(rows)
     assert made == [30, 5, 33, 30]

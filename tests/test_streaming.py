@@ -19,7 +19,7 @@ import ghs.distribution
 from ghs import cli
 from ghs.distribution import GhsDistribution, log_density, sample_arrays, sample_blocks
 from ghs.errors import DomainError
-from ghs.files import csv_bytes, float_codes
+from ghs.files import float_cells
 from ghs.rng import make_rng
 
 B = cli._BLOCK
@@ -146,6 +146,110 @@ def test_one_point_grid_past_64_axes(tmp_path):
     assert_same_text(written, reference_text(header, density_table(GhsDistribution(d), pts), "csv"))
 
 
+@pytest.mark.parametrize("d, spec", [
+    (1, "-0.0:2:0.25"), (2, "-0.0:1:0.125"), (3, "-1:1:0.25"), (4, "-0.0:1:0.25"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_cells_match_repr(tmp_path, fmt, d, spec):
+    # coordinate cells joined into prefix cells of the leading d - 1 axes
+    # (one axis at d = 1), then the last axis and the radius cell
+    pts = grid_points(spec, d)
+    header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
+    written = run(tmp_path, f"g.{fmt}", "density", "--d", str(d), f"--grid={spec}", "--format", fmt)
+    assert_same_text(written, reference_text(header, density_table(GhsDistribution(d), pts), fmt))
+    if fmt == "json" and spec.startswith("-0.0"):  # the origin is a row: the pole
+        assert sum(doc.get("pole", False) for doc in json.loads(written)) == 1
+
+
+@pytest.mark.parametrize("d, spec, cache, columns", [
+    (3, "-1:1:0.25", 81, 2),  # 9^2 prefixes fit: prefix and last axis
+    (3, "-1:1:0.25", 80, 3),  # one prefix too many: one column per axis
+    (3, "-1:1:0.25", 8, 3),  # axes past the cache: each coordinate made anew
+    (4, "-1:1:0.5", 125, 2),
+    (4, "-1:1:0.5", 124, 4),
+    (1, "-1:1:0.25", 1, 1),
+])
+def test_grid_prefix_cells_switch_at_the_cache_bound(tmp_path, monkeypatch, d, spec, cache, columns):
+    # small caches also restart the radius cache within a block
+    monkeypatch.setattr(cli, "_REPR_CACHE", cache)
+    grid = cli._parse_grid(spec, d)
+    (pts, j), = cli._grid_blocks(*grid, d)
+    cells = cli._grid_cells(*grid, d)(j)
+    assert len(cells) == columns and all(c.dtype == object for c in cells)
+    reference = "".join(",".join(map(repr, p)) + "," for p in pts.tolist())
+    assert b"".join(np.column_stack(cells).ravel().tolist()).decode() == reference
+    header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
+    written = run(tmp_path, "g.csv", "density", "--d", str(d), f"--grid={spec}")
+    assert_same_text(written, reference_text(header, density_table(GhsDistribution(d), pts), "csv"))
+
+
+def test_radius_cache_restart_matches_repr(tmp_path, monkeypatch):
+    # blocks of 1,000 rows, chunks of 300 and a cache of 50 cells: the
+    # radius cache passes its bound and restarts in most blocks
+    monkeypatch.setattr(cli, "_BLOCK", 1000)
+    monkeypatch.setattr(cli, "_CHUNK", 300)
+    monkeypatch.setattr(cli, "_REPR_CACHE", 50)
+    made = []
+    radius_cells = cli._radius_cells
+
+    def counted(dist, r):
+        made.append(r.size)
+        return radius_cells(dist, r)
+
+    monkeypatch.setattr(cli, "_radius_cells", counted)
+    pts = grid_points("-1:1:0.125", 3)
+    header = ["x1", "x2", "x3", "density", "log_density"]
+    for fmt in ("csv", "json"):
+        written = run(tmp_path, f"g.{fmt}", "density", "--d", "3", "--grid=-1:1:0.125", "--format", fmt)
+        assert_same_text(written, reference_text(header, density_table(GhsDistribution(3), pts), fmt))
+    distinct = np.unique(np.linalg.norm(pts, axis=1)).size
+    assert len(made) > 2 and sum(made) > 2 * distinct
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_repeating_points_file_with_special_coordinates(tmp_path, fmt):
+    # -0.0 keeps its sign in the coordinate cache, 5e-324 is a subnormal
+    # radius, and an infinite coordinate is an infinite radius; the file
+    # repeats, so both caches are used, and it spans two blocks
+    rng = np.random.default_rng(23)
+    values = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 0.5, -1.25, 3.0])
+    pts = rng.choice(values, (B + 300, 2))
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()), encoding="utf-8")
+    header = ["x1", "x2", "density", "log_density"]
+    written = run(tmp_path, f"p.{fmt}", "density", "--d", "2", "--points-file", str(path), "--format", fmt)
+    assert_same_text(written, reference_text(header, density_table(GhsDistribution(2), pts), fmt))
+
+
+def test_nan_point_is_refused_without_output(tmp_path, capsys):
+    # a NaN coordinate has no radius: the density refuses it, and the
+    # coordinate cells made for the first block leave no file behind
+    path = tmp_path / "pts.txt"
+    path.write_text("0.5 1.0\n" * B + "nan 0.0\n", encoding="utf-8")
+    with pytest.raises(SystemExit):
+        run(tmp_path, "p.csv", "density", "--d", "2", "--points-file", str(path))
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert sorted(os.listdir(tmp_path)) == ["pts.txt"]
+
+
+def test_grid_stops_at_hi(tmp_path):
+    # a step that does not divide hi - lo stops before hi; an exact
+    # multiple reaches hi even where (hi - lo) / step rounds below it
+    rows = run(tmp_path, "g.csv", "density", "--d", "1", "--grid=0:1:0.6").splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.0", "0.6"]
+    assert cli._parse_grid("0:1:0.3", 1) == (0.0, 0.3, 4)
+    assert cli._parse_grid("-3:3:0.1", 3) == (-3.0, 0.1, 61)
+    assert cli._parse_grid("-1:1:0.00002", 1)[2] == 100001  # 2 / 0.00002 is 99999.99999999999
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        lo, step = round(rng.uniform(-5, 5), 2), float(rng.choice([0.1, 0.05, 0.3, 0.6, 0.125, 0.007]))
+        n, frac = int(rng.integers(0, 200)), float(rng.choice([0.0, 0.3, 0.5, 0.7, 0.999]))
+        hi = round(lo + (n + frac) * step, 10)
+        lo_, step_, count = cli._parse_grid(f"{lo!r}:{hi!r}:{step!r}", 1)
+        assert count == n + 1, (lo, hi, step)
+        assert lo + (count - 1) * step <= hi + 1e-9 * (hi - lo)
+
+
 @pytest.mark.parametrize("cache", [cli._REPR_CACHE, 40])
 def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
     # shared columns draw on overlapping value sets block after block, so
@@ -162,9 +266,10 @@ def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
         blocks.append(np.column_stack([shared, rng.standard_normal(m), shared[::-1]]))
     blocks.insert(2, np.column_stack([rng.standard_normal((50, 3))]))  # nothing shared
     reference = "".join(",".join(map(repr, row)) + "\n" for b in blocks for row in b.tolist())
-    cells = cli._Cells(lambda values: [float_codes(values)])
-    chunks = (cells.cells(b) for b in blocks)
-    assert_same_text("".join(csv_bytes(c).decode() for c in chunks), reference)
+    # coordinate cells end in a comma; the row's last one becomes its newline
+    cells = cli._Cells(lambda values: float_cells(values) + b",")
+    rows = (row for b in blocks for row in np.column_stack(cells.cells(b)).tolist())
+    assert_same_text("".join(b"".join(row)[:-1].decode() + "\n" for row in rows), reference)
 
 
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])

@@ -13,8 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ghs.cli import _repr_chunks, _write_table, main
-from ghs.files import csv_bytes, encode_cells
+from ghs.cli import _csv_chunks, _write_table, main
 from ghs.study import GAMMA_HEADER, MISCLASS_HEADER, StudyConfig, load_reports, run_study
 
 TINY_STUDY = {
@@ -343,7 +342,7 @@ class TestCli:
         distinct = np.random.default_rng(rows).standard_normal(rows) * 1e3
         distinct[: len(specials)] = specials[:rows]
         table = np.column_stack([repeated, distinct, repeated[::-1]])
-        chunks = [csv_bytes(c).decode() for c in _repr_chunks([table])]
+        chunks = [c.decode() for c in _csv_chunks([table])]
         reference = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
         assert "".join(chunks) == reference
         assert len(chunks) == -(-rows // 8192)
@@ -364,10 +363,10 @@ class TestCli:
                 if math.inf in row:
                     docs[-1]["pole"] = True
             if isinstance(data, np.ndarray):
-                cell_chunks = _repr_chunks([data])
+                chunks = _csv_chunks([data])
             else:
-                cell_chunks = [[encode_cells(list(map(repr, col))) for col in zip(*data)]]
-            _write_table(tmp_path / name, head, cell_chunks, "json")
+                chunks = ["".join(",".join(map(repr, row)) + "\n" for row in data).encode()]
+            _write_table(tmp_path / name, head, chunks, "json")
             written = (tmp_path / name).read_text(encoding="utf-8")
             assert written == json.dumps(docs, indent=1, sort_keys=True) + "\n"
 
@@ -563,6 +562,19 @@ class TestCli:
                 "--out", str(tmp_path / "o.csv"),
             )
         assert json.loads(capsys.readouterr().err)["error"] == "DimensionError"
+
+    def test_points_file_unparsable_line_is_config_error(self, tmp_path, capsys):
+        # the bad line comes after a full block, so rows were written
+        # before it: the error names its 1-based line, and no file is left
+        pts = tmp_path / "pts.txt"
+        pts.write_text("# points\n" + "0.5\n" * 65536 + "\n0x10\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run("density", "--d", "1", "--points-file", str(pts),
+                     "--out", str(tmp_path / "o.csv"))
+        assert exc.value.code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "line 65539" in err["message"]
+        assert sorted(os.listdir(tmp_path)) == ["pts.txt"]
 
     def test_report_empty_dir_fails_cleanly(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
