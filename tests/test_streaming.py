@@ -170,7 +170,6 @@ def test_grid_cells_match_repr(tmp_path, fmt, d, spec):
     (1, "-1:1:0.25", 1, 1),
 ])
 def test_grid_prefix_cells_switch_at_the_cache_bound(tmp_path, monkeypatch, d, spec, cache, columns):
-    # small caches also restart the radius cache within a block
     monkeypatch.setattr(cli, "_REPR_CACHE", cache)
     grid = cli._parse_grid(spec, d)
     (pts, j), = cli._grid_blocks(*grid, d)
@@ -202,6 +201,7 @@ def test_radius_cache_restart_matches_repr(tmp_path, monkeypatch):
     for fmt in ("csv", "json"):
         written = run(tmp_path, f"g.{fmt}", "density", "--d", "3", "--grid=-1:1:0.125", "--format", fmt)
         assert_same_text(written, reference_text(header, density_table(GhsDistribution(3), pts), fmt))
+    # two commands make each distinct radius twice, and more where they restart
     distinct = np.unique(np.linalg.norm(pts, axis=1)).size
     assert len(made) > 2 and sum(made) > 2 * distinct
 
