@@ -9,7 +9,6 @@ stderr.  All stochastic commands require an explicit --seed.
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import operator
@@ -23,7 +22,7 @@ from .distribution import (  # noqa: F401
     GhsDistribution, _point_norms, log_density, radial_log_density, sample_arrays, sample_blocks
 )
 from .errors import ConfigError, DimensionError, GhsError, _check_whole
-from .files import atomic_write, csv_bytes, float_cells, float_codes
+from .files import atomic_write, csv_bytes, float_cells, float_codes, write_csv_chunks
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
@@ -83,24 +82,20 @@ def _json_chunks(header, chunks):
     one chunk of rows at a time, from chunks of CSV rows of reprs (which is
     how json writes floats and ints).  Non-finite cells are null, and a row
     that holds +inf gets "pole": true."""
-    order = sorted(range(len(header)), key=header.__getitem__)
-    keyed = operator.itemgetter(*order)
+    keyed = operator.itemgetter(*sorted(range(len(header)), key=header.__getitem__))
 
     def template(keys):
         lines = ('  "pole": true' if k == "pole" else f'  "{k}": %s' for k in sorted(keys))
         return " {\n" + ",\n".join(lines) + "\n }"
 
     plain, pole = template(header), template(header + ["pole"])
-    null = {"inf": "null", "-inf": "null", "nan": "null"}
-
-    def special(row):
-        return (pole if "inf" in row else plain) % tuple(null.get(row[i], row[i]) for i in order)
-
     sep = "[\n"
     for chunk in chunks:
-        # the reprs of finite values hold no "n"; inf and nan do
-        docs = [plain % keyed(line.split(",")) if "n" not in line else special(line.split(","))
-                for line in chunk.decode().splitlines()]
+        # reprs of finite values hold no letters: once -inf is null, "inf" is +inf
+        text = chunk.decode().replace("-inf", "null")
+        cells = text.replace("inf", "null").replace("nan", "null").splitlines()
+        docs = [(pole if "inf" in line else plain) % keyed(row.split(","))
+                for line, row in zip(text.splitlines(), cells)]
         if docs:
             yield sep + ",\n".join(docs)
             sep = ",\n"
@@ -112,7 +107,7 @@ def _write_table(path, header, chunks, fmt):
     pole), streamed: as CSV under a header line, or as the JSON of
     ``_json_chunks``."""
     if fmt == "csv":
-        atomic_write(path, itertools.chain([(",".join(header) + "\n").encode()], chunks))
+        write_csv_chunks(path, header, chunks)
     else:
         atomic_write(path, map(str.encode, _json_chunks(header, chunks)))
 
@@ -120,8 +115,8 @@ def _write_table(path, header, chunks, fmt):
 def _parse_grid(spec, d):
     """(lo, step, count) of a per-axis spec lo:hi:step, applied to every axis:
     the points ``lo + j * step`` up to hi, where 1e-9 of the span's length
-    past hi still counts as hi, so that rounding in the span or step does
-    not drop it."""
+    past hi, but at most 1e-6 of a step, still counts as hi, so that
+    rounding in the span or step does not drop it."""
     try:
         lo, hi, step = map(float, spec.split(":"))
     except ValueError:
@@ -129,7 +124,7 @@ def _parse_grid(spec, d):
     span = (hi - lo) / step if step > 0 and hi >= lo else math.nan
     if not all(map(math.isfinite, (lo, hi, step, span))):
         raise ConfigError(f"bad grid spec {spec!r}: need finite lo <= hi and step > 0")
-    count = math.floor(span * (1 + 1e-9)) + 1
+    count = math.floor(span + min(1e-9 * span, 1e-6)) + 1
     if d * math.log2(count) >= 62:  # row indices fit in int64
         raise ConfigError(f"grid spec {spec!r} gives {count}^{d} points, too many")
     return lo, step, count

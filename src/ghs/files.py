@@ -52,11 +52,11 @@ def csv_bytes(columns):
     return flat[flat != 0].tobytes()
 
 
-def write_code_csv(path, header, code_chunks):
-    """A CSV file of a header (a list of names) and chunks of code columns,
-    streamed through atomic_write."""
+def write_csv_chunks(path, header, chunks):
+    """A CSV file of a header (a list of names) and chunks of CSV rows, each
+    one bytes (as ``csv_bytes`` makes them), streamed through atomic_write."""
     head = (",".join(header) + "\n").encode()
-    atomic_write(path, itertools.chain([head], map(csv_bytes, code_chunks)))
+    atomic_write(path, itertools.chain([head], chunks))
 
 
 def encode_cells(strings):

@@ -33,7 +33,7 @@ from .errors import (
     _check_integer,
     _check_real,
 )
-from .files import float_codes, write_code_csv
+from .files import csv_bytes, float_codes, write_csv_chunks
 from .rng import make_rng
 
 # scipy.linalg is bound on first use, so that importing ghs.gamsel or
@@ -781,4 +781,4 @@ def chain_to_csv(chain: GibbsChain, path):
     ))
     step = max(1, (1 << 15) // draws.shape[1])  # rows formatted at a time
     chunks = (float_codes(draws[lo:lo + step].T) for lo in range(0, len(draws), step))
-    write_code_csv(path, header, chunks)
+    write_csv_chunks(path, header, map(csv_bytes, chunks))

@@ -16,7 +16,7 @@ import pytest
 
 from ghs import cli
 from ghs.files import (
-    csv_bytes, decode_cells, encode_cells, float_cells, float_codes, write_code_csv
+    csv_bytes, decode_cells, encode_cells, float_cells, float_codes, write_csv_chunks
 )
 
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-323, 1.7976931348623157e308]
@@ -74,7 +74,7 @@ def test_written_file(tmp_path):
     table = np.resize(SPECIALS, (9000, 3))
     table[:, 1] = np.random.default_rng(6).standard_normal(9000)
     chunks = (float_codes(table[lo:lo + 4096].T) for lo in range(0, len(table), 4096))
-    write_code_csv(tmp_path / "t.csv", ["a", "b", "c"], chunks)
+    write_csv_chunks(tmp_path / "t.csv", ["a", "b", "c"], map(csv_bytes, chunks))
     assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n" + reference(table)
 
 

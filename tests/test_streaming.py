@@ -240,6 +240,10 @@ def test_grid_stops_at_hi(tmp_path):
     assert cli._parse_grid("0:1:0.3", 1) == (0.0, 0.3, 4)
     assert cli._parse_grid("-3:3:0.1", 3) == (-3.0, 0.1, 61)
     assert cli._parse_grid("-1:1:0.00002", 1)[2] == 100001  # 2 / 0.00002 is 99999.99999999999
+    # the tolerance stays below a step however long the span: no rows are made
+    assert cli._parse_grid("0:2e9:1", 1)[2] == 2_000_000_001
+    assert cli._parse_grid("0:2000000000.6:1", 1)[2] == 2_000_000_001
+    assert cli._parse_grid("0:1e15:1", 1)[2] == 10**15 + 1
     rng = np.random.default_rng(29)
     for _ in range(500):
         lo, step = round(rng.uniform(-5, 5), 2), float(rng.choice([0.1, 0.05, 0.3, 0.6, 0.125, 0.007]))
