@@ -21,7 +21,7 @@ import numpy as np
 from .distribution import (  # noqa: F401
     GhsDistribution, _point_norms, log_density, radial_log_density, sample_arrays, sample_blocks
 )
-from .errors import ConfigError, DimensionError, GhsError, _check_whole
+from .errors import ConfigError, DimensionError, DomainError, GhsError, _check_whole
 from .files import atomic_write, csv_bytes, float_cells, float_codes, write_csv_chunks
 # risk_upper_bound stays importable here: perfbench/spans.py patches this name
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
@@ -29,13 +29,7 @@ from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F4
 
 _CHUNK = 8192  # rows formatted at a time
 _BLOCK = 1 << 16  # rows computed and written at a time: bounds the memory
-_REPR_CACHE = 1 << 16  # distinct values (or grid prefixes) whose cells are kept across calls
-
-
-def _distinct(values):
-    """The distinct bit patterns of a float array, sorted, and the index of
-    each value's pattern among them."""
-    return np.unique(values.view(np.uint64), return_inverse=True)
+_REPR_CACHE = 1 << 16  # distinct radii (or grid axis values, or prefixes) whose cells are kept
 
 
 class _Cells:
@@ -49,10 +43,9 @@ class _Cells:
         self.make, self.made = make, np.empty(0, dtype=object)
         self.bits = np.empty(0, dtype=np.uint64)  # sorted
 
-    def lookup(self, values, distinct=None):
-        """The cells, and the index of each of ``values`` in them;
-        ``distinct`` is ``_distinct(values)`` where the caller has it."""
-        distinct, inverse = distinct or _distinct(values)
+    def lookup(self, values):
+        """The cells, and the index of each of ``values`` in them."""
+        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
         new = distinct[~np.isin(distinct, self.bits, assume_unique=True)]
         if self.bits.size + new.size > _REPR_CACHE:  # restart from these values
             self.bits, self.made, new = self.bits[:0], self.made[:0], distinct
@@ -61,11 +54,6 @@ class _Cells:
             self.made = np.insert(self.made, at, self.make(new.view(float)))
             self.bits = np.insert(self.bits, at, new)
         return self.made, np.searchsorted(self.bits, distinct)[inverse.reshape(values.shape)]
-
-    def cells(self, table):
-        """One cell column per column of a float table."""
-        made, at = self.lookup(table)
-        return list(made.take(at.T))
 
 
 def _csv_chunks(tables):
@@ -77,39 +65,40 @@ def _csv_chunks(tables):
         del table  # free it before the next table is made
 
 
-def _json_chunks(header, chunks):
+def _json_chunks(header, chunks, pole):
     """The text of ``json.dumps(docs, indent=1, sort_keys=True) + "\n"``,
     one chunk of rows at a time, from chunks of CSV rows of reprs (which is
-    how json writes floats and ints).  Non-finite cells are null, and a row
-    that holds +inf gets "pole": true."""
+    how json writes floats and ints).  Non-finite cells are null; with
+    ``pole``, a row whose last cell is +inf (the log density at the origin)
+    gets "pole": true."""
     keyed = operator.itemgetter(*sorted(range(len(header)), key=header.__getitem__))
 
     def template(keys):
         lines = ('  "pole": true' if k == "pole" else f'  "{k}": %s' for k in sorted(keys))
         return " {\n" + ",\n".join(lines) + "\n }"
 
-    plain, pole = template(header), template(header + ["pole"])
+    plain, at_pole = template(header), template(header + ["pole"])
     sep = "[\n"
     for chunk in chunks:
+        text = chunk.decode()
         # reprs of finite values hold no letters: once -inf is null, "inf" is +inf
-        text = chunk.decode().replace("-inf", "null")
-        cells = text.replace("inf", "null").replace("nan", "null").splitlines()
-        docs = [(pole if "inf" in line else plain) % keyed(row.split(","))
-                for line, row in zip(text.splitlines(), cells)]
+        cells = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        docs = [(at_pole if pole and line.endswith(",inf") else plain) % keyed(row.split(","))
+                for line, row in zip(text.splitlines(), cells.splitlines())]
         if docs:
             yield sep + ",\n".join(docs)
             sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def _write_table(path, header, chunks, fmt):
+def _write_table(path, header, chunks, fmt, pole=False):
     """Write chunks of CSV rows (bytes, each value its repr, 'inf' at the
     pole), streamed: as CSV under a header line, or as the JSON of
     ``_json_chunks``."""
     if fmt == "csv":
         write_csv_chunks(path, header, chunks)
     else:
-        atomic_write(path, map(str.encode, _json_chunks(header, chunks)))
+        atomic_write(path, map(str.encode, _json_chunks(header, chunks, pole)))
 
 
 def _parse_grid(spec, d):
@@ -143,11 +132,25 @@ def _grid_blocks(lo, step, count, d):
 
 def _point_blocks(fh, d):
     """The points of an open text file, _BLOCK at a time: one per line, blank
-    lines and lines starting with '#' skipped."""
+    lines and lines starting with '#' skipped.  A block that holds a NaN
+    coordinate is a DomainError naming its line."""
     flat = array("d")  # 8 bytes a coordinate, where a list of lists takes ~60
+    start, skipped = 0, []  # the lines before the block, and those skipped in it
+
+    def block():
+        pts = np.frombuffer(flat).reshape(-1, d)
+        nan = np.isnan(pts).any(axis=1)
+        if nan.any():
+            number = start + int(nan.argmax()) + 1
+            for s in skipped:  # sorted: each one at or before the point moves it on
+                number += s <= number
+            raise DomainError(f"line {number} of the points file has a NaN coordinate")
+        return pts
+
     for number, line in enumerate(fh, 1):
         line = line.strip()
         if not line or line.startswith("#"):
+            skipped.append(number)
             continue
         try:
             vals = [float(v) for v in line.replace(",", " ").split()]
@@ -157,28 +160,10 @@ def _point_blocks(fh, d):
             raise DimensionError(f"point of length {len(vals)} on line {number}, expected {d}")
         flat.extend(vals)
         if len(flat) == _BLOCK * d:
-            yield np.frombuffer(flat).reshape(-1, d)
-            flat = array("d")
+            yield block()
+            flat, start, skipped = array("d"), number, []
     if flat:
-        yield np.frombuffer(flat).reshape(-1, d)
-
-
-def _grid_cells(lo, step, count, d):
-    """The coordinate cell columns of grid rows from their axis indices j.
-    Each axis value ``lo + j * step`` is made once, and the leading d - 1
-    axes are joined into one prefix cell per index, while there are at most
-    _REPR_CACHE prefixes; past that, one column per axis; past _REPR_CACHE
-    axis values, each coordinate is made where it is used."""
-    if count > _REPR_CACHE:
-        return lambda j: list(float_cells(lo + j.T * step) + b",")
-    axis = float_cells(lo + np.arange(count) * step) + b","
-    if d == 1 or count ** (d - 1) > _REPR_CACHE:
-        return lambda j: list(axis.take(j.T))
-    prefix = axis
-    for _ in range(d - 2):
-        prefix = np.add.outer(prefix, axis).ravel()
-    weights = count ** np.arange(d - 2, -1, -1)  # row-major index of j[:, :-1]
-    return lambda j: [prefix.take(j[:, :-1] @ weights), axis.take(j[:, -1])]
+        yield block()
 
 
 def _density_columns(dist, r):
@@ -193,24 +178,32 @@ def _radius_cells(dist, r):
     return dens + b"," + ld + b"\n"
 
 
-def _density_chunks(dist, blocks, coordinate_cells):
-    """The CSV rows ``x..., density, log_density``, as one bytes per _CHUNK
-    rows, from blocks of (points, keys); ``coordinate_cells`` makes a chunk's
-    coordinate cell columns from its keys.  Radius cells come from one cache,
-    so radial_log_density runs, and its values are formatted, once per
-    distinct radius of the command, and a chunk is one join of its cells.
-    A block of mostly distinct radii (scattered points) is formatted value
-    by value instead."""
+def _plain_chunks(dist, blocks):
+    """The CSV rows ``x..., density, log_density`` of blocks of points, each
+    value formatted where it is used, as ``sample`` writes its draws."""
+    return _csv_chunks(np.column_stack([pts, *_density_columns(dist, _point_norms(pts))])
+                       for pts in blocks)
+
+
+def _grid_chunks(dist, lo, step, count, d):
+    """The CSV rows ``x..., density, log_density`` of a grid of at most
+    _REPR_CACHE values per axis, as one bytes per _CHUNK rows, each one join
+    of cells made once: each axis value's, the leading k axes joined into
+    one prefix cell per index (k the largest below d with count^k <=
+    _REPR_CACHE), and the radii's from one cache, so radial_log_density
+    runs, and its values are formatted, once per distinct radius."""
+    axis = float_cells(lo + np.arange(count) * step) + b","
+    k = next(k for k in range(d - 1, -1, -1) if count ** k <= _REPR_CACHE)
+    prefix = np.array([b""], dtype=object)
+    for _ in range(k):
+        prefix = np.add.outer(prefix, axis).ravel()
+    weights = count ** np.arange(k - 1, -1, -1)  # row-major index of j[:, :k]
     radii = _Cells(lambda r: _radius_cells(dist, r))
-    for pts, keys in blocks:
-        r = _point_norms(pts)
-        distinct = _distinct(r)  # radii are >= 0, so distinct bits are distinct values
-        if 2 * distinct[0].size > r.size:
-            yield from _csv_chunks([np.column_stack([pts, *_density_columns(dist, r)])])
-            continue
-        made, at = radii.lookup(r, distinct)
-        for lo in range(0, len(pts), _CHUNK):
-            cells = coordinate_cells(keys[lo:lo + _CHUNK]) + [made.take(at[lo:lo + _CHUNK])]
+    for pts, j in _grid_blocks(lo, step, count, d):
+        made, at = radii.lookup(_point_norms(pts))
+        for a in range(0, len(pts), _CHUNK):
+            jc, rc = j[a:a + _CHUNK], at[a:a + _CHUNK]
+            cells = [prefix.take(jc[:, :k] @ weights), *axis.take(jc[:, k:].T), made.take(rc)]
             yield b"".join(np.column_stack(cells).ravel().tolist())
 
 
@@ -219,14 +212,16 @@ def cmd_density(args):
     if (args.grid is None) == (args.points_file is None):
         raise ConfigError("give exactly one of --grid or --points-file")
     header = [f"x{i + 1}" for i in range(args.d)] + ["density", "log_density"]
-    if args.grid:  # coordinate cells keyed by axis index
-        grid = _parse_grid(args.grid, args.d)
-        blocks, cells = _grid_blocks(*grid, args.d), _grid_cells(*grid, args.d)
-        return _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
-    with open(args.points_file, encoding="utf-8") as fh:  # coordinate cells keyed by their bits
-        blocks = ((pts, pts) for pts in _point_blocks(fh, args.d))
-        cells = _Cells(lambda values: float_cells(values) + b",").cells
-        _write_table(args.out, header, _density_chunks(dist, blocks, cells), args.format)
+    if args.points_file:
+        with open(args.points_file, encoding="utf-8") as fh:
+            chunks = _plain_chunks(dist, _point_blocks(fh, args.d))
+            return _write_table(args.out, header, chunks, args.format, pole=True)
+    grid = _parse_grid(args.grid, args.d)  # lo, step, count
+    if grid[2] <= _REPR_CACHE:
+        chunks = _grid_chunks(dist, *grid, args.d)
+    else:
+        chunks = _plain_chunks(dist, (pts for pts, _ in _grid_blocks(*grid, args.d)))
+    _write_table(args.out, header, chunks, args.format, pole=True)
 
 
 def cmd_sample(args):

@@ -22,18 +22,15 @@ def atomic_write(path, chunks):
 
 
 def write_csv(path, header, rows):
-    """``header``, then one line per row, streamed through atomic_write: a
-    float as its repr, None as an empty cell, anything else as str."""
+    """``header`` (names joined by commas), then one line per row, streamed
+    through write_csv_chunks: a float as its repr, None as an empty cell,
+    anything else as str."""
 
     def cell(v):
         return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
 
-    def lines():
-        yield f"{header}\n".encode()
-        for row in rows:
-            yield f"{','.join(map(cell, row))}\n".encode()
-
-    atomic_write(path, lines())
+    lines = (f"{','.join(map(cell, row))}\n".encode() for row in rows)
+    write_csv_chunks(path, header.split(","), lines)
 
 
 def csv_bytes(columns):
@@ -63,12 +60,6 @@ def encode_cells(strings):
     """ASCII strings as a (len, w) uint8 array of NUL-padded code rows."""
     cells = np.array(strings, dtype="S")
     return cells.view(np.uint8).reshape(len(cells), -1)
-
-
-def decode_cells(codes):
-    """The strings of an array of NUL-padded code rows (last axis), as nested
-    lists of the leading axes."""
-    return codes.astype(np.uint32).view(f"U{codes.shape[-1]}")[..., 0].tolist()
 
 
 # Shortest round-trip reprs on arrays: Schubfach (R. Giulietti, "The Schubfach
@@ -278,9 +269,3 @@ def float_cells(values):
     padding in C."""
     return float_codes(values).view("S24")[..., 0].astype(object)
 
-
-def float_reprs(values):
-    """``repr`` of each value of a float array, the same strings as
-    ``map(repr, values.tolist())``: a list for a 1-D array, a list of row
-    lists for a 2-D one."""
-    return decode_cells(float_codes(values))

@@ -1,7 +1,8 @@
 """The array formatter of ghs.files against CPython's repr, string for string.
 
-``float_reprs`` runs Schubfach in uint64 arithmetic and lays the digits out as
-repr does; every case here compares its strings with ``map(repr, ...)``: random
+``float_cells`` runs Schubfach in uint64 arithmetic and lays the digits out as
+repr does; every case here compares its cells, the bytes the CLI writes, with
+``repr(v).encode()``: random
 bit patterns, the values next to powers of ten and of two, subnormals, large
 integers, short decimals, the switch between positional and scientific form,
 the values repr formats itself, and the piece boundaries.  Fixed seeds; a
@@ -13,15 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from ghs.files import _PIECE, float_reprs
+from ghs.files import _PIECE, float_cells
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def mismatches(values):
-    """The first (repr, float_reprs) pairs that differ, for a 1-D array."""
+    """The first (repr, float_cells) pairs that differ, for a 1-D array."""
     values = np.asarray(values, dtype=float)
-    got, want = float_reprs(values), list(map(repr, values.tolist()))
+    got, want = float_cells(values).tolist(), [repr(v).encode() for v in values.tolist()]
     assert len(got) == len(want)
     return [(w, g) for g, w in zip(got, want) if g != w][:5]
 
@@ -72,14 +73,14 @@ def test_short_decimals():
     (2.2250738585072014e-308, "2.2250738585072014e-308"), (1e100, "1e+100"),
 ])
 def test_switch_between_forms(value, text):
-    assert float_reprs(np.array([value, -value])) == [text, "-" + text]
+    assert float_cells(np.array([value, -value])).tolist() == [text.encode(), b"-" + text.encode()]
 
 
 def test_values_repr_formats_itself():
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
-    assert float_reprs(np.array(specials)) == ["0.0", "-0.0", "inf", "-inf", "nan", "nan"]
-    assert float_reprs(np.empty(0)) == []
-    assert float_reprs(np.empty((3, 0))) == [[], [], []]
+    assert float_cells(np.array(specials)).tolist() == [b"0.0", b"-0.0", b"inf", b"-inf", b"nan", b"nan"]
+    assert float_cells(np.empty(0)).tolist() == []
+    assert float_cells(np.empty((3, 0))).tolist() == [[], [], []]
 
 
 @pytest.mark.parametrize("size", [1, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 3])
@@ -96,4 +97,4 @@ def test_two_dimensional_gives_rows():
     table = np.random.default_rng(3).standard_normal((50, 4))
     table[7, 2] = -0.0
     for values in (table, table.T):
-        assert float_reprs(values) == [list(map(repr, row)) for row in values.tolist()]
+        assert float_cells(values).tolist() == [[repr(v).encode() for v in row] for row in values.tolist()]

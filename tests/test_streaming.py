@@ -37,14 +37,15 @@ def one_call_sample_arrays(dist, n, seed):
 
 def reference_text(header, table, fmt):
     """The bytes of a whole table: reprs joined by commas, or one json.dumps
-    with non-finite values as null and "pole": true on rows that hold +inf."""
+    with non-finite values as null and "pole": true on density rows whose
+    log density is +inf (the origin)."""
     rows = table.tolist()
     if fmt == "csv":
         return ",".join(header) + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
     docs = []
     for row in rows:
         docs.append({k: v if math.isfinite(v) else None for k, v in zip(header, row)})
-        if math.inf in row:
+        if header[-1] == "log_density" and row[-1] == math.inf:
             docs[-1]["pole"] = True
     return json.dumps(docs, indent=1, sort_keys=True) + "\n"
 
@@ -120,8 +121,8 @@ def test_density_grid_evaluates_each_distinct_radius_once(tmp_path, monkeypatch)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_and_points_file_give_the_same_bytes(tmp_path, fmt, sigma):
     # 17^4 = 83,521 points over two blocks, the origin (the pole) among them:
-    # grid coordinates come from axis indices, points-file coordinates from
-    # a cache keyed by their bits
+    # the grid's cells are made once per axis value, prefix and radius, the
+    # points file's values are formatted where they are used
     pts = grid_points("-1:1:0.125", 4)
     path = tmp_path / "pts.txt"
     path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()), encoding="utf-8")
@@ -148,11 +149,15 @@ def test_one_point_grid_past_64_axes(tmp_path):
 
 @pytest.mark.parametrize("d, spec", [
     (1, "-0.0:2:0.25"), (2, "-0.0:1:0.125"), (3, "-1:1:0.25"), (4, "-0.0:1:0.25"),
+    (2, "0:1:0.01"),  # 101^2 = 10,201 rows in one quadrant, 4,134 distinct radii
+    (1, "0:1:0.0001"),  # 10,001 rows, no radius repeats
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_cells_match_repr(tmp_path, fmt, d, spec):
-    # coordinate cells joined into prefix cells of the leading d - 1 axes
-    # (one axis at d = 1), then the last axis and the radius cell
+    # axis cells joined into prefix cells of the leading d - 1 axes (no
+    # prefix at d = 1), then the last axis and the radius cell; every grid
+    # of at most _REPR_CACHE values per axis is written so, however few of
+    # its radii repeat
     pts = grid_points(spec, d)
     header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
     written = run(tmp_path, f"g.{fmt}", "density", "--d", str(d), f"--grid={spec}", "--format", fmt)
@@ -161,25 +166,26 @@ def test_grid_cells_match_repr(tmp_path, fmt, d, spec):
         assert sum(doc.get("pole", False) for doc in json.loads(written)) == 1
 
 
-@pytest.mark.parametrize("d, spec, cache, columns", [
-    (3, "-1:1:0.25", 81, 2),  # 9^2 prefixes fit: prefix and last axis
-    (3, "-1:1:0.25", 80, 3),  # one prefix too many: one column per axis
-    (3, "-1:1:0.25", 8, 3),  # axes past the cache: each coordinate made anew
-    (4, "-1:1:0.5", 125, 2),
-    (4, "-1:1:0.5", 124, 4),
-    (1, "-1:1:0.25", 1, 1),
+@pytest.mark.parametrize("d, spec, cache, plain", [
+    (3, "-1:1:0.25", 81, False),  # 9^2 prefixes fit: k = 2, prefix and last axis
+    (3, "-1:1:0.25", 80, False),  # one prefix too many: k = 1, three axis cells
+    (3, "-1:1:0.25", 9, False),  # k = 1
+    (3, "-1:1:0.25", 8, True),  # axes past the cache: the plain writer
+    (4, "-1:1:0.5", 125, False),  # k = 3
+    (4, "-1:1:0.5", 124, False),  # k = 2
+    (1, "-1:1:0.25", 9, False),  # k = 0: no prefix
 ])
-def test_grid_prefix_cells_switch_at_the_cache_bound(tmp_path, monkeypatch, d, spec, cache, columns):
+def test_grid_prefix_cells_switch_at_the_cache_bound(tmp_path, monkeypatch, d, spec, cache, plain):
+    # the cached writer joins the leading k axes, k the largest below d with
+    # count^k <= _REPR_CACHE; a grid of more values per axis takes the plain one
     monkeypatch.setattr(cli, "_REPR_CACHE", cache)
-    grid = cli._parse_grid(spec, d)
-    (pts, j), = cli._grid_blocks(*grid, d)
-    cells = cli._grid_cells(*grid, d)(j)
-    assert len(cells) == columns and all(c.dtype == object for c in cells)
-    reference = "".join(",".join(map(repr, p)) + "," for p in pts.tolist())
-    assert b"".join(np.column_stack(cells).ravel().tolist()).decode() == reference
+    csv_chunks, calls = cli._csv_chunks, []
+    monkeypatch.setattr(cli, "_csv_chunks", lambda tables: calls.append(1) or csv_chunks(tables))
+    pts = grid_points(spec, d)
     header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
     written = run(tmp_path, "g.csv", "density", "--d", str(d), f"--grid={spec}")
     assert_same_text(written, reference_text(header, density_table(GhsDistribution(d), pts), "csv"))
+    assert calls == [1] * plain
 
 
 def test_radius_cache_restart_matches_repr(tmp_path, monkeypatch):
@@ -208,9 +214,8 @@ def test_radius_cache_restart_matches_repr(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_repeating_points_file_with_special_coordinates(tmp_path, fmt):
-    # -0.0 keeps its sign in the coordinate cache, 5e-324 is a subnormal
-    # radius, and an infinite coordinate is an infinite radius; the file
-    # repeats, so both caches are used, and it spans two blocks
+    # -0.0 keeps its sign, 5e-324 is a subnormal radius, and an infinite
+    # coordinate is an infinite radius; the file spans two blocks
     rng = np.random.default_rng(23)
     values = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 0.5, -1.25, 3.0])
     pts = rng.choice(values, (B + 300, 2))
@@ -221,15 +226,35 @@ def test_repeating_points_file_with_special_coordinates(tmp_path, fmt):
     assert_same_text(written, reference_text(header, density_table(GhsDistribution(2), pts), fmt))
 
 
-def test_nan_point_is_refused_without_output(tmp_path, capsys):
-    # a NaN coordinate has no radius: the density refuses it, and the
-    # coordinate cells made for the first block leave no file behind
+@pytest.mark.parametrize("bad", ["nan 0.0", "0.5 -NaN"])
+def test_nan_point_is_refused_without_output(tmp_path, capsys, bad):
+    # a NaN coordinate has no radius: its line is named before its block is
+    # evaluated, and the rows written for the first block leave no file;
+    # the comment and blank lines count in the line number
     path = tmp_path / "pts.txt"
-    path.write_text("0.5 1.0\n" * B + "nan 0.0\n", encoding="utf-8")
+    path.write_text("# points\n" + "0.5 1.0\n" * B + "\n0.5 1.0\n# more\n" + bad + "\n0.0 1.0\n",
+                    encoding="utf-8")
     with pytest.raises(SystemExit):
         run(tmp_path, "p.csv", "density", "--d", "2", "--points-file", str(path))
-    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "DomainError"
+    assert error["message"] == f"line {B + 5} of the points file has a NaN coordinate"
     assert sorted(os.listdir(tmp_path)) == ["pts.txt"]
+
+
+def test_only_the_origin_is_flagged_as_the_pole(tmp_path):
+    # a point at infinity has density 0.0 and log density -inf: its null
+    # cells are no pole; nor is a density past e^700 whose log is finite
+    path = tmp_path / "pts.txt"
+    path.write_text("inf 0.0\n0.0 -0.0\n1.0 -inf\n0.5 0.5\n", encoding="utf-8")
+    docs = json.loads(run(tmp_path, "p.json", "density", "--d", "2", "--points-file", str(path),
+                          "--format", "json"))
+    assert [doc.get("pole", False) for doc in docs] == [False, True, False, False]
+    assert docs[0] == {"x1": None, "x2": 0.0, "density": 0.0, "log_density": None}
+    path.write_text(" ".join(["0.01"] + ["0"] * 342) + "\n", encoding="utf-8")
+    doc, = json.loads(run(tmp_path, "d.json", "density", "--d", "343", "--points-file", str(path),
+                          "--format", "json"))
+    assert doc["density"] is None and doc["log_density"] > 700 and "pole" not in doc
 
 
 def test_grid_stops_at_hi(tmp_path):
@@ -270,9 +295,9 @@ def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
         blocks.append(np.column_stack([shared, rng.standard_normal(m), shared[::-1]]))
     blocks.insert(2, np.column_stack([rng.standard_normal((50, 3))]))  # nothing shared
     reference = "".join(",".join(map(repr, row)) + "\n" for b in blocks for row in b.tolist())
-    # coordinate cells end in a comma; the row's last one becomes its newline
+    # cells end in a comma; the row's last one becomes its newline
     cells = cli._Cells(lambda values: float_cells(values) + b",")
-    rows = (row for b in blocks for row in np.column_stack(cells.cells(b)).tolist())
+    rows = (row for b in blocks for row in np.take(*cells.lookup(b)).tolist())
     assert_same_text("".join(b"".join(row)[:-1].decode() + "\n" for row in rows), reference)
 
 
@@ -333,9 +358,9 @@ def test_points_file_across_blocks_matches_whole_table(tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_points_file_of_scattered_and_repeating_blocks(tmp_path, fmt):
-    # a block of repeating radii goes through the radius and coordinate
-    # caches, a block of scattered points is formatted value by value, and
-    # the caches outlive the scattered block; the last block holds the pole
+    # a block of repeating points, one of scattered points and one of
+    # repeating points again, all formatted value by value; the last block
+    # holds the pole
     rng = np.random.default_rng(7)
     pts = np.concatenate([np.round(rng.standard_normal((B, 3)), 1), rng.standard_normal((B, 3)),
                           np.round(rng.standard_normal((999, 3)), 1), [[0.0, -0.0, 0.0]]])

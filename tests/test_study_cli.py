@@ -350,23 +350,25 @@ class TestCli:
     @pytest.mark.parametrize("rows", [0, 1, 8193])
     def test_json_writer_matches_json_dumps(self, tmp_path, rows):
         # streamed JSON: the bytes of one json.dumps of the whole table, with
-        # keys sorted as strings (x10 before x2) and "pole" among them
-        header = [f"x{i + 1}" for i in range(10)] + ["density"]
+        # keys sorted as strings (x10 before x2) and "pole" among them on
+        # density rows whose log density is +inf; a risk row's inf is no pole
+        header = [f"x{i + 1}" for i in range(10)] + ["density", "log_density"]
         specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, 2.0]
         table = np.resize(specials, (rows, len(header)))
         table[:, 3] = np.random.default_rng(rows).standard_normal(rows)
-        risk = [[1, 1000, 0.5, math.inf, -2.0], [2, 10**4, 1e-300, 3.0, math.nan]]
-        for name, head, data in (("t.json", header, table), ("r.json", list("dnmbv"), risk)):
+        risk = [[1, 1000, 0.5, math.inf, math.inf], [2, 10**4, 1e-300, 3.0, math.nan]]
+        for name, head, data, pole in (("t.json", header, table, True),
+                                       ("r.json", list("dnmbv"), risk, False)):
             docs = []
             for row in data.tolist() if isinstance(data, np.ndarray) else data:
                 docs.append({k: v if math.isfinite(v) else None for k, v in zip(head, row)})
-                if math.inf in row:
+                if pole and row[-1] == math.inf:
                     docs[-1]["pole"] = True
             if isinstance(data, np.ndarray):
                 chunks = _csv_chunks([data])
             else:
                 chunks = ["".join(",".join(map(repr, row)) + "\n" for row in data).encode()]
-            _write_table(tmp_path / name, head, chunks, "json")
+            _write_table(tmp_path / name, head, chunks, "json", pole)
             written = (tmp_path / name).read_text(encoding="utf-8")
             assert written == json.dumps(docs, indent=1, sort_keys=True) + "\n"
 
