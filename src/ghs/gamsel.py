@@ -88,13 +88,20 @@ LABELS = ("zero", "linear", "non-linear")
 _BASIS_SCALE = 0.15
 
 
-def _check_truth(truth, d_lin):
-    """ConfigError unless every label is in LABELS and no zero-or-linear
+def _check_truth(truth, d_lin, d_nl):
+    """``truth`` as a tuple, the default if it is empty; ConfigError unless it
+    is a list or tuple of d_lin + d_nl labels in LABELS and no zero-or-linear
     candidate (the first ``d_lin``) carries a non-linear truth."""
+    if not isinstance(truth, (list, tuple)):
+        raise ConfigError(f"truth takes a list of labels, got {truth!r}")
+    truth = tuple(truth) or _default_truth(d_lin, d_nl)
+    if len(truth) != d_lin + d_nl:
+        raise ConfigError(f"truth pattern has length {len(truth)}, expected {d_lin + d_nl}")
     if any(t not in LABELS for t in truth):
         raise ConfigError(f"labels must be in {LABELS}")
     if any(t == "non-linear" for t in truth[:d_lin]):
         raise ConfigError("zero-or-linear candidates cannot have a non-linear truth")
+    return truth
 
 
 def _default_truth(d_lin, d_nl):
@@ -180,19 +187,15 @@ def generate_data(spec: AdditiveModelSpec, sigma_eps, seed, truth=None):
 
     ``truth`` assigns one of {"zero", "linear", "non-linear"} to each of the
     d_lin + d_nl predictors; zero-or-linear candidates may not carry a
-    non-linear truth.  Default truth: zero for every d_lin candidate, then
+    non-linear truth.  Default (None or []): zero for every d_lin candidate, then
     half linear / half non-linear across the d_nl candidates.  A linear
     truth adds x - 1/2, a non-linear one a unit-amplitude sine or cosine.
     """
     _check_real(sigma_eps, "sigma_eps", 0.0, ConfigError, inclusive=True)
-    p = spec.p
-    truth = _default_truth(spec.d_lin, spec.d_nl) if truth is None else tuple(truth)
-    if len(truth) != p:
-        raise ConfigError(f"truth pattern has length {len(truth)}, expected {p}")
-    _check_truth(truth, spec.d_lin)
+    truth = _check_truth(() if truth is None else truth, spec.d_lin, spec.d_nl)
 
     rng = make_rng(seed)
-    x = rng.random((spec.n, p))
+    x = rng.random((spec.n, spec.p))
     surface = np.zeros(spec.n)
     shape_idx = 0
     for j, t in enumerate(truth):
@@ -372,12 +375,6 @@ def _inv_gamma(rate, gamma):
     return np.minimum(rate, 1e300, out=rate)
 
 
-def _plain_divide(rate, gamma):
-    """``rate / gamma`` in place in ``rate``: _inv_gamma without its floor
-    and clamps, for rates and draws known to lie inside them."""
-    return np.divide(rate, gamma, out=rate)
-
-
 def _count_clipped(draws):
     return int(np.count_nonzero((draws <= 1e-300) | (draws >= 1e300)))
 
@@ -468,7 +465,9 @@ def gibbs_sampler(
     then their auxiliaries with the global scales, then the global
     auxiliaries.  The gamma variates of all three levels are drawn first,
     in one array-shape call, which consumes the generator exactly as one
-    call per level.
+    call per level.  Each level is then one pass: its rates are written,
+    then divided by its variates and clamped to [1e-300, 1e300] in place
+    (_inv_gamma), and the clamped draws are counted in ``diagnostics``.
     ``fixed_scales`` freezes all scales at given values (keys: lambda_beta,
     lambda_u, sigma_beta, sigma_u, sigma_eps), which makes the coefficient
     draws exact posterior samples -- used by the conjugate-oracle test.
@@ -543,7 +542,6 @@ def gibbs_sampler(
     ratio = np.empty(m)
     ratio_u = ratio[p:]
     a_b = a_aux[:p]
-    g_start = np.empty_like(g)
     # prior variance of each non-intercept column: p linear terms, then the blocks
     col_var = np.concatenate((np.arange(p), np.repeat(np.arange(p, m), ks)))
 
@@ -564,7 +562,7 @@ def gibbs_sampler(
     q_diag = q_mat.reshape(-1, order="F")[:: q + 1]
     z = np.empty(q)
     var = np.empty(m)
-    # a draw past the float range divides to inf, which the redo clamps
+    # a draw past the float range divides to inf, which _inv_gamma clamps
     with np.errstate(over="ignore"):
         for it in range(iters):
             np.multiply(lam2, sig2_col, out=var)
@@ -590,48 +588,37 @@ def gibbs_sampler(
                 gamma[dest] = rng.standard_gamma(shapes)
                 np.add.reduceat(np.square(coef[1:], out=coef2), sq_starts, out=sq)
 
-                # Each level's rates are written into its slots, then divided by
-                # its gamma variates; a rate reads only draws of other levels.  The
-                # first pass divides plainly.  Every rate is at least 1/x for a
-                # kept draw x <= 1e300, so _inv_gamma's floor on the rates cannot
-                # act, and its clamps act only if a draw leaves (1e-300, 1e300).
-                # If one does, the pass is redone from the saved state through
-                # _inv_gamma, which clamps, and the clipped draws are counted.  A
-                # NaN passes the clamps and the count alike, so fmin/fmax skip it.
-                np.copyto(g_start, g)
-                for divide in (_plain_divide, _inv_gamma):
-                    np.multiply(sig2_col, 2.0, out=ratio)
-                    np.divide(sq, ratio, out=ratio)
-                    np.divide(1.0, a_aux, out=lam2)
-                    lam2 += ratio
-                    g[i_se] = 1.0 / g[i_be] + rss / 2.0
-                    divide(*levels[0])
-                    sig2_e = float(g[i_se])
-                    if sig2_e < 1e-100:  # noise floor keeps ctc/sig2_e finite on noiseless inputs
-                        if divide is _plain_divide:  # a redo floors the same draw
-                            sig2_e_floor_hits += 1
-                            # counted here: the count below sees the floor
-                            clipped += sig2_e <= 1e-300
-                        g[i_se] = sig2_e = 1e-100
+                # each level's rates go into its slots, then _inv_gamma divides and
+                # clamps them in place; a rate reads only draws of other levels
+                np.multiply(sig2_col, 2.0, out=ratio)
+                np.divide(sq, ratio, out=ratio)
+                np.divide(1.0, a_aux, out=lam2)
+                lam2 += ratio
+                g[i_se] = 1.0 / g[i_be] + rss / 2.0
+                _inv_gamma(*levels[0])
+                sig2_e = float(g[i_se])
+                if sig2_e < 1e-100:  # noise floor keeps ctc/sig2_e finite on noiseless inputs
+                    sig2_e_floor_hits += 1
+                    # counted here: the count below sees the floor
+                    clipped += sig2_e <= 1e-300
+                    g[i_se] = sig2_e = 1e-100
 
-                    np.divide(1.0, lam2, out=a_aux)  # 1/lam2_b also serves beta' Lambda^-1 beta
-                    np.divide(1.0, b_aux, out=sig2)
-                    sig2[0] += float(beta2 @ a_b) / 2.0
-                    np.multiply(lam2_u, 2.0, out=ratio_u)
-                    sig2_u += np.divide(ss, ratio_u, out=ratio_u)
-                    a_aux += 1.0
-                    g[i_be] = s_eps_prec + 1.0 / sig2_e
-                    divide(*levels[1])
+                np.divide(1.0, lam2, out=a_aux)  # 1/lam2_b also serves beta' Lambda^-1 beta
+                np.divide(1.0, b_aux, out=sig2)
+                sig2[0] += float(beta2 @ a_b) / 2.0
+                np.multiply(lam2_u, 2.0, out=ratio_u)
+                sig2_u += np.divide(ss, ratio_u, out=ratio_u)
+                a_aux += 1.0
+                g[i_be] = s_eps_prec + 1.0 / sig2_e
+                _inv_gamma(*levels[1])
 
-                    np.divide(1.0, sig2, out=b_aux)
-                    b_aux += hyper_prec
-                    divide(*levels[2])
-                    if divide is _inv_gamma:
-                        clipped += _count_clipped(g)
-                    elif 1e-300 < np.fmin.reduce(g) and np.fmax.reduce(g) < 1e300:
-                        break
-                    else:
-                        np.copyto(g, g_start)
+                np.divide(1.0, sig2, out=b_aux)
+                b_aux += hyper_prec
+                _inv_gamma(*levels[2])
+                # one fmin and one fmax gate the count of clamped draws; they
+                # skip NaN, as the clamps and the count do
+                if not (1e-300 < np.fmin.reduce(g) and np.fmax.reduce(g) < 1e300):
+                    clipped += _count_clipped(g)
                 sig2.take(sig2_idx, out=sig2_col)
 
             if resample_response:
@@ -694,6 +681,8 @@ def classify(report: ThresholdReport, border=0.5, border_u=None):
     """
     border = _check_real(border, "border", -math.inf)
     bu = border if border_u is None else _check_real(border_u, "border_u", -math.inf)
+    if len(report.gamma_beta) != len(report.gamma_u):
+        raise LengthError("gamma_beta and gamma_u need one statistic per predictor")
     labels = []
     for gb, gu in zip(report.gamma_beta, report.gamma_u):
         if gu is None:
@@ -729,6 +718,8 @@ def misclassification_rate(labels, truth):
         raise DomainError("labels and truth must be sequences")
     if len(labels) != len(truth):
         raise LengthError(f"{len(labels)} labels vs {len(truth)} truths")
+    if not labels:
+        raise DegenerateError("need at least one label")
     count = sum(1 for a, b in zip(labels, truth) if a != b)
     return MisclassRate(count, len(labels))
 

@@ -23,7 +23,6 @@ from .gamsel import (
     Hyper,
     _basis_sizes,
     _check_truth,
-    _default_truth,
     chain_to_csv,
     classify,
     gamma_statistics,
@@ -77,13 +76,7 @@ class StudyConfig:
         object.__setattr__(self, "sigma_eps", tuple(
             _check_real(v, "sigma_eps", 0.0, ConfigError, inclusive=True) for v in sigma_eps
         ))
-        if not isinstance(self.truth, (list, tuple)):
-            raise ConfigError(f"truth takes a list of labels, got {self.truth!r}")
-        truth = tuple(self.truth) or _default_truth(self.d_lin, self.d_nl)
-        if len(truth) != self.d_lin + self.d_nl:
-            raise ConfigError("truth pattern length must equal d_lin + d_nl")
-        _check_truth(truth, self.d_lin)
-        object.__setattr__(self, "truth", truth)
+        object.__setattr__(self, "truth", _check_truth(self.truth, self.d_lin, self.d_nl))
         _basis_sizes(self.basis_size, self.d_nl)
         if not isinstance(self.hyper, Hyper):
             raise ConfigError(f"hyper must be a Hyper, got {self.hyper!r}")

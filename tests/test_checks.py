@@ -24,7 +24,14 @@ from ghs.distribution import (
     sample_arrays,
     sample_blocks,
 )
-from ghs.errors import ConfigError, DegenerateError, DimensionError, DomainError, NumericalError
+from ghs.errors import (
+    ConfigError,
+    DegenerateError,
+    DimensionError,
+    DomainError,
+    LengthError,
+    NumericalError,
+)
 from ghs.gamsel import (
     AdditiveModelSpec,
     GibbsChain,
@@ -159,6 +166,14 @@ CASES = {
     # raw TypeError before: labels and truth are sequences
     "misclassification_rate(None, ['zero'])": (
         lambda: misclassification_rate(None, ["zero"]), DomainError
+    ),
+    # a raw ZeroDivisionError from .rate before: no labels, no rate
+    "misclassification_rate([], [])": (lambda: misclassification_rate([], []), DegenerateError),
+    # raw TypeError from tuple(truth) before: truth is a list of labels
+    "generate_data truth 5": (lambda: generate_data(SPEC, 1.0, 1, truth=5), ConfigError),
+    # one label before: zip dropped the statistic that had no partner
+    "classify gamma_u shorter than gamma_beta": (
+        lambda: classify(ThresholdReport([0.6, 0.7], [None])), LengthError
     ),
     # raised before, but reached by no test
     "AdditiveModelSpec basis_size (4, 4) for d_nl 1": (

@@ -6,12 +6,12 @@ sampler does: three array-shape inverse-gamma draws per sweep
 (``_inv_gamma`` here), a clip count per draw and six stores per retained
 sweep.  With ``three_solve=True`` it divides instead and draws the
 coefficients with dpotrs plus dtrtrs, the sampler's earlier form, which
-the paper-spec chain must stay close to.  ``gibbs_sampler`` groups equal
-gamma shapes into runs, draws all three levels into one buffer, clamps only
-in sweeps where a draw leaves (1e-300, 1e300) and stores one row per sweep;
-it must give the same chain bit for bit.  The generator test
-pins why it can: scalar-shape runs consume the generator exactly as one
-array-shape call.
+the paper-spec chain must stay close to.  ``gibbs_sampler`` draws the
+gamma variates of all three levels in one array-shape call, divides and
+clamps each level once in one state buffer, counts the clamped draws only
+when one fmin/fmax check finds any, and stores one row per sweep; it must
+give the same chain bit for bit.  The generator test pins why it can: one
+array-shape call consumes the generator exactly as one call per level.
 """
 
 import math
@@ -281,7 +281,7 @@ def test_sweep_matches_reference_loop(name):
 
 @pytest.mark.parametrize("name", TINY_HYPERSCALES)
 def test_clamped_overflow_raises_no_warning(name):
-    # the plain-divide pass overflows to inf before its redo clamps; that
+    # a level's division overflows to inf before _inv_gamma clamps it; that
     # overflow is expected, so the sweep must not warn about it
     spec, data, kw = _case(name)
     with warnings.catch_warnings():
