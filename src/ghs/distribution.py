@@ -113,9 +113,15 @@ def log_density(dist: GhsDistribution, x):
 
 
 def density(dist: GhsDistribution, x):
-    """p(x), with the shapes of :func:`log_density`."""
+    """p(x), with the shapes of :func:`log_density`; +inf past the largest float."""
     ld = log_density(dist, x)
-    return np.exp(ld) if np.ndim(ld) else math.exp(ld)
+    if np.ndim(ld):
+        with np.errstate(over="ignore"):
+            return np.exp(ld)
+    try:
+        return math.exp(ld)
+    except OverflowError:
+        return math.inf
 
 
 def sample_blocks(dist: GhsDistribution, n, seed, block):

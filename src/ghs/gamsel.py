@@ -214,12 +214,8 @@ def _bspline_knots(values, K):
     and K - 2 interior knots at quantiles of ``values`` (spline_basis passes
     the distinct values of its rescaled predictor).
     """
-    if K > 2:
-        probs = np.arange(1, K - 1) / (K - 1.0)
-        interior = np.quantile(values, probs)
-        interior = np.clip(interior, 1e-10, 1.0 - 1e-10)
-    else:
-        interior = np.array([])
+    interior = np.quantile(values, np.arange(1, K - 1) / (K - 1.0))
+    interior = np.clip(interior, 1e-10, 1.0 - 1e-10)
     return np.concatenate(([0.0] * 4, interior, [1.0] * 4))
 
 
@@ -301,22 +297,18 @@ def build_design(dataset: Dataset, spec: AdditiveModelSpec):
         raise DimensionError("dataset does not match the model spec")
     if not np.isfinite(dataset.x).all():
         raise DomainError("predictors must be finite")
-    cols = [np.ones(n)]
-    for j in range(p):
-        xj = dataset.x[:, j]
-        if xj.min() == xj.max():  # a constant's rounded mean can leave a std of 1e-17
-            raise DegenerateError(f"predictor {j} is constant")
-        cols.append((xj - xj.mean()) / xj.std())
-    beta_cols = list(range(1, p + 1))
-    u_blocks = []
-    offset = p + 1
-    for i, k in enumerate(spec.basis_sizes):
-        z = spline_basis(dataset.x[:, spec.d_lin + i], k) * _BASIS_SCALE
-        cols.append(z)
-        u_blocks.append(slice(offset, offset + k))
-        offset += k
-    c = np.column_stack(cols)
-    return c, beta_cols, u_blocks
+    x = np.ascontiguousarray(dataset.x.T)  # one row per predictor
+    constant = np.flatnonzero(x.min(axis=1) == x.max(axis=1))
+    if constant.size:  # a constant's rounded mean can leave a std of 1e-17
+        raise DegenerateError(f"predictor {constant[0]} is constant")
+    edges = np.cumsum((p + 1, *spec.basis_sizes)).tolist()
+    u_blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    c = np.empty((n, edges[-1]))
+    c[:, 0] = 1.0
+    c[:, 1:p + 1] = ((x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)).T
+    for i, block in enumerate(u_blocks):
+        c[:, block] = spline_basis(x[spec.d_lin + i], block.stop - block.start) * _BASIS_SCALE
+    return c, list(range(1, p + 1)), u_blocks
 
 
 @dataclass

@@ -192,6 +192,10 @@ CASES = {
     ),
     "StudyConfig iters == burn": (lambda: StudyConfig(iters=100, burn=100), ConfigError),
     "exp_scaled_expint ragged [1, [2]]": (lambda: exp_scaled_expint(1.5, [1, [2]]), DomainError),
+    # raised before, but reached by no test: outside log 1F1's positive-value domain
+    "log_kummer_1f1(-0.5, 1.0, 2.0)": (lambda: log_kummer_1f1(-0.5, 1.0, 2.0), DomainError),
+    "log_kummer_1f1(2.0, 1.0, -3.0)": (lambda: log_kummer_1f1(2.0, 1.0, -3.0), DomainError),
+    "log_kummer_1f1(1.0, -0.5, 1.0)": (lambda: log_kummer_1f1(1.0, -0.5, 1.0), DomainError),
     # raw ValueError before: the Euler kernel's parameters rounded together
     "kummer_1f1(2e-17, 1e-17, 520.17)": (
         lambda: kummer_1f1(2e-17, 1e-17, 520.1704705773651), NumericalError

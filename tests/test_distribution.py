@@ -223,6 +223,30 @@ class TestDomainEdges:
         plain = radial_log_density(3, np.linalg.norm(ordinary, axis=1))
         assert np.array_equal(stacked[:4], plain)
 
+    PAST_FLOAT_MAX = [(3, [1e-200, 0.0, 0.0]), (100, [1e-10] + [0.0] * 99)]
+
+    @pytest.mark.parametrize("d, x", PAST_FLOAT_MAX)
+    def test_density_past_the_float_range_is_inf(self, d, x):
+        # a raw OverflowError before: log p passes log(float max) ~ 709.78
+        dist = GhsDistribution(d)
+        assert log_density(dist, x) > 709.79
+        assert density(dist, x) == math.inf
+        ordinary = [0.5] * d
+        assert density(dist, ordinary) == math.exp(log_density(dist, ordinary))
+
+    @pytest.mark.parametrize("d, x", PAST_FLOAT_MAX)
+    def test_stack_density_past_the_float_range_is_inf_without_warning(self, d, x):
+        # an overflow RuntimeWarning before, from np.exp of the stack
+        import warnings
+
+        dist = GhsDistribution(d)
+        pts = np.array([x, [0.5] * d])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = density(dist, pts)
+        assert stacked[0] == math.inf
+        assert np.array_equal(stacked[1:], np.exp(log_density(dist, pts)[1:]))
+
 
 class TestNormalization:
     @pytest.mark.parametrize("d", [1, 2, 3])

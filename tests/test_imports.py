@@ -48,6 +48,7 @@ CLI = "from ghs.cli import main; main({} + ['--out', 'x'])"
     "import ghs.cli",
     "import ghs.study",
     "import ghs.gamsel",
+    "import ghs; ghs.study; ghs.gamsel",
     CLI.format(["density", "--d", "3", "--grid=-1:1:0.5"]),
     CLI.format(["sample", "--d", "2", "--n", "5", "--seed", "1"]),
 ])

@@ -518,6 +518,23 @@ class TestCli:
             tmp_path / "b" / "gamma_values.csv"
         )
 
+    def test_simulate_failed_replication_exits_with_partial_failure(self, tmp_path, capsys):
+        # five predictor values are fewer than K + 2 = 6, so the replication
+        # raises DegenerateError inside the study and the run still finishes
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({
+            "n": [5], "sigma_eps": [0.5], "replications": 1, "d_lin": 1, "d_nl": 2,
+            "basis_size": 4, "iters": 20, "burn": 5,
+        }))
+        with pytest.raises(SystemExit) as exc, pytest.warns(UserWarning, match="sample size"):
+            self.run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "a"))
+        assert exc.value.code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PartialFailure"
+        assert len(err["failures"]) == 1 and "DegenerateError" in err["failures"][0]["error"]
+        manifest = json.loads(read(tmp_path / "a" / "manifest.json"))
+        assert manifest["completed"] == 0 and manifest["failed"] == err["failures"]
+
     def test_simulate_negative_seed_is_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps(TINY_STUDY))
