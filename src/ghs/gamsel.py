@@ -358,11 +358,11 @@ def _inv_gamma(rate, gamma):
     """Inverse-gamma draws ``rate / gamma``, in place in ``rate``.
 
     With ``gamma`` a standard gamma variate of shape k, each element is a
-    draw from the density ~ x^(-k-1) e^(-rate/x).  Draws are clipped to the
-    representable range: deep shrinkage pushes rates below the denormal
-    range where the ratio degenerates to 0 or inf.
+    draw from the density ~ x^(-k-1) e^(-rate/x).  Each sampler rate is at
+    least 1/x for a draw x <= 1e300, so needs no floor; the quotients are
+    clamped to [1e-300, 1e300], which deep shrinkage can push them past.
     """
-    np.divide(np.maximum(rate, 1e-300, out=rate), gamma, out=rate)
+    np.divide(rate, gamma, out=rate)
     np.maximum(rate, 1e-300, out=rate)
     return np.minimum(rate, 1e300, out=rate)
 

@@ -201,8 +201,10 @@ def run_study(config: StudyConfig, out_dir):
         for rep in range(config.replications)
     ]
     records, failures = [], []
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    # a fork pool starts all its workers at once: no more than there are tasks
+    workers = min(config.threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_run_guarded, tasks)
     else:
         results = map(_run_guarded, tasks)

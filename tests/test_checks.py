@@ -6,7 +6,8 @@ Integers (``operator.index``: 2.0 is not one), whole numbers (1e3 is one,
 strings, "1.5" included, nor of complex numbers) are decided by the checks
 in ``ghs.errors``.  Each case below raised a raw error, or
 was accepted, before those checks.  A value past the float range raises
-NumericalError, with no RuntimeWarning: every test here fails on one.
+NumericalError, with no RuntimeWarning: pyproject.toml makes one an error in
+every test.
 """
 
 import math
@@ -74,8 +75,6 @@ REPORT = ThresholdReport(gamma_beta=[0.6, 0.2], gamma_u=[None, 0.7])
 SCENARIO = RiskScenario(1)
 X = np.linspace(0.0, 1.0, 20)
 EMPTY = np.empty((0, 1))
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CASES = {
     # accepted before: a dimension is an integer, a seed an integer
@@ -264,3 +263,9 @@ def test_negative_order_past_the_scaled_range_gives_value():
         with mp.workdps(30):
             expect = float(mp.expint(nu, x))
         assert gen_exp_integral(nu, x) == pytest.approx(expect, rel=1e-13)
+
+
+def test_runtime_warning_is_an_error():
+    # the suite's rule, declared once in pyproject.toml's filterwarnings
+    with pytest.raises(RuntimeWarning):
+        np.exp(np.float64(1000.0))

@@ -6,7 +6,8 @@ repr does; every case here compares its cells, the bytes the CLI writes, with
 bit patterns, the values next to powers of ten and of two, subnormals, large
 integers, short decimals, the switch between positional and scientific form,
 the values repr formats itself, and the piece boundaries.  Fixed seeds; a
-RuntimeWarning (an overflow in a scalar step) is an error.
+RuntimeWarning (an overflow in a scalar step) is an error, as pyproject.toml
+makes it in every test.
 """
 
 import math
@@ -15,8 +16,6 @@ import numpy as np
 import pytest
 
 from ghs.files import _PIECE, float_cells
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def mismatches(values):

@@ -83,6 +83,35 @@ def test_gibbs_path_loads_only_scipy_linalg(code, tmp_path):
                 if m.startswith(("scipy.interpolate", "scipy.optimize", "scipy.sparse"))}
 
 
+SPD_DRAW = """
+import numpy as np
+from ghs.gamsel import _draw_coefficients
+rng = np.random.default_rng(3)
+a = rng.standard_normal((6, 6))
+rhs, z = rng.standard_normal(6), rng.standard_normal(6)
+draw = _draw_coefficients(np.asfortranarray(a @ a.T + 6 * np.eye(6)), rhs, z)
+"""
+
+
+def test_first_draw_binds_lapack(tmp_path):
+    # the process's first _draw_coefficients finds no dpotrf and binds it
+    lines = fresh(SPD_DRAW + "print(draw.tobytes().hex())", tmp_path)
+    namespace = {}
+    exec(SPD_DRAW, namespace)
+    assert lines[0] == namespace["draw"].tobytes().hex()
+    assert "scipy.linalg" in json.loads(lines[-1])
+
+
+def test_first_attribute_access_binds_scipy_name(tmp_path):
+    code = """
+import ghs.gamsel
+first = ghs.gamsel.cho_factor
+import scipy.linalg
+print(first is scipy.linalg.cho_factor)
+"""
+    assert fresh(code, tmp_path)[0] == "True"
+
+
 def test_scipy_paths_work_after_a_scipy_free_import(tmp_path):
     code = """
 import ghs

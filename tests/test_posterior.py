@@ -292,7 +292,6 @@ class TestSideModel:
             side_model_shrinkage(SideModel(1, 1.0, 1.0), [1.0], method="bogus")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "fn", [marginal_log_density, score, posterior_mean, side_model_shrinkage]
 )

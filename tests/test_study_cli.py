@@ -192,6 +192,43 @@ class TestStudyRunner:
             tmp_path / "p" / "misclassification.csv"
         )
 
+    @pytest.mark.parametrize("replications, pools", [(2, [2]), (1, [])])
+    def test_pool_has_no_more_workers_than_tasks(self, tmp_path, monkeypatch, replications, pools):
+        # a fork pool starts all its workers at the first task: one per task at most
+        import ghs.study as study_mod
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(study_mod, "ProcessPoolExecutor", InProcessPool)
+        study = {**TINY_STUDY, "replications": replications}
+        run_study(StudyConfig.from_dict(study), tmp_path / "serial")
+        run_study(StudyConfig.from_dict({**study, "threads": 8}), tmp_path / "pool")
+        assert started == pools
+
+        def files(root):
+            return {
+                p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*")
+                if p.is_file() and p.name != "manifest.json"
+            }
+
+        assert files(tmp_path / "pool") == files(tmp_path / "serial")
+        manifest = json.loads(read(tmp_path / "pool" / "manifest.json"))
+        assert manifest["config"]["threads"] == 8
+
     def test_load_reports_matches_records(self, tmp_path):
         config = StudyConfig.from_dict(TINY_STUDY)
         records, _ = run_study(config, tmp_path / "run")
