@@ -19,7 +19,8 @@ import numpy as np
 
 # log_density and sample_arrays stay importable here: perfbench/spans.py patches them
 from .distribution import (  # noqa: F401
-    GhsDistribution, _point_norms, log_density, radial_log_density, sample_arrays, sample_blocks
+    GhsDistribution, _exp_density, _point_norms, log_density, radial_log_density, sample_arrays,
+    sample_blocks,
 )
 from .errors import ConfigError, DimensionError, DomainError, GhsError, _check_whole
 from .files import atomic_write, csv_bytes, float_cells, float_codes, write_csv_chunks
@@ -167,9 +168,9 @@ def _point_blocks(fh, d):
 
 
 def _density_columns(dist, r):
-    """The density (inf from e^700 up) and log density at radii ``r``."""
+    """The density and log density at radii ``r``."""
     ld = radial_log_density(dist.d, r, dist.sigma_theta)
-    return [np.exp(ld, out=np.full_like(ld, math.inf), where=ld < 700), ld]
+    return [_exp_density(ld), ld]
 
 
 def _radius_cells(dist, r):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionError, DomainError, _check_array, _check_integer, _check_real, _check_whole
+    DimensionError, DomainError, NumericalError, _check_array, _check_integer, _check_real,
+    _check_whole,
 )
 from .quadrature import adaptive_quad
 from .rng import make_rng
@@ -65,10 +66,12 @@ def radial_log_density(d, r, sigma_theta=1.0):
     r = _check_array(r, "radius")
     if not np.all(r >= 0):
         raise DomainError("radius must be a nonnegative number")
-    r = r / sigma_theta
     with np.errstate(divide="ignore", over="ignore"):
-        log_r = np.log(r)
+        r, radius = r / sigma_theta, r
+        log_r = np.log(r, out=np.empty_like(radius))
         u = 0.5 * r * r
+        lost = ~(r >= np.finfo(float).tiny) | (r == math.inf)  # r/sigma lost its digits
+        log_r[lost] = np.log(radius[lost]) - math.log(sigma_theta)
     log_u = 2.0 * log_r - math.log(2.0)
     tail = np.isinf(u)
     small = u < 1e-20 if d == 1 else np.zeros_like(tail)  # -gamma - log u is exact there
@@ -114,7 +117,11 @@ def log_density(dist: GhsDistribution, x):
 
 def density(dist: GhsDistribution, x):
     """p(x), with the shapes of :func:`log_density`; +inf past the largest float."""
-    ld = log_density(dist, x)
+    return _exp_density(log_density(dist, x))
+
+
+def _exp_density(ld):
+    """e^ld, +inf past the largest float: the one rule of ``density`` and ``ghs density``."""
     if np.ndim(ld):
         with np.errstate(over="ignore"):
             return np.exp(ld)
@@ -142,7 +149,11 @@ def sample_blocks(dist: GhsDistribution, n, seed, block):
         for lo in range(0, n, block):
             m = min(block, n - lo)
             lam = np.abs(np.tan(0.5 * math.pi * uniforms.random(m)))
-            yield lam, dist.sigma_theta * lam[:, None] * normals.standard_normal((m, dist.d))
+            with np.errstate(over="ignore"):
+                x = dist.sigma_theta * lam[:, None] * normals.standard_normal((m, dist.d))
+            if not np.isfinite(x).all():
+                raise NumericalError(f"a draw overflows at sigma_theta = {dist.sigma_theta:.3g}")
+            yield lam, x
 
     return blocks()
 

@@ -146,6 +146,7 @@ _V_COARSE = _V[_COARSE]
 _LEVELS = np.concatenate([4.0 * _MOMENTS[:, _COARSE], 8.0 * _MOMENTS[:, _COARSE]])
 _LEVELS[3:, 1::2] = 0.0
 _LEVEL_RTOL = 1e-7  # h = 1/16 this close means h = 1/32 is near 1e-14
+_A_REACH = 1e-12 / _V[-1].item()  # at d = 1, a v_last is the share of mass past the last node
 
 
 @lru_cache(maxsize=256)
@@ -186,8 +187,11 @@ def _mixture_moments(a, b, d):
     """(log int w, int w v / int w, int w x / int w) for the weight w above.
 
     The h = 1/32 sums when they agree with h = 1/16, else all nodes; seven
-    NumPy calls when h = 1/32 is kept.
+    NumPy calls when h = 1/32 is kept.  The peak, v ~ (d+1)/(2a), nears the last
+    node as a grows; past _A_REACH (||y|| = 5.9e12 at tau = 1), NumericalError.
     """
+    if not a < _A_REACH:
+        raise NumericalError(f"a = {a:.3g} puts the peak past the reach of the fixed nodes")
     log_f = _coarse_log_weight(b, d) - a * _V_COARSE
     peak = float(np.maximum.reduce(log_f))
     log_f -= peak

@@ -25,7 +25,7 @@ from .errors import DomainError, NumericalError, _check_integer, _check_real, _c
 from .posterior import _V, _X, _log_weight, _mixture_moments
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
-from .rng import make_rng, split_seed
+from .rng import make_rng
 
 __all__ = [
     "RiskScenario",
@@ -132,46 +132,29 @@ class McRisk:
     per_rep: np.ndarray = field(repr=False, default=None)
 
 
-def _log_prior_predictive(n, d, sigma, s_within, mean_sq):
-    """log m(y_1..y_n): half-Cauchy mixture of the collapsed Gaussian.
+def _log_ratio(w, shift, b, d):
+    """log[prod p(y_i | theta0) / m(y)] at each row w = sqrt(n) (ybar - theta0)/sigma ~ N(0, I).
 
-    Integrating theta ~ N(0, lam^2 I) out of prod_i N(y_i; theta, sigma^2 I)
-    leaves K e^(-a/q) q^(-d/2) with q = 1 + lam^2 b, a = n mean_sq/(2 sigma^2),
-    b = n/sigma^2 and K = (2 pi sigma^2)^(-nd/2) e^(-s_within/(2 sigma^2)).
-    The lam-mixture of that is K (2/pi) C(a, b, d), C being the posterior
-    module's mixture integral int w / (2 sqrt(b)).
+    Both share the within-sample sum of squares and (2 pi sigma^2)^(-nd/2); m = K (2/pi)
+    int w / (2 sqrt(b)), the mixture integral at a = ||shift + w||^2/2, b = n/sigma^2.
     """
-    s2 = sigma * sigma
-    b = n / s2
-    return (
-        -0.5 * n * d * math.log(2.0 * math.pi * s2)
-        - 0.5 * s_within / s2
-        + _mixture_moments(0.5 * n * mean_sq / s2, b, d)[0]
-        - math.log(math.pi * math.sqrt(b))
-    )
+    a = 0.5 * np.square(shift + w).sum(axis=1)
+    log_int = np.array([_mixture_moments(ai, b, d)[0] for ai in a.tolist()])
+    return math.log(math.pi * math.sqrt(b)) - 0.5 * np.square(w).sum(axis=1) - log_int
 
 
 def cesaro_risk_mc(scenario: RiskScenario, n, reps, seed):
     """Monte Carlo Cesaro-average risk: (1/n) E log[prod p(y_i|theta0) / m(y)].
 
-    The prior predictive m is the posterior module's mixture integral after
-    collapsing theta analytically, so the only randomness is the data.
+    The log ratio depends on the data only through ybar, so each replication
+    draws the d normals of ``_log_ratio``'s w, not n x d observations.
     """
     n, reps = _check_whole(n, "n", 2), _check_whole(reps, "reps", 2)
-    d, sigma = scenario.d, scenario.sigma
-    theta0 = np.asarray(scenario.theta0)
-    vals = np.empty(reps)
-    for r in range(reps):
-        rng = make_rng(split_seed(seed, r))
-        y = theta0 + sigma * rng.standard_normal((n, d))
-        ybar = y.mean(axis=0)
-        s_within = float(np.sum((y - ybar) ** 2))
-        mean_sq = float(ybar @ ybar)
-        resid0 = float(np.sum((y - theta0) ** 2))
-        log_true = -0.5 * n * d * math.log(2.0 * math.pi * sigma * sigma) - 0.5 * resid0 / (
-            sigma * sigma
-        )
-        vals[r] = (log_true - _log_prior_predictive(n, d, sigma, s_within, mean_sq)) / n
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(reps))
-    return McRisk(est, se, reps, vals)
+    b = n / scenario.sigma / scenario.sigma
+    if not np.finfo(float).tiny <= b < math.inf:
+        raise NumericalError(f"n / sigma^2 is not a normal float (sigma = {scenario.sigma:.3g})")
+    with np.errstate(over="ignore"):  # an a past the float range is inf: the kernel refuses it
+        shift = math.sqrt(b) * np.asarray(scenario.theta0)
+        w = make_rng(seed).standard_normal((reps, scenario.d))
+        vals = _log_ratio(w, shift, b, scenario.d) / n
+    return McRisk(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)), reps, vals)

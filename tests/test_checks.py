@@ -54,7 +54,7 @@ from ghs.posterior import (
     score,
     side_model_shrinkage,
 )
-from ghs.risk import RiskScenario, kl_ball_radius, risk_upper_bound
+from ghs.risk import RiskScenario, cesaro_risk_mc, kl_ball_radius, risk_upper_bound
 from ghs.rng import make_rng
 from ghs.specfun import (
     exp_scaled_expint,
@@ -162,6 +162,35 @@ CASES = {
     "posterior_mean(PosteriorModel(1), [1e308])": (
         lambda: posterior_mean(PosteriorModel(1), [1e308]), DomainError
     ),
+    # a raw ValueError before: sigma^2 underflows to 0
+    "cesaro_risk_mc sigma 1e-200": (
+        lambda: cesaro_risk_mc(RiskScenario(1, 1e-200), 100, 10, 1), NumericalError
+    ),
+    # an overflow RuntimeWarning before: n / sigma^2 underflows, or ||theta0||^2 overflows
+    "cesaro_risk_mc sigma 1e200": (
+        lambda: cesaro_risk_mc(RiskScenario(1, 1e200), 100, 10, 1), NumericalError
+    ),
+    "cesaro_risk_mc theta0 1e200": (
+        lambda: cesaro_risk_mc(RiskScenario(1, 1.0, (1e200,)), 100, 10, 1), NumericalError
+    ),
+    # 2.9e262 +- 0.0 before: the weight's peak lies far past the last node
+    "cesaro_risk_mc theta0 1e150": (
+        lambda: cesaro_risk_mc(RiskScenario(1, 1.0, (1e150,)), 100, 10, 1), NumericalError
+    ),
+    # -380.1 and -5.8e-8 before, against -92.7 and -2e-30: past the nodes' reach
+    "marginal_log_density(PosteriorModel(1), [1e20])": (
+        lambda: marginal_log_density(PosteriorModel(1), [1e20]), NumericalError
+    ),
+    "score(PosteriorModel(1), [1e30])": (
+        lambda: score(PosteriorModel(1), [1e30]), NumericalError
+    ),
+    # inf draws, with an overflow RuntimeWarning, before
+    "sample_arrays(GhsDistribution(2, 1e308), 1e5)": (
+        lambda: sample_arrays(GhsDistribution(2, 1e308), 100_000, 1), NumericalError
+    ),
+    "sample_blocks(GhsDistribution(2, 1e308), 1e5)": (
+        lambda: list(sample_blocks(GhsDistribution(2, 1e308), 100_000, 1, 4096)), NumericalError
+    ),
     # raw TypeError before: labels and truth are sequences
     "misclassification_rate(None, ['zero'])": (
         lambda: misclassification_rate(None, ["zero"]), DomainError
@@ -217,11 +246,13 @@ def test_valid_inputs_still_accepted():
     assert kl_ball_radius(RiskScenario(2), 8.0) == kl_ball_radius(RiskScenario(2), 8)
     assert generate_data(SPEC, 0, 1).y.shape == (50,)
     assert classify(REPORT, border=np.float64(0.5), border_u=0) == ["linear", "non-linear"]
-    # vectors of ints, bools, float32 or big Python ints are real numbers
-    for y in ([1, 2], [True, False], np.array([1.5, 2.0], dtype=np.float32), [10**30, 1]):
+    # vectors of ints, bools, float32 or big Python ints are real numbers; a norm
+    # past int64 is past the posterior kernel's reach, so the density takes the big ints
+    for y in ([1, 2], [True, False], np.array([1.5, 2.0], dtype=np.float32)):
         expect = posterior_mean(MODEL, np.array([float(v) for v in y]))
         assert np.array_equal(posterior_mean(MODEL, y), expect)
     assert log_density(DIST, [1, 2]) == log_density(DIST, [1.0, 2.0])
+    assert log_density(DIST, [10**30, 1]) == log_density(DIST, [1e30, 1.0])
     assert origin_ball_mass(2, math.inf) == pytest.approx(1.0)  # the whole space
     # an overflow RuntimeWarning before: float32 and float16 cast the bound
     for small in (np.float32, np.float16):

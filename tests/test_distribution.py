@@ -121,13 +121,15 @@ class TestDensity:
             density_quadrature_oracle(2, np.zeros(2))
 
 
-def mpmath_log_density(d, r):
-    """log p at radius r from exp(u) E_nu(u), u = r^2/2, at 30 digits."""
+def mpmath_log_density(d, r, sigma_theta=1.0):
+    """log p at radius r from exp(u) E_nu(u), u = (r/sigma_theta)^2/2, at 30 digits."""
     with mp.workdps(30):
-        r = mp.mpf(r)
+        s = mp.mpf(sigma_theta)
+        r = mp.mpf(r) / s
         u, nu = r * r / 2, mp.mpf(d + 1) / 2
         log_k = mp.loggamma(nu) - (mp.log(2) + (d + 2) * mp.log(mp.pi)) / 2
-        return float(log_k + mp.log(mp.exp(u) * mp.expint(nu, u)) - (d - 1) * mp.log(r))
+        log_e = mp.log(mp.exp(u) * mp.expint(nu, u))  # a product: no digits cancel
+        return float(log_k + log_e - (d - 1) * mp.log(r) - d * mp.log(s))
 
 
 class TestDomainEdges:
@@ -141,6 +143,18 @@ class TestDomainEdges:
         expected = [mpmath_log_density(d, r) for r in self.RADII]
         assert got[:-1] == pytest.approx(expected, rel=1e-13)
         assert got[-1] == -math.inf
+
+    @pytest.mark.parametrize("d, r, sigma_theta", [
+        (3, 1.0, 1e-320), (1, 1.0, 1e-320), (3, 1e-30, 1e300), (2, 1e-30, 1e300),
+        (1, 1e-30, 1e300), (2, 0.5, 5e-324), (3, 1e-300, 1e10),
+    ])
+    def test_radius_over_scale_past_the_normal_range_against_mpmath(self, d, r, sigma_theta):
+        # -inf or +inf, with a RuntimeWarning, before: r/sigma_theta overflowed or left
+        # the normal range, so its log is now log r - log sigma_theta
+        expected = mpmath_log_density(d, r, sigma_theta)
+        assert radial_log_density(d, r, sigma_theta) == pytest.approx(expected, rel=1e-13)
+        got = radial_log_density(d, np.array([0.0, r, math.inf]), sigma_theta)
+        assert got.tolist() == [math.inf, pytest.approx(expected, rel=1e-13), -math.inf]
 
     def test_array_entries_match_scalar_calls(self):
         radii = np.array([0.0, 1e-170, 0.3, 1.0, 1.5, 40.0, 1e160, math.inf])

@@ -437,6 +437,27 @@ def test_mixture_kernel_against_mpmath(d, tau, r, tol):
     assert side_model_shrinkage(SideModel(d, 1.0, tau), y) == pytest.approx(ref_side, rel=tol)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_far_tail_to_the_reach_of_the_nodes(d):
+    # p(y) -> (2/pi) (2 pi)^(-d/2) Gamma((d+1)/2) 2^((d-1)/2) ||y||^(-d-1), up to
+    # O(d^2/||y||^2) relative; the weight's peak, v ~ (d+1)/||y||^2, nears the last
+    # node (v = 5.7e-38) as ||y|| grows, and past ||y|| = 5.9e12 every caller raises
+    model = PosteriorModel(d)
+    for r in (1e6, 1e8, 1e10):
+        y = point(d, r, seed=d)
+        tail = (math.log(2 / math.pi) - 0.5 * d * math.log(2 * math.pi)
+                + math.lgamma(0.5 * (d + 1)) + 0.5 * (d - 1) * math.log(2) - (d + 1) * math.log(r))
+        assert marginal_log_density(model, y) == pytest.approx(tail, abs=1e-8)
+        assert score(model, y) == pytest.approx(-(d + 1) / (r * r) * y, rel=1e-8)
+    for r in (6e12, 1e20, 1e30):
+        y = point(d, r, seed=d)
+        for call in (marginal_log_density, score, posterior_mean):
+            with pytest.raises(NumericalError):
+                call(model, y)
+        with pytest.raises(NumericalError):
+            side_model_shrinkage(SideModel(d, 1.0, 1.0), y)
+
+
 def test_two_levels_match_all_nodes_on_a_sweep():
     # the h = 1/32 values, where kept, are as good as the 1,025-node sum
     rng = np.random.default_rng(11)

@@ -2,7 +2,7 @@
 the radial quadrature and mpmath, monotonicity,
 rate/slope behavior of the bound (including the extra -log log n / n
 improvement that exists only in one dimension), and the Monte Carlo risk
-estimate against the bound.
+estimate against the bound and against its exact value by quadrature.
 """
 
 import math
@@ -17,10 +17,10 @@ import ghs.distribution
 import ghs.risk
 from ghs.distribution import origin_ball_mass, radial_log_density
 from ghs.errors import DomainError, NumericalError
-from ghs.posterior import _c_like_integral_lambda
+from ghs.posterior import _c_like_integral_lambda, _mixture_moments
 from ghs.risk import (
     RiskScenario,
-    _log_prior_predictive,
+    _log_ratio,
     cesaro_risk_mc,
     kl_ball_prior_mass,
     kl_ball_radius,
@@ -391,12 +391,22 @@ class TestCesaroRiskMc:
             cesaro_risk_mc(RiskScenario(1), 20, reps=10, seed=seed)
 
 
+def log_prior_predictive_by_ratio(y, theta0, sigma):
+    """log m(y) as log prod p(y_i | theta0) less ``_log_ratio`` at the data's w."""
+    n, d = y.shape
+    s2 = sigma * sigma
+    log_true = -0.5 * n * d * math.log(2 * math.pi * s2) - 0.5 * float(np.sum((y - theta0) ** 2)) / s2
+    w = math.sqrt(n) * (y.mean(axis=0) - theta0) / sigma
+    return log_true - _log_ratio(w[None], math.sqrt(n) * theta0 / sigma, n / s2, d)[0]
+
+
 class TestPriorPredictive:
     def test_matches_lambda_quadrature(self):
         # m = K (2/pi) C(a, b, d) with a = n mean_sq/(2 sigma^2), b = n/sigma^2
         for n, d, sigma in [(2, 1, 1.0), (50, 3, 0.5), (1000, 2, 2.0), (20, 5, 1.0)]:
             rng = np.random.default_rng(n + d)
-            y = 0.3 + sigma * rng.standard_normal((n, d))
+            theta0 = np.full(d, 0.3)
+            y = theta0 + sigma * rng.standard_normal((n, d))
             ybar = y.mean(axis=0)
             s_within = float(np.sum((y - ybar) ** 2))
             mean_sq = float(ybar @ ybar)
@@ -407,7 +417,7 @@ class TestPriorPredictive:
                 - 0.5 * s_within / s2
                 + math.log(2 / math.pi * c_val)
             )
-            got = _log_prior_predictive(n, d, sigma, s_within, mean_sq)
+            got = log_prior_predictive_by_ratio(y, theta0, sigma)
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_matches_direct_gaussian_mixture(self):
@@ -422,8 +432,31 @@ class TestPriorPredictive:
             return 2.0 / (math.pi * (1.0 + lam**2)) * dens
 
         m = integrate.quad(integrand, 0, 1)[0] + integrate.quad(integrand, 1, np.inf)[0]
-        ybar = y.mean(axis=0)
-        got = _log_prior_predictive(
-            n, d, sigma, float(np.sum((y - ybar) ** 2)), float(ybar @ ybar)
-        )
+        got = log_prior_predictive_by_ratio(y, np.array([0.5, -0.3]), sigma)
         assert got == pytest.approx(math.log(m), rel=1e-8)
+
+
+def exact_cesaro_risk(d, theta0_sq, sigma, n):
+    """R_n = (1/n) [log(pi sqrt(b)) - d/2 - E L(X/2)], X ~ chi2_d(n ||theta0||^2/sigma^2),
+    L(a) = log int w(a, b, d), b = n/sigma^2: ``_log_ratio`` averaged over w by quadrature."""
+    b = n / sigma**2
+    nc = n * theta0_sq / sigma**2
+    law = stats.ncx2(d, nc) if nc > 0 else stats.chi2(d)
+    lo, hi = law.ppf(1e-14), law.isf(1e-14)
+
+    def f(x):
+        return _mixture_moments(0.5 * x, b, d)[0] * law.pdf(x)
+
+    mean_l = integrate.quad(f, lo, hi, points=[d + nc], limit=200, epsabs=1e-12)[0]
+    return (math.log(math.pi * math.sqrt(b)) - 0.5 * d - mean_l) / n
+
+
+@pytest.mark.parametrize(
+    "theta0, n, reps, seed", [((0.0,), 100, 2000, 11), ((5.0,), 100, 800, 13)]
+)
+def test_monte_carlo_risk_within_four_errors_of_exact(theta0, n, reps, seed):
+    # the replication counts and seeds of TestCesaroRiskMc
+    sc = RiskScenario(1, 1.0, theta0)
+    res = cesaro_risk_mc(sc, n, reps=reps, seed=seed)
+    exact = exact_cesaro_risk(1, theta0[0] ** 2, 1.0, n)
+    assert abs(res.estimate - exact) <= 4.0 * res.std_error

@@ -17,7 +17,9 @@ import pytest
 
 import ghs.distribution
 from ghs import cli
-from ghs.distribution import GhsDistribution, log_density, sample_arrays, sample_blocks
+from ghs.distribution import (
+    GhsDistribution, density, log_density, sample_arrays, sample_blocks
+)
 from ghs.errors import DomainError
 from ghs.files import float_cells
 from ghs.rng import make_rng
@@ -60,9 +62,7 @@ def assert_same_text(written, reference):
 
 
 def density_table(dist, pts):
-    ld = log_density(dist, pts)
-    dens = np.where(ld < 700, np.exp(np.minimum(ld, 700)), math.inf)
-    return np.column_stack([pts, dens, ld])
+    return np.column_stack([pts, density(dist, pts), log_density(dist, pts)])
 
 
 def run(tmp_path, name, *argv):
@@ -255,6 +255,35 @@ def test_only_the_origin_is_flagged_as_the_pole(tmp_path):
     doc, = json.loads(run(tmp_path, "d.json", "density", "--d", "343", "--points-file", str(path),
                           "--format", "json"))
     assert doc["density"] is None and doc["log_density"] > 700 and "pole" not in doc
+
+
+def test_density_past_e700_is_the_library_value(tmp_path):
+    # inf (JSON null) from a log density of 700 up before; now inf only past the largest float
+    path = tmp_path / "pts.txt"
+    path.write_text(" ".join(["0.0019"] + ["0"] * 99) + "\n", encoding="utf-8")
+    doc, = json.loads(run(tmp_path, "d.json", "density", "--d", "100", "--points-file", str(path),
+                          "--format", "json"))
+    point = np.array([0.0019] + [0.0] * 99)
+    assert doc["log_density"] > 700
+    assert doc["density"] == density(GhsDistribution(100), point) == 6.856996653842772e305
+
+
+def test_density_at_a_subnormal_scale_is_finite(tmp_path):
+    # -inf and +inf, with RuntimeWarnings, before: r / sigma_theta overflows
+    rows = run(tmp_path, "s.csv", "density", "--d", "2", "--sigma-theta", "1e-320",
+               "--grid=0.5:1:0.5").splitlines()[1:]
+    values = [float(c) for row in rows for c in row.split(",")[2:]]
+    assert len(values) == 8 and all(map(math.isfinite, values))
+
+
+def test_sample_past_the_float_range_is_a_numerical_error(tmp_path, capsys):
+    # inf draws, with an overflow RuntimeWarning, before
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, "s.csv", "sample", "--d", "2", "--n", "1e5", "--sigma-theta", "1e308",
+            "--seed", "1")
+    assert exit_info.value.code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NumericalError"
+    assert os.listdir(tmp_path) == []
 
 
 def test_grid_stops_at_hi(tmp_path):
