@@ -28,13 +28,17 @@ peak narrower than the coarse step, all 1,025 nodes (h = 1/128) are summed.
 The KL-ball masses of ``risk`` read the d = 0 weights and always sum all nodes.
 
 The part of log(w dx) that depends on the model (b, d) only is cached per
-model, and beside it a contiguous copy of its h = 1/32 nodes.  At 257 nodes
-a call costs its NumPy calls, not its flops, so a call that keeps h = 1/32
-makes seven: the shifted log-weights (two), their peak, the shift and exp in
-place, one product for the six level sums and ``tolist``; the level tests are
-plain Python.  ``_check_vector`` adds one for a float64 array y, the ``vdot``
-of ||y||^2.  The lambda-space adaptive quadrature is kept as an oracle; the
-Phi1 closed form lives with the tests.
+model, and beside it a contiguous copy of its h = 1/32 nodes; a b too small
+or, at d = 1, too large for the nodes is refused there, at no cost to a call
+whose model is cached.  At 257 nodes a call costs its NumPy calls, not its
+flops, so a call that keeps h = 1/32 makes eight: the shifted log-weights (a
+product and an add in place), their peak (``argmax`` and an index, under
+half the cost of a max reduce), the shift and exp in place, one product for
+the six level sums and ``tolist``; the level tests are plain Python.
+``_check_vector`` adds one for a float64 array y, the ``vdot`` of ||y||^2,
+and ``posterior_mean`` two, a product and an add in place.  The
+lambda-space adaptive quadrature is kept as an oracle; the Phi1 closed form
+lives with the tests.
 """
 
 import math
@@ -169,7 +173,18 @@ def _log_weight(b, d):
 
 @lru_cache(maxsize=256)
 def _coarse_log_weight(b, d):
-    """The h = 1/32 nodes of ``_log_weight(b, d)``, as a contiguous read-only copy."""
+    """The h = 1/32 nodes of ``_log_weight(b, d)``, as a contiguous read-only copy.
+
+    NumericalError for a b whose weight leaves the nodes, which reach x and v
+    down to 5.7e-38; the check runs when a model is first cached, so a kept
+    call pays nothing for it.  For a tiny b the mass sits near x ~ b, and
+    about 1.3e-19 / sqrt(b) of it lies below the first node: 4e-11 at
+    b = 1e-17.  At d = 1 it spreads down to v ~ 1/b, and at b = 1e28 the
+    share below the last node is 2e-11 for ||y|| up to 1e9 (against mpmath).
+    At d >= 2 the factor v^((d-1)/2) keeps it below 1e-10 for ||y|| up to 1e8.
+    """
+    if not (1e-17 <= b and (d > 1 or b <= 1e28)):
+        raise NumericalError(f"tau^2 = {b:.3g} puts the weight past the reach of the fixed nodes")
     log_w = _log_weight(b, d)[_COARSE].copy()
     log_w.flags.writeable = False
     return log_w
@@ -178,7 +193,7 @@ def _coarse_log_weight(b, d):
 def _mixture_moments_fine(a, b, d):
     """The moments below summed over all 1,025 nodes (h = 1/128)."""
     log_f = _log_weight(b, d) - a * _V
-    peak = float(log_f.max())
+    peak = float(log_f[log_f.argmax()])
     total, int_v, int_x = (_MOMENTS @ np.exp(log_f - peak)).tolist()
     return peak + math.log(total), int_v / total, int_x / total
 
@@ -186,18 +201,19 @@ def _mixture_moments_fine(a, b, d):
 def _mixture_moments(a, b, d):
     """(log int w, int w v / int w, int w x / int w) for the weight w above.
 
-    The h = 1/32 sums when they agree with h = 1/16, else all nodes; seven
+    The h = 1/32 sums when they agree with h = 1/16, else all nodes; eight
     NumPy calls when h = 1/32 is kept.  The peak, v ~ (d+1)/(2a), nears the last
-    node as a grows; past _A_REACH (||y|| = 5.9e12 at tau = 1), NumericalError.
+    node as a grows; past _A_REACH (||y|| = 5.9e12 at tau = 1), NumericalError,
+    as for a b past the reach of ``_coarse_log_weight``.
     """
     if not a < _A_REACH:
         raise NumericalError(f"a = {a:.3g} puts the peak past the reach of the fixed nodes")
-    log_f = _coarse_log_weight(b, d) - a * _V_COARSE
-    peak = float(np.maximum.reduce(log_f))
+    # V (-a) + c is c - a V bit for bit; log_f holds no NaN, so argmax finds the max
+    log_f = _V_COARSE * -a
+    log_f += _coarse_log_weight(b, d)
+    peak = float(log_f[log_f.argmax()])
     log_f -= peak
-    total, int_v, int_x, half_1, half_v, half_x = np.dot(
-        _LEVELS, np.exp(log_f, out=log_f)
-    ).tolist()
+    total, int_v, int_x, half_1, half_v, half_x = _LEVELS.dot(np.exp(log_f, log_f)).tolist()
     # each h = 1/32 sum within _LEVEL_RTOL of its h = 1/16 sum, and not 0
     if not (
         abs(total - half_1) < _LEVEL_RTOL * total
@@ -229,7 +245,9 @@ def score(model: PosteriorModel, y):
 def posterior_mean(model: PosteriorModel, y):
     """E(theta | y) = y + grad log p(y) = (1 - D/C) y."""
     y, yy = _check_vector(y, model.d)
-    return y - _mixture_moments(0.5 * yy, model.tau**2, model.d)[1] * y
+    mean = y * -_mixture_moments(0.5 * yy, model.tau**2, model.d)[1]
+    mean += y  # in place; y + (-dc y) rounds as y - dc y
+    return mean
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ghs.errors import DimensionError, DomainError, NumericalError
 from ghs.posterior import (
     _COARSE,
     _LEVELS,
+    _MOMENTS,
     _V,
     _V_COARSE,
     _X,
@@ -376,6 +377,14 @@ def mp_mixture_moments(a, b, d):
     small-b scale x ~ b; the v < 1/2 half in s = log v, with breakpoints
     around the peak v* = (d+1)/(2a) and at the pole scale v ~ 1/b.  Plain
     quadrature in x that misses v* is off by up to 1e-2 for large d, a.
+    int w v and int w x are each integrated, and scaled, on their own, and
+    int w is their sum: a moment taken as the difference of the other two
+    cancels, and one scaled with int w stops early when it is far smaller.
+    Checked: the far-tail closed form at ||y|| = 1e6 and 1e10 for d = 1 to
+    100 (``test_mp_reference_in_the_far_tail``), and the same floats as a
+    40-digit run with 13 breakpoints around each of v*, x ~ b and v ~ 1/b,
+    over ``MP_GRID``, ||y|| = 1e4 to 1e12 at tau = 1 and d = 1 to 100, and
+    tau = 1e-9 to 1e12 at d = 1 and 3 with ||y|| from 0 to 1e8.
     """
     with mp.workdps(20):
         a, b, p = mp.mpf(a), mp.mpf(b), mp.mpf(d - 1) / 2
@@ -395,19 +404,37 @@ def mp_mixture_moments(a, b, d):
         def cut(points):
             return [-mp.inf] + sorted(q for q in points if q < half) + [half]
 
+        def integral(f, points):
+            # mp.quad stops on an absolute error estimate: scale the integrand to O(1)
+            scale = 1 / max(f(q) for q in points[1:])
+            return mp.quad(lambda s: scale * f(s), points) / scale
+
         s_star = mp.log((d + 1) / (2 * a)) if a > 0 else mp.mpf(0)
         sig = mp.sqrt(mp.mpf(2) / (d + 1))
         lpts = cut([mp.log(b)])
         rpts = cut([s_star - 2 * sig, s_star, s_star + 2 * sig, -mp.log(b)])
-        # mp.quad stops on an absolute error estimate: scale the integrand to O(1)
-        scale = 1 / max([left(q) for q in lpts[1:]] + [right(q) for q in rpts[1:]])
-        c0 = mp.quad(lambda s: scale * left(s), lpts) + mp.quad(
-            lambda s: scale * right(s), rpts
+        int_x = integral(lambda s: left(s) * mp.exp(s), lpts) + integral(
+            lambda s: right(s) * -mp.expm1(s), rpts
         )
-        cv = mp.quad(lambda s: scale * left(s) * -mp.expm1(s), lpts) + mp.quad(
-            lambda s: scale * right(s) * mp.exp(s), rpts
+        int_v = integral(lambda s: left(s) * -mp.expm1(s), lpts) + integral(
+            lambda s: right(s) * mp.exp(s), rpts
         )
-        return float(mp.log(c0 / scale)), float(cv / c0), float((c0 - cv) / c0)
+        total = int_x + int_v
+        return float(mp.log(total)), float(int_v / total), float(int_x / total)
+
+
+@pytest.mark.parametrize("d", [1, 3, 20, 100])
+def test_mp_reference_in_the_far_tail(d):
+    # at tau = 1 the weight is (1 - v)^(-1/2) v^((d-1)/2) e^(-a v), so
+    # int w = Gamma((d+1)/2) a^(-(d+1)/2) (1 + (d+1)/(4a) + ...) and
+    # D/C = ((d+1)/(2a)) (1 + 1/(2a) + ...)
+    for r in (1e6, 1e10):
+        a = 0.5 * r * r
+        log_int, dc, side = mp_mixture_moments(a, 1.0, d)
+        tail = math.lgamma(0.5 * (d + 1)) - 0.5 * (d + 1) * math.log(a)
+        assert log_int == pytest.approx(tail, rel=1e-15, abs=(d + 1) / (2 * a))
+        assert dc == pytest.approx((d + 1) / (2 * a), rel=1e-15 + 1 / a)
+        assert side == pytest.approx(1 - (d + 1) / (2 * a), rel=1e-15)
 
 
 MP_GRID = [
@@ -435,6 +462,36 @@ def test_mixture_kernel_against_mpmath(d, tau, r, tol):
     assert side == pytest.approx(ref_side, rel=tol)
     y = point(d, r, seed=d) if r > 0 else np.zeros(d)
     assert side_model_shrinkage(SideModel(d, 1.0, tau), y) == pytest.approx(ref_side, rel=tol)
+
+
+@pytest.mark.parametrize("d, tau, r", [
+    (1, 3.2e-9, 1.0), (3, 3.2e-9, 1.0), (100, 3.2e-9, 1.0),  # b = 1.02e-17
+    (1, 9.9e13, 1.0), (1, 9.9e13, 1e4),  # b = 9.8e27
+    (2, 1e150, 1.0), (3, 1e15, 1e4),  # no upper edge at d >= 2
+])
+def test_prior_scales_at_the_reach_of_the_nodes(d, tau, r):
+    # just inside the edges on b = tau^2 the kernel holds to 1e-10
+    a, b = 0.5 * r * r, tau * tau
+    log_int, dc, side = _mixture_moments(a, b, d)
+    ref_log_int, ref_dc, ref_side = mp_mixture_moments(a, b, d)
+    assert log_int == pytest.approx(ref_log_int, rel=1e-10, abs=1e-10)
+    assert dc == pytest.approx(ref_dc, rel=1e-10)
+    assert side == pytest.approx(ref_side, rel=1e-10)
+
+
+@pytest.mark.parametrize("d, tau", [
+    (1, 3.1e-9), (3, 3.1e-9), (100, 3.1e-9), (1, 1e-30),  # b below 1e-17
+    (1, 1.01e14), (1, 1e20), (1, 1e30),  # b above 1e28 at d = 1
+])
+def test_prior_scales_past_the_reach_of_the_nodes(d, tau):
+    # there the nodes miss more than 1e-10 of the weight: NumericalError, not a
+    # value off by 1e-7 (tau = 1e-12), 26.5 in log C (1e-30) or 60 % in D/C (1e30)
+    y = point(d, 1.0, seed=d)
+    for call in (marginal_log_density, score, posterior_mean):
+        with pytest.raises(NumericalError):
+            call(PosteriorModel(d, tau), y)
+    with pytest.raises(NumericalError):
+        side_model_shrinkage(SideModel(d, 1.0, tau), y)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -517,7 +574,15 @@ def reference_mixture_moments(a, b, d):
         and _levels_agree(int_v, half_v)
         and _levels_agree(int_x, half_x)
     ):
-        return _mixture_moments_fine(a, b, d)
+        return reference_mixture_moments_fine(a, b, d)
+    return peak + math.log(total), int_v / total, int_x / total
+
+
+def reference_mixture_moments_fine(a, b, d):
+    """``_mixture_moments_fine`` before its peak was taken by argmax, verbatim."""
+    log_f = _log_weight(b, d) - a * _V
+    peak = float(log_f.max())
+    total, int_v, int_x = (_MOMENTS @ np.exp(log_f - peak)).tolist()
     return peak + math.log(total), int_v / total, int_x / total
 
 
@@ -542,9 +607,10 @@ def sweep_points(m=5000, seed=11):
 
 
 class TestReferenceKernel:
-    """The cached h = 1/32 log-weights, ``np.dot`` and the inline level tests
-    give the values of the reference copies bit for bit, as plain floats, and
-    the KL-ball mass is the written-out sum over all nodes."""
+    """The cached h = 1/32 log-weights, the peak by argmax, ``dot`` and the
+    inline level tests give the values of the reference copies bit for bit,
+    as plain floats, on both levels, and the KL-ball mass is the written-out
+    sum over all nodes."""
 
     def test_moments_on_the_sweep(self, monkeypatch):
         fallbacks = []
@@ -559,6 +625,13 @@ class TestReferenceKernel:
             assert got == reference_mixture_moments(a, b, d), (a, b, d)
             assert all(type(v) is float for v in got)
         assert len(fallbacks) > 100  # points where h = 1/32 is refused are in the sweep
+
+    def test_all_nodes_on_the_sweep(self):
+        # the 1,025-node sum on its own, also where h = 1/32 is kept
+        for a, b, d in sweep_points():
+            got = _mixture_moments_fine(a, b, d)
+            assert got == reference_mixture_moments_fine(a, b, d), (a, b, d)
+            assert all(type(v) is float for v in got)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 20, 100])
     @pytest.mark.parametrize("tau", [1e-3, 0.3, 1.0, 10.0, 1e3])

@@ -1,0 +1,72 @@
+"""Property tests of the public entry points, driven by ``hypothesis``.
+
+For any valid model and any finite y, each entry point returns a finite
+value or raises a GhsError, and never a RuntimeWarning (pyproject.toml makes
+one an error).  The draws are derandomized and their number fixed, so the
+module runs the same examples on every run.
+"""
+
+import math
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ghs.errors import GhsError
+from ghs.posterior import (
+    PosteriorModel,
+    SideModel,
+    marginal_log_density,
+    posterior_mean,
+    score,
+    side_model_shrinkage,
+)
+
+# any tau whose square is a finite normal float, as PosteriorModel accepts:
+# from the north-star range [1e-3, 1e3], or log-uniform over the whole range
+TAUS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(-154.0, 154.0).map(lambda e: 10.0**e).filter(
+        lambda t: sys.float_info.min <= t * t < math.inf
+    ),
+)
+# any finite y; half of them with elements in [-1e4, 1e4], where the kernel
+# mostly gives a value rather than an error
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def posterior_cases(draw):
+    d = draw(st.integers(1, 100))
+    elements = draw(st.sampled_from([st.floats(-1e4, 1e4), FINITE]))
+    y = draw(arrays(np.float64, d, elements=elements))
+    return d, draw(TAUS), draw(TAUS), y
+
+
+def value_or_error(fn, *args):
+    """fn(*args), or None if it raises a GhsError."""
+    try:
+        return fn(*args)
+    except GhsError:
+        return None
+
+
+@given(posterior_cases())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_posterior_entry_points(case):
+    d, tau, tau1, y = case
+    model = PosteriorModel(d, tau)
+    log_p = value_or_error(marginal_log_density, model, y)
+    assert log_p is None or math.isfinite(log_p)
+    grad = value_or_error(score, model, y)
+    mean = value_or_error(posterior_mean, model, y)
+    # the two share the kernel's D/C, so they fail together
+    assert (grad is None) == (mean is None)
+    if mean is not None:
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(mean))
+        assert np.array_equal(mean, y + grad)
+        assert np.all(np.abs(mean) <= np.abs(y))
+    side = value_or_error(lambda: side_model_shrinkage(SideModel(d, tau1, tau), y))
+    assert side is None or 0.0 <= side <= 1.0
