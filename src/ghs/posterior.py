@@ -16,27 +16,35 @@ and with a = ||y||^2 / 2, b = tau^2:
   E(theta|y) = (1 - D/C) y,
 * the side-model shrinkage weight is int w x / int w.
 
-``_mixture_moments`` evaluates all three on one fixed set of tanh-sinh nodes
-(Takahasi & Mori 1974), built once at import, with no switch on tau.  log x
-and log v are computed directly at every node and the sum is max-shifted in
-log space, so nothing underflows or cancels.  The rule runs on two nested
-levels.  It first sums every 4th node (257 nodes, step h = 1/32) and, from
-the same products, every 8th (h = 1/16); halving h roughly squares the error
-(Bailey, Jeyabalan & Li 2005), so when all three moments agree between the
-two within 1e-7 relative the h = 1/32 values are kept.  Otherwise, for a
-peak narrower than the coarse step, all 1,025 nodes (h = 1/128) are summed.
-The KL-ball masses of ``risk`` read the d = 0 weights and always sum all nodes.
+``_mixture_moments`` evaluates all three with one trapezoid rule in t,
+x = (1 + tanh(pi/2 sinh t))/2 (tanh-sinh, Takahasi & Mori 1974), with no
+switch on tau.  log x and log v are computed directly at every node and the
+sum is max-shifted in log space, so nothing underflows or cancels.  The rule
+always checks itself on two nested levels: halving the step h roughly
+squares the error (Bailey, Jeyabalan & Li 2005), so when all three moments
+at h agree with those at 2h within 1e-7 relative, the step-h values are
+kept.  It first runs on fixed nodes: |t| <= 4 at h = 1/32 (257 nodes),
+checked against every other node.  A call whose levels disagree there, for
+a peak narrower than the step or one past the last node, runs it on a window
+in t that holds the weight, at a step that resolves its peak: the window is
+placed from the peak v* = (d+1)/(2a) when v* is small, down past v ~ 1/b
+where b v* > 1, and otherwise read from the fixed nodes' weights.  If that
+check fails too, NumericalError; an a past the float range is one too.  So
+||y|| is bounded only by ||y||^2 being finite.  The KL-ball masses of
+``risk`` read the d = 0 weights on all 1,025 nodes of h = 1/128, of which
+the fixed level is every 4th.
 
 The part of log(w dx) that depends on the model (b, d) only is cached per
-model, and beside it a contiguous copy of its h = 1/32 nodes; a b too small
-or, at d = 1, too large for the nodes is refused there, at no cost to a call
-whose model is cached.  At 257 nodes a call costs its NumPy calls, not its
-flops, so a call that keeps h = 1/32 makes eight: the shifted log-weights (a
-product and an add in place), their peak (``argmax`` and an index, under
-half the cost of a max reduce), the shift and exp in place, one product for
-the six level sums and ``tolist``; the level tests are plain Python.
-``_check_vector`` adds one for a float64 array y, the ``vdot`` of ||y||^2,
-and ``posterior_mean`` two, a product and an add in place.  The
+model at the h = 1/32 nodes; a b too small or, at d = 1, too large for the
+nodes is refused there, at no cost to a call whose model is cached.  The
+window nodes of each step 2^-m on t >= 0 are built once.  At 257 nodes a
+call costs its NumPy calls, not its flops, so a call that keeps h = 1/32
+makes eight: the shifted log-weights (a product and an add in place), their
+peak (``argmax`` and an index, under half the cost of a max reduce), the
+shift and exp in place, one product for the six level sums and ``tolist``;
+the level tests are plain Python.  A window adds about a dozen, on its own
+nodes.  ``_check_vector`` adds one for a float64 array y, the ``vdot`` of
+||y||^2, and ``posterior_mean`` two, a product and an add in place.  The
 lambda-space adaptive quadrature is kept as an oracle; the Phi1 closed form
 lives with the tests.
 """
@@ -118,62 +126,49 @@ def _check_vector(y, d):
 # ---------------------------------------------------------------------------
 
 
-def _tanh_sinh_nodes(h=1.0 / 128, t_max=4.0):
-    """log x, log v and log dx of the trapezoid rule in t, x = (1 + tanh(pi/2 sinh t))/2.
+def _tanh_sinh_nodes(t, h):
+    """The trapezoid rule of step h in t at the points t, x = (1 + tanh(pi/2 sinh t))/2.
 
-    |t| <= 4 reaches x and v down to 5e-38.  h = 1/128 resolves the peak
-    of the weight at v ~ (d+1)/(2a), whose width in log v is sqrt(2/(d+1)):
-    over tau in [1e-3, 1e3], ||y|| <= 1e4 and d <= 100 the moments agree
-    with an mpmath reference to 1e-10 (1e-8 at the corners).  Past that the
-    peak narrows below the step; at d = 100, ||y|| = 1e6, D/C is off by
-    about 1e-5 relative.  The levels are nested: every 4th node is the
-    h = 1/32 rule and every 8th the h = 1/16 rule, which ``_mixture_moments``
-    tries first and compares.
+    Rows 0-2 are the moments' factors 1, v and x; rows 3-5 the same times 2 at
+    every other node from the first and 0 between, for the sums at step 2h;
+    row 6 is log v and row 7 log(dx / sqrt(x)), the part of log(w dx) that
+    depends on no parameter.  log x and log v are computed directly; on
+    |t| <= 4 x and v reach down to 5.7e-38.
     """
-    t = np.arange(-t_max, t_max + 0.5 * h, h)
     u = 0.5 * math.pi * np.sinh(t)
     log_x = -np.logaddexp(0.0, -2.0 * u)
     log_v = -np.logaddexp(0.0, 2.0 * u)
     # dx/dt = pi cosh(t) x v
-    return log_x, log_v, math.log(h * math.pi) + np.log(np.cosh(t)) + log_x + log_v
+    log_dx = math.log(h * math.pi) + np.log(np.cosh(t)) + log_x + log_v
+    moments = np.stack([np.ones_like(t), np.exp(log_v), np.exp(log_x)])
+    halves = 2.0 * moments
+    halves[:, 1::2] = 0.0
+    nodes = np.concatenate([moments, halves, [log_v, log_dx - 0.5 * log_x]])
+    nodes.flags.writeable = False  # shared: the table, and each cached step's tail nodes
+    return nodes
 
 
-_LOG_X, _LOG_V, _LOG_DX = _tanh_sinh_nodes()
-_X, _V = np.exp(_LOG_X), np.exp(_LOG_V)
-# rows: 1, v, x; one product gives int w, int w v and int w x
-_MOMENTS = np.stack([np.ones_like(_V), _V, _X])
-# The coarse level reads every 4th node.  Rows 0-2 are the moments at h = 1/32,
-# rows 3-5 at h = 1/16 from every other coarse node: the weights carry the
-# step factors 4 and 8 of the h = 1/128 dx.
+# h = 1/128 on |t| <= 4.  The coarse level reads every 4th node.  Rows 0-2 are
+# the moments at h = 1/32, rows 3-5 at h = 1/16 from every other coarse node:
+# the weights carry the step factors 4 and 8 of the h = 1/128 dx.
+_NODES = _tanh_sinh_nodes(np.arange(-4.0, 4.0 + 0.5 / 128, 1.0 / 128), 1.0 / 128)
+_V, _X = _NODES[1], _NODES[2]
 _COARSE = slice(None, None, 4)
 _V_COARSE = _V[_COARSE]
-_LEVELS = np.concatenate([4.0 * _MOMENTS[:, _COARSE], 8.0 * _MOMENTS[:, _COARSE]])
+_LEVELS = 4.0 * _NODES[:6, _COARSE]
 _LEVELS[3:, 1::2] = 0.0
 _LEVEL_RTOL = 1e-7  # h = 1/16 this close means h = 1/32 is near 1e-14
-_A_REACH = 1e-12 / _V[-1].item()  # at d = 1, a v_last is the share of mass past the last node
 
 
-@lru_cache(maxsize=256)
-def _log_weight(b, d):
-    """log(w dx) at the nodes without the e^(-a v) factor; read-only.
-
-    It depends on the model only, so repeated calls for one model share it.
-    """
+def _log_weight(nodes, b, d):
+    """log(w dx) at the nodes, without the e^(-a v) factor."""
     # log(v + x/b) = log(b v + x) - log b: a sum of positives, no cancellation
-    log_w = (
-        _LOG_DX
-        - 0.5 * _LOG_X
-        + (0.5 * (d - 1)) * _LOG_V
-        - np.log(b * _V + _X)
-        + math.log(b)
-    )
-    log_w.flags.writeable = False
-    return log_w
+    return nodes[7] + (0.5 * (d - 1)) * nodes[6] - np.log(b * nodes[1] + nodes[2]) + math.log(b)
 
 
 @lru_cache(maxsize=256)
 def _coarse_log_weight(b, d):
-    """The h = 1/32 nodes of ``_log_weight(b, d)``, as a contiguous read-only copy.
+    """The h = 1/32 nodes of ``_log_weight(_NODES, b, d)``, as a contiguous read-only copy.
 
     NumericalError for a b whose weight leaves the nodes, which reach x and v
     down to 5.7e-38; the check runs when a model is first cached, so a kept
@@ -181,47 +176,93 @@ def _coarse_log_weight(b, d):
     about 1.3e-19 / sqrt(b) of it lies below the first node: 4e-11 at
     b = 1e-17.  At d = 1 it spreads down to v ~ 1/b, and at b = 1e28 the
     share below the last node is 2e-11 for ||y|| up to 1e9 (against mpmath).
-    At d >= 2 the factor v^((d-1)/2) keeps it below 1e-10 for ||y|| up to 1e8.
+    At d >= 2 the window of ``_window_nodes`` follows it past the last node.
     """
     if not (1e-17 <= b and (d > 1 or b <= 1e28)):
         raise NumericalError(f"tau^2 = {b:.3g} puts the weight past the reach of the fixed nodes")
-    log_w = _log_weight(b, d)[_COARSE].copy()
+    log_w = _log_weight(_NODES, b, d)[_COARSE].copy()
     log_w.flags.writeable = False
     return log_w
 
 
-def _mixture_moments_fine(a, b, d):
-    """The moments below summed over all 1,025 nodes (h = 1/128)."""
-    log_f = _log_weight(b, d) - a * _V
-    peak = float(log_f[log_f.argmax()])
-    total, int_v, int_x = (_MOMENTS @ np.exp(log_f - peak)).tolist()
-    return peak + math.log(total), int_v / total, int_x / total
+@lru_cache(maxsize=16)
+def _tail_nodes(h):
+    """The nodes of step h on t in [0, 6.25], where v reaches e^-800.
+
+    Each step's nodes are 8 rows of 6.25/h + 1 floats: 13 MB at the finest
+    step a window takes, 2^-15 (d = 100 with ||y||^2 near the float range),
+    and 26 MB for all the steps from 2^-5 down to it.
+    """
+    return _tanh_sinh_nodes(np.arange(0.0, 6.25 + 0.5 * h, h), h)
+
+
+def _window_nodes(a, b, d, coarse, smallest):
+    """Nodes over a window in t that holds the weight, at a step that resolves it.
+
+    The weight's peak lies near v* = k/a, k = (d+1)/2.  When v* < 1e-3 the
+    window is placed from it.  In s = log v the weight falls as e^(k s) below
+    v* and under the pole scale v ~ 1/b, and as e^((k-1) s) between the two,
+    so the window reaches down to e^-40 of the peak, past 1/b where b v* > 1.
+    Its step 2^-m resolves the peak, sqrt(2/(d+1)) wide in s, and the bend
+    at v ~ 1/b when that lies in the window.  Otherwise the window is read
+    from ``coarse``, the coarse level's weights shifted to a peak of 1: the
+    h = 1/128 nodes between the coarse nodes where they pass 1e-16 of the
+    ``smallest`` of its three moment sums, so that each moment, the side
+    weight where it is tiny at a tiny b too, loses under 1e-14 of itself.
+    """
+    k = 0.5 * (d + 1)
+    if a < 1e3 * k:
+        above = np.flatnonzero(coarse > 1e-16 * smallest)
+        lo, hi = max(above[0] - 1, 0), min(above[-1] + 1, len(coarse) - 1)
+        return _NODES[:, 4 * lo : 4 * hi + 1]
+    s_star, s_pole = math.log(k / a), -math.log(b)
+    s_lo = s_star - (40.0 + k) / k
+    if s_star > s_pole:  # the peak moves to (k-1)/a, and the fall to e^-40 may pass 1/b
+        over_pole = s_star + math.log((k - 1) / k) - (40.0 + k) / (k - 1) if d > 1 else -math.inf
+        s_lo = max(over_pole, s_pole - 40.0 / k - 2.0)
+    s_feature = min(s_star, max(s_pole, s_lo))
+    # four steps across the peak of w v, 1/sqrt(k+1) wide in s, where |ds/dt| ~ hypot(pi, s)
+    m = max(math.ceil(math.log2(4.0 * math.sqrt(k + 1.0) * math.hypot(math.pi, s_feature))), 5)
+    # v ~ e^(-pi sinh t) for a small v, a little larger than the v at t: an edge
+    # at most 4 % of v* off in v at the top, and further out at the bottom
+    lo = math.floor(math.asinh(-(s_star + math.log(40.0)) / math.pi) * 2**m)
+    hi = math.ceil(math.asinh(-s_lo / math.pi) * 2**m)
+    # an even lo keeps the tail nodes' 2h rows on the window's first node
+    return _tail_nodes(2.0**-m)[:, lo - lo % 2 : hi + 1]
 
 
 def _mixture_moments(a, b, d):
     """(log int w, int w v / int w, int w x / int w) for the weight w above.
 
-    The h = 1/32 sums when they agree with h = 1/16, else all nodes; eight
-    NumPy calls when h = 1/32 is kept.  The peak, v ~ (d+1)/(2a), nears the last
-    node as a grows; past _A_REACH (||y|| = 5.9e12 at tau = 1), NumericalError,
-    as for a b past the reach of ``_coarse_log_weight``.
+    The h = 1/32 sums when all three agree with h = 1/16 within _LEVEL_RTOL
+    relative: eight NumPy calls.  Else the same rule runs on the nodes of
+    ``_window_nodes``, and its sums at steps h and 2h must agree in the same
+    way, or NumericalError.  An a past the float range is a NumericalError.
     """
-    if not a < _A_REACH:
-        raise NumericalError(f"a = {a:.3g} puts the peak past the reach of the fixed nodes")
+    if not a < math.inf:
+        raise NumericalError("a = ||y||^2 / 2 is past the float range")
     # V (-a) + c is c - a V bit for bit; log_f holds no NaN, so argmax finds the max
     log_f = _V_COARSE * -a
     log_f += _coarse_log_weight(b, d)
-    peak = float(log_f[log_f.argmax()])
-    log_f -= peak
-    total, int_v, int_x, half_1, half_v, half_x = _LEVELS.dot(np.exp(log_f, log_f)).tolist()
-    # each h = 1/32 sum within _LEVEL_RTOL of its h = 1/16 sum, and not 0
-    if not (
-        abs(total - half_1) < _LEVEL_RTOL * total
-        and abs(int_v - half_v) < _LEVEL_RTOL * int_v
-        and abs(int_x - half_x) < _LEVEL_RTOL * int_x
-    ):
-        return _mixture_moments_fine(a, b, d)
-    return peak + math.log(total), int_v / total, int_x / total
+    levels = _LEVELS
+    while True:  # the coarse level, then a window
+        peak = float(log_f[log_f.argmax()])
+        log_f -= peak
+        total, int_v, int_x, half_1, half_v, half_x = levels.dot(np.exp(log_f, log_f)).tolist()
+        # each step-h sum within _LEVEL_RTOL of its step-2h sum, and not 0
+        if (
+            abs(total - half_1) < _LEVEL_RTOL * total
+            and abs(int_v - half_v) < _LEVEL_RTOL * int_v
+            and abs(int_x - half_x) < _LEVEL_RTOL * int_x
+        ):
+            return peak + math.log(total), int_v / total, int_x / total
+        if levels is not _LEVELS:
+            raise NumericalError(f"the weight is not resolved at a = {a:.3g}, tau^2 = {b:.3g}, d = {d}")
+        nodes = _window_nodes(a, b, d, log_f, min(total, int_v, int_x))
+        log_f = _log_weight(nodes, b, d)
+        # a v as e^(log v + log a): v may pass below the float range
+        log_f -= np.exp(nodes[6] + (math.log(a) if a else -math.inf))
+        levels = nodes[:6]
 
 
 def marginal_log_density(model: PosteriorModel, y):

@@ -22,7 +22,7 @@ import numpy as np
 # both stay importable here: perfbench/spans.py patches these names
 from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
 from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
-from .posterior import _V, _X, _log_weight, _mixture_moments
+from .posterior import _NODES, _V, _X, _log_weight, _mixture_moments
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng
@@ -96,7 +96,7 @@ def _ball_mass(d, radius, center_sq):
         raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
     x, nc = np.outer((radius * radius, center_sq), (d / span) * _V / _X)  # over lam^2
     cdf = _chi2_cdf(x, d, nc)
-    mass = float(np.exp(_log_weight(b, 0)) @ cdf) / (math.pi * math.sqrt(b))
+    mass = float(np.exp(_log_weight(_NODES, b, 0)) @ cdf) / (math.pi * math.sqrt(b))
     if not mass >= np.finfo(float).tiny:
         raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radius:.3g})")
     # the first node is lam = 2.4e-19 R/sqrt(d); half-Cauchy weight (2/pi) lam lies below

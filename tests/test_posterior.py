@@ -3,7 +3,10 @@ side-model shrinkage weight, each against independent oracles (quadrature of
 the scale-mixture integrals, finite differences, alternate closed forms).
 """
 
+import json
 import math
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +17,7 @@ from ghs.errors import DimensionError, DomainError, NumericalError
 from ghs.posterior import (
     _COARSE,
     _LEVELS,
-    _MOMENTS,
+    _NODES,
     _V,
     _V_COARSE,
     _X,
@@ -22,7 +25,6 @@ from ghs.posterior import (
     SideModel,
     _log_weight,
     _mixture_moments,
-    _mixture_moments_fine,
     marginal_log_density,
     marginal_log_density_quad,
     posterior_mean,
@@ -437,6 +439,57 @@ def test_mp_reference_in_the_far_tail(d):
         assert side == pytest.approx(1 - (d + 1) / (2 * a), rel=1e-15)
 
 
+def far_tail_moments(a, d, terms=2):
+    """(log int w, D/C, side weight) at tau = 1 by Watson's lemma, and a bound.
+
+    At tau = 1 the weight is (1 - v)^(-1/2) v^((d-1)/2) e^(-a v), and
+    (1 - v)^(-1/2) = sum_n c_n v^n with c_n = (1/2)_n / n!, so int w v^j is
+    sum_n c_n Gamma(k + j + n) a^(-(k + j + n)), k = (d+1)/2, up to the
+    e^(-a)-small part past v = 1.  The first dropped term, relative to the
+    sum, bounds the error of the first ``terms`` terms; mpmath at 30 digits.
+    """
+    with mp.workdps(30):
+        a, k = mp.mpf(a), mp.mpf(d + 1) / 2
+        series = [
+            [mp.rf(0.5, n) / mp.factorial(n) * mp.gamma(k + j + n) / a ** (k + j + n)
+             for n in range(terms + 1)]
+            for j in (0, 1)
+        ]
+        int_1, int_v = (mp.fsum(s[:terms]) for s in series)
+        bound = max(series[0][terms] / int_1, series[1][terms] / int_v)
+        return float(mp.log(int_1)), float(int_v / int_1), float(1 - int_v / int_1), float(bound)
+
+
+# mp_mixture_moments up to ||y|| = 1e12, far_tail_moments past it, at the
+# points of posterior_sweep_points(); written by make_posterior_sweep.py beside it
+POSTERIOR_SWEEP = Path(__file__).with_name("data") / "posterior_sweep.json"
+# points where the former kernel, with a fixed 1,025-node level behind the
+# 257-node one, was silently wrong: by 4.8e-6 in log p at d = 20, 1e10; by
+# 2.2e-5 and 4.4e-3 at d = 100, 1e6 and 1e8; and by 1.5e-10 and 1.5e-8 at
+# d = 2, tau^2 = 1e40, 1e9 and 1e11, where the weight passes the last node
+FORMER_SILENT_ERRORS = [(20, 1.0, 1e10), (100, 1.0, 1e6), (100, 1.0, 1e8), (2, 1e20, 1e9), (2, 1e20, 1e11)]
+
+
+def posterior_sweep_points():
+    """The seeded (d, tau, ||y||) of the frozen posterior sweep.
+
+    1,800 log-uniform points: d in 1..100, tau^2 over the range the kernel
+    accepts (1e-17 to 1e28 at d = 1, to 1e308 above), ||y|| in [1e-2, 1e12],
+    every 50th at ||y|| = 0; then 200 at tau = 1 with ||y|| in [1e12, 1e150];
+    then FORMER_SILENT_ERRORS.
+    """
+    rng = np.random.default_rng(36)
+    points = []
+    for i in range(1800):
+        d = round(10 ** rng.uniform(0.0, 2.0))
+        tau = math.sqrt(10 ** rng.uniform(-17.0, 28.0 if d == 1 else 308.0))
+        r = 10 ** rng.uniform(-2.0, 12.0)
+        points.append((d, tau, 0.0 if i % 50 == 0 else r))
+    for _ in range(200):
+        points.append((round(10 ** rng.uniform(0.0, 2.0)), 1.0, 10 ** rng.uniform(12.0, 150.0)))
+    return points + FORMER_SILENT_ERRORS
+
+
 MP_GRID = [
     (d, tau, r, 1e-10)
     for d in (1, 3, 20)
@@ -497,26 +550,85 @@ def test_prior_scales_past_the_reach_of_the_nodes(d, tau):
 @pytest.mark.parametrize("d", [1, 3])
 def test_far_tail_to_the_reach_of_the_nodes(d):
     # p(y) -> (2/pi) (2 pi)^(-d/2) Gamma((d+1)/2) 2^((d-1)/2) ||y||^(-d-1), up to
-    # O(d^2/||y||^2) relative; the weight's peak, v ~ (d+1)/||y||^2, nears the last
-    # node (v = 5.7e-38) as ||y|| grows, and past ||y|| = 5.9e12 every caller raises
+    # O(d^2/||y||^2) relative; the weight's peak, v ~ (d+1)/||y||^2, passes the
+    # last fixed node (v = 5.7e-38) near ||y|| = 1e19, and the window nodes
+    # follow it until ||y||^2 leaves the float range
     model = PosteriorModel(d)
-    for r in (1e6, 1e8, 1e10):
+    for r in (1e6, 1e8, 1e10, 6e12, 1e20, 1e30, 1e100, 1e150):
         y = point(d, r, seed=d)
         tail = (math.log(2 / math.pi) - 0.5 * d * math.log(2 * math.pi)
                 + math.lgamma(0.5 * (d + 1)) + 0.5 * (d - 1) * math.log(2) - (d + 1) * math.log(r))
         assert marginal_log_density(model, y) == pytest.approx(tail, abs=1e-8)
         assert score(model, y) == pytest.approx(-(d + 1) / (r * r) * y, rel=1e-8)
-    for r in (6e12, 1e20, 1e30):
-        y = point(d, r, seed=d)
-        for call in (marginal_log_density, score, posterior_mean):
-            with pytest.raises(NumericalError):
-                call(model, y)
+        assert posterior_mean(model, y) == pytest.approx((1 - (d + 1) / (r * r)) * y, rel=1e-8)
+        side = side_model_shrinkage(SideModel(d, 1.0, 1.0), y)
+        assert side == pytest.approx(1 - (d + 1) / (r * r), rel=1e-8)
+
+
+def test_kernel_refuses_an_a_past_the_float_range():
+    # cesaro_risk_mc builds a under errstate(over="ignore"), so an ||y||^2 past
+    # the float range reaches the kernel as inf: a NumericalError, no NaN
+    for d in (1, 3, 100):
         with pytest.raises(NumericalError):
-            side_model_shrinkage(SideModel(d, 1.0, 1.0), y)
+            _mixture_moments(math.inf, 1.0, d)
+    # the largest finite a gets a value: D/C = (d+1)/(2a) to O(1/a)
+    log_int, dc, side = _mixture_moments(sys.float_info.max, 1.0, 3)
+    assert log_int == pytest.approx(-2.0 * math.log(sys.float_info.max), rel=1e-15)
+    assert dc == pytest.approx(2.0 / sys.float_info.max, rel=1e-12)
+    assert side == 1.0
 
 
-def test_two_levels_match_all_nodes_on_a_sweep():
+def test_frozen_posterior_sweep():
+    # every point is in the kernel's domain, where no point may raise: those up
+    # to ||y|| = 1e12 were accepted before, and at tau = 1 every ||y|| whose
+    # square is finite gets a value
+    table = json.loads(POSTERIOR_SWEEP.read_text())
+    assert [tuple(row[:3]) for row in table] == posterior_sweep_points()
+    for d, tau, r, ref_log_int, ref_dc, ref_side in table:
+        log_int, dc, side = _mixture_moments(0.5 * r * r, tau * tau, d)
+        assert abs(log_int - ref_log_int) <= 1e-10, (d, tau, r)
+        assert abs(dc - ref_dc) <= 1e-10 * ref_dc, (d, tau, r)
+        assert abs(side - ref_side) <= 1e-10 * ref_side, (d, tau, r)
+    # the table against its references, on a few rows of each
+    for d, tau, r, *want in table[1:4] + table[-8:-5]:
+        a = 0.5 * r * r
+        got = mp_mixture_moments(a, tau * tau, d) if r <= 1e12 else far_tail_moments(a, d)[:3]
+        assert list(got) == want
+
+
+@pytest.mark.parametrize("d, tau, r", FORMER_SILENT_ERRORS)
+def test_former_silent_errors_against_mpmath(d, tau, r):
+    # the frozen mpmath values of these points, through the public entry points
+    (ref_log_int, ref_dc, ref_side), = (
+        row[3:] for row in json.loads(POSTERIOR_SWEEP.read_text()) if tuple(row[:3]) == (d, tau, r)
+    )
+    y = point(d, r, seed=d)
+    model = PosteriorModel(d, tau)
+    log_c = ref_log_int - math.log(2.0 * tau)
+    log_p = -0.5 * ((d - 2) * math.log(2.0) + (d + 2) * math.log(math.pi)) + log_c
+    assert abs(marginal_log_density(model, y) - log_p) <= 1e-10
+    assert score(model, y) == pytest.approx(-ref_dc * y, rel=1e-10)
+    assert side_model_shrinkage(SideModel(d, 1.0, tau), y) == pytest.approx(ref_side, rel=1e-10)
+
+
+def all_nodes_moments(a, b, d):
+    """The moments summed over all 1,025 fixed nodes (h = 1/128), written out."""
+    log_f = _log_weight(_NODES, b, d) - a * _V
+    peak = float(log_f.max())
+    total, int_v, int_x = (_NODES[:3] @ np.exp(log_f - peak)).tolist()
+    return peak + math.log(total), int_v / total, int_x / total
+
+
+def test_two_levels_match_all_nodes_on_a_sweep(monkeypatch):
     # the h = 1/32 values, where kept, are as good as the 1,025-node sum
+    windows = []
+    window_nodes = ghs.posterior._window_nodes
+
+    def counted(*args):
+        windows.append(args)
+        return window_nodes(*args)
+
+    monkeypatch.setattr(ghs.posterior, "_window_nodes", counted)
     rng = np.random.default_rng(11)
     m = 5000
     ds = rng.integers(1, 101, m).tolist()
@@ -526,12 +638,16 @@ def test_two_levels_match_all_nodes_on_a_sweep():
         norms[i] = 0.0
     for d, tau, r in zip(ds, taus, norms):
         a, b = 0.5 * r * r, tau * tau
+        refused = len(windows)
         log_int, dc, side = _mixture_moments(a, b, d)
-        ref_log_int, ref_dc, ref_side = _mixture_moments_fine(a, b, d)
+        if len(windows) > refused:
+            continue  # the window's values are checked against mpmath
+        ref_log_int, ref_dc, ref_side = all_nodes_moments(a, b, d)
         # an error in log int w is the relative error of int w
         assert abs(log_int - ref_log_int) <= 1e-13, (d, tau, r)
         assert abs(dc - ref_dc) <= 1e-13 * ref_dc, (d, tau, r)
         assert abs(side - ref_side) <= 1e-13 * ref_side, (d, tau, r)
+    assert 100 < len(windows) < m // 2
 
 
 @pytest.mark.parametrize("d, tau, r, falls_back", [
@@ -543,12 +659,13 @@ def test_two_levels_match_all_nodes_on_a_sweep():
 ])
 def test_which_level_runs(monkeypatch, d, tau, r, falls_back):
     calls = []
+    window_nodes = ghs.posterior._window_nodes
 
     def counted(*args):
         calls.append(args)
-        return _mixture_moments_fine(*args)
+        return window_nodes(*args)
 
-    monkeypatch.setattr(ghs.posterior, "_mixture_moments_fine", counted)
+    monkeypatch.setattr(ghs.posterior, "_window_nodes", counted)
     y = point(d, r, seed=d) if r > 0 else np.zeros(d)
     posterior_mean(PosteriorModel(d, tau), y)
     assert len(calls) == int(falls_back)
@@ -560,12 +677,13 @@ def test_which_level_runs(monkeypatch, d, tau, r, falls_back):
 
 
 def reference_mixture_moments(a, b, d):
-    """``_mixture_moments`` before the h = 1/32 log-weights were cached, verbatim."""
+    """``_mixture_moments`` before the h = 1/32 log-weights were cached, verbatim
+    where the h = 1/32 level is kept."""
 
     def _levels_agree(coarse, half):
         return abs(coarse - half) < 1e-7 * coarse
 
-    log_f = _log_weight(b, d)[_COARSE] - a * _V_COARSE
+    log_f = _log_weight(_NODES, b, d)[_COARSE] - a * _V_COARSE
     peak = float(log_f.max())
     log_f -= peak  # in place: at 257 nodes the calls, not the flops, cost the time
     total, int_v, int_x, half_1, half_v, half_x = (_LEVELS @ np.exp(log_f, out=log_f)).tolist()
@@ -574,15 +692,8 @@ def reference_mixture_moments(a, b, d):
         and _levels_agree(int_v, half_v)
         and _levels_agree(int_x, half_x)
     ):
-        return reference_mixture_moments_fine(a, b, d)
-    return peak + math.log(total), int_v / total, int_x / total
-
-
-def reference_mixture_moments_fine(a, b, d):
-    """``_mixture_moments_fine`` before its peak was taken by argmax, verbatim."""
-    log_f = _log_weight(b, d) - a * _V
-    peak = float(log_f.max())
-    total, int_v, int_x = (_MOMENTS @ np.exp(log_f - peak)).tolist()
+        # refused: the window rule, which the mpmath sweeps check instead
+        return _mixture_moments(a, b, d)
     return peak + math.log(total), int_v / total, int_x / total
 
 
@@ -592,7 +703,7 @@ def reference_ball_mass(d, radius, center_sq):
     span = radius * radius + center_sq
     b = d / span
     x, nc = np.outer((radius * radius, center_sq), b * _V / _X)
-    return float(np.exp(_log_weight(b, 0)) @ _chi2_cdf(x, d, nc)) / (math.pi * math.sqrt(b))
+    return float(np.exp(_log_weight(_NODES, b, 0)) @ _chi2_cdf(x, d, nc)) / (math.pi * math.sqrt(b))
 
 
 def sweep_points(m=5000, seed=11):
@@ -614,24 +725,18 @@ class TestReferenceKernel:
 
     def test_moments_on_the_sweep(self, monkeypatch):
         fallbacks = []
+        window_nodes = ghs.posterior._window_nodes
 
         def counted(*args):
             fallbacks.append(args)
-            return _mixture_moments_fine(*args)
+            return window_nodes(*args)
 
-        monkeypatch.setattr(ghs.posterior, "_mixture_moments_fine", counted)
+        monkeypatch.setattr(ghs.posterior, "_window_nodes", counted)
         for a, b, d in sweep_points():
             got = _mixture_moments(a, b, d)
             assert got == reference_mixture_moments(a, b, d), (a, b, d)
             assert all(type(v) is float for v in got)
         assert len(fallbacks) > 100  # points where h = 1/32 is refused are in the sweep
-
-    def test_all_nodes_on_the_sweep(self):
-        # the 1,025-node sum on its own, also where h = 1/32 is kept
-        for a, b, d in sweep_points():
-            got = _mixture_moments_fine(a, b, d)
-            assert got == reference_mixture_moments_fine(a, b, d), (a, b, d)
-            assert all(type(v) is float for v in got)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 20, 100])
     @pytest.mark.parametrize("tau", [1e-3, 0.3, 1.0, 10.0, 1e3])

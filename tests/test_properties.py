@@ -2,8 +2,10 @@
 
 For any valid model and any finite y, each entry point returns a finite
 value or raises a GhsError, and never a RuntimeWarning (pyproject.toml makes
-one an error).  The draws are derandomized and their number fixed, so the
-module runs the same examples on every run.
+one an error).  The same holds for the Monte Carlo Cesaro risk, the mixture
+kernel's other caller, over any normal sigma and theta0.  The draws are
+derandomized and their number fixed, so the module runs the same examples on
+every run.
 """
 
 import math
@@ -23,6 +25,7 @@ from ghs.posterior import (
     score,
     side_model_shrinkage,
 )
+from ghs.risk import RiskScenario, cesaro_risk_mc
 
 # any tau whose square is a finite normal float, as PosteriorModel accepts:
 # from the north-star range [1e-3, 1e3], or log-uniform over the whole range
@@ -70,3 +73,28 @@ def test_posterior_entry_points(case):
         assert np.all(np.abs(mean) <= np.abs(y))
     side = value_or_error(lambda: side_model_shrinkage(SideModel(d, tau1, tau), y))
     assert side is None or 0.0 <= side <= 1.0
+
+
+# any positive normal float: from [1e-3, 1e3], where the risk mostly has a
+# value, uniform over the floats, or log-uniform over their range
+NORMAL = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max),
+    st.floats(-307.0, 308.0).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def cesaro_cases(draw):
+    d = draw(st.integers(1, 10))
+    theta0 = draw(st.lists(st.tuples(NORMAL, st.booleans()), min_size=d, max_size=d))
+    scenario = RiskScenario(d, draw(NORMAL), tuple(-t if neg else t for t, neg in theta0))
+    return scenario, draw(st.integers(2, 10**8)), draw(st.integers(2, 20)), draw(st.integers(0, 2**32))
+
+
+@given(cesaro_cases())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_cesaro_risk_mc(case):
+    scenario, n, reps, seed = case
+    risk = value_or_error(cesaro_risk_mc, scenario, n, reps, seed)
+    assert risk is None or math.isfinite(risk.estimate) and math.isfinite(risk.std_error)

@@ -26,6 +26,7 @@ from ghs.risk import (
     kl_ball_radius,
     risk_upper_bound,
 )
+from ghs.rng import make_rng
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -378,6 +379,18 @@ class TestCesaroRiskMc:
         b = cesaro_risk_mc(sc, 20, reps=50, seed=9)
         assert a.estimate == b.estimate
         assert np.array_equal(a.per_rep, b.per_rep)
+
+    def test_far_truth_against_the_far_tail_closed_form(self):
+        # theta0 = 1e150: a = ||sqrt(b) theta0 + w||^2 / 2 ~ 5e303 with b = n, where
+        # log int w -> log b + lgamma((d+1)/2) - ((d+1)/2) log a to O(b/a); a
+        # NumericalError before
+        n, reps, seed = 100, 10, 1
+        res = cesaro_risk_mc(RiskScenario(1, 1.0, (1e150,)), n, reps, seed)
+        w = make_rng(seed).standard_normal((reps, 1))[:, 0]
+        a = 0.5 * (math.sqrt(n) * 1e150 + w) ** 2
+        want = (math.log(math.pi * math.sqrt(n)) - 0.5 * w * w - math.log(n) + np.log(a)) / n
+        assert res.per_rep == pytest.approx(want, rel=1e-12)
+        assert res.estimate == pytest.approx(want.mean(), rel=1e-12)
 
     @pytest.mark.parametrize("n, reps", [(100.5, 10), (math.nan, 10), (math.inf, 10), (100, 10.5)])
     def test_fractional_sizes_rejected(self, n, reps):
