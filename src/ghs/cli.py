@@ -30,31 +30,9 @@ from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F4
 
 _CHUNK = 8192  # rows formatted at a time
 _BLOCK = 1 << 16  # rows computed and written at a time: bounds the memory
-_REPR_CACHE = 1 << 16  # distinct radii (or grid axis values, or prefixes) whose cells are kept
-
-
-class _Cells:
-    """Cells of float values made once per distinct value and kept for the
-    command: ``make`` maps distinct values to an object array of their
-    cells, the bytes each value's CSV text takes, separator included.
-    Values are told apart by bit pattern, so -0.0 keeps its sign; a lookup
-    that would pass _REPR_CACHE values restarts the cache."""
-
-    def __init__(self, make):
-        self.make, self.made = make, np.empty(0, dtype=object)
-        self.bits = np.empty(0, dtype=np.uint64)  # sorted
-
-    def lookup(self, values):
-        """The cells, and the index of each of ``values`` in them."""
-        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        new = distinct[~np.isin(distinct, self.bits, assume_unique=True)]
-        if self.bits.size + new.size > _REPR_CACHE:  # restart from these values
-            self.bits, self.made, new = self.bits[:0], self.made[:0], distinct
-        if new.size:
-            at = np.searchsorted(self.bits, new)
-            self.made = np.insert(self.made, at, self.make(new.view(float)))
-            self.bits = np.insert(self.bits, at, new)
-        return self.made, np.searchsorted(self.bits, distinct)[inverse.reshape(values.shape)]
+_REPR_CACHE = 1 << 16  # grid axis values, and prefixes, whose cells are kept
+_TEMPLATE_BYTES = 1 << 23  # most bytes the grid writer's templates hold: one class takes < 5 MB
+_RADIUS_BYTES = 50  # most bytes of a radius's cells: two reprs of 24, a comma, a newline
 
 
 def _csv_chunks(tables):
@@ -121,14 +99,12 @@ def _parse_grid(spec, d):
 
 
 def _grid_blocks(lo, step, count, d):
-    """The grid's points in row-major order, _BLOCK rows at a time, each block
-    with its (rows, d) axis indices j: the coordinates are ``lo + j * step``."""
+    """The grid's points in row-major order, _BLOCK rows at a time: the
+    coordinates are ``lo + j * step``, j the row's axis indices."""
     rows = count ** d
     for start in range(0, rows, _BLOCK):
-        j = np.arange(start, min(start + _BLOCK, rows))
-        # unravel_index takes at most 64 axes; past 61, count^d < 2^62 means count 1
-        j = np.column_stack(np.unravel_index(j, (count,) * d) if count > 1 else [j] * d)
-        yield lo + j * step, j
+        i = np.arange(start, min(start + _BLOCK, rows))
+        yield lo + np.column_stack([i // count ** k % count for k in range(d - 1, -1, -1)]) * step
 
 
 def _point_blocks(fh, d):
@@ -186,26 +162,67 @@ def _plain_chunks(dist, blocks):
                        for pts in blocks)
 
 
+def _squares_normal(lo, step, count, d):
+    """Whether every nonzero axis value of the grid squares to a normal float
+    and the largest sum of d squares is finite: then no row of it is one
+    that _point_norms recomputes by hypot."""
+    a = lo + np.arange(count) * step
+    with np.errstate(over="ignore", under="ignore"):
+        sq = a * a
+    top = 0.0
+    for _ in range(d):  # summed as _point_norms sums them
+        top += float(sq.max())
+    return math.isfinite(top) and bool(np.all((sq >= np.finfo(float).tiny) | (a == 0)))
+
+
+def _templates(dist, sums, sq, marked):
+    """The template of each prefix sum p: for each last-axis index j, a NUL,
+    the axis cell and the cells of the radius sqrt(p + sq[j]), each distinct
+    radius evaluated and formatted once."""
+    r, at = np.unique(np.sqrt(np.add.outer(sums, sq)), return_inverse=True)
+    cells = np.empty((len(sums), 2 * len(sq)), dtype=object)
+    cells[:, 0::2], cells[:, 1::2] = marked, _radius_cells(dist, r).take(at.reshape(-1, len(sq)))
+    return [b"".join(row) for row in cells.tolist()]
+
+
 def _grid_chunks(dist, lo, step, count, d):
     """The CSV rows ``x..., density, log_density`` of a grid of at most
-    _REPR_CACHE values per axis, as one bytes per _CHUNK rows, each one join
-    of cells made once: each axis value's, the leading k axes joined into
-    one prefix cell per index (k the largest below d with count^k <=
-    _REPR_CACHE), and the radii's from one cache, so radial_log_density
-    runs, and its values are formatted, once per distinct radius."""
-    axis = float_cells(lo + np.arange(count) * step) + b","
-    k = next(k for k in range(d - 1, -1, -1) if count ** k <= _REPR_CACHE)
-    prefix = np.array([b""], dtype=object)
-    for _ in range(k):
-        prefix = np.add.outer(prefix, axis).ravel()
-    weights = count ** np.arange(k - 1, -1, -1)  # row-major index of j[:, :k]
-    radii = _Cells(lambda r: _radius_cells(dist, r))
-    for pts, j in _grid_blocks(lo, step, count, d):
-        made, at = radii.lookup(_point_norms(pts))
-        for a in range(0, len(pts), _CHUNK):
-            jc, rc = j[a:a + _CHUNK], at[a:a + _CHUNK]
-            cells = [prefix.take(jc[:, :k] @ weights), *axis.take(jc[:, k:].T), made.take(rc)]
-            yield b"".join(np.column_stack(cells).ravel().tolist())
+    _REPR_CACHE values per axis whose squares are normal, as one bytes per
+    about _CHUNK rows, by runs of the last axis.
+
+    A run's rows share their prefix (the first d - 1 coordinates), so a
+    row's squared radius is p + sq[j], p the left-to-right sum of the
+    prefix's squares as _point_norms sums them.  The runs of one p (a class)
+    share a template; a run is its template with the prefix's cell in place
+    of each NUL.  Prefixes come _REPR_CACHE runs at a time, their classes
+    made in one batch if they fit in _TEMPLATE_BYTES, else a few runs at a
+    time; a batch that would pass that bound restarts the templates.
+    """
+    a = lo + np.arange(count) * step
+    sq, axis = a * a, float_cells(a) + b","
+    marked = np.array([b"\0" + cell for cell in axis.tolist()], dtype=object)  # NumPy drops a NUL
+    room = max(1, _TEMPLATE_BYTES // (sum(map(len, marked.tolist())) + _RADIUS_BYTES * count))
+    runs, per = count ** (d - 1), max(1, _CHUNK // count)
+    templates = {}  # prefix sum -> template
+    for start in range(0, runs, _REPR_CACHE):
+        i = np.arange(start, min(start + _REPR_CACHE, runs))
+        prefix, sums = np.full(i.size, b"", dtype=object), np.zeros(i.size)
+        for k in range(d - 2, -1, -1):  # the prefix's axes, the first one first
+            j = i // count ** k % count
+            prefix, sums = prefix + axis.take(j), sums + sq.take(j)
+        prefix, sums = prefix.tolist(), sums.tolist()
+        batch = len(sums) if len(set(sums)) <= room else room
+        for b in range(0, len(sums), batch):
+            part, cells = sums[b:b + batch], prefix[b:b + batch]
+            keys = dict.fromkeys(part)  # the batch's classes
+            new = [p for p in keys if p not in templates]
+            if len(templates) + len(new) > room:
+                templates, new = {}, list(keys)
+            if new:
+                templates.update(zip(new, _templates(dist, new, sq, marked)))
+            for c in range(0, len(part), per):
+                yield b"".join([templates[p].replace(b"\0", cell)
+                                for p, cell in zip(part[c:c + per], cells[c:c + per])])
 
 
 def cmd_density(args):
@@ -218,10 +235,10 @@ def cmd_density(args):
             chunks = _plain_chunks(dist, _point_blocks(fh, args.d))
             return _write_table(args.out, header, chunks, args.format, pole=True)
     grid = _parse_grid(args.grid, args.d)  # lo, step, count
-    if grid[2] <= _REPR_CACHE:
+    if grid[2] <= _REPR_CACHE and _squares_normal(*grid, args.d):
         chunks = _grid_chunks(dist, *grid, args.d)
     else:
-        chunks = _plain_chunks(dist, (pts for pts, _ in _grid_blocks(*grid, args.d)))
+        chunks = _plain_chunks(dist, _grid_blocks(*grid, args.d))
     _write_table(args.out, header, chunks, args.format, pole=True)
 
 

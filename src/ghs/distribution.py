@@ -95,12 +95,18 @@ _NORM_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 def _point_norms(x):
     """||x|| of one point or of each row, right for every finite point.
 
-    The plain norm squares the entries, which underflows for
-    ||x|| < ~1.5e-154 and overflows above ~1.3e154.  Only those rows are
-    recomputed, by hypot, which never squares; other rows keep the plain value.
+    The squares are summed left to right over the coordinates, for one point
+    as for a stack, so a point and its row of a stack get the same bits (and
+    ``ghs density --grid`` its radii from prefix sums).  The squares
+    underflow for ||x|| < ~1.5e-154 and overflow above ~1.3e154.  Only those
+    rows are recomputed, by hypot, which never squares; other rows keep the
+    plain value.
     """
     with np.errstate(over="ignore", under="ignore"):
-        r = np.asarray(np.linalg.norm(x, axis=-1) if x.ndim == 2 else np.linalg.norm(x))
+        s = x[..., 0] * x[..., 0]
+        for i in range(1, x.shape[-1]):
+            s += x[..., i] * x[..., i]
+        r = np.asarray(np.sqrt(s))
     redo = (r < _NORM_UNDERFLOW) | (r == np.inf)
     if np.any(redo):
         r[redo] = np.hypot.reduce(x[redo], axis=-1, initial=0.0)

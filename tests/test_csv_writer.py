@@ -3,10 +3,9 @@
 A chunk reaches ``csv_bytes`` as code columns, one (rows, w) uint8 array of
 NUL-padded ASCII cells per column; the writer lays the cells out between
 their commas and newlines and drops the padding.  ``float_cells`` makes each
-value's repr as bytes, the cells the CLI caches.  The cases here: columns of
-different widths, one column, an empty chunk, the values repr formats itself
-and the extremes of the float range, and the CLI's cell cache across a
-restart.
+value's repr as bytes, the cells the CLI's grid writer builds its templates
+from.  The cases here: columns of different widths, one column, an empty
+chunk, the values repr formats itself and the extremes of the float range.
 """
 
 import math
@@ -14,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from ghs import cli
 from ghs.files import csv_bytes, encode_cells, float_cells, float_codes, write_csv_chunks
 
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-323, 1.7976931348623157e308]
@@ -74,30 +72,3 @@ def test_written_file(tmp_path):
     chunks = (float_codes(table[lo:lo + 4096].T) for lo in range(0, len(table), 4096))
     write_csv_chunks(tmp_path / "t.csv", ["a", "b", "c"], map(csv_bytes, chunks))
     assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n" + reference(table)
-
-
-def test_cells_cache_restart_gives_bytes(monkeypatch):
-    # a cache of 40 values: the second lookup adds 5 values to it, the third
-    # passes 40 and restarts from its own values, the fourth finds all of
-    # them there and makes nothing, the fifth restarts again; each value's
-    # cell is the CSV row "v,-v\n", as the density cache's two columns
-    monkeypatch.setattr(cli, "_REPR_CACHE", 40)
-    made = []
-
-    def make(values):
-        made.append(values.size)
-        return float_cells(values) + b"," + float_cells(-values) + b"\n"
-
-    cache = cli._Cells(make)
-    rng = np.random.default_rng(7)
-    first = np.concatenate([SPECIALS, rng.standard_normal(22)])
-    extra = np.concatenate([[-1.7976931348623157e308, -5e-324, 0.1, 0.5, -2.5], first[:3]])
-    second = np.concatenate([[-0.0, 0.0, math.nan], rng.standard_normal(30)])
-    for block in (first, extra, second, second[::-1].copy(), first):
-        table = np.column_stack([block, block[::-1]])
-        cells, at = cache.lookup(table)
-        assert cells.dtype == object and at.shape == table.shape
-        for column, where in zip(table.T, at.T):
-            rows = np.column_stack([column, -column])
-            assert b"".join(cells.take(where).tolist()) == reference(rows)
-    assert made == [30, 5, 33, 30]

@@ -21,7 +21,6 @@ from ghs.distribution import (
     GhsDistribution, density, log_density, sample_arrays, sample_blocks
 )
 from ghs.errors import DomainError
-from ghs.files import float_cells
 from ghs.rng import make_rng
 
 B = cli._BLOCK
@@ -121,8 +120,8 @@ def test_density_grid_evaluates_each_distinct_radius_once(tmp_path, monkeypatch)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_and_points_file_give_the_same_bytes(tmp_path, fmt, sigma):
     # 17^4 = 83,521 points over two blocks, the origin (the pole) among them:
-    # the grid's cells are made once per axis value, prefix and radius, the
-    # points file's values are formatted where they are used
+    # the grid's cells are made once per axis value, prefix and class of
+    # prefixes, the points file's values are formatted where they are used
     pts = grid_points("-1:1:0.125", 4)
     path = tmp_path / "pts.txt"
     path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()), encoding="utf-8")
@@ -135,6 +134,30 @@ def test_grid_and_points_file_give_the_same_bytes(tmp_path, fmt, sigma):
         poles = [doc for doc in json.loads(grid) if doc.get("pole")]
         assert poles == [{"x1": 0.0, "x2": 0.0, "x3": 0.0, "x4": 0.0, "density": None,
                           "log_density": None, "pole": True}]
+
+
+@pytest.mark.parametrize("d, spec, plain", [
+    (9, "-1:1:1", False),  # 3^9 = 19,683 rows: 6,561 runs of 3 in 9 classes
+    (2, "0:5e-324:5e-324", True),  # a subnormal axis value squares to 0
+    (2, "1e-200:3e-200:1e-200", True),  # squares that underflow
+    (2, "-1e200:1e200:1e200", True),  # squares that overflow
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_matches_its_points_file_and_repr(tmp_path, monkeypatch, fmt, d, spec, plain):
+    # a grid whose squares leave the normal range takes the plain writer,
+    # whose norms recompute those rows by hypot; either way the grid, its
+    # points written by repr to a points file, and repr give the same bytes
+    csv_chunks, calls = cli._csv_chunks, []
+    monkeypatch.setattr(cli, "_csv_chunks", lambda tables: calls.append(1) or csv_chunks(tables))
+    pts = grid_points(spec, d)
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in pts.tolist()), encoding="utf-8")
+    argv = ["density", "--d", str(d), "--format", fmt]
+    grid = run(tmp_path, f"g.{fmt}", *argv, f"--grid={spec}")
+    assert calls == [1] * plain
+    assert_same_text(run(tmp_path, f"p.{fmt}", *argv, "--points-file", str(path)), grid)
+    header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
+    assert_same_text(grid, reference_text(header, density_table(GhsDistribution(d), pts), fmt))
 
 
 def test_one_point_grid_past_64_axes(tmp_path):
@@ -154,10 +177,10 @@ def test_one_point_grid_past_64_axes(tmp_path):
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_cells_match_repr(tmp_path, fmt, d, spec):
-    # axis cells joined into prefix cells of the leading d - 1 axes (no
-    # prefix at d = 1), then the last axis and the radius cell; every grid
-    # of at most _REPR_CACHE values per axis is written so, however few of
-    # its radii repeat
+    # runs of the last axis from their class's template, the prefix cell of
+    # the leading d - 1 axes in place of its NULs (no prefix at d = 1); every
+    # grid of at most _REPR_CACHE values per axis whose squares are normal is
+    # written so, however few of its radii repeat
     pts = grid_points(spec, d)
     header = [f"x{i + 1}" for i in range(d)] + ["density", "log_density"]
     written = run(tmp_path, f"g.{fmt}", "density", "--d", str(d), f"--grid={spec}", "--format", fmt)
@@ -167,17 +190,17 @@ def test_grid_cells_match_repr(tmp_path, fmt, d, spec):
 
 
 @pytest.mark.parametrize("d, spec, cache, plain", [
-    (3, "-1:1:0.25", 81, False),  # 9^2 prefixes fit: k = 2, prefix and last axis
-    (3, "-1:1:0.25", 80, False),  # one prefix too many: k = 1, three axis cells
-    (3, "-1:1:0.25", 9, False),  # k = 1
+    (3, "-1:1:0.25", 81, False),  # 9^2 prefixes fit: one prefix block
+    (3, "-1:1:0.25", 80, False),  # one prefix too many: two blocks
+    (3, "-1:1:0.25", 9, False),  # nine blocks
     (3, "-1:1:0.25", 8, True),  # axes past the cache: the plain writer
-    (4, "-1:1:0.5", 125, False),  # k = 3
-    (4, "-1:1:0.5", 124, False),  # k = 2
-    (1, "-1:1:0.25", 9, False),  # k = 0: no prefix
+    (4, "-1:1:0.5", 125, False),  # one block
+    (4, "-1:1:0.5", 124, False),  # two blocks
+    (1, "-1:1:0.25", 9, False),  # one run, no prefix
 ])
 def test_grid_prefix_cells_switch_at_the_cache_bound(tmp_path, monkeypatch, d, spec, cache, plain):
-    # the cached writer joins the leading k axes, k the largest below d with
-    # count^k <= _REPR_CACHE; a grid of more values per axis takes the plain one
+    # the cached writer makes the prefix cells _REPR_CACHE runs at a time; a
+    # grid of more values per axis takes the plain one
     monkeypatch.setattr(cli, "_REPR_CACHE", cache)
     csv_chunks, calls = cli._csv_chunks, []
     monkeypatch.setattr(cli, "_csv_chunks", lambda tables: calls.append(1) or csv_chunks(tables))
@@ -188,28 +211,39 @@ def test_grid_prefix_cells_switch_at_the_cache_bound(tmp_path, monkeypatch, d, s
     assert calls == [1] * plain
 
 
-def test_radius_cache_restart_matches_repr(tmp_path, monkeypatch):
-    # blocks of 1,000 rows, chunks of 300 and a cache of 50 cells: the
-    # radius cache passes its bound and restarts in most blocks
-    monkeypatch.setattr(cli, "_BLOCK", 1000)
-    monkeypatch.setattr(cli, "_CHUNK", 300)
-    monkeypatch.setattr(cli, "_REPR_CACHE", 50)
-    made = []
-    radius_cells = cli._radius_cells
+@pytest.mark.parametrize("bound", [1, 3000, 10**6])
+def test_templates_restart_under_their_bound(tmp_path, monkeypatch, bound):
+    # 13^3 rows from 0.1 up, so no two axis values square alike: 88 classes
+    # (91 pairs of squares, three sums met by rounding) of 169 prefixes,
+    # taken 48 at a time.  A bound of 1 byte keeps one
+    # class's template and 3,000 bytes a few, so the templates restart and
+    # remake classes; 10^6 bytes hold them all, so each is made once
+    monkeypatch.setattr(cli, "_TEMPLATE_BYTES", bound)
+    monkeypatch.setattr(cli, "_REPR_CACHE", 48)
+    monkeypatch.setattr(cli, "_CHUNK", 100)
+    spec = "0.1:1.3:0.1"
+    pts = grid_points(spec, 3)
+    axis = np.unique(pts[:, 0])
+    # a template's most bytes: a NUL, the axis cell and its comma, the radius cells
+    width = sum(len(repr(v)) + 2 for v in axis.tolist()) + cli._RADIUS_BYTES * axis.size
+    room = max(1, bound // width)
+    batches = []
+    templates = cli._templates
 
-    def counted(dist, r):
-        made.append(r.size)
-        return radius_cells(dist, r)
+    def counted(dist, sums, sq, marked):
+        made = templates(dist, sums, sq, marked)
+        batches.append(len(made))
+        assert len(made) == 1 or sum(map(len, made)) <= bound
+        return made
 
-    monkeypatch.setattr(cli, "_radius_cells", counted)
-    pts = grid_points("-1:1:0.125", 3)
+    monkeypatch.setattr(cli, "_templates", counted)
     header = ["x1", "x2", "x3", "density", "log_density"]
     for fmt in ("csv", "json"):
-        written = run(tmp_path, f"g.{fmt}", "density", "--d", "3", "--grid=-1:1:0.125", "--format", fmt)
+        written = run(tmp_path, f"g.{fmt}", "density", "--d", "3", f"--grid={spec}", "--format", fmt)
         assert_same_text(written, reference_text(header, density_table(GhsDistribution(3), pts), fmt))
-    # two commands make each distinct radius twice, and more where they restart
-    distinct = np.unique(np.linalg.norm(pts, axis=1)).size
-    assert len(made) > 2 and sum(made) > 2 * distinct
+    classes = np.unique(pts[::13, 0] ** 2 + pts[::13, 1] ** 2).size  # two commands make them
+    assert classes == 88 and max(batches) <= room
+    assert sum(batches) > 2 * classes if room < classes else sum(batches) == 2 * classes
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -306,28 +340,6 @@ def test_grid_stops_at_hi(tmp_path):
         lo_, step_, count = cli._parse_grid(f"{lo!r}:{hi!r}:{step!r}", 1)
         assert count == n + 1, (lo, hi, step)
         assert lo + (count - 1) * step <= hi + 1e-9 * (hi - lo)
-
-
-@pytest.mark.parametrize("cache", [cli._REPR_CACHE, 40])
-def test_reprs_carried_across_blocks_match_repr(monkeypatch, cache):
-    # shared columns draw on overlapping value sets block after block, so
-    # later blocks find most values in the cache; a cache of 40 values
-    # overflows and restarts from the current block
-    monkeypatch.setattr(cli, "_REPR_CACHE", cache)
-    rng = np.random.default_rng(11)
-    pool = np.concatenate([[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1],
-                           rng.standard_normal(60) * 1e3])
-    blocks = []
-    for i, m in enumerate([500, 300, 1, 9000, 700, 40]):
-        lo = 5 * i
-        shared = rng.choice(pool[lo:lo + 30 + 10 * i], m)
-        blocks.append(np.column_stack([shared, rng.standard_normal(m), shared[::-1]]))
-    blocks.insert(2, np.column_stack([rng.standard_normal((50, 3))]))  # nothing shared
-    reference = "".join(",".join(map(repr, row)) + "\n" for b in blocks for row in b.tolist())
-    # cells end in a comma; the row's last one becomes its newline
-    cells = cli._Cells(lambda values: float_cells(values) + b",")
-    rows = (row for b in blocks for row in np.take(*cells.lookup(b)).tolist())
-    assert_same_text("".join(b"".join(row)[:-1].decode() + "\n" for row in rows), reference)
 
 
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
