@@ -28,8 +28,8 @@ from .files import atomic_write, csv_bytes, float_cells, float_codes, write_csv_
 from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
 
-_CHUNK = 8192  # rows formatted at a time
-_BLOCK = 1 << 16  # rows computed and written at a time: bounds the memory
+_CHUNK = 8192  # rows formatted at a time, and the rows of each draw block of sample
+_BLOCK = 1 << 16  # density's rows computed and written at a time: bounds the memory
 _REPR_CACHE = 1 << 16  # grid axis values, and prefixes, whose cells are kept
 _TEMPLATE_BYTES = 1 << 23  # most bytes the grid writer's templates hold: one class takes < 5 MB
 _RADIUS_BYTES = 50  # most bytes of a radius's cells: two reprs of 24, a comma, a newline
@@ -246,9 +246,10 @@ def cmd_sample(args):
     if args.seed is None:
         raise ConfigError("--seed is required for sampling")
     dist = GhsDistribution(args.d, args.sigma_theta)
-    blocks = sample_blocks(dist, args.n, args.seed, _BLOCK)
+    blocks = sample_blocks(dist, args.n, args.seed, _CHUNK)
     header = ["lambda"] + [f"x{i + 1}" for i in range(args.d)]
-    _write_table(args.out, header, _csv_chunks(map(np.column_stack, blocks)), args.format)
+    chunks = (csv_bytes([float_codes(lam), *float_codes(x).swapaxes(0, 1)]) for lam, x in blocks)
+    _write_table(args.out, header, chunks, args.format)
 
 
 def _parse_floats(text, flag):
@@ -259,18 +260,18 @@ def _parse_floats(text, flag):
     return values
 
 
-def _parse_counts(text, flag):
-    """Comma-separated whole numbers, written as integers or floats (1e3), one
-    or more; empty entries are skipped."""
-    return [_check_whole(v, flag, 0, ConfigError) for v in _parse_floats(text, flag)]
+def _parse_counts(text, flag, least):
+    """Comma-separated whole numbers >= ``least``, written as integers or
+    floats (1e3), one or more; empty entries are skipped."""
+    return [_check_whole(v, flag, least, ConfigError) for v in _parse_floats(text, flag)]
 
 
 def cmd_risk(args):
     theta0 = None if args.theta0 is None else _parse_floats(args.theta0, "--theta0")
-    d_list = _parse_counts(args.d_list, "--d-list")
+    d_list = _parse_counts(args.d_list, "--d-list", 1)
     if theta0 is not None and d_list != [len(theta0)]:
         raise ConfigError("--theta0 requires --d-list to be exactly its dimension")
-    n_grid = _parse_counts(args.n_grid, "--n-grid")
+    n_grid = _parse_counts(args.n_grid, "--n-grid", 2)
     header = ["d", "n", "mass", "bound", "normalized_bound"]
     rows = []
     for d in d_list:

@@ -62,18 +62,22 @@ def encode_cells(strings):
     return cells.view(np.uint8).reshape(len(cells), -1)
 
 
-# Shortest round-trip reprs on arrays: Schubfach (R. Giulietti, "The Schubfach
-# way to render doubles", 2020) in uint64 arithmetic, as in the JDK's
-# DoubleToDecimal but without its two-digit minimum, then CPython's 'r'
-# layout (format_float_short) by table-driven gathers of code points.
+# Shortest round-trip reprs on arrays: Dragonbox (J. Jeon, "Dragonbox: A New
+# Floating-Point Binary-to-Decimal Conversion Algorithm", 2020) for binary64
+# with kappa = 2, in uint64 arithmetic: one 64 x 128-bit product per value,
+# a second one only where its parity decides the last digit.  Then CPython's
+# 'r' layout (format_float_short) by table-driven gathers of code points.
 
 # values formatted at a time: each temporary is 64 KB, which malloc reuses;
 # larger ones are mapped afresh and page-fault on every piece
 _PIECE = 1 << 13
 _GATHER = 1 << 11  # values gathered at a time: their code indices take 384 KB
-_M32, _M63 = np.uint64(0xFFFFFFFF), np.uint64((1 << 63) - 1)
-_ONE = 0x3FF0000000000000  # the bits of 1.0, formatted in place of the specials
+_M32 = np.uint64(0xFFFFFFFF)
+# the bits of 1.5, formatted in place of the specials: not a power of two,
+# so padding takes no shorter-interval step
+_FILL = 0x3FF8000000000000
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
+_K0 = 292  # the cache row of 10^k is k + _K0, for k in [-292, 326]
 
 # Each value's code points are gathered from eight units of four: the
 # four-digit groups of its 17-digit significand, "000d" then "dddd" four
@@ -90,28 +94,26 @@ def _flog2pow10(e):
 
 @functools.cache
 def _tables():
-    """The kernel's tables, made on first use (about 3 ms), not at import:
-    g, the units, their trailing zeros, the layout as the unit and the slot
-    within it, and the specials.
+    """The kernel's tables, made on first use (about 4 ms), not at import:
+    the cache, the units, their trailing zeros, the layout as the unit and
+    the slot within it, and the specials.
 
-    g: for 10^-k = beta 2^r with 2^125 <= beta < 2^126 and k in [-324, 292],
-    g = floor(beta) + 1, as g1 = g >> 63, the 32-bit limbs of g1, g0 = g mod
-    2^63 and the 32-bit limbs of g0, one row each.  The units: every unit of
-    four code points, 4 bytes each; the trailing zeros of each four-digit
+    The cache: for k in [-292, 326], phi = ceil(10^k 2^(127 - floor(log2
+    10^k))), so 2^127 <= phi < 2^128, as one row of five uint64 limbs: phi
+    >> 64, then the 32-bit limbs of phi >> 64 and of phi mod 2^64 (a 40-byte
+    void, so that a piece's rows come in one take).  The units: every unit
+    of four code points, 4 bytes each; the trailing zeros of each four-digit
     unit (4 for 0000).  The layout: the 24 slots of each repr, one row per
     (sign, digit count n, form), form 0 for d.ddde+xx and 4 + decpt for the
     positional form, decpt in [-3, 16], where the value is 0.d1...dn 10^decpt.
     The specials: the codes of 0.0, -0.0, inf, -inf and nan.
     """
     limbs = []
-    for k in range(-324, 293):
-        shift = 125 - _flog2pow10(-k)
-        if k <= 0:
-            g = (10 ** -k << shift if shift >= 0 else 10 ** -k >> -shift) + 1
-        else:
-            g = (1 << shift) // 10 ** k + 1
-        g0 = g & (1 << 63) - 1
-        limbs.append((g >> 63, g >> 95, g >> 63 & 0xFFFFFFFF, g0, g0 >> 32, g & 0xFFFFFFFF))
+    for k in range(-_K0, 327):
+        shift = 127 - _flog2pow10(k)
+        num, den = 10 ** max(k, 0) << max(shift, 0), 10 ** max(-k, 0) << max(-shift, 0)
+        phi = -(-num // den)
+        limbs.append((phi >> 64, phi >> 96, phi >> 64 & 0xFFFFFFFF, phi >> 32 & 0xFFFFFFFF, phi & 0xFFFFFFFF))
     four = np.arange(10000)  # the four-digit units
     units = np.concatenate([
         four[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48,
@@ -137,38 +139,32 @@ def _tables():
     specials = np.zeros((5, 24), dtype=np.uint8)
     specials[:, :4] = encode_cells(["0.0", "-0.0", "inf", "-inf", "nan"])
     zeros = sum(four % 10 ** j == 0 for j in range(1, 5))
-    tables = (np.array(limbs, dtype=np.uint64).T.copy(), units, zeros, layout // 4, layout % 4, specials)
+    cache = np.array(limbs, dtype=np.uint64).view("V40").ravel()
+    tables = (cache, units, zeros, layout // 4, layout % 4, specials)
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
 
 
-def _mulhi(a1, a0, b1, b0):
+def _mulhi(x1, x0, y1, y0):
     """The high 64 bits of the products of two uint64 arrays, from their
-    32-bit limbs."""
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    32-bit limbs, the first below 2^63."""
+    p00, p01, p10 = x0 * y0, x1 * y0, x0 * y1
+    mid = (p00 >> 32) + p01 + (p10 & _M32)
+    return x1 * y1 + (p10 >> 32) + (mid >> 32)
 
 
-def _rop(y, x):
-    """g cp / 2^127 rounded to odd, as DoubleToDecimal.rop, from the products
-    y = g1 cp and x = g0 cp as (high, low) pairs of uint64 arrays."""
-    z = (y[1] >> 1) + x[0]
-    return (y[0] + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+def _parity(w, rows, beta):
+    """The parity of y = floor(w phi 2^beta / 2^128), w < 2^55, for cache
+    rows ``rows`` of phi, and whether w phi 2^beta / 2^128 is an integer:
+    from the low 128 bits of w phi."""
+    hi, _, _, b1, b0 = rows.view(np.uint64).reshape(-1, 5).T
+    low = w * (b1 << 32 | b0)
+    high = w * hi + _mulhi(w >> 32, w & _M32, b1, b0)
+    return high >> 64 - beta & 1, (high << beta | low >> 64 - beta) == 0
 
 
-def _add_shifted(p, a, s, up):
-    """The 128-bit (high, low) ``p`` plus (``up``) or minus a 2^s, 0 < s < 64."""
-    high, low = p
-    ah, al = a >> 64 - s, a << s
-    if up:
-        total = low + al
-        return high + ah + (total < low), total
-    return high - ah - (low < al), low - al
-
-
-def _shortest(bits, g_table):
+def _shortest(bits, cache):
     """The shortest decimal f 10^e that reads back as each finite nonzero
     double of ``bits`` (the nearest such if several, even f on a tie), as
     (f, e) with f < 10^17: its significant digits are those of f less its
@@ -178,31 +174,72 @@ def _shortest(bits, g_table):
     normal = bq != 0
     c = t + (normal << np.uint64(52))
     q = bq - 1075 + ~normal  # the value is c 2^q
-    irregular = (t == 0) & (bq > 1)  # a power of two: a narrower gap below
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + _flog2pow10(-k) + 2).view(np.uint64)
-    g1, g1h, g1l, g0, g0h, g0l = g_table.take(k + 324, axis=1)
-    odd = c & 1  # an odd c does not round to the ends of its interval
-    cp = c << h + 2
-    c1, c0 = cp >> 32, cp & _M32
-    y, x = (_mulhi(g1h, g1l, c1, c0), g1 * cp), (_mulhi(g0h, g0l, c1, c0), g0 * cp)
-    vb = _rop(y, x)
-    # the products at the ends of the interval, cp - 2^(h+1) (cp - 2^h at a
-    # power of two) and cp + 2^(h+1), from those at cp
-    lo, hi = h + 1 - irregular, h + 1
-    vbl = _rop(_add_shifted(y, g1, lo, False), _add_shifted(x, g0, lo, False)) + odd
-    vbr = _rop(_add_shifted(y, g1, hi, True), _add_shifted(x, g0, hi, True)) - odd
-    s = vb >> 2
-    sp10 = s // 10 * 10
-    # the one multiple of 10 10^k in the interval, else the nearer of s and s + 1
-    upin = vbl <= sp10 << 2
-    wpin = (sp10 + 10 << 2) <= vbr
-    uin, win = vbl <= s << 2, (s + 1 << 2) <= vbr
-    mid = (s << 2) + 2
-    closer = (vb < mid) | ((vb == mid) & ((s & 1) == 0))
-    f = s + 1 - np.where(uin != win, uin, closer)
-    f += (upin != wpin) * (sp10 + 10 - upin * np.uint64(10) - f)
-    return f, k
+    k = 2 - (q * 315653 >> 20)  # kappa - floor(q log10 2)
+    beta = (q + _flog2pow10(k)).view(np.uint64)  # in [6, 9]
+    rows = cache.take(k + _K0)
+    hi, a1, a0, b1, b0 = rows.view(np.uint64).reshape(-1, 5).T
+    # scaled by 10^k, the value's rounding interval is about delta wide and
+    # ends at z + frac / 2^64: the upper 128 bits of the 192-bit product
+    # (2c + 1) 2^beta phi, whose fraction frac is 0 only at an integer end
+    u = (c << 1 | 1) << beta
+    u1, u0 = u >> 32, u & _M32
+    low = _mulhi(u1, u0, b1, b0)
+    frac = hi * u + low
+    z = _mulhi(u1, u0, a1, a0) + (frac < low)
+    delta = hi >> 63 - beta  # in [100, 1000)
+    s = z // 1000
+    r = z - s * 1000
+    # s 1000 is in the interval if r < delta, but not at an odd c's open
+    # upper end (r = 0 and an integer z: then s - 1 and r = 1000), and out
+    # of it if r > delta
+    zero = np.flatnonzero(r == 0)
+    out = zero[(frac.take(zero) == 0) & (c.take(zero) & 1 == 1)]
+    s[out] -= 1
+    r[out] = 1000
+    small = r > delta
+    # at r == delta, the parity of the lower end's product tells whether s
+    # 1000 is above it (an even c takes the end in)
+    tie = np.flatnonzero(r == delta)
+    if tie.size:
+        ct = c.take(tie)
+        parity, integer = _parity((ct << 1) - 1, rows.take(tie), beta.take(tie))
+        small[tie] = (parity | integer & (ct & 1 == 0)) == 0
+    # out of it, f is the value rounded to a multiple of 100: s 10 + dist //
+    # 100, from z less half the width; where 100 divides dist, the parity of
+    # the value's own product decides between that and one less, and an
+    # integer value is a tie, to the even f
+    dist = r - (delta >> 1) + 50
+    m = dist * 656  # dist // 100 is m >> 16; 100 divides dist iff m mod 2^16 < 656
+    f = s * 10 + (m >> 16) * small
+    exact = np.flatnonzero(small & ((m & 0xFFFF) < 656))
+    if exact.size:
+        parity, integer = _parity(c.take(exact) << 1, rows.take(exact), beta.take(exact))
+        fe = f.take(exact)
+        f[exact] = fe - ((parity != (dist.take(exact) & 1)) | (fe & 1) & integer)
+    e = 2 - k
+    two = np.flatnonzero(t == 0)  # powers of two
+    if two.size:
+        f[two], e[two] = _shorter(q.take(two), cache)
+    return f, e
+
+
+def _shorter(q, cache):
+    """_shortest's (f, e) of the powers of two 2^52 2^q, whose gap below is
+    half their gap above: the ends of their intervals are shifts of the
+    cache's phi >> 64, with no product."""
+    k = -((q * 631305 - 261663) >> 21)  # -floor(q log10 2 - log10(4/3))
+    beta = (q + _flog2pow10(k)).view(np.uint64)  # in [0, 8]
+    hi = cache.take(k + _K0).view(np.uint64)[::5]
+    # the ends, the lower one moved in: where it is an integer (2^54 and 2^55)
+    # that changes no digit, as the test of every power of two shows
+    lower = ((hi - (hi >> 54)) >> 11 - beta) + 1
+    upper = (hi + (hi >> 53)) >> 11 - beta
+    # the value rounded up to an integer, down on a tie (at q = -77) to the even one
+    near = ((hi >> 10 - beta) + 1) >> 1
+    down = (near & 1 == 1) & (q == -77)
+    near = near + (~down & (near < lower)) - down
+    tens = upper // 10 * 10  # the multiple of 10 in the interval, if there is one
+    return np.where(tens >= lower, tens, near), -k
 
 
 def float_codes(values):
@@ -215,10 +252,10 @@ def float_codes(values):
     special = ~np.isfinite(flat) | (flat == 0)
     pieces = max(-(-flat.size // _PIECE), 1)
     p = max(-(-flat.size // pieces), 1)  # pieces of equal length, the last padded
-    bits = np.full(pieces * p, _ONE, dtype=np.uint64)
+    bits = np.full(pieces * p, _FILL, dtype=np.uint64)
     bits[:flat.size] = flat.view(np.uint64)
-    bits[:flat.size][special] = _ONE
-    g_table, unit_table, zeros, layout_units, layout_slots, specials = _tables()
+    bits[:flat.size][special] = _FILL
+    cache, unit_table, zeros, layout_units, layout_slots, specials = _tables()
     # work buffers, and the layout as indices into a piece's units (unit-major)
     units, idx = np.empty((6, p), dtype=np.intp), np.empty((min(p, _GATHER), 24), dtype=np.intp)
     src = np.empty((8, p), dtype=unit_table.dtype)
@@ -227,7 +264,7 @@ def float_codes(values):
     layout = (layout_units * (4 * p) + layout_slots).view(f"V{24 * idx.itemsize}").ravel()
     offsets = np.arange(0, 4 * p, 4)[:, None]
     for lo in range(0, flat.size, p):
-        f, e = _shortest(bits[lo:lo + p], g_table)
+        f, e = _shortest(bits[lo:lo + p], cache)
         # the digit count n of f, from its binary exponent and one comparison
         n = (f.astype(float).view(np.int64) >> 52) * 1233 - 1023 * 1233 >> 12
         n += 1 + (f >= _POW10.take(n + 1))

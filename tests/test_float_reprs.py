@@ -1,20 +1,22 @@
 """The array formatter of ghs.files against CPython's repr, string for string.
 
-``float_cells`` runs Schubfach in uint64 arithmetic and lays the digits out as
+``float_cells`` runs Dragonbox in uint64 arithmetic and lays the digits out as
 repr does; every case here compares its cells, the bytes the CLI writes, with
-``repr(v).encode()``: random
-bit patterns, the values next to powers of ten and of two, subnormals, large
-integers, short decimals, the switch between positional and scientific form,
-the values repr formats itself, and the piece boundaries.  Fixed seeds; a
-RuntimeWarning (an overflow in a scalar step) is an error, as pyproject.toml
-makes it in every test.
+``repr(v).encode()``: random bit patterns, the values next to powers of ten
+and of two, subnormals, large integers, short decimals, decimals of 15 to 17
+digits, the switch between positional and scientific form, the values repr
+formats itself, and the piece boundaries; together the cases reach each of the
+kernel's rare paths.  Fixed seeds; a RuntimeWarning (an overflow in a scalar
+step) is an error, as pyproject.toml makes it in every test.
 """
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from ghs import files
 from ghs.files import _PIECE, float_cells
 
 
@@ -62,6 +64,40 @@ def test_short_decimals():
     exponents = list(range(-330, -300)) + list(range(-25, 26)) + list(range(280, 309))
     values = [float(f"{a}e{j}") for j in exponents for a in k.tolist()]
     assert mismatches(values) == []
+
+
+@pytest.mark.parametrize("digits", [15, 16, 17])
+def test_decimals_of_15_to_17_digits(digits):
+    # exactly ``digits`` significant digits, at every decimal exponent of a double
+    rng = np.random.default_rng(digits)
+    mantissas = rng.integers(10 ** (digits - 1), 10 ** digits, 20000, dtype=np.int64)
+    exponents = rng.integers(-324, 309, 20000) - digits + 1
+    values = [float(f"{m}e{x}") for m, x in zip(mantissas.tolist(), exponents.tolist())]
+    assert mismatches(values) == []
+
+
+def test_cases_reach_each_rare_path(monkeypatch):
+    # the parity products run only where r == delta (on 2c - 1, odd) or where
+    # 100 divides the distance (on 2c, even), and powers of two take the
+    # shorter interval: each must be reached by the cases above, not only exist
+    reached = collections.Counter()
+    parity, shorter = files._parity, files._shorter
+
+    def spy_parity(w, rows, beta):
+        reached["lower end" if w[0] & 1 else "value"] += w.size
+        return parity(w, rows, beta)
+
+    def spy_shorter(q, cache):
+        reached["power of two"] += q.size
+        return shorter(q, cache)
+
+    monkeypatch.setattr(files, "_parity", spy_parity)
+    monkeypatch.setattr(files, "_shorter", spy_shorter)
+    test_powers_of_ten_and_two()
+    test_short_decimals()
+    for digits in (15, 16, 17):
+        test_decimals_of_15_to_17_digits(digits)
+    assert set(reached) == {"lower end", "value", "power of two"}, reached
 
 
 @pytest.mark.parametrize("value, text", [

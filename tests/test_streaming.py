@@ -24,6 +24,7 @@ from ghs.errors import DomainError
 from ghs.rng import make_rng
 
 B = cli._BLOCK
+C = cli._CHUNK  # rows of each block that sample draws and formats
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -342,7 +343,7 @@ def test_grid_stops_at_hi(tmp_path):
         assert lo + (count - 1) * step <= hi + 1e-9 * (hi - lo)
 
 
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, B - 1, B, B + 1, 2 * B + 3])
 @pytest.mark.parametrize("d", [1, 3])
 def test_sample_blocks_match_one_call_sampler(tmp_path, n, d):
     dist = GhsDistribution(d, 1.5)

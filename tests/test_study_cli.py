@@ -495,6 +495,8 @@ class TestCli:
         ("2.7", "1500"), ("2", "1500.5"), ("2", "1e3,inf"), ("1,2.5", "1e3"),
         # empty lists, as StudyConfig refuses an empty n
         (",", "10"), ("", "10"), ("2", ","), ("2", " , "),
+        # below the least dimension (1) and the least sample size (2)
+        ("0", "10"), ("2", "1"),
     ])
     def test_risk_rejects_fractional_sizes(self, tmp_path, capsys, d_list, n_grid):
         out = tmp_path / "risk.csv"
@@ -503,6 +505,15 @@ class TestCli:
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("d_list, n_grid, message", [
+        ("2", "1.5", "--n-grid must be a whole number >= 2, got 1.5"),
+        ("0.5", "10", "--d-list must be a whole number >= 1, got 0.5"),
+    ])
+    def test_risk_count_message_names_its_bound(self, tmp_path, capsys, d_list, n_grid, message):
+        with pytest.raises(SystemExit):
+            self.run("risk", "--d-list", d_list, "--n-grid", n_grid, "--out", str(tmp_path / "r.csv"))
+        assert json.loads(capsys.readouterr().err)["message"] == message
 
     def test_risk_skips_empty_entries(self, tmp_path):
         out = tmp_path / "risk.csv"
