@@ -276,7 +276,7 @@ def cmd_risk(args):
     rows = []
     for d in d_list:
         scenario = RiskScenario(d, args.sigma, tuple(theta0 or []), tuple(n_grid))
-        half_coef = d if theta0 else 1.0  # d log(n)/2 off the origin, log(n)/2 at it
+        half_coef = d if any(theta0 or ()) else 1.0  # d log(n)/2 off the origin, log(n)/2 at it
         for n in scenario.n_grid:
             mass = kl_ball_prior_mass(scenario, n)
             bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass

@@ -107,9 +107,9 @@ def _point_norms(x):
         for i in range(1, x.shape[-1]):
             s += x[..., i] * x[..., i]
         r = np.asarray(np.sqrt(s))
-    redo = (r < _NORM_UNDERFLOW) | (r == np.inf)
-    if np.any(redo):
-        r[redo] = np.hypot.reduce(x[redo], axis=-1, initial=0.0)
+        redo = (r < _NORM_UNDERFLOW) | (r == np.inf)
+        if np.any(redo):  # inf where ||x|| itself is past the largest float
+            r[redo] = np.hypot.reduce(x[redo], axis=-1, initial=0.0)
     return r
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import os
 
 import numpy as np
@@ -73,8 +74,8 @@ def encode_cells(strings):
 _PIECE = 1 << 13
 _GATHER = 1 << 11  # values gathered at a time: their code indices take 384 KB
 _M32 = np.uint64(0xFFFFFFFF)
-# the bits of 1.5, formatted in place of the specials: not a power of two,
-# so padding takes no shorter-interval step
+# the bits of 1.5, formatted in place of the values read from the table:
+# its fraction field is nonzero, as _shortest needs
 _FILL = 0x3FF8000000000000
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _K0 = 292  # the cache row of 10^k is k + _K0, for k in [-292, 326]
@@ -94,9 +95,9 @@ def _flog2pow10(e):
 
 @functools.cache
 def _tables():
-    """The kernel's tables, made on first use (about 4 ms), not at import:
+    """The kernel's tables, made on first use (about 15 ms), not at import:
     the cache, the units, their trailing zeros, the layout as the unit and
-    the slot within it, and the specials.
+    the slot within it, and the reprs.
 
     The cache: for k in [-292, 326], phi = ceil(10^k 2^(127 - floor(log2
     10^k))), so 2^127 <= phi < 2^128, as one row of five uint64 limbs: phi
@@ -106,7 +107,9 @@ def _tables():
     unit (4 for 0000).  The layout: the 24 slots of each repr, one row per
     (sign, digit count n, form), form 0 for d.ddde+xx and 4 + decpt for the
     positional form, decpt in [-3, 16], where the value is 0.d1...dn 10^decpt.
-    The specials: the codes of 0.0, -0.0, inf, -inf and nan.
+    The reprs: the codes of every double whose fraction field is zero, row
+    ``bits >> 52`` (0.0, the powers of two 2^-1022 to 2^1023 and inf, then
+    the same with a minus), and of nan in row 4096.
     """
     limbs = []
     for k in range(-_K0, 327):
@@ -136,11 +139,11 @@ def _tables():
                     row = digits[:n] + bytes([_ZERO]) * (decpt - n) + bytes([_DOT, _ZERO])
                 rows.append((sign + row).ljust(24, bytes([_NUL])))
     layout = np.frombuffer(b"".join(rows), np.uint8).reshape(-1, 24).astype(np.intp)
-    specials = np.zeros((5, 24), dtype=np.uint8)
-    specials[:, :4] = encode_cells(["0.0", "-0.0", "inf", "-inf", "nan"])
+    positive = ["0.0", *(repr(math.ldexp(1.0, q)) for q in range(-1022, 1024)), "inf"]
+    reprs = np.array([*positive, *("-" + r for r in positive), "nan"], dtype="S24")
     zeros = sum(four % 10 ** j == 0 for j in range(1, 5))
     cache = np.array(limbs, dtype=np.uint64).view("V40").ravel()
-    tables = (cache, units, zeros, layout // 4, layout % 4, specials)
+    tables = (cache, units, zeros, layout // 4, layout % 4, reprs.view(np.uint8).reshape(-1, 24))
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
@@ -165,10 +168,10 @@ def _parity(w, rows, beta):
 
 
 def _shortest(bits, cache):
-    """The shortest decimal f 10^e that reads back as each finite nonzero
-    double of ``bits`` (the nearest such if several, even f on a tie), as
-    (f, e) with f < 10^17: its significant digits are those of f less its
-    trailing zeros."""
+    """The shortest decimal f 10^e that reads back as each finite double of
+    ``bits`` with a nonzero fraction field (the nearest such if several, even
+    f on a tie), as (f, e) with f < 10^17: its significant digits are those
+    of f less its trailing zeros."""
     t = bits & np.uint64((1 << 52) - 1)
     bq = (bits >> 52 & 0x7FF).view(np.int64)
     normal = bq != 0
@@ -216,46 +219,24 @@ def _shortest(bits, cache):
         parity, integer = _parity(c.take(exact) << 1, rows.take(exact), beta.take(exact))
         fe = f.take(exact)
         f[exact] = fe - ((parity != (dist.take(exact) & 1)) | (fe & 1) & integer)
-    e = 2 - k
-    two = np.flatnonzero(t == 0)  # powers of two
-    if two.size:
-        f[two], e[two] = _shorter(q.take(two), cache)
-    return f, e
-
-
-def _shorter(q, cache):
-    """_shortest's (f, e) of the powers of two 2^52 2^q, whose gap below is
-    half their gap above: the ends of their intervals are shifts of the
-    cache's phi >> 64, with no product."""
-    k = -((q * 631305 - 261663) >> 21)  # -floor(q log10 2 - log10(4/3))
-    beta = (q + _flog2pow10(k)).view(np.uint64)  # in [0, 8]
-    hi = cache.take(k + _K0).view(np.uint64)[::5]
-    # the ends, the lower one moved in: where it is an integer (2^54 and 2^55)
-    # that changes no digit, as the test of every power of two shows
-    lower = ((hi - (hi >> 54)) >> 11 - beta) + 1
-    upper = (hi + (hi >> 53)) >> 11 - beta
-    # the value rounded up to an integer, down on a tie (at q = -77) to the even one
-    near = ((hi >> 10 - beta) + 1) >> 1
-    down = (near & 1 == 1) & (q == -77)
-    near = near + (~down & (near < lower)) - down
-    tens = upper // 10 * 10  # the multiple of 10 in the interval, if there is one
-    return np.where(tens >= lower, tens, near), -k
+    return f, 2 - k
 
 
 def float_codes(values):
     """The ``repr`` of each value of a float array as its ASCII code points,
     NUL-padded to 24: a uint8 array of shape ``values.shape + (24,)``, whose
-    rows decode to ``map(repr, values.tolist())``.  Zeros, infinities and NaNs
-    take their codes from a table."""
+    rows decode to ``map(repr, values.tolist())``.  The values whose fraction
+    field is zero (zeros, powers of two, infinities) and NaNs take their
+    codes from a table."""
     values = np.asarray(values, dtype=float)
     flat = values.ravel()
-    special = ~np.isfinite(flat) | (flat == 0)
+    tabled = (flat.view(np.uint64) << 12 == 0) | np.isnan(flat)
     pieces = max(-(-flat.size // _PIECE), 1)
     p = max(-(-flat.size // pieces), 1)  # pieces of equal length, the last padded
     bits = np.full(pieces * p, _FILL, dtype=np.uint64)
     bits[:flat.size] = flat.view(np.uint64)
-    bits[:flat.size][special] = _FILL
-    cache, unit_table, zeros, layout_units, layout_slots, specials = _tables()
+    bits[:flat.size][tabled] = _FILL
+    cache, unit_table, zeros, layout_units, layout_slots, reprs = _tables()
     # work buffers, and the layout as indices into a piece's units (unit-major)
     units, idx = np.empty((6, p), dtype=np.intp), np.empty((min(p, _GATHER), 24), dtype=np.intp)
     src = np.empty((8, p), dtype=unit_table.dtype)
@@ -293,10 +274,9 @@ def float_codes(values):
             part += offsets[b:b + len(part)]
             src.view(np.uint8).ravel().take(part, out=codes[lo + b:lo + b + len(part)], mode="clip")
     codes = codes[:flat.size]
-    if special.any():
-        v = flat[special]
-        row = np.where(v != v, 4, np.isinf(v) * 2 + np.signbit(v))  # 0.0, -0.0, inf, -inf, nan
-        codes[special] = specials.take(row, axis=0)
+    if tabled.any():
+        v = flat[tabled]
+        codes[tabled] = reprs.take(np.where(v != v, 4096, v.view(np.int64) >> 52 & 0xFFF), axis=0)
     return codes.reshape(values.shape + (24,))
 
 

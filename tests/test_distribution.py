@@ -253,6 +253,15 @@ class TestDomainEdges:
         plain = radial_log_density(3, np.linalg.norm(ordinary, axis=1))
         assert np.array_equal(stacked[:4], plain)
 
+    def test_point_whose_norm_passes_the_largest_float(self):
+        # hypot's redo of the norm overflowed outside the errstate, so this
+        # point raised an overflow RuntimeWarning; ||x|| is inf, log p is -inf
+        dist = GhsDistribution(2)
+        x = [1.7e308, 1.7e308]
+        assert log_density(dist, x) == -math.inf and density(dist, x) == 0.0
+        stacked = log_density(dist, np.array([x, [0.5, 0.5]]))
+        assert stacked[0] == -math.inf and stacked[1] == log_density(dist, [0.5, 0.5])
+
     PAST_FLOAT_MAX = [(3, [1e-200, 0.0, 0.0]), (100, [1e-10] + [0.0] * 99)]
 
     @pytest.mark.parametrize("d, x", PAST_FLOAT_MAX)

@@ -1,13 +1,15 @@
 """The array formatter of ghs.files against CPython's repr, string for string.
 
 ``float_cells`` runs Dragonbox in uint64 arithmetic and lays the digits out as
-repr does; every case here compares its cells, the bytes the CLI writes, with
+repr does, and reads the doubles of zero fraction field and NaN from a table;
+every case here compares its cells, the bytes the CLI writes, with
 ``repr(v).encode()``: random bit patterns, the values next to powers of ten
-and of two, subnormals, large integers, short decimals, decimals of 15 to 17
-digits, the switch between positional and scientific form, the values repr
-formats itself, and the piece boundaries; together the cases reach each of the
-kernel's rare paths.  Fixed seeds; a RuntimeWarning (an overflow in a scalar
-step) is an error, as pyproject.toml makes it in every test.
+and of two, both signs of the table's doubles, subnormals, large integers,
+short decimals, decimals of 15 to 17 digits, the switch between positional
+and scientific form, the values repr formats itself, and the piece
+boundaries; together the cases reach each of the kernel's rare paths.  Fixed
+seeds; a RuntimeWarning (an overflow in a scalar step) is an error, as
+pyproject.toml makes it in every test.
 """
 
 import collections
@@ -47,6 +49,19 @@ def test_powers_of_ten_and_two():
     assert mismatches(around(twos, 64)) == []
 
 
+def test_doubles_read_from_the_table():
+    # the doubles whose fraction field is zero take their reprs from a table
+    # row, by sign and exponent, and NaN from one more: both signs of every
+    # power of two (2^-1074 to 2^-1023 are subnormals, formatted by the
+    # kernel), of zero and of inf, and NaNs of either sign bit and any payload
+    twos = np.array([math.ldexp(1.0, e) for e in range(-1074, 1024)])
+    assert mismatches(np.concatenate([twos, -twos, [0.0, -0.0, math.inf, -math.inf]])) == []
+    payloads = np.array([1, 2, 3, 1 << 50, 1 << 51, (1 << 51) + 1, (1 << 52) - 1], dtype=np.uint64)
+    nans = np.concatenate([0x7FF0000000000000 | payloads, 0xFFF0000000000000 | payloads])
+    assert np.isnan(nans.view(float)).all()
+    assert float_cells(nans.view(float)).tolist() == [b"nan"] * nans.size
+
+
 def test_subnormals():
     assert mismatches(np.arange(1, 2**16, dtype=np.int64).view(float)) == []
     assert mismatches(around([2.2250738585072014e-308], 2**10)) == []  # the smallest normal
@@ -78,26 +93,21 @@ def test_decimals_of_15_to_17_digits(digits):
 
 def test_cases_reach_each_rare_path(monkeypatch):
     # the parity products run only where r == delta (on 2c - 1, odd) or where
-    # 100 divides the distance (on 2c, even), and powers of two take the
-    # shorter interval: each must be reached by the cases above, not only exist
+    # 100 divides the distance (on 2c, even): each must be reached by the
+    # cases above, not only exist
     reached = collections.Counter()
-    parity, shorter = files._parity, files._shorter
+    parity = files._parity
 
     def spy_parity(w, rows, beta):
         reached["lower end" if w[0] & 1 else "value"] += w.size
         return parity(w, rows, beta)
 
-    def spy_shorter(q, cache):
-        reached["power of two"] += q.size
-        return shorter(q, cache)
-
     monkeypatch.setattr(files, "_parity", spy_parity)
-    monkeypatch.setattr(files, "_shorter", spy_shorter)
     test_powers_of_ten_and_two()
     test_short_decimals()
     for digits in (15, 16, 17):
         test_decimals_of_15_to_17_digits(digits)
-    assert set(reached) == {"lower end", "value", "power of two"}, reached
+    assert set(reached) == {"lower end", "value"}, reached
 
 
 @pytest.mark.parametrize("value, text", [

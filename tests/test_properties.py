@@ -3,9 +3,11 @@
 For any valid model and any finite y, each entry point returns a finite
 value or raises a GhsError, and never a RuntimeWarning (pyproject.toml makes
 one an error).  The same holds for the Monte Carlo Cesaro risk, the mixture
-kernel's other caller, over any normal sigma and theta0.  The draws are
-derandomized and their number fixed, so the module runs the same examples on
-every run.
+kernel's other caller, over any normal sigma and theta0; and the density,
+at any finite point and any radius up to inf, gives a value that is not NaN
+(+inf at the pole, -inf or 0 past the float range) or a GhsError.  The
+draws are derandomized and their number fixed, so the module runs the same
+examples on every run.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ghs.distribution import GhsDistribution, density, log_density, radial_log_density
 from ghs.errors import GhsError
 from ghs.posterior import (
     PosteriorModel,
@@ -98,3 +101,27 @@ def test_cesaro_risk_mc(case):
     scenario, n, reps, seed = case
     risk = value_or_error(cesaro_risk_mc, scenario, n, reps, seed)
     assert risk is None or math.isfinite(risk.estimate) and math.isfinite(risk.std_error)
+
+
+@st.composite
+def density_cases(draw):
+    d = draw(st.integers(1, 100))
+    elements = draw(st.sampled_from([st.floats(-1e4, 1e4), FINITE]))
+    x = draw(arrays(np.float64, d, elements=elements))
+    return d, x, draw(st.floats(min_value=0.0, allow_nan=False))
+
+
+@given(density_cases())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_density_entry_points(case):
+    d, x, r = case
+    dist = GhsDistribution(d)
+    log_p = value_or_error(log_density, dist, x)
+    assert log_p is None or not math.isnan(log_p)
+    p = value_or_error(density, dist, x)
+    assert p is None or not math.isnan(p)
+    # the point's row of a stack gets the point's bits
+    stacked = value_or_error(log_density, dist, np.array([x, -x]))
+    assert stacked is None or stacked.tolist() == [log_p, log_p]
+    radial = value_or_error(radial_log_density, d, r)
+    assert radial is None or not math.isnan(radial)

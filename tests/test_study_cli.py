@@ -491,6 +491,14 @@ class TestCli:
         normalized = [float(r[4]) for r in rows]
         assert normalized[0] == pytest.approx(normalized[1], abs=0.01)
 
+    def test_risk_theta0_of_zeros_is_the_origin_case(self, tmp_path):
+        # a --theta0 of zeros took the off-origin normalization d log(n)/2
+        # (-7.879 and -12.485 here, for the same masses): it is the origin
+        args = ["risk", "--d-list", "3", "--n-grid", "1e4,1e6", "--out"]
+        self.run(*args, str(tmp_path / "origin.csv"))
+        self.run(*args, str(tmp_path / "zeros.csv"), "--theta0", "0,0,-0.0")
+        assert read(tmp_path / "zeros.csv") == read(tmp_path / "origin.csv")
+
     @pytest.mark.parametrize("d_list, n_grid", [
         ("2.7", "1500"), ("2", "1500.5"), ("2", "1e3,inf"), ("1,2.5", "1e3"),
         # empty lists, as StudyConfig refuses an empty n
