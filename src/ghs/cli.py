@@ -24,8 +24,8 @@ from .distribution import (  # noqa: F401
 )
 from .errors import ConfigError, DimensionError, DomainError, GhsError, _check_whole
 from .files import atomic_write, csv_bytes, float_cells, float_codes, write_csv_chunks
-# risk_upper_bound stays importable here: perfbench/spans.py patches this name
-from .risk import RiskScenario, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
+# kl_ball_prior_mass and risk_upper_bound stay importable here: perfbench/spans.py patches them
+from .risk import RiskScenario, _ball_masses, kl_ball_prior_mass, kl_ball_radius, risk_upper_bound  # noqa: F401
 
 
 _CHUNK = 8192  # rows formatted at a time, and the rows of each draw block of sample
@@ -277,8 +277,8 @@ def cmd_risk(args):
     for d in d_list:
         scenario = RiskScenario(d, args.sigma, tuple(theta0 or []), tuple(n_grid))
         half_coef = d if any(theta0 or ()) else 1.0  # d log(n)/2 off the origin, log(n)/2 at it
-        for n in scenario.n_grid:
-            mass = kl_ball_prior_mass(scenario, n)
+        masses = _ball_masses(d, [kl_ball_radius(scenario, n) for n in n_grid], math.hypot(*scenario.theta0))
+        for n, mass in zip(n_grid, masses):
             bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass
             rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
     table = "".join(",".join(map(repr, row)) + "\n" for row in rows)
@@ -361,6 +361,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes "-1,1" after --theta0 for an option
+        if argv[i - 1] == "--theta0" and argv[i][:1] == "-" and argv[i][1:2] in set("0123456789."):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         args.func(args)

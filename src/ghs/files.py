@@ -57,12 +57,6 @@ def write_csv_chunks(path, header, chunks):
     atomic_write(path, itertools.chain([head], chunks))
 
 
-def encode_cells(strings):
-    """ASCII strings as a (len, w) uint8 array of NUL-padded code rows."""
-    cells = np.array(strings, dtype="S")
-    return cells.view(np.uint8).reshape(len(cells), -1)
-
-
 # Shortest round-trip reprs on arrays: Dragonbox (J. Jeon, "Dragonbox: A New
 # Floating-Point Binary-to-Decimal Conversion Algorithm", 2020) for binary64
 # with kappa = 2, in uint64 arithmetic: one 64 x 128-bit product per value,

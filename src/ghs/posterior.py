@@ -30,9 +30,7 @@ in t that holds the weight, at a step that resolves its peak: the window is
 placed from the peak v* = (d+1)/(2a) when v* is small, down past v ~ 1/b
 where b v* > 1, and otherwise read from the fixed nodes' weights.  If that
 check fails too, NumericalError; an a past the float range is one too.  So
-||y|| is bounded only by ||y||^2 being finite.  The KL-ball masses of
-``risk`` read the d = 0 weights on all 1,025 nodes of h = 1/128, of which
-the fixed level is every 4th.
+||y|| is bounded only by ||y||^2 being finite.
 
 The part of log(w dx) that depends on the model (b, d) only is cached per
 model at the h = 1/32 nodes; a b too small or, at d = 1, too large for the
@@ -152,7 +150,7 @@ def _tanh_sinh_nodes(t, h):
 # the moments at h = 1/32, rows 3-5 at h = 1/16 from every other coarse node:
 # the weights carry the step factors 4 and 8 of the h = 1/128 dx.
 _NODES = _tanh_sinh_nodes(np.arange(-4.0, 4.0 + 0.5 / 128, 1.0 / 128), 1.0 / 128)
-_V, _X = _NODES[1], _NODES[2]
+_V = _NODES[1]
 _COARSE = slice(None, None, 4)
 _V_COARSE = _V[_COARSE]
 _LEVELS = 4.0 * _NODES[:6, _COARSE]

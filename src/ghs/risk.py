@@ -8,24 +8,24 @@ Euclidean ball ||theta - theta0|| <= sigma sqrt(2/n), and
 
     R_n <= 1/n - (1/n) log P(prior mass of that ball).
 
-Given the local scale lam, theta ~ N(0, lam^2 I), so the ball's mass is a
-noncentral chi-square CDF.  Under lam^2 = x/(b v) its half-Cauchy mean is the
-posterior module's mixture at d = 0: the exact mass at every theta0.
-``distribution.origin_ball_mass`` remains its radial-quadrature test oracle.
+The mass integrates the closed-form density over shells about the origin, times
+the share of each shell in the ball; ``distribution.origin_ball_mass`` is an oracle.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# both stay importable here: perfbench/spans.py patches these names
-from .distribution import origin_ball_mass, radial_log_density  # noqa: F401
+# origin_ball_mass and radial_log_density stay importable here: perfbench/spans.py patches them
+from .distribution import _log_norm_const, origin_ball_mass, radial_log_density  # noqa: F401
 from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
-from .posterior import _NODES, _V, _X, _log_weight, _mixture_moments
+from .posterior import _mixture_moments, _tanh_sinh_nodes
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng
+from .specfun import _log_beta_ratio
 
 __all__ = [
     "RiskScenario",
@@ -64,57 +64,101 @@ def kl_ball_radius(scenario: RiskScenario, n):
     return scenario.sigma * math.sqrt(2.0 / _check_whole(n, "n", 2))
 
 
-def _chi2_cdf(x, d, nc):
-    """P(chi2_d(nc) <= x) elementwise, with an explicit form for large nc."""
-    from scipy import special as sp  # here, so that `import ghs` loads no SciPy
-
-    big = nc > 1e9  # chndtr costs O(sqrt(nc)) (2 ms at 1e9) and gives NaN past ~1e11
-    cdf = sp.chndtr(x, d, np.where(big, 0.0, nc))
-    # There lam < ||theta0||/3e4 and ||theta - theta0||^2/lam^2 = (Z - sqrt(nc))^2 + W, W ~
-    # chi2(d-1).  W at its mean: exact at d = 1, O(d/nc) off otherwise (5e-13 of the mass).
-    xb, ncb = x[big] - (d - 1), nc[big]
-    cdf[big] = sp.ndtr((xb - ncb) / (np.sqrt(np.maximum(xb, 0.0)) + np.sqrt(ncb)))
-    return cdf
+_RULES = [_tanh_sinh_nodes(np.arange(-4.0, 4.0 + 0.5 / k, 1.0 / k), 1.0 / k) for k in (32, 64, 128, 256)]  # |t| <= 4
 
 
-_X0, _V0 = _X[0].item(), _V[0].item()  # the first node, as Python floats
+def _beta_cf(a, b, y):
+    """Lentz's fraction I_y(a, b) a B(a, b) y^-a (1-y)^-b, elementwise; y < (a+1)/(a+b+2)."""
+    c, dd = np.ones_like(y), 1.0 / (1.0 - (a + b) * y / (a + 1.0))
+    cf = dd.copy()
+    for k in range(2, 2000):  # the k-th partial numerator, m = k // 2
+        num = (-(a + k // 2) * (a + b + k // 2) if k % 2 else k // 2 * (b - k // 2)) * y / ((a + k - 1) * (a + k))
+        dd, c = 1.0 / (1.0 + num * dd), 1.0 + num / c
+        cf *= dd * c
+        if k % 2 and np.all(abs(dd * c - 1.0) < 1e-15):
+            return cf
+    raise NumericalError("the incomplete beta continued fraction did not converge")
+
+
+def _log_cap(d, r, c, log_a, log_b, log_w, log_s, log_x, log_v):
+    """log of the shell's share in the ball, 1/2 I_z((d-1)/2, 1/2), or 1 minus it where mu < 0:
+    on s = a + w x, z = 1 - mu^2 = x v (s + a)(s + b) (min(R, c)/(c s))^2 and 1 - mu =
+    v (s + a)/s for R > c, x v (w/s)(R/c) else, so nothing cancels."""
+    log_ra, log_ratio = np.log1p(np.exp(log_a - log_s)), np.log(np.minimum(r, c)) - math.log(c)
+    log_z = log_x + log_v + log_ra + np.log1p(np.exp(log_b - log_s)) + 2.0 * log_ratio
+    mu = -np.expm1(np.where(r > c, log_v + log_ra, log_x + log_v + log_w - log_s + log_ratio))
+    p = 0.5 * (d - 1)
+    swap = log_z > math.log((p + 1.0) / (p + 2.5))  # I_z(p, 1/2) = 1 - I_(mu^2)(1/2, p) there
+    log_mu_sq = np.log(np.maximum(mu * mu, sys.float_info.min))  # mu = 0: I_0(1/2, p) = 0
+    first, log_y = np.where(swap, 0.5, p), np.where(swap, log_mu_sq, log_z)
+    log_i = (first * log_y + (p + 0.5 - first) * np.where(swap, log_z, log_mu_sq) - np.log(first)
+             + _log_beta_ratio(p, 0.5) + np.log(_beta_cf(first, p + 0.5 - first, np.exp(log_y))))
+    log_i[swap] = np.log1p(-np.exp(log_i[swap]))
+    return np.where(mu < 0, np.log1p(-0.5 * np.exp(log_i)), log_i - math.log(2.0))
+
+
+def _ball_log_masses(d, radii, c, level=0):
+    """log P(||theta - theta0|| <= R) for each R of the array ``radii``, ||theta0|| = c: the
+    tanh-sinh rule in s of the density of ||theta|| over the shells s < a = R - c (past a = 1,
+    one minus it past a, on s = a/x), and of it times ``_log_cap`` over |R - c| < s < R + c,
+    rerun at h/2 where the sums at h and 2h differ by 1e-7 relative; NumericalError past 1/256."""
+    if not float(radii.max()) + c < math.inf:  # a Python sum: inf with no overflow warning
+        raise NumericalError("the ball's radius or centre leaves the float range")
+    nodes = _RULES[level]  # log v is row 6, log(dx / sqrt(x)) row 7
+    log_x, log_dx = np.log(nodes[2]), nodes[7] + 0.5 * np.log(nodes[2])
+    full, cross = radii > c, (radii > 0) & (c > 0)
+    log_a = np.log(radii[full] - c)[:, None]
+    flip = np.where(log_a > 0, -1.0, 1.0)  # s = a x, or a/x past a = 1
+    log_s, log_ds = [log_a + flip * log_x], [log_a + log_dx + (flip - 1.0) * log_x]
+    if cross.any():
+        r = radii[cross, None]
+        log_w = np.log(2.0 * np.minimum(r, c))
+        log_a = np.log(abs(r - c), out=np.full_like(r, -math.inf), where=r != c)  # a = 0 where R = c
+        log_s.append(np.logaddexp(log_a, log_w + log_x))  # s = a + w x, also below the float range
+        cap = _log_cap(d, r, c, log_a, np.log(r + c), log_w, log_s[1], log_x, nodes[6]) if d > 1 else -math.log(2.0)
+        log_ds.append(log_w + log_dx + cap)  # at d = 1 one of the shell's two points is inside
+    # log S_(d-1) s^(d-1) f_d(s), and below s = 2^-60 (f_d's log costs digits) e^u E_nu(u)'s first term
+    log_s = np.concatenate(log_s)
+    small = log_s < (floor := -60.0 * math.log(2.0))
+    with np.errstate(over="ignore"):  # s past the float range, where f_d is 0
+        log_f = (d - 1) * log_s + radial_log_density(d, np.exp(np.maximum(log_s, floor)))
+    log_f[small] = _log_norm_const(d) + (
+        np.log(math.log(2.0) - np.euler_gamma - 2.0 * log_s[small]) if d == 1 else -math.log(0.5 * (d - 1)))
+    log_f += np.concatenate(log_ds) + (math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
+    peak = np.maximum(log_f.max(axis=1), -1e300)  # a row of -inf is a part of mass 0
+    sums = np.exp(log_f - peak[:, None]) @ nodes[[0, 3]].T
+    if np.any(abs(sums[:, 0] - sums[:, 1]) > 1e-7 * sums[:, 0]):  # rare: a crossing range wide in log s
+        if level + 1 == len(_RULES):
+            raise NumericalError(f"the shell rule is not resolved at d = {d}, radii {radii.tolist()}")
+        return _ball_log_masses(d, radii, c, level + 1)
+    log_part = peak + np.log(sums[:, 0], out=np.full_like(peak, -math.inf), where=sums[:, 0] > 0)
+    whole, log_mass = log_part[: len(flip)], np.full_like(radii, -math.inf)
+    log_mass[full] = np.where(flip[:, 0] < 0, np.log1p(-np.exp(whole)), whole)  # one minus the mass past a
+    log_mass[cross] = np.logaddexp(log_mass[cross], log_part[len(flip) :])
+    return log_mass
+
+
+def _ball_masses(d, radii, c):
+    """The masses of ``_ball_log_masses``; NumericalError where one is not a normal float."""
+    masses = np.exp(_ball_log_masses(d, np.array(radii, dtype=float), c))
+    if not masses.min() >= sys.float_info.min:
+        raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radii[masses.argmin()]:.3g})")
+    return masses.tolist()
 
 
 def _ball_mass(d, radius, center_sq):
-    """Prior mass of the ball of this radius around a point of squared norm center_sq.
-
-    One sum over all 1,025 nodes (h = 1/128), which also resolves the CDF's
-    second step, at lam ~ the sphere's gap from the pole, when that gap is small.
-    """
-    span = radius * radius + center_sq
-    b = d / span if span > 0 else math.inf  # puts the CDF's step mid-rule
-    if not 0.0 < b < math.inf:
-        raise NumericalError("the ball's radius or centre leaves the float range")
-    # 1/lam^2 over the nodes is largest at the first; past the float range there,
-    # the radius is below the reach that the check at the end guards
-    if not b * _V0 / _X0 < math.inf:
-        raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
-    x, nc = np.outer((radius * radius, center_sq), (d / span) * _V / _X)  # over lam^2
-    cdf = _chi2_cdf(x, d, nc)
-    mass = float(np.exp(_log_weight(_NODES, b, 0)) @ cdf) / (math.pi * math.sqrt(b))
-    if not mass >= np.finfo(float).tiny:
-        raise NumericalError(f"the ball's prior mass underflows (d = {d}, radius = {radius:.3g})")
-    # the first node is lam = 2.4e-19 R/sqrt(d); half-Cauchy weight (2/pi) lam lies below
-    if 2.0 / math.pi * math.sqrt(_X0 / (b * _V0)) * cdf[0] > 1e-12 * mass:
-        raise NumericalError(f"radius {radius:.3g} is past the reach of the fixed nodes")
-    return mass
+    """Prior mass of the ball of this radius around a point of squared norm center_sq."""
+    return _ball_masses(d, [radius], math.sqrt(center_sq))[0]
 
 
 def kl_ball_prior_mass(scenario: RiskScenario, n):
-    """Prior mass of the KL ball of size 1/n, in (0, 1); NumericalError if out of reach."""
-    norm = math.hypot(*scenario.theta0)  # norm * norm is inf, with no warning, past 1e154
-    return _ball_mass(scenario.d, kl_ball_radius(scenario, n), norm * norm)
+    """Prior mass of the KL ball of size 1/n; NumericalError where it is not a normal float."""
+    return _ball_masses(scenario.d, [kl_ball_radius(scenario, n)], math.hypot(*scenario.theta0))[0]
 
 
 def risk_upper_bound(scenario: RiskScenario, n):
     """Information-risk bound: 1/n - log(ball mass)/n."""
-    mass = kl_ball_prior_mass(scenario, n)
-    return (1.0 - math.log(mass)) / n
+    return (1.0 - math.log(kl_ball_prior_mass(scenario, n))) / n
 
 
 # ---------------------------------------------------------------------------

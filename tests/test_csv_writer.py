@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ghs.files import csv_bytes, encode_cells, float_cells, float_codes, write_csv_chunks
+from ghs.files import csv_bytes, float_cells, float_codes, write_csv_chunks
 
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-323, 1.7976931348623157e308]
 
@@ -21,6 +21,12 @@ SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-323, 1.79769313
 def reference(table):
     """The CSV rows of a float table, by repr."""
     return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+def encode_cells(strings):
+    """ASCII strings as a (len, w) uint8 array of NUL-padded code rows."""
+    cells = np.array(strings, dtype="S")
+    return cells.view(np.uint8).reshape(len(cells), -1)
 
 
 def trimmed(codes):

@@ -20,7 +20,6 @@ from ghs.posterior import (
     _NODES,
     _V,
     _V_COARSE,
-    _X,
     PosteriorModel,
     SideModel,
     _log_weight,
@@ -32,9 +31,9 @@ from ghs.posterior import (
     score,
     side_model_shrinkage,
 )
-from ghs.risk import RiskScenario, _chi2_cdf, kl_ball_prior_mass, kl_ball_radius
+from ghs.risk import RiskScenario, kl_ball_prior_mass, kl_ball_radius
 from ghs.specfun import log_phi1
-from oracles import cd_integrals, posterior_mean_moment_oracle
+from oracles import ball_mass_mpmath, cd_integrals, posterior_mean_moment_oracle
 
 # log p(0) for d = 1, tau = 1: the mixture integral is exactly 1 there,
 # so the value is the bare normalizing constant (2^-1 pi^3)^(-1/2).
@@ -697,15 +696,6 @@ def reference_mixture_moments(a, b, d):
     return peak + math.log(total), int_v / total, int_x / total
 
 
-def reference_ball_mass(d, radius, center_sq):
-    """The ball's prior mass as the half-Cauchy weights at all 1,025 nodes
-    times the chi-square CDF there, written out."""
-    span = radius * radius + center_sq
-    b = d / span
-    x, nc = np.outer((radius * radius, center_sq), b * _V / _X)
-    return float(np.exp(_log_weight(_NODES, b, 0)) @ _chi2_cdf(x, d, nc)) / (math.pi * math.sqrt(b))
-
-
 def sweep_points(m=5000, seed=11):
     """The (a, b, d) of ``test_two_levels_match_all_nodes_on_a_sweep``."""
     rng = np.random.default_rng(seed)
@@ -720,8 +710,8 @@ def sweep_points(m=5000, seed=11):
 class TestReferenceKernel:
     """The cached h = 1/32 log-weights, the peak by argmax, ``dot`` and the
     inline level tests give the values of the reference copies bit for bit,
-    as plain floats, on both levels, and the KL-ball mass is the written-out
-    sum over all nodes."""
+    as plain floats, on both levels; the KL-ball mass is the mpmath shell
+    integral's to 1e-12 on the same cases."""
 
     def test_moments_on_the_sweep(self, monkeypatch):
         fallbacks = []
@@ -760,6 +750,6 @@ class TestReferenceKernel:
     def test_kl_ball_prior_mass(self, d, theta0, n):
         scenario = RiskScenario(d, 1.0, theta0)
         mass = kl_ball_prior_mass(scenario, n)
-        norm = math.hypot(*scenario.theta0)
-        assert mass == reference_ball_mass(d, kl_ball_radius(scenario, n), norm * norm)
+        expected = ball_mass_mpmath(d, math.hypot(*scenario.theta0), kl_ball_radius(scenario, n))
+        assert mass == pytest.approx(float(expected), rel=1e-12, abs=0)
         assert type(mass) is float

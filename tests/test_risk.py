@@ -1,11 +1,12 @@
 """Risk-bound tests: KL-ball masses against their asymptotic expansions,
-the radial quadrature and mpmath, monotonicity,
+the radial quadrature and mpmath (from radius 1e-300 to 1e150), monotonicity,
 rate/slope behavior of the bound (including the extra -log log n / n
 improvement that exists only in one dimension), and the Monte Carlo risk
 estimate against the bound and against its exact value by quadrature.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from scipy import integrate, special, stats
 
 import ghs.distribution
 import ghs.risk
+from ghs.cli import main
 from ghs.distribution import origin_ball_mass, radial_log_density
 from ghs.errors import DomainError, NumericalError
 from ghs.posterior import _c_like_integral_lambda, _mixture_moments
@@ -27,6 +29,7 @@ from ghs.risk import (
     risk_upper_bound,
 )
 from ghs.rng import make_rng
+from oracles import ball_mass_mpmath
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -208,6 +211,23 @@ def off_origin_mass_mpmath(d, t, r):
         return float(mp.quad(f, [t - r, t, t + r]))
 
 
+# ball_mass_mpmath(d, c, radius) at the ends of the radius range, at the origin
+# and off it; None where the mass is no normal float (9.1e-902 at d = 3, c = 1,
+# radius 1e-300, and 6.3e-30004 at d = 100)
+EXTREMES = {
+    (1, 0.0, 1e-300): 3.5141619178648639e-298, (1, 0.0, 1e-150): 1.759767922638772e-148,
+    (1, 1.0, 1e-300): 2.3439580679504821e-301, (1, 1.0, 1e-150): 2.343958067950482e-151,
+    (1, 100.0, 1e-300): 5.0784753826799791e-305, (1, 100.0, 1e-150): 5.078475382679979e-155,
+    (3, 0.0, 1e-300): 5.0794908747392777e-301, (3, 0.0, 1e-150): 5.0794908747392776e-151,
+    (100, 0.0, 1e-300): 6.4144468401317292e-302, (100, 0.0, 1e-150): 6.414446840131729e-152,
+    **{(d, c, r): None for d in (3, 100) for c in (1.0, 100.0) for r in (1e-300, 1e-150)},
+    **{(1, c, 1e8): 0.99999999492050913 for c in (0.0, 1.0, 100.0)},
+    **{(3, c, 1e8): 0.99999998984101825 for c in (0.0, 1.0, 100.0)},
+    **{(100, c, 1e8): 0.99999993649697628 for c in (0.0, 1.0, 100.0)},
+    **{(d, c, 1e150): 1.0 for d in (1, 3, 100) for c in (0.0, 1.0, 100.0)},
+}
+
+
 class TestBallMassKernel:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20, 50, 100])
     def test_origin_matches_radial_quadrature(self, d):
@@ -272,6 +292,13 @@ class TestBallMassKernel:
             with pytest.raises(NumericalError):
                 risk_upper_bound(RiskScenario(1, 1.0, (1e200,)), 10)
 
+    def test_radius_and_centre_past_the_float_range_is_numerical_error(self):
+        # R + ||theta0|| overflows: a typed error, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                kl_ball_prior_mass(RiskScenario(3, 1e308, (1e308, 0.0, 0.0)), 2)
+
     @pytest.mark.parametrize("d", [1, 2, 100])
     def test_mass_or_numerical_error_over_the_domain(self, d):
         with warnings.catch_warnings():
@@ -286,40 +313,52 @@ class TestBallMassKernel:
                             continue
                         assert 0.0 < mass < 1.0
 
-    def test_large_radius_is_numerical_error(self):
-        # the nodes stop at lam ~ 1e-19 R/sqrt(d), below which the mass is not counted
-        assert kl_ball_prior_mass(RiskScenario(1, 1e6), 2) == pytest.approx(1.0, abs=1e-6)
-        with pytest.raises(NumericalError):
-            kl_ball_prior_mass(RiskScenario(1, 1e8), 2)
+    def test_large_radius_against_mpmath(self):
+        # the fixed nodes stopped at lam ~ 1e-19 R/sqrt(d): radius 1e8 was a NumericalError
+        for radius in (1e6, 1e8):
+            expected = float(ball_mass_mpmath(1, 0.0, radius))
+            assert kl_ball_prior_mass(RiskScenario(1, radius), 2) == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d", [1, 3, 100])
-    def test_tiny_radius_is_numerical_error_with_no_warning(self, d):
-        # 1/lam^2 at the first node leaves the float range at 1e-150, the
-        # squared radius underflows to 0 at 1e-300: a typed error, no warning
+    def test_tiny_radius_against_mpmath_with_no_warning(self, d):
+        # 1/lam^2 at the first node left the float range at 1e-150 and the
+        # squared radius underflowed at 1e-300: both were NumericalError.  A
+        # mass below the normal range is one, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for radius in (1e-150, 1e-300):
-                with pytest.raises(NumericalError):
-                    ghs.risk._ball_mass(d, radius, 0.0)
-            with pytest.raises(NumericalError):  # the ball of radius 1e-150
-                kl_ball_prior_mass(RiskScenario(d), 2e300)
+                expected = float(ball_mass_mpmath(d, 0.0, radius))
+                assert ghs.risk._ball_mass(d, radius, 0.0) == pytest.approx(expected, rel=1e-12, abs=0)
+            radius = kl_ball_radius(RiskScenario(d), 2e300)  # 1e-150
+            expected = float(ball_mass_mpmath(d, 0.0, radius))
+            assert kl_ball_prior_mass(RiskScenario(d), 2e300) == pytest.approx(expected, rel=1e-12, abs=0)
+            assert ball_mass_mpmath(d, 0.0, 1e-320) < sys.float_info.min
+            with pytest.raises(NumericalError):
+                ghs.risk._ball_mass(d, 1e-320, 0.0)
 
-    def test_one_cdf_call_over_all_nodes_per_ball(self, monkeypatch):
-        cdf_calls = []
-        chi2_cdf = ghs.risk._chi2_cdf
+    def test_one_radial_density_call_per_ball(self, monkeypatch):
+        calls = []
+        radial = ghs.risk.radial_log_density
 
-        def counted(*args):
-            cdf_calls.append(args[0].size)
-            return chi2_cdf(*args)
+        def counted(d, r, *args):
+            calls.append(r.size)
+            return radial(d, r, *args)
 
-        monkeypatch.setattr(ghs.risk, "_chi2_cdf", counted)
+        monkeypatch.setattr(ghs.risk, "radial_log_density", counted)
         sizes = [2, 3] + [10**k for k in range(1, 9)]
         cases = [(d, t, n) for d in range(1, 11) for t in (0.0, 0.5, 1.0, 3.0) for n in sizes]
         cases.append((100, 1.0, 2))
         for d, t, n in cases:
-            cdf_calls.clear()
+            calls.clear()
             assert 0.0 < kl_ball_prior_mass(RiskScenario(d, 1.0, (t,) * d), n) < 1.0
-            assert cdf_calls == [1025], (d, t, n)
+            assert calls in ([257], [514]), (d, t, n)  # the rule on one part or two
+
+    def test_one_radial_density_call_per_dimension_in_cmd_risk(self, monkeypatch, tmp_path):
+        calls = []
+        radial = ghs.risk.radial_log_density
+        monkeypatch.setattr(ghs.risk, "radial_log_density", lambda d, r: calls.append(d) or radial(d, r))
+        main(["risk", "--d-list", "1,2,3", "--n-grid", "1e3,1e4,1e5,1e6", "--out", str(tmp_path / "r.csv")])
+        assert calls == [1, 2, 3]
 
     @pytest.mark.parametrize("d", [2, 3, 10])
     @pytest.mark.parametrize("ratio", [1.0001, 1.005])
@@ -331,6 +370,40 @@ class TestBallMassKernel:
         expected = off_origin_mass_mpmath(d, ratio * r, r)
         assert kl_ball_prior_mass(sc, 10**4) == pytest.approx(expected, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("d, c, radius, expected", [
+        # ball_mass_mpmath's values; the parent gave 0.6336908242318194 and 0.4884498582958776
+        (56, 6602.592399158685, 6602.8022336734675, 0.6336908241077169),
+        (63, 9470.494087996221, 9470.490624859045, 0.4884498583030773),
+    ])
+    def test_wide_crossing_range_takes_a_finer_step(self, monkeypatch, d, c, radius, expected):
+        # |R - c| << 1 << R + c: a crossing range too wide in log s for the step 1/32
+        sizes = []
+        radial = ghs.risk.radial_log_density
+        monkeypatch.setattr(ghs.risk, "radial_log_density", lambda d, r: sizes.append(r.shape[1]) or radial(d, r))
+        sc = RiskScenario(d, radius, (c,) + (0.0,) * (d - 1))
+        assert kl_ball_prior_mass(sc, 2) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert sizes[0] == 257 and sizes[-1] > 257
+
+    @pytest.mark.parametrize("d, c, radius", sorted(EXTREMES))
+    def test_extreme_radii_against_mpmath(self, d, c, radius):
+        # ball_mass_mpmath's values; None where the mass is no normal float
+        sc = RiskScenario(d, radius, (c,) + (0.0,) * (d - 1))  # radius sigma sqrt(2/2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if EXTREMES[d, c, radius] is None:
+                with pytest.raises(NumericalError):
+                    kl_ball_prior_mass(sc, 2)
+            else:
+                assert kl_ball_prior_mass(sc, 2) == pytest.approx(EXTREMES[d, c, radius], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("key", [(1, 1.0, 1e-150), (3, 0.0, 1e-300), (3, 1.0, 1e-150), (100, 100.0, 1e8)])
+    def test_extreme_references_are_the_oracle(self, key):
+        expected = ball_mass_mpmath(*key)
+        if EXTREMES[key] is None:
+            assert expected < sys.float_info.min
+        else:
+            assert EXTREMES[key] == pytest.approx(float(expected), rel=1e-15, abs=0)
+
     def test_does_not_reach_the_quadrature_oracles(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("kl_ball_prior_mass reached a quadrature oracle")
@@ -338,7 +411,6 @@ class TestBallMassKernel:
         for module, name in [
             (ghs.risk, "origin_ball_mass"),
             (ghs.risk, "adaptive_quad"),
-            (ghs.risk, "radial_log_density"),
             (ghs.distribution, "adaptive_quad"),
             (ghs.distribution, "exp_scaled_gen_exp_integral"),
         ]:

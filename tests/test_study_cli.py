@@ -499,6 +499,13 @@ class TestCli:
         self.run(*args, str(tmp_path / "zeros.csv"), "--theta0", "0,0,-0.0")
         assert read(tmp_path / "zeros.csv") == read(tmp_path / "origin.csv")
 
+    def test_risk_negative_theta0_after_a_space(self, tmp_path):
+        # "--theta0 -1,1" exited 2: argparse took "-1,1" for an option
+        args = ["risk", "--d-list", "2", "--n-grid", "1e4,1e6", "--out"]
+        self.run(*args, str(tmp_path / "joined.csv"), "--theta0=-1,1")
+        self.run(*args, str(tmp_path / "spaced.csv"), "--theta0", "-1,1")
+        assert read(tmp_path / "spaced.csv") == read(tmp_path / "joined.csv")
+
     @pytest.mark.parametrize("d_list, n_grid", [
         ("2.7", "1500"), ("2", "1500.5"), ("2", "1e3,inf"), ("1,2.5", "1e3"),
         # empty lists, as StudyConfig refuses an empty n
