@@ -25,7 +25,7 @@ from .distribution import (  # noqa: F401
 from .errors import ConfigError, DimensionError, DomainError, GhsError, _check_whole
 from .files import atomic_write, csv_bytes, float_cells, float_codes, write_csv_chunks
 # kl_ball_prior_mass and risk_upper_bound stay importable here: perfbench/spans.py patches them
-from .risk import RiskScenario, _ball_masses, kl_ball_prior_mass, kl_ball_radius, risk_upper_bound  # noqa: F401
+from .risk import RiskScenario, _masses_and_bounds, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
 
 _CHUNK = 8192  # rows formatted at a time, and the rows of each draw block of sample
@@ -277,9 +277,7 @@ def cmd_risk(args):
     for d in d_list:
         scenario = RiskScenario(d, args.sigma, tuple(theta0 or []), tuple(n_grid))
         half_coef = d if any(theta0 or ()) else 1.0  # d log(n)/2 off the origin, log(n)/2 at it
-        masses = _ball_masses(d, [kl_ball_radius(scenario, n) for n in n_grid], math.hypot(*scenario.theta0))
-        for n, mass in zip(n_grid, masses):
-            bound = (1.0 - math.log(mass)) / n  # risk_upper_bound, from this mass
+        for n, mass, bound in zip(n_grid, *_masses_and_bounds(scenario, n_grid)):
             rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
     table = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     _write_table(args.out, header, [table.encode()], args.format)

@@ -34,13 +34,13 @@ check fails too, NumericalError; an a past the float range is one too.  So
 
 The part of log(w dx) that depends on the model (b, d) only is cached per
 model at the h = 1/32 nodes; a b too small or, at d = 1, too large for the
-nodes is refused there, at no cost to a call whose model is cached.  The
-window nodes of each step 2^-m on t >= 0 are built once.  At 257 nodes a
-call costs its NumPy calls, not its flops, so a call that keeps h = 1/32
-makes eight: the shifted log-weights (a product and an add in place), their
-peak (``argmax`` and an index, under half the cost of a max reduce), the
-shift and exp in place, one product for the six level sums and ``tolist``;
-the level tests are plain Python.  A window adds about a dozen, on its own
+nodes is refused there, at no cost to a call whose model is cached.  Every
+other rule comes from one cached builder, ``_rule``.  At 257 nodes a call
+costs its NumPy calls, not its flops, so a call that keeps h = 1/32 makes
+eight: the shifted log-weights (a product and an add in place), their peak
+(``argmax`` and an index, under half the cost of a max reduce), the shift
+and exp in place, one product for the six level sums and ``tolist``; the
+level tests are plain Python.  A window adds about a dozen, on its own
 nodes.  ``_check_vector`` adds one for a float64 array y, the ``vdot`` of
 ||y||^2, and ``posterior_mean`` two, a product and an add in place.  The
 lambda-space adaptive quadrature is kept as an oracle; the Phi1 closed form
@@ -142,19 +142,25 @@ def _tanh_sinh_nodes(t, h):
     halves = 2.0 * moments
     halves[:, 1::2] = 0.0
     nodes = np.concatenate([moments, halves, [log_v, log_dx - 0.5 * log_x]])
-    nodes.flags.writeable = False  # shared: the table, and each cached step's tail nodes
+    nodes.flags.writeable = False  # shared: the coarse level, and each cached rule
     return nodes
 
 
-# h = 1/128 on |t| <= 4.  The coarse level reads every 4th node.  Rows 0-2 are
-# the moments at h = 1/32, rows 3-5 at h = 1/16 from every other coarse node:
-# the weights carry the step factors 4 and 8 of the h = 1/128 dx.
-_NODES = _tanh_sinh_nodes(np.arange(-4.0, 4.0 + 0.5 / 128, 1.0 / 128), 1.0 / 128)
-_V = _NODES[1]
-_COARSE = slice(None, None, 4)
-_V_COARSE = _V[_COARSE]
-_LEVELS = 4.0 * _NODES[:6, _COARSE]
-_LEVELS[3:, 1::2] = 0.0
+@lru_cache(maxsize=16)
+def _rule(m, lo=-4.0, hi=4.0):
+    """``_tanh_sinh_nodes`` of step 2^-m on t in [lo, hi], built on first use: m = 7 on |t| <= 4
+    for the cut windows, m >= 5 on [0, 6.25], where v reaches e^-800, for the placed ones (13 MB
+    at the finest step, 2^-15, at d = 100 with ||y||^2 near the float range, and 26 MB for all
+    the steps from 2^-5 to it), and m = 5 to 8 on |t| <= 4 for ``risk``'s KL-ball mass."""
+    h = 2.0**-m
+    return _tanh_sinh_nodes(np.arange(lo, hi + 0.5 * h, h), h)
+
+
+# The coarse level, h = 1/32 on |t| <= 4: every 4th node of _rule(7), whose log dx it carries;
+# _LEVELS holds the step factor 4, its rows 0-2 the moments at h = 1/32 and 3-5 at h = 1/16.
+_COARSE_NODES = _tanh_sinh_nodes(np.arange(-4.0, 4.0 + 0.5 / 32, 1.0 / 32), 1.0 / 128)
+_V_COARSE = _COARSE_NODES[1]
+_LEVELS = 4.0 * _COARSE_NODES[:6]
 _LEVEL_RTOL = 1e-7  # h = 1/16 this close means h = 1/32 is near 1e-14
 
 
@@ -166,7 +172,7 @@ def _log_weight(nodes, b, d):
 
 @lru_cache(maxsize=256)
 def _coarse_log_weight(b, d):
-    """The h = 1/32 nodes of ``_log_weight(_NODES, b, d)``, as a contiguous read-only copy.
+    """``_log_weight`` at the coarse level's nodes, read-only.
 
     NumericalError for a b whose weight leaves the nodes, which reach x and v
     down to 5.7e-38; the check runs when a model is first cached, so a kept
@@ -178,20 +184,9 @@ def _coarse_log_weight(b, d):
     """
     if not (1e-17 <= b and (d > 1 or b <= 1e28)):
         raise NumericalError(f"tau^2 = {b:.3g} puts the weight past the reach of the fixed nodes")
-    log_w = _log_weight(_NODES, b, d)[_COARSE].copy()
+    log_w = _log_weight(_COARSE_NODES, b, d)
     log_w.flags.writeable = False
     return log_w
-
-
-@lru_cache(maxsize=16)
-def _tail_nodes(h):
-    """The nodes of step h on t in [0, 6.25], where v reaches e^-800.
-
-    Each step's nodes are 8 rows of 6.25/h + 1 floats: 13 MB at the finest
-    step a window takes, 2^-15 (d = 100 with ||y||^2 near the float range),
-    and 26 MB for all the steps from 2^-5 down to it.
-    """
-    return _tanh_sinh_nodes(np.arange(0.0, 6.25 + 0.5 * h, h), h)
 
 
 def _window_nodes(a, b, d, coarse, smallest):
@@ -212,7 +207,7 @@ def _window_nodes(a, b, d, coarse, smallest):
     if a < 1e3 * k:
         above = np.flatnonzero(coarse > 1e-16 * smallest)
         lo, hi = max(above[0] - 1, 0), min(above[-1] + 1, len(coarse) - 1)
-        return _NODES[:, 4 * lo : 4 * hi + 1]
+        return _rule(7)[:, 4 * lo : 4 * hi + 1]
     s_star, s_pole = math.log(k / a), -math.log(b)
     s_lo = s_star - (40.0 + k) / k
     if s_star > s_pole:  # the peak moves to (k-1)/a, and the fall to e^-40 may pass 1/b
@@ -225,8 +220,8 @@ def _window_nodes(a, b, d, coarse, smallest):
     # at most 4 % of v* off in v at the top, and further out at the bottom
     lo = math.floor(math.asinh(-(s_star + math.log(40.0)) / math.pi) * 2**m)
     hi = math.ceil(math.asinh(-s_lo / math.pi) * 2**m)
-    # an even lo keeps the tail nodes' 2h rows on the window's first node
-    return _tail_nodes(2.0**-m)[:, lo - lo % 2 : hi + 1]
+    # an even lo keeps the rule's 2h rows on the window's first node
+    return _rule(m, 0.0, 6.25)[:, lo - lo % 2 : hi + 1]
 
 
 def _mixture_moments(a, b, d):

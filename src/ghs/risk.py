@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# origin_ball_mass and radial_log_density stay importable here: perfbench/spans.py patches them
+# perfbench/spans.py patches origin_ball_mass, which stays importable here, and radial_log_density
 from .distribution import _log_norm_const, origin_ball_mass, radial_log_density  # noqa: F401
 from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
-from .posterior import _mixture_moments, _tanh_sinh_nodes
+from .posterior import _mixture_moments, _rule
 # adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng
@@ -64,9 +64,6 @@ def kl_ball_radius(scenario: RiskScenario, n):
     return scenario.sigma * math.sqrt(2.0 / _check_whole(n, "n", 2))
 
 
-_RULES = [_tanh_sinh_nodes(np.arange(-4.0, 4.0 + 0.5 / k, 1.0 / k), 1.0 / k) for k in (32, 64, 128, 256)]  # |t| <= 4
-
-
 def _beta_cf(a, b, y):
     """Lentz's fraction I_y(a, b) a B(a, b) y^-a (1-y)^-b, elementwise; y < (a+1)/(a+b+2)."""
     c, dd = np.ones_like(y), 1.0 / (1.0 - (a + b) * y / (a + 1.0))
@@ -97,14 +94,14 @@ def _log_cap(d, r, c, log_a, log_b, log_w, log_s, log_x, log_v):
     return np.where(mu < 0, np.log1p(-0.5 * np.exp(log_i)), log_i - math.log(2.0))
 
 
-def _ball_log_masses(d, radii, c, level=0):
-    """log P(||theta - theta0|| <= R) for each R of the array ``radii``, ||theta0|| = c: the
-    tanh-sinh rule in s of the density of ||theta|| over the shells s < a = R - c (past a = 1,
-    one minus it past a, on s = a/x), and of it times ``_log_cap`` over |R - c| < s < R + c,
-    rerun at h/2 where the sums at h and 2h differ by 1e-7 relative; NumericalError past 1/256."""
+def _ball_log_masses(d, radii, c, m=5):
+    """log P(||theta - theta0|| <= R) for each R of the array ``radii``, ||theta0|| = c: the rule
+    ``_rule(m)`` in s of the density of ||theta|| over the shells s < a = R - c (past a = 1, one
+    minus it past a, on s = a/x), and of it times ``_log_cap`` over |R - c| < s < R + c, rerun
+    at h/2 where the sums at h and 2h differ by 1e-7 relative; NumericalError past h = 1/256."""
     if not float(radii.max()) + c < math.inf:  # a Python sum: inf with no overflow warning
         raise NumericalError("the ball's radius or centre leaves the float range")
-    nodes = _RULES[level]  # log v is row 6, log(dx / sqrt(x)) row 7
+    nodes = _rule(m)  # |t| <= 4; log v is row 6, log(dx / sqrt(x)) row 7
     log_x, log_dx = np.log(nodes[2]), nodes[7] + 0.5 * np.log(nodes[2])
     full, cross = radii > c, (radii > 0) & (c > 0)
     log_a = np.log(radii[full] - c)[:, None]
@@ -128,9 +125,9 @@ def _ball_log_masses(d, radii, c, level=0):
     peak = np.maximum(log_f.max(axis=1), -1e300)  # a row of -inf is a part of mass 0
     sums = np.exp(log_f - peak[:, None]) @ nodes[[0, 3]].T
     if np.any(abs(sums[:, 0] - sums[:, 1]) > 1e-7 * sums[:, 0]):  # rare: a crossing range wide in log s
-        if level + 1 == len(_RULES):
+        if m == 8:
             raise NumericalError(f"the shell rule is not resolved at d = {d}, radii {radii.tolist()}")
-        return _ball_log_masses(d, radii, c, level + 1)
+        return _ball_log_masses(d, radii, c, m + 1)
     log_part = peak + np.log(sums[:, 0], out=np.full_like(peak, -math.inf), where=sums[:, 0] > 0)
     whole, log_mass = log_part[: len(flip)], np.full_like(radii, -math.inf)
     log_mass[full] = np.where(flip[:, 0] < 0, np.log1p(-np.exp(whole)), whole)  # one minus the mass past a
@@ -146,19 +143,24 @@ def _ball_masses(d, radii, c):
     return masses.tolist()
 
 
-def _ball_mass(d, radius, center_sq):
-    """Prior mass of the ball of this radius around a point of squared norm center_sq."""
-    return _ball_masses(d, [radius], math.sqrt(center_sq))[0]
-
-
 def kl_ball_prior_mass(scenario: RiskScenario, n):
     """Prior mass of the KL ball of size 1/n; NumericalError where it is not a normal float."""
     return _ball_masses(scenario.d, [kl_ball_radius(scenario, n)], math.hypot(*scenario.theta0))[0]
 
 
+def _masses_and_bounds(scenario: RiskScenario, n_grid):
+    """The KL-ball masses M over n_grid, 0.0 or subnormal below the normal range, and the bounds
+    (1 - log M)/n, from one ``_ball_log_masses`` call; NumericalError where a log M is not finite."""
+    radii = np.array([kl_ball_radius(scenario, n) for n in n_grid])
+    log_masses = _ball_log_masses(scenario.d, radii, math.hypot(*scenario.theta0))
+    if not np.isfinite(log_masses).all():
+        raise NumericalError(f"the ball's log prior mass is not finite (d = {scenario.d}, radii {radii.tolist()})")
+    return np.exp(log_masses).tolist(), [(1.0 - v) / n for v, n in zip(log_masses.tolist(), n_grid)]
+
+
 def risk_upper_bound(scenario: RiskScenario, n):
-    """Information-risk bound: 1/n - log(ball mass)/n."""
-    return (1.0 - math.log(kl_ball_prior_mass(scenario, n))) / n
+    """Information-risk bound: 1/n - log(ball mass)/n, from the log mass."""
+    return _masses_and_bounds(scenario, [n])[1][0]
 
 
 # ---------------------------------------------------------------------------

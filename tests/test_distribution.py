@@ -21,7 +21,7 @@ from ghs.distribution import (
     sample_arrays,
 )
 from ghs.errors import DimensionError, DomainError
-from ghs.risk import _ball_mass
+from ghs.risk import _ball_masses
 from ghs.rng import make_rng, split_seed
 from oracles import normalization_integral
 
@@ -342,7 +342,7 @@ class TestSampler:
         grid = np.linspace(-8.0, 8.0, 81)
         theo = np.array(
             [
-                0.5 + 0.5 * math.copysign(_ball_mass(1, abs(g), 0.0), g)
+                0.5 + 0.5 * math.copysign(_ball_masses(1, [abs(g)], 0.0)[0], g)
                 if g != 0.0
                 else 0.5
                 for g in grid
@@ -356,7 +356,7 @@ class TestSampler:
         _, xs = sample_arrays(GhsDistribution(2), 100_000, seed=7)
         radii = np.sort(np.linalg.norm(xs, axis=1))
         grid = np.linspace(0.05, 10.0, 60)
-        theo = np.array([_ball_mass(2, g, 0.0) for g in grid])
+        theo = np.array([_ball_masses(2, [g], 0.0)[0] for g in grid])
         emp = np.searchsorted(radii, grid, side="right") / radii.size
         assert np.max(np.abs(emp - theo)) < 1.95 / math.sqrt(radii.size)
 

@@ -15,15 +15,11 @@ import pytest
 import ghs.posterior
 from ghs.errors import DimensionError, DomainError, NumericalError
 from ghs.posterior import (
-    _COARSE,
-    _LEVELS,
-    _NODES,
-    _V,
-    _V_COARSE,
     PosteriorModel,
     SideModel,
     _log_weight,
     _mixture_moments,
+    _tanh_sinh_nodes,
     marginal_log_density,
     marginal_log_density_quad,
     posterior_mean,
@@ -608,6 +604,16 @@ def test_former_silent_errors_against_mpmath(d, tau, r):
     assert abs(marginal_log_density(model, y) - log_p) <= 1e-10
     assert score(model, y) == pytest.approx(-ref_dc * y, rel=1e-10)
     assert side_model_shrinkage(SideModel(d, 1.0, tau), y) == pytest.approx(ref_side, rel=1e-10)
+
+
+# the 1,025 nodes of step 1/128 on |t| <= 4, and the coarse level's every 4th node of them, with
+# its moments at h = 1/32 in rows 0-2 and at h = 1/16 in rows 3-5 (the step factors 4 and 8)
+_NODES = _tanh_sinh_nodes(np.arange(-4.0, 4.0 + 0.5 / 128, 1.0 / 128), 1.0 / 128)
+_V = _NODES[1]
+_COARSE = slice(None, None, 4)
+_V_COARSE = _V[_COARSE]
+_LEVELS = 4.0 * _NODES[:6, _COARSE]
+_LEVELS[3:, 1::2] = 0.0
 
 
 def all_nodes_moments(a, b, d):

@@ -285,12 +285,16 @@ class TestBallMassKernel:
             assert [a / b for a, b in zip(gaps, gaps[1:])] == pytest.approx([10.0] * 3, rel=1e-3)
 
     def test_underflow_is_numerical_error(self):
+        # a mass below the normal range; the bound, from its log, is a value
         with pytest.raises(NumericalError):
             kl_ball_prior_mass(RiskScenario(100, 1.0, (1.0,) + (0.0,) * 99), 10**8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # ||theta0||^2 overflows without a warning
+            sc = RiskScenario(1, 1.0, (1e200,))
             with pytest.raises(NumericalError):
-                risk_upper_bound(RiskScenario(1, 1.0, (1e200,)), 10)
+                kl_ball_prior_mass(sc, 10)
+            log_mass = mp.log(ball_mass_mpmath(1, 1e200, kl_ball_radius(sc, 10)))  # -922.516...
+            assert risk_upper_bound(sc, 10) == pytest.approx(float((1 - log_mass) / 10), rel=1e-13, abs=0)
 
     def test_radius_and_centre_past_the_float_range_is_numerical_error(self):
         # R + ||theta0|| overflows: a typed error, with no overflow warning
@@ -328,13 +332,13 @@ class TestBallMassKernel:
             warnings.simplefilter("error")
             for radius in (1e-150, 1e-300):
                 expected = float(ball_mass_mpmath(d, 0.0, radius))
-                assert ghs.risk._ball_mass(d, radius, 0.0) == pytest.approx(expected, rel=1e-12, abs=0)
+                assert ghs.risk._ball_masses(d, [radius], 0.0)[0] == pytest.approx(expected, rel=1e-12, abs=0)
             radius = kl_ball_radius(RiskScenario(d), 2e300)  # 1e-150
             expected = float(ball_mass_mpmath(d, 0.0, radius))
             assert kl_ball_prior_mass(RiskScenario(d), 2e300) == pytest.approx(expected, rel=1e-12, abs=0)
             assert ball_mass_mpmath(d, 0.0, 1e-320) < sys.float_info.min
             with pytest.raises(NumericalError):
-                ghs.risk._ball_mass(d, 1e-320, 0.0)
+                ghs.risk._ball_masses(d, [1e-320], 0.0)[0]
 
     def test_one_radial_density_call_per_ball(self, monkeypatch):
         calls = []
@@ -417,6 +421,39 @@ class TestBallMassKernel:
             monkeypatch.setattr(module, name, forbidden)
         for sc in (RiskScenario(3), RiskScenario(3, 1.0, (1.0, 1.0, 1.0))):
             assert 0.0 < kl_ball_prior_mass(sc, 10**4) < 1.0
+
+
+def broad_box(m, seed):
+    """m scenarios (d, sigma, ||theta0||, n): d in 1-100, and log-uniform sigma in 1e-3-1e3,
+    ||theta0|| 0 in about a fifth of them and else in 1e-3-1e4, and n in 2-1e12."""
+    rng = np.random.default_rng(seed)
+    ds = rng.integers(1, 101, m).tolist()
+    sigmas = (10.0 ** rng.uniform(-3.0, 3.0, m)).tolist()
+    norms = np.where(rng.random(m) < 0.2, 0.0, 10.0 ** rng.uniform(-3.0, 4.0, m)).tolist()
+    ns = np.round(10.0 ** rng.uniform(math.log10(2.0), 12.0, m)).astype(int).tolist()
+    return list(zip(ds, sigmas, norms, ns))
+
+
+class TestBoundFromLogMass:
+    def test_bound_wherever_the_log_mass_is_finite(self):
+        # a mass below the normal range was a NumericalError, though (1 - log M)/n exists
+        below = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, sigma, c, n in broad_box(200, 5):
+                sc = RiskScenario(d, sigma, (c,) + (0.0,) * (d - 1))
+                log_mass = float(ghs.risk._ball_log_masses(d, np.array([kl_ball_radius(sc, n)]), c)[0])
+                if math.isfinite(log_mass):
+                    assert risk_upper_bound(sc, n) == (1.0 - log_mass) / n, (d, sigma, c, n)
+                below += log_mass < math.log(sys.float_info.min)
+        assert below > 20  # 29 of the 200
+
+    @pytest.mark.parametrize("d, c, radius", [(92, 100.0, 0.0084), (40, 3.0, 1e-9), (100, 1e4, 0.3)])
+    def test_log_mass_below_the_normal_range_against_mpmath(self, d, c, radius):
+        expected = mp.log(ball_mass_mpmath(d, c, radius))
+        assert expected < math.log(sys.float_info.min)
+        log_mass = ghs.risk._ball_log_masses(d, np.array([radius]), c)[0]
+        assert log_mass == pytest.approx(float(expected), rel=1e-13, abs=0)
 
 
 class TestCesaroRiskMc:

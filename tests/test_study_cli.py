@@ -461,9 +461,19 @@ class TestCli:
         ("1", "1e200", "10"),
         ("100", ",".join(["1"] + ["0"] * 99), "1e8"),
     ])
-    def test_risk_mass_underflow_is_numerical_error(self, tmp_path, capsys, d, theta0, n):
+    def test_risk_mass_below_the_normal_range_gives_its_bound(self, tmp_path, d, theta0, n):
+        # a NumericalError before: the mass is 0.0 or subnormal, the bound (1 - log M)/n
+        from ghs.risk import RiskScenario, risk_upper_bound
+
+        out = tmp_path / "risk.csv"
+        self.run("risk", "--d-list", d, "--theta0", theta0, "--n-grid", n, "--out", str(out))
+        row = read(out).splitlines()[1].split(",")
+        assert float(row[2]) < sys.float_info.min
+        assert float(row[3]) == risk_upper_bound(RiskScenario(int(d), 1.0, map(float, theta0.split(","))), float(n))
+
+    def test_risk_ball_past_the_float_range_is_numerical_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            self.run("risk", "--d-list", d, "--theta0", theta0, "--n-grid", n,
+            self.run("risk", "--d-list", "2", "--theta0", "1.7e308,1.7e308", "--n-grid", "2",
                      "--out", str(tmp_path / "risk.csv"))
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "NumericalError"
