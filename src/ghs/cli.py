@@ -276,9 +276,7 @@ def cmd_risk(args):
     rows = []
     for d in d_list:
         scenario = RiskScenario(d, args.sigma, tuple(theta0 or []), tuple(n_grid))
-        half_coef = d if any(theta0 or ()) else 1.0  # d log(n)/2 off the origin, log(n)/2 at it
-        for n, mass, bound in zip(n_grid, *_masses_and_bounds(scenario, n_grid)):
-            rows.append([d, n, mass, bound, n * bound - half_coef * math.log(n) / 2.0])
+        rows.extend([d, *row] for row in zip(n_grid, *_masses_and_bounds(scenario, n_grid)))
     table = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     _write_table(args.out, header, [table.encode()], args.format)
 

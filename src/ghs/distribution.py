@@ -12,7 +12,6 @@ every dimension; ``log_density`` returns +inf there by design.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,8 @@ from .errors import (
 )
 from .quadrature import adaptive_quad
 from .rng import make_rng
-from .specfun import exp_scaled_expint, exp_scaled_gen_exp_integral
+# exp_scaled_gen_exp_integral stays importable here: perfbench/spans.py patches this name
+from .specfun import exp_scaled_expint, exp_scaled_gen_exp_integral  # noqa: F401
 
 __all__ = [
     "GhsDistribution",
@@ -33,7 +33,6 @@ __all__ = [
     "sample_arrays",
     "sample_blocks",
     "density_quadrature_oracle",
-    "origin_ball_mass",
 ]
 
 
@@ -200,32 +199,3 @@ def density_quadrature_oracle(d, x):
         + math.log(integral)
     )
     return math.exp(log_val)
-
-
-def origin_ball_mass(d, radius):
-    """P(||x|| <= radius) for the standard distribution, by radial quadrature.
-
-    Hyperspherical reduction gives
-        mass = [Gamma((d+1)/2) / (pi Gamma(d/2))]
-               * int_0^(radius^2/2) u^(-1/2) e^u E_((d+1)/2)(u) du,
-    evaluated after u = v^2 to remove the endpoint singularity.
-    """
-    d = _check_integer(d, "dimension", 1)
-    if not (isinstance(radius, numbers.Real) and radius > 0):  # inf gives the whole mass
-        raise DomainError(f"radius must be a real number > 0, got {radius!r}")
-    nu = 0.5 * (d + 1)
-    vmax = radius / math.sqrt(2.0)
-
-    def f(v):
-        if v <= 0.0:
-            return 0.0
-        return 2.0 * exp_scaled_gen_exp_integral(nu, v * v)
-
-    lead = math.exp(math.lgamma(nu) - math.log(math.pi) - math.lgamma(0.5 * d))
-    if vmax <= 2.0:
-        integral = adaptive_quad(f, 0.0, vmax, rel_tol=1e-11)
-    else:
-        integral = adaptive_quad(f, 0.0, 2.0, rel_tol=1e-11) + adaptive_quad(
-            f, 2.0, vmax, rel_tol=1e-11
-        )
-    return lead * integral

@@ -53,9 +53,9 @@ def _check_integer(value, name, least=0, error=DomainError):
 
 
 def _check_whole(value, name, least=0, error=DomainError):
-    """``value`` as an int >= ``least``; a whole number is a real number with
-    no fraction, so 1e3 and 2.0 are, "5", 2.5 and inf are not."""
-    if not (isinstance(value, numbers.Real) and value >= least and value % 1 == 0):
+    """``value`` as an int >= ``least``; a whole number is a real number with no fraction,
+    at most the largest float, so 1e3 and 2.0 are, "5", 2.5, inf and 10**400 are not."""
+    if not (isinstance(value, numbers.Real) and least <= value <= sys.float_info.max and value % 1 == 0):
         raise error(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
 

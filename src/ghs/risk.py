@@ -9,20 +9,20 @@ Euclidean ball ||theta - theta0|| <= sigma sqrt(2/n), and
     R_n <= 1/n - (1/n) log P(prior mass of that ball).
 
 The mass integrates the closed-form density over shells about the origin, times
-the share of each shell in the ball; ``distribution.origin_ball_mass`` is an oracle.
+the share of each shell in the ball; ``origin_ball_mass`` is that mass at the origin.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# perfbench/spans.py patches origin_ball_mass, which stays importable here, and radial_log_density
-from .distribution import _log_norm_const, origin_ball_mass, radial_log_density  # noqa: F401
+# perfbench/spans.py patches radial_log_density and adaptive_quad under these names
+from .distribution import _log_norm_const, radial_log_density
 from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
 from .posterior import _mixture_moments, _rule
-# adaptive_quad stays importable here: perfbench/spans.py patches this name
 from .quadrature import adaptive_quad  # noqa: F401
 from .rng import make_rng
 from .specfun import _log_beta_ratio
@@ -31,6 +31,7 @@ __all__ = [
     "RiskScenario",
     "kl_ball_radius",
     "kl_ball_prior_mass",
+    "origin_ball_mass",
     "risk_upper_bound",
     "cesaro_risk_mc",
 ]
@@ -143,19 +144,30 @@ def _ball_masses(d, radii, c):
     return masses.tolist()
 
 
+def origin_ball_mass(d, radius):
+    """P(||theta|| <= radius) under the standard prior: 1.0 at radius inf, NumericalError below the normal range."""
+    d = _check_integer(d, "dimension", 1)
+    if isinstance(radius, numbers.Real) and radius == math.inf:
+        return 1.0
+    return _ball_masses(d, [_check_real(radius, "radius")], 0.0)[0]
+
+
 def kl_ball_prior_mass(scenario: RiskScenario, n):
     """Prior mass of the KL ball of size 1/n; NumericalError where it is not a normal float."""
     return _ball_masses(scenario.d, [kl_ball_radius(scenario, n)], math.hypot(*scenario.theta0))[0]
 
 
 def _masses_and_bounds(scenario: RiskScenario, n_grid):
-    """The KL-ball masses M over n_grid, 0.0 or subnormal below the normal range, and the bounds
-    (1 - log M)/n, from one ``_ball_log_masses`` call; NumericalError where a log M is not finite."""
+    """The KL-ball masses M over n_grid, 0.0 or subnormal below the normal range, the bounds
+    (1 - log M)/n and the normalized bounds (1 - log M) - c log(n)/2, c = d off the origin and
+    1 at it, from one ``_ball_log_masses`` call; NumericalError where a log M is not finite."""
     radii = np.array([kl_ball_radius(scenario, n) for n in n_grid])
     log_masses = _ball_log_masses(scenario.d, radii, math.hypot(*scenario.theta0))
     if not np.isfinite(log_masses).all():
         raise NumericalError(f"the ball's log prior mass is not finite (d = {scenario.d}, radii {radii.tolist()})")
-    return np.exp(log_masses).tolist(), [(1.0 - v) / n for v, n in zip(log_masses.tolist(), n_grid)]
+    coef = scenario.d if any(scenario.theta0) else 1.0
+    pairs = [(1.0 - v, n) for v, n in zip(log_masses.tolist(), n_grid)]  # (1 - log M, n)
+    return np.exp(log_masses).tolist(), [t / n for t, n in pairs], [t - coef * math.log(n) / 2.0 for t, n in pairs]
 
 
 def risk_upper_bound(scenario: RiskScenario, n):

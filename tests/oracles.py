@@ -27,9 +27,7 @@ def normalization_integral(d):
             return 0.0
         return math.exp(log_sa + (d - 1) * math.log(r) + radial_log_density(d, r))
 
-    return adaptive_quad(f, 0.0, 2.0, rel_tol=1e-10) + adaptive_quad(
-        f, 2.0, np.inf, rel_tol=1e-10
-    )
+    return adaptive_quad(f, 0.0, 2.0) + adaptive_quad(f, 2.0, np.inf)
 
 
 def posterior_mean_moment_oracle(model: PosteriorModel, y):

@@ -20,7 +20,6 @@ from ghs.distribution import (
     GhsDistribution,
     density,
     log_density,
-    origin_ball_mass,
     radial_log_density,
     sample_arrays,
     sample_blocks,
@@ -54,7 +53,14 @@ from ghs.posterior import (
     score,
     side_model_shrinkage,
 )
-from ghs.risk import RiskScenario, cesaro_risk_mc, kl_ball_radius, risk_upper_bound
+from ghs.risk import (
+    RiskScenario,
+    cesaro_risk_mc,
+    kl_ball_prior_mass,
+    kl_ball_radius,
+    origin_ball_mass,
+    risk_upper_bound,
+)
 from ghs.rng import make_rng
 from ghs.specfun import (
     exp_scaled_expint,
@@ -95,6 +101,13 @@ CASES = {
     # accepted before: a sample size is a whole number
     "kl_ball_radius(2.5)": (lambda: kl_ball_radius(SCENARIO, 2.5), DomainError),
     "risk_upper_bound(2.5)": (lambda: risk_upper_bound(SCENARIO, 2.5), DomainError),
+    # a raw OverflowError (int too large to convert to float) before, or accepted
+    "kl_ball_radius(10**400)": (lambda: kl_ball_radius(SCENARIO, 10**400), DomainError),
+    "kl_ball_prior_mass(10**400)": (lambda: kl_ball_prior_mass(SCENARIO, 10**400), DomainError),
+    "risk_upper_bound(10**400)": (lambda: risk_upper_bound(SCENARIO, 10**400), DomainError),
+    "cesaro_risk_mc(10**400)": (lambda: cesaro_risk_mc(SCENARIO, 10**400, 10, 1), DomainError),
+    "RiskScenario n_grid (10**400,)": (lambda: RiskScenario(2, n_grid=(10**400,)), DomainError),
+    "origin_ball_mass(2, 10**400)": (lambda: origin_ball_mass(2, 10**400), DomainError),
     # raw TypeError or ValueError before
     "GhsDistribution('2')": (lambda: GhsDistribution("2"), DomainError),
     "GhsDistribution(None)": (lambda: GhsDistribution(None), DomainError),

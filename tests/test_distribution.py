@@ -16,12 +16,11 @@ from ghs.distribution import (
     density,
     density_quadrature_oracle,
     log_density,
-    origin_ball_mass,
     radial_log_density,
     sample_arrays,
 )
 from ghs.errors import DimensionError, DomainError
-from ghs.risk import _ball_masses
+from ghs.risk import _ball_masses, origin_ball_mass
 from ghs.rng import make_rng, split_seed
 from oracles import normalization_integral
 

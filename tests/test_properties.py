@@ -5,13 +5,16 @@ value or raises a GhsError, and never a RuntimeWarning (pyproject.toml makes
 one an error).  The same holds for the Monte Carlo Cesaro risk, the mixture
 kernel's other caller, over any normal sigma and theta0; and the density,
 at any finite point and any radius up to inf, gives a value that is not NaN
-(+inf at the pole, -inf or 0 past the float range) or a GhsError.  The
-draws are derandomized and their number fixed, so the module runs the same
-examples on every run.
+(+inf at the pole, -inf or 0 past the float range) or a GhsError.  The KL-ball
+masses and the risk bound give a mass in (0, 1] and a finite bound or a
+GhsError, with no warning at all, and a GhsError for any argument of the
+wrong kind.  The draws are derandomized and their number fixed, so the module
+runs the same examples on every run.
 """
 
 import math
 import sys
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,7 +31,14 @@ from ghs.posterior import (
     score,
     side_model_shrinkage,
 )
-from ghs.risk import RiskScenario, cesaro_risk_mc
+from ghs.risk import (
+    RiskScenario,
+    cesaro_risk_mc,
+    kl_ball_prior_mass,
+    kl_ball_radius,
+    origin_ball_mass,
+    risk_upper_bound,
+)
 
 # any tau whose square is a finite normal float, as PosteriorModel accepts:
 # from the north-star range [1e-3, 1e3], or log-uniform over the whole range
@@ -125,3 +135,67 @@ def test_density_entry_points(case):
     assert stacked is None or stacked.tolist() == [log_p, log_p]
     radial = value_or_error(radial_log_density, d, r)
     assert radial is None or not math.isnan(radial)
+
+
+@st.composite
+def risk_cases(draw):
+    """A scenario of the north-star box and n in 2..1e12: d in 1..100, sigma
+    log-uniform in [1e-3, 1e3], ||theta0|| 0 or log-uniform in [1e-3, 1e4], on
+    an axis or the diagonal."""
+    d = draw(st.integers(1, 100))
+    c = draw(st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)))
+    theta0 = (c / math.sqrt(d),) * d if draw(st.booleans()) else (c,) + (0.0,) * (d - 1)
+    n = draw(st.one_of(st.integers(2, 10**12), st.floats(math.log10(2.0), 12.0).map(lambda e: round(10**e))))
+    return RiskScenario(d, 10.0 ** draw(st.floats(-3.0, 3.0)), theta0), n
+
+
+@given(risk_cases(), st.one_of(st.just(math.inf), st.floats(-300.0, 308.0).map(lambda e: 10.0**e)))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_risk_entry_points(case, radius):
+    scenario, n = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mass = value_or_error(kl_ball_prior_mass, scenario, n)
+        assert mass is None or 0.0 < mass <= 1.0
+        bound = value_or_error(risk_upper_bound, scenario, n)
+        assert bound is None or 0.0 < bound < math.inf
+        mass = value_or_error(origin_ball_mass, scenario.d, radius)
+        assert mass is None or 0.0 < mass <= 1.0
+
+
+# no argument of any kind: strings, None, NaN, +-inf and an int past the float range
+WRONG = st.sampled_from(["2", None, math.nan, math.inf, -math.inf, 10**400])
+
+
+@st.composite
+def wrong_risk_calls(draw):
+    """One risk entry point with one argument of the wrong kind: a size that
+    is WRONG or fractional, a real number that is WRONG (the radius may be
+    inf), or a dimension that is WRONG but for 10**400."""
+    scenario, n = draw(risk_cases())
+    d, size = scenario.d, draw(st.one_of(WRONG, st.floats(2.0, 1e12).filter(lambda v: v % 1 != 0)))
+    real, dim = draw(WRONG), draw(WRONG.filter(lambda v: v != 10**400))
+    calls = [
+        ("kl_ball_radius", lambda: kl_ball_radius(scenario, size)),
+        ("kl_ball_prior_mass", lambda: kl_ball_prior_mass(scenario, size)),
+        ("risk_upper_bound", lambda: risk_upper_bound(scenario, size)),
+        ("RiskScenario n_grid", lambda: RiskScenario(d, 1.0, (), (n, size))),
+        ("RiskScenario sigma", lambda: RiskScenario(d, real)),
+        ("RiskScenario theta0", lambda: RiskScenario(d, 1.0, (real,) + (0.0,) * (d - 1))),
+        ("RiskScenario d", lambda: RiskScenario(dim)),
+        ("origin_ball_mass d", lambda: origin_ball_mass(dim, 1.0)),
+    ]
+    if real != math.inf:
+        calls.append(("origin_ball_mass radius", lambda: origin_ball_mass(d, real)))
+    return draw(st.sampled_from(calls))
+
+
+@given(wrong_risk_calls())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_risk_entry_points_refuse_wrong_arguments(call):
+    name, fn = call
+    try:
+        fn()
+    except GhsError:
+        return
+    raise AssertionError(f"{name} took an argument of the wrong kind")

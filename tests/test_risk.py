@@ -1,13 +1,15 @@
-"""Risk-bound tests: KL-ball masses against their asymptotic expansions,
-the radial quadrature and mpmath (from radius 1e-300 to 1e150), monotonicity,
+"""Risk-bound tests: KL-ball masses against their asymptotic expansions and
+mpmath (live, and a frozen sweep from radius 1e-300 to 1e150), monotonicity,
 rate/slope behavior of the bound (including the extra -log log n / n
 improvement that exists only in one dimension), and the Monte Carlo risk
 estimate against the bound and against its exact value by quadrature.
 """
 
+import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +19,7 @@ from scipy import integrate, special, stats
 import ghs.distribution
 import ghs.risk
 from ghs.cli import main
-from ghs.distribution import origin_ball_mass, radial_log_density
+from ghs.distribution import radial_log_density
 from ghs.errors import DomainError, NumericalError
 from ghs.posterior import _c_like_integral_lambda, _mixture_moments
 from ghs.risk import (
@@ -26,6 +28,7 @@ from ghs.risk import (
     cesaro_risk_mc,
     kl_ball_prior_mass,
     kl_ball_radius,
+    origin_ball_mass,
     risk_upper_bound,
 )
 from ghs.rng import make_rng
@@ -228,14 +231,55 @@ EXTREMES = {
 }
 
 
-class TestBallMassKernel:
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20, 50, 100])
-    def test_origin_matches_radial_quadrature(self, d):
-        sc = RiskScenario(d)
-        for n in (2, 10**3, 10**6, 10**8, 10**12):
-            exact = origin_ball_mass(d, kl_ball_radius(sc, n))
-            assert kl_ball_prior_mass(sc, n) == pytest.approx(exact, rel=1e-12, abs=0)
+# frozen_log_mass at the points of ball_mass_sweep_points(); written by make_ball_mass_sweep.py beside it
+BALL_MASS_SWEEP = Path(__file__).with_name("data") / "ball_mass_sweep.json"
 
+
+def ball_mass_sweep_points():
+    """The (d, ||theta0||, radius) of the frozen ball-mass sweep.
+
+    The 40 KL balls of radius sqrt(2/n) at the origin, d in 1..100 and n in
+    2..1e12; then 250 seeded log-uniform points: d in 1..100, ||theta0|| 0 at
+    every fifth and else in [1e-3, 1e4], and the radius in [1e-300, 1e150].
+    """
+    points = [
+        (d, 0.0, kl_ball_radius(RiskScenario(d), n))
+        for d in (1, 2, 3, 5, 10, 20, 50, 100)
+        for n in (2, 10**3, 10**6, 10**8, 10**12)
+    ]
+    rng = np.random.default_rng(44)
+    for i in range(250):
+        d, c, r = round(10 ** rng.uniform(0.0, 2.0)), 10 ** rng.uniform(-3.0, 4.0), 10 ** rng.uniform(-300.0, 150.0)
+        points.append((d, 0.0 if i % 5 == 0 else c, r))
+    return points
+
+
+def frozen_log_mass(d, c, radius):
+    """log ball_mass_mpmath(d, c, radius) as a float, the value the sweep stores."""
+    with mp.workdps(40):
+        return float(mp.log(ball_mass_mpmath(d, c, radius)))
+
+
+def test_frozen_ball_mass_sweep():
+    # no point raises: the mass within 1e-12 where it is a normal float, else
+    # its log within 1e-13; at the origin through origin_ball_mass as well
+    table = json.loads(BALL_MASS_SWEEP.read_text())
+    assert [tuple(row[:3]) for row in table] == ball_mass_sweep_points()
+    for d, c, radius, ref in table:
+        log_mass = float(ghs.risk._ball_log_masses(d, np.array([radius]), c)[0])
+        if ref < math.log(sys.float_info.min):
+            assert log_mass == pytest.approx(ref, rel=1e-13, abs=0), (d, c, radius)
+            continue
+        assert math.exp(log_mass) == pytest.approx(math.exp(ref), rel=1e-12, abs=0), (d, c, radius)
+        if c == 0.0:
+            assert origin_ball_mass(d, radius) == pytest.approx(math.exp(ref), rel=1e-12, abs=0)
+    # the table against its oracle on rows of d <= 2, where mpmath takes well
+    # under a second: at the origin, and off it with masses above and below the float range
+    for d, c, radius, ref in (table[i] for i in (0, 91, 142, 211, 252)):
+        assert frozen_log_mass(d, c, radius) == ref, (d, c, radius)
+
+
+class TestBallMassKernel:
     @pytest.mark.parametrize("t, n", [
         (1e-6, 2), (1e-6, 10**12), (1.0, 10**12), (1e3, 2), (1e3, 10**12),
         (1.0, 2), (math.sqrt(2e-12), 10**12),  # the sphere passes through the origin
@@ -413,7 +457,6 @@ class TestBallMassKernel:
             raise AssertionError("kl_ball_prior_mass reached a quadrature oracle")
 
         for module, name in [
-            (ghs.risk, "origin_ball_mass"),
             (ghs.risk, "adaptive_quad"),
             (ghs.distribution, "adaptive_quad"),
             (ghs.distribution, "exp_scaled_gen_exp_integral"),

@@ -457,6 +457,20 @@ class TestCli:
         row = read(out).splitlines()[1].split(",")
         assert float(row[3]) == risk_upper_bound(RiskScenario(2, 1.0, (1.0, 1.0)), 10**4)
 
+    @pytest.mark.parametrize("theta0, coef", [(None, 1.0), ("1,1,1,1,1,1,1,1,1,1", 10)])
+    def test_risk_normalized_bound_from_the_log_mass(self, tmp_path, theta0, coef):
+        # n * bound - c log(n)/2 re-rounded 1 - log M: 15.991410522759326 at the
+        # origin, n = 1e12, for (1 - log M) - log(n)/2 = 15.991410522759328
+        import ghs.risk
+
+        out = tmp_path / "risk.csv"
+        self.run("risk", "--d-list", "10", *(["--theta0", theta0] if theta0 else []),
+                 "--n-grid", "1e12", "--out", str(out))
+        row = read(out).splitlines()[1].split(",")
+        c = 0.0 if theta0 is None else math.hypot(*[1.0] * 10)
+        log_mass = float(ghs.risk._ball_log_masses(10, np.array([math.sqrt(2e-12)]), c)[0])
+        assert float(row[4]) == (1.0 - log_mass) - coef * math.log(1e12) / 2.0
+
     @pytest.mark.parametrize("d, theta0, n", [
         ("1", "1e200", "10"),
         ("100", ",".join(["1"] + ["0"] * 99), "1e8"),
