@@ -111,23 +111,18 @@ def _point_blocks(fh, d):
     """The points of an open text file, _BLOCK at a time: one per line, blank
     lines and lines starting with '#' skipped.  A block that holds a NaN
     coordinate is a DomainError naming its line."""
-    flat = array("d")  # 8 bytes a coordinate, where a list of lists takes ~60
-    start, skipped = 0, []  # the lines before the block, and those skipped in it
+    flat, lines = array("d"), array("q")  # 8 bytes a coordinate and a line number, where lists take ~60
 
     def block():
         pts = np.frombuffer(flat).reshape(-1, d)
         nan = np.isnan(pts).any(axis=1)
         if nan.any():
-            number = start + int(nan.argmax()) + 1
-            for s in skipped:  # sorted: each one at or before the point moves it on
-                number += s <= number
-            raise DomainError(f"line {number} of the points file has a NaN coordinate")
+            raise DomainError(f"line {lines[int(nan.argmax())]} of the points file has a NaN coordinate")
         return pts
 
     for number, line in enumerate(fh, 1):
         line = line.strip()
         if not line or line.startswith("#"):
-            skipped.append(number)
             continue
         try:
             vals = [float(v) for v in line.replace(",", " ").split()]
@@ -136,9 +131,10 @@ def _point_blocks(fh, d):
         if len(vals) != d:
             raise DimensionError(f"point of length {len(vals)} on line {number}, expected {d}")
         flat.extend(vals)
-        if len(flat) == _BLOCK * d:
+        lines.append(number)
+        if len(lines) == _BLOCK:
             yield block()
-            flat, start, skipped = array("d"), number, []
+            flat, lines = array("d"), array("q")
     if flat:
         yield block()
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionError, DomainError, NumericalError, _check_array, _check_integer, _check_real,
+    DimensionError, DomainError, NumericalError, _check_array, _check_dimension, _check_real,
     _check_whole,
 )
 from .quadrature import adaptive_quad
@@ -44,23 +44,33 @@ class GhsDistribution:
     sigma_theta: float = 1.0
 
     def __post_init__(self):
-        _check_integer(self.d, "dimension", 1)
+        _check_dimension(self.d)
         _check_real(self.sigma_theta, "sigma_theta")
 
 
-def _log_norm_const(d):
-    return math.lgamma(0.5 * (d + 1)) - 0.5 * (math.log(2.0) + (d + 2) * math.log(math.pi))
+def _log_scaled_expint(d, u, log_u):
+    """log(e^u E_nu(u)), nu = (d + 1)/2, at arrays ``u`` and ``log u``: -log u where u overflows,
+    at d = 1 log(-gamma - log u) below u = 1e-20, where it is exact, else the kernel once per
+    distinct u (a value depends on its u alone, and sorted u run faster even with no repeats)."""
+    tail = np.isinf(u)
+    small = u < 1e-20 if d == 1 else np.zeros_like(tail)
+    mid = ~(tail | small)
+    log_e = np.empty_like(u)
+    distinct, inv = np.unique(u[mid], return_inverse=True)
+    log_e[mid] = np.log(exp_scaled_expint(0.5 * (d + 1), distinct))[inv]
+    log_e[tail] = -log_u[tail]
+    log_e[small] = np.log(-np.euler_gamma - log_u[small])
+    return log_e
 
 
 def radial_log_density(d, r, sigma_theta=1.0):
     """log density at radius ``r = ||x||``: a float for a scalar ``r``, else
     an array of its shape; +inf at the origin (the pole), -inf at r = inf.
 
-    exp(u) E_nu(u), u = r^2/2, takes its tail form 1/u where u overflows
-    and, at d = 1, its small-u form -gamma - log u, both with
+    exp(u) E_nu(u), u = r^2/2, is ``_log_scaled_expint``'s, with
     log u = 2 log r - log 2, so no digits are lost to over- or underflow.
     """
-    d = _check_integer(d, "dimension", 1)
+    d = _check_dimension(d)
     sigma_theta = _check_real(sigma_theta, "sigma_theta")
     r = _check_array(r, "radius")
     if not np.all(r >= 0):
@@ -71,19 +81,10 @@ def radial_log_density(d, r, sigma_theta=1.0):
         u = 0.5 * r * r
         lost = ~(r >= np.finfo(float).tiny) | (r == math.inf)  # r/sigma lost its digits
         log_r[lost] = np.log(radius[lost]) - math.log(sigma_theta)
-    log_u = 2.0 * log_r - math.log(2.0)
-    tail = np.isinf(u)
-    small = u < 1e-20 if d == 1 else np.zeros_like(tail)  # -gamma - log u is exact there
-    mid = ~(tail | small)
-    log_e = np.empty_like(r)
-    # once per distinct u: each value depends on its own u alone, and the
-    # sorted values run faster than the unsorted ones even when none repeat
-    distinct, inv = np.unique(u[mid], return_inverse=True)
-    log_e[mid] = np.log(exp_scaled_expint(0.5 * (d + 1), distinct))[inv]
-    log_e[tail] = -log_u[tail]
-    log_e[small] = np.log(-np.euler_gamma - log_u[small])
+    log_e = _log_scaled_expint(d, u, 2.0 * log_r - math.log(2.0))
     power = (d - 1) * log_r if d > 1 else 0.0  # r^(d-1) = 1 at d = 1, also at r = inf
-    val = _log_norm_const(d) + log_e - power - d * math.log(sigma_theta)
+    log_k = math.lgamma(0.5 * (d + 1)) - 0.5 * (math.log(2.0) + (d + 2) * math.log(math.pi))  # log K_d
+    val = log_k + log_e - power - d * math.log(sigma_theta)
     return val if val.ndim else float(val)
 
 
@@ -126,14 +127,11 @@ def density(dist: GhsDistribution, x):
 
 
 def _exp_density(ld):
-    """e^ld, +inf past the largest float: the one rule of ``density`` and ``ghs density``."""
-    if np.ndim(ld):
-        with np.errstate(over="ignore"):
-            return np.exp(ld)
-    try:
-        return math.exp(ld)
-    except OverflowError:
-        return math.inf
+    """e^ld, +inf past the largest float: the one rule of ``density`` and
+    ``ghs density``, so a point's density is its stack row's bit for bit."""
+    with np.errstate(over="ignore"):
+        val = np.exp(ld)
+    return val if np.ndim(val) else float(val)
 
 
 def sample_blocks(dist: GhsDistribution, n, seed, block):

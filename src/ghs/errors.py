@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the argument checks that
-raise them: an integer, a whole number, a finite real and an array of reals.
+raise them: an integer, a dimension, a whole number, a finite real and an array of reals.
 Each scalar check returns the plain Python value and raises the error class
 its caller names, ConfigError for a configuration and DomainError for a
 mathematical argument.
@@ -50,6 +50,14 @@ def _check_integer(value, name, least=0, error=DomainError):
     if number < least:
         raise error(f"{name} must be >= {least}, got {value!r}")
     return number
+
+
+def _check_dimension(value):
+    """``value`` as a dimension: an integer from 1 to 1e305, where lgamma((d + 1)/2) is still a float."""
+    d = _check_integer(value, "dimension", 1)
+    if d > 10**305:
+        raise DomainError(f"dimension must be at most 1e305, got an integer of {d.bit_length()} bits")
+    return d
 
 
 def _check_whole(value, name, least=0, error=DomainError):

@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DimensionError, DomainError, NumericalError, _check_array, _check_integer, _check_real
+    DimensionError, DomainError, NumericalError, _check_array, _check_dimension, _check_real
 )
 from .quadrature import adaptive_quad
 # log_kummer_1f1 and log_phi1 stay importable here: perfbench/spans.py patches these names
@@ -81,7 +81,7 @@ class PosteriorModel:
     tau: float = 1.0
 
     def __post_init__(self):
-        _check_integer(self.d, "dimension", 1)
+        _check_dimension(self.d)
         _normal_square(self.tau, "tau")
 
 
@@ -94,7 +94,7 @@ class SideModel:
     tau2: float
 
     def __post_init__(self):
-        _check_integer(self.d, "dimension", 1)
+        _check_dimension(self.d)
         tau1 = _normal_square(self.tau1, "tau1")
         _normal_square(_check_real(self.tau2, "tau2") / tau1, "tau2 / tau1")
 

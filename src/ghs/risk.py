@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# perfbench/spans.py patches radial_log_density and adaptive_quad under these names
-from .distribution import _log_norm_const, radial_log_density
-from .errors import DomainError, NumericalError, _check_integer, _check_real, _check_whole
+from .distribution import _log_scaled_expint
+from .distribution import radial_log_density  # noqa: F401  perfbench/spans.py patches this name
+from .errors import DomainError, NumericalError, _check_dimension, _check_real, _check_whole
 from .posterior import _mixture_moments, _rule
-from .quadrature import adaptive_quad  # noqa: F401
+from .quadrature import adaptive_quad  # noqa: F401  perfbench/spans.py patches this name
 from .rng import make_rng
-from .specfun import _log_beta_ratio
+from .specfun import _MAX_TERMS, _log_beta_ratio
 
 __all__ = [
     "RiskScenario",
@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiskScenario:
-    """True mean, noise scale and the sample sizes of interest."""
+    """True mean (``()``, the default, is the origin), noise scale and the sample sizes of interest."""
 
     d: int
     sigma: float = 1.0
@@ -47,15 +47,15 @@ class RiskScenario:
     n_grid: tuple = ()
 
     def __post_init__(self):
-        _check_integer(self.d, "dimension", 1)
+        _check_dimension(self.d)
         _check_real(self.sigma, "sigma")
         try:
-            theta0, n_grid = tuple(self.theta0) or (0.0,) * self.d, tuple(self.n_grid)
+            theta0, n_grid = tuple(self.theta0), tuple(self.n_grid)
         except TypeError:
             raise DomainError("theta0 and n_grid must be sequences") from None
         t0 = tuple(_check_real(v, "theta0", -math.inf) for v in theta0)
-        if len(t0) != self.d:
-            raise DomainError("theta0 must be d finite values")
+        if t0 and len(t0) != self.d:
+            raise DomainError("theta0 must be d finite values, or () for the origin")
         object.__setattr__(self, "theta0", t0)
         object.__setattr__(self, "n_grid", tuple(_check_whole(n, "n", 2) for n in n_grid))
 
@@ -69,7 +69,7 @@ def _beta_cf(a, b, y):
     """Lentz's fraction I_y(a, b) a B(a, b) y^-a (1-y)^-b, elementwise; y < (a+1)/(a+b+2)."""
     c, dd = np.ones_like(y), 1.0 / (1.0 - (a + b) * y / (a + 1.0))
     cf = dd.copy()
-    for k in range(2, 2000):  # the k-th partial numerator, m = k // 2
+    for k in range(2, _MAX_TERMS):  # the k-th partial numerator, m = k // 2
         num = (-(a + k // 2) * (a + b + k // 2) if k % 2 else k // 2 * (b - k // 2)) * y / ((a + k - 1) * (a + k))
         dd, c = 1.0 / (1.0 + num * dd), 1.0 + num / c
         cf *= dd * c
@@ -97,8 +97,8 @@ def _log_cap(d, r, c, log_a, log_b, log_w, log_s, log_x, log_v):
 
 def _ball_log_masses(d, radii, c, m=5):
     """log P(||theta - theta0|| <= R) for each R of the array ``radii``, ||theta0|| = c: the rule
-    ``_rule(m)`` in s of the density of ||theta|| over the shells s < a = R - c (past a = 1, one
-    minus it past a, on s = a/x), and of it times ``_log_cap`` over |R - c| < s < R + c, rerun
+    ``_rule(m)`` in s of the density of ||theta|| over the shells s < a = R - c (past a = sqrt(d),
+    one minus it past a, on s = a/x), and of it times ``_log_cap`` over |R - c| < s < R + c, rerun
     at h/2 where the sums at h and 2h differ by 1e-7 relative; NumericalError past h = 1/256."""
     if not float(radii.max()) + c < math.inf:  # a Python sum: inf with no overflow warning
         raise NumericalError("the ball's radius or centre leaves the float range")
@@ -106,7 +106,7 @@ def _ball_log_masses(d, radii, c, m=5):
     log_x, log_dx = np.log(nodes[2]), nodes[7] + 0.5 * np.log(nodes[2])
     full, cross = radii > c, (radii > 0) & (c > 0)
     log_a = np.log(radii[full] - c)[:, None]
-    flip = np.where(log_a > 0, -1.0, 1.0)  # s = a x, or a/x past a = 1
+    flip = np.where(log_a > 0.5 * math.log(d), -1.0, 1.0)  # s = a x, or a/x past a = sqrt(d) (~ the median)
     log_s, log_ds = [log_a + flip * log_x], [log_a + log_dx + (flip - 1.0) * log_x]
     if cross.any():
         r = radii[cross, None]
@@ -115,14 +115,11 @@ def _ball_log_masses(d, radii, c, m=5):
         log_s.append(np.logaddexp(log_a, log_w + log_x))  # s = a + w x, also below the float range
         cap = _log_cap(d, r, c, log_a, np.log(r + c), log_w, log_s[1], log_x, nodes[6]) if d > 1 else -math.log(2.0)
         log_ds.append(log_w + log_dx + cap)  # at d = 1 one of the shell's two points is inside
-    # log S_(d-1) s^(d-1) f_d(s), and below s = 2^-60 (f_d's log costs digits) e^u E_nu(u)'s first term
-    log_s = np.concatenate(log_s)
-    small = log_s < (floor := -60.0 * math.log(2.0))
-    with np.errstate(over="ignore"):  # s past the float range, where f_d is 0
-        log_f = (d - 1) * log_s + radial_log_density(d, np.exp(np.maximum(log_s, floor)))
-    log_f[small] = _log_norm_const(d) + (
-        np.log(math.log(2.0) - np.euler_gamma - 2.0 * log_s[small]) if d == 1 else -math.log(0.5 * (d - 1)))
-    log_f += np.concatenate(log_ds) + (math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
+    # log S_(d-1) s^(d-1) f_d(s) = log(e^u E_nu(u)) + log S_(d-1) K_d, u = s^2/2 (inf past the float range)
+    log_u = 2.0 * np.concatenate(log_s) - math.log(2.0)
+    u = np.exp(log_u, out=np.full_like(log_u, math.inf), where=log_u < math.log(sys.float_info.max))
+    log_f = _log_scaled_expint(d, u, log_u) + np.concatenate(log_ds)
+    log_f += 0.5 * math.log(2.0 / math.pi) + _log_beta_ratio(0.5 * d, 0.5)  # no lgamma cancels at a large d
     peak = np.maximum(log_f.max(axis=1), -1e300)  # a row of -inf is a part of mass 0
     sums = np.exp(log_f - peak[:, None]) @ nodes[[0, 3]].T
     if np.any(abs(sums[:, 0] - sums[:, 1]) > 1e-7 * sums[:, 0]):  # rare: a crossing range wide in log s
@@ -146,7 +143,7 @@ def _ball_masses(d, radii, c):
 
 def origin_ball_mass(d, radius):
     """P(||theta|| <= radius) under the standard prior: 1.0 at radius inf, NumericalError below the normal range."""
-    d = _check_integer(d, "dimension", 1)
+    d = _check_dimension(d)
     if isinstance(radius, numbers.Real) and radius == math.inf:
         return 1.0
     return _ball_masses(d, [_check_real(radius, "radius")], 0.0)[0]
@@ -212,7 +209,7 @@ def cesaro_risk_mc(scenario: RiskScenario, n, reps, seed):
     if not np.finfo(float).tiny <= b < math.inf:
         raise NumericalError(f"n / sigma^2 is not a normal float (sigma = {scenario.sigma:.3g})")
     with np.errstate(over="ignore"):  # an a past the float range is inf: the kernel refuses it
-        shift = math.sqrt(b) * np.asarray(scenario.theta0)
+        shift = math.sqrt(b) * np.asarray(scenario.theta0 or 0.0)
         w = make_rng(seed).standard_normal((reps, scenario.d))
         vals = _log_ratio(w, shift, b, scenario.d) / n
     return McRisk(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)), reps, vals)

@@ -11,11 +11,15 @@ every test.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import ghs.posterior
+import ghs.risk
+import ghs.specfun
 from ghs.distribution import (
     GhsDistribution,
     density,
@@ -53,6 +57,7 @@ from ghs.posterior import (
     score,
     side_model_shrinkage,
 )
+from ghs.quadrature import adaptive_quad
 from ghs.risk import (
     RiskScenario,
     cesaro_risk_mc,
@@ -108,6 +113,17 @@ CASES = {
     "cesaro_risk_mc(10**400)": (lambda: cesaro_risk_mc(SCENARIO, 10**400, 10, 1), DomainError),
     "RiskScenario n_grid (10**400,)": (lambda: RiskScenario(2, n_grid=(10**400,)), DomainError),
     "origin_ball_mass(2, 10**400)": (lambda: origin_ball_mass(2, 10**400), DomainError),
+    # a raw OverflowError (int too large to convert to float) or NumPy's ValueError
+    # before, or accepted: a dimension's lgamma((d + 1)/2) is a float
+    "radial_log_density(10**400, 1.0)": (lambda: radial_log_density(10**400, 1.0), DomainError),
+    "origin_ball_mass(10**400, 1.0)": (lambda: origin_ball_mass(10**400, 1.0), DomainError),
+    "RiskScenario(10**400)": (lambda: RiskScenario(10**400), DomainError),
+    "sample_arrays(GhsDistribution(10**400))": (
+        lambda: sample_arrays(GhsDistribution(10**400), 1, 1), DomainError
+    ),
+    "GhsDistribution(10**306)": (lambda: GhsDistribution(10**306), DomainError),
+    "PosteriorModel(10**400)": (lambda: PosteriorModel(10**400), DomainError),
+    "SideModel(10**400, 1, 1)": (lambda: SideModel(10**400, 1.0, 1.0), DomainError),
     # raw TypeError or ValueError before
     "GhsDistribution('2')": (lambda: GhsDistribution("2"), DomainError),
     "GhsDistribution(None)": (lambda: GhsDistribution(None), DomainError),
@@ -240,6 +256,43 @@ def test_wrong_type_raises_its_ghs_error(name):
         call()
 
 
+# (module constant to patch or None, call, message): a failure branch that no
+# other test reached
+FAILURES = {
+    "mixture weight unresolved": (
+        (ghs.posterior, "_LEVEL_RTOL", 0.0),
+        lambda: marginal_log_density(MODEL, [1.0, 2.0]), "the weight is not resolved",
+    ),
+    "incomplete beta fraction": (
+        (ghs.risk, "_MAX_TERMS", 4),
+        lambda: kl_ball_prior_mass(RiskScenario(2, 1.0, (1.0, 0.0)), 100), "did not converge",
+    ),
+    # a ball through the origin with R = ||theta0|| = 1e40: the crossing
+    # range's nodes start at s ~ 1e3, far above the prior's mass
+    "shell rule unresolved": (
+        None,
+        lambda: kl_ball_prior_mass(RiskScenario(2, 1e40, (1e40, 0.0)), 2), "shell rule is not resolved",
+    ),
+    "E_nu series": ((ghs.specfun, "_MAX_TERMS", 2), lambda: exp_scaled_expint(1.5, 0.5), "series did not converge"),
+    "E_nu continued fraction": (
+        (ghs.specfun, "_MAX_TERMS", 2), lambda: exp_scaled_expint(1.5, 5.0), "continued fraction stalled",
+    ),
+    "quadrature value not finite": (None, lambda: adaptive_quad(lambda x: math.inf, 0.0, 1.0), "returned inf"),
+    "quadrature error too large": (None, lambda: adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0), "too large"),
+}
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_failure_branch_is_a_numerical_error(name, monkeypatch):
+    patch, call, message = FAILURES[name]
+    if patch:
+        monkeypatch.setattr(*patch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            call()
+
+
 def test_valid_inputs_still_accepted():
     # the checks return plain Python values; NumPy scalars and whole floats
     # pass where the contract allows them
@@ -262,6 +315,11 @@ def test_valid_inputs_still_accepted():
         assert PosteriorModel(2, small(0.5)).tau == 0.5
         assert kummer_1f1(small(0.5), 1.5, 2.0) == kummer_1f1(0.5, 1.5, 2.0)
         assert Hyper(s_beta=small(1)).s_beta == 1
+
+
+def test_origin_scenario_builds_no_zero_tuple():
+    # a MemoryError before: the origin was a tuple of d zeros
+    assert RiskScenario(10**12).theta0 == ()
 
 
 def test_kmeans_threshold_past_the_square_range():

@@ -8,7 +8,8 @@ at any finite point and any radius up to inf, gives a value that is not NaN
 (+inf at the pole, -inf or 0 past the float range) or a GhsError.  The KL-ball
 masses and the risk bound give a mass in (0, 1] and a finite bound or a
 GhsError, with no warning at all, and a GhsError for any argument of the
-wrong kind.  The draws are derandomized and their number fixed, so the module
+wrong kind; so do the special functions, 1F1, Phi1 and E_nu, whose limit at
+x = inf is 0.  The draws are derandomized and their number fixed, so the module
 runs the same examples on every run.
 """
 
@@ -38,6 +39,13 @@ from ghs.risk import (
     kl_ball_radius,
     origin_ball_mass,
     risk_upper_bound,
+)
+from ghs.specfun import (
+    exp_scaled_expint,
+    exp_scaled_gen_exp_integral,
+    gen_exp_integral,
+    kummer_1f1,
+    phi1,
 )
 
 # any tau whose square is a finite normal float, as PosteriorModel accepts:
@@ -171,10 +179,10 @@ WRONG = st.sampled_from(["2", None, math.nan, math.inf, -math.inf, 10**400])
 def wrong_risk_calls(draw):
     """One risk entry point with one argument of the wrong kind: a size that
     is WRONG or fractional, a real number that is WRONG (the radius may be
-    inf), or a dimension that is WRONG but for 10**400."""
+    inf), or a dimension that is WRONG."""
     scenario, n = draw(risk_cases())
     d, size = scenario.d, draw(st.one_of(WRONG, st.floats(2.0, 1e12).filter(lambda v: v % 1 != 0)))
-    real, dim = draw(WRONG), draw(WRONG.filter(lambda v: v != 10**400))
+    real, dim = draw(WRONG), draw(WRONG)
     calls = [
         ("kl_ball_radius", lambda: kl_ball_radius(scenario, size)),
         ("kl_ball_prior_mass", lambda: kl_ball_prior_mass(scenario, size)),
@@ -199,3 +207,83 @@ def test_risk_entry_points_refuse_wrong_arguments(call):
     except GhsError:
         return
     raise AssertionError(f"{name} took an argument of the wrong kind")
+
+
+# the special functions over a log-uniform box: |a|, |b| in [1e-3, 1e3] and |x|
+# up to 1e4 for 1F1 (Phi1 the same in beta and y, with x in [-1e3, 1)), and |nu|
+# up to 1e3 and x in [1e-10, 1e3] for E_nu
+def log_uniform(lo, hi, signed=False):
+    magnitude = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+    if not signed:
+        return magnitude
+    return st.tuples(magnitude, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+PARAMETER = log_uniform(1e-3, 1e3, signed=True)
+ARGUMENT = st.one_of(st.just(0.0), log_uniform(1e-10, 1e4, signed=True))
+ORDER = st.one_of(st.just(0.0), st.integers(-20, 20).map(float), log_uniform(1e-3, 1e3, signed=True))
+E_ARGUMENT = log_uniform(1e-10, 1e3)
+
+
+@st.composite
+def special_calls(draw):
+    """One special function at a draw from the box, with its name."""
+    a, b, x = draw(PARAMETER), draw(PARAMETER), draw(ARGUMENT)
+    alpha = draw(log_uniform(1e-3, 1e3))
+    gamma = alpha + draw(log_uniform(1e-3, 1e3))
+    phi_x = draw(st.one_of(st.just(0.0), st.floats(-1e3, 0.999)))
+    nu, e_x = draw(ORDER), draw(E_ARGUMENT)
+    return draw(st.sampled_from([
+        ("kummer_1f1", lambda: kummer_1f1(a, b, x)),
+        ("phi1", lambda: phi1(alpha, b, gamma, phi_x, x)),
+        ("gen_exp_integral", lambda: gen_exp_integral(nu, e_x)),
+        ("exp_scaled_gen_exp_integral", lambda: exp_scaled_gen_exp_integral(nu, e_x)),
+        ("exp_scaled_expint", lambda: exp_scaled_expint(nu, np.array([e_x, 2.0 * e_x]))),
+    ]))
+
+
+@given(special_calls())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_special_functions_give_a_value_or_a_ghs_error(call):
+    name, fn = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = value_or_error(fn)
+    assert value is None or np.all(np.isfinite(value)), name
+
+
+SPECIAL = {  # name: (function, valid arguments)
+    "kummer_1f1": (kummer_1f1, (0.5, 1.5, 2.0)),
+    "phi1": (phi1, (0.5, 0.2, 1.5, 0.3, 2.0)),
+    "gen_exp_integral": (gen_exp_integral, (1.5, 0.5)),
+    "exp_scaled_gen_exp_integral": (exp_scaled_gen_exp_integral, (1.5, 0.5)),
+    "exp_scaled_expint": (exp_scaled_expint, (1.5, 0.5)),
+}
+
+
+@st.composite
+def wrong_special_calls(draw):
+    """One special function with one argument that is WRONG."""
+    name = draw(st.sampled_from(sorted(SPECIAL)))
+    args = SPECIAL[name][1]
+    slot = draw(st.integers(0, len(args) - 1))
+    return name, args[:slot] + (draw(WRONG),) + args[slot + 1:]
+
+
+@given(wrong_special_calls())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_special_functions_refuse_wrong_arguments(call):
+    name, args = call
+    try:
+        value = SPECIAL[name][0](*args)
+    except GhsError:
+        return
+    # but x = inf is E_nu's limit, 0
+    assert name not in ("kummer_1f1", "phi1") and args[1] == math.inf and np.all(value == 0.0), (name, args)
+
+
+def test_exponential_integral_at_infinity_is_zero():
+    for nu in (-2.5, 0.0, 1.5, 40.0):
+        assert gen_exp_integral(nu, math.inf) == 0.0
+        assert exp_scaled_gen_exp_integral(nu, math.inf) == 0.0
+        assert exp_scaled_expint(nu, [math.inf, 1.0])[0] == 0.0

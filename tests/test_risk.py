@@ -367,6 +367,19 @@ class TestBallMassKernel:
             expected = float(ball_mass_mpmath(1, 0.0, radius))
             assert kl_ball_prior_mass(RiskScenario(1, radius), 2) == pytest.approx(expected, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("d", [10**3, 10**6, 10**12])
+    def test_large_dimension_against_the_atan_series(self, d):
+        # P(lam ||z|| <= 1) = (2/pi) E atan(1/||z||), ||z||^2 ~ chi^2_d: the series of atan,
+        # with E ||z||^-m = 2^(-m/2) Gamma((d - m)/2) / Gamma(d/2).  The shell density's
+        # constant was a difference of lgamma's near d log d: 8.5e-10 off at d = 10^6,
+        # and the rule was not resolved at 10^12
+        with mp.workdps(30):
+            series = sum((-1) ** k / mp.mpf(2 * k + 1) / mp.sqrt(2) ** (2 * k + 1)
+                         * mp.exp(mp.loggamma(mp.mpf(d - 2 * k - 1) / 2) - mp.loggamma(mp.mpf(d) / 2))
+                         for k in range(8))
+            expected = float(2 / mp.pi * series)
+        assert origin_ball_mass(d, 1.0) == pytest.approx(expected, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("d", [1, 3, 100])
     def test_tiny_radius_against_mpmath_with_no_warning(self, d):
         # 1/lam^2 at the first node left the float range at 1e-150 and the
@@ -386,13 +399,13 @@ class TestBallMassKernel:
 
     def test_one_radial_density_call_per_ball(self, monkeypatch):
         calls = []
-        radial = ghs.risk.radial_log_density
+        kernel = ghs.risk._log_scaled_expint
 
-        def counted(d, r, *args):
-            calls.append(r.size)
-            return radial(d, r, *args)
+        def counted(d, u, log_u):
+            calls.append(u.size)
+            return kernel(d, u, log_u)
 
-        monkeypatch.setattr(ghs.risk, "radial_log_density", counted)
+        monkeypatch.setattr(ghs.risk, "_log_scaled_expint", counted)
         sizes = [2, 3] + [10**k for k in range(1, 9)]
         cases = [(d, t, n) for d in range(1, 11) for t in (0.0, 0.5, 1.0, 3.0) for n in sizes]
         cases.append((100, 1.0, 2))
@@ -403,8 +416,8 @@ class TestBallMassKernel:
 
     def test_one_radial_density_call_per_dimension_in_cmd_risk(self, monkeypatch, tmp_path):
         calls = []
-        radial = ghs.risk.radial_log_density
-        monkeypatch.setattr(ghs.risk, "radial_log_density", lambda d, r: calls.append(d) or radial(d, r))
+        kernel = ghs.risk._log_scaled_expint
+        monkeypatch.setattr(ghs.risk, "_log_scaled_expint", lambda d, u, log_u: calls.append(d) or kernel(d, u, log_u))
         main(["risk", "--d-list", "1,2,3", "--n-grid", "1e3,1e4,1e5,1e6", "--out", str(tmp_path / "r.csv")])
         assert calls == [1, 2, 3]
 
@@ -426,8 +439,8 @@ class TestBallMassKernel:
     def test_wide_crossing_range_takes_a_finer_step(self, monkeypatch, d, c, radius, expected):
         # |R - c| << 1 << R + c: a crossing range too wide in log s for the step 1/32
         sizes = []
-        radial = ghs.risk.radial_log_density
-        monkeypatch.setattr(ghs.risk, "radial_log_density", lambda d, r: sizes.append(r.shape[1]) or radial(d, r))
+        kernel = ghs.risk._log_scaled_expint
+        monkeypatch.setattr(ghs.risk, "_log_scaled_expint", lambda d, u, log_u: sizes.append(u.shape[1]) or kernel(d, u, log_u))
         sc = RiskScenario(d, radius, (c,) + (0.0,) * (d - 1))
         assert kl_ball_prior_mass(sc, 2) == pytest.approx(expected, rel=1e-12, abs=0)
         assert sizes[0] == 257 and sizes[-1] > 257

@@ -315,6 +315,20 @@ class TestCli:
         val = float(read(out).splitlines()[1].split(",")[1])
         assert val == pytest.approx(density(GhsDistribution(1), [1.0]), rel=1e-12)
 
+    def test_points_file_cells_are_the_point_densities(self, tmp_path):
+        # a point's density was math.exp's and its cell np.exp's: 37 of these
+        # 1,000 cells were one ulp off repr(density(point))
+        from ghs.distribution import GhsDistribution, density, log_density
+
+        rng = np.random.default_rng(7)
+        points = rng.standard_normal((1000, 2)) * np.exp(rng.uniform(-3.0, 3.0, (1000, 1)))
+        pts, out = tmp_path / "p.txt", tmp_path / "d.csv"
+        pts.write_text("".join(f"{a!r} {b!r}\n" for a, b in points.tolist()))
+        self.run("density", "--d", "2", "--points-file", str(pts), "--out", str(out))
+        dist = GhsDistribution(2)
+        cells = [line.split(",")[2:] for line in read(out).splitlines()[1:]]
+        assert cells == [[repr(density(dist, p)), repr(log_density(dist, p))] for p in points]
+
     def test_density_rows_match_per_point_library(self, tmp_path):
         from ghs.distribution import GhsDistribution, log_density
 
