@@ -40,15 +40,17 @@ class LengthError(GhsError, ValueError):
     """Two sequences that must align have different lengths."""
 
 
-def _check_integer(value, name, least=0, error=DomainError):
-    """``value`` as an int >= ``least``; an integer is what ``operator.index``
-    takes, so 2.0 and "2" are not."""
+def _check_integer(value, name, least=0, error=DomainError, most=None):
+    """``value`` as an int >= ``least`` and, if given, <= ``most``; an integer
+    is what ``operator.index`` takes, so 2.0 and "2" are not."""
     try:
         number = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
     if number < least:
         raise error(f"{name} must be >= {least}, got {value!r}")
+    if most is not None and number > most:
+        raise error(f"{name} must be <= {most}, got an integer of {number.bit_length()} bits")
     return number
 
 

@@ -16,6 +16,7 @@ block: a block is declared zero when E(gamma | y) falls below the border
 """
 
 import math
+import sys
 import warnings
 from collections.abc import Sized
 from dataclasses import dataclass, field
@@ -97,7 +98,7 @@ def _check_truth(truth, d_lin, d_nl):
     truth = tuple(truth) or _default_truth(d_lin, d_nl)
     if len(truth) != d_lin + d_nl:
         raise ConfigError(f"truth pattern has length {len(truth)}, expected {d_lin + d_nl}")
-    if any(t not in LABELS for t in truth):
+    if not all(isinstance(t, str) and t in LABELS for t in truth):
         raise ConfigError(f"labels must be in {LABELS}")
     if any(t == "non-linear" for t in truth[:d_lin]):
         raise ConfigError("zero-or-linear candidates cannot have a non-linear truth")
@@ -112,11 +113,23 @@ def _default_truth(d_lin, d_nl):
 
 
 def _basis_sizes(basis_size, d_nl):
-    """Spline-block sizes, one per non-linear candidate, each an integer >= 2."""
-    ks = tuple(basis_size) if np.iterable(basis_size) else (basis_size,) * d_nl
+    """Spline-block sizes, one per non-linear candidate, each an integer from
+    2 to sys.maxsize; one size for all is checked also when there are none."""
+    if not np.iterable(basis_size):
+        return (_check_integer(basis_size, "basis_size", 2, ConfigError, sys.maxsize),) * d_nl
+    ks = tuple(basis_size)
     if len(ks) != d_nl:
         raise ConfigError("basis_size tuple must have one entry per d_nl candidate")
-    return tuple(_check_integer(k, "basis_size", 2, ConfigError) for k in ks)
+    return tuple(_check_integer(k, "basis_size", 2, ConfigError, sys.maxsize) for k in ks)
+
+
+def _check_model(d_lin, d_nl, basis_size, hyper):
+    """The model fields that AdditiveModelSpec and StudyConfig share; a count
+    is at most sys.maxsize, the longest a tuple of labels or sizes can be."""
+    _check_integer(d_lin, "d_lin", 0, ConfigError, sys.maxsize)
+    _basis_sizes(basis_size, _check_integer(d_nl, "d_nl", 0, ConfigError, sys.maxsize))
+    if not isinstance(hyper, Hyper):
+        raise ConfigError(f"hyper must be a Hyper, got {hyper!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +161,8 @@ class AdditiveModelSpec:
     hyper: Hyper = field(default_factory=Hyper)
 
     def __post_init__(self):
-        for name, least in (("n", 1), ("d_lin", 0), ("d_nl", 0)):
-            _check_integer(getattr(self, name), name, least, ConfigError)
+        _check_integer(self.n, "n", 1, ConfigError, sys.maxsize)
+        _check_model(self.d_lin, self.d_nl, self.basis_size, self.hyper)
         if self.n <= self.d_lin + self.d_nl + sum(self.basis_sizes):
             warnings.warn(
                 "sample size does not exceed the total coefficient count",
@@ -205,7 +218,10 @@ def generate_data(spec: AdditiveModelSpec, sigma_eps, seed, truth=None):
             g = _NONLINEAR_SHAPES[shape_idx % len(_NONLINEAR_SHAPES)]
             surface += g(x[:, j])
             shape_idx += 1
-    y = surface + sigma_eps * rng.standard_normal(spec.n)
+    with np.errstate(over="ignore"):  # a noise draw past the float range is refused below
+        y = surface + sigma_eps * rng.standard_normal(spec.n)
+    if not np.isfinite(y).all():
+        raise NumericalError(f"sigma_eps = {sigma_eps!r} takes the response past the float range")
     return Dataset(x, y, truth, surface)
 
 
@@ -258,8 +274,8 @@ def spline_basis(x, K):
     unit norm, and are exactly orthogonal to the constant and linear terms.
     """
     x = _check_array(x, "x")
-    if x.ndim != 1:
-        raise DimensionError("x must be a vector")
+    if x.ndim != 1 or x.size == 0:
+        raise DimensionError("x must be a vector of one or more values")
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
     K = _check_integer(K, "K", 2, ConfigError)
@@ -468,8 +484,8 @@ def gibbs_sampler(
     simulator (each sweep redraws y from the current parameters), whose
     stationary law is the prior; only validation tests use this.
     """
-    iters = _check_integer(iters, "iters", 1, ConfigError)
-    burn = _check_integer(burn, "burn", 0, ConfigError)
+    iters = _check_integer(iters, "iters", 1, ConfigError, sys.maxsize)
+    burn = _check_integer(burn, "burn", 0, ConfigError, sys.maxsize)
     if not iters > burn:
         raise ConfigError(f"need iters > burn, got {iters}, {burn}")
     if not np.isfinite(dataset.y).all():
@@ -667,9 +683,11 @@ def gamma_statistics(chain: GibbsChain):
 def classify(report: ThresholdReport, border=0.5, border_u=None):
     """Zero / linear / non-linear labels from the shrinkage statistics.
 
-    A block counts as active when its statistic exceeds the border;
-    ``border_u`` optionally overrides the border for the spline blocks
-    (used with the 2-means data-driven threshold).
+    A candidate is non-linear when its spline statistic exceeds
+    ``border_u`` (``border`` if None; the study also passes the 2-means
+    data-driven threshold), else linear when its linear statistic exceeds
+    ``border``, else zero; one with no spline block (None) is never
+    non-linear.  Each statistic is a finite real number.
     """
     border = _check_real(border, "border", -math.inf)
     bu = border if border_u is None else _check_real(border_u, "border_u", -math.inf)
@@ -677,12 +695,9 @@ def classify(report: ThresholdReport, border=0.5, border_u=None):
         raise LengthError("gamma_beta and gamma_u need one statistic per predictor")
     labels = []
     for gb, gu in zip(report.gamma_beta, report.gamma_u):
-        if gu is None:
-            labels.append("linear" if gb > border else "zero")
-        elif gu > bu:
-            labels.append("non-linear")
-        else:
-            labels.append("linear" if gb > border else "zero")
+        gb = _check_real(gb, "gamma_beta", -math.inf)
+        gu = -math.inf if gu is None else _check_real(gu, "gamma_u", -math.inf)
+        labels.append("non-linear" if gu > bu else "linear" if gb > border else "zero")
     return labels
 
 
@@ -706,25 +721,30 @@ class MisclassRate:
 
 
 def misclassification_rate(labels, truth):
-    if not all(isinstance(v, Sized) for v in (labels, truth)):
+    """How many of ``labels`` differ from ``truth``, two sequences of one
+    length (not strings) whose entries are strings, the labels."""
+    if not all(isinstance(v, Sized) and not isinstance(v, str) for v in (labels, truth)):
         raise DomainError("labels and truth must be sequences")
     if len(labels) != len(truth):
         raise LengthError(f"{len(labels)} labels vs {len(truth)} truths")
-    if not labels:
+    if len(labels) == 0:
         raise DegenerateError("need at least one label")
+    if not all(isinstance(v, str) for v in (*labels, *truth)):
+        raise DomainError("labels must be strings")
     count = sum(1 for a, b in zip(labels, truth) if a != b)
     return MisclassRate(count, len(labels))
 
 
 def kmeans_threshold(values):
-    """Exact optimal 2-cluster split of scalar values; returns the border.
+    """Exact optimal 2-cluster split of scalar values, of any shape and
+    taken as one list; returns the border.
 
     Minimizes within-cluster sum of squares over all sorted splits (the
     1-D k-means optimum) and returns the midpoint of the two cluster means.
     Both are scale-equivariant, so values past 1e150, whose squares would
     overflow, are split as v / max|v| and the border scaled back.
     """
-    vals = np.sort(_check_array(values, "values"))
+    vals = np.sort(_check_array(values, "values"), axis=None)
     if not np.isfinite(vals).all():
         raise DomainError("values must be finite")
     if vals.size < 2 or vals[0] == vals[-1]:

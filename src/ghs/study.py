@@ -13,6 +13,7 @@ failed replications are listed there instead of aborting the study.
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -21,7 +22,7 @@ from .files import atomic_write, write_csv
 from .gamsel import (
     AdditiveModelSpec,
     Hyper,
-    _basis_sizes,
+    _check_model,
     _check_truth,
     chain_to_csv,
     classify,
@@ -63,10 +64,12 @@ class StudyConfig:
     def __post_init__(self):
         """Reject a bad config here, before any replication runs."""
         # d_nl >= 2: the 2-means border splits the spline-block statistics;
-        # the seed's sign is checked last, as the DomainError make_rng raises
-        bounds = dict(iters=1, burn=0, replications=1, threads=1, d_lin=0, d_nl=2, seed=-math.inf)
-        for name, least in bounds.items():
-            _check_integer(getattr(self, name), name, least, ConfigError)
+        # a seed of any size is a seed, and its sign is checked last, as the
+        # DomainError make_rng raises
+        for name, least in dict(iters=1, burn=0, replications=1, threads=1, d_nl=2).items():
+            _check_integer(getattr(self, name), name, least, ConfigError, sys.maxsize)
+        _check_integer(self.seed, "seed", -math.inf, ConfigError)
+        _check_model(self.d_lin, self.d_nl, self.basis_size, self.hyper)
         if not isinstance(self.save_chains, bool):
             raise ConfigError(f"save_chains must be true or false, got {self.save_chains!r}")
         n, sigma_eps = _as_list(self.n), _as_list(self.sigma_eps)
@@ -77,9 +80,6 @@ class StudyConfig:
             _check_real(v, "sigma_eps", 0.0, ConfigError, inclusive=True) for v in sigma_eps
         ))
         object.__setattr__(self, "truth", _check_truth(self.truth, self.d_lin, self.d_nl))
-        _basis_sizes(self.basis_size, self.d_nl)
-        if not isinstance(self.hyper, Hyper):
-            raise ConfigError(f"hyper must be a Hyper, got {self.hyper!r}")
         if not self.iters > self.burn:
             raise ConfigError(f"need iters > burn, got {self.iters}, {self.burn}")
         _check_integer(self.seed, "seed")
@@ -120,11 +120,13 @@ def _scenario_dir(out_dir, n, sigma):
     return os.path.join(out_dir, f"n{n}_sig{sigma:g}")
 
 
-def _rates(labels, truth):
+def _scores(labels, truth):
+    """The labels, with their three-way and linear-or-non-linear error rates."""
     three = misclassification_rate(labels, truth)
     pairs = [(l, t) for l, t in zip(labels, truth) if t in ("linear", "non-linear")]
     errors = sum(1 for l, t in pairs if l != t)
     return {
+        "labels": labels,
         "three_way_errors": three.count,
         "three_way_total": three.total,
         "three_way_rate": three.rate,
@@ -137,29 +139,13 @@ def _rates(labels, truth):
 def run_replication(config: StudyConfig, n, sigma, rep, out_dir):
     """One scenario cell x replication; returns the aggregate record."""
     scenario_id = config.scenarios.index((n, sigma))
-    spec = AdditiveModelSpec(
-        n=n,
-        d_lin=config.d_lin,
-        d_nl=config.d_nl,
-        basis_size=config.basis_size,
-        hyper=config.hyper,
-    )
-    data = generate_data(
-        spec, sigma, split_seed(config.seed, scenario_id, rep, 0), truth=config.truth
-    )
-    chain = gibbs_sampler(
-        data,
-        spec,
-        config.iters,
-        config.burn,
-        split_seed(config.seed, scenario_id, rep, 1),
-    )
+    seed_data, seed_chain = (split_seed(config.seed, scenario_id, rep, stream) for stream in (0, 1))
+    spec = AdditiveModelSpec(n, config.d_lin, config.d_nl, config.basis_size, config.hyper)
+    data = generate_data(spec, sigma, seed_data, truth=config.truth)
+    chain = gibbs_sampler(data, spec, config.iters, config.burn, seed_chain)
     report = gamma_statistics(chain)
-    labels_half = classify(report, 0.5)
-    gu_vals = [g for g in report.gamma_u if g is not None]
-    border_k = kmeans_threshold(gu_vals)
-    labels_k = classify(report, 0.5, border_u=border_k)
-
+    # each method's border for the spline blocks: 1/2, or the 2-means split of their statistics
+    border_k = kmeans_threshold([g for g in report.gamma_u if g is not None])
     record = {
         "n": n,
         "sigma_eps": sigma,
@@ -169,16 +155,8 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir):
         "truth": list(config.truth),
         "diagnostics": chain.diagnostics,
         "methods": {
-            "border_half": {
-                "border": 0.5,
-                "labels": labels_half,
-                **_rates(labels_half, config.truth),
-            },
-            "kmeans": {
-                "border": border_k,
-                "labels": labels_k,
-                **_rates(labels_k, config.truth),
-            },
+            method: {"border": border, **_scores(classify(report, 0.5, border_u=border), config.truth)}
+            for method, border in (("border_half", 0.5), ("kmeans", border_k))
         },
     }
     sdir = _scenario_dir(out_dir, n, sigma)
@@ -242,10 +220,9 @@ def write_aggregates(records, out_dir):
         os.path.join(out_dir, "misclassification.csv"),
         MISCLASS_HEADER,
         (
-            [r["n"], r["sigma_eps"], r["replication"], method,
-             *(r["methods"][method][c] for c in method_columns)]
+            [r["n"], r["sigma_eps"], r["replication"], method, *(scores[c] for c in method_columns)]
             for r in records
-            for method in ("border_half", "kmeans")
+            for method, scores in sorted(r["methods"].items())
         ),
     )
     write_csv(

@@ -45,6 +45,7 @@ from ghs.gamsel import (
     classify,
     gamma_statistics,
     generate_data,
+    gibbs_sampler,
     kmeans_threshold,
     misclassification_rate,
     spline_basis,
@@ -237,6 +238,33 @@ CASES = {
         lambda: StudyConfig(d_lin=1, d_nl=2, truth=("zero", "linear")), ConfigError
     ),
     "StudyConfig iters == burn": (lambda: StudyConfig(iters=100, burn=100), ConfigError),
+    # a raw OverflowError before, building the default truth or the basis-size
+    # tuple: a count is at most sys.maxsize
+    "StudyConfig d_lin 10**20": (lambda: StudyConfig(d_lin=10**20), ConfigError),
+    "AdditiveModelSpec d_nl 10**20": (lambda: AdditiveModelSpec(n=10, d_lin=0, d_nl=10**20), ConfigError),
+    # accepted before, then an AttributeError in gibbs_sampler
+    "AdditiveModelSpec hyper 'x'": (lambda: AdditiveModelSpec(n=30, d_lin=1, d_nl=1, hyper="x"), ConfigError),
+    # accepted before: a label list is not a string, and its labels are strings
+    "misclassification_rate('ab', ['zero', 'zero'])": (
+        lambda: misclassification_rate("ab", ["zero", "zero"]), DomainError
+    ),
+    "misclassification_rate([None], ['zero'])": (lambda: misclassification_rate([None], ["zero"]), DomainError),
+    # accepted before: one basis size is checked also when there is no block
+    "AdditiveModelSpec basis_size None for d_nl 0": (
+        lambda: AdditiveModelSpec(n=30, d_lin=1, d_nl=0, basis_size=None), ConfigError
+    ),
+    # accepted before, then a raw ValueError or an endless task list
+    "StudyConfig replications 10**400": (lambda: StudyConfig(replications=10**400), ConfigError),
+    "gibbs_sampler iters 10**400": (
+        lambda: gibbs_sampler(generate_data(SPEC, 1.0, 1), SPEC, 10**400, 0, 1), ConfigError
+    ),
+    # a raw ValueError from x.min() before: an empty x is no vector of values
+    "spline_basis x []": (lambda: spline_basis([], 4), DimensionError),
+    # an overflow RuntimeWarning, and an inf response, before
+    "generate_data sigma_eps 1e308": (lambda: generate_data(SPEC, 1e308, 0), NumericalError),
+    # raw TypeError before: a statistic is a real number
+    "classify gamma_beta '0.5'": (lambda: classify(ThresholdReport(["0.5"], [None])), DomainError),
+    "classify gamma_u '0.5'": (lambda: classify(ThresholdReport([0.5], ["0.5"])), DomainError),
     "exp_scaled_expint ragged [1, [2]]": (lambda: exp_scaled_expint(1.5, [1, [2]]), DomainError),
     # raised before, but reached by no test: outside log 1F1's positive-value domain
     "log_kummer_1f1(-0.5, 1.0, 2.0)": (lambda: log_kummer_1f1(-0.5, 1.0, 2.0), DomainError),

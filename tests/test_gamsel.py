@@ -660,6 +660,12 @@ class TestKmeansThreshold:
     def test_two_points(self):
         assert kmeans_threshold([0.2, 0.6]) == pytest.approx(0.4)
 
+    def test_any_shape_splits_as_one_list(self):
+        # np.sort sorted the last axis only: a column split unsorted (0.675),
+        # and a row of two was NumPy's ValueError
+        assert kmeans_threshold([[0.9], [0.1], [0.8]]) == kmeans_threshold([0.9, 0.1, 0.8]) == pytest.approx(0.475)
+        assert kmeans_threshold(np.array([[0.1, 0.9]])) == kmeans_threshold([0.1, 0.9])
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateError):
             kmeans_threshold([0.3, 0.3, 0.3])

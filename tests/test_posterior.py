@@ -160,6 +160,11 @@ class TestPosteriorMean:
             posterior_mean(PosteriorModel(2, 1.0), np.zeros(2)), np.zeros(2)
         )
 
+    def test_mixture_oracle_zero_at_origin(self):
+        # at y = 0 the oracle returns zeros before any quadrature
+        mean = posterior_mean_mixture_oracle(PosteriorModel(3, 0.5), np.zeros(3))
+        assert np.array_equal(mean, np.zeros(3))
+
     def test_identity_with_score(self):
         # y - E(theta|y) = -score(y), with the mean from the quadrature oracle
         # (posterior_mean is y + score by construction)

@@ -9,8 +9,9 @@ at any finite point and any radius up to inf, gives a value that is not NaN
 masses and the risk bound give a mass in (0, 1] and a finite bound or a
 GhsError, with no warning at all, and a GhsError for any argument of the
 wrong kind; so do the special functions, 1F1, Phi1 and E_nu, whose limit at
-x = inf is 0.  The draws are derandomized and their number fixed, so the module
-runs the same examples on every run.
+x = inf is 0, and the selection study's entry points that take numbers,
+arrays, label lists or a config dict.  The draws are derandomized and their
+number fixed, so the module runs the same examples on every run.
 """
 
 import math
@@ -18,12 +19,26 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ghs.distribution import GhsDistribution, density, log_density, radial_log_density
 from ghs.errors import GhsError
+from ghs.gamsel import (
+    LABELS,
+    AdditiveModelSpec,
+    Hyper,
+    ThresholdReport,
+    classify,
+    gamma_statistics,
+    generate_data,
+    gibbs_sampler,
+    kmeans_threshold,
+    misclassification_rate,
+    spline_basis,
+)
 from ghs.posterior import (
     PosteriorModel,
     SideModel,
@@ -47,6 +62,7 @@ from ghs.specfun import (
     kummer_1f1,
     phi1,
 )
+from ghs.study import StudyConfig
 
 # any tau whose square is a finite normal float, as PosteriorModel accepts:
 # from the north-star range [1e-3, 1e3], or log-uniform over the whole range
@@ -287,3 +303,168 @@ def test_exponential_integral_at_infinity_is_zero():
         assert gen_exp_integral(nu, math.inf) == 0.0
         assert exp_scaled_gen_exp_integral(nu, math.inf) == 0.0
         assert exp_scaled_expint(nu, [math.inf, 1.0])[0] == 0.0
+
+
+# the selection study: one tiny model and dataset for the sampler's arguments,
+# and one report of shrinkage statistics for the borders
+SPEC = AdditiveModelSpec(n=30, d_lin=1, d_nl=2, basis_size=3)
+DATA = generate_data(SPEC, 0.5, 1)
+REPORT = ThresholdReport(gamma_beta=[0.3, 0.6, 0.8], gamma_u=[None, 0.4, 0.9])
+STUDY = {"n": [200], "sigma_eps": [0.5], "replications": 1, "d_lin": 1, "d_nl": 2, "basis_size": 4,
+         "iters": 40, "burn": 10, "seed": 7, "truth": [], "save_chains": False, "threads": 1,
+         "hyper": {"s_beta": 1.0}}
+# values in [0, 1], as the statistics are, or any finite float
+VALUES = st.sampled_from([st.floats(0.0, 1.0), FINITE])
+SEEDS = st.integers(0, 2**80)
+LABEL_LISTS = st.lists(st.sampled_from(LABELS), min_size=1, max_size=10)
+
+
+def labels_like(labels):
+    """Two label lists of the length of ``labels``."""
+    return st.tuples(st.just(labels), st.lists(st.sampled_from(LABELS), min_size=len(labels), max_size=len(labels)))
+
+
+def study_doc(args):
+    d_lin, d_nl, n, sigma_eps, basis_size, burn, extra, seed = args
+    return (dict(STUDY, d_lin=d_lin, d_nl=d_nl, n=[n], sigma_eps=[sigma_eps], basis_size=basis_size,
+                 burn=burn, iters=burn + extra, seed=seed),)
+
+
+SELECTION = {  # entry point: (function, strategy of its valid arguments, check of its value)
+    "spline_basis": (
+        spline_basis,
+        st.tuples(st.integers(1, 40).flatmap(lambda m: VALUES.flatmap(lambda v: arrays(np.float64, m, elements=v))),
+                  st.integers(2, 8)),
+        lambda z: np.all(np.isfinite(z)),
+    ),
+    "generate_data": (
+        generate_data,
+        st.tuples(st.just(SPEC), st.one_of(st.floats(0.0, 10.0), st.floats(0.0, sys.float_info.max)), SEEDS,
+                  st.one_of(st.none(), st.lists(st.sampled_from(LABELS), min_size=3, max_size=3))),
+        lambda data: np.all(np.isfinite(data.y)),
+    ),
+    "gibbs_sampler": (
+        lambda *args: gamma_statistics(gibbs_sampler(DATA, SPEC, *args)),
+        st.integers(0, 6).flatmap(lambda burn: st.tuples(st.integers(burn + 1, burn + 6), st.just(burn), SEEDS)),
+        lambda report: all(0.0 <= g <= 1.0 for g in report.gamma_beta + report.gamma_u[1:]),
+    ),
+    "classify": (
+        classify,
+        st.tuples(st.just(REPORT), st.floats(-2.0, 2.0), st.one_of(st.none(), st.floats(-2.0, 2.0))),
+        lambda labels: set(labels) <= set(LABELS),
+    ),
+    "kmeans_threshold": (
+        kmeans_threshold,
+        st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=3).flatmap(
+            lambda shape: VALUES.flatmap(lambda v: arrays(np.float64, shape, elements=v)))),
+        math.isfinite,
+    ),
+    "misclassification_rate": (
+        misclassification_rate, LABEL_LISTS.flatmap(labels_like), lambda m: 0.0 <= m.rate <= 1.0,
+    ),
+    "Hyper": (Hyper, st.tuples(*[st.floats(1e-154, sys.float_info.max)] * 4), lambda hyper: True),
+    "AdditiveModelSpec": (
+        AdditiveModelSpec,
+        st.tuples(st.integers(1, 10**6), st.integers(0, 10**18), st.integers(0, 50)).flatmap(
+            lambda sizes: st.tuples(*map(st.just, sizes), st.one_of(
+                st.integers(2, sys.maxsize), st.lists(st.integers(2, 20), min_size=sizes[2], max_size=sizes[2])))),
+        lambda spec: True,
+    ),
+    "StudyConfig.from_dict": (
+        StudyConfig.from_dict,
+        st.tuples(st.integers(0, 20), st.integers(2, 20), st.integers(1, 10**6), st.floats(0.0, 10.0),
+                  st.integers(2, 20), st.integers(0, 10**6), st.integers(1, 10**6), SEEDS).map(study_doc),
+        lambda config: True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SELECTION)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_selection_entry_points(name, data):
+    fn, args, check = SELECTION[name]
+    args = data.draw(args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the spec warns, as it should, when n does not exceed the coefficient count
+        warnings.simplefilter("ignore", UserWarning)
+        value = value_or_error(fn, *args)
+    assert value is None or check(value), (name, args)
+
+
+# a count takes no fraction either; a seed of any size is a seed, and None is
+# the default of an optional argument
+INTEGER_WRONG = st.one_of(WRONG, st.just(1.5))
+SEED_WRONG = st.sampled_from(["2", None, math.nan, math.inf, -math.inf, 1.5])
+OPTIONAL_WRONG = st.sampled_from(["2", math.nan, math.inf, -math.inf, 10**400])
+EMPTY_OR_RAGGED = st.sampled_from([[], [[0.1], [0.2, 0.3]]])
+ARRAY_WRONG = st.one_of(EMPTY_OR_RAGGED, st.just(np.ones((20, 2))))
+# entries that are not strings, so not labels; "Zero" is a string, but not a label
+NOT_STRINGS = st.sampled_from([None, math.nan, math.inf, -math.inf, 10**400, 0, ["zero"], np.array([0, 1])])
+
+
+def with_last(labels, entries):
+    """A list of ``labels`` whose last entry is drawn from ``entries``."""
+    return st.tuples(labels, entries).map(lambda p: p[0][:-1] + [p[1]])
+
+
+STUDY_INTEGERS = ("n", "replications", "threads", "d_lin", "d_nl", "basis_size", "iters", "burn")
+HYPER_FIELDS = st.sampled_from(sorted(Hyper.__dataclass_fields__))
+
+
+def study_field(field):
+    """A study config with ``field`` of the wrong kind."""
+    wrong = SEED_WRONG if field == "seed" else INTEGER_WRONG if field in STUDY_INTEGERS else WRONG
+    return wrong.map(lambda v: (dict(STUDY, **{field: v}),))
+
+
+WRONG_SELECTION = {  # entry point and argument: (function, strategy of its arguments)
+    "spline_basis x": (spline_basis, st.tuples(st.one_of(WRONG, ARRAY_WRONG), st.just(4))),
+    "spline_basis K": (spline_basis, st.tuples(st.just(np.linspace(0.0, 1.0, 20)), INTEGER_WRONG)),
+    "generate_data sigma_eps": (generate_data, st.tuples(st.just(SPEC), WRONG, st.just(1))),
+    "generate_data seed": (generate_data, st.tuples(st.just(SPEC), st.just(0.5), SEED_WRONG)),
+    "generate_data truth": (
+        generate_data, st.tuples(st.just(SPEC), st.just(0.5), st.just(1), st.one_of(
+            OPTIONAL_WRONG,
+            with_last(st.lists(st.sampled_from(LABELS), min_size=3, max_size=3), st.one_of(NOT_STRINGS, st.just("Zero"))),
+        ))
+    ),
+    "gibbs_sampler iters": (gibbs_sampler, st.tuples(st.just(DATA), st.just(SPEC), INTEGER_WRONG, st.just(0), st.just(1))),
+    "gibbs_sampler burn": (gibbs_sampler, st.tuples(st.just(DATA), st.just(SPEC), st.just(5), INTEGER_WRONG, st.just(1))),
+    "gibbs_sampler seed": (gibbs_sampler, st.tuples(st.just(DATA), st.just(SPEC), st.just(5), st.just(0), SEED_WRONG)),
+    "classify border": (classify, st.tuples(st.just(REPORT), WRONG)),
+    "classify border_u": (classify, st.tuples(st.just(REPORT), st.just(0.5), OPTIONAL_WRONG)),
+    # values of any shape, 2-D too, are one list to kmeans_threshold
+    "kmeans_threshold": (kmeans_threshold, st.tuples(st.one_of(WRONG, EMPTY_OR_RAGGED))),
+    "misclassification_rate labels": (misclassification_rate, st.tuples(WRONG, LABEL_LISTS)),
+    "misclassification_rate truth": (
+        misclassification_rate, with_last(LABEL_LISTS, NOT_STRINGS).map(lambda bad: ([LABELS[0]] * len(bad), bad))
+    ),
+    "Hyper": (lambda field, value: Hyper(**{field: value}), st.tuples(HYPER_FIELDS, WRONG)),
+    "AdditiveModelSpec n": (AdditiveModelSpec, st.tuples(INTEGER_WRONG, st.just(1), st.just(1))),
+    "AdditiveModelSpec d_lin": (AdditiveModelSpec, st.tuples(st.just(30), INTEGER_WRONG, st.just(1))),
+    "AdditiveModelSpec d_nl": (AdditiveModelSpec, st.tuples(st.just(30), st.just(1), INTEGER_WRONG)),
+    "AdditiveModelSpec basis_size": (
+        AdditiveModelSpec, st.tuples(st.just(30), st.just(1), st.integers(0, 2), INTEGER_WRONG)
+    ),
+    "AdditiveModelSpec hyper": (AdditiveModelSpec, st.tuples(st.just(30), st.just(1), st.just(1), st.just(4), WRONG)),
+    "StudyConfig.from_dict field": (StudyConfig.from_dict, st.sampled_from(sorted(STUDY)).flatmap(study_field)),
+    "StudyConfig.from_dict hyper field": (
+        StudyConfig.from_dict, st.tuples(HYPER_FIELDS, WRONG).map(lambda p: (dict(STUDY, hyper={p[0]: p[1]}),))
+    ),
+    "StudyConfig.from_dict doc": (StudyConfig.from_dict, st.tuples(WRONG)),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_SELECTION)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+def test_selection_entry_points_refuse_wrong_arguments(name, data):
+    fn, args = WRONG_SELECTION[name]
+    args = data.draw(args)
+    try:
+        fn(*args)
+    except GhsError:
+        return
+    raise AssertionError(f"{name} took an argument of the wrong kind: {args!r}")

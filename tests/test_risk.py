@@ -504,6 +504,13 @@ class TestBoundFromLogMass:
                 below += log_mass < math.log(sys.float_info.min)
         assert below > 20  # 29 of the 200
 
+    def test_log_mass_not_finite_is_a_numerical_error(self):
+        # sigma = 1e-300 and n = 1e300: the KL radius underflows to 0.0, a ball of no mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="log prior mass is not finite"):
+                risk_upper_bound(RiskScenario(1, 1e-300), 1e300)
+
     @pytest.mark.parametrize("d, c, radius", [(92, 100.0, 0.0084), (40, 3.0, 1e-9), (100, 1e4, 0.3)])
     def test_log_mass_below_the_normal_range_against_mpmath(self, d, c, radius):
         expected = mp.log(ball_mass_mpmath(d, c, radius))
