@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 # The Gibbs sampler and the study runner load on first use: their import takes
 # about 50 ms per `python -X importtime` (concurrent.futures.process alone about
 # 20 ms), which the density, sampler, posterior and risk never need.  SciPy
-# waits longer still: gamsel binds scipy.linalg when the sampler first runs.
+# waits longer still: gamsel imports scipy.linalg where the sampler calls it.
 _LAZY = {
     "gamsel": ("AdditiveModelSpec", "Dataset", "GibbsChain", "Hyper", "MisclassRate",
                "ThresholdReport", "classify", "gamma_statistics", "generate_data",
@@ -53,50 +53,12 @@ _LAZY = {
     "study": ("StudyConfig", "run_study"),
 }
 
-__all__ = [
-    "AdditiveModelSpec",
-    "ConfigError",
-    "Dataset",
-    "DegenerateError",
-    "DimensionError",
-    "DomainError",
-    "GhsDistribution",
-    "GhsError",
-    "GibbsChain",
-    "Hyper",
-    "LengthError",
-    "MisclassRate",
-    "NumericalError",
-    "PosteriorModel",
-    "RiskScenario",
-    "SideModel",
-    "StudyConfig",
-    "ThresholdReport",
-    "cesaro_risk_mc",
-    "classify",
-    "density",
-    "exp_scaled_gen_exp_integral",
-    "gamma_statistics",
-    "gen_exp_integral",
-    "generate_data",
-    "gibbs_sampler",
-    "kl_ball_prior_mass",
-    "kmeans_threshold",
-    "kummer_1f1",
-    "log_density",
-    "make_rng",
-    "marginal_log_density",
-    "misclassification_rate",
-    "phi1",
-    "posterior_mean",
-    "risk_upper_bound",
-    "run_study",
-    "sample_arrays",
-    "score",
-    "side_model_shrinkage",
-    "spline_basis",
-    "split_seed",
-]
+# every name imported above but the submodules, and the lazy ones
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, type(importlib))]
+    + [name for names in _LAZY.values() for name in names]
+)
 
 
 def __getattr__(name):

@@ -37,31 +37,16 @@ from .errors import (
 from .files import csv_bytes, float_codes, write_csv_chunks
 from .rng import make_rng
 
-# scipy.linalg is bound on first use, so that importing ghs.gamsel or
-# ghs.study costs no SciPy.  All five names stay module attributes (through
-# __getattr__ below); cho_factor and cho_solve only for perfbench/spans.py,
-# which patches them.
-_LINALG = ("cho_factor", "cho_solve", "solve_triangular")
-_LAPACK = ("dpotrf", "dtrtrs")
-
-
-def _load_linalg():
-    """Bind the scipy.linalg names; a name already set, such as a patch, stays."""
-    import scipy.linalg
-    from scipy.linalg import lapack
-
-    names = globals()
-    for name in _LINALG:
-        names.setdefault(name, getattr(scipy.linalg, name))
-    for name in _LAPACK:
-        names.setdefault(name, getattr(lapack, name))
-
-
+# SciPy is imported where it is called, so that importing ghs.gamsel or
+# ghs.study costs no SciPy.  These names stay module attributes only for
+# perfbench/spans.py, which patches them.
 def __getattr__(name):
-    if name in _LINALG or name in _LAPACK:
-        _load_linalg()
-        return globals()[name]
+    if name in ("cho_factor", "cho_solve", "solve_triangular"):
+        import scipy.linalg
+
+        return getattr(scipy.linalg, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Hyper",
@@ -125,11 +110,18 @@ def _basis_sizes(basis_size, d_nl):
 
 def _check_model(d_lin, d_nl, basis_size, hyper):
     """The model fields that AdditiveModelSpec and StudyConfig share; a count
-    is at most sys.maxsize, the longest a tuple of labels or sizes can be."""
+    is at most sys.maxsize, the longest a tuple of labels or sizes can be.
+    Returns the spline-coefficient count: one size shared by all d_nl blocks
+    is checked once, with no tuple of d_nl sizes built."""
     _check_integer(d_lin, "d_lin", 0, ConfigError, sys.maxsize)
-    _basis_sizes(basis_size, _check_integer(d_nl, "d_nl", 0, ConfigError, sys.maxsize))
+    d_nl = _check_integer(d_nl, "d_nl", 0, ConfigError, sys.maxsize)
+    if np.iterable(basis_size):
+        n_spline = sum(_basis_sizes(basis_size, d_nl))
+    else:
+        n_spline = d_nl * _basis_sizes(basis_size, 1)[0]
     if not isinstance(hyper, Hyper):
         raise ConfigError(f"hyper must be a Hyper, got {hyper!r}")
+    return n_spline
 
 
 @dataclass(frozen=True)
@@ -162,8 +154,8 @@ class AdditiveModelSpec:
 
     def __post_init__(self):
         _check_integer(self.n, "n", 1, ConfigError, sys.maxsize)
-        _check_model(self.d_lin, self.d_nl, self.basis_size, self.hyper)
-        if self.n <= self.d_lin + self.d_nl + sum(self.basis_sizes):
+        n_spline = _check_model(self.d_lin, self.d_nl, self.basis_size, self.hyper)
+        if self.n <= self.d_lin + self.d_nl + n_spline:
             warnings.warn(
                 "sample size does not exceed the total coefficient count",
                 stacklevel=2,
@@ -396,11 +388,9 @@ def _draw_coefficients(q_mat, rhs, z):
     and in place: a Fortran-order ``q_mat`` becomes L and ``rhs`` the draw;
     ``z`` is only read.  Returns the draw.
     """
-    try:
-        chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
-    except NameError:  # the first LAPACK call of the process
-        _load_linalg()
-        chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
+    from scipy.linalg.lapack import dpotrf, dtrtrs
+
+    chol, info = dpotrf(q_mat, lower=1, clean=0, overwrite_a=1)
     # OpenBLAS's dpotrf reports only minors that are not positive; a NaN or
     # inf in Q's lower triangle passes with info 0 but reaches L's diagonal.
     # That diagonal is positive and, in the sampler, at most about 1e145
@@ -432,7 +422,6 @@ class _ResidualSS:
     """
 
     def __init__(self, c, ctc):
-        _load_linalg()
         try:
             self.chol = np.linalg.cholesky(ctc)
             self.f = self.chol.T
@@ -447,6 +436,8 @@ class _ResidualSS:
         if self.chol is None:
             w = self.u.T @ y
         else:
+            from scipy.linalg import solve_triangular
+
             w = solve_triangular(self.chol, cty, lower=True, check_finite=False)
         self.w, self.rss0 = w, max(float(y @ y - w @ w), 0.0)
 
@@ -556,7 +547,10 @@ def gibbs_sampler(
     # one stored row per sweep: coefficients, lambda_beta^2, lambda_u^2,
     # sigma_beta^2, sigma_u^2, sigma_eps^2 (GibbsChain's field order)
     kept = np.r_[0 : q + m, q + 2 * m + 1 : q + i_be, q + i_se]
-    out = np.empty((iters - burn, kept.size))
+    try:
+        out = np.empty((iters - burn, kept.size))
+    except (ValueError, MemoryError):  # past NumPy's index range, or past the memory
+        raise ConfigError(f"{iters - burn} kept draws of {kept.size} values do not fit in memory") from None
     clipped = var_floor_hits = sig2_e_floor_hits = 0
 
     # floor on prior variances: hard-shrunk blocks drive lambda^2 sigma^2

@@ -22,7 +22,7 @@ import numpy as np
 from .distribution import _log_scaled_expint
 from .distribution import radial_log_density  # noqa: F401  perfbench/spans.py patches this name
 from .errors import DomainError, NumericalError, _check_dimension, _check_real, _check_whole
-from .posterior import _mixture_moments, _rule
+from .posterior import _LEVEL_RTOL, _mixture_moments, _rule
 from .quadrature import adaptive_quad  # noqa: F401  perfbench/spans.py patches this name
 from .rng import make_rng
 from .specfun import _MAX_TERMS, _log_beta_ratio
@@ -99,7 +99,7 @@ def _ball_log_masses(d, radii, c, m=5):
     """log P(||theta - theta0|| <= R) for each R of the array ``radii``, ||theta0|| = c: the rule
     ``_rule(m)`` in s of the density of ||theta|| over the shells s < a = R - c (past a = sqrt(d),
     one minus it past a, on s = a/x), and of it times ``_log_cap`` over |R - c| < s < R + c, rerun
-    at h/2 where the sums at h and 2h differ by 1e-7 relative; NumericalError past h = 1/256."""
+    at h/2 where the sums at h and 2h differ by _LEVEL_RTOL relative; NumericalError past h = 1/256."""
     if not float(radii.max()) + c < math.inf:  # a Python sum: inf with no overflow warning
         raise NumericalError("the ball's radius or centre leaves the float range")
     nodes = _rule(m)  # |t| <= 4; log v is row 6, log(dx / sqrt(x)) row 7
@@ -122,7 +122,7 @@ def _ball_log_masses(d, radii, c, m=5):
     log_f += 0.5 * math.log(2.0 / math.pi) + _log_beta_ratio(0.5 * d, 0.5)  # no lgamma cancels at a large d
     peak = np.maximum(log_f.max(axis=1), -1e300)  # a row of -inf is a part of mass 0
     sums = np.exp(log_f - peak[:, None]) @ nodes[[0, 3]].T
-    if np.any(abs(sums[:, 0] - sums[:, 1]) > 1e-7 * sums[:, 0]):  # rare: a crossing range wide in log s
+    if np.any(abs(sums[:, 0] - sums[:, 1]) > _LEVEL_RTOL * sums[:, 0]):  # rare: a crossing range wide in log s
         if m == 8:
             raise NumericalError(f"the shell rule is not resolved at d = {d}, radii {radii.tolist()}")
         return _ball_log_masses(d, radii, c, m + 1)

@@ -75,7 +75,9 @@ class StudyConfig:
         n, sigma_eps = _as_list(self.n), _as_list(self.sigma_eps)
         if not n or not sigma_eps:
             raise ConfigError("n and sigma_eps each take one or more values")
-        object.__setattr__(self, "n", tuple(_check_whole(v, "n", 1, ConfigError) for v in n))
+        n = tuple(_check_whole(v, "n", 1, ConfigError) for v in n)
+        _check_integer(max(n), "n", 1, ConfigError, sys.maxsize)  # AdditiveModelSpec's bound
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "sigma_eps", tuple(
             _check_real(v, "sigma_eps", 0.0, ConfigError, inclusive=True) for v in sigma_eps
         ))

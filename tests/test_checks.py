@@ -11,6 +11,7 @@ every test.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -258,6 +259,13 @@ CASES = {
     "gibbs_sampler iters 10**400": (
         lambda: gibbs_sampler(generate_data(SPEC, 1.0, 1), SPEC, 10**400, 0, 1), ConfigError
     ),
+    # a raw ValueError ("array is too big") from the draw buffer before; NumPy
+    # refuses this size without allocating
+    "gibbs_sampler iters 10**18": (
+        lambda: gibbs_sampler(generate_data(SPEC, 1.0, 1), SPEC, 10**18, 0, 1), ConfigError
+    ),
+    # accepted before, then every replication failed in AdditiveModelSpec
+    "StudyConfig n 1e300": (lambda: StudyConfig(n=(1e300,)), ConfigError),
     # a raw ValueError from x.min() before: an empty x is no vector of values
     "spline_basis x []": (lambda: spline_basis([], 4), DimensionError),
     # an overflow RuntimeWarning, and an inf response, before
@@ -348,6 +356,18 @@ def test_valid_inputs_still_accepted():
 def test_origin_scenario_builds_no_zero_tuple():
     # a MemoryError before: the origin was a tuple of d zeros
     assert RiskScenario(10**12).theta0 == ()
+
+
+def test_one_basis_size_builds_no_size_tuple():
+    # 8 MB before: a tuple of d_nl sizes, in the check and in the sample-size warning
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="sample size"):
+            AdditiveModelSpec(n=10, d_lin=0, d_nl=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_kmeans_threshold_past_the_square_range():

@@ -536,7 +536,7 @@ class TestDrawCoefficients:
         def failing_dpotrf(a, **kw):
             return a, 3
 
-        monkeypatch.setattr(gamsel, "dpotrf", failing_dpotrf)
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", failing_dpotrf)
         spec = small_spec()
         data = generate_data(spec, 0.5, 9)
         with pytest.raises(NumericalError, match="iteration 0"):

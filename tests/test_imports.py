@@ -95,7 +95,7 @@ draw = _draw_coefficients(np.asfortranarray(a @ a.T + 6 * np.eye(6)), rhs, z)
 
 
 def test_first_draw_binds_lapack(tmp_path):
-    # the process's first _draw_coefficients finds no dpotrf and binds it
+    # the process's first _draw_coefficients imports scipy.linalg's LAPACK routines
     lines = fresh(SPD_DRAW + "print(draw.tobytes().hex())", tmp_path)
     namespace = {}
     exec(SPD_DRAW, namespace)
