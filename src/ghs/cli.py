@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import operator
 import sys
 from array import array
 
@@ -23,61 +22,15 @@ from .distribution import (  # noqa: F401
     sample_blocks,
 )
 from .errors import ConfigError, DimensionError, DomainError, GhsError, _check_whole
-from .files import atomic_write, csv_bytes, float_cells, float_codes, write_csv_chunks
+from .files import _CHUNK, _csv_chunks, _write_table, csv_bytes, float_cells, float_codes
 # kl_ball_prior_mass and risk_upper_bound stay importable here: perfbench/spans.py patches them
 from .risk import RiskScenario, _masses_and_bounds, kl_ball_prior_mass, risk_upper_bound  # noqa: F401
 
 
-_CHUNK = 8192  # rows formatted at a time, and the rows of each draw block of sample
 _BLOCK = 1 << 16  # density's rows computed and written at a time: bounds the memory
 _REPR_CACHE = 1 << 16  # grid axis values, and prefixes, whose cells are kept
 _TEMPLATE_BYTES = 1 << 23  # most bytes the grid writer's templates hold: one class takes < 5 MB
 _RADIUS_BYTES = 50  # most bytes of a radius's cells: two reprs of 24, a comma, a newline
-
-
-def _csv_chunks(tables):
-    """The CSV rows of an iterable of float tables, each value its repr, as
-    one bytes per _CHUNK rows."""
-    for table in tables:
-        for lo in range(0, len(table), _CHUNK):
-            yield csv_bytes(float_codes(table[lo:lo + _CHUNK].T))
-        del table  # free it before the next table is made
-
-
-def _json_chunks(header, chunks, pole):
-    """The text of ``json.dumps(docs, indent=1, sort_keys=True) + "\n"``,
-    one chunk of rows at a time, from chunks of CSV rows of reprs (which is
-    how json writes floats and ints).  Non-finite cells are null; with
-    ``pole``, a row whose last cell is +inf (the log density at the origin)
-    gets "pole": true."""
-    keyed = operator.itemgetter(*sorted(range(len(header)), key=header.__getitem__))
-
-    def template(keys):
-        lines = ('  "pole": true' if k == "pole" else f'  "{k}": %s' for k in sorted(keys))
-        return " {\n" + ",\n".join(lines) + "\n }"
-
-    plain, at_pole = template(header), template(header + ["pole"])
-    sep = "[\n"
-    for chunk in chunks:
-        text = chunk.decode()
-        # reprs of finite values hold no letters: once -inf is null, "inf" is +inf
-        cells = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
-        docs = [(at_pole if pole and line.endswith(",inf") else plain) % keyed(row.split(","))
-                for line, row in zip(text.splitlines(), cells.splitlines())]
-        if docs:
-            yield sep + ",\n".join(docs)
-            sep = ",\n"
-    yield "[]\n" if sep == "[\n" else "\n]\n"
-
-
-def _write_table(path, header, chunks, fmt, pole=False):
-    """Write chunks of CSV rows (bytes, each value its repr, 'inf' at the
-    pole), streamed: as CSV under a header line, or as the JSON of
-    ``_json_chunks``."""
-    if fmt == "csv":
-        write_csv_chunks(path, header, chunks)
-    else:
-        atomic_write(path, map(str.encode, _json_chunks(header, chunks, pole)))
 
 
 def _parse_grid(spec, d):
@@ -94,7 +47,7 @@ def _parse_grid(spec, d):
         raise ConfigError(f"bad grid spec {spec!r}: need finite lo <= hi and step > 0")
     count = math.floor(span + min(1e-9 * span, 1e-6)) + 1
     if d * math.log2(count) >= 62:  # row indices fit in int64
-        raise ConfigError(f"grid spec {spec!r} gives {count}^{d} points, too many")
+        raise ConfigError(f"grid spec {spec!r} gives {count:.3g}^{d} points, too many")
     return lo, step, count
 
 
@@ -226,10 +179,13 @@ def cmd_density(args):
     if (args.grid is None) == (args.points_file is None):
         raise ConfigError("give exactly one of --grid or --points-file")
     header = [f"x{i + 1}" for i in range(args.d)] + ["density", "log_density"]
-    if args.points_file:
+    if args.points_file is not None:
         with open(args.points_file, encoding="utf-8") as fh:
             chunks = _plain_chunks(dist, _point_blocks(fh, args.d))
-            return _write_table(args.out, header, chunks, args.format, pole=True)
+            try:
+                return _write_table(args.out, header, chunks, args.format, pole=True)
+            except UnicodeDecodeError:  # the points file's, the one text read here
+                raise ConfigError(f"--points-file {args.points_file!r} is not UTF-8 text") from None
     grid = _parse_grid(args.grid, args.d)  # lo, step, count
     if grid[2] <= _REPR_CACHE and _squares_normal(*grid, args.d):
         chunks = _grid_chunks(dist, *grid, args.d)
@@ -250,7 +206,10 @@ def cmd_sample(args):
 
 def _parse_floats(text, flag):
     """Comma-separated floats, one or more; empty entries are skipped."""
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} takes one or more values, got {text!r}")
     return values
@@ -271,8 +230,8 @@ def cmd_risk(args):
     header = ["d", "n", "mass", "bound", "normalized_bound"]
     rows = []
     for d in d_list:
-        scenario = RiskScenario(d, args.sigma, tuple(theta0 or []), tuple(n_grid))
-        rows.extend([d, *row] for row in zip(n_grid, *_masses_and_bounds(scenario, n_grid)))
+        scenario = RiskScenario(d, args.sigma, tuple(theta0 or []), n_grid)
+        rows.extend([d, *row] for row in zip(scenario.n_grid, *_masses_and_bounds(scenario)))
     table = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     _write_table(args.out, header, [table.encode()], args.format)
 

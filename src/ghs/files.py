@@ -1,37 +1,49 @@
-"""File output shared by the CLI, the study runner and the chain export."""
+"""File output shared by the CLI, the study runner and the chain export:
+every file is written through atomic_write, every float table through
+_write_table and every JSON document in write_json's layout."""
 
 import functools
 import itertools
+import json
 import math
+import operator
 import os
 
 import numpy as np
 
+_CHUNK = 8192  # rows formatted at a time: the CLI's tables, and each draw block of its sample
+
 
 def atomic_write(path, chunks):
     """Write bytes to ``path`` via a temporary file, so it appears only once
-    whole; if making or writing the chunks fails, the temporary file is removed."""
+    whole; if making or writing the chunks, or the rename, fails, the
+    temporary file is removed."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    os.replace(tmp, path)
+
+
+def write_json(path, doc):
+    """``doc`` in the one layout of the package's JSON files: indent 1, sorted keys, a final newline."""
+    atomic_write(path, [(json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()])
 
 
 def write_csv(path, header, rows):
     """``header`` (names joined by commas), then one line per row, streamed
-    through write_csv_chunks: a float as its repr, None as an empty cell,
+    through _write_table: a float as its repr, None as an empty cell,
     anything else as str."""
 
     def cell(v):
         return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
 
     lines = (f"{','.join(map(cell, row))}\n".encode() for row in rows)
-    write_csv_chunks(path, header.split(","), lines)
+    _write_table(path, header.split(","), lines, "csv")
 
 
 def csv_bytes(columns):
@@ -50,11 +62,49 @@ def csv_bytes(columns):
     return flat[flat != 0].tobytes()
 
 
-def write_csv_chunks(path, header, chunks):
-    """A CSV file of a header (a list of names) and chunks of CSV rows, each
-    one bytes (as ``csv_bytes`` makes them), streamed through atomic_write."""
-    head = (",".join(header) + "\n").encode()
-    atomic_write(path, itertools.chain([head], chunks))
+def _csv_chunks(tables, rows=_CHUNK):
+    """The CSV rows of an iterable of float tables, each value its repr, as
+    one bytes per ``rows`` rows."""
+    for table in tables:
+        for lo in range(0, len(table), rows):
+            yield csv_bytes(float_codes(table[lo:lo + rows].T))
+        del table  # free it before the next table is made
+
+
+def _json_chunks(header, chunks, pole):
+    """The text of ``json.dumps(docs, indent=1, sort_keys=True) + "\n"``,
+    one chunk of rows at a time, from chunks of CSV rows of reprs (which is
+    how json writes floats and ints).  Non-finite cells are null; with
+    ``pole``, a row whose last cell is +inf (the log density at the origin)
+    gets "pole": true."""
+    keyed = operator.itemgetter(*sorted(range(len(header)), key=header.__getitem__))
+
+    def template(keys):
+        lines = ('  "pole": true' if k == "pole" else f'  "{k}": %s' for k in sorted(keys))
+        return " {\n" + ",\n".join(lines) + "\n }"
+
+    plain, at_pole = template(header), template(header + ["pole"])
+    sep = "[\n"
+    for chunk in chunks:
+        text = chunk.decode()
+        # reprs of finite values hold no letters: once -inf is null, "inf" is +inf
+        cells = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        docs = [(at_pole if pole and line.endswith(",inf") else plain) % keyed(row.split(","))
+                for line, row in zip(text.splitlines(), cells.splitlines())]
+        if docs:
+            yield sep + ",\n".join(docs)
+            sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _write_table(path, header, chunks, fmt, pole=False):
+    """Write chunks of CSV rows (bytes, each value its repr, 'inf' at the
+    pole), streamed: as CSV under a header line (a list of names), or as the
+    JSON of ``_json_chunks``."""
+    if fmt == "csv":
+        atomic_write(path, itertools.chain([(",".join(header) + "\n").encode()], chunks))
+    else:
+        atomic_write(path, map(str.encode, _json_chunks(header, chunks, pole)))
 
 
 # Shortest round-trip reprs on arrays: Dragonbox (J. Jeon, "Dragonbox: A New

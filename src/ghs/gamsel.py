@@ -34,7 +34,7 @@ from .errors import (
     _check_integer,
     _check_real,
 )
-from .files import csv_bytes, float_codes, write_csv_chunks
+from .files import _csv_chunks, _write_table
 from .rng import make_rng
 
 # SciPy is imported where it is called, so that importing ghs.gamsel or
@@ -776,6 +776,5 @@ def chain_to_csv(chain: GibbsChain, path):
         chain.beta0, chain.beta, chain.u, chain.lambda_beta, chain.lambda_u,
         chain.sigma_beta, chain.sigma_u, chain.sigma_eps,
     ))
-    step = max(1, (1 << 15) // draws.shape[1])  # rows formatted at a time
-    chunks = (float_codes(draws[lo:lo + step].T) for lo in range(0, len(draws), step))
-    write_csv_chunks(path, header, map(csv_bytes, chunks))
+    rows = max(1, (1 << 15) // draws.shape[1])  # rows formatted at a time: about 32,768 cells
+    _write_table(path, header, _csv_chunks([draws], rows), "csv")

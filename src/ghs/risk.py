@@ -12,6 +12,7 @@ The mass integrates the closed-form density over shells about the origin, times
 the share of each shell in the ball; ``origin_ball_mass`` is that mass at the origin.
 """
 
+import dataclasses
 import math
 import numbers
 import sys
@@ -154,22 +155,22 @@ def kl_ball_prior_mass(scenario: RiskScenario, n):
     return _ball_masses(scenario.d, [kl_ball_radius(scenario, n)], math.hypot(*scenario.theta0))[0]
 
 
-def _masses_and_bounds(scenario: RiskScenario, n_grid):
-    """The KL-ball masses M over n_grid, 0.0 or subnormal below the normal range, the bounds
-    (1 - log M)/n and the normalized bounds (1 - log M) - c log(n)/2, c = d off the origin and
-    1 at it, from one ``_ball_log_masses`` call; NumericalError where a log M is not finite."""
-    radii = np.array([kl_ball_radius(scenario, n) for n in n_grid])
+def _masses_and_bounds(scenario: RiskScenario):
+    """The KL-ball masses M over the scenario's n_grid, 0.0 or subnormal below the normal range,
+    the bounds (1 - log M)/n and the normalized bounds (1 - log M) - c log(n)/2, c = d off the
+    origin and 1 at it, from one ``_ball_log_masses`` call; NumericalError where a log M is not finite."""
+    radii = scenario.sigma * np.sqrt(2.0 / np.array(scenario.n_grid, dtype=float))  # kl_ball_radius of each n
     log_masses = _ball_log_masses(scenario.d, radii, math.hypot(*scenario.theta0))
     if not np.isfinite(log_masses).all():
         raise NumericalError(f"the ball's log prior mass is not finite (d = {scenario.d}, radii {radii.tolist()})")
     coef = scenario.d if any(scenario.theta0) else 1.0
-    pairs = [(1.0 - v, n) for v, n in zip(log_masses.tolist(), n_grid)]  # (1 - log M, n)
+    pairs = [(1.0 - v, n) for v, n in zip(log_masses.tolist(), scenario.n_grid)]  # (1 - log M, n)
     return np.exp(log_masses).tolist(), [t / n for t, n in pairs], [t - coef * math.log(n) / 2.0 for t, n in pairs]
 
 
 def risk_upper_bound(scenario: RiskScenario, n):
     """Information-risk bound: 1/n - log(ball mass)/n, from the log mass."""
-    return _masses_and_bounds(scenario, [n])[1][0]
+    return _masses_and_bounds(dataclasses.replace(scenario, n_grid=(n,)))[1][0]
 
 
 # ---------------------------------------------------------------------------

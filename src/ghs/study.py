@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, _check_integer, _check_real, _check_whole
-from .files import atomic_write, write_csv
+from .files import write_csv, write_json
 from .gamsel import (
     AdditiveModelSpec,
     Hyper,
@@ -81,6 +81,13 @@ class StudyConfig:
         object.__setattr__(self, "sigma_eps", tuple(
             _check_real(v, "sigma_eps", 0.0, ConfigError, inclusive=True) for v in sigma_eps
         ))
+        dirs = {}  # each scenario writes its own directory, from its own seeds (0.0 and -0.0 share them)
+        for cell in self.scenarios:
+            name = _scenario_dir("", cell[0], cell[1] + 0.0)
+            if name in dirs:
+                raise ConfigError(f"scenarios (n, sigma_eps) = {dirs[name]} and {cell} collide: "
+                                  "each needs its own directory name and seeds")
+            dirs[name] = cell
         object.__setattr__(self, "truth", _check_truth(self.truth, self.d_lin, self.d_nl))
         if not self.iters > self.burn:
             raise ConfigError(f"need iters > burn, got {self.iters}, {self.burn}")
@@ -107,8 +114,12 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise ConfigError(f"the study config {path!r} is not a JSON document in UTF-8: {exc}") from None
+        return cls.from_dict(doc)
 
     def to_dict(self):
         return asdict(self)
@@ -163,10 +174,7 @@ def run_replication(config: StudyConfig, n, sigma, rep, out_dir):
     }
     sdir = _scenario_dir(out_dir, n, sigma)
     os.makedirs(sdir, exist_ok=True)
-    atomic_write(
-        os.path.join(sdir, f"rep{rep:02d}.json"),
-        [(json.dumps(record, indent=1, sort_keys=True) + "\n").encode()],
-    )
+    write_json(os.path.join(sdir, f"rep{rep:02d}.json"), record)
     if config.save_chains:
         chain_to_csv(chain, os.path.join(sdir, f"rep{rep:02d}_chain.csv"))
     return record
@@ -200,10 +208,7 @@ def run_study(config: StudyConfig, out_dir):
         "completed": len(records),
         "failed": failures,
     }
-    atomic_write(
-        os.path.join(out_dir, "manifest.json"),
-        [(json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode()],
-    )
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return records, failures
 
 

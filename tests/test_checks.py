@@ -266,6 +266,16 @@ CASES = {
     ),
     # accepted before, then every replication failed in AdditiveModelSpec
     "StudyConfig n 1e300": (lambda: StudyConfig(n=(1e300,)), ConfigError),
+    # accepted before, then two scenarios wrote one directory, or drew one seed
+    "StudyConfig sigma_eps 0.5, 0.5000001": (
+        lambda: StudyConfig(n=(60,), sigma_eps=(0.5, 0.5000001), replications=1, d_lin=1, d_nl=2,
+                            basis_size=4, iters=20, burn=5), ConfigError
+    ),
+    "StudyConfig n 60, 60": (
+        lambda: StudyConfig(n=(60, 60), sigma_eps=(0.5,), replications=1, d_lin=1, d_nl=2,
+                            basis_size=4, iters=20, burn=5), ConfigError
+    ),
+    "StudyConfig sigma_eps 0.0, -0.0": (lambda: StudyConfig(sigma_eps=(0.0, -0.0)), ConfigError),
     # a raw ValueError from x.min() before: an empty x is no vector of values
     "spline_basis x []": (lambda: spline_basis([], 4), DimensionError),
     # an overflow RuntimeWarning, and an inf response, before

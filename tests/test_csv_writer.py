@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ghs.files import csv_bytes, float_cells, float_codes, write_csv_chunks
+from ghs.files import _write_table, csv_bytes, float_cells, float_codes
 
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-323, 1.7976931348623157e308]
 
@@ -76,5 +76,5 @@ def test_written_file(tmp_path):
     table = np.resize(SPECIALS, (9000, 3))
     table[:, 1] = np.random.default_rng(6).standard_normal(9000)
     chunks = (float_codes(table[lo:lo + 4096].T) for lo in range(0, len(table), 4096))
-    write_csv_chunks(tmp_path / "t.csv", ["a", "b", "c"], map(csv_bytes, chunks))
+    _write_table(tmp_path / "t.csv", ["a", "b", "c"], map(csv_bytes, chunks), "csv")
     assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n" + reference(table)

@@ -10,12 +10,21 @@ masses and the risk bound give a mass in (0, 1] and a finite bound or a
 GhsError, with no warning at all, and a GhsError for any argument of the
 wrong kind; so do the special functions, 1F1, Phi1 and E_nu, whose limit at
 x = inf is 0, and the selection study's entry points that take numbers,
-arrays, label lists or a config dict.  The draws are derandomized and their
-number fixed, so the module runs the same examples on every run.
+arrays, label lists or a config dict.  The density, sample and risk
+subcommands, run through ``ghs.cli.main``, write a table that parses or exit
+with a typed JSON error, and leave no temporary file.  The draws are
+derandomized and their number fixed, so the module runs the same examples on
+every run.
 """
 
+import builtins
+import contextlib
+import io
+import json
 import math
+import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -24,6 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ghs.errors
+from ghs.cli import main as cli_main
 from ghs.distribution import GhsDistribution, density, log_density, radial_log_density
 from ghs.errors import GhsError
 from ghs.gamsel import (
@@ -468,3 +479,98 @@ def test_selection_entry_points_refuse_wrong_arguments(name, data):
     except GhsError:
         return
     raise AssertionError(f"{name} took an argument of the wrong kind: {args!r}")
+
+
+# The CLI's density, sample and risk subcommands, through ghs.cli.main: argument
+# lists over the north-star box (outputs of at most about 10^4 rows), each flag
+# given as --flag=value so that a value may start with '-', and one flag or none
+# holding a token of the wrong kind instead of its value.  A run exits 0 with
+# an output that parses, or 1 with a JSON error naming a GhsError or an
+# OSError; argparse exits 2 only where a typed flag's value is not of its type.
+# No run leaves <out>.tmp behind.
+WRONG_TOKENS = st.sampled_from(["x", "nan", "inf", "-inf", "1" + "0" * 400, "", ",", "1,,2", "2,x", "-3", "0"])
+TYPED = {"--d": int, "--n": float, "--seed": int, "--sigma-theta": float, "--sigma": float}
+
+
+def text(values):
+    """A strategy of values as comma-joined reprs."""
+    return values.map(lambda v: ",".join(map(repr, v)) if isinstance(v, list) else repr(v))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, points file bytes or None, whether argparse refuses a value) of one run."""
+    command = draw(st.sampled_from(["density", "sample", "risk"]))
+    d = draw(st.integers(1, 4 if command == "density" else 10))
+    points = None
+    if command == "density":
+        count = draw(st.integers(1, int(10 ** (4 / d))))  # count^d <= 10^4 grid rows
+        lo, step = draw(st.floats(-1e3, 1e3)), draw(log_uniform(1e-3, 1e3))
+        flags = {"--d": st.just(repr(d)), "--sigma-theta": text(log_uniform(1e-3, 1e3))}
+        if draw(st.booleans()):
+            flags["--grid"] = st.just(f"{lo!r}:{lo + (count - 1) * step!r}:{step!r}")
+        else:
+            flags["--points-file"] = st.just("{dir}/points.txt")
+            rows = draw(st.lists(st.lists(FINITE, min_size=d, max_size=d), max_size=50))
+            lines = [" ".join(map(repr, row)).encode() for row in rows]
+            if lines and draw(st.booleans()):  # one line of the wrong kind
+                wrong = draw(st.sampled_from([b"\xff", b"x", b"nan " * d, b"inf " * d, b"1 " * (d + 1)]))
+                lines[draw(st.integers(0, len(lines) - 1))] = wrong
+            points = b"\n".join(lines)
+    elif command == "sample":
+        flags = {"--d": st.just(repr(d)), "--n": st.one_of(text(st.integers(1, 1000)), st.just("1e3")),
+                 "--sigma-theta": text(log_uniform(1e-3, 1e3)), "--seed": text(st.integers(0, 2**64))}
+    else:
+        n_grid = st.lists(st.integers(2, 10**12), min_size=1, max_size=3)
+        flags = {"--sigma": text(log_uniform(1e-3, 1e3)), "--n-grid": text(n_grid)}
+        if draw(st.booleans()):
+            flags["--d-list"] = text(st.lists(st.integers(1, 100), min_size=1, max_size=3))
+        else:
+            flags["--d-list"] = st.just(repr(d))
+            flags["--theta0"] = text(st.lists(st.floats(-1e4, 1e4), min_size=d, max_size=d))
+    wrong = draw(st.sampled_from([None, None, *sorted(flags)]))
+    values = {flag: draw(WRONG_TOKENS if flag == wrong else strategy) for flag, strategy in flags.items()}
+
+    def refused(flag, value):
+        try:
+            TYPED[flag](value)
+        except ValueError:
+            return True
+        return False
+
+    argv = [command, *(f"{flag}={value}" for flag, value in values.items()),
+            f"--format={draw(st.sampled_from(['csv', 'json']))}"]
+    return argv, points, any(refused(flag, value) for flag, value in values.items() if flag in TYPED)
+
+
+@given(cli_runs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_cli_subcommands_write_a_table_or_a_typed_error(run):
+    argv, points, refused = run
+    with tempfile.TemporaryDirectory() as tmp:
+        if points is not None:
+            with open(os.path.join(tmp, "points.txt"), "wb") as fh:
+                fh.write(points)
+        out = os.path.join(tmp, "out")
+        argv = [a.replace("{dir}", tmp) for a in argv] + [f"--out={out}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                cli_main(argv)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+        assert not os.path.exists(out + ".tmp"), argv
+        assert (code == 2) == refused, (argv, stderr.getvalue())
+        if code == 0:
+            with open(out, encoding="utf-8") as fh:
+                if argv[-2] == "--format=json":
+                    assert isinstance(json.load(fh), list), argv
+                else:
+                    rows = [line.split(",") for line in fh.read().splitlines()]
+                    assert {len(row) for row in rows} == {len(rows[0])}, argv
+                    np.array(rows[1:], dtype=float)  # every cell a number
+        elif code == 1:
+            name = json.loads(stderr.getvalue())["error"]
+            error = getattr(ghs.errors, name, None) or getattr(builtins, name)
+            assert issubclass(error, (GhsError, OSError)), (argv, stderr.getvalue())

@@ -673,6 +673,54 @@ class TestCli:
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    def test_too_many_points_message_gives_a_short_count(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("density", "--d", "2", "--grid=0:1:1e-300", "--out", str(tmp_path / "o.csv"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": "grid spec '0:1:1e-300' gives 1e+300^2 points, too many"}
+
+    @pytest.mark.parametrize("argv, named", [
+        (["risk", "--d-list", "x", "--n-grid", "10"], "--d-list"),
+        (["risk", "--d-list", "2", "--n-grid", "10,x"], "--n-grid"),
+        (["risk", "--d-list", "2", "--theta0=1,x", "--n-grid", "10"], "--theta0"),
+        (["simulate", "--config", "{dir}/malformed.json", "--out-dir", "{dir}/run"], "malformed.json"),
+        (["simulate", "--config", "{dir}/latin1.json", "--out-dir", "{dir}/run"], "latin1.json"),
+        (["simulate", "--config", "{dir}/deep.json", "--out-dir", "{dir}/run"], "deep.json"),
+        (["density", "--d", "2", "--points-file", "{dir}/latin1.txt"], "--points-file"),
+    ])
+    def test_malformed_input_is_a_config_error_naming_it(self, tmp_path, capsys, argv, named):
+        (tmp_path / "malformed.json").write_text('{"n": [60], ')
+        (tmp_path / "deep.json").write_text("[" * 10**5)  # past the decoder's recursion limit
+        (tmp_path / "latin1.json").write_bytes('{"truth": ["zéro"]}'.encode("latin-1"))
+        (tmp_path / "latin1.txt").write_bytes(b"0 0\n" * 70000 + "0 0 # é\n".encode("latin-1"))
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run(*[a.replace("{dir}", str(tmp_path)) for a in argv], "--out", str(out))
+        assert exc.value.code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and named in err["message"]
+        assert sorted(os.listdir(tmp_path)) == ["deep.json", "latin1.json", "latin1.txt", "malformed.json"]
+
+    def test_empty_points_file_flag_is_the_file_not_found(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("density", "--d", "2", "--points-file=", "--out", str(tmp_path / "o.csv"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--d-list", "2", "--n-grid", "10"],
+        ["density", "--d", "1", "--grid=0:1:0.5", "--format", "json"],
+        ["sample", "--d", "1", "--n", "3", "--seed", "1"],
+    ])
+    def test_output_onto_a_directory_leaves_no_temporary_file(self, tmp_path, capsys, argv):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--out", str(tmp_path / "out"))
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        assert os.listdir(tmp_path) == ["out"] and not os.listdir(tmp_path / "out")
+
     def test_points_file_dimension_guard(self, tmp_path, capsys):
         pts = tmp_path / "pts.txt"
         pts.write_text("1.0,2.0\n")
